@@ -52,6 +52,7 @@ from .dynamics import (
     check_nonresonance,
     estimate_decay,
     find_horizon_equilibria,
+    horizon_targets,
     integrate,
     spectrum_classify,
     trace_equilibrium_curve,
@@ -136,6 +137,7 @@ __all__ = [
     "SpectralSplit",
     "integrate",
     "find_horizon_equilibria",
+    "horizon_targets",
     "spectrum_classify",
     "trace_equilibrium_curve",
     "check_nonresonance",

@@ -47,6 +47,7 @@ _FIT_GAP_LO = 1e-8
 _FIT_GAP_HI = 1e-3
 _MIN_FIT_SAMPLES = 20
 _VANISH_TOL = 1e-5
+_VANISH_SLOPE = 0.5
 _TARGET_RADIUS = 0.1
 _R2_CONFIRM = 0.999
 _EXPONENT_CONFIRM = 0.05
@@ -62,7 +63,8 @@ def estimate_tmax(
     (A is fitted over the final decade of the horizon gap), and tail_fraction
     is the tail relative to the total reconstructed span t_max - t(0).
 
-    Raises NotConverged unless the trajectory actually reached the horizon.
+    Raises NotConverged unless the trajectory actually reached the horizon,
+    InsufficientWindow when no sample lies off the horizon.
     """
     if traj.stop_reason != HORIZON_REACHED:
         raise NotConverged(
@@ -78,6 +80,8 @@ def estimate_tmax(
 
     gaps = traj.gaps
     pos = np.nonzero(gaps > 0)[0]
+    if not len(pos):
+        raise InsufficientWindow("no positive horizon gap to extrapolate")
     g_end = gaps[pos[-1]]
     window = pos[gaps[pos] <= 10.0 * g_end]
     if len(window) < 2:
@@ -126,6 +130,10 @@ def fit_rate(
     Raises InsufficientWindow (< 20 window samples), VanishingComponent (the
     chart coordinate of the component tends to zero, so the component is
     sub-polynomial and no rate is claimed), DomainError (weight-0 component).
+    The chart coordinate counts as vanishing when its median magnitude is
+    below 1e-5, or when it shrinks with the gap: log|x_i| against log(gap)
+    has slope above 1/2 (alpha_i for a constant component, 0 for one that
+    blows up at the type rate).
     """
     i = int(component_index)
     alpha_i = htype.alpha[i]
@@ -144,7 +152,11 @@ def fit_rate(
     gaps = traj.gaps[idx]
     directional = isinstance(chart, DirectionalChart)
     if not (directional and i == chart.i0):
-        if np.median(np.abs(coords[:, i])) < _VANISH_TOL:
+        xi = np.abs(coords[:, i])
+        if np.median(xi) < _VANISH_TOL or (
+            np.all(xi > 0)
+            and np.polyfit(np.log(gaps), np.log(xi), 1)[0] > _VANISH_SLOPE
+        ):
             raise VanishingComponent(
                 f"chart coordinate {i} tends to zero along the approach; "
                 f"the component is sub-polynomial relative to the type rate"

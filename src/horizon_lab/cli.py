@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .blowup import BlowupReport, build_report
-from .charts import DirectionalChart, ParabolicChart
+from .charts import DirectionalChart
 from .config import (
     AnalysisConfig,
     canonical_text,
@@ -41,10 +41,10 @@ from .dynamics import (
     Equilibrium,
     IntegratorControls,
     Trajectory,
-    find_horizon_equilibria,
+    horizon_targets,
     integrate,
 )
-from .errors import HorizonLabError, SchemaError, UnknownExample
+from .errors import HorizonLabError, NoTargetFound, SchemaError, UnknownExample
 from .homogeneity import infer_type
 from .systems import example_names, make_example
 
@@ -197,51 +197,31 @@ def _blowup_doc(report: BlowupReport) -> dict:
     }
 
 
-def _zero_weight_freeze(dfield: DesingField) -> Tuple[int, ...]:
-    """Indices of weight-0 coordinates to pin during equilibrium searches
-    (the time slot is handled separately)."""
-    start = 1 if dfield.nonautonomous else 0
-    return tuple(
-        i
-        for i in range(start, dfield.n)
-        if dfield.htype.alpha[i] == 0
-    )
+def _first_anchor(config: AnalysisConfig, dfield: DesingField) -> np.ndarray:
+    """Chart coordinates of the first run's initial point: the family slice
+    (weight-0 values) on which the global equilibria are listed."""
+    from .charts import embed
+
+    return embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
 
 
-def _run_targets(dfield: DesingField, traj: Trajectory):
-    """Horizon equilibria relevant to one trajectory's endpoint."""
-    freeze = _zero_weight_freeze(dfield)
+def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
+    """Blow-up report against the equilibrium the trajectory shadows.
+
+    One Gauss-Newton solve from the endpoint finds that equilibrium; the
+    grid search through the endpoint's family slice is the fallback when
+    the solve finds nothing within reach of the endpoint.
+    """
+    end = traj.coords[-1]
     t_slice = float(traj.ts[-1]) if dfield.nonautonomous else None
-    seeds = None
-    if freeze or not dfield.nonautonomous:
-        # pin frozen coordinates at the trajectory's final values
-        end = traj.coords[-1]
-        base = end.copy()
-        seeds = None
-        eqs = find_horizon_equilibria(
-            dfield,
-            seeds=_frozen_grid_seeds(dfield, freeze, base),
-            t_slice=t_slice,
-            freeze=freeze,
-        )
-        return eqs
-    return find_horizon_equilibria(dfield, seeds=seeds, t_slice=t_slice)
-
-
-def _frozen_grid_seeds(dfield, freeze, base):
-    """Default grid seeds with the frozen slots overridden by base values."""
-    from .dynamics import _default_seeds  # shared grid logic
-
-    frozen = set(freeze)
-    if dfield.nonautonomous:
-        frozen.add(0)
-    if isinstance(dfield.chart, DirectionalChart):
-        frozen.add(dfield.chart.i0)
-    free = [i for i in range(dfield.n) if i not in frozen]
-    anchor = base.copy()
-    if isinstance(dfield.chart, DirectionalChart):
-        anchor[dfield.chart.i0] = 0.0
-    return _default_seeds(dfield, free, anchor)
+    targets = horizon_targets(dfield, end, t_slice, grid=False)
+    if targets:
+        try:
+            return build_report(traj, targets, dfield.htype)
+        except NoTargetFound:
+            pass
+    targets = horizon_targets(dfield, end, t_slice)
+    return build_report(traj, targets, dfield.htype)
 
 
 def _analyze_one_run(
@@ -291,9 +271,7 @@ def _analyze_one_run(
         return record, traj
 
     try:
-        targets = _run_targets(dfield, traj)
-        report = build_report(traj, targets, dfield.htype)
-        record["blowup"] = _blowup_doc(report)
+        record["blowup"] = _blowup_doc(_run_report(dfield, traj))
     except HorizonLabError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
     return record, traj
@@ -367,20 +345,9 @@ def run_pipeline(
     # global equilibria listing at the first run's time slice
     equilibria = []
     try:
-        freeze = _zero_weight_freeze(dfield)
-        if dfield.nonautonomous:
-            t_slice = float(config.runs[0].y0[0])
-        else:
-            t_slice = None
-        from .charts import embed
-
-        base = embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
-        equilibria = find_horizon_equilibria(
-            dfield,
-            seeds=_frozen_grid_seeds(dfield, freeze, base),
-            t_slice=t_slice,
-            freeze=freeze,
-        )
+        t_slice = float(config.runs[0].y0[0]) if dfield.nonautonomous else None
+        anchor = _first_anchor(config, dfield)
+        equilibria = horizon_targets(dfield, anchor, t_slice)
     except HorizonLabError as exc:
         log.warning("equilibrium search failed: %s", exc)
     if write_csv:
@@ -522,24 +489,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_equilibria(args) -> int:
     config = _read_config(args.config)
     dfield = build_field_from_config(config)
-    freeze = _zero_weight_freeze(dfield)
-    if dfield.nonautonomous:
-        t_slice = (
-            args.t_slice
-            if args.t_slice is not None
-            else float(config.runs[0].y0[0])
-        )
-    else:
-        t_slice = args.t_slice
-    from .charts import embed
-
-    base = embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
-    eqs = find_horizon_equilibria(
-        dfield,
-        seeds=_frozen_grid_seeds(dfield, freeze, base),
-        t_slice=t_slice,
-        freeze=freeze,
-    )
+    t_slice = args.t_slice
+    if dfield.nonautonomous and t_slice is None:
+        t_slice = float(config.runs[0].y0[0])
+    eqs = horizon_targets(dfield, _first_anchor(config, dfield), t_slice)
     names = config.field.variable_names
     print(f"{len(eqs)} horizon equilibria ({dfield.chart.label} chart)")
     for i, eq in enumerate(eqs):

@@ -11,6 +11,7 @@ byte-stable under a parse/emit round trip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple, Union
 
@@ -137,6 +138,24 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path)
 
 
+def _nonfinite_path(value, path=()):
+    """Path to the first NaN or infinite number in a decoded document, or
+    None.  Python's json accepts NaN and Infinity, and 1e999 overflows."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _nonfinite_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One integration request: initial point plus tolerances."""
@@ -178,9 +197,10 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     """Parse and validate a JSON config document.
 
     Raises SchemaError (with a JSON pointer) for structural problems and for
-    semantic ones the schema cannot express: arity mismatches, an all-zero
-    alpha, non-positive order, a directional chart over a weight-0 variable,
-    and initial points outside the chart's half-space.
+    semantic ones the schema cannot express: NaN or infinite numbers,
+    arity mismatches, an all-zero alpha, non-positive order, a directional
+    chart over a weight-0 variable, and initial points outside the chart's
+    half-space.
     """
     if isinstance(text, bytes):
         try:
@@ -198,6 +218,9 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     if errors:
         err = errors[0]
         raise SchemaError(err.message, _pointer(err.absolute_path))
+    bad = _nonfinite_path(doc)
+    if bad is not None:
+        raise SchemaError("numbers must be finite", _pointer(bad))
 
     fdoc = doc["field"]
     variables = tuple(fdoc["variables"])

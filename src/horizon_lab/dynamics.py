@@ -9,9 +9,10 @@ time is reconstructed along the way from the time factor dt/dtau.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
-(directional), seeded on small grids.  Spectra are split into tangential /
-stable / unstable parts with an explicit neutral tolerance so borderline
-cases surface as 'nonhyperbolic' instead of a guess.
+(directional), seeded on small grids or at one given point.  Spectra are
+split into tangential / stable / unstable parts with an explicit neutral
+tolerance so borderline cases surface as 'nonhyperbolic' instead of a
+guess.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "SpectralSplit",
     "integrate",
     "find_horizon_equilibria",
+    "horizon_targets",
     "spectrum_classify",
     "trace_equilibrium_curve",
     "check_nonresonance",
@@ -452,6 +454,17 @@ def _default_seeds(dfield: DesingField, free: Sequence[int], base: np.ndarray):
     return seeds
 
 
+def _pinned_slots(dfield: DesingField, freeze: Sequence[int]) -> set:
+    """Slots the search does not solve for: ``freeze``, the time slot of a
+    nonautonomous field and the pivot s of a directional chart."""
+    pinned = set(int(i) for i in freeze)
+    if dfield.nonautonomous:
+        pinned.add(0)
+    if isinstance(dfield.chart, DirectionalChart):
+        pinned.add(dfield.chart.i0)
+    return pinned
+
+
 def find_horizon_equilibria(
     dfield: DesingField,
     seeds: Optional[Iterable] = None,
@@ -471,7 +484,7 @@ def find_horizon_equilibria(
     chart = dfield.chart
     parabolic = isinstance(chart, ParabolicChart)
     n = dfield.n
-    frozen = set(int(i) for i in freeze)
+    frozen = _pinned_slots(dfield, freeze)
     base = np.zeros(n)
     if dfield.nonautonomous:
         if t_slice is None:
@@ -479,12 +492,8 @@ def find_horizon_equilibria(
                 "nonautonomous field: equilibrium search needs a frozen t_slice"
             )
         base[0] = float(t_slice)
-        frozen.add(0)
     elif t_slice is not None:
         raise DomainError("t_slice given for an autonomous field")
-    if not parabolic:
-        frozen.add(chart.i0)  # s pinned to 0
-        base[chart.i0] = 0.0
     free = [i for i in range(n) if i not in frozen]
     if not free:
         raise DomainError("no free coordinates left to solve for")
@@ -555,14 +564,12 @@ def find_horizon_equilibria(
         found.append(x)
 
     found.sort(key=lambda x: tuple(np.round(x, 10)))
-    tangential_dims = (1 if dfield.nonautonomous else 0) + len(
-        frozen - ({0} if dfield.nonautonomous else set())
-        - ({chart.i0} if not parabolic else set())
-    )
+    # every pinned slot but the pivot s is a direction along the horizon
+    tangential_dims = len(frozen) - (0 if parabolic else 1)
     out = []
     for x in found:
         J = dfield.jacobian(x)
-        eigs = _eigvals(J)
+        eigs = np.sort(_eigvals(J))  # by (real, imag), not LAPACK's order
         split = _split_spectrum(eigs, tangential_dims)
         out.append(
             Equilibrium(
@@ -577,6 +584,35 @@ def find_horizon_equilibria(
             )
         )
     return out
+
+
+def horizon_targets(
+    dfield: DesingField,
+    anchor,
+    t_slice: Optional[float] = None,
+    grid: bool = True,
+) -> list:
+    """Horizon equilibria on the family slice through ``anchor``.
+
+    ``anchor`` holds full chart coordinates.  Its weight-0 coordinates
+    other than the time slot label a family of equilibria and stay pinned.
+    With ``grid`` the search is seeded on the default grid over the free
+    coordinates; without it, one Gauss-Newton solve starts at ``anchor``
+    itself (e.g. a trajectory endpoint, which lies next to the equilibrium
+    it shadows).  ``t_slice`` is as in find_horizon_equilibria.
+    """
+    start = 1 if dfield.nonautonomous else 0
+    freeze = [i for i in range(start, dfield.n) if dfield.htype.alpha[i] == 0]
+    x = np.asarray(anchor, dtype=float)
+    if grid:
+        pinned = _pinned_slots(dfield, freeze)
+        free = [i for i in range(dfield.n) if i not in pinned]
+        seeds = _default_seeds(dfield, free, x)
+    else:
+        seeds = [x]
+    return find_horizon_equilibria(
+        dfield, seeds=seeds, t_slice=t_slice, freeze=freeze
+    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from horizon_lab import (
+    HORIZON_REACHED,
     TAU_EXHAUSTED,
     DomainError,
     FieldSpec,
@@ -77,6 +78,15 @@ def test_tmax_requires_horizon_arrival():
     assert exc_info.value.stop_reason == TAU_EXHAUSTED
 
 
+def test_tmax_without_positive_gap_is_insufficient_window():
+    df = build_parabolic_desing(SCALAR, SCALAR_HT)
+    traj = integrate(df, np.array([1.0]))  # P = 1: starts on the horizon
+    assert traj.stop_reason == HORIZON_REACHED
+    assert traj.n_accepted == 0 and traj.gaps[0] == 0.0
+    with pytest.raises(InsufficientWindow):
+        estimate_tmax(traj, 1.0, 1.0)
+
+
 def test_tmax_rejects_nonpositive_rate_and_order(scalar_run):
     _, traj = scalar_run
     with pytest.raises(DomainError):
@@ -134,6 +144,27 @@ def test_kk_transverse_components_vanish():
     for i in (3, 4):  # both w components collapse onto the equilibrium zero
         with pytest.raises(VanishingComponent):
             fit_rate(traj, t_max, i, b.htype)
+
+
+def test_kk_constant_slow_components_vanish_off_zero():
+    """w1 = 0.3 and w2 = 0.2 stay constant, so their chart coordinates
+    shrink like s^alpha_i along the approach although their medians over
+    the fit window are not tiny; they must still count as vanishing."""
+    b = kk_dafermos()
+    df = build_directional_desing(b.field, b.htype, b.chart())
+    pt = embed(df.chart, np.array([0.0, 3.0, 1.0, 0.3, 0.2]))
+    traj = integrate(df, pt.coords)
+    lam, _ = estimate_decay(traj)
+    t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
+    for i in (3, 4):
+        with pytest.raises(VanishingComponent):
+            fit_rate(traj, t_max, i, b.htype)
+    report = build_report(traj, find_horizon_equilibria(df, freeze=(0,)), b.htype)
+    by_name = {r.variable: r for r in report.records}
+    assert by_name["w1"].vanishing and by_name["w2"].vanishing
+    assert not by_name["u1"].vanishing and not by_name["u2"].vanishing
+    assert by_name["u1"].fitted_exponent == pytest.approx(-1.0, abs=0.05)
+    assert report.type1_confirmed
 
 
 def test_mems_rates_and_signs(mems_run):

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import horizon_lab
-from horizon_lab import DomainError, SchemaError
+from horizon_lab import DomainError, SchemaError, cli
 from horizon_lab.config import (
     DEFAULT_ABS_TOL,
     DEFAULT_HORIZON_EPS,
@@ -111,6 +112,37 @@ def test_directional_halfspace_check():
     assert exc_info.value.pointer == "/runs/0/y0/0"
 
 
+@pytest.mark.parametrize(
+    "where, value, pointer",
+    [
+        (("runs", 1, "y0", 0), float("nan"), "/runs/1/y0/0"),
+        (("runs", 0, "y0", 0), float("inf"), "/runs/0/y0/0"),
+        (("runs", 0, "t0"), float("-inf"), "/runs/0/t0"),
+        (("runs", 0, "tau_max"), float("inf"), "/runs/0/tau_max"),
+        (("runs", 0, "rel_tol"), float("nan"), "/runs/0/rel_tol"),
+        (("runs", 0, "abs_tol"), float("inf"), "/runs/0/abs_tol"),
+        (("runs", 0, "horizon_eps"), float("nan"), "/runs/0/horizon_eps"),
+        (("homogeneity", "k"), float("inf"), "/homogeneity/k"),
+    ],
+)
+def test_nonfinite_numbers_rejected_with_pointer(where, value, pointer):
+    bad = doc(runs=[{"y0": [1.0]}, {"y0": [2.0]}])
+    target = bad
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(json.dumps(bad))
+    assert exc_info.value.pointer == pointer
+
+
+def test_overflowing_literal_rejected_with_pointer():
+    text = json.dumps(SCALAR_DOC).replace('"y0": [1.0]', '"y0": [1e999]')
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.pointer == "/runs/0/y0/0"
+
+
 def test_invalid_json_is_schema_error():
     with pytest.raises(SchemaError):
         parse_config("{not json")
@@ -200,6 +232,40 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "report.json").read_bytes() == (
         tmp_path / "b" / "report.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("endpoint", ["found", "none", "far", "nowhere"])
+def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
+    """The endpoint solve gives the target; when it finds nothing, or only
+    an equilibrium out of reach of the endpoint, the grid search runs."""
+    real = cli.horizon_targets
+    calls = []
+
+    def spy(dfield, anchor, t_slice=None, grid=True):
+        calls.append(grid)
+        if endpoint == "nowhere" or (endpoint == "none" and not grid):
+            return []
+        if endpoint == "far" and not grid:
+            # the source at y = -1, far from the endpoint near the sink at +1
+            anchor = -np.asarray(anchor)
+        return real(dfield, anchor, t_slice, grid=grid)
+
+    monkeypatch.setattr(cli, "horizon_targets", spy)
+    code, report = run_pipeline(
+        parse_config(json.dumps(SCALAR_DOC)), out_dir=str(tmp_path)
+    )
+    run = report["runs"][0]
+    if endpoint == "nowhere":
+        assert code == 2 and run["error"]["type"] == "NoTargetFound"
+        assert calls == [False, True, True]
+        return
+    assert code == 0
+    target = run["blowup"]["shadowed_target"]
+    assert target["coords"] == pytest.approx([1.0], abs=1e-12)
+    assert target["classification"] == "sink"
+    # endpoint solve, grid fallback if needed, then the global listing
+    fallback = [] if endpoint == "found" else [True]
+    assert calls == [False] + fallback + [True]
 
 
 # ---------------------------------------------------------------------------

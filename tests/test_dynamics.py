@@ -22,15 +22,24 @@ from horizon_lab import (
     Trajectory,
     build_directional_desing,
     build_parabolic_desing,
+    build_report,
     check_nonresonance,
     embed,
     estimate_decay,
     find_horizon_equilibria,
+    horizon_targets,
     integrate,
     spectrum_classify,
     trace_equilibrium_curve,
 )
-from horizon_lab.systems import kk_dafermos, mems, painleve1, selfsimilar
+from horizon_lab.systems import (
+    example_names,
+    kk_dafermos,
+    make_example,
+    mems,
+    painleve1,
+    selfsimilar,
+)
 
 
 def m(coeff, *exps):
@@ -277,6 +286,62 @@ def test_explicit_seed_search():
     eqs = find_horizon_equilibria(df, seeds=seeds, t_slice=0.0)
     assert len(eqs) == 1
     assert eqs[0].coords[2] > 0
+
+
+def test_eigenvalues_in_canonical_order():
+    b = kk_dafermos()
+    df = build_directional_desing(b.field, b.htype, b.chart())
+    eqs = find_horizon_equilibria(df, freeze=(0,))
+    eqs += find_horizon_equilibria(scalar_field())
+    for e in eqs:
+        key = [(v.real, v.imag) for v in e.eigenvalues]
+        assert key == sorted(key)
+
+
+# ---------------------------------------------------------------------------
+# horizon targets
+
+
+def example_run(name):
+    b = make_example(name)
+    chart = b.chart()
+    if isinstance(chart, DirectionalChart):
+        df = build_directional_desing(b.field, b.htype, chart)
+    else:
+        df = build_parabolic_desing(b.field, b.htype)
+    pt = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float))
+    return b, df, integrate(df, pt.coords)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_endpoint_target_matches_grid_target(name):
+    b, df, traj = example_run(name)
+    end = traj.coords[-1]
+    t_slice = float(traj.ts[-1]) if df.nonautonomous else None
+    single = horizon_targets(df, end, t_slice, grid=False)
+    assert len(single) == 1
+    grid = horizon_targets(df, end, t_slice)
+    assert len(grid) > 1
+    a = build_report(traj, single, b.htype).shadowed_target
+    g = build_report(traj, grid, b.htype).shadowed_target
+    assert np.max(np.abs(a.coords - g.coords)) < 1e-12
+    assert a.classification == g.classification
+    assert np.max(np.abs(a.eigenvalues - g.eigenvalues)) < 1e-12
+
+
+def test_horizon_targets_pin_weight_zero_slots_at_anchor():
+    b = kk_dafermos()  # chi has weight 0 and labels a family of slices
+    df = build_directional_desing(b.field, b.htype, b.chart())
+    on_zero = horizon_targets(df, np.zeros(5))
+    reference = find_horizon_equilibria(df, freeze=(0,))
+    assert len(on_zero) == len(reference) == 4
+    for e, r in zip(on_zero, reference):
+        assert np.array_equal(e.coords, r.coords)
+        assert np.array_equal(e.eigenvalues, r.eigenvalues)
+    anchor = np.array([0.5, 1.0, 0.3, 0.2, 0.1])
+    for e in horizon_targets(df, anchor):
+        assert e.coords[0] == 0.5
+        assert e.coords[2] == 0.0  # the pivot s sits on the horizon
 
 
 # ---------------------------------------------------------------------------
