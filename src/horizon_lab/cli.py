@@ -13,8 +13,8 @@ equilibria CSV, and a canonical report.json.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +44,13 @@ from .dynamics import (
     horizon_targets,
     integrate,
 )
-from .errors import HorizonLabError, NoTargetFound, SchemaError, UnknownExample
+from .errors import (
+    DomainError,
+    HorizonLabError,
+    NoTargetFound,
+    SchemaError,
+    UnknownExample,
+)
 from .homogeneity import infer_type
 from .systems import example_names, make_example
 
@@ -197,12 +203,19 @@ def _blowup_doc(report: BlowupReport) -> dict:
     }
 
 
-def _first_anchor(config: AnalysisConfig, dfield: DesingField) -> np.ndarray:
-    """Chart coordinates of the first run's initial point: the family slice
-    (weight-0 values) on which the global equilibria are listed."""
+def _global_equilibria(
+    config: AnalysisConfig, dfield: DesingField, t_slice: Optional[float] = None
+) -> list:
+    """Horizon equilibria on the family slice (weight-0 values) through the
+    first run's initial point; ``t_slice`` replaces its time value."""
     from .charts import embed
 
-    return embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
+    anchor = embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
+    if t_slice is not None:
+        if not (dfield.nonautonomous and math.isfinite(t_slice)):
+            raise DomainError("t_slice needs a nonautonomous field and a finite value")
+        anchor[0] = t_slice
+    return horizon_targets(dfield, anchor)
 
 
 def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
@@ -213,22 +226,21 @@ def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
     the solve finds nothing within reach of the endpoint.
     """
     end = traj.coords[-1]
-    t_slice = float(traj.ts[-1]) if dfield.nonautonomous else None
-    targets = horizon_targets(dfield, end, t_slice, grid=False)
+    targets = horizon_targets(dfield, end, grid=False)
     if targets:
         try:
             return build_report(traj, targets, dfield.htype)
         except NoTargetFound:
             pass
-    targets = horizon_targets(dfield, end, t_slice)
-    return build_report(traj, targets, dfield.htype)
+    return build_report(traj, horizon_targets(dfield, end), dfield.htype)
 
 
 def _analyze_one_run(
-    config: AnalysisConfig, dfield: DesingField, run_index: int
-) -> Tuple[dict, Optional[Trajectory]]:
+    config: AnalysisConfig, dfield: DesingField, run_index: int, csv_dir: Optional[Path]
+) -> dict:
+    """Integrate one run to the horizon and report its blow-up; writes the
+    run's trajectory CSV into ``csv_dir`` unless it is None."""
     run = config.runs[run_index]
-    chart = dfield.chart
     record: dict = {
         "index": run_index,
         "y0": [float(v) for v in run.y0],
@@ -243,7 +255,7 @@ def _analyze_one_run(
     try:
         from .charts import embed
 
-        point = embed(chart, np.asarray(run.y0))
+        point = embed(dfield.chart, np.asarray(run.y0))
         controls = IntegratorControls(
             rel_tol=run.rel_tol,
             abs_tol=run.abs_tol,
@@ -253,12 +265,15 @@ def _analyze_one_run(
         traj = integrate(dfield, point.coords, t0=run.t0, controls=controls)
     except HorizonLabError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return record, None
+        return record
 
     record["stop_reason"] = traj.stop_reason
     record["tau_end"] = float(traj.taus[-1])
     record["t_end"] = float(traj.ts[-1])
     record["accepted_steps"] = traj.n_accepted
+    if csv_dir is not None:
+        record["csv"] = f"run_{run_index:03d}.csv"
+        _write_trajectory_csv(csv_dir / record["csv"], traj)
 
     if traj.stop_reason != HORIZON_REACHED:
         record["error"] = {
@@ -268,27 +283,29 @@ def _analyze_one_run(
                 f"reaching the horizon"
             ),
         }
-        return record, traj
+        return record
 
     try:
         record["blowup"] = _blowup_doc(_run_report(dfield, traj))
     except HorizonLabError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    return record, traj
-
-
-def _worker(args: tuple) -> dict:
-    """Worker for --jobs: rebuilds the field from config text (compiled
-    evaluators do not pickle) and analyzes one run."""
-    config_text, run_index, out_dir, write_csv = args
-    config = parse_config(config_text)
-    dfield = build_field_from_config(config)
-    record, traj = _analyze_one_run(config, dfield, run_index)
-    if traj is not None and write_csv:
-        name = f"run_{run_index:03d}.csv"
-        _write_trajectory_csv(Path(out_dir) / name, traj)
-        record["csv"] = name
     return record
+
+
+_worker_state: tuple = ()
+
+
+def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
+    """Pool initializer: keep (config, field, csv_dir) for this worker
+    process.  Compiled evaluators do not pickle, so each worker builds its
+    own field, once."""
+    global _worker_state
+    _worker_state = (config, build_field_from_config(config), csv_dir)
+
+
+def _run_in_worker(run_index: int) -> dict:
+    config, dfield, csv_dir = _worker_state
+    return _analyze_one_run(config, dfield, run_index, csv_dir)
 
 
 def run_pipeline(
@@ -302,13 +319,13 @@ def run_pipeline(
     run is partial (did not reach the horizon or produced no blow-up
     report); such runs carry an ``error`` entry instead of a ``blowup`` one.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir if out_dir is not None else config.outputs.directory)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv = "csv" in config.outputs.formats
-    write_json = "json" in config.outputs.formats
+    csv_dir = out if "csv" in config.outputs.formats else None
 
     dfield = build_field_from_config(config)
-    config_text = canonical_text(config.document)
     log.info(
         "pipeline start: %d run(s), %s chart, variables %s",
         len(config.runs),
@@ -319,20 +336,17 @@ def run_pipeline(
 
     n_runs = len(config.runs)
     if jobs > 1 and n_runs > 1:
-        args = [
-            (config_text, i, str(out), write_csv) for i in range(n_runs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, args))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, n_runs),
+            initializer=_init_worker,
+            initargs=(config, csv_dir),
+        ) as pool:
+            # chunksize 1: per-run cost is heavy-tailed (painleve1)
+            records = list(pool.map(_run_in_worker, range(n_runs), chunksize=1))
     else:
-        records = []
-        for i in range(n_runs):
-            record, traj = _analyze_one_run(config, dfield, i)
-            if traj is not None and write_csv:
-                name = f"run_{i:03d}.csv"
-                _write_trajectory_csv(out / name, traj)
-                record["csv"] = name
-            records.append(record)
+        records = [
+            _analyze_one_run(config, dfield, i, csv_dir) for i in range(n_runs)
+        ]
     for r in records:
         log.info(
             "run %s: stop=%s tau_end=%s error=%s",
@@ -345,12 +359,10 @@ def run_pipeline(
     # global equilibria listing at the first run's time slice
     equilibria = []
     try:
-        t_slice = float(config.runs[0].y0[0]) if dfield.nonautonomous else None
-        anchor = _first_anchor(config, dfield)
-        equilibria = horizon_targets(dfield, anchor, t_slice)
+        equilibria = _global_equilibria(config, dfield)
     except HorizonLabError as exc:
         log.warning("equilibrium search failed: %s", exc)
-    if write_csv:
+    if csv_dir is not None:
         _write_equilibria_csv(out / "equilibria.csv", equilibria)
 
     htype = dfield.htype
@@ -367,7 +379,7 @@ def run_pipeline(
         "equilibria": [_equilibrium_doc(eq) for eq in equilibria],
         "runs": records,
     }
-    if write_json:
+    if "json" in config.outputs.formats:
         (out / "report.json").write_text(
             canonical_text(report_doc), encoding="utf-8"
         )
@@ -399,6 +411,18 @@ def emit_example(name: str, params: Optional[dict] = None) -> str:
 # argument parsing
 
 
+def _example_param(text: str) -> Tuple[str, float]:
+    """NAME=VALUE with a finite number; the example's builder checks NAME."""
+    name, _, raw = text.partition("=")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if name and math.isfinite(value):
+        return name, value
+    raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got '{text}'")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horizon-lab",
@@ -414,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("config", help="path to a JSON config file")
     p_an.add_argument("--out", help="output directory (overrides config)")
     p_an.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes"
+        "--jobs", type=int, default=1, help="parallel worker processes (>= 1)"
     )
 
     p_eq = sub.add_parser(
@@ -440,13 +464,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="print the canonical config JSON and exit")
     p_ex.add_argument("--out", help="output directory for analysis")
     p_ex.add_argument("--jobs", type=int, default=1)
-    p_ex.add_argument("--epsilon", type=float, default=None)
-    p_ex.add_argument("--m", type=float, default=None)
-    p_ex.add_argument("--beta", type=float, default=None)
-    p_ex.add_argument("--alpha-ss", dest="alpha_ss", type=float, default=None)
-    p_ex.add_argument("--n-dim", dest="n_dim", type=int, default=None)
-    p_ex.add_argument("--p", type=int, default=None)
-    p_ex.add_argument("--q", type=float, default=None)
+    p_ex.add_argument(
+        "--param",
+        type=_example_param,
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="example parameter (repeatable), e.g. --param epsilon=0.1",
+    )
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config", help="path to a JSON config file")
@@ -489,10 +514,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_equilibria(args) -> int:
     config = _read_config(args.config)
     dfield = build_field_from_config(config)
-    t_slice = args.t_slice
-    if dfield.nonautonomous and t_slice is None:
-        t_slice = float(config.runs[0].y0[0])
-    eqs = horizon_targets(dfield, _first_anchor(config, dfield), t_slice)
+    eqs = _global_equilibria(config, dfield, args.t_slice)
     names = config.field.variable_names
     print(f"{len(eqs)} horizon equilibria ({dfield.chart.label} chart)")
     for i, eq in enumerate(eqs):
@@ -514,12 +536,7 @@ def _cmd_example(args) -> int:
         for name in list_examples():
             print(name)
         return 0
-    params = {
-        key: getattr(args, key)
-        for key in ("epsilon", "m", "beta", "alpha_ss", "n_dim", "p", "q")
-        if getattr(args, key) is not None
-    }
-    text = emit_example(args.name, params)
+    text = emit_example(args.name, dict(args.param))
     if args.emit_config:
         sys.stdout.write(text)
         return 0
@@ -539,7 +556,10 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+        return 0 if exc.code == 0 else 1
     handlers = {
         "analyze": _cmd_analyze,
         "equilibria": _cmd_equilibria,

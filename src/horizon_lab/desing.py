@@ -27,7 +27,7 @@ including the chain rule through W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
@@ -280,7 +280,6 @@ class DesingField:
     source: FieldSpec
     components: Tuple[Poly, ...]
     time_factor: Poly
-    metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         parabolic = isinstance(self.chart, ParabolicChart)
@@ -505,12 +504,6 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
         source=field,
         components=tuple(components),
         time_factor=time_factor,
-        metadata={
-            "construction": "parabolic",
-            "variable_names": field.variable_names,
-            "k": float(htype.k),
-            "alpha": htype.alpha,
-        },
     )
 
 
@@ -590,12 +583,4 @@ def build_directional_desing(
         source=field,
         components=tuple(components),
         time_factor=time_factor,
-        metadata={
-            "construction": "directional",
-            "i0": i0,
-            "sign": sigma,
-            "variable_names": field.variable_names,
-            "k": float(htype.k),
-            "alpha": htype.alpha,
-        },
     )

@@ -495,8 +495,6 @@ def find_horizon_equilibria(
     elif t_slice is not None:
         raise DomainError("t_slice given for an autonomous field")
     free = [i for i in range(n) if i not in frozen]
-    if not free:
-        raise DomainError("no free coordinates left to solve for")
 
     if parabolic:
 
@@ -586,24 +584,21 @@ def find_horizon_equilibria(
     return out
 
 
-def horizon_targets(
-    dfield: DesingField,
-    anchor,
-    t_slice: Optional[float] = None,
-    grid: bool = True,
-) -> list:
+def horizon_targets(dfield: DesingField, anchor, grid: bool = True) -> list:
     """Horizon equilibria on the family slice through ``anchor``.
 
     ``anchor`` holds full chart coordinates.  Its weight-0 coordinates
-    other than the time slot label a family of equilibria and stay pinned.
+    label a family of equilibria and stay pinned; for a nonautonomous field
+    that includes the time slot, so ``anchor[0]`` is the time slice.
     With ``grid`` the search is seeded on the default grid over the free
     coordinates; without it, one Gauss-Newton solve starts at ``anchor``
     itself (e.g. a trajectory endpoint, which lies next to the equilibrium
-    it shadows).  ``t_slice`` is as in find_horizon_equilibria.
+    it shadows).
     """
     start = 1 if dfield.nonautonomous else 0
     freeze = [i for i in range(start, dfield.n) if dfield.htype.alpha[i] == 0]
     x = np.asarray(anchor, dtype=float)
+    t_slice = float(x[0]) if dfield.nonautonomous else None
     if grid:
         pinned = _pinned_slots(dfield, freeze)
         free = [i for i in range(dfield.n) if i not in pinned]

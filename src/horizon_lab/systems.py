@@ -49,7 +49,6 @@ class SystemBundle:
     chart_sign: int = 1
     default_runs: Tuple[dict, ...] = ()
     params: Dict[str, float] = dc_field(default_factory=dict)
-    freeze: Tuple[int, ...] = ()
 
     def chart(self):
         if self.chart_kind == "parabolic":
@@ -124,7 +123,6 @@ def kk_dafermos(epsilon: float = 0.0) -> SystemBundle:
         chart_sign=1,
         default_runs=({"y0": (0.0, 3.0, 1.0, 0.0, 0.0), "t0": 0.0},),
         params={"epsilon": eps},
-        freeze=(0,),
     )
 
 
@@ -173,6 +171,8 @@ def mems(n_dim: int = 3, p: int = 2, q: float = 1.0) -> SystemBundle:
     and positive; the touchdown branch lives in w < 0, so the bundled chart
     is the -w direction.
     """
+    if not (float(n_dim).is_integer() and float(p).is_integer()):
+        raise DomainError(f"n_dim and p must be integers, got {n_dim} and {p}")
     nd = int(n_dim)
     pi = int(p)
     qf = float(q)

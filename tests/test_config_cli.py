@@ -21,7 +21,8 @@ from horizon_lab.config import (
     config_from_bundle,
     parse_config,
 )
-from horizon_lab.cli import main, run_pipeline
+from horizon_lab.cli import emit_example, main, run_pipeline
+from horizon_lab.dynamics import find_horizon_equilibria
 from horizon_lab.systems import EXAMPLES, selfsimilar
 
 SCALAR_DOC = {
@@ -225,6 +226,89 @@ def test_pipeline_parallel_matches_serial(tmp_path):
         assert a == b
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor without starting a process: one
+    in-process "worker" runs the initializer once and then every task."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.chunksize = None
+        initializer(*initargs)
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+
+def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
+    d = doc()
+    d["runs"] = [{"y0": [1.0]}, {"y0": [2.0]}, {"y0": [0.5]}]
+    cfg = parse_config(json.dumps(d))
+    _, serial = run_pipeline(cfg, out_dir=str(tmp_path / "serial"))
+
+    builds = []
+    real_build = cli.build_field_from_config
+
+    def counting_build(config):
+        builds.append(config)
+        return real_build(config)
+
+    def no_parse(text):
+        raise AssertionError("a worker parsed config text")
+
+    RecordingPool.made.clear()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "build_field_from_config", counting_build)
+    monkeypatch.setattr(cli, "parse_config", no_parse)
+    monkeypatch.setattr(horizon_lab.config, "parse_config", no_parse)
+    monkeypatch.setattr(cli, "_worker_state", ())
+    code, pooled = run_pipeline(cfg, out_dir=str(tmp_path / "pool"), jobs=8)
+
+    assert code == 0 and pooled == serial
+    (pool,) = RecordingPool.made
+    assert pool.max_workers == 3  # min(jobs, runs)
+    assert pool.chunksize == 1
+    # the parent's field plus one for the one worker, not one per run
+    assert len(builds) == 2 and all(c is cfg for c in builds)
+    for name in ("run_000.csv", "run_001.csv", "run_002.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (
+            tmp_path / "serial" / name
+        ).read_bytes()
+
+
+DIRECTIONAL_SCALAR_DOC = doc(chart={"type": "directional", "index": 0, "sign": 1})
+
+
+def test_directional_chart_with_nothing_to_solve_for(tmp_path, capsys):
+    """On a one-variable field the directional horizon is the point s = 0:
+    the search checks g there instead of refusing to search."""
+    cfg = parse_config(json.dumps(DIRECTIONAL_SCALAR_DOC))
+    code, report = run_pipeline(cfg, out_dir=str(tmp_path / "out"))
+    assert code == 0
+    blowup = report["runs"][0]["blowup"]
+    assert blowup["t_max"] == pytest.approx(1.0, abs=1e-12)
+    assert blowup["type1_confirmed"]
+    for eq in (blowup["shadowed_target"], *report["equilibria"]):
+        assert eq["coords"] == [0.0]
+        assert eq["classification"] == "sink"
+        assert eq["eigenvalues"] == [[-1.0, 0.0]]
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(DIRECTIONAL_SCALAR_DOC))
+    assert main(["equilibria", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 horizon equilibria" in out and "sink: (y=0)" in out
+
+
 def test_pipeline_rerun_is_deterministic(tmp_path):
     cfg = parse_config(json.dumps(SCALAR_DOC))
     run_pipeline(cfg, out_dir=str(tmp_path / "a"))
@@ -241,14 +325,14 @@ def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     real = cli.horizon_targets
     calls = []
 
-    def spy(dfield, anchor, t_slice=None, grid=True):
+    def spy(dfield, anchor, grid=True):
         calls.append(grid)
         if endpoint == "nowhere" or (endpoint == "none" and not grid):
             return []
         if endpoint == "far" and not grid:
             # the source at y = -1, far from the endpoint near the sink at +1
             anchor = -np.asarray(anchor)
-        return real(dfield, anchor, t_slice, grid=grid)
+        return real(dfield, anchor, grid=grid)
 
     monkeypatch.setattr(cli, "horizon_targets", spy)
     code, report = run_pipeline(
@@ -320,6 +404,87 @@ def test_main_unknown_example(capsys):
     assert main(["example", "no_such_system"]) == 1
     err = capsys.readouterr().err
     assert "no_such_system" in err
+
+
+def test_main_example_param_matches_emit_example(capsys):
+    argv = ["example", "mems", "--param", "n_dim=2", "--param", "p=4"]
+    assert main(argv + ["--emit-config"]) == 0
+    assert capsys.readouterr().out == emit_example("mems", {"n_dim": 2, "p": 4})
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("nope=1", "nope"),  # the builder has no such parameter
+        ("p", "NAME=VALUE"),
+        ("p=abc", "NAME=VALUE"),
+        ("p=nan", "NAME=VALUE"),
+        ("p=inf", "NAME=VALUE"),
+        ("p=2.5", "must be integers"),
+        ("n_dim=2.5", "must be integers"),
+    ],
+)
+def test_main_example_bad_param_exits_1(capsys, param, message):
+    assert main(["example", "mems", "--param", param, "--emit-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],  # missing config
+        ["analyze", "cfg.json", "--jobs", "abc"],
+        ["no_such_command"],
+        [],
+    ],
+)
+def test_main_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_main_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_main_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SCALAR_DOC))
+    out = tmp_path / "out"
+    assert main(["analyze", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_equilibria_t_slice(tmp_path, capsys):
+    cfg_path = tmp_path / "painleve1.json"
+    cfg_path.write_text(emit_example("painleve1"))
+    out = tmp_path / "out"
+    argv = ["equilibria", str(cfg_path), "--t-slice", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "equilibria.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = parse_config(cfg_path.read_bytes())
+    expected = find_horizon_equilibria(
+        cli.build_field_from_config(cfg), t_slice=0.5
+    )
+    assert len(rows) == len(expected) == 2
+    for row, eq in zip(rows, expected):
+        assert row["t_slice"] == "0.5"
+        coords = [float(row[f"coord_{i}"]) for i in range(3)]
+        assert coords == [float(v) for v in eq.coords]
+
+    capsys.readouterr()
+    assert main(["equilibria", str(cfg_path), "--t-slice", "nan"]) == 1
+    assert "DomainError" in capsys.readouterr().err
+    auto = tmp_path / "scalar.json"
+    auto.write_text(json.dumps(SCALAR_DOC))
+    assert main(["equilibria", str(auto), "--t-slice", "0.5"]) == 1
+    assert "DomainError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -317,10 +317,9 @@ def example_run(name):
 def test_endpoint_target_matches_grid_target(name):
     b, df, traj = example_run(name)
     end = traj.coords[-1]
-    t_slice = float(traj.ts[-1]) if df.nonautonomous else None
-    single = horizon_targets(df, end, t_slice, grid=False)
+    single = horizon_targets(df, end, grid=False)
     assert len(single) == 1
-    grid = horizon_targets(df, end, t_slice)
+    grid = horizon_targets(df, end)
     assert len(grid) > 1
     a = build_report(traj, single, b.htype).shadowed_target
     g = build_report(traj, grid, b.htype).shadowed_target
