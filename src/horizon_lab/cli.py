@@ -129,14 +129,9 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """One row per accepted step (the initial condition is not a step)."""
     n = traj.coords.shape[1]
     header = ["tau", "t"] + [f"coord_{i}" for i in range(n)] + ["horizon_gap"]
+    rows = np.column_stack((traj.taus, traj.ts, traj.coords, traj.gaps))
     lines = [",".join(header)]
-    for i in range(1, len(traj.taus)):
-        row = (
-            [_float_str(traj.taus[i]), _float_str(traj.ts[i])]
-            + [_float_str(v) for v in traj.coords[i]]
-            + [_float_str(traj.gaps[i])]
-        )
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, row)) for row in rows[1:].tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

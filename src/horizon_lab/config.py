@@ -17,6 +17,7 @@ from typing import Optional, Tuple, Union
 
 import jsonschema
 
+from .dynamics import IntegratorControls
 from .errors import SchemaError
 from .homogeneity import FieldSpec, HomogeneityType, Monomial
 
@@ -33,10 +34,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-12
-DEFAULT_HORIZON_EPS = 1e-12
-DEFAULT_TAU_MAX = 200.0
+# a run that leaves a tolerance out gets the integrator's own default
+DEFAULT_REL_TOL = IntegratorControls.rel_tol
+DEFAULT_ABS_TOL = IntegratorControls.abs_tol
+DEFAULT_HORIZON_EPS = IntegratorControls.horizon_eps
+DEFAULT_TAU_MAX = IntegratorControls.tau_max
 
 _MONOMIAL_SCHEMA = {
     "type": "object",

@@ -21,7 +21,9 @@ horizon functions W and s appear with provably nonnegative exponents.
 
 Evaluation compiles each field once into plain Python expressions (value,
 Jacobian, time factor); the Jacobian is the exact term-wise derivative,
-including the chain rule through W.
+including the chain rule through W.  The same compilation emits one
+Dormand-Prince 5(4) step per field, with the stages, the tableau and the
+state dimension unrolled around those expressions.
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ class _Emitter:
         self.gap_slot = gap_slot  # directional: slot index of s
         self.needs_w_clamp = False
         self.needs_s_clamp = False
+        # coordinates read by the emitted expressions or by W
+        self.used = set(i_alpha) if parabolic else set()
 
     def var(self, j: int) -> str:
         return f"x{j}"
@@ -193,6 +197,7 @@ class _Emitter:
         for j, e in enumerate(exps):
             if e == 0:
                 continue
+            self.used.add(j)
             clamp = None
             if self.gap_slot is not None and j == self.gap_slot and not isinstance(_canon_e(e), int):
                 clamp = f"x{j}c"
@@ -224,26 +229,99 @@ class _Emitter:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
         return expr
 
-    def preamble(self) -> str:
+    def derived(self, indent: str) -> list:
+        """Lines computing W and the clamped bases from the x{j} locals."""
         lines = []
-        for j in range(self.n):
-            lines.append(f"    x{j} = z[{j}]")
         if self.parabolic:
             terms = [
                 _emit_power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
             ]
-            lines.append(f"    W = 1.0 - ({' + '.join(terms)})")
+            lines.append(f"{indent}W = 1.0 - ({' + '.join(terms)})")
             if self.needs_w_clamp:
-                lines.append("    Wc = W if W > 0.0 else 0.0")
+                lines.append(f"{indent}Wc = W if W > 0.0 else 0.0")
         elif self.needs_s_clamp:
             j = self.gap_slot
-            lines.append(f"    x{j}c = x{j} if x{j} > 0.0 else 0.0")
-        return "\n".join(lines)
+            lines.append(f"{indent}x{j}c = x{j} if x{j} > 0.0 else 0.0")
+        return lines
+
+    def preamble(self) -> str:
+        loads = [f"    x{j} = z[{j}]" for j in range(self.n)]
+        return "\n".join(loads + self.derived("    "))
+
+
+# Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# Sec. II.5): row s - 2 of _DP_A weights k1..k{s-1} for stage s = 2..7.  The
+# last row holds the 5th-order weights, so stage 7 is evaluated at the new
+# state and reused as the next step's k1 (FSAL); _DP_E = b5 - b4.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+
+
+def _emit_step(em: _Emitter, exprs, dim: int) -> str:
+    """Source of ``_step(z, k1, h, atol, rtol) -> (z_new, err_norm, k7)``.
+
+    ``exprs`` are the field's n component expressions plus its time factor,
+    so stage s binds k{s}_0 .. k{s}_n; the state has ``dim`` slots (n, or
+    n + 1 with t when the field is autonomous).  Each weighted sum is
+    written ``0 + c1*k1_i + c2*k2_i + ...``, added left to right from the
+    integer 0 with every tableau entry, zeros included, so the step equals
+    bit for bit the list form that adds ``c[j] * k[j][i]`` in the same
+    order, which the tests keep as its reference.  Stages 2-6 only compute the coordinates
+    the expressions read, and every stage evaluates the time factor, so a
+    step fails exactly where a full field evaluation does.  Arithmetic
+    errors are raised as DomainError, as in rhs_values.
+    """
+    def combo(coeffs, i):
+        return "0 + " + " + ".join(
+            f"{_fmt_float(c)}*k{j}_{i}" for j, c in enumerate(coeffs, start=1)
+        )
+
+    slots = range(dim)
+    lines = [
+        "def _step(z, k1, h, atol, rtol):",
+        "    " + "".join(f"z{i}, " for i in slots) + "= z",
+        "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
+        "    try:",
+    ]
+    for s, row in enumerate(_DP_A, start=2):
+        points = slots if s == 7 else sorted(em.used)
+        lines += [f"        x{i} = z{i} + h * ({combo(row, i)})" for i in points]
+        lines += em.derived("        ")
+        lines += [f"        k{s}_{i} = {expr}" for i, expr in enumerate(exprs)]
+    lines += [
+        "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+        "        raise DomainError('field evaluation failed in a step: '"
+        " + str(exc)) from exc",
+    ]
+    for i in slots:
+        lines += [
+            f"    e{i} = h * ({combo(_DP_E, i)})",
+            f"    q{i} = e{i} / (atol + rtol * max(abs(z{i}), abs(x{i})))",
+        ]
+    squares = " + ".join(f"q{i}*q{i}" for i in slots)
+    lines += [
+        f"    err = _sqrt((0.0 + {squares}) / {dim})",
+        "    return ("
+        + "".join(f"x{i}, " for i in slots)
+        + "), err, ("
+        + "".join(f"k7_{i}, " for i in slots)
+        + ")",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
                    components: Tuple[Poly, ...], time_factor: Poly,
-                   jac_rows: Tuple[Tuple[Poly, ...], ...]):
+                   jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool):
     em = _Emitter(n, parabolic, two_beta, i_alpha, gap_slot)
     comp_exprs = [em.poly(p) for p in components]
     tf_expr = em.poly(time_factor)
@@ -258,11 +336,13 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
     src = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n"
         f"        {tf_expr},\n    )\n\n"
-        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n"
+        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
+        + _emit_step(em, comp_exprs + [tf_expr], n if nonautonomous else n + 1)
     )
-    ns: dict = {"_pw": power, "math": math}
+    ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
+                "DomainError": DomainError}
     exec(compile(src, "<desing-field>", "exec"), ns)
-    return ns["_rhs"], ns["_jac"], src
+    return ns["_rhs"], ns["_jac"], ns["_step"], src
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,6 +353,12 @@ class DesingField:
     W-exponent) to coefficients; W is recomputed from the coordinates at
     evaluation time, which keeps the horizon exact.  Evaluation goes through
     expressions compiled once at construction.
+
+    ``step(z, k1, h, atol, rtol)`` is the field's compiled Dormand-Prince
+    5(4) step: from state ``z`` (the coordinates, then t for an autonomous
+    field) and its derivative ``k1`` it returns the new state, the RMS error
+    norm and the derivative there.  ``source_code`` holds all the generated
+    source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]
@@ -287,7 +373,7 @@ class DesingField:
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        rhs, jac, src = _compile_field(
+        rhs, jac, step, src = _compile_field(
             self.n,
             parabolic,
             2 * self.htype.beta_full(),
@@ -296,9 +382,11 @@ class DesingField:
             self.components,
             self.time_factor,
             jac_rows,
+            self.nonautonomous,
         )
         object.__setattr__(self, "_rhs", rhs)
         object.__setattr__(self, "_jac", jac)
+        object.__setattr__(self, "step", step)
         object.__setattr__(self, "source_code", src)
 
     @property

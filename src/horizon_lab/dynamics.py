@@ -5,7 +5,10 @@ hand-rolled so the stopping semantics are exact: a trajectory ends with one of
 four reasons (horizon_reached / tau_exhausted / left_domain / diverged), a
 stage that probes outside the chart domain causes a retry with a smaller step
 rather than a crash, and a step-size underflow raises StepFailure.  Physical
-time is reconstructed along the way from the time factor dt/dtau.
+time is reconstructed along the way from the time factor dt/dtau.  The step
+itself is generated per field (``DesingField.step``, emitted in ``desing``):
+the stages, the tableau and the error norm are unrolled around the field's
+own expressions; this module keeps the step-size control and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
@@ -64,21 +67,6 @@ _DOMAIN_SLACK = 1e-9  # grace below the horizon before calling it left_domain
 _MIN_STEP = 1e-15
 _STATE_GUARD = 1e100
 
-# Dormand-Prince 5(4) tableau
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-
-
 @dataclass
 class IntegratorControls:
     """Tolerances and stopping thresholds for integrate().
@@ -125,15 +113,6 @@ class Trajectory:
         return zip(self.taus, self.coords, self.ts)
 
 
-def _error_norm(err, z_old, z_new, atol, rtol):
-    acc = 0.0
-    for e, a, b in zip(err, z_old, z_new):
-        scale = atol + rtol * max(abs(a), abs(b))
-        q = e / scale
-        acc += q * q
-    return math.sqrt(acc / len(err))
-
-
 def integrate(
     dfield: DesingField,
     coords0,
@@ -159,18 +138,11 @@ def integrate(
     if nonaut:
         z = list(x0)
 
-        def rhs(state):
-            return list(dfield.rhs_values(state)[:-1])
-
         def t_of(state):
             return state[0]
 
     else:
         z = list(x0) + [float(t0)]
-
-        def rhs(state):
-            vals = dfield.rhs_values(state[:n])
-            return list(vals[:-1]) + [vals[-1]]
 
         def t_of(state):
             return state[n]
@@ -178,7 +150,6 @@ def integrate(
     def gap_of(state):
         return dfield.horizon_gap(state[:n])
 
-    dim = len(z)
     taus = [0.0]
     coords = [list(z[:n])]
     ts = [t_of(z)]
@@ -199,10 +170,12 @@ def integrate(
     if stop is not None:
         return _mk_traj(dfield, taus, coords, ts, gaps, stop, n_rejected)
 
-    k1 = rhs(z)
+    k1 = dfield.rhs_values(x0)
+    if nonaut:
+        k1 = k1[:-1]
+    step = dfield.step
     h = min(ctl.h_init, ctl.tau_max)
     err_prev = 1e-4
-    ks = [None] * 7
     steps = 0
 
     while True:
@@ -219,18 +192,7 @@ def integrate(
             capped = True
 
         try:
-            ks[0] = k1
-            for s in range(1, 7):
-                a = _A[s]
-                zs = [
-                    z[i] + h * sum(a[j] * ks[j][i] for j in range(s))
-                    for i in range(dim)
-                ]
-                ks[s] = rhs(zs)
-            z_new = zs  # stage 7 evaluates at the 5th-order solution (FSAL)
-            err_vec = [
-                h * sum(_E[j] * ks[j][i] for j in range(7)) for i in range(dim)
-            ]
+            z_new, err, k7 = step(z, k1, h, ctl.abs_tol, ctl.rel_tol)
         except DomainError:
             n_rejected += 1
             h *= 0.5
@@ -241,7 +203,6 @@ def integrate(
             h *= 0.5
             continue
 
-        err = _error_norm(err_vec, z, z_new, ctl.abs_tol, ctl.rel_tol)
         if not math.isfinite(err):
             n_rejected += 1
             h *= 0.5
@@ -254,7 +215,7 @@ def integrate(
         # accepted
         tau_new = ctl.tau_max if capped else tau + h
         z = z_new
-        k1 = ks[6]
+        k1 = k7
         taus.append(tau_new)
         coords.append(list(z[:n]))
         ts.append(t_of(z))

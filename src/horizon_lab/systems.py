@@ -18,6 +18,7 @@ The four models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -220,7 +221,11 @@ def example_names():
 
 
 def make_example(name: str, params: Optional[dict] = None) -> SystemBundle:
-    """Instantiate a built-in example by name with keyword parameters."""
+    """Instantiate a built-in example by name with keyword parameters.
+
+    Raises UnknownExample for an unregistered name and DomainError for an
+    unknown, out-of-range or non-finite parameter.
+    """
     try:
         builder = EXAMPLES[name]
     except KeyError:
@@ -228,6 +233,16 @@ def make_example(name: str, params: Optional[dict] = None) -> SystemBundle:
             f"unknown example '{name}'; available: {', '.join(example_names())}"
         ) from None
     params = dict(params or {})
+    for key, value in params.items():
+        try:  # None asks for the builder's default
+            finite = value is None or math.isfinite(float(value))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise DomainError(
+                f"parameter '{key}' of example '{name}' must be a finite "
+                f"number, got {value!r}"
+            )
     try:
         return builder(**params)
     except TypeError as exc:

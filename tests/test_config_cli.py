@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from horizon_lab.config import (
     parse_config,
 )
 from horizon_lab.cli import emit_example, main, run_pipeline
-from horizon_lab.dynamics import find_horizon_equilibria
+from horizon_lab.dynamics import IntegratorControls, find_horizon_equilibria
 from horizon_lab.systems import EXAMPLES, selfsimilar
 
 SCALAR_DOC = {
@@ -58,6 +59,17 @@ def test_minimal_scalar_config():
     assert run.abs_tol == DEFAULT_ABS_TOL
     assert run.horizon_eps == DEFAULT_HORIZON_EPS
     assert run.tau_max == DEFAULT_TAU_MAX
+
+
+def test_run_without_tolerances_gets_integrator_defaults():
+    run = parse_config(json.dumps(SCALAR_DOC)).runs[0]
+    defaults = IntegratorControls()
+    assert (run.rel_tol, run.abs_tol, run.horizon_eps, run.tau_max) == (
+        defaults.rel_tol,
+        defaults.abs_tol,
+        defaults.horizon_eps,
+        defaults.tau_max,
+    )
 
 
 def test_bytes_input_accepted():
@@ -410,6 +422,22 @@ def test_main_example_param_matches_emit_example(capsys):
     argv = ["example", "mems", "--param", "n_dim=2", "--param", "p=4"]
     assert main(argv + ["--emit-config"]) == 0
     assert capsys.readouterr().out == emit_example("mems", {"n_dim": 2, "p": 4})
+
+
+@pytest.mark.parametrize(
+    "name, param, value",
+    [
+        ("mems", "q", math.nan),
+        ("mems", "q", math.inf),
+        ("selfsimilar", "alpha_ss", math.nan),
+        ("selfsimilar", "beta", -math.inf),
+        ("mems", "q", "nan"),
+        ("kk_dafermos", "epsilon", "abc"),
+    ],
+)
+def test_emit_example_rejects_non_finite_params(name, param, value):
+    with pytest.raises(DomainError, match=f"parameter '{param}'.*finite"):
+        emit_example(name, {param: value})
 
 
 @pytest.mark.parametrize(

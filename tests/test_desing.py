@@ -357,3 +357,4 @@ def test_source_code_is_exposed():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
     assert "def _rhs" in df.source_code
     assert "def _jac" in df.source_code
+    assert "def _step" in df.source_code

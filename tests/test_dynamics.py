@@ -192,6 +192,166 @@ def test_integrator_tightens_with_tolerance():
 
 
 # ---------------------------------------------------------------------------
+# generated step against the list-based Dormand-Prince arithmetic
+
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+           187 / 2100, 1 / 40)
+_REF_E = tuple(b5 - b4 for b5, b4 in zip(_REF_B5, _REF_B4))
+
+
+def _left_sum(terms):
+    # sum() from the integer 0, added left to right: what sum() computes on
+    # Python <= 3.11 (3.12 compensates float sums)
+    acc = 0
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def _reference_step(dfield):
+    """A step with the stage sums over lists of lists that the generated
+    step replaced, evaluating the field through rhs_values."""
+    n = dfield.n
+
+    def rhs(state):
+        values = dfield.rhs_values(state[:n])
+        return list(values[:-1]) if dfield.nonautonomous else list(values)
+
+    def step(z, k1, h, atol, rtol):
+        dim = len(z)
+        ks = [list(k1)] + [None] * 6
+        for s in range(1, 7):
+            a = _REF_A[s]
+            zs = [
+                z[i] + h * _left_sum(a[j] * ks[j][i] for j in range(s))
+                for i in range(dim)
+            ]
+            ks[s] = rhs(zs)
+        err = [
+            h * _left_sum(_REF_E[j] * ks[j][i] for j in range(7))
+            for i in range(dim)
+        ]
+        acc = 0.0
+        for e, a, b in zip(err, z, zs):
+            q = e / (atol + rtol * max(abs(a), abs(b)))
+            acc += q * q
+        return zs, math.sqrt(acc / dim), ks[6]
+
+    return step
+
+
+def _stiff_sqrt_field():
+    # x' = -100 x under sqrt(x): the solution stays positive, but stages of
+    # too long a step overshoot to x < 0, a fractional power of a negative
+    # base, so the integrator retries at half the step
+    fs = FieldSpec(
+        variable_names=("x", "y"),
+        components=((m(-100.0, 1, 0),), (m(1.0, 0, 2), m(1.0, 0.5, 0))),
+    )
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+
+
+# the first run of seed 1 of each perfbench workload config, whose systems
+# are the bundled examples at their default parameters
+_BENCHMARK_FIRST_RUNS = {
+    "kk_sweep": ("kk_dafermos", [0.0, 2.673932179759264, 1.4951791822015608,
+                                 -0.1875, 0.3154111831849682], 0.0),
+    "mems_sweep": ("mems", [1.0, -1.4700346246323948, -0.7835251423996898], 1.0),
+    "painleve1_cli": ("painleve1", [0.0, 10.649676787083687, 81.88969678907269],
+                      0.0),
+}
+
+
+def _step_cases():
+    cases = []
+    for name in example_names():
+        run = make_example(name).default_runs[0]
+        cases.append(pytest.param(name, run["y0"], run.get("t0", 0.0), id=name))
+    for wl, (name, y0, t0) in _BENCHMARK_FIRST_RUNS.items():
+        cases.append(pytest.param(name, y0, t0, id=wl))
+    cases.append(pytest.param("stiff_sqrt", [1.0, 1.0], 0.0, id="stiff_sqrt"))
+    return cases
+
+
+@pytest.mark.parametrize("name,y0,t0", _step_cases())
+def test_generated_step_matches_list_reference(name, y0, t0):
+    def build():
+        if name == "stiff_sqrt":
+            return _stiff_sqrt_field()
+        return example_field(make_example(name))
+
+    generated, reference = build(), build()
+    object.__setattr__(reference, "step", _reference_step(reference))
+    generated_step = generated.step
+    domain_errors = []
+
+    def counted(*args):
+        try:
+            return generated_step(*args)
+        except DomainError:
+            domain_errors.append(args[2])
+            raise
+
+    object.__setattr__(generated, "step", counted)
+    coords = embed(generated.chart, np.asarray(y0, dtype=float)).coords
+    got = integrate(generated, coords, t0=t0)
+    want = integrate(reference, coords, t0=t0)
+    for attr in ("taus", "coords", "ts", "gaps"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert got.stop_reason == want.stop_reason == HORIZON_REACHED
+    assert got.n_rejected == want.n_rejected
+    if name == "stiff_sqrt":
+        assert len(domain_errors) > 0
+        assert got.n_rejected >= len(domain_errors)
+
+
+@pytest.mark.parametrize(
+    "chi_power, chi",
+    [(-1, 0.0), (4, 1e80)],  # ZeroDivisionError, OverflowError
+    ids=["zero_division", "overflow"],
+)
+def test_generated_step_raises_domain_error_like_rhs_values(chi_power, chi):
+    fs = FieldSpec(
+        variable_names=("chi", "y"),
+        components=((), (m(1.0, 0, 2), m(1.0, chi_power, 0))),
+    )
+    df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+    with pytest.raises(DomainError):
+        df.rhs_values([chi, 0.5])
+    with pytest.raises(DomainError):
+        df.step([chi, 0.5, 0.0], [0.0, 1.0, 1.0], 1e-3, 1e-12, 1e-10)
+
+
+def test_generated_step_fails_like_list_reference():
+    # the domain wall of test_step_failure_on_domain_wall: every retry
+    # raises inside the step until the step size underflows
+    fs = FieldSpec(
+        variable_names=("chi", "y"),
+        components=((m(-1.0, 0, 0),), (Monomial(1.0, (0.5, 1)),)),
+    )
+    messages = []
+    for reference in (False, True):
+        df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+        if reference:
+            object.__setattr__(df, "step", _reference_step(df))
+        pt = embed(df.chart, np.array([0.5, 0.1]))
+        with pytest.raises(StepFailure) as info:
+            integrate(df, pt.coords, controls=IntegratorControls(tau_max=50.0))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
 # horizon equilibria
 
 
@@ -302,13 +462,16 @@ def test_eigenvalues_in_canonical_order():
 # horizon targets
 
 
-def example_run(name):
-    b = make_example(name)
+def example_field(b):
     chart = b.chart()
     if isinstance(chart, DirectionalChart):
-        df = build_directional_desing(b.field, b.htype, chart)
-    else:
-        df = build_parabolic_desing(b.field, b.htype)
+        return build_directional_desing(b.field, b.htype, chart)
+    return build_parabolic_desing(b.field, b.htype)
+
+
+def example_run(name):
+    b = make_example(name)
+    df = example_field(b)
     pt = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float))
     return b, df, integrate(df, pt.coords)
 
