@@ -23,7 +23,10 @@ Evaluation compiles each field once into plain Python expressions (value,
 Jacobian, time factor); the Jacobian is the exact term-wise derivative,
 including the chain rule through W.  The same compilation emits one
 Dormand-Prince 5(4) step per field, with the stages, the tableau and the
-state dimension unrolled around those expressions.
+state dimension unrolled around those expressions, and array versions of
+the value and the Jacobian that evaluate a whole batch of points with NumPy
+(the batched equilibrium search uses them): where the scalar code raises a
+domain error, the array code leaves non-finite entries in that point's row.
 """
 
 from __future__ import annotations
@@ -229,8 +232,12 @@ class _Emitter:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
         return expr
 
-    def derived(self, indent: str) -> list:
-        """Lines computing W and the clamped bases from the x{j} locals."""
+    def derived(self, indent: str, vector: bool = False) -> list:
+        """Lines computing W and the clamped bases from the x{j} locals;
+        ``vector`` clamps whole arrays with ``_max``."""
+        def clamp(sym):
+            return f"_max({sym}, 0.0)" if vector else f"{sym} if {sym} > 0.0 else 0.0"
+
         lines = []
         if self.parabolic:
             terms = [
@@ -238,10 +245,10 @@ class _Emitter:
             ]
             lines.append(f"{indent}W = 1.0 - ({' + '.join(terms)})")
             if self.needs_w_clamp:
-                lines.append(f"{indent}Wc = W if W > 0.0 else 0.0")
+                lines.append(f"{indent}Wc = {clamp('W')}")
         elif self.needs_s_clamp:
             j = self.gap_slot
-            lines.append(f"{indent}x{j}c = x{j} if x{j} > 0.0 else 0.0")
+            lines.append(f"{indent}x{j}c = {clamp(f'x{j}')}")
         return lines
 
     def preamble(self) -> str:
@@ -319,6 +326,35 @@ def _emit_step(em: _Emitter, exprs, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_vector(em: _Emitter, exprs, jac_exprs) -> str:
+    """Source of ``_rhs_v(Z) -> (m, n + 1)`` and ``_jac_v(Z) -> (m, n, n)``.
+
+    Row i evaluates the field's n components and its time factor (resp. the
+    Jacobian) at point ``Z[i]``, from the same expressions as ``_rhs`` and
+    ``_jac``; each entry is written into a preallocated array, so constant
+    entries broadcast and zero Jacobian entries are never written.  Where
+    the scalar code raises (``_pw`` of a negative base or of zero with a
+    negative exponent, an integer power of zero below zero, an overflow),
+    NumPy gives NaN or inf instead; the expressions only add and multiply,
+    so that entry stays non-finite and the other rows are unaffected.
+    """
+    n = em.n
+    pre = ["    " + "".join(f"x{j}, " for j in range(n)) + "= Z.T"]
+    pre += em.derived("    ", vector=True)
+    lines = ["def _rhs_v(Z):"] + pre + [f"    out = _empty((len(Z), {n + 1}))"]
+    lines += [f"    out[:, {i}] = {expr}" for i, expr in enumerate(exprs)]
+    lines += ["    return out", "", "def _jac_v(Z):"] + pre
+    lines += [f"    out = _zeros((len(Z), {n}, {n}))"]
+    lines += [
+        f"    out[:, {i}, {j}] = {expr}"
+        for i, row in enumerate(jac_exprs)
+        for j, expr in enumerate(row)
+        if expr != "0.0"
+    ]
+    lines += ["    return out"]
+    return "\n".join(lines) + "\n"
+
+
 def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool):
@@ -342,7 +378,12 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
                 "DomainError": DomainError}
     exec(compile(src, "<desing-field>", "exec"), ns)
-    return ns["_rhs"], ns["_jac"], ns["_step"], src
+    vsrc = _emit_vector(em, comp_exprs + [tf_expr], jac_exprs)
+    vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
+                 "_zeros": np.zeros}
+    exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
+    return (ns["_rhs"], ns["_jac"], ns["_step"], vns["_rhs_v"],
+            vns["_jac_v"], src + "\n" + vsrc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,8 +398,9 @@ class DesingField:
     ``step(z, k1, h, atol, rtol)`` is the field's compiled Dormand-Prince
     5(4) step: from state ``z`` (the coordinates, then t for an autonomous
     field) and its derivative ``k1`` it returns the new state, the RMS error
-    norm and the derivative there.  ``source_code`` holds all the generated
-    source.
+    norm and the derivative there.  ``rhs_array`` and ``jacobian_array``
+    evaluate a batch of points at once.  ``source_code`` holds all the
+    generated source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]
@@ -373,7 +415,7 @@ class DesingField:
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        rhs, jac, step, src = _compile_field(
+        rhs, jac, step, rhs_v, jac_v, src = _compile_field(
             self.n,
             parabolic,
             2 * self.htype.beta_full(),
@@ -387,6 +429,8 @@ class DesingField:
         object.__setattr__(self, "_rhs", rhs)
         object.__setattr__(self, "_jac", jac)
         object.__setattr__(self, "step", step)
+        object.__setattr__(self, "_rhs_v", rhs_v)
+        object.__setattr__(self, "_jac_v", jac_v)
         object.__setattr__(self, "source_code", src)
 
     @property
@@ -433,6 +477,21 @@ class DesingField:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise DomainError(f"jacobian evaluation failed at {z}: {exc}") from exc
         return np.asarray(rows, dtype=float)
+
+    def rhs_array(self, coords) -> np.ndarray:
+        """``rhs_values`` at each row of an (m, n) array, as (m, n + 1).
+
+        A row where the scalar evaluation raises DomainError holds
+        non-finite values instead; the other rows are unaffected.
+        """
+        with np.errstate(all="ignore"):
+            return self._rhs_v(np.asarray(coords, dtype=float))
+
+    def jacobian_array(self, coords) -> np.ndarray:
+        """``jacobian`` at each row of an (m, n) array, as (m, n, n), with
+        non-finite entries in rows outside the domain."""
+        with np.errstate(all="ignore"):
+            return self._jac_v(np.asarray(coords, dtype=float))
 
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))

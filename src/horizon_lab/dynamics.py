@@ -12,7 +12,11 @@ own expressions; this module keeps the step-size control and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
-(directional), seeded on small grids or at one given point.  Spectra are
+(directional), seeded on small grids or at given points.  All seeds of one
+search form a single batch: the residuals and Jacobians come from the
+field's array evaluators (``DesingField.rhs_array`` / ``jacobian_array``),
+the least-squares steps from one stacked pseudo-inverse, and each seed
+keeps its own line search and stopping rules.  Spectra are
 split into tangential / stable / unstable parts with an explicit neutral
 tolerance so borderline cases surface as 'nonhyperbolic' instead of a
 guess.
@@ -350,43 +354,59 @@ def _eigvals(J: np.ndarray) -> np.ndarray:
 
 
 def _gauss_newton(residual, jac, x0, max_iter=60):
-    """Damped Gauss-Newton on a rectangular system; returns (x, |r|)."""
-    x = np.asarray(x0, dtype=float).copy()
-    try:
-        r = residual(x)
-    except DomainError:
-        return x, math.inf
-    rnorm = float(np.linalg.norm(r))
+    """Damped Gauss-Newton on a batch of rectangular systems.
+
+    ``x0`` is an (m, k) array of starting points.  ``residual(x, rows)``
+    gives the (len(rows), p) residuals of the members ``rows`` at the points
+    ``x`` (one row each) and ``jac(x, rows)`` their (len(rows), p, k)
+    Jacobians; a member outside its domain gets non-finite entries.  Each
+    member iterates on its own (Nocedal & Wright, Numerical Optimization,
+    Sec. 10.3): the least-squares step from the pseudo-inverse, with
+    LAPACK's default rank cutoff, is halved up to 30 times until |r| drops
+    (a non-finite trial counts as no drop).  A member stops at |r| < 1e-14,
+    at a non-finite Jacobian, when no trial improved, when the step is zero,
+    not finite or below 1e-15 (1 + |x|), or after ``max_iter`` iterations.
+    Returns (x, r): each member's last point and its residual there, which
+    is finite unless the residual at the seed is not.
+    """
+    x = np.array(x0, dtype=float)
+    r = residual(x, np.arange(len(x)))
+    active = np.isfinite(r).all(axis=1)
+    rnorm = np.where(active, np.linalg.norm(r, axis=1), np.inf)
+    rcond = max(r.shape[1], x.shape[1]) * np.finfo(float).eps
     for _ in range(max_iter):
-        if rnorm < 1e-14:
+        active &= rnorm >= 1e-14
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        try:
-            J = jac(x)
-        except DomainError:
-            break
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        step = float(np.linalg.norm(delta))
-        if not math.isfinite(step) or step == 0.0:
-            break
-        improved = False
+        J = jac(x[idx], idx)
+        keep = np.isfinite(J).all(axis=(1, 2))
+        idx, J = idx[keep], J[keep]
+        delta = (np.linalg.pinv(J, rcond) @ -r[idx, :, None])[..., 0]
+        step = np.linalg.norm(delta, axis=1)
+        keep = np.isfinite(step) & (step > 0.0)
+        idx, delta, step = idx[keep], delta[keep], step[keep]
+        pending = np.ones(len(idx), dtype=bool)
         for _halve in range(30):
-            try:
-                r_new = residual(x + delta)
-            except DomainError:
-                delta *= 0.5
-                continue
-            rn = float(np.linalg.norm(r_new))
-            if rn < rnorm or (rn == rnorm and step > 1e-14):
-                x = x + delta
-                r, rnorm = r_new, rn
-                improved = True
+            p = np.flatnonzero(pending)
+            if not p.size:
                 break
-            delta *= 0.5
-        if not improved:
-            break
-        if step < 1e-15 * (1.0 + float(np.linalg.norm(x))):
-            break
-    return x, rnorm
+            rows = idx[p]
+            trial = x[rows] + delta[p]
+            r_new = residual(trial, rows)
+            rn = np.linalg.norm(r_new, axis=1)
+            old = rnorm[rows]
+            better = np.isfinite(r_new).all(axis=1) & (
+                (rn < old) | ((rn == old) & (step[p] > 1e-14))
+            )
+            done = rows[better]
+            x[done], r[done], rnorm[done] = trial[better], r_new[better], rn[better]
+            pending[p[better]] = False
+            delta[p[~better]] *= 0.5
+        small = step < 1e-15 * (1.0 + np.linalg.norm(x[idx], axis=1))
+        active[:] = False
+        active[idx[~pending & ~small]] = True
+    return x, r
 
 
 _RESIDUAL_TOL = 1e-10
@@ -395,23 +415,20 @@ _DEDUP_TOL = 1e-8
 
 
 def _default_seeds(dfield: DesingField, free: Sequence[int], base: np.ndarray):
-    """Grid seeds: 7 points per free axis, projected onto the horizon for
-    parabolic charts via the anisotropic scaling P(r^alpha * x) = r^2c P(x)."""
+    """Grid seeds as one (m, n) array: 7 points per free axis, projected onto
+    the horizon for parabolic charts via the anisotropic scaling
+    P(r^alpha * x) = r^2c P(x)."""
     parabolic = isinstance(dfield.chart, ParabolicChart)
     axis = np.linspace(-1.05, 1.05, 7) if parabolic else np.linspace(-5.0, 5.0, 7)
-    alpha = dfield.htype.alpha_array().astype(float)
-    tc = 2 * dfield.htype.c
-    seeds = []
-    for combo in itertools.product(axis, repeat=len(free)):
-        x = base.copy()
-        x[list(free)] = combo
-        if parabolic:
-            P = float(dfield.chart.horizon_poly(x))
-            if P <= 0.0:
-                continue
-            r = P ** (-1.0 / tc)
-            x = x * r**alpha
-        seeds.append(x)
+    grid = np.array(list(itertools.product(axis, repeat=len(free))))
+    seeds = np.tile(base, (len(grid), 1))
+    seeds[:, free] = grid
+    if parabolic:
+        P = dfield.chart.horizon_poly(seeds)
+        inside = P > 0.0
+        r = P[inside] ** (-1.0 / (2 * dfield.htype.c))
+        alpha = dfield.htype.alpha_array().astype(float)
+        seeds = seeds[inside] * r[:, None] ** alpha
     return seeds
 
 
@@ -438,9 +455,12 @@ def find_horizon_equilibria(
     charts solve g restricted to {s = 0}.  Nonautonomous fields require
     t_slice (the frozen time value); ``freeze`` pins additional coordinates
     (e.g. a conserved variable whose value parametrizes a family) at their
-    seed values.  Results are deduplicated at 1e-8 and only points meeting
-    the residual contract (|g| < 1e-10, horizon constraint < 1e-12) are
-    returned.
+    seed values.  All seeds are solved in one batched Gauss-Newton call.
+    Only points meeting the residual contract (|g| < 1e-10, horizon
+    constraint < 1e-12) are returned, deduplicated in seed order: a point
+    is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
+    earlier one, |r| and |r'| being their final residuals (a solve that
+    stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).
     """
     chart = dfield.chart
     parabolic = isinstance(chart, ParabolicChart)
@@ -457,70 +477,57 @@ def find_horizon_equilibria(
         raise DomainError("t_slice given for an autonomous field")
     free = [i for i in range(n) if i not in frozen]
 
-    if parabolic:
-
-        def residual_full(x):
-            g = dfield.g(x)
-            P = chart.horizon_poly(x)
-            return np.concatenate([g, [P - 1.0]])
-
-        def jac_full(x):
-            J = dfield.jacobian(x)
-            gradP = chart.grad_horizon_poly(x)
-            return np.vstack([J, gradP[None, :]])
-
-    else:
-
-        def residual_full(x):
-            return dfield.g(x)
-
-        def jac_full(x):
-            return dfield.jacobian(x)
-
-    def make_local(base_x):
-        def residual(v):
-            x = base_x.copy()
-            x[free] = v
-            return residual_full(x)
-
-        def jac(v):
-            x = base_x.copy()
-            x[free] = v
-            return jac_full(x)[:, free]
-
-        return residual, jac
-
     if seeds is None:
-        seed_list = _default_seeds(dfield, free, base)
+        X0 = _default_seeds(dfield, free, base)
     else:
-        seed_list = []
-        for s in seeds:
-            x = np.asarray(s, dtype=float).copy()
-            if x.shape != (n,):
-                raise ValueError(f"seed shape {x.shape}, expected ({n},)")
-            if dfield.nonautonomous:
-                x[0] = base[0]
-            if not parabolic:
-                x[chart.i0] = 0.0
-            seed_list.append(x)
+        X0 = np.array(seeds if isinstance(seeds, np.ndarray) else list(seeds),
+                      dtype=float)
+        if X0.size == 0:
+            X0 = X0.reshape(0, n)
+        if X0.ndim != 2 or X0.shape[1] != n:
+            raise ValueError(f"seeds shape {X0.shape}, expected (m, {n})")
+        if dfield.nonautonomous:
+            X0[:, 0] = base[0]
+        if not parabolic:
+            X0[:, chart.i0] = 0.0
 
+    def points(v, rows):
+        X = X0[rows]
+        X[:, free] = v
+        return X
+
+    def residual(v, rows):
+        X = points(v, rows)
+        g = dfield.rhs_array(X)[:, :n]
+        if parabolic:
+            return np.column_stack([g, chart.horizon_poly(X) - 1.0])
+        return g
+
+    def jac(v, rows):
+        X = points(v, rows)
+        J = dfield.jacobian_array(X)
+        if parabolic:
+            gradP = chart.grad_horizon_poly(X)
+            J = np.concatenate([J, gradP[:, None, :]], axis=1)
+        return J[:, :, free]
+
+    with np.errstate(all="ignore"):
+        v, r = _gauss_newton(residual, jac, X0[:, free])
+        rnorm = np.linalg.norm(r, axis=1)
+        accepted = np.linalg.norm(r[:, :n], axis=1) < _RESIDUAL_TOL
+        if parabolic:
+            accepted &= np.abs(r[:, n]) < _CONSTRAINT_TOL
+    X = points(v, np.arange(len(X0)))
+
+    # in seed order, each kept point absorbs the later ones within reach
+    idx = np.flatnonzero(accepted)
+    reach = np.sqrt(rnorm[idx])
     found = []
-    for seed in seed_list:
-        residual, jac = make_local(seed)
-        v, rnorm = _gauss_newton(residual, jac, seed[free])
-        if not math.isfinite(rnorm):
-            continue
-        x = seed.copy()
-        x[free] = v
-        g_norm = float(np.linalg.norm(dfield.g(x)))
-        constraint = (
-            abs(float(chart.horizon_poly(x)) - 1.0) if parabolic else 0.0
-        )
-        if g_norm >= _RESIDUAL_TOL or constraint >= _CONSTRAINT_TOL:
-            continue
-        if any(np.max(np.abs(x - y)) < _DEDUP_TOL for y in found):
-            continue
+    while idx.size:
+        x = X[idx[0]]
         found.append(x)
+        far = np.max(np.abs(X[idx] - x), axis=1) >= _DEDUP_TOL + reach[0] + reach
+        idx, reach = idx[far], reach[far]
 
     found.sort(key=lambda x: tuple(np.round(x, 10)))
     # every pinned slot but the pivot s is a direction along the horizon

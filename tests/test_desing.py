@@ -24,6 +24,7 @@ from horizon_lab import (
     evaluate_desing,
     extend_nonautonomous,
 )
+from horizon_lab.systems import example_names, make_example
 
 from conftest import fd_jacobian
 
@@ -355,6 +356,92 @@ def test_evaluate_desing_domain_grace():
 
 def test_source_code_is_exposed():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
-    assert "def _rhs" in df.source_code
-    assert "def _jac" in df.source_code
-    assert "def _step" in df.source_code
+    assert "def _rhs(" in df.source_code
+    assert "def _jac(" in df.source_code
+    assert "def _step(" in df.source_code
+    assert "def _rhs_v(" in df.source_code
+    assert "def _jac_v(" in df.source_code
+
+
+# ---------------------------------------------------------------------------
+# array evaluators
+
+
+def _example(name):
+    b = make_example(name)
+    chart = b.chart()
+    if isinstance(chart, DirectionalChart):
+        return build_directional_desing(b.field, b.htype, chart)
+    return build_parabolic_desing(b.field, b.htype)
+
+
+def _sqrt_coordinate():
+    # sqrt(r) on a weight-0 variable: a fractional power of a coordinate
+    fs = FieldSpec(
+        variable_names=("r", "y"),
+        components=((), (Monomial(1.0, (Fraction(1, 2), 2)),)),
+    )
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+
+
+_HALF_K = HomogeneityType(alpha=(1,), k=Fraction(1, 2))
+_LINEAR = FieldSpec(variable_names=("y",), components=((m(1.0, 1),),))
+
+# the benchmark workloads run the kk_dafermos, mems and painleve1 examples
+# at their default parameters; k = 1/2 gives fractional powers of the
+# clamped W (parabolic) and of the clamped s (directional)
+_ARRAY_FIELDS = {
+    **{name: (lambda name=name: _example(name)) for name in example_names()},
+    "w_clamp": lambda: build_parabolic_desing(_LINEAR, _HALF_K),
+    "s_clamp": lambda: build_directional_desing(
+        _LINEAR, _HALF_K, DirectionalChart(htype=_HALF_K, i0=0, sign=1)
+    ),
+    "sqrt_coordinate": _sqrt_coordinate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_FIELDS))
+def test_array_evaluators_match_scalar(name):
+    df = _ARRAY_FIELDS[name]()
+    rng = np.random.default_rng(11)
+    Z = rng.uniform(-0.9, 0.9, size=(300, df.n))
+    R, J = df.rhs_array(Z), df.jacobian_array(Z)
+    assert R.shape == (300, df.n + 1) and J.shape == (300, df.n, df.n)
+    failures = 0
+    for z, r, jac in zip(Z, R, J):
+        for scalar, got in ((df.rhs_values, r), (df.jacobian, jac)):
+            try:
+                want = np.asarray(scalar(z), dtype=float)
+            except DomainError:
+                failures += 1
+                assert not np.all(np.isfinite(got))
+                continue
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    if name == "sqrt_coordinate":  # half the points have r < 0
+        assert failures > 100
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        # mems at r = 0 reaches r**(-1)
+        (lambda: _example("mems"), [0.0, 0.3, -0.5], [[1.0, 0.3, -0.5], [0.5, 0.1, 0.2]]),
+        # a fractional power of a negative base
+        (_sqrt_coordinate, [-1.0, 0.5], [[4.0, 0.5], [0.25, -0.3]]),
+    ],
+    ids=["zero_division", "negative_base"],
+)
+def test_array_domain_failure_stays_in_its_row(field, bad, good):
+    df = field()
+    with pytest.raises(DomainError):
+        df.rhs_values(bad)
+    with pytest.raises(DomainError):
+        df.jacobian(bad)
+    Z = np.array([good[0], bad, good[1]])
+    R, J = df.rhs_array(Z), df.jacobian_array(Z)
+    assert not np.all(np.isfinite(R[1]))
+    assert not np.all(np.isfinite(J[1]))
+    for i in (0, 2):
+        assert np.array_equal(R[i], df.rhs_array(Z[i:i + 1])[0])
+        assert np.array_equal(J[i], df.jacobian_array(Z[i:i + 1])[0])
+        assert np.all(np.isfinite(R[i])) and np.all(np.isfinite(J[i]))

@@ -1,0 +1,299 @@
+"""The batched Gauss-Newton equilibrium search against a per-seed reference.
+
+``_scalar_gauss_newton`` is the per-seed solver the batched one replaced,
+kept here verbatim (one ``lstsq`` per iteration, DomainError for points
+outside the domain).  Swapping it in for ``dynamics._gauss_newton``, one
+member at a time, gives the reference listing; the batched solver must
+find the same points with the same classifications.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from horizon_lab import (
+    DirectionalChart,
+    DomainError,
+    FieldSpec,
+    HomogeneityType,
+    Monomial,
+    build_directional_desing,
+    build_parabolic_desing,
+    embed,
+    find_horizon_equilibria,
+    horizon_targets,
+    integrate,
+    parse_config,
+    trace_equilibrium_curve,
+)
+from horizon_lab import dynamics
+from horizon_lab.cli import build_field_from_config
+from horizon_lab.systems import example_names, make_example, painleve1, selfsimilar
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _scalar_gauss_newton(residual, jac, x0, max_iter=60):
+    """Damped Gauss-Newton on a rectangular system; returns (x, |r|)."""
+    x = np.asarray(x0, dtype=float).copy()
+    try:
+        r = residual(x)
+    except DomainError:
+        return x, math.inf
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if rnorm < 1e-14:
+            break
+        try:
+            J = jac(x)
+        except DomainError:
+            break
+        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step = float(np.linalg.norm(delta))
+        if not math.isfinite(step) or step == 0.0:
+            break
+        improved = False
+        for _halve in range(30):
+            try:
+                r_new = residual(x + delta)
+            except DomainError:
+                delta *= 0.5
+                continue
+            rn = float(np.linalg.norm(r_new))
+            if rn < rnorm or (rn == rnorm and step > 1e-14):
+                x = x + delta
+                r, rnorm = r_new, rn
+                improved = True
+                break
+            delta *= 0.5
+        if not improved:
+            break
+        if step < 1e-15 * (1.0 + float(np.linalg.norm(x))):
+            break
+    return x, rnorm
+
+
+def _per_seed(residual, jac, x0, max_iter=60):
+    """The batched solver's interface, served one seed at a time by the
+    scalar reference."""
+    def member(fn, i):
+        rows = np.array([i])
+
+        def call(v):
+            out = fn(np.asarray(v, dtype=float)[None, :], rows)[0]
+            if not np.all(np.isfinite(out)):
+                raise DomainError("point outside the domain")
+            return out
+
+        return call
+
+    x0 = np.asarray(x0, dtype=float)
+    xs = np.empty_like(x0)
+    rs = []
+    for i in range(len(x0)):
+        xs[i], _ = _scalar_gauss_newton(member(residual, i), member(jac, i),
+                                        x0[i], max_iter)
+        with np.errstate(all="ignore"):
+            rs.append(residual(xs[i][None, :], np.array([i]))[0])
+    return xs, np.array(rs).reshape(len(x0), -1)
+
+
+def _both(monkeypatch, search):
+    """Run ``search()`` with the batched solver, then with the reference."""
+    got = search()
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "_gauss_newton", _per_seed)
+        want = search()
+    return got, want
+
+
+def assert_same_listing(got, want):
+    assert len(got) == len(want)
+    assert [e.classification for e in got] == [e.classification for e in want]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a.coords - b.coords)) <= 1e-12
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-12
+
+
+def example_field(b):
+    chart = b.chart()
+    if isinstance(chart, DirectionalChart):
+        return build_directional_desing(b.field, b.htype, chart)
+    return build_parabolic_desing(b.field, b.htype)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_example_listing_matches_reference(monkeypatch, name):
+    b = make_example(name)
+    df = example_field(b)
+    anchor = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float)).coords
+    got, want = _both(monkeypatch, lambda: horizon_targets(df, anchor))
+    assert got
+    assert_same_listing(got, want)
+
+
+def _workload_config(name, seed):
+    """The benchmark's config for ``name`` at ``seed``."""
+    mod = sys.modules.get("perfbench_workloads")
+    if mod is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = mod  # dataclasses look their module up here
+        spec.loader.exec_module(mod)
+    w = mod.WORKLOADS[name]
+    return parse_config(mod.config_text(w, seed, w.runs))
+
+
+@pytest.mark.parametrize("workload", ["kk_sweep", "mems_sweep", "painleve1_cli"])
+def test_workload_targets_match_reference(monkeypatch, workload):
+    """Seed 1 of each benchmark config: the global listing and every run's
+    endpoint target."""
+    config = _workload_config(workload, 1)
+    df = build_field_from_config(config)
+    anchors = []
+    for run in config.runs:
+        pt = embed(df.chart, np.asarray(run.y0, dtype=float))
+        anchors.append(integrate(df, pt.coords, t0=run.t0).coords[-1])
+    first = embed(df.chart, np.asarray(config.runs[0].y0, dtype=float)).coords
+    got, want = _both(monkeypatch, lambda: horizon_targets(df, first))
+    assert got
+    assert_same_listing(got, want)
+    for end in anchors:
+        got, want = _both(
+            monkeypatch, lambda: horizon_targets(df, end, grid=False)
+        )
+        assert len(got) == 1
+        assert_same_listing(got, want)
+
+
+def test_explicit_seeds_slices_and_freeze_match_reference(monkeypatch):
+    b = painleve1()
+    df = build_parabolic_desing(b.field, b.htype)
+    seeds = [np.array([0.0, 0.62, 0.98]), np.array([0.0, 0.6, -0.9])]
+    for t in (0.0, 0.7, -1.3):
+        got, want = _both(
+            monkeypatch,
+            lambda: find_horizon_equilibria(df, seeds=seeds, t_slice=t),
+        )
+        assert len(got) == 2
+        assert_same_listing(got, want)
+    kk = example_field(make_example("kk_dafermos"))
+    for chi in (0.0, 0.4):
+        seeds = [np.array([chi, 1.0, 0.0, 0.2, -0.1])]
+        got, want = _both(
+            monkeypatch,
+            lambda: find_horizon_equilibria(kk, seeds=seeds, freeze=(0,)),
+        )
+        assert_same_listing(got, want)
+        assert all(e.coords[0] == chi for e in got)
+
+
+def test_curve_continuation_matches_reference(monkeypatch):
+    df = example_field(selfsimilar())
+    got, want = _both(
+        monkeypatch,
+        lambda: trace_equilibrium_curve(
+            df, (1.0, 2.0), 0.1, seed=np.array([1.0, 0.0, 1.0])
+        ).samples,
+    )
+    assert_same_listing(got, want)
+
+
+def test_zero_free_columns_match_reference(monkeypatch):
+    # y' = y^2 on the directional chart over y > 0: the pivot s is the only
+    # coordinate, so the solve has no column and the seed is the answer
+    fs = FieldSpec(variable_names=("y",), components=((Monomial(1.0, (2,)),),))
+    ht = HomogeneityType(alpha=(1,), k=1)
+    df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=0, sign=1))
+    got, want = _both(monkeypatch, lambda: find_horizon_equilibria(df))
+    assert len(got) == 1 and got[0].classification == "sink"
+    assert got[0].coords[0] == 0.0
+    assert_same_listing(got, want)
+
+
+def test_rank_deficient_seed_matches_reference(monkeypatch):
+    # at (u, v) = (-1, 0) on painleve1's horizon the 3x2 Jacobian of
+    # [g_u, g_v, P - 1] over (u, v) has rank 1
+    df = build_parabolic_desing(painleve1().field, painleve1().htype)
+    seed = np.array([0.0, -1.0, 0.0])
+    pinned = dynamics._pinned_slots(df, ())
+    free = [i for i in range(df.n) if i not in pinned]
+    J = np.vstack([df.jacobian(seed), df.chart.grad_horizon_poly(seed)])[:, free]
+    assert np.linalg.matrix_rank(J) == 1
+    seeds = [seed, np.array([0.0, -0.9, 0.3])]
+    got, want = _both(
+        monkeypatch, lambda: find_horizon_equilibria(df, seeds=seeds, t_slice=0.0)
+    )
+    assert_same_listing(got, want)
+
+
+@pytest.mark.parametrize("small", [1e-9, 0.0], ids=["ill_conditioned", "singular"])
+def test_linear_step_keeps_lstsq_rank_cutoff(small):
+    # r(x) = A x - b: the first step is the least-squares solution, and the
+    # cutoff keeps a singular value 1e-9 of the largest but drops a zero one
+    A = np.array([[1.0, 0.0], [0.0, small], [0.0, 0.0]])
+    b = np.array([1.0, 1e-9, 0.5])
+    x, r = dynamics._gauss_newton(
+        lambda v, rows: v @ A.T - b,
+        lambda v, rows: np.broadcast_to(A, (len(v), 3, 2)),
+        np.zeros((1, 2)),
+    )
+    want, *_ = np.linalg.lstsq(A, b, rcond=None)
+    assert np.allclose(x[0], want, rtol=1e-12, atol=0.0)
+    assert np.allclose(x[0], [1.0, 1.0 if small else 0.0], rtol=1e-12, atol=0.0)
+    ref, _ = _scalar_gauss_newton(lambda v: A @ v - b, lambda v: A, np.zeros(2))
+    assert np.allclose(x[0], ref, rtol=1e-12, atol=0.0)
+    assert np.linalg.norm(r[0]) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_bad_seed_leaves_good_seed_alone():
+    # x' = -100 x, y' = y^2 + sqrt(x): with x frozen, the seed at x = -1
+    # takes a fractional power of a negative base everywhere
+    fs = FieldSpec(
+        variable_names=("x", "y"),
+        components=((Monomial(-100.0, (1, 0)),),
+                    (Monomial(1.0, (0, 2)), Monomial(1.0, (0.5, 0)))),
+    )
+    df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+    good = np.array([0.25, 0.3])
+    bad = np.array([-1.0, 0.3])
+    solo = find_horizon_equilibria(df, seeds=[good], freeze=(0,))
+    mixed = find_horizon_equilibria(df, seeds=[bad, good], freeze=(0,))
+    assert len(solo) == len(mixed) == 1
+    assert np.array_equal(solo[0].coords, mixed[0].coords)
+    assert np.array_equal(solo[0].eigenvalues, mixed[0].eigenvalues)
+    assert solo[0].residual == mixed[0].residual
+
+    # the solver alone: the bad member keeps its non-finite residual and the
+    # good one follows exactly the path it takes on its own
+    def solve(frozen):
+        def points(v, idx):
+            return np.column_stack([np.asarray(frozen)[idx], v])
+
+        return dynamics._gauss_newton(
+            lambda v, idx: df.rhs_array(points(v, idx))[:, :2],
+            lambda v, idx: df.jacobian_array(points(v, idx))[:, :, 1:],
+            np.full((len(frozen), 1), 0.3),
+        )
+
+    x, r = solve([-1.0, 0.25])
+    x_solo, r_solo = solve([0.25])
+    assert not np.all(np.isfinite(r[0]))
+    assert np.array_equal(x[1], x_solo[0]) and np.array_equal(r[1], r_solo[0])
+
+
+def test_selfsimilar_double_zero_listed_once():
+    # at t = 0 the v-equation reduces to -v^2: the solve stops at |r| < 1e-14
+    # about sqrt(|r|) from the double zero, on both sides of it
+    df = example_field(selfsimilar())
+    eqs = find_horizon_equilibria(df, t_slice=0.0)
+    assert len(eqs) == 1
+    assert eqs[0].classification == "nonhyperbolic"
+    assert abs(eqs[0].coords[2]) < 1e-7
+    for t in (0.5, 1.5):
+        kinds = sorted(e.classification for e in find_horizon_equilibria(df, t_slice=t))
+        assert kinds == ["nonhyperbolic", "sink"]
