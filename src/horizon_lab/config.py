@@ -1,21 +1,19 @@
-"""Configuration documents: schema, parsing, canonical serialization.
+"""Configuration documents: validation, parsing, canonical serialization.
 
 A config is a JSON object (schema version 1) describing the field, its
 homogeneity data (explicit or inferred), the chart, the runs, and output
-options.  Parsing is strict: unknown keys are rejected, and every failure
-raises SchemaError carrying a JSON pointer to the offending element.
-Canonical emission (sorted keys, two-space indent, trailing newline) is
-byte-stable under a parse/emit round trip.
+options.  Parsing is strict and validates as it reads: unknown keys are
+rejected, and every failure raises SchemaError carrying a JSON pointer to
+the offending element.  Canonical emission (sorted keys, two-space indent,
+trailing newline) is byte-stable under a parse/emit round trip.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple, Union
-
-import jsonschema
 
 from .dynamics import IntegratorControls
 from .errors import SchemaError
@@ -23,7 +21,6 @@ from .homogeneity import FieldSpec, HomogeneityType, Monomial
 
 __all__ = [
     "SCHEMA_VERSION",
-    "CONFIG_SCHEMA",
     "RunSpec",
     "OutputSpec",
     "AnalysisConfig",
@@ -40,122 +37,75 @@ DEFAULT_ABS_TOL = IntegratorControls.abs_tol
 DEFAULT_HORIZON_EPS = IntegratorControls.horizon_eps
 DEFAULT_TAU_MAX = IntegratorControls.tau_max
 
-_MONOMIAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "coeff": {"type": "number"},
-        "exponents": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["coeff", "exponents"],
-    "additionalProperties": False,
+# type inference enumerates (alpha_max + 1)^m weight vectors for m free weights
+_MAX_WEIGHT_VECTORS = 10**6
+
+# a run's optional numbers: default and bound
+_RUN_LIMITS = {
+    "tau_max": (DEFAULT_TAU_MAX, {"above": 0}),
+    "rel_tol": (DEFAULT_REL_TOL, {"above": 0}),
+    "abs_tol": (DEFAULT_ABS_TOL, {"above": 0}),
+    "horizon_eps": (DEFAULT_HORIZON_EPS, {"at_least": 0}),
 }
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "field": {
-            "type": "object",
-            "properties": {
-                "variables": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                    "minItems": 1,
-                },
-                "components": {
-                    "type": "array",
-                    "items": {"type": "array", "items": _MONOMIAL_SCHEMA},
-                },
-                "nonautonomous": {"type": "boolean"},
-            },
-            "required": ["variables", "components"],
-            "additionalProperties": False,
-        },
-        "homogeneity": {
-            "type": "object",
-            "properties": {
-                "alpha": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                },
-                "k": {"type": "number"},
-                "infer": {"type": "boolean"},
-                "alpha_max": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "chart": {
-            "type": "object",
-            "properties": {
-                "type": {"enum": ["parabolic", "directional"]},
-                "index": {"type": "integer", "minimum": 0},
-                "sign": {"enum": [1, -1]},
-            },
-            "required": ["type"],
-            "additionalProperties": False,
-        },
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "y0": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 1,
-                    },
-                    "t0": {"type": "number"},
-                    "tau_max": {"type": "number", "exclusiveMinimum": 0},
-                    "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                    "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                    "horizon_eps": {"type": "number", "minimum": 0},
-                },
-                "required": ["y0"],
-                "additionalProperties": False,
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "properties": {
-                "directory": {"type": "string"},
-                "formats": {
-                    "type": "array",
-                    "items": {"enum": ["csv", "json"]},
-                    "minItems": 1,
-                },
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["schema", "field", "homogeneity", "chart", "runs"],
-    "additionalProperties": False,
-}
-
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
 
 
-def _pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path)
+def _typed(value, ptr: str, kind: type):
+    if not isinstance(value, kind):
+        raise SchemaError(f"expected {_JSON_TYPES[kind]}", ptr or "/")
+    return value
 
 
-def _nonfinite_path(value, path=()):
-    """Path to the first NaN or infinite number in a decoded document, or
-    None.  Python's json accepts NaN and Infinity, and 1e999 overflows."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _nonfinite_path(item, path + (key,))
-        if found is not None:
-            return found
-    return None
+def _object(value, ptr: str, required: tuple, optional: tuple = ()) -> dict:
+    """A JSON object with every ``required`` key and no key outside both."""
+    _typed(value, ptr, dict)
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise SchemaError(f"missing key(s): {_quoted(missing)}", ptr or "/")
+    unknown = sorted(k for k in value if k not in required + optional)
+    if unknown:
+        raise SchemaError(f"unknown key(s): {_quoted(unknown)}", ptr or "/")
+    return value
+
+
+def _quoted(keys) -> str:
+    return ", ".join(repr(k) for k in keys)
+
+
+def _list(value, ptr: str, min_items: int = 0) -> list:
+    if len(_typed(value, ptr, list)) < min_items:
+        raise SchemaError(f"needs at least {min_items} item(s)", ptr)
+    return value
+
+
+def _number(value, ptr: str, above=None, at_least=None):
+    """A finite JSON number (never a boolean) within the given bounds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError("expected a number", ptr)
+    # NaN fails every comparison; a JSON integer beyond float range overflows
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError("numbers must be finite", ptr)
+    if above is not None and not value > above:
+        raise SchemaError(f"must be greater than {above}", ptr)
+    if at_least is not None and not value >= at_least:
+        raise SchemaError(f"must be at least {at_least}", ptr)
+    return value
+
+
+def _integer(value, ptr: str, at_least: int):
+    """A JSON integer; an integral float such as 1.0 counts as one."""
+    _number(value, ptr, at_least=at_least)
+    if isinstance(value, float) and not value.is_integer():
+        raise SchemaError("expected an integer", ptr)
+    return value
+
+
+def _choice(value, ptr: str, options: tuple):
+    # True == 1 in Python, but a JSON boolean is never one of the options
+    if isinstance(value, bool) or value not in options:
+        raise SchemaError(f"must be one of {_quoted(options)}", ptr)
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,13 +146,33 @@ class AnalysisConfig:
 
 
 def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
-    """Parse and validate a JSON config document.
+    """Parse and validate a JSON config document in one pass.
 
-    Raises SchemaError (with a JSON pointer) for structural problems and for
-    semantic ones the schema cannot express: NaN or infinite numbers,
-    arity mismatches, an all-zero alpha, non-positive order, a directional
-    chart over a weight-0 variable, and initial points outside the chart's
-    half-space.
+    Raises SchemaError, whose ``pointer`` names the offending element ("/"
+    for the root), for text that is not UTF-8 JSON and for a document with
+    - an unknown key in any object, or a missing required one (``schema``,
+      ``field``, ``homogeneity``, ``chart``, ``runs``; ``field.variables``
+      and ``components``; a monomial's ``coeff`` and ``exponents``;
+      ``chart.type``; a run's ``y0``);
+    - a wrong JSON type: a boolean is never a number, while an integral
+      float such as 1.0 counts as an integer;
+    - a NaN or infinite number anywhere, 1e999 and integers beyond float
+      range included;
+    - a value out of range: ``tau_max``, ``rel_tol`` or ``abs_tol`` <= 0;
+      ``horizon_eps``, an ``alpha`` entry or ``chart.index`` < 0;
+      ``alpha_max`` < 1; an empty ``variables``, ``runs``, ``y0`` or
+      ``formats``; ``schema`` not 1, ``chart.type`` not parabolic or
+      directional, ``chart.sign`` not 1 or -1, a format not csv or json;
+    - repeated variable names, a zero coefficient, or components, exponents,
+      alpha, y0 or a chart index that do not fit the number of variables;
+    - a nonautonomous field without t' = 1 as component 0, with a nonzero
+      time weight, or with a run whose ``t0`` is not ``y0[0]``;
+    - alpha/k mixed with infer/alpha_max, ``alpha_max`` without
+      ``"infer": true``, alpha without k or k without alpha, an all-zero
+      alpha, k <= 0, or an inference search over more than 10^6 weights;
+    - a directional chart without an index, over a weight-0 variable, or
+      with an initial point outside its half-space; a parabolic chart with
+      an index or sign.
     """
     if isinstance(text, bytes):
         try:
@@ -214,22 +184,26 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}", "") from exc
 
-    errors = sorted(
-        _VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path)
-    )
-    if errors:
-        err = errors[0]
-        raise SchemaError(err.message, _pointer(err.absolute_path))
-    bad = _nonfinite_path(doc)
-    if bad is not None:
-        raise SchemaError("numbers must be finite", _pointer(bad))
+    _object(doc, "", ("schema", "field", "homogeneity", "chart", "runs"), ("outputs",))
+    _choice(doc["schema"], "/schema", (SCHEMA_VERSION,))
 
-    fdoc = doc["field"]
-    variables = tuple(fdoc["variables"])
+    fdoc = _object(
+        doc["field"], "/field", ("variables", "components"), ("nonautonomous",)
+    )
+    variables = tuple(
+        _typed(v, f"/field/variables/{i}", str)
+        for i, v in enumerate(_list(fdoc["variables"], "/field/variables", 1))
+    )
     n = len(variables)
     if len(set(variables)) != n:
         raise SchemaError("variable names must be unique", "/field/variables")
-    comps_doc = fdoc["components"]
+    comps_doc = [
+        [
+            _monomial(m, f"/field/components/{i}/{j}")
+            for j, m in enumerate(_list(comp, f"/field/components/{i}"))
+        ]
+        for i, comp in enumerate(_list(fdoc["components"], "/field/components"))
+    ]
     if len(comps_doc) != n:
         raise SchemaError(
             f"{len(comps_doc)} components for {n} variables",
@@ -238,23 +212,22 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     components = []
     for i, comp in enumerate(comps_doc):
         monos = []
-        for j, m in enumerate(comp):
-            if len(m["exponents"]) != n:
+        for j, (coeff, exponents) in enumerate(comp):
+            ptr = f"/field/components/{i}/{j}"
+            if len(exponents) != n:
                 raise SchemaError(
-                    f"monomial has {len(m['exponents'])} exponents for {n} "
-                    f"variables",
-                    f"/field/components/{i}/{j}/exponents",
+                    f"monomial has {len(exponents)} exponents for {n} variables",
+                    f"{ptr}/exponents",
                 )
-            if m["coeff"] == 0:
+            if coeff == 0:
                 raise SchemaError(
-                    "monomial coefficient must be nonzero",
-                    f"/field/components/{i}/{j}/coeff",
+                    "monomial coefficient must be nonzero", f"{ptr}/coeff"
                 )
-            monos.append(
-                Monomial(coeff=m["coeff"], exponents=tuple(m["exponents"]))
-            )
+            monos.append(Monomial(coeff=coeff, exponents=exponents))
         components.append(tuple(monos))
-    nonautonomous = bool(fdoc.get("nonautonomous", False))
+    nonautonomous = _typed(
+        fdoc.get("nonautonomous", False), "/field/nonautonomous", bool
+    )
     if nonautonomous:
         c0 = components[0]
         ok = (
@@ -274,9 +247,12 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         nonautonomous=nonautonomous,
     )
 
-    hdoc = doc["homogeneity"]
+    hdoc = _object(
+        doc["homogeneity"], "/homogeneity", (), ("alpha", "k", "infer", "alpha_max")
+    )
+    infer = _typed(hdoc.get("infer", False), "/homogeneity/infer", bool)
     explicit = "alpha" in hdoc or "k" in hdoc
-    inferred = hdoc.get("infer", False) or "alpha_max" in hdoc
+    inferred = infer or "alpha_max" in hdoc
     if explicit and inferred:
         raise SchemaError(
             "give either alpha/k or infer/alpha_max, not both", "/homogeneity"
@@ -284,17 +260,29 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     htype = None
     infer_alpha_max = None
     if inferred:
-        if not hdoc.get("infer", False):
+        if not infer:
             raise SchemaError(
                 "alpha_max requires \"infer\": true", "/homogeneity/infer"
             )
-        infer_alpha_max = int(hdoc.get("alpha_max", 6))
+        infer_alpha_max = int(
+            _integer(hdoc.get("alpha_max", 6), "/homogeneity/alpha_max", 1)
+        )
+        searched = n - int(nonautonomous)  # the time weight is pinned to 0
+        if (infer_alpha_max + 1) ** searched > _MAX_WEIGHT_VECTORS:
+            raise SchemaError(
+                f"inference would search {infer_alpha_max + 1}^{searched} "
+                f"weight vectors, more than {_MAX_WEIGHT_VECTORS}",
+                "/homogeneity/alpha_max",
+            )
     else:
         if "alpha" not in hdoc or "k" not in hdoc:
             raise SchemaError(
                 "explicit homogeneity needs both alpha and k", "/homogeneity"
             )
-        alpha = tuple(hdoc["alpha"])
+        alpha = tuple(
+            _integer(a, f"/homogeneity/alpha/{i}", 0)
+            for i, a in enumerate(_list(hdoc["alpha"], "/homogeneity/alpha"))
+        )
         if len(alpha) != n:
             raise SchemaError(
                 f"alpha has {len(alpha)} entries for {n} variables",
@@ -309,19 +297,20 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
             raise SchemaError(
                 "the time variable must have weight 0", "/homogeneity/alpha/0"
             )
-        k = hdoc["k"]
+        k = _number(hdoc["k"], "/homogeneity/k")
         if not k > 0:
             raise SchemaError("order k must be positive", "/homogeneity/k")
         htype = HomogeneityType(alpha=alpha, k=k)
 
-    cdoc = doc["chart"]
-    chart_kind = cdoc["type"]
+    cdoc = _object(doc["chart"], "/chart", ("type",), ("index", "sign"))
+    chart_kind = _choice(cdoc["type"], "/chart/type", ("parabolic", "directional"))
+    chart_sign = int(_choice(cdoc.get("sign", 1), "/chart/sign", (1, -1)))
     chart_index = None
-    chart_sign = int(cdoc.get("sign", 1))
+    if "index" in cdoc:
+        chart_index = int(_integer(cdoc["index"], "/chart/index", 0))
     if chart_kind == "directional":
-        if "index" not in cdoc:
+        if chart_index is None:
             raise SchemaError("directional chart needs an index", "/chart")
-        chart_index = int(cdoc["index"])
         if chart_index >= n:
             raise SchemaError(
                 f"chart index {chart_index} out of range for {n} variables",
@@ -338,40 +327,45 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         )
 
     runs = []
-    for i, rdoc in enumerate(doc["runs"]):
-        y0 = tuple(float(v) for v in rdoc["y0"])
+    for i, rdoc in enumerate(_list(doc["runs"], "/runs", 1)):
+        ptr = f"/runs/{i}"
+        _object(rdoc, ptr, ("y0",), ("t0", *_RUN_LIMITS))
+        y0 = tuple(
+            float(_number(v, f"{ptr}/y0/{j}"))
+            for j, v in enumerate(_list(rdoc["y0"], f"{ptr}/y0", 1))
+        )
         if len(y0) != n:
             raise SchemaError(
-                f"y0 has {len(y0)} entries for {n} variables",
-                f"/runs/{i}/y0",
+                f"y0 has {len(y0)} entries for {n} variables", f"{ptr}/y0"
             )
         if chart_kind == "directional" and chart_index is not None:
             if chart_sign * y0[chart_index] <= 0:
                 raise SchemaError(
                     f"initial point lies outside the chart half-space "
                     f"({'+' if chart_sign > 0 else '-'}y[{chart_index}] > 0)",
-                    f"/runs/{i}/y0/{chart_index}",
+                    f"{ptr}/y0/{chart_index}",
                 )
-        if nonautonomous and "t0" in rdoc and rdoc["t0"] != y0[0]:
+        t0 = _number(rdoc.get("t0", y0[0] if nonautonomous else 0.0), f"{ptr}/t0")
+        if nonautonomous and t0 != y0[0]:
             raise SchemaError(
-                "for nonautonomous fields t0 must equal y0[0]",
-                f"/runs/{i}/t0",
+                "for nonautonomous fields t0 must equal y0[0]", f"{ptr}/t0"
             )
-        runs.append(
-            RunSpec(
-                y0=y0,
-                t0=float(rdoc.get("t0", y0[0] if nonautonomous else 0.0)),
-                tau_max=float(rdoc.get("tau_max", DEFAULT_TAU_MAX)),
-                rel_tol=float(rdoc.get("rel_tol", DEFAULT_REL_TOL)),
-                abs_tol=float(rdoc.get("abs_tol", DEFAULT_ABS_TOL)),
-                horizon_eps=float(rdoc.get("horizon_eps", DEFAULT_HORIZON_EPS)),
-            )
-        )
+        limits = {
+            key: float(_number(rdoc.get(key, default), f"{ptr}/{key}", **bound))
+            for key, (default, bound) in _RUN_LIMITS.items()
+        }
+        runs.append(RunSpec(y0=y0, t0=float(t0), **limits))
 
-    odoc = doc.get("outputs", {})
+    odoc = _object(doc.get("outputs", {}), "/outputs", (), ("directory", "formats"))
+    formats = _list(odoc.get("formats", ["csv", "json"]), "/outputs/formats", 1)
     outputs = OutputSpec(
-        directory=odoc.get("directory", "horizon_lab_out"),
-        formats=tuple(odoc.get("formats", ("csv", "json"))),
+        directory=_typed(
+            odoc.get("directory", "horizon_lab_out"), "/outputs/directory", str
+        ),
+        formats=tuple(
+            _choice(f, f"/outputs/formats/{i}", ("csv", "json"))
+            for i, f in enumerate(formats)
+        ),
     )
 
     return AnalysisConfig(
@@ -384,6 +378,15 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         runs=tuple(runs),
         outputs=outputs,
         document=doc,
+    )
+
+
+def _monomial(value, ptr: str) -> tuple:
+    """A monomial object's (coeff, exponents), both checked as numbers."""
+    _object(value, ptr, ("coeff", "exponents"))
+    return _number(value["coeff"], f"{ptr}/coeff"), tuple(
+        _number(e, f"{ptr}/exponents/{q}")
+        for q, e in enumerate(_list(value["exponents"], f"{ptr}/exponents"))
     )
 
 

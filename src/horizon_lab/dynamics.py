@@ -310,7 +310,8 @@ class SpectralSplit:
     classification: str
 
 
-def _split_spectrum(eigenvalues: np.ndarray, tangential_dims: int) -> SpectralSplit:
+def spectrum_classify(eigenvalues, tangential_dims: int) -> SpectralSplit:
+    """Split ``eigenvalues`` into tangential (least |Re|) and normal parts."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     order = np.argsort(np.abs(eigs.real), kind="stable")
     tangential = tuple(int(i) for i in order[:tangential_dims])
@@ -339,11 +340,6 @@ def _split_spectrum(eigenvalues: np.ndarray, tangential_dims: int) -> SpectralSp
         nonhyperbolic=nonhyperbolic,
         classification=classification,
     )
-
-
-def spectrum_classify(eq: Equilibrium, tangential_dims: int) -> SpectralSplit:
-    """Split an equilibrium's spectrum with a caller-supplied tangential count."""
-    return _split_spectrum(eq.eigenvalues, tangential_dims)
 
 
 def _eigvals(J: np.ndarray) -> np.ndarray:
@@ -536,7 +532,7 @@ def find_horizon_equilibria(
     for x in found:
         J = dfield.jacobian(x)
         eigs = np.sort(_eigvals(J))  # by (real, imag), not LAPACK's order
-        split = _split_spectrum(eigs, tangential_dims)
+        split = spectrum_classify(eigs, tangential_dims)
         out.append(
             Equilibrium(
                 chart=chart,
@@ -652,7 +648,7 @@ def trace_equilibrium_curve(
     lo = math.inf
     hi = -math.inf
     for eq in samples:
-        split = spectrum_classify(eq, eq.tangential_dims)
+        split = spectrum_classify(eq.eigenvalues, eq.tangential_dims)
         for i in split.stable + split.unstable:
             re = eq.eigenvalues[i].real
             lo = min(lo, re)

@@ -156,9 +156,252 @@ def test_overflowing_literal_rejected_with_pointer():
     assert exc_info.value.pointer == "/runs/0/y0/0"
 
 
+@pytest.mark.parametrize(
+    "where, pointer",
+    [
+        (("runs", 0, "y0", 0), "/runs/0/y0/0"),
+        (("field", "components", 0, 0, "coeff"), "/field/components/0/0/coeff"),
+        (("homogeneity", "k"), "/homogeneity/k"),
+    ],
+)
+def test_integer_beyond_float_range_rejected_with_pointer(where, pointer):
+    bad = doc()
+    target = bad
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = 10**400  # json writes every digit
+    with pytest.raises(SchemaError, match="finite") as exc_info:
+        parse_config(json.dumps(bad))
+    assert exc_info.value.pointer == pointer
+
+
 def test_invalid_json_is_schema_error():
     with pytest.raises(SchemaError):
         parse_config("{not json")
+
+
+# every optional key set, so that each rule below can be broken on its own
+FULL_DOC = {
+    "schema": 1,
+    "field": {
+        "variables": ["t", "y"],
+        "nonautonomous": True,
+        "components": [
+            [{"coeff": 1.0, "exponents": [0, 0]}],
+            [{"coeff": 1.0, "exponents": [0, 2]}],
+        ],
+    },
+    "homogeneity": {"alpha": [0, 1], "k": 1},
+    "chart": {"type": "directional", "index": 1, "sign": 1},
+    "runs": [
+        {
+            "y0": [0.0, 1.0],
+            "t0": 0.0,
+            "tau_max": 50.0,
+            "rel_tol": 1e-10,
+            "abs_tol": 1e-12,
+            "horizon_eps": 1e-9,
+        }
+    ],
+    "outputs": {"directory": "out", "formats": ["csv", "json"]},
+}
+INFER = {"infer": True, "alpha_max": 6}
+DELETE = object()
+OVERFLOW = "<1e999>"  # stands for the literal 1e999, which json cannot emit
+MONO = ("field", "components", 1, 0)
+RUN = ("runs", 0)
+
+
+def _mutated(where, value, homogeneity=None):
+    d = json.loads(json.dumps(FULL_DOC))
+    if homogeneity is not None:
+        d["homogeneity"] = dict(homogeneity)
+    target = d
+    for key in where[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    return json.dumps(d).replace(f'"{OVERFLOW}"', "1e999")
+
+
+@pytest.mark.parametrize(
+    "where, value, pointer",
+    [
+        # unknown keys, reported at the object that holds them
+        (("zz",), 1, "/"),
+        (("field", "zz"), 1, "/field"),
+        (MONO + ("zz",), 1, "/field/components/1/0"),
+        (("homogeneity", "zz"), 1, "/homogeneity"),
+        (("chart", "zz"), 1, "/chart"),
+        (RUN + ("zz",), 1, "/runs/0"),
+        (("outputs", "zz"), 1, "/outputs"),
+        # required keys
+        (("schema",), DELETE, "/"),
+        (("field",), DELETE, "/"),
+        (("homogeneity",), DELETE, "/"),
+        (("chart",), DELETE, "/"),
+        (("runs",), DELETE, "/"),
+        (("field", "variables"), DELETE, "/field"),
+        (("field", "components"), DELETE, "/field"),
+        (MONO + ("coeff",), DELETE, "/field/components/1/0"),
+        (MONO + ("exponents",), DELETE, "/field/components/1/0"),
+        (("chart", "type"), DELETE, "/chart"),
+        (RUN + ("y0",), DELETE, "/runs/0"),
+        # optional keys may go
+        (("field", "nonautonomous"), DELETE, None),
+        (("chart", "sign"), DELETE, None),
+        (("outputs",), DELETE, None),
+        (RUN + ("t0",), DELETE, None),
+        (RUN + ("tau_max",), DELETE, None),
+        (("outputs", "formats"), DELETE, None),
+        # wrong types
+        (("field",), [], "/field"),
+        (("field", "variables"), "t", "/field/variables"),
+        (("field", "variables", 0), 1, "/field/variables/0"),
+        (("field", "components"), {}, "/field/components"),
+        (("field", "components", 1), {}, "/field/components/1"),
+        (MONO, [], "/field/components/1/0"),
+        (MONO + ("exponents",), "x", "/field/components/1/0/exponents"),
+        (("field", "nonautonomous"), 1, "/field/nonautonomous"),
+        (("homogeneity",), [], "/homogeneity"),
+        (("homogeneity", "alpha"), 1, "/homogeneity/alpha"),
+        (("homogeneity", "k"), "1", "/homogeneity/k"),
+        (("chart",), "parabolic", "/chart"),
+        (("runs",), {}, "/runs"),
+        (RUN, [], "/runs/0"),
+        (RUN + ("y0",), "x", "/runs/0/y0"),
+        (RUN + ("t0",), None, "/runs/0/t0"),
+        (("outputs",), [], "/outputs"),
+        (("outputs", "directory"), 1, "/outputs/directory"),
+        (("outputs", "formats"), "csv", "/outputs/formats"),
+        # a JSON boolean is never a number
+        (("schema",), True, "/schema"),
+        (MONO + ("coeff",), True, "/field/components/1/0/coeff"),
+        (MONO + ("exponents", 1), True, "/field/components/1/0/exponents/1"),
+        (("homogeneity", "alpha", 1), True, "/homogeneity/alpha/1"),
+        (("homogeneity", "k"), True, "/homogeneity/k"),
+        (("chart", "index"), True, "/chart/index"),
+        (("chart", "sign"), True, "/chart/sign"),
+        (RUN + ("y0", 1), True, "/runs/0/y0/1"),
+        (RUN + ("t0",), False, "/runs/0/t0"),
+        (RUN + ("tau_max",), True, "/runs/0/tau_max"),
+        # an integral float is an integer
+        (("schema",), 1.0, None),
+        (("homogeneity", "alpha"), [0.0, 1.0], None),
+        (("chart", "index"), 1.0, None),
+        (("chart", "sign"), 1.0, None),
+        (("homogeneity", "alpha", 1), 1.5, "/homogeneity/alpha/1"),
+        (("chart", "index"), 1.5, "/chart/index"),
+        # bounds
+        (RUN + ("tau_max",), 0, "/runs/0/tau_max"),
+        (RUN + ("rel_tol",), 0.0, "/runs/0/rel_tol"),
+        (RUN + ("abs_tol",), -1e-12, "/runs/0/abs_tol"),
+        (RUN + ("horizon_eps",), 0, None),
+        (RUN + ("horizon_eps",), -1e-9, "/runs/0/horizon_eps"),
+        (("homogeneity", "alpha", 1), -1, "/homogeneity/alpha/1"),
+        (("chart", "index"), -1, "/chart/index"),
+        (("field", "variables"), [], "/field/variables"),
+        (("runs",), [], "/runs"),
+        (RUN + ("y0",), [], "/runs/0/y0"),
+        (("outputs", "formats"), [], "/outputs/formats"),
+        # enums
+        (("schema",), 2, "/schema"),
+        (("chart", "type"), "polar", "/chart/type"),
+        (("chart", "sign"), 0, "/chart/sign"),
+        (("chart", "sign"), -1.0, "/runs/0/y0/1"),  # accepted, then off-chart
+        (("outputs", "formats", 1), "xml", "/outputs/formats/1"),
+        # non-finite numbers
+        (MONO + ("coeff",), float("nan"), "/field/components/1/0/coeff"),
+        (MONO + ("exponents", 1), float("inf"), "/field/components/1/0/exponents/1"),
+        (("homogeneity", "k"), OVERFLOW, "/homogeneity/k"),
+        (RUN + ("y0", 1), OVERFLOW, "/runs/0/y0/1"),
+        (RUN + ("t0",), float("-inf"), "/runs/0/t0"),
+        (RUN + ("tau_max",), float("nan"), "/runs/0/tau_max"),
+        # a wrong type is reported before the arity it also breaks
+        (("field", "components"), [[]], "/field/components"),
+        (("field", "components"), [1], "/field/components/0"),
+        (RUN + ("y0",), [1.0, "x", 2.0], "/runs/0/y0/1"),
+    ],
+)
+def test_single_violation_pointer(where, value, pointer):
+    text = _mutated(where, value)
+    if pointer is None:
+        parse_config(text)
+        return
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.pointer == pointer
+
+
+@pytest.mark.parametrize(
+    "where, value, pointer",
+    [
+        (("homogeneity", "infer"), 1, "/homogeneity/infer"),
+        (("homogeneity", "alpha_max"), True, "/homogeneity/alpha_max"),
+        (("homogeneity", "alpha_max"), 0, "/homogeneity/alpha_max"),
+        (("homogeneity", "alpha_max"), 2.5, "/homogeneity/alpha_max"),
+        (("homogeneity", "alpha_max"), float("nan"), "/homogeneity/alpha_max"),
+        (("homogeneity", "alpha_max"), 6.0, None),
+        (("homogeneity", "alpha_max"), DELETE, None),
+        (("homogeneity", "zz"), 1, "/homogeneity"),
+    ],
+)
+def test_single_violation_pointer_infer(where, value, pointer):
+    text = _mutated(where, value, homogeneity=INFER)
+    if pointer is None:
+        assert parse_config(text).infer_alpha_max == 6
+        return
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.pointer == pointer
+
+
+def _inferred_doc(n, nonautonomous=False, **homogeneity):
+    """y_i' = y_i^2 in n variables (t' = 1 first if nonautonomous)."""
+    comps = [
+        [{"coeff": 1.0, "exponents": [2 * (j == i) for j in range(n)]}]
+        for i in range(n)
+    ]
+    if nonautonomous:
+        comps[0] = [{"coeff": 1.0, "exponents": [0] * n}]
+    return json.dumps(
+        doc(
+            field={
+                "variables": [f"x{i}" for i in range(n)],
+                "components": comps,
+                "nonautonomous": nonautonomous,
+            },
+            homogeneity={"infer": True, **homogeneity},
+            runs=[{"y0": [1.0] * n}],
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "n, nonautonomous, homogeneity",
+    [
+        (2, False, {"alpha_max": 10**6}),  # would list 10^12 weight vectors
+        (1, False, {"alpha_max": 10**6}),
+        (8, False, {}),  # the default alpha_max 6 over 8 weights: 7^8
+        (9, True, {}),
+    ],
+)
+def test_alpha_max_bounds_the_weight_search(n, nonautonomous, homogeneity):
+    text = _inferred_doc(n, nonautonomous, **homogeneity)
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(text)
+    assert exc_info.value.pointer == "/homogeneity/alpha_max"
+
+
+@pytest.mark.parametrize(
+    "n, nonautonomous, alpha_max",
+    [(7, False, 6), (8, True, 6), (2, False, 999), (1, False, 999_999)],
+)
+def test_alpha_max_within_bound_accepted(n, nonautonomous, alpha_max):
+    text = _inferred_doc(n, nonautonomous, alpha_max=alpha_max)
+    assert parse_config(text).infer_alpha_max == alpha_max
 
 
 # ---------------------------------------------------------------------------
@@ -594,3 +837,30 @@ def test_cli_jobs_flag_is_byte_identical(tmp_path):
         tmp_path / "j2" / "report.json"
     ).read_bytes()
     assert one.stdout.replace("j1", "@") == two.stdout.replace("j2", "@")
+
+
+def test_runs_without_jsonschema(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SCALAR_DOC))
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"  # any import of it now fails
+        "import horizon_lab\n"
+        "from horizon_lab.cli import main\n"
+        "from horizon_lab.config import parse_config\n"
+        "parse_config(open(sys.argv[1]).read())\n"
+        "sys.exit(main(['validate', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "config OK\n"

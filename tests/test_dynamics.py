@@ -435,7 +435,7 @@ def test_spectrum_classify_nonhyperbolic_detection():
     kinds = sorted(e.classification for e in eqs)
     assert kinds == ["nonhyperbolic", "sink"]
     weird = [e for e in eqs if e.classification == "nonhyperbolic"][0]
-    split = spectrum_classify(weird, tangential_dims=weird.tangential_dims)
+    split = spectrum_classify(weird.eigenvalues, weird.tangential_dims)
     assert split.classification == "nonhyperbolic"
 
 
