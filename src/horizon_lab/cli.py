@@ -126,12 +126,25 @@ def _float_str(v: float) -> str:
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """One row per accepted step (the initial condition is not a step)."""
+    """One row per accepted step (the initial condition is not a step).
+
+    Each distinct column is formatted once: t is coord_0 of a
+    nonautonomous field and the gap is coord_{i0} on a directional chart.
+    """
     n = traj.coords.shape[1]
     header = ["tau", "t"] + [f"coord_{i}" for i in range(n)] + ["horizon_gap"]
-    rows = np.column_stack((traj.taus, traj.ts, traj.coords, traj.gaps))
+
+    def column(values):
+        return list(map(repr, values[1:].tolist()))
+
+    coords = [column(traj.coords[:, i]) for i in range(n)]
+    ts = coords[0] if traj.dfield.nonautonomous else column(traj.ts)
+    if isinstance(traj.chart, DirectionalChart):
+        gaps = coords[traj.chart.i0]
+    else:
+        gaps = column(traj.gaps)
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows[1:].tolist()]
+    lines += map(",".join, zip(column(traj.taus), ts, *coords, gaps))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

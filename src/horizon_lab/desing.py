@@ -23,7 +23,8 @@ Evaluation compiles each field once into plain Python expressions (value,
 Jacobian, time factor); the Jacobian is the exact term-wise derivative,
 including the chain rule through W.  The same compilation emits one
 Dormand-Prince 5(4) step per field, with the stages, the tableau and the
-state dimension unrolled around those expressions, and array versions of
+state dimension unrolled around those expressions (each distinct power and
+expression evaluated once per stage), and array versions of
 the value and the Jacobian that evaluate a whole batch of points with NumPy
 (the batched equilibrium search uses them): where the scalar code raises a
 domain error, the array code leaves non-finite entries in that point's row.
@@ -85,6 +86,8 @@ def _canon_e(e: Real) -> Real:
 
 
 def _eadd(a: Real, b: Real) -> Real:
+    if type(a) is int and type(b) is int:  # the usual case, kept cheap
+        return a + b
     if isinstance(a, float) or isinstance(b, float):
         return _canon_e(float(a) + float(b))
     return _canon_e(
@@ -178,7 +181,14 @@ def _emit_power(sym: str, e: Real, clamped_sym: Optional[str] = None) -> str:
 
 
 class _Emitter:
-    """Shared expression emitter for one desingularized field."""
+    """Shared expression emitter for one desingularized field.
+
+    Expressions come out as templates: each power other than a first power
+    is a ``{p<k>}`` field, one name per distinct power text; ``powers``
+    maps the text to (name, base symbol) and ``texts`` the name to the
+    text.  ``inline`` fills every field with its text; the generated step
+    binds a power it uses more than once to its name instead.
+    """
 
     def __init__(self, n: int, parabolic: bool, two_beta: np.ndarray,
                  i_alpha: Tuple[int, ...], gap_slot: Optional[int]):
@@ -191,9 +201,25 @@ class _Emitter:
         self.needs_s_clamp = False
         # coordinates read by the emitted expressions or by W
         self.used = set(i_alpha) if parabolic else set()
+        self.powers: Dict[str, Tuple[str, str]] = {}
+        self.texts: Dict[str, str] = {}  # power name -> text
 
     def var(self, j: int) -> str:
         return f"x{j}"
+
+    def power(self, sym: str, e: Real, clamped_sym: Optional[str] = None) -> str:
+        text = _emit_power(sym, e, clamped_sym)
+        if text == sym:
+            return text
+        if text not in self.powers:
+            fractional = not isinstance(_canon_e(e), int)
+            base = clamped_sym if fractional and clamped_sym else sym
+            self.powers[text] = (f"p{len(self.powers)}", base)
+            self.texts[self.powers[text][0]] = text
+        return "{" + self.powers[text][0] + "}"
+
+    def inline(self, template: str) -> str:
+        return template.format_map(self.texts)
 
     def term(self, exps: Tuple[Real, ...], w: Real, coeff: float) -> str:
         factors = []
@@ -205,13 +231,13 @@ class _Emitter:
             if self.gap_slot is not None and j == self.gap_slot and not isinstance(_canon_e(e), int):
                 clamp = f"x{j}c"
                 self.needs_s_clamp = True
-            factors.append(_emit_power(self.var(j), e, clamp))
+            factors.append(self.power(self.var(j), e, clamp))
         if w != 0:
             if not isinstance(_canon_e(w), int):
                 self.needs_w_clamp = True
-                factors.append(_emit_power("W", w, "Wc"))
+                factors.append(self.power("W", w, "Wc"))
             else:
-                factors.append(_emit_power("W", w))
+                factors.append(self.power("W", w))
         if not factors:
             return _fmt_float(coeff)
         if coeff == 1.0:
@@ -233,27 +259,27 @@ class _Emitter:
         return expr
 
     def derived(self, indent: str, vector: bool = False) -> list:
-        """Lines computing W and the clamped bases from the x{j} locals;
-        ``vector`` clamps whole arrays with ``_max``."""
+        """(symbol, template) pairs computing W and the clamped bases from
+        the x{j} locals; ``vector`` clamps whole arrays with ``_max``."""
         def clamp(sym):
             return f"_max({sym}, 0.0)" if vector else f"{sym} if {sym} > 0.0 else 0.0"
 
         lines = []
         if self.parabolic:
             terms = [
-                _emit_power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
+                self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
             ]
-            lines.append(f"{indent}W = 1.0 - ({' + '.join(terms)})")
+            lines.append(("W", f"{indent}W = 1.0 - ({' + '.join(terms)})"))
             if self.needs_w_clamp:
-                lines.append(f"{indent}Wc = {clamp('W')}")
+                lines.append(("Wc", f"{indent}Wc = {clamp('W')}"))
         elif self.needs_s_clamp:
             j = self.gap_slot
-            lines.append(f"{indent}x{j}c = {clamp(f'x{j}')}")
+            lines.append((f"x{j}c", f"{indent}x{j}c = {clamp(f'x{j}')}"))
         return lines
 
     def preamble(self) -> str:
         loads = [f"    x{j} = z[{j}]" for j in range(self.n)]
-        return "\n".join(loads + self.derived("    "))
+        return "\n".join(loads + [self.inline(t) for _, t in self.derived("    ")])
 
 
 # Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -273,25 +299,59 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
 
 
-def _emit_step(em: _Emitter, exprs, dim: int) -> str:
-    """Source of ``_step(z, k1, h, atol, rtol) -> (z_new, err_norm, k7)``.
+def _combo(coeffs) -> str:
+    """``0.0 + c1*k1_{0} + c2*k2_{0} + ...``, to be formatted with a slot."""
+    return "0.0 + " + " + ".join(
+        f"{_fmt_float(c)}*k{j}_{{0}}" for j, c in enumerate(coeffs, start=1)
+    )
 
-    ``exprs`` are the field's n component expressions plus its time factor,
-    so stage s binds k{s}_0 .. k{s}_n; the state has ``dim`` slots (n, or
-    n + 1 with t when the field is autonomous).  Each weighted sum is
-    written ``0 + c1*k1_i + c2*k2_i + ...``, added left to right from the
-    integer 0 with every tableau entry, zeros included, so the step equals
-    bit for bit the list form that adds ``c[j] * k[j][i]`` in the same
-    order, which the tests keep as its reference.  Stages 2-6 only compute the coordinates
-    the expressions read, and every stage evaluates the time factor, so a
-    step fails exactly where a full field evaluation does.  Arithmetic
-    errors are raised as DomainError, as in rhs_values.
+
+_DP_A_SUMS = tuple(_combo(row) for row in _DP_A)
+_DP_E_SUM = _combo(_DP_E)
+
+
+def _emit_step(em: _Emitter, templates, dim: int) -> str:
+    """Source of ``_step(z, k1, h, atol, rtol)``.
+
+    Returns ``(z_new, err_norm, k7, guard, gap)``: the new state, the RMS
+    error norm, the derivative there, ``max |z_new_i|`` over every state
+    slot and the horizon gap at the new state (stage 7's W on a parabolic
+    chart, s on a directional one).  A step whose new state or error norm
+    is not finite returns None instead, and a stage that fails to evaluate
+    raises DomainError, as in rhs_values.
+
+    ``templates`` are ``em``'s templates of the field's n components plus
+    its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
+    ``dim`` slots (n, or n + 1 with t when the field is autonomous).  A
+    stage evaluates each distinct expression once and copies it where a
+    sum reads the copy (the time factor of a nonautonomous field equals
+    component 0 and no sum reads it), and each distinct power once: a power
+    the stage uses twice is bound to a local right after the line that
+    defines its base.  Each weighted sum is written ``0.0 + c1*k1_i +
+    c2*k2_i + ...``, added left to right with every tableau entry, zeros
+    included, so the step equals bit for bit the list form that adds
+    ``c[j] * k[j][i]`` to the integer 0 in the same order, which the tests
+    keep as its reference.  Stages 2-6 only compute the coordinates the
+    expressions read, so a step fails exactly where a full field evaluation
+    does.
     """
-    def combo(coeffs, i):
-        return "0 + " + " + ".join(
-            f"{_fmt_float(c)}*k{j}_{i}" for j, c in enumerate(coeffs, start=1)
-        )
+    first: Dict[str, int] = {}
+    body = [(i, first.setdefault(t, i), t) for i, t in enumerate(templates)]
+    body = [(i, j, t) for i, j, t in body if j == i or i < dim]
+    derived = em.derived("        ")
+    text = "".join([t for _, t in derived] + [t for i, j, t in body if j == i])
+    fill = {}
+    defs: Dict[str, list] = {}  # base -> lines binding its shared powers
+    for ptext, (name, base) in em.powers.items():
+        shared = text.count("{" + name + "}") > 1
+        fill[name] = name if shared else ptext
+        if shared:
+            defs.setdefault(base, []).append(f"        {name} = {ptext}")
 
+    stage = []
+    for sym, t in derived:
+        stage += [t.format_map(fill)] + defs.get(sym, [])
+    body = [(i, j, t.format_map(fill)) for i, j, t in body]
     slots = range(dim)
     lines = [
         "def _step(z, k1, h, atol, rtol):",
@@ -299,29 +359,39 @@ def _emit_step(em: _Emitter, exprs, dim: int) -> str:
         "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
         "    try:",
     ]
-    for s, row in enumerate(_DP_A, start=2):
-        points = slots if s == 7 else sorted(em.used)
-        lines += [f"        x{i} = z{i} + h * ({combo(row, i)})" for i in points]
-        lines += em.derived("        ")
-        lines += [f"        k{s}_{i} = {expr}" for i, expr in enumerate(exprs)]
+    for s, combo in enumerate(_DP_A_SUMS, start=2):
+        for i in (slots if s == 7 else sorted(em.used)):
+            lines.append(f"        x{i} = z{i} + h * ({combo.format(i)})")
+            lines += defs.get(f"x{i}", [])
+        lines += stage
+        lines += [
+            f"        k{s}_{i} = " + (expr if j == i else f"k{s}_{j}")
+            for i, j, expr in body
+        ]
     lines += [
         "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
         "        raise DomainError('field evaluation failed in a step: '"
         " + str(exc)) from exc",
     ]
-    for i in slots:
-        lines += [
-            f"    e{i} = h * ({combo(_DP_E, i)})",
-            f"    q{i} = e{i} / (atol + rtol * max(abs(z{i}), abs(x{i})))",
-        ]
+    lines += [
+        f"    q{i} = h * ({_DP_E_SUM.format(i)})"
+        f" / (atol + rtol * max(abs(z{i}), abs(x{i})))"
+        for i in slots
+    ]
     squares = " + ".join(f"q{i}*q{i}" for i in slots)
+    # x - x is 0.0 for a finite x and NaN otherwise
+    nonfinite = " + ".join([f"(x{i} - x{i})" for i in slots] + ["(err - err)"])
+    absolutes = ", ".join(f"abs(x{i})" for i in slots)
+    gap = "W" if em.parabolic else f"x{em.gap_slot}"
     lines += [
         f"    err = _sqrt((0.0 + {squares}) / {dim})",
+        f"    if {nonfinite} != 0.0:",
+        "        return None",
         "    return ("
         + "".join(f"x{i}, " for i in slots)
         + "), err, ("
         + "".join(f"k7_{i}, " for i in slots)
-        + ")",
+        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -340,7 +410,7 @@ def _emit_vector(em: _Emitter, exprs, jac_exprs) -> str:
     """
     n = em.n
     pre = ["    " + "".join(f"x{j}, " for j in range(n)) + "= Z.T"]
-    pre += em.derived("    ", vector=True)
+    pre += [em.inline(t) for _, t in em.derived("    ", vector=True)]
     lines = ["def _rhs_v(Z):"] + pre + [f"    out = _empty((len(Z), {n + 1}))"]
     lines += [f"    out[:, {i}] = {expr}" for i, expr in enumerate(exprs)]
     lines += ["    return out", "", "def _jac_v(Z):"] + pre
@@ -359,26 +429,25 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool):
     em = _Emitter(n, parabolic, two_beta, i_alpha, gap_slot)
-    comp_exprs = [em.poly(p) for p in components]
-    tf_expr = em.poly(time_factor)
-    jac_exprs = [[em.poly(p) for p in row] for row in jac_rows]
+    templates = [em.poly(p) for p in components + (time_factor,)]
+    jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
+    exprs = [em.inline(t) for t in templates]
     # preamble emitted last: clamping needs are discovered while emitting
     pre = em.preamble()
-    g_body = ",\n        ".join(comp_exprs)
+    g_body = ",\n        ".join(exprs)
     j_body = ",\n        ".join(
         "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
         for row in jac_exprs
     )
     src = (
-        f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n"
-        f"        {tf_expr},\n    )\n\n"
+        f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
-        + _emit_step(em, comp_exprs + [tf_expr], n if nonautonomous else n + 1)
+        + _emit_step(em, templates, n if nonautonomous else n + 1)
     )
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
                 "DomainError": DomainError}
     exec(compile(src, "<desing-field>", "exec"), ns)
-    vsrc = _emit_vector(em, comp_exprs + [tf_expr], jac_exprs)
+    vsrc = _emit_vector(em, exprs, jac_exprs)
     vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
                  "_zeros": np.zeros}
     exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
@@ -398,9 +467,12 @@ class DesingField:
     ``step(z, k1, h, atol, rtol)`` is the field's compiled Dormand-Prince
     5(4) step: from state ``z`` (the coordinates, then t for an autonomous
     field) and its derivative ``k1`` it returns the new state, the RMS error
-    norm and the derivative there.  ``rhs_array`` and ``jacobian_array``
-    evaluate a batch of points at once.  ``source_code`` holds all the
-    generated source.
+    norm, the derivative there, the largest |slot| of the new state and its
+    horizon gap in the step's own arithmetic (Python's ``**``, where
+    ``horizon_gap`` goes through NumPy and may differ in the last bit), or
+    None when the new state or the error norm is not finite.
+    ``rhs_array`` and ``jacobian_array`` evaluate a batch of points at once.
+    ``source_code`` holds all the generated source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]

@@ -26,7 +26,7 @@ from horizon_lab import (
 )
 from horizon_lab.systems import example_names, make_example
 
-from conftest import fd_jacobian
+from conftest import CLAMPED_FIELDS, fd_jacobian
 
 
 def m(coeff, *exps):
@@ -375,28 +375,11 @@ def _example(name):
     return build_parabolic_desing(b.field, b.htype)
 
 
-def _sqrt_coordinate():
-    # sqrt(r) on a weight-0 variable: a fractional power of a coordinate
-    fs = FieldSpec(
-        variable_names=("r", "y"),
-        components=((), (Monomial(1.0, (Fraction(1, 2), 2)),)),
-    )
-    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
-
-
-_HALF_K = HomogeneityType(alpha=(1,), k=Fraction(1, 2))
-_LINEAR = FieldSpec(variable_names=("y",), components=((m(1.0, 1),),))
-
 # the benchmark workloads run the kk_dafermos, mems and painleve1 examples
-# at their default parameters; k = 1/2 gives fractional powers of the
-# clamped W (parabolic) and of the clamped s (directional)
+# at their default parameters
 _ARRAY_FIELDS = {
     **{name: (lambda name=name: _example(name)) for name in example_names()},
-    "w_clamp": lambda: build_parabolic_desing(_LINEAR, _HALF_K),
-    "s_clamp": lambda: build_directional_desing(
-        _LINEAR, _HALF_K, DirectionalChart(htype=_HALF_K, i0=0, sign=1)
-    ),
-    "sqrt_coordinate": _sqrt_coordinate,
+    **CLAMPED_FIELDS,
 }
 
 
@@ -427,7 +410,7 @@ def test_array_evaluators_match_scalar(name):
         # mems at r = 0 reaches r**(-1)
         (lambda: _example("mems"), [0.0, 0.3, -0.5], [[1.0, 0.3, -0.5], [0.5, 0.1, 0.2]]),
         # a fractional power of a negative base
-        (_sqrt_coordinate, [-1.0, 0.5], [[4.0, 0.5], [0.25, -0.3]]),
+        (CLAMPED_FIELDS["sqrt_coordinate"], [-1.0, 0.5], [[4.0, 0.5], [0.25, -0.3]]),
     ],
     ids=["zero_division", "negative_base"],
 )

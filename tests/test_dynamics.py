@@ -32,6 +32,7 @@ from horizon_lab import (
     spectrum_classify,
     trace_equilibrium_curve,
 )
+from horizon_lab.dynamics import _DOMAIN_SLACK
 from horizon_lab.systems import (
     example_names,
     kk_dafermos,
@@ -40,6 +41,8 @@ from horizon_lab.systems import (
     painleve1,
     selfsimilar,
 )
+
+from conftest import CLAMPED_FIELDS
 
 
 def m(coeff, *exps):
@@ -128,15 +131,19 @@ def test_horizon_eps_zero_disables_horizon_stop():
     assert np.max(np.abs(traj.gaps)) < 1e-9
 
 
-def test_diverged_stop_on_unweighted_runaway():
+def _runaway_field():
     # chi' = chi rides along as a weight-0 passenger and grows like
-    # e^(tau/2) while the weighted part idles far from the horizon; the
-    # integrator must flag divergence once the state leaves all bounds
+    # e^(tau/2) while the weighted part idles far from the horizon
     fs = FieldSpec(
         variable_names=("chi", "y"),
         components=((m(1.0, 1, 0),), (m(1.0, 0, 2),)),
     )
-    df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+
+
+def test_diverged_stop_on_unweighted_runaway():
+    # the integrator must flag divergence once the state leaves all bounds
+    df = _runaway_field()
     pt = embed(df.chart, np.array([10.0, 1e-4]))
     traj = integrate(df, pt.coords, controls=IntegratorControls(tau_max=600.0))
     assert traj.stop_reason == DIVERGED
@@ -220,7 +227,8 @@ def _left_sum(terms):
 
 def _reference_step(dfield):
     """A step with the stage sums over lists of lists that the generated
-    step replaced, evaluating the field through rhs_values."""
+    step replaced, evaluating the field through rhs_values, with its guard
+    from the list and its gap from DesingField.horizon_gap (NumPy)."""
     n = dfield.n
 
     def rhs(state):
@@ -245,7 +253,11 @@ def _reference_step(dfield):
         for e, a, b in zip(err, z, zs):
             q = e / (atol + rtol * max(abs(a), abs(b)))
             acc += q * q
-        return zs, math.sqrt(acc / dim), ks[6]
+        err_norm = math.sqrt(acc / dim)
+        if not all(map(math.isfinite, zs + [err_norm])):
+            return None
+        guard = max(abs(v) for v in zs)
+        return zs, err_norm, ks[6], guard, dfield.horizon_gap(zs[:n])
 
     return step
 
@@ -272,6 +284,40 @@ _BENCHMARK_FIRST_RUNS = {
 }
 
 
+def _overflow_field():
+    # u' = v w with v' = w' = 1e165: at the first step sizes the stages put
+    # v and w beyond 1e155, so v w overflows to inf in a product, which
+    # raises nothing, and the step is rejected as non-finite until it is
+    # short enough; the first accepted state is beyond the 1e100 guard
+    fs = FieldSpec(
+        variable_names=("u", "v", "w", "y"),
+        components=(
+            (m(1.0, 0, 1, 1, 0),),
+            (m(1e165, 0, 0, 0, 0),),
+            (m(1e165, 0, 0, 0, 0),),
+            (m(1.0, 0, 0, 0, 2),),
+        ),
+    )
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 0, 0, 1), k=1))
+
+
+# name -> (field, y0, tau_max, stop reason) for the cases that are not
+# bundled examples
+_STEP_FIELDS = {
+    "stiff_sqrt": (_stiff_sqrt_field, [1.0, 1.0], 200.0, HORIZON_REACHED),
+    "w_clamp": (CLAMPED_FIELDS["w_clamp"], [1.0], 200.0, TAU_EXHAUSTED),
+    "s_clamp": (CLAMPED_FIELDS["s_clamp"], [1.0], 200.0, TAU_EXHAUSTED),
+    "sqrt_coordinate": (CLAMPED_FIELDS["sqrt_coordinate"], [0.25, 1.0], 200.0,
+                        HORIZON_REACHED),
+    "w_clamp_shared": (CLAMPED_FIELDS["w_clamp_shared"], [1.0, 0.5], 200.0,
+                       TAU_EXHAUSTED),
+    "s_clamp_shared": (CLAMPED_FIELDS["s_clamp_shared"], [1.0, 0.5], 200.0,
+                       TAU_EXHAUSTED),
+    "state_guard": (_runaway_field, [10.0, 1e-4], 600.0, DIVERGED),
+    "product_overflow": (_overflow_field, [1.0, 1.0, 1.0, 0.5], 200.0, DIVERGED),
+}
+
+
 def _step_cases():
     cases = []
     for name in example_names():
@@ -279,17 +325,17 @@ def _step_cases():
         cases.append(pytest.param(name, run["y0"], run.get("t0", 0.0), id=name))
     for wl, (name, y0, t0) in _BENCHMARK_FIRST_RUNS.items():
         cases.append(pytest.param(name, y0, t0, id=wl))
-    cases.append(pytest.param("stiff_sqrt", [1.0, 1.0], 0.0, id="stiff_sqrt"))
+    for name, (_, y0, _, _) in _STEP_FIELDS.items():
+        cases.append(pytest.param(name, y0, 0.0, id=name))
     return cases
 
 
 @pytest.mark.parametrize("name,y0,t0", _step_cases())
 def test_generated_step_matches_list_reference(name, y0, t0):
-    def build():
-        if name == "stiff_sqrt":
-            return _stiff_sqrt_field()
-        return example_field(make_example(name))
-
+    build, _, tau_max, stop = _STEP_FIELDS.get(
+        name, (lambda: example_field(make_example(name)), None, 200.0,
+               HORIZON_REACHED)
+    )
     generated, reference = build(), build()
     object.__setattr__(reference, "step", _reference_step(reference))
     generated_step = generated.step
@@ -304,15 +350,20 @@ def test_generated_step_matches_list_reference(name, y0, t0):
 
     object.__setattr__(generated, "step", counted)
     coords = embed(generated.chart, np.asarray(y0, dtype=float)).coords
-    got = integrate(generated, coords, t0=t0)
-    want = integrate(reference, coords, t0=t0)
+    controls = IntegratorControls(tau_max=tau_max)
+    got = integrate(generated, coords, t0=t0, controls=controls)
+    want = integrate(reference, coords, t0=t0, controls=controls)
     for attr in ("taus", "coords", "ts", "gaps"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-    assert got.stop_reason == want.stop_reason == HORIZON_REACHED
+    assert got.stop_reason == want.stop_reason == stop
     assert got.n_rejected == want.n_rejected
     if name == "stiff_sqrt":
         assert len(domain_errors) > 0
         assert got.n_rejected >= len(domain_errors)
+    if name == "product_overflow":
+        assert not domain_errors and got.n_rejected > 0
+    if name == "state_guard":
+        assert np.max(np.abs(got.coords[-1])) > 1e99
 
 
 @pytest.mark.parametrize(
@@ -332,6 +383,25 @@ def test_generated_step_raises_domain_error_like_rhs_values(chi_power, chi):
         df.step([chi, 0.5, 0.0], [0.0, 1.0, 1.0], 1e-3, 1e-12, 1e-10)
 
 
+@pytest.mark.parametrize(
+    "k1_chi, h, atol, rtol",
+    [(1.7e308, 12.0, 1e-12, 1e-10), (1e10, 1e-3, 0.0, 1e-300)],
+    ids=["state_overflows", "error_norm_overflows"],
+)
+def test_generated_step_flags_non_finite_results(k1_chi, h, atol, rtol):
+    # chi' = 0, so chi's stage sums read only the given k1: the first case
+    # overflows chi's new value while its error term stays finite (q = e /
+    # inf = 0); the second keeps the state finite and overflows the squares
+    # of the error norm.  Either way the step is rejected, as the list
+    # reference rejects it.
+    fs = FieldSpec(variable_names=("chi", "y"), components=((), (m(1.0, 0, 2),)))
+    df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
+    z = (0.5, 0.1, 0.0)
+    k1 = [k1_chi] + list(df.rhs_values(z[:2]))[1:]
+    assert df.step(z, k1, h, atol, rtol) is None
+    assert _reference_step(df)(list(z), k1, h, atol, rtol) is None
+
+
 def test_generated_step_fails_like_list_reference():
     # the domain wall of test_step_failure_on_domain_wall: every retry
     # raises inside the step until the step size underflows
@@ -349,6 +419,70 @@ def test_generated_step_fails_like_list_reference():
             integrate(df, pt.coords, controls=IntegratorControls(tau_max=50.0))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# stop decisions on the gap the step returns
+
+
+def _generated_gap(df, state):
+    # with h = 0 every stage point is the state itself, so the step returns
+    # the gap its own arithmetic gives there
+    k1 = df.rhs_values(state[:df.n])[:df.n]
+    return df.step(tuple(state), k1, 0.0, 1e-12, 1e-10)[4]
+
+
+def _states_near_gap(df, target):
+    """Painleve1 states whose gap lies within a few ulps of ``target``,
+    as (state, generated gap, NumPy gap) triples."""
+    rng = np.random.default_rng(5)
+    out = []
+    for x2 in rng.uniform(0.1, 0.9, size=300):
+        x1 = ((1.0 - target) - x2**4) ** (1 / 6)
+        for k in range(-4, 5):
+            state = np.array([0.5, x1 + k * np.spacing(x1), x2])
+            out.append((state, _generated_gap(df, state), df.horizon_gap(state)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "threshold", [1e-12, -_DOMAIN_SLACK], ids=["horizon_eps", "domain_slack"]
+)
+def test_parabolic_stop_decision_is_numpys(threshold):
+    # the generated step computes W with Python's `**`, the stored gaps come
+    # from NumPy, and the two differ in the last bit now and then: at a
+    # threshold integrate must decide as NumPy's gap does
+    df = example_field(painleve1())
+    states = _states_near_gap(df, threshold)
+    straddling = [
+        (state, g_np) for state, g_step, g_np in states
+        if (g_step < threshold) != (g_np < threshold)
+    ]
+    assert straddling, "no state where the two gaps straddle the threshold"
+    chosen = straddling + [(st, g_np) for st, _, g_np in states[::40]]
+    real_step = df.step
+    start = embed(df.chart, np.array([0.0, 10.0, 80.0])).coords
+    for state, g_np in chosen:
+        object.__setattr__(
+            df, "step", lambda z, k1, h, a, r, s=tuple(state):
+            real_step(s, k1, 0.0, a, r)
+        )
+        traj = integrate(df, start, controls=IntegratorControls(tau_max=1.0))
+        if g_np < -_DOMAIN_SLACK:
+            want = LEFT_DOMAIN
+        elif g_np < 1e-12:
+            want = HORIZON_REACHED
+        else:
+            want = TAU_EXHAUSTED
+        assert traj.stop_reason == want
+        assert traj.gaps[-1] == g_np
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_stored_gaps_are_per_point_numpy_gaps(name):
+    _, df, traj = example_run(name)
+    per_point = [df.horizon_gap(c) for c in traj.coords]
+    assert traj.gaps.tolist() == per_point
 
 
 # ---------------------------------------------------------------------------
