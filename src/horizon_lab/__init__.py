@@ -52,7 +52,7 @@ from .dynamics import (
     check_nonresonance,
     estimate_decay,
     find_horizon_equilibria,
-    horizon_targets,
+    grid_seeds,
     integrate,
     spectrum_classify,
     trace_equilibrium_curve,
@@ -137,7 +137,7 @@ __all__ = [
     "SpectralSplit",
     "integrate",
     "find_horizon_equilibria",
-    "horizon_targets",
+    "grid_seeds",
     "spectrum_classify",
     "trace_equilibrium_curve",
     "check_nonresonance",

@@ -41,7 +41,8 @@ from .dynamics import (
     Equilibrium,
     IntegratorControls,
     Trajectory,
-    horizon_targets,
+    find_horizon_equilibria,
+    grid_seeds,
     integrate,
 )
 from .errors import (
@@ -223,7 +224,7 @@ def _global_equilibria(
         if not (dfield.nonautonomous and math.isfinite(t_slice)):
             raise DomainError("t_slice needs a nonautonomous field and a finite value")
         anchor[0] = t_slice
-    return horizon_targets(dfield, anchor)
+    return find_horizon_equilibria(dfield, grid_seeds(dfield, anchor))
 
 
 def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
@@ -234,13 +235,14 @@ def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
     the solve finds nothing within reach of the endpoint.
     """
     end = traj.coords[-1]
-    targets = horizon_targets(dfield, end, grid=False)
+    targets = find_horizon_equilibria(dfield, [end])
     if targets:
         try:
             return build_report(traj, targets, dfield.htype)
         except NoTargetFound:
             pass
-    return build_report(traj, horizon_targets(dfield, end), dfield.htype)
+    fallback = find_horizon_equilibria(dfield, grid_seeds(dfield, end))
+    return build_report(traj, fallback, dfield.htype)
 
 
 def _analyze_one_run(

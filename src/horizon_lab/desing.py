@@ -51,8 +51,6 @@ from .homogeneity import (
     FieldSpec,
     HomogeneityType,
     Monomial,
-    _degree_cmp,
-    _exactify,
     power,
 )
 
@@ -650,21 +648,15 @@ def extend_nonautonomous(
 
 def _rescale_exponent(htype: HomogeneityType, comp_index: int, m: Monomial) -> Real:
     """W/s exponent k + alpha_i - <m, alpha>; negative means not AQH."""
-    k = htype.k
-    ke = _exactify(k)
-    d = m.weighted_degree(htype.alpha)
-    if ke is not None and isinstance(d, Fraction):
-        w = ke + htype.alpha[comp_index] - d
-    else:
-        w = float(k) + htype.alpha[comp_index] - float(d)
-    cmp = _degree_cmp(w, 0)
-    if cmp < 0:
+    w = htype.degree_deficit(comp_index, m)
+    if w < 0:
         raise NegativeWExponentError(
             f"monomial {m} in component {comp_index} has weighted degree "
-            f"{d} > k + alpha_i = {_eadd(k, htype.alpha[comp_index])}; "
+            f"{m.weighted_degree(htype.alpha)} > k + alpha_i = "
+            f"{_eadd(htype.k, htype.alpha[comp_index])}; "
             f"the field is not asymptotically quasi-homogeneous of this type"
         )
-    return 0 if cmp == 0 else _canon_e(w)
+    return _canon_e(w)
 
 
 def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingField:

@@ -13,14 +13,15 @@ horizon gap; this module keeps the step-size control and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
-(directional), seeded on small grids or at given points.  All seeds of one
-search form a single batch: the residuals and Jacobians come from the
-field's array evaluators (``DesingField.rhs_array`` / ``jacobian_array``),
-the least-squares steps from one stacked pseudo-inverse, and each seed
-keeps its own line search and stopping rules.  Spectra are
-split into tangential / stable / unstable parts with an explicit neutral
-tolerance so borderline cases surface as 'nonhyperbolic' instead of a
-guess.
+(directional), seeded on a small grid (``grid_seeds``) or at given points
+such as a trajectory endpoint; each seed's weight-0 slots pick its family
+slice.  All seeds of one search form a single batch: the residuals and
+Jacobians come from the field's array evaluators (``DesingField.rhs_array``
+/ ``jacobian_array``), the least-squares steps from one stacked
+pseudo-inverse, and each seed keeps its own line search and stopping rules.
+Spectra are split into tangential / stable / unstable parts with an
+explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
+instead of a guess.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ __all__ = [
     "SpectralSplit",
     "integrate",
     "find_horizon_equilibria",
-    "horizon_targets",
+    "grid_seeds",
     "spectrum_classify",
     "trace_equilibrium_curve",
     "check_nonresonance",
@@ -405,14 +406,22 @@ _CONSTRAINT_TOL = 1e-12
 _DEDUP_TOL = 1e-8
 
 
-def _default_seeds(dfield: DesingField, free: Sequence[int], base: np.ndarray):
-    """Grid seeds as one (m, n) array: 7 points per free axis, projected onto
-    the horizon for parabolic charts via the anisotropic scaling
-    P(r^alpha * x) = r^2c P(x)."""
+def _free_slots(dfield: DesingField) -> list:
+    """Slots a search solves for: the weighted ones but a directional s."""
+    pivot = dfield.chart.i0 if isinstance(dfield.chart, DirectionalChart) else None
+    return [i for i in dfield.htype.i_alpha if i != pivot]
+
+
+def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
+    """Grid seeds on the family slice through ``anchor`` (full chart
+    coordinates) as one (m, n) array: 7 points per solved slot, the others
+    kept at ``anchor``, projected onto the horizon for parabolic charts via
+    the anisotropic scaling P(r^alpha * x) = r^2c P(x)."""
     parabolic = isinstance(dfield.chart, ParabolicChart)
+    free = _free_slots(dfield)
     axis = np.linspace(-1.05, 1.05, 7) if parabolic else np.linspace(-5.0, 5.0, 7)
     grid = np.array(list(itertools.product(axis, repeat=len(free))))
-    seeds = np.tile(base, (len(grid), 1))
+    seeds = np.tile(np.asarray(anchor, dtype=float), (len(grid), 1))
     seeds[:, free] = grid
     if parabolic:
         P = dfield.chart.horizon_poly(seeds)
@@ -423,64 +432,32 @@ def _default_seeds(dfield: DesingField, free: Sequence[int], base: np.ndarray):
     return seeds
 
 
-def _pinned_slots(dfield: DesingField, freeze: Sequence[int]) -> set:
-    """Slots the search does not solve for: ``freeze``, the time slot of a
-    nonautonomous field and the pivot s of a directional chart."""
-    pinned = set(int(i) for i in freeze)
-    if dfield.nonautonomous:
-        pinned.add(0)
-    if isinstance(dfield.chart, DirectionalChart):
-        pinned.add(dfield.chart.i0)
-    return pinned
-
-
-def find_horizon_equilibria(
-    dfield: DesingField,
-    seeds: Optional[Iterable] = None,
-    t_slice: Optional[float] = None,
-    freeze: Sequence[int] = (),
-) -> list:
-    """Locate equilibria of g on the horizon.
+def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
+    """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
 
     Parabolic charts solve the augmented system [g(x); P(x) - 1]; directional
-    charts solve g restricted to {s = 0}.  Nonautonomous fields require
-    t_slice (the frozen time value); ``freeze`` pins additional coordinates
-    (e.g. a conserved variable whose value parametrizes a family) at their
-    seed values.  All seeds are solved in one batched Gauss-Newton call.
-    Only points meeting the residual contract (|g| < 1e-10, horizon
-    constraint < 1e-12) are returned, deduplicated in seed order: a point
-    is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
-    earlier one, |r| and |r'| being their final residuals (a solve that
-    stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).
+    charts solve g restricted to {s = 0} (each seed's s is set to 0).  A
+    seed's weight-0 slots stay at its values: they pick the member of a
+    family of equilibria, e.g. the time slice (``Equilibrium.t_slice``) of
+    a nonautonomous field, so one batch may mix slices.  All seeds are
+    solved in one batched Gauss-Newton call.  Only points meeting
+    the residual contract (|g| < 1e-10, horizon constraint < 1e-12) are
+    returned, deduplicated in seed order: a point is dropped when it lies
+    within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an earlier one, |r| and |r'|
+    being their final residuals (a solve that stops at |r| ~ 1e-14 sits
+    about sqrt(|r|) from a double zero).
     """
     chart = dfield.chart
     parabolic = isinstance(chart, ParabolicChart)
     n = dfield.n
-    frozen = _pinned_slots(dfield, freeze)
-    base = np.zeros(n)
-    if dfield.nonautonomous:
-        if t_slice is None:
-            raise DomainError(
-                "nonautonomous field: equilibrium search needs a frozen t_slice"
-            )
-        base[0] = float(t_slice)
-    elif t_slice is not None:
-        raise DomainError("t_slice given for an autonomous field")
-    free = [i for i in range(n) if i not in frozen]
-
-    if seeds is None:
-        X0 = _default_seeds(dfield, free, base)
-    else:
-        X0 = np.array(seeds if isinstance(seeds, np.ndarray) else list(seeds),
-                      dtype=float)
-        if X0.size == 0:
-            X0 = X0.reshape(0, n)
-        if X0.ndim != 2 or X0.shape[1] != n:
-            raise ValueError(f"seeds shape {X0.shape}, expected (m, {n})")
-        if dfield.nonautonomous:
-            X0[:, 0] = base[0]
-        if not parabolic:
-            X0[:, chart.i0] = 0.0
+    X0 = np.array(seeds, dtype=float)
+    if X0.size == 0:
+        X0 = X0.reshape(0, n)
+    if X0.ndim != 2 or X0.shape[1] != n:
+        raise ValueError(f"seeds shape {X0.shape}, expected (m, {n})")
+    if not parabolic:
+        X0[:, chart.i0] = 0.0
+    free = _free_slots(dfield)
 
     def points(v, rows):
         X = X0[rows]
@@ -521,8 +498,8 @@ def find_horizon_equilibria(
         idx, reach = idx[far], reach[far]
 
     found.sort(key=lambda x: tuple(np.round(x, 10)))
-    # every pinned slot but the pivot s is a direction along the horizon
-    tangential_dims = len(frozen) - (0 if parabolic else 1)
+    # every weight-0 slot is a direction along the horizon
+    tangential_dims = n - len(dfield.htype.i_alpha)
     out = []
     for x in found:
         J = dfield.jacobian(x)
@@ -532,7 +509,7 @@ def find_horizon_equilibria(
             Equilibrium(
                 chart=chart,
                 coords=x,
-                t_slice=(float(base[0]) if dfield.nonautonomous else t_slice),
+                t_slice=float(x[0]) if dfield.nonautonomous else None,
                 residual=float(np.linalg.norm(dfield.g(x))),
                 jacobian=J,
                 eigenvalues=eigs,
@@ -541,32 +518,6 @@ def find_horizon_equilibria(
             )
         )
     return out
-
-
-def horizon_targets(dfield: DesingField, anchor, grid: bool = True) -> list:
-    """Horizon equilibria on the family slice through ``anchor``.
-
-    ``anchor`` holds full chart coordinates.  Its weight-0 coordinates
-    label a family of equilibria and stay pinned; for a nonautonomous field
-    that includes the time slot, so ``anchor[0]`` is the time slice.
-    With ``grid`` the search is seeded on the default grid over the free
-    coordinates; without it, one Gauss-Newton solve starts at ``anchor``
-    itself (e.g. a trajectory endpoint, which lies next to the equilibrium
-    it shadows).
-    """
-    start = 1 if dfield.nonautonomous else 0
-    freeze = [i for i in range(start, dfield.n) if dfield.htype.alpha[i] == 0]
-    x = np.asarray(anchor, dtype=float)
-    t_slice = float(x[0]) if dfield.nonautonomous else None
-    if grid:
-        pinned = _pinned_slots(dfield, freeze)
-        free = [i for i in range(dfield.n) if i not in pinned]
-        seeds = _default_seeds(dfield, free, x)
-    else:
-        seeds = [x]
-    return find_horizon_equilibria(
-        dfield, seeds=seeds, t_slice=t_slice, freeze=freeze
-    )
 
 
 @dataclass(frozen=True)
@@ -621,7 +572,8 @@ def trace_equilibrium_curve(
     samples = []
     for t_val in ts:
         try:
-            eqs = find_horizon_equilibria(dfield, seeds=[x_prev], t_slice=t_val)
+            x_prev[0] = t_val
+            eqs = find_horizon_equilibria(dfield, [x_prev])
         except DomainError as exc:
             raise CurveBreak(
                 f"field singular on the t = {t_val} slice: {exc}",

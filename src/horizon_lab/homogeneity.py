@@ -245,6 +245,21 @@ class HomogeneityType:
     def alpha_array(self) -> np.ndarray:
         return np.asarray(self.alpha, dtype=np.int64)
 
+    def degree_deficit(self, component: int, monomial: Monomial) -> Real:
+        """k + alpha_i - <m, alpha> for a monomial m of component i: 0 when
+        principal, > 0 when residual, < 0 when it breaks the type, and the
+        W (or s) exponent m carries after the rescaling.  Exact when both
+        sides are; a degree within 1e-12 relative of k + alpha_i gives 0."""
+        ke = self.k_exact()
+        ai = self.alpha[component]
+        target = ke + ai if ke is not None else float(self.k) + ai
+        degree = monomial.weighted_degree(self.alpha)
+        if _degree_cmp(degree, target) == 0:
+            return 0
+        if isinstance(target, Fraction) and isinstance(degree, Fraction):
+            return target - degree
+        return float(target) - float(degree)
+
     def blowup_exponent(self, index: int) -> Real:
         """Predicted type-I rate exponent -alpha_i / k for one variable."""
         ke = self.k_exact()
@@ -375,20 +390,17 @@ def classify_monomials(field: FieldSpec, htype: HomogeneityType) -> HomogeneityR
         raise ValueError(
             f"type has {htype.n} weights for a field in {field.n} variables"
         )
-    k = htype.k
-    ke = _exactify(k)
     principal = []
     residual = []
     violations = []
     for i, monomials in enumerate(field.components):
         p_i = []
         r_i = []
-        target = (ke + htype.alpha[i]) if ke is not None else float(k) + htype.alpha[i]
         for j, m in enumerate(monomials):
-            cmp = _degree_cmp(m.weighted_degree(htype.alpha), target)
-            if cmp == 0:
+            deficit = htype.degree_deficit(i, m)
+            if deficit == 0:
                 p_i.append(j)
-            elif cmp < 0:
+            elif deficit > 0:
                 r_i.append(j)
             else:
                 violations.append((i, j))

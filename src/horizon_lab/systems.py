@@ -1,9 +1,8 @@
 """Built-in example systems with known blow-up/quenching behaviour.
 
 Each builder returns a SystemBundle: the field, its homogeneity type, the
-chart that hosts the interesting dynamics, default runs in original
-coordinates, and the canonical parameter dictionary used for config emission.
-The four models:
+chart that hosts the interesting dynamics and default runs in original
+coordinates.  The four models:
 
 - painleve1: u'' = 6u^2 + t, the nonautonomous workhorse with algebraic
   double poles (u ~ (t-t*)^-2).
@@ -19,7 +18,7 @@ The four models:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .charts import DirectionalChart, ParabolicChart
@@ -49,7 +48,6 @@ class SystemBundle:
     chart_index: Optional[int] = None
     chart_sign: int = 1
     default_runs: Tuple[dict, ...] = ()
-    params: Dict[str, float] = dc_field(default_factory=dict)
 
     def chart(self):
         if self.chart_kind == "parabolic":
@@ -82,7 +80,6 @@ def painleve1() -> SystemBundle:
         htype=htype,
         chart_kind="parabolic",
         default_runs=({"y0": (0.0, 10.0, v0), "t0": 0.0},),
-        params={},
     )
 
 
@@ -123,7 +120,6 @@ def kk_dafermos(epsilon: float = 0.0) -> SystemBundle:
         chart_index=2,
         chart_sign=1,
         default_runs=({"y0": (0.0, 3.0, 1.0, 0.0, 0.0), "t0": 0.0},),
-        params={"epsilon": eps},
     )
 
 
@@ -161,7 +157,6 @@ def selfsimilar(
         chart_index=1,
         chart_sign=1,
         default_runs=({"y0": (0.0, 1.0, 1.0), "t0": 0.0},),
-        params={"m": mf, "beta": bf, "alpha_ss": a_ss},
     )
 
 
@@ -204,7 +199,6 @@ def mems(n_dim: int = 3, p: int = 2, q: float = 1.0) -> SystemBundle:
         chart_index=1,
         chart_sign=-1,
         default_runs=({"y0": (1.0, -1.0, -1.0), "t0": 1.0},),
-        params={"n_dim": nd, "p": pi, "q": qf},
     )
 
 

@@ -30,6 +30,7 @@ from horizon_lab import (
     estimate_tmax,
     find_horizon_equilibria,
     fit_rate,
+    grid_seeds,
     infer_type,
     integrate,
     trace_equilibrium_curve,
@@ -83,7 +84,7 @@ def bundle_run(b, **controls):
 def painleve():
     b = painleve1()
     df, traj = bundle_run(b)
-    eqs = find_horizon_equilibria(df, t_slice=0.0)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(3)))
     return SimpleNamespace(bundle=b, df=df, traj=traj, eqs=eqs)
 
 
@@ -218,7 +219,7 @@ def test_c06_kk_families_rates_and_vanishing():
     ):
         b = kk_dafermos()
         df, traj = bundle_run(b)
-        eqs = find_horizon_equilibria(df, freeze=(0,))
+        eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
         lo = math.sqrt(3.0 - math.sqrt(3.0))
         hi = math.sqrt(3.0 + math.sqrt(3.0))
         vals = sorted(float(e.coords[1]) for e in eqs)
@@ -269,7 +270,7 @@ def test_c08_mems_equilibria_stability_rates():
     ):
         b = mems()
         df, traj = bundle_run(b)
-        eqs = find_horizon_equilibria(df, t_slice=1.0)
+        eqs = find_horizon_equilibria(df, grid_seeds(df, [1.0, 0.0, 0.0]))
         star = math.sqrt(2.0)  # r^(q/2) / sqrt((p-1)/2) at r = 1, p = 2, q = 1
         vals = sorted(float(e.coords[2]) for e in eqs)
         assert vals == pytest.approx([-star, star], rel=1e-10)
@@ -396,10 +397,7 @@ def test_c12_decay_surrogate(painleve):
         df, traj = bundle_run(b)
         lam_ss, rs_ss = estimate_decay(traj)
         assert rs_ss < 0.01
-        chi_end = float(traj.coords[-1][0])
-        eq = find_horizon_equilibria(
-            df, seeds=[traj.coords[-1]], t_slice=chi_end
-        )[0]
+        eq = find_horizon_equilibria(df, [traj.coords[-1]])[0]
         stable = [v.real for v in eq.eigenvalues if v.real < -1e-8]
         slow = min(abs(v) for v in stable)
         assert lam_ss == pytest.approx(slow, rel=0.02)

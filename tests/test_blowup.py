@@ -25,6 +25,7 @@ from horizon_lab import (
     estimate_decay,
     estimate_tmax,
     find_horizon_equilibria,
+    grid_seeds,
     fit_rate,
     integrate,
     trace_equilibrium_curve,
@@ -159,7 +160,8 @@ def test_kk_constant_slow_components_vanish_off_zero():
     for i in (3, 4):
         with pytest.raises(VanishingComponent):
             fit_rate(traj, t_max, i, b.htype)
-    report = build_report(traj, find_horizon_equilibria(df, freeze=(0,)), b.htype)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
+    report = build_report(traj, eqs, b.htype)
     by_name = {r.variable: r for r in report.records}
     assert by_name["w1"].vanishing and by_name["w2"].vanishing
     assert not by_name["u1"].vanishing and not by_name["u2"].vanishing
@@ -230,7 +232,7 @@ def test_rate_record_confirmation_logic():
 
 def test_scalar_report_end_to_end(scalar_run):
     df, traj = scalar_run
-    eqs = find_horizon_equilibria(df)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     report = build_report(traj, eqs, SCALAR_HT)
     assert report.t_max == pytest.approx(1.0, abs=1e-9)
     assert report.shadowed_target.coords[0] == pytest.approx(1.0)
@@ -246,7 +248,7 @@ def test_scalar_report_end_to_end(scalar_run):
 
 def test_report_accepts_single_equilibrium(scalar_run):
     df, traj = scalar_run
-    eqs = find_horizon_equilibria(df)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     sink = [e for e in eqs if e.classification == "sink"][0]
     report = build_report(traj, sink, SCALAR_HT)
     assert report.shadowed_target is sink
@@ -254,7 +256,7 @@ def test_report_accepts_single_equilibrium(scalar_run):
 
 def test_report_rejects_far_target(scalar_run):
     df, traj = scalar_run
-    eqs = find_horizon_equilibria(df)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     source = [e for e in eqs if e.classification == "source"][0]
     with pytest.raises(NoTargetFound, match="threshold"):
         build_report(traj, source, SCALAR_HT)
@@ -289,7 +291,7 @@ def test_report_against_equilibrium_curve():
 def test_mems_full_report(mems_run):
     b, df, traj = mems_run
     r_end = float(traj.coords[-1][0])
-    eqs = find_horizon_equilibria(df, t_slice=r_end)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, [r_end, 0.0, 0.0]))
     report = build_report(traj, eqs, b.htype)
     assert report.shadowed_target.coords[2] == pytest.approx(
         -math.sqrt(2.0 * r_end), rel=1e-6

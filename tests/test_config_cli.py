@@ -23,7 +23,11 @@ from horizon_lab.config import (
     parse_config,
 )
 from horizon_lab.cli import emit_example, main, run_pipeline
-from horizon_lab.dynamics import IntegratorControls, find_horizon_equilibria
+from horizon_lab.dynamics import (
+    IntegratorControls,
+    find_horizon_equilibria,
+    grid_seeds,
+)
 from horizon_lab.systems import EXAMPLES, selfsimilar
 
 SCALAR_DOC = {
@@ -577,19 +581,20 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
 def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     """The endpoint solve gives the target; when it finds nothing, or only
     an equilibrium out of reach of the endpoint, the grid search runs."""
-    real = cli.horizon_targets
+    real = cli.find_horizon_equilibria
     calls = []
 
-    def spy(dfield, anchor, grid=True):
+    def spy(dfield, seeds):
+        grid = len(seeds) > 1
         calls.append(grid)
         if endpoint == "nowhere" or (endpoint == "none" and not grid):
             return []
         if endpoint == "far" and not grid:
             # the source at y = -1, far from the endpoint near the sink at +1
-            anchor = -np.asarray(anchor)
-        return real(dfield, anchor, grid=grid)
+            seeds = -np.asarray(seeds)
+        return real(dfield, seeds)
 
-    monkeypatch.setattr(cli, "horizon_targets", spy)
+    monkeypatch.setattr(cli, "find_horizon_equilibria", spy)
     code, report = run_pipeline(
         parse_config(json.dumps(SCALAR_DOC)), out_dir=str(tmp_path)
     )
@@ -740,9 +745,8 @@ def test_main_equilibria_t_slice(tmp_path, capsys):
     with open(out / "equilibria.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     cfg = parse_config(cfg_path.read_bytes())
-    expected = find_horizon_equilibria(
-        cli.build_field_from_config(cfg), t_slice=0.5
-    )
+    df = cli.build_field_from_config(cfg)
+    expected = find_horizon_equilibria(df, grid_seeds(df, [0.5, 0.0, 0.0]))
     assert len(rows) == len(expected) == 2
     for row, eq in zip(rows, expected):
         assert row["t_slice"] == "0.5"

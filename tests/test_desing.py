@@ -19,6 +19,7 @@ from horizon_lab import (
     ParabolicChart,
     build_directional_desing,
     build_parabolic_desing,
+    classify_monomials,
     embed,
     eval_field,
     evaluate_desing,
@@ -271,6 +272,20 @@ def test_violation_raises_negative_w_exponent():
     fs = FieldSpec(variable_names=("y",), components=((m(1.0, 5),),))
     with pytest.raises(NegativeWExponentError):
         build_parabolic_desing(fs, SCALAR_HT)
+
+
+@pytest.mark.parametrize("offset", [3e-12, -3e-12])
+def test_principal_within_tolerance_rescales_like_exact(offset):
+    # y^(4 + offset) with alpha (1,), k = 3 is principal within the 1e-12
+    # relative tolerance, so the desingularization must treat it as y^4
+    ht = HomogeneityType(alpha=(1,), k=3)
+    chart = DirectionalChart(htype=ht, i0=0, sign=1)
+    near = FieldSpec(variable_names=("y",), components=((m(1.0, 4 + offset),),))
+    report = classify_monomials(near, ht)
+    assert report.principal == ((0,),) and not report.violations
+    exact = FieldSpec(variable_names=("y",), components=((m(1.0, 4),),))
+    df = build_directional_desing(near, ht, chart)
+    assert df.components == build_directional_desing(exact, ht, chart).components
 
 
 def test_parabolic_rejects_fractional_weighted_exponent():

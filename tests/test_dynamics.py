@@ -27,7 +27,7 @@ from horizon_lab import (
     embed,
     estimate_decay,
     find_horizon_equilibria,
-    horizon_targets,
+    grid_seeds,
     integrate,
     spectrum_classify,
     trace_equilibrium_curve,
@@ -491,7 +491,7 @@ def test_stored_gaps_are_per_point_numpy_gaps(name):
 
 def test_scalar_equilibria():
     df = scalar_field()
-    eqs = find_horizon_equilibria(df)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     assert [round(float(e.coords[0]), 12) for e in eqs] == [-1.0, 1.0]
     kinds = {float(e.coords[0]): e.classification for e in eqs}
     assert kinds[1.0] == "sink" and kinds[-1.0] == "source"
@@ -506,7 +506,7 @@ def test_painleve_true_equilibrium_count():
     """
     b = painleve1()
     df = build_parabolic_desing(b.field, b.htype)
-    eqs = find_horizon_equilibria(df, t_slice=0.0)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(3)))
     assert len(eqs) == 2
     u_star = 17.0 ** (-1.0 / 6.0)
     v_star = 2.0 * 17.0 ** (-1.0 / 4.0)
@@ -520,7 +520,7 @@ def test_painleve_true_equilibrium_count():
 def test_painleve_spectrum_closed_form():
     b = painleve1()
     df = build_parabolic_desing(b.field, b.htype)
-    eqs = find_horizon_equilibria(df, t_slice=0.0)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(3)))
     sink = [e for e in eqs if e.classification == "sink"][0]
     lam = sorted(sink.eigenvalues.real)
     scale = 17.0 ** (-1.0 / 12.0)
@@ -533,7 +533,7 @@ def test_painleve_spectrum_closed_form():
 def test_kk_equilibria_and_classification():
     b = kk_dafermos()
     df = build_directional_desing(b.field, b.htype, b.chart())
-    eqs = find_horizon_equilibria(df, freeze=(0,))
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
     vals = sorted(float(e.coords[1]) for e in eqs)
     lo = math.sqrt(3.0 - math.sqrt(3.0))
     hi = math.sqrt(3.0 + math.sqrt(3.0))
@@ -548,16 +548,9 @@ def test_kk_equilibria_and_classification():
 def test_equilibrium_residual_contract():
     b = kk_dafermos()
     df = build_directional_desing(b.field, b.htype, b.chart())
-    for e in find_horizon_equilibria(df, freeze=(0,)):
+    for e in find_horizon_equilibria(df, grid_seeds(df, np.zeros(5))):
         assert e.residual < 1e-10
         assert float(np.linalg.norm(df.g(e.coords))) < 1e-10
-
-
-def test_nonautonomous_requires_t_slice():
-    b = painleve1()
-    df = build_parabolic_desing(b.field, b.htype)
-    with pytest.raises(DomainError):
-        find_horizon_equilibria(df)
 
 
 def test_spectrum_classify_nonhyperbolic_detection():
@@ -565,7 +558,7 @@ def test_spectrum_classify_nonhyperbolic_detection():
     # count exceeds its tangential dimension
     b = selfsimilar()
     df = build_directional_desing(b.field, b.htype, b.chart())
-    eqs = find_horizon_equilibria(df, t_slice=1.5)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, [1.5, 0.0, 0.0]))
     kinds = sorted(e.classification for e in eqs)
     assert kinds == ["nonhyperbolic", "sink"]
     weird = [e for e in eqs if e.classification == "nonhyperbolic"][0]
@@ -577,16 +570,41 @@ def test_explicit_seed_search():
     b = painleve1()
     df = build_parabolic_desing(b.field, b.htype)
     seeds = [np.array([0.0, 0.62, 0.98])]
-    eqs = find_horizon_equilibria(df, seeds=seeds, t_slice=0.0)
+    eqs = find_horizon_equilibria(df, seeds)
     assert len(eqs) == 1
     assert eqs[0].coords[2] > 0
+
+
+def test_seed_batch_width_must_match_field():
+    # a (3, 2) batch holds as many numbers as two 3-slot seeds
+    b = painleve1()
+    df = build_parabolic_desing(b.field, b.htype)
+    for seeds in (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match="seeds shape"):
+            find_horizon_equilibria(df, seeds)
+
+
+def test_one_batch_mixes_time_slices():
+    # each mems seed carries its own r; the equilibria sit at v = ±sqrt(2 r)
+    b = mems()
+    df = build_directional_desing(b.field, b.htype, b.chart())
+    seeds = [[1.0, 0.3, 1.5], [1.0, 0.3, -1.5], [2.0, 0.3, 2.2], [2.0, 0.3, -2.2]]
+    eqs = find_horizon_equilibria(df, seeds)
+    got = sorted((e.t_slice, float(np.sign(e.coords[2]))) for e in eqs)
+    assert got == [(1.0, -1.0), (1.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+    for e in eqs:
+        assert e.t_slice == e.coords[0]
+        assert e.coords[1] == 0.0
+        r = e.t_slice
+        assert abs(e.coords[2]) == pytest.approx(math.sqrt(2.0 * r), rel=1e-10)
 
 
 def test_eigenvalues_in_canonical_order():
     b = kk_dafermos()
     df = build_directional_desing(b.field, b.htype, b.chart())
-    eqs = find_horizon_equilibria(df, freeze=(0,))
-    eqs += find_horizon_equilibria(scalar_field())
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
+    sf = scalar_field()
+    eqs += find_horizon_equilibria(sf, grid_seeds(sf, np.zeros(1)))
     for e in eqs:
         key = [(v.real, v.imag) for v in e.eigenvalues]
         assert key == sorted(key)
@@ -614,9 +632,9 @@ def example_run(name):
 def test_endpoint_target_matches_grid_target(name):
     b, df, traj = example_run(name)
     end = traj.coords[-1]
-    single = horizon_targets(df, end, grid=False)
+    single = find_horizon_equilibria(df, [end])
     assert len(single) == 1
-    grid = horizon_targets(df, end)
+    grid = find_horizon_equilibria(df, grid_seeds(df, end))
     assert len(grid) > 1
     a = build_report(traj, single, b.htype).shadowed_target
     g = build_report(traj, grid, b.htype).shadowed_target
@@ -625,19 +643,18 @@ def test_endpoint_target_matches_grid_target(name):
     assert np.max(np.abs(a.eigenvalues - g.eigenvalues)) < 1e-12
 
 
-def test_horizon_targets_pin_weight_zero_slots_at_anchor():
+def test_search_pins_weight_zero_slots_at_seed():
     b = kk_dafermos()  # chi has weight 0 and labels a family of slices
     df = build_directional_desing(b.field, b.htype, b.chart())
-    on_zero = horizon_targets(df, np.zeros(5))
-    reference = find_horizon_equilibria(df, freeze=(0,))
-    assert len(on_zero) == len(reference) == 4
-    for e, r in zip(on_zero, reference):
-        assert np.array_equal(e.coords, r.coords)
-        assert np.array_equal(e.eigenvalues, r.eigenvalues)
     anchor = np.array([0.5, 1.0, 0.3, 0.2, 0.1])
-    for e in horizon_targets(df, anchor):
+    seeds = grid_seeds(df, anchor)
+    assert np.all(seeds[:, [0, 2]] == anchor[[0, 2]])
+    eqs = find_horizon_equilibria(df, seeds)
+    assert len(eqs) == 4
+    for e in eqs:
         assert e.coords[0] == 0.5
         assert e.coords[2] == 0.0  # the pivot s sits on the horizon
+        assert e.tangential_dims == 1 and e.t_slice is None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from horizon_lab import (
     build_parabolic_desing,
     embed,
     find_horizon_equilibria,
-    horizon_targets,
+    grid_seeds,
     integrate,
     parse_config,
     trace_equilibrium_curve,
@@ -131,7 +131,9 @@ def test_example_listing_matches_reference(monkeypatch, name):
     b = make_example(name)
     df = example_field(b)
     anchor = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float)).coords
-    got, want = _both(monkeypatch, lambda: horizon_targets(df, anchor))
+    got, want = _both(
+        monkeypatch, lambda: find_horizon_equilibria(df, grid_seeds(df, anchor))
+    )
     assert got
     assert_same_listing(got, want)
 
@@ -159,25 +161,27 @@ def test_workload_targets_match_reference(monkeypatch, workload):
         pt = embed(df.chart, np.asarray(run.y0, dtype=float))
         anchors.append(integrate(df, pt.coords, t0=run.t0).coords[-1])
     first = embed(df.chart, np.asarray(config.runs[0].y0, dtype=float)).coords
-    got, want = _both(monkeypatch, lambda: horizon_targets(df, first))
+    got, want = _both(
+        monkeypatch, lambda: find_horizon_equilibria(df, grid_seeds(df, first))
+    )
     assert got
     assert_same_listing(got, want)
     for end in anchors:
         got, want = _both(
-            monkeypatch, lambda: horizon_targets(df, end, grid=False)
+            monkeypatch, lambda: find_horizon_equilibria(df, [end])
         )
         assert len(got) == 1
         assert_same_listing(got, want)
 
 
-def test_explicit_seeds_slices_and_freeze_match_reference(monkeypatch):
+def test_explicit_seeds_and_slices_match_reference(monkeypatch):
     b = painleve1()
     df = build_parabolic_desing(b.field, b.htype)
-    seeds = [np.array([0.0, 0.62, 0.98]), np.array([0.0, 0.6, -0.9])]
     for t in (0.0, 0.7, -1.3):
+        seeds = [np.array([t, 0.62, 0.98]), np.array([t, 0.6, -0.9])]
         got, want = _both(
             monkeypatch,
-            lambda: find_horizon_equilibria(df, seeds=seeds, t_slice=t),
+            lambda: find_horizon_equilibria(df, seeds),
         )
         assert len(got) == 2
         assert_same_listing(got, want)
@@ -186,7 +190,7 @@ def test_explicit_seeds_slices_and_freeze_match_reference(monkeypatch):
         seeds = [np.array([chi, 1.0, 0.0, 0.2, -0.1])]
         got, want = _both(
             monkeypatch,
-            lambda: find_horizon_equilibria(kk, seeds=seeds, freeze=(0,)),
+            lambda: find_horizon_equilibria(kk, seeds),
         )
         assert_same_listing(got, want)
         assert all(e.coords[0] == chi for e in got)
@@ -209,7 +213,9 @@ def test_zero_free_columns_match_reference(monkeypatch):
     fs = FieldSpec(variable_names=("y",), components=((Monomial(1.0, (2,)),),))
     ht = HomogeneityType(alpha=(1,), k=1)
     df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=0, sign=1))
-    got, want = _both(monkeypatch, lambda: find_horizon_equilibria(df))
+    got, want = _both(
+        monkeypatch, lambda: find_horizon_equilibria(df, grid_seeds(df, [0.0]))
+    )
     assert len(got) == 1 and got[0].classification == "sink"
     assert got[0].coords[0] == 0.0
     assert_same_listing(got, want)
@@ -220,13 +226,12 @@ def test_rank_deficient_seed_matches_reference(monkeypatch):
     # [g_u, g_v, P - 1] over (u, v) has rank 1
     df = build_parabolic_desing(painleve1().field, painleve1().htype)
     seed = np.array([0.0, -1.0, 0.0])
-    pinned = dynamics._pinned_slots(df, ())
-    free = [i for i in range(df.n) if i not in pinned]
+    free = dynamics._free_slots(df)
     J = np.vstack([df.jacobian(seed), df.chart.grad_horizon_poly(seed)])[:, free]
     assert np.linalg.matrix_rank(J) == 1
     seeds = [seed, np.array([0.0, -0.9, 0.3])]
     got, want = _both(
-        monkeypatch, lambda: find_horizon_equilibria(df, seeds=seeds, t_slice=0.0)
+        monkeypatch, lambda: find_horizon_equilibria(df, seeds)
     )
     assert_same_listing(got, want)
 
@@ -261,8 +266,8 @@ def test_bad_seed_leaves_good_seed_alone():
     df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
     good = np.array([0.25, 0.3])
     bad = np.array([-1.0, 0.3])
-    solo = find_horizon_equilibria(df, seeds=[good], freeze=(0,))
-    mixed = find_horizon_equilibria(df, seeds=[bad, good], freeze=(0,))
+    solo = find_horizon_equilibria(df, [good])
+    mixed = find_horizon_equilibria(df, [bad, good])
     assert len(solo) == len(mixed) == 1
     assert np.array_equal(solo[0].coords, mixed[0].coords)
     assert np.array_equal(solo[0].eigenvalues, mixed[0].eigenvalues)
@@ -290,10 +295,11 @@ def test_selfsimilar_double_zero_listed_once():
     # at t = 0 the v-equation reduces to -v^2: the solve stops at |r| < 1e-14
     # about sqrt(|r|) from the double zero, on both sides of it
     df = example_field(selfsimilar())
-    eqs = find_horizon_equilibria(df, t_slice=0.0)
+    eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(3)))
     assert len(eqs) == 1
     assert eqs[0].classification == "nonhyperbolic"
     assert abs(eqs[0].coords[2]) < 1e-7
     for t in (0.5, 1.5):
-        kinds = sorted(e.classification for e in find_horizon_equilibria(df, t_slice=t))
+        eqs = find_horizon_equilibria(df, grid_seeds(df, [t, 0.0, 0.0]))
+        kinds = sorted(e.classification for e in eqs)
         assert kinds == ["nonhyperbolic", "sink"]
