@@ -87,17 +87,20 @@ def estimate_tmax(
     if len(window) < 2:
         window = pos[-min(10, len(pos)):]
     rate = kf * lam
-    log_A = []
+    # an explicit left-to-right sum: the builtin sum() compensates exact
+    # floats from Python 3.12 on, and t_max must not depend on the version
+    log_A_sum, count = 0.0, 0
     for i in window:
         tf = traj.dfield.time_scale(traj.coords[i])
         if tf > 0:
-            log_A.append(math.log(tf) + rate * traj.taus[i])
-    if not log_A:
+            log_A_sum += math.log(tf) + rate * traj.taus[i]
+            count += 1
+    if not count:
         raise NotConverged(
             "time factor vanished before the final window; cannot extrapolate",
             stop_reason=traj.stop_reason,
         )
-    A = math.exp(sum(log_A) / len(log_A))
+    A = math.exp(log_A_sum / count)
     tau_end = float(traj.taus[-1])
     tail = A * math.exp(-rate * tau_end) / rate
     t_end = float(traj.ts[-1])
@@ -147,7 +150,7 @@ def fit_rate(
         raise InsufficientWindow(
             f"rate window holds {len(idx)} samples; need {_MIN_FIT_SAMPLES}"
         )
-    chart = traj.chart
+    chart = traj.dfield.chart
     coords = traj.coords[idx]
     gaps = traj.gaps[idx]
     directional = isinstance(chart, DirectionalChart)
@@ -161,15 +164,7 @@ def fit_rate(
                 f"chart coordinate {i} tends to zero along the approach; "
                 f"the component is sub-polynomial relative to the type rate"
             )
-    if directional:
-        s = gaps
-        if i == chart.i0:
-            y = chart.sign * s ** (-float(alpha_i))
-        else:
-            y = coords[:, i] * s ** (-float(alpha_i))
-    else:
-        kappa = 1.0 / gaps
-        y = coords[:, i] * kappa ** float(alpha_i)
+    y = chart.unscale(coords[:, i], gaps, i)
     t_left = t_max - traj.ts[idx]
     x = np.log(t_left)
     ylog = np.log(np.abs(y))
@@ -223,16 +218,6 @@ class BlowupReport:
     shadowed_target: Equilibrium
 
 
-def _trajectory_endpoint_distance(
-    traj: Trajectory, eq: Equilibrium, skip_time: bool
-) -> float:
-    end = traj.coords[-1]
-    diff = np.abs(end - eq.coords)
-    if skip_time:
-        diff = diff[1:]
-    return float(diff.max()) if diff.size else 0.0
-
-
 def build_report(
     traj: Trajectory,
     targets: Union[Equilibrium, Sequence[Equilibrium], EquilibriumCurve],
@@ -252,9 +237,11 @@ def build_report(
         candidates = list(targets)
     if not candidates:
         raise NoTargetFound("no candidate equilibria supplied")
-    skip_time = traj.dfield.nonautonomous
+    end = traj.coords[-1]
+    skip_time = 1 if traj.dfield.nonautonomous else 0
     dists = [
-        _trajectory_endpoint_distance(traj, eq, skip_time) for eq in candidates
+        float(np.max(np.abs(end - eq.coords)[skip_time:], initial=0.0))
+        for eq in candidates
     ]
     best = int(np.argmin(dists))
     if dists[best] >= _TARGET_RADIUS:
@@ -272,25 +259,19 @@ def build_report(
     for i in htype.i_alpha:
         try:
             fitted, r2, coeff = fit_rate(traj, t_max, i, htype)
-            rec = RateRecord(
+        except VanishingComponent:
+            fitted = r2 = coeff = None
+        records.append(
+            RateRecord(
                 variable=names[i],
                 component_index=i,
                 predicted_exponent=float(htype.blowup_exponent(i)),
                 fitted_exponent=fitted,
                 fit_r2=r2,
                 leading_coefficient=coeff,
+                vanishing=fitted is None,
             )
-        except VanishingComponent:
-            rec = RateRecord(
-                variable=names[i],
-                component_index=i,
-                predicted_exponent=float(htype.blowup_exponent(i)),
-                fitted_exponent=None,
-                fit_r2=None,
-                leading_coefficient=None,
-                vanishing=True,
-            )
-        records.append(rec)
+        )
     active = [r for r in records if not r.vanishing]
     confirmed = bool(active) and all(r.confirmed for r in active)
     return BlowupReport(

@@ -90,23 +90,23 @@ class ParabolicChart:
         coords = yv * scale
         return coords, 1.0 / kappa
 
-    def project_array(self, coords: np.ndarray, gap: np.ndarray = None) -> np.ndarray:
+    def unscale(self, x_j, gap, j: int):
+        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap."""
+        return x_j * (1.0 / gap) ** float(self.htype.alpha[j])
+
+    def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Vectorized inverse of embed_array.
 
-        When the exact horizon gap from the embedding is available, pass it:
-        recomputing 1 - P(x) near the horizon loses precision to cancellation.
+        Takes the exact horizon gap from the embedding: recomputing
+        1 - P(x) near the horizon loses precision to cancellation.
         """
         x = np.asarray(coords, dtype=float)
-        if gap is None:
-            gap = self.horizon_gap_of(x)
         gap = np.asarray(gap, dtype=float)
         if np.any(gap < 0):
             raise DomainError("coordinates outside the closed chart domain (P > 1)")
         if np.any(gap == 0):
             raise HorizonError("cannot project a point on the horizon (P = 1)")
-        alpha = self.htype.alpha_array()
-        kappa = 1.0 / gap
-        return x * np.power(kappa[..., None], alpha.astype(float))
+        return np.stack([self.unscale(x[..., j], gap, j) for j in range(self.n)], -1)
 
 
 @dataclass(frozen=True)
@@ -158,17 +158,21 @@ class DirectionalChart:
         coords[..., self.i0] = s
         return coords, s
 
-    def project_array(self, coords: np.ndarray, gap: np.ndarray = None) -> np.ndarray:
+    def unscale(self, x_j, s, j: int):
+        """Phase coordinate y_j = s**(-alpha_j) x_j; slot i0 gives
+        sign * s**(-alpha_i0) from s alone."""
+        power = s ** (-float(self.htype.alpha[j]))
+        return self.sign * power if j == self.i0 else x_j * power
+
+    def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Vectorized inverse of embed_array; ``gap`` is s."""
         x = np.asarray(coords, dtype=float)
-        s = x[..., self.i0]
+        s = np.asarray(gap, dtype=float)
         if np.any(s < 0):
             raise DomainError("negative s: outside the closed chart domain")
         if np.any(s == 0):
             raise HorizonError("cannot project a point on the horizon (s = 0)")
-        alpha = self.htype.alpha_array().astype(float)
-        y = x * np.power(s[..., None], -alpha)
-        y[..., self.i0] = self.sign * s ** (-float(self.htype.alpha[self.i0]))
-        return y
+        return np.stack([self.unscale(x[..., j], s, j) for j in range(self.n)], -1)
 
 
 Chart = Union[ParabolicChart, DirectionalChart]

@@ -7,12 +7,16 @@ HORIZON_LAB_LOG environment variable (error | warn | info | debug).
 
 Outputs are deterministic: one CSV per run with columns
 tau,t,coord_0..coord_{n-1},horizon_gap (one row per accepted step), an
-equilibria CSV, and a canonical report.json.
+equilibria.csv with columns index,classification,residual,t_slice,
+coord_0..coord_{n-1},eig_re_0..eig_re_{n-1},eig_im_0..eig_im_{n-1} (each
+row carries the values of the matching report.json "equilibria" entry),
+and a canonical report.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -122,10 +126,6 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
     return build_directional_desing(config.field, htype, chart)
 
 
-def _float_str(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """One row per accepted step (the initial condition is not a step).
 
@@ -140,8 +140,8 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
     coords = [column(traj.coords[:, i]) for i in range(n)]
     ts = coords[0] if traj.dfield.nonautonomous else column(traj.ts)
-    if isinstance(traj.chart, DirectionalChart):
-        gaps = coords[traj.chart.i0]
+    if isinstance(traj.dfield.chart, DirectionalChart):
+        gaps = coords[traj.dfield.chart.i0]
     else:
         gaps = column(traj.gaps)
     lines = [",".join(header)]
@@ -149,32 +149,23 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_equilibria_csv(path: Path, equilibria) -> None:
-    if equilibria:
-        n = len(equilibria[0].coords)
-        n_eig = len(equilibria[0].eigenvalues)
-    else:
-        n = n_eig = 0
+def _write_equilibria_csv(path: Path, docs) -> None:
+    """One row per ``_equilibrium_doc``.  The Jacobian is n x n, so n
+    coordinate columns and n eigenvalue columns of each part."""
+    n = len(docs[0]["coords"]) if docs else 0
     header = (
         ["index", "classification", "residual", "t_slice"]
         + [f"coord_{i}" for i in range(n)]
-        + [f"eig_re_{i}" for i in range(n_eig)]
-        + [f"eig_im_{i}" for i in range(n_eig)]
+        + [f"eig_re_{i}" for i in range(n)]
+        + [f"eig_im_{i}" for i in range(n)]
     )
     lines = [",".join(header)]
-    for idx, eq in enumerate(equilibria):
-        row = (
-            [
-                str(idx),
-                eq.classification,
-                _float_str(eq.residual),
-                "" if eq.t_slice is None else _float_str(eq.t_slice),
-            ]
-            + [_float_str(v) for v in eq.coords]
-            + [_float_str(v.real) for v in eq.eigenvalues]
-            + [_float_str(v.imag) for v in eq.eigenvalues]
-        )
-        lines.append(",".join(row))
+    for idx, doc in enumerate(docs):
+        eigs = doc["eigenvalues"]
+        t_slice = "" if doc["t_slice"] is None else repr(doc["t_slice"])
+        values = doc["coords"] + [re for re, _ in eigs] + [im for _, im in eigs]
+        row = [str(idx), doc["classification"], repr(doc["residual"]), t_slice]
+        lines.append(",".join(row + list(map(repr, values))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -197,18 +188,7 @@ def _blowup_doc(report: BlowupReport) -> dict:
         "residual_slope": report.residual_slope,
         "type1_confirmed": report.type1_confirmed,
         "shadowed_target": _equilibrium_doc(report.shadowed_target),
-        "records": [
-            {
-                "variable": r.variable,
-                "component_index": r.component_index,
-                "predicted_exponent": r.predicted_exponent,
-                "fitted_exponent": r.fitted_exponent,
-                "fit_r2": r.fit_r2,
-                "leading_coefficient": r.leading_coefficient,
-                "vanishing": r.vanishing,
-            }
-            for r in report.records
-        ],
+        "records": [dataclasses.asdict(r) for r in report.records],
     }
 
 
@@ -372,8 +352,9 @@ def run_pipeline(
         equilibria = _global_equilibria(config, dfield)
     except HorizonLabError as exc:
         log.warning("equilibrium search failed: %s", exc)
+    eq_docs = [_equilibrium_doc(eq) for eq in equilibria]
     if csv_dir is not None:
-        _write_equilibria_csv(out / "equilibria.csv", equilibria)
+        _write_equilibria_csv(out / "equilibria.csv", eq_docs)
 
     htype = dfield.htype
     report_doc = {
@@ -386,7 +367,7 @@ def run_pipeline(
             "c": htype.c,
         },
         "variables": list(config.field.variable_names),
-        "equilibria": [_equilibrium_doc(eq) for eq in equilibria],
+        "equilibria": eq_docs,
         "runs": records,
     }
     if "json" in config.outputs.formats:
@@ -537,7 +518,9 @@ def _cmd_equilibria(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_equilibria_csv(out / "equilibria.csv", eqs)
+        _write_equilibria_csv(
+            out / "equilibria.csv", [_equilibrium_doc(eq) for eq in eqs]
+        )
     return 0
 
 

@@ -395,7 +395,7 @@ def canonical_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def config_from_bundle(bundle, outputs: Optional[dict] = None) -> dict:
+def config_from_bundle(bundle) -> dict:
     """Build the canonical config document for a built-in system bundle."""
     field = bundle.field
     doc = {
@@ -436,8 +436,6 @@ def config_from_bundle(bundle, outputs: Optional[dict] = None) -> dict:
             for run in bundle.default_runs
         ],
     }
-    if outputs:
-        doc["outputs"] = dict(outputs)
     return doc
 
 

@@ -606,26 +606,16 @@ def extend_nonautonomous(
     if isinstance(field, ExtendedFieldSpec):
         raise AlreadyExtendedError("field already carries the time extension")
     if field.nonautonomous:
-        if htype.n == field.n:
-            if htype.alpha[0] != 0:
-                raise DomainError("time variable must have weight 0")
-            new_htype = htype
-        elif htype.n == field.n - 1:
-            new_htype = HomogeneityType(alpha=(0,) + htype.alpha, k=htype.k)
-        else:
-            raise ValueError(
-                f"type arity {htype.n} does not match field arity {field.n}"
-            )
+        if htype.n == field.n - 1:
+            htype = HomogeneityType(alpha=(0,) + htype.alpha, k=htype.k)
+        _check_type(field, htype)
         extended = ExtendedFieldSpec(
             variable_names=field.variable_names,
             components=field.components,
             nonautonomous=True,
         )
-        return extended, new_htype
-    if htype.n != field.n:
-        raise ValueError(
-            f"type arity {htype.n} does not match field arity {field.n}"
-        )
+        return extended, htype
+    _check_type(field, htype)
     t_name = "t"
     while t_name in field.variable_names:
         t_name += "_"
@@ -644,6 +634,17 @@ def extend_nonautonomous(
     )
     new_htype = HomogeneityType(alpha=(0,) + htype.alpha, k=htype.k)
     return extended, new_htype
+
+
+def _check_type(field: FieldSpec, htype: HomogeneityType) -> None:
+    """The type has the field's arity and gives a nonautonomous field's
+    time variable (slot 0) weight 0."""
+    if htype.n != field.n:
+        raise ValueError(
+            f"type arity {htype.n} does not match field arity {field.n}"
+        )
+    if field.nonautonomous and htype.alpha[0] != 0:
+        raise DomainError("time variable must have weight 0")
 
 
 def _rescale_exponent(htype: HomogeneityType, comp_index: int, m: Monomial) -> Real:
@@ -665,12 +666,9 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
     Raises NegativeWExponentError when the type bound fails, and DomainError
     when a monomial has a negative or fractional exponent on a positively
     weighted variable -- those cross zero inside this chart, so a directional
-    chart must be used instead.
+    chart must be used instead -- or on a weighted time variable.
     """
-    if htype.n != field.n:
-        raise ValueError(
-            f"type arity {htype.n} does not match field arity {field.n}"
-        )
+    _check_type(field, htype)
     n = field.n
     for i, comp in enumerate(field.components):
         for m in comp:
@@ -727,12 +725,10 @@ def build_directional_desing(
     the - chart the sign also flips the s-equation and the coupling terms,
     which is exactly what conjugating by y_i0 = -s**(-alpha_i0) produces.
     Cross-chart trajectory agreement is the correctness oracle for the -
-    chart (tested), not trust in any one printed formula.
+    chart (tested), not trust in any one printed formula.  Raises
+    DomainError on a weighted time variable.
     """
-    if htype.n != field.n:
-        raise ValueError(
-            f"type arity {htype.n} does not match field arity {field.n}"
-        )
+    _check_type(field, htype)
     if chart.htype.alpha != htype.alpha:
         raise ChartDomainError("chart was built for a different type")
     n = field.n

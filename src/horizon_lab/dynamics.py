@@ -72,6 +72,8 @@ TOL_NEUTRAL = 1e-8
 _DOMAIN_SLACK = 1e-9  # grace below the horizon before calling it left_domain
 _MIN_STEP = 1e-15
 _STATE_GUARD = 1e100
+_H_INIT = 1e-6
+_MAX_STEPS = 2_000_000
 
 @dataclass
 class IntegratorControls:
@@ -87,9 +89,7 @@ class IntegratorControls:
     abs_tol: float = 1e-12
     tau_max: float = 200.0
     horizon_eps: float = 1e-12
-    h_init: float = 1e-6
     max_step: float = 0.2
-    max_steps: int = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,6 @@ class Trajectory:
     coords, ts and, on a directional chart, gaps are views of one array.
     """
 
-    chart: object
     dfield: DesingField
     taus: np.ndarray
     coords: np.ndarray
@@ -113,11 +112,6 @@ class Trajectory:
     @property
     def n_accepted(self) -> int:
         return len(self.taus) - 1
-
-    @property
-    def samples(self):
-        """Iterate (tau, coords, t) triples."""
-        return zip(self.taus, self.coords, self.ts)
 
 
 def integrate(
@@ -173,7 +167,7 @@ def integrate(
         k1 = k1[:-1]
     step = dfield.step
     atol, rtol, eps = ctl.abs_tol, ctl.rel_tol, ctl.horizon_eps
-    tau_max, max_step, max_steps = ctl.tau_max, ctl.max_step, ctl.max_steps
+    tau_max, max_step = ctl.tau_max, ctl.max_step
     # On a parabolic chart the step's gap is W = 1 - P with Python's `**`,
     # and NumPy's power, which horizon_gap uses, differs from it in the last
     # bit of a term now and then (394 of 9453 painleve1 steps, by at most
@@ -183,14 +177,14 @@ def integrate(
     # directional chart both gaps are s.  A NaN gap fails the test, and W
     # is never +inf.
     floor = max(eps, 0.0) + 1e-14
-    h = min(ctl.h_init, tau_max)
+    h = min(_H_INIT, tau_max)
     err_prev = 1e-4
     steps = 0
 
     while True:
         steps += 1
-        if steps > max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at tau = {tau}")
+        if steps > _MAX_STEPS:
+            raise StepFailure(f"step budget {_MAX_STEPS} exhausted at tau = {tau}")
         if h < _MIN_STEP:
             raise StepFailure(f"step size underflow (h = {h}) at tau = {tau}")
         capped = False
@@ -245,7 +239,6 @@ def _mk_traj(dfield, taus, states, stop, n_rejected) -> Trajectory:
     path = np.array(states, dtype=float)
     coords = path[:, :dfield.n]
     return Trajectory(
-        chart=dfield.chart,
         dfield=dfield,
         taus=np.array(taus, dtype=float),
         coords=coords,
@@ -271,38 +264,31 @@ class Equilibrium:
     excluded.
     """
 
-    chart: object
     coords: np.ndarray
     t_slice: Optional[float]
     residual: float
-    jacobian: np.ndarray
     eigenvalues: np.ndarray
     tangential_dims: int
     classification: str
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        object.__setattr__(self, "jacobian", np.asarray(self.jacobian, dtype=float))
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=complex))
 
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Partition of an equilibrium spectrum into tangential/stable/unstable.
+    """The normal part of an equilibrium spectrum and its classification.
 
-    Index tuples refer to positions in ``eigenvalues``; gap is the smallest
-    |Re| over non-tangential eigenvalues (0 when there are none).  An
-    equilibrium counts as hyperbolic transversally only when the gap clears
-    10x the neutral tolerance; otherwise nonhyperbolic is flagged rather
-    than guessing.
+    stable and unstable hold positions in the classified eigenvalues; the
+    tangential ones (least |Re|) are in neither.  An equilibrium counts as
+    hyperbolic transversally only when the smallest normal |Re| clears 10x
+    the neutral tolerance; otherwise it is classified nonhyperbolic rather
+    than guessed.
     """
 
-    eigenvalues: Tuple[complex, ...]
-    tangential: Tuple[int, ...]
     stable: Tuple[int, ...]
     unstable: Tuple[int, ...]
-    gap: float
-    nonhyperbolic: bool
     classification: str
 
 
@@ -310,7 +296,6 @@ def spectrum_classify(eigenvalues, tangential_dims: int) -> SpectralSplit:
     """Split ``eigenvalues`` into tangential (least |Re|) and normal parts."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     order = np.argsort(np.abs(eigs.real), kind="stable")
-    tangential = tuple(int(i) for i in order[:tangential_dims])
     normal = [int(i) for i in order[tangential_dims:]]
     neutral_count = int(np.sum(np.abs(eigs.real) < TOL_NEUTRAL))
     stable = tuple(i for i in normal if eigs[i].real < 0)
@@ -328,13 +313,7 @@ def spectrum_classify(eigenvalues, tangential_dims: int) -> SpectralSplit:
     else:
         classification = "saddle"
     return SpectralSplit(
-        eigenvalues=tuple(complex(v) for v in eigs),
-        tangential=tangential,
-        stable=stable,
-        unstable=unstable,
-        gap=gap,
-        nonhyperbolic=nonhyperbolic,
-        classification=classification,
+        stable=stable, unstable=unstable, classification=classification
     )
 
 
@@ -345,7 +324,10 @@ def _eigvals(J: np.ndarray) -> np.ndarray:
         raise EigenFailure(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _gauss_newton(residual, jac, x0, max_iter=60):
+_GN_MAX_ITER = 60
+
+
+def _gauss_newton(residual, jac, x0):
     """Damped Gauss-Newton on a batch of rectangular systems.
 
     ``x0`` is an (m, k) array of starting points.  ``residual(x, rows)``
@@ -357,7 +339,7 @@ def _gauss_newton(residual, jac, x0, max_iter=60):
     LAPACK's default rank cutoff, is halved up to 30 times until |r| drops
     (a non-finite trial counts as no drop).  A member stops at |r| < 1e-14,
     at a non-finite Jacobian, when no trial improved, when the step is zero,
-    not finite or below 1e-15 (1 + |x|), or after ``max_iter`` iterations.
+    not finite or below 1e-15 (1 + |x|), or after 60 iterations.
     Returns (x, r): each member's last point and its residual there, which
     is finite unless the residual at the seed is not.
     """
@@ -366,7 +348,7 @@ def _gauss_newton(residual, jac, x0, max_iter=60):
     active = np.isfinite(r).all(axis=1)
     rnorm = np.where(active, np.linalg.norm(r, axis=1), np.inf)
     rcond = max(r.shape[1], x.shape[1]) * np.finfo(float).eps
-    for _ in range(max_iter):
+    for _ in range(_GN_MAX_ITER):
         active &= rnorm >= 1e-14
         idx = np.flatnonzero(active)
         if not idx.size:
@@ -507,11 +489,9 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         split = spectrum_classify(eigs, tangential_dims)
         out.append(
             Equilibrium(
-                chart=chart,
                 coords=x,
                 t_slice=float(x[0]) if dfield.nonautonomous else None,
                 residual=float(np.linalg.norm(dfield.g(x))),
-                jacobian=J,
                 eigenvalues=eigs,
                 tangential_dims=tangential_dims,
                 classification=split.classification,

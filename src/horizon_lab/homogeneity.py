@@ -120,7 +120,11 @@ class Monomial:
                 continue
             fe = _exactify(e)
             if fe is None:
-                return float(sum(float(e2) * a2 for e2, a2 in zip(self.exponents, alpha)))
+                # left to right: sum() compensates exact floats from 3.12 on
+                total = 0.0
+                for e2, a2 in zip(self.exponents, alpha):
+                    total += float(e2) * a2
+                return float(total)
             exact_terms.append(fe * a)
         return sum(exact_terms, Fraction(0))
 

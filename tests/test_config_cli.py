@@ -612,6 +612,44 @@ def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     assert calls == [False] + fallback + [True]
 
 
+def _equilibria_files(out):
+    with open(out / "equilibria.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return header, rows, report["equilibria"]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_equilibria_csv_matches_report(tmp_path, name):
+    """Each equilibria.csv row carries the values of its report.json entry."""
+    run_pipeline(parse_config(emit_example(name)), out_dir=str(tmp_path))
+    header, rows, entries = _equilibria_files(tmp_path)
+    n = len(entries[0]["coords"])
+    assert len(header) == 4 + 3 * n
+    assert len(rows) == len(entries)
+    for i, (values, doc) in enumerate(zip(rows, entries)):
+        row = dict(zip(header, values, strict=True))
+        assert row["index"] == str(i)
+        assert row["classification"] == doc["classification"]
+        assert row["residual"] == repr(doc["residual"])
+        t_slice = doc["t_slice"]
+        assert row["t_slice"] == ("" if t_slice is None else repr(t_slice))
+        assert len(doc["coords"]) == len(doc["eigenvalues"]) == n
+        for j, (v, (re, im)) in enumerate(zip(doc["coords"], doc["eigenvalues"])):
+            assert row[f"coord_{j}"] == repr(v)
+            assert row[f"eig_re_{j}"] == repr(re)
+            assert row[f"eig_im_{j}"] == repr(im)
+
+
+def test_equilibria_csv_without_equilibria(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_global_equilibria", lambda config, dfield: [])
+    run_pipeline(parse_config(json.dumps(SCALAR_DOC)), out_dir=str(tmp_path))
+    assert (tmp_path / "equilibria.csv").read_text(encoding="utf-8") == (
+        "index,classification,residual,t_slice\n"
+    )
+    assert _equilibria_files(tmp_path)[1:] == ([], [])
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point (in-process)
 

@@ -288,6 +288,17 @@ def test_principal_within_tolerance_rescales_like_exact(offset):
     assert df.components == build_directional_desing(exact, ht, chart).components
 
 
+@pytest.mark.parametrize("chart_kind", ["parabolic", "directional"])
+def test_builders_reject_weighted_time_variable(chart_kind):
+    field = make_example("painleve1").field
+    ht = HomogeneityType(alpha=(1, 2, 3), k=1)
+    with pytest.raises(DomainError, match="time variable must have weight 0"):
+        if chart_kind == "parabolic":
+            build_parabolic_desing(field, ht)
+        else:
+            build_directional_desing(field, ht, DirectionalChart(ht, 1))
+
+
 def test_parabolic_rejects_fractional_weighted_exponent():
     fs = FieldSpec(
         variable_names=("y",), components=((Monomial(1.0, (Fraction(1, 2),)),),)

@@ -765,7 +765,6 @@ def synthetic_trajectory(taus, gaps):
     gaps = np.asarray(gaps, dtype=float)
     n = len(taus)
     return Trajectory(
-        chart=None,
         dfield=None,
         taus=taus,
         coords=np.zeros((n, 1)),

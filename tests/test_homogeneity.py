@@ -115,6 +115,12 @@ def test_monomial_fractional_exponents_stay_rational():
     assert mono.weighted_degree((2,)) == Fraction(3, 1)
 
 
+def test_monomial_float_weighted_degree_sums_left_to_right():
+    # a compensated sum (Python 3.12's builtin sum) would give 1.0
+    mono = Monomial(1.0, (0.1,) * 10)
+    assert mono.weighted_degree((1,) * 10) == 0.9999999999999999
+
+
 def test_field_spec_validates_shapes():
     with pytest.raises(ValueError):
         FieldSpec(variable_names=("x", "x"), components=((), ()))
