@@ -14,6 +14,7 @@ from .blowup import (
     RateRecord,
     build_report,
     estimate_tmax,
+    extrapolate_tail,
     fit_rate,
 )
 from .charts import (
@@ -150,6 +151,7 @@ __all__ = [
     "RateRecord",
     "BlowupReport",
     "estimate_tmax",
+    "extrapolate_tail",
     "fit_rate",
     "build_report",
     # systems

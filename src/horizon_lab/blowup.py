@@ -7,7 +7,9 @@ equilibrium the time factor decays like A * exp(-k*lambda*tau), so the missing
 tail is A * exp(-k*lambda*tau_end) / (k*lambda), which is what estimate_tmax
 adds.  Component-wise rates come from fitting log|y_i| against
 log(t_max - t) over a window straddling the horizon approach; for a type-I
-blow-up the slopes must reproduce -alpha_i / k.
+blow-up the slopes must reproduce -alpha_i / k.  t_max - t is the tail plus
+the trajectory's own time increments after each sample, never a difference
+of absolute times: with k = 3 it drops below the ulp of t inside the window.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "RateRecord",
     "BlowupReport",
     "estimate_tmax",
+    "extrapolate_tail",
     "fit_rate",
     "build_report",
 ]
@@ -53,15 +56,13 @@ _R2_CONFIRM = 0.999
 _EXPONENT_CONFIRM = 0.05
 
 
-def estimate_tmax(
-    traj: Trajectory, lambda_decay: float, k: float
-) -> Tuple[float, float]:
-    """Blow-up time from a horizon-reaching trajectory plus its decay rate.
+def extrapolate_tail(traj: Trajectory, lambda_decay: float, k: float) -> float:
+    """The physical time a horizon-reaching trajectory has left after its
+    last sample.
 
-    Returns (t_max, tail_fraction): t_max = t(tau_end) + tail where the tail
-    extrapolates the time factor A*exp(-k*lambda*tau) beyond the last sample
-    (A is fitted over the final decade of the horizon gap), and tail_fraction
-    is the tail relative to the total reconstructed span t_max - t(0).
+    Extrapolates the time factor A*exp(-k*lambda*tau) beyond the last
+    sample, A fitted over the final decade of the horizon gap, and returns
+    its integral A*exp(-k*lambda*tau_end)/(k*lambda).
 
     Raises NotConverged unless the trajectory actually reached the horizon,
     InsufficientWindow when no sample lies off the horizon.
@@ -101,32 +102,60 @@ def estimate_tmax(
             stop_reason=traj.stop_reason,
         )
     A = math.exp(log_A_sum / count)
-    tau_end = float(traj.taus[-1])
-    tail = A * math.exp(-rate * tau_end) / rate
-    t_end = float(traj.ts[-1])
-    t_max = t_end + tail
-    span = t_max - float(traj.ts[0])
-    return t_max, (tail / span if span > 0 else math.inf)
+    return A * math.exp(-rate * float(traj.taus[-1])) / rate
 
 
-def _window_mask(traj: Trajectory, t_max: float) -> np.ndarray:
+def _time_to_go(traj: Trajectory, tail: float) -> np.ndarray:
+    """t_max - t at every sample, as ``tail`` plus the time increments
+    ``traj.dts`` after the sample, added from the end.
+
+    The increments come from the integrator's time slot, so the result
+    keeps its relative accuracy where t_max - t is far below the ulp of t
+    (with k = 3 it reaches gap**3 ~ 1e-24 in the fit window); the
+    difference t_max - ts would be rounding noise there.
+    """
+    return np.cumsum(np.append(tail, traj.dts[:0:-1]))[::-1]
+
+
+def estimate_tmax(
+    traj: Trajectory, lambda_decay: float, k: float
+) -> Tuple[float, float]:
+    """Blow-up time from a horizon-reaching trajectory plus its decay rate.
+
+    Returns (t_max, tail_fraction): t_max = t(tau_end) + tail with the tail
+    from ``extrapolate_tail``, and tail_fraction the tail relative to the
+    total reconstructed span, the time to go at sample 0.  Raises as
+    ``extrapolate_tail``.
+    """
+    return _tmax(traj, extrapolate_tail(traj, lambda_decay, k))
+
+
+def _tmax(traj: Trajectory, tail: float) -> Tuple[float, float]:
+    span = float(_time_to_go(traj, tail)[0])
+    return float(traj.ts[-1]) + tail, (tail / span if span > 0 else math.inf)
+
+
+def _window_mask(traj: Trajectory, to_go: np.ndarray) -> np.ndarray:
     return (
         (traj.gaps >= _FIT_GAP_LO)
         & (traj.gaps <= _FIT_GAP_HI)
-        & (t_max - traj.ts > 0)
+        & (to_go > 0)
     )
 
 
 def fit_rate(
     traj: Trajectory,
-    t_max: float,
+    tail: float,
     component_index: int,
     htype: HomogeneityType,
 ) -> Tuple[float, float, float]:
     """Fit the power-law rate of one original component near blow-up.
 
     Reconstructs y_i along the trajectory over the window where the horizon
-    gap lies in [1e-8, 1e-3] and fits log|y_i| ~ log(t_max - t).  Returns
+    gap lies in [1e-8, 1e-3] and fits log|y_i| ~ log(t_max - t), with
+    t_max - t the tail plus the trajectory's time increments after each
+    sample, added from the end; ``tail`` is the time left
+    after the last sample (``extrapolate_tail``).  Returns
     (fitted_exponent, r_squared, leading_coefficient), the coefficient signed
     by the component's final sign.
 
@@ -144,8 +173,8 @@ def fit_rate(
         raise DomainError(
             f"component {i} has weight 0; it does not blow up polynomially"
         )
-    mask = _window_mask(traj, t_max)
-    idx = np.nonzero(mask)[0]
+    to_go = _time_to_go(traj, tail)
+    idx = np.nonzero(_window_mask(traj, to_go))[0]
     if len(idx) < _MIN_FIT_SAMPLES:
         raise InsufficientWindow(
             f"rate window holds {len(idx)} samples; need {_MIN_FIT_SAMPLES}"
@@ -165,8 +194,7 @@ def fit_rate(
                 f"the component is sub-polynomial relative to the type rate"
             )
     y = chart.unscale(coords[:, i], gaps, i)
-    t_left = t_max - traj.ts[idx]
-    x = np.log(t_left)
+    x = np.log(to_go[idx])
     ylog = np.log(np.abs(y))
     slope, intercept = np.polyfit(x, ylog, 1)
     fitted = ylog - (intercept + slope * x)
@@ -252,13 +280,14 @@ def build_report(
     target = candidates[best]
 
     lam, residual_slope = estimate_decay(traj)
-    t_max, tail_fraction = estimate_tmax(traj, lam, htype.k_float)
+    tail = extrapolate_tail(traj, lam, htype.k_float)
+    t_max, tail_fraction = _tmax(traj, tail)
 
     names = traj.dfield.source.variable_names
     records = []
     for i in htype.i_alpha:
         try:
-            fitted, r2, coeff = fit_rate(traj, t_max, i, htype)
+            fitted, r2, coeff = fit_rate(traj, tail, i, htype)
         except VanishingComponent:
             fitted = r2 = coeff = None
         records.append(

@@ -6,7 +6,9 @@ its tau budget before reaching the horizon).  Log verbosity comes from the
 HORIZON_LAB_LOG environment variable (error | warn | info | debug).
 
 Outputs are deterministic: one CSV per run with columns
-tau,t,coord_0..coord_{n-1},horizon_gap (one row per accepted step), an
+tau,t,coord_0..coord_{n-1},horizon_gap (one row per trajectory sample after
+the initial condition: each accepted step's dense-output samples, then its
+end), an
 equilibria.csv with columns index,classification,residual,t_slice,
 coord_0..coord_{n-1},eig_re_0..eig_re_{n-1},eig_im_0..eig_im_{n-1} (each
 row carries the values of the matching report.json "equilibria" entry),
@@ -127,7 +129,8 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """One row per accepted step (the initial condition is not a step).
+    """One row per trajectory sample but the initial condition: every
+    accepted step's end, after the step's dense-output samples.
 
     Each distinct column is formatted once: t is coord_0 of a
     nonautonomous field and the gap is coord_{i0} on a directional chart.

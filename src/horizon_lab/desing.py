@@ -22,9 +22,9 @@ horizon functions W and s appear with provably nonnegative exponents.
 Evaluation compiles each field once into plain Python expressions (value,
 Jacobian, time factor); the Jacobian is the exact term-wise derivative,
 including the chain rule through W.  The same compilation emits one
-Dormand-Prince 5(4) step per field, with the stages, the tableau and the
-state dimension unrolled around those expressions (each distinct power and
-expression evaluated once per stage), and array versions of
+DOP853 step per field and its dense output, with the stages, the tableau
+and the state dimension unrolled around those expressions (each distinct
+power and expression evaluated once per stage), and array versions of
 the value and the Jacobian that evaluate a whole batch of points with NumPy
 (the batched equilibrium search uses them): where the scalar code raises a
 domain error, the array code leaves non-finite entries in that point's row.
@@ -280,43 +280,201 @@ class _Emitter:
         return "\n".join(loads + [self.inline(t) for _, t in self.derived("    ")])
 
 
-# Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# Sec. II.5): row s - 2 of _DP_A weights k1..k{s-1} for stage s = 2..7.  The
-# last row holds the 5th-order weights, so stage 7 is evaluated at the new
-# state and reused as the next step's k1 (FSAL); _DP_E = b5 - b4.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6, with
+# the constants of Hairer's dop853.f).  Keys are stage numbers: _DOP_A[s]
+# holds the nonzero weights of the stages that stage s reads, for the step's
+# stages 2..12 and for the dense output's extra stages 14..16.  _DOP_B are
+# the 8th-order weights; stage 13 is the derivative at the new state, which
+# the next step reuses as its stage 1 (FSAL).  _DOP_E5 weights the
+# 5th-order error estimate; the 3rd-order one is the difference of the
+# 8th-order weights and the 3rd-order weights _DOP_BHH, formed as in
+# dop853.f from the sum b . k.  _DOP_D[r] gives the dense output's
+# coefficient r + 3 (the step itself gives coefficients 0..2).
+_DOP_A = {
+    2: {1: 5.26001519587677318785587544488e-2},
+    3: {1: 1.97250569845378994544595329183e-2,
+        2: 5.91751709536136983633785987549e-2},
+    4: {1: 2.95875854768068491816892993775e-2,
+        3: 8.87627564304205475450678981324e-2},
+    5: {1: 2.41365134159266685502369798665e-1,
+        3: -8.84549479328286085344864962717e-1,
+        4: 9.24834003261792003115737966543e-1},
+    6: {1: 3.7037037037037037037037037037e-2,
+        4: 1.70828608729473871279604482173e-1,
+        5: 1.25467687566822425016691814123e-1},
+    7: {1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+        5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2},
+    8: {1: 3.70920001185047927108779319836e-2,
+        4: 1.70383925712239993810214054705e-1,
+        5: 1.07262030446373284651809199168e-1,
+        6: -1.53194377486244017527936158236e-2,
+        7: 8.27378916381402288758473766002e-3},
+    9: {1: 6.24110958716075717114429577812e-1,
+        4: -3.36089262944694129406857109825,
+        5: -8.68219346841726006818189891453e-1,
+        6: 2.75920996994467083049415600797e1,
+        7: 2.01540675504778934086186788979e1,
+        8: -4.34898841810699588477366255144e1},
+    10: {1: 4.77662536438264365890433908527e-1,
+         4: -2.48811461997166764192642586468,
+         5: -5.90290826836842996371446475743e-1,
+         6: 2.12300514481811942347288949897e1,
+         7: 1.52792336328824235832596922938e1,
+         8: -3.32882109689848629194453265587e1,
+         9: -2.03312017085086261358222928593e-2},
+    11: {1: -9.3714243008598732571704021658e-1,
+         4: 5.18637242884406370830023853209,
+         5: 1.09143734899672957818500254654,
+         6: -8.14978701074692612513997267357,
+         7: -1.85200656599969598641566180701e1,
+         8: 2.27394870993505042818970056734e1,
+         9: 2.49360555267965238987089396762,
+         10: -3.0467644718982195003823669022},
+    12: {1: 2.27331014751653820792359768449,
+         4: -1.05344954667372501984066689879e1,
+         5: -2.00087205822486249909675718444,
+         6: -1.79589318631187989172765950534e1,
+         7: 2.79488845294199600508499808837e1,
+         8: -2.85899827713502369474065508674,
+         9: -8.87285693353062954433549289258,
+         10: 1.23605671757943030647266201528e1,
+         11: 6.43392746015763530355970484046e-1},
+    14: {1: 5.61675022830479523392909219681e-2,
+         7: 2.53500210216624811088794765333e-1,
+         8: -2.46239037470802489917441475441e-1,
+         9: -1.24191423263816360469010140626e-1,
+         10: 1.5329179827876569731206322685e-1,
+         11: 8.20105229563468988491666602057e-3,
+         12: 7.56789766054569976138603589584e-3, 13: -8.298e-3},
+    15: {1: 3.18346481635021405060768473261e-2,
+         6: 2.83009096723667755288322961402e-2,
+         7: 5.35419883074385676223797384372e-2,
+         8: -5.49237485713909884646569340306e-2,
+         11: -1.08347328697249322858509316994e-4,
+         12: 3.82571090835658412954920192323e-4,
+         13: -3.40465008687404560802977114492e-4,
+         14: 1.41312443674632500278074618366e-1},
+    16: {1: -4.28896301583791923408573538692e-1,
+         6: -4.69762141536116384314449447206,
+         7: 7.68342119606259904184240953878,
+         8: 4.06898981839711007970213554331,
+         9: 3.56727187455281109270669543021e-1,
+         13: -1.39902416515901462129418009734e-3,
+         14: 2.9475147891527723389556272149,
+         15: -9.15095847217987001081870187138},
+}
+_DOP_B = {1: 5.42937341165687622380535766363e-2,
+          6: 4.45031289275240888144113950566,
+          7: 1.89151789931450038304281599044,
+          8: -5.8012039600105847814672114227,
+          9: 3.1116436695781989440891606237e-1,
+          10: -1.52160949662516078556178806805e-1,
+          11: 2.01365400804030348374776537501e-1,
+          12: 4.47106157277725905176885569043e-2}
+_DOP_E5 = {1: 0.1312004499419488073250102996e-1,
+           6: -0.1225156446376204440720569753e+1,
+           7: -0.4957589496572501915214079952,
+           8: 0.1664377182454986536961530415e+1,
+           9: -0.3503288487499736816886487290,
+           10: 0.3341791187130174790297318841,
+           11: 0.8192320648511571246570742613e-1,
+           12: -0.2235530786388629525884427845e-1}
+_DOP_BHH = {1: 0.244094488188976377952755905512,
+            9: 0.733846688281611857341361741547,
+            12: 0.220588235294117647058823529412e-1}
+_DOP_D = (
+    {1: -0.84289382761090128651353491142e+1,
+     6: 0.56671495351937776962531783590,
+     7: -0.30689499459498916912797304727e+1,
+     8: 0.23846676565120698287728149680e+1,
+     9: 0.21170345824450282767155149946e+1,
+     10: -0.87139158377797299206789907490,
+     11: 0.22404374302607882758541771650e+1,
+     12: 0.63157877876946881815570249290,
+     13: -0.88990336451333310820698117400e-1,
+     14: 0.18148505520854727256656404962e+2,
+     15: -0.91946323924783554000451984436e+1,
+     16: -0.44360363875948939664310572000e+1},
+    {1: 0.10427508642579134603413151009e+2,
+     6: 0.24228349177525818288430175319e+3,
+     7: 0.16520045171727028198505394887e+3,
+     8: -0.37454675472269020279518312152e+3,
+     9: -0.22113666853125306036270938578e+2,
+     10: 0.77334326684722638389603898808e+1,
+     11: -0.30674084731089398182061213626e+2,
+     12: -0.93321305264302278729567221706e+1,
+     13: 0.15697238121770843886131091075e+2,
+     14: -0.31139403219565177677282850411e+2,
+     15: -0.93529243588444783865713862664e+1,
+     16: 0.35816841486394083752465898540e+2},
+    {1: 0.19985053242002433820987653617e+2,
+     6: -0.38703730874935176555105901742e+3,
+     7: -0.18917813819516756882830838328e+3,
+     8: 0.52780815920542364900561016686e+3,
+     9: -0.11573902539959630126141871134e+2,
+     10: 0.68812326946963000169666922661e+1,
+     11: -0.10006050966910838403183860980e+1,
+     12: 0.77771377980534432092869265740,
+     13: -0.27782057523535084065932004339e+1,
+     14: -0.60196695231264120758267380846e+2,
+     15: 0.84320405506677161018159903784e+2,
+     16: 0.11992291136182789328035130030e+2},
+    {1: -0.25693933462703749003312586129e+2,
+     6: -0.15418974869023643374053993627e+3,
+     7: -0.23152937917604549567536039109e+3,
+     8: 0.35763911791061412378285349910e+3,
+     9: 0.93405324183624310003907691704e+2,
+     10: -0.37458323136451633156875139351e+2,
+     11: 0.10409964950896230045147246184e+3,
+     12: 0.29840293426660503123344363579e+2,
+     13: -0.43533456590011143754432175058e+2,
+     14: 0.96324553959188282948394950600e+2,
+     15: -0.39177261675615439165231486172e+2,
+     16: -0.14972683625798562581422125276e+3},
 )
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+# the step's stages that the dense output reads
+_DENSE_READS = tuple(sorted(set().union(*_DOP_D) - {14, 15, 16}))
 
 
-def _combo(coeffs) -> str:
-    """``0.0 + c1*k1_{0} + c2*k2_{0} + ...``, to be formatted with a slot."""
-    return "0.0 + " + " + ".join(
-        f"{_fmt_float(c)}*k{j}_{{0}}" for j, c in enumerate(coeffs, start=1)
+def _combo(row, stage: str) -> str:
+    """``c1*k1_i + c6*k6_i + ...`` over a row's weights, in stage order;
+    ``stage`` names stage j's value once formatted with j."""
+    return " + ".join(
+        f"{_fmt_float(c)}*{stage.format(j)}" for j, c in sorted(row.items())
     )
 
 
-_DP_A_SUMS = tuple(_combo(row) for row in _DP_A)
-_DP_E_SUM = _combo(_DP_E)
+# the sums as templates of the slot, rendered once
+_A_SUMS = {s: _combo(row, "k{}_{{0}}") for s, row in _DOP_A.items()}
+_B_SUM = _combo(_DOP_B, "k{}_{{0}}")
+_E5_SUM = _combo(_DOP_E5, "k{}_{{0}}")
+_BHH_DIFF = "".join(
+    f" - {_fmt_float(c)}*k{j}_{{0}}" for j, c in sorted(_DOP_BHH.items())
+)
+# the dense output's sums over one slot's stage values a1, a6, ..., a16
+_D_SUMS = tuple(_combo(row, "a{}") for row in _DOP_D)
 
 
-def _emit_step(em: _Emitter, templates, dim: int) -> str:
-    """Source of ``_step(z, k1, h, atol, rtol)``.
+def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int) -> str:
+    """Sources of ``_step(z, k1, h, atol, rtol)`` and of ``_dense(z, h, st,
+    thetas)``, as a pair.
 
-    Returns ``(z_new, err_norm, k7, guard, gap)``: the new state, the RMS
-    error norm, the derivative there, ``max |z_new_i|`` over every state
-    slot and the horizon gap at the new state (stage 7's W on a parabolic
-    chart, s on a directional one).  A step whose new state or error norm
-    is not finite returns None instead, and a stage that fails to evaluate
-    raises DomainError, as in rhs_values.
+    ``_step`` returns ``(z_new, err, k13, guard, gap, st)``: the new state,
+    the error norm of Hairer's DOP853 (the 5th-order estimate, damped by the
+    3rd-order one), the derivative there, ``max |z_new_i|`` over every state
+    slot, the horizon gap at the new state (stage 13's W on a parabolic
+    chart, s on a directional one) and the tuple the dense output reads: the
+    increments d_i = z_new_i - z_i, then the stages of ``_DENSE_READS``.  A
+    step whose new state or error norm is not finite returns None instead,
+    and a stage that fails to evaluate raises DomainError, as in rhs_values.
+
+    ``_dense`` evaluates the extra stages 14..16 from a step's ``z``, ``h``
+    and ``st``, then the 7th-order interpolant at each ``theta`` in (0, 1):
+    one ``(state, dt, gap)`` per theta, where ``dt`` is slot ``t_slot`` of
+    the polynomial without its base term, i.e. the physical time since the
+    step's start, and ``gap`` the state's horizon gap in the step's own
+    arithmetic.  It returns None when a coefficient is not finite and
+    raises DomainError like the step.
 
     ``templates`` are ``em``'s templates of the field's n components plus
     its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
@@ -325,11 +483,12 @@ def _emit_step(em: _Emitter, templates, dim: int) -> str:
     sum reads the copy (the time factor of a nonautonomous field equals
     component 0 and no sum reads it), and each distinct power once: a power
     the stage uses twice is bound to a local right after the line that
-    defines its base.  Each weighted sum is written ``0.0 + c1*k1_i +
-    c2*k2_i + ...``, added left to right with every tableau entry, zeros
-    included, so the step equals bit for bit the list form that adds
-    ``c[j] * k[j][i]`` to the integer 0 in the same order, which the tests
-    keep as its reference.  Stages 2-6 only compute the coordinates the
+    defines its base.  Each weighted sum is written ``c1*k1_i + c6*k6_i +
+    ...`` over the tableau's nonzero entries, added left to right, so the
+    step equals bit for bit the list form that folds the same products in
+    the same order, which the tests keep as its reference.  The increments
+    are formed once, d_i = h * (b . k_i), and z_new_i = z_i + d_i.  Every
+    stage but 13 (the new state) only computes the coordinates the
     expressions read, so a step fails exactly where a full field evaluation
     does.
     """
@@ -345,53 +504,131 @@ def _emit_step(em: _Emitter, templates, dim: int) -> str:
         fill[name] = name if shared else ptext
         if shared:
             defs.setdefault(base, []).append(f"        {name} = {ptext}")
-
-    stage = []
+    common = []
     for sym, t in derived:
-        stage += [t.format_map(fill)] + defs.get(sym, [])
+        common += [t.format_map(fill)] + defs.get(sym, [])
     body = [(i, j, t.format_map(fill)) for i, j, t in body]
-    slots = range(dim)
-    lines = [
-        "def _step(z, k1, h, atol, rtol):",
-        "    " + "".join(f"z{i}, " for i in slots) + "= z",
-        "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
-        "    try:",
-    ]
-    for s, combo in enumerate(_DP_A_SUMS, start=2):
-        for i in (slots if s == 7 else sorted(em.used)):
-            lines.append(f"        x{i} = z{i} + h * ({combo.format(i)})")
+
+    def stage(s, points):
+        lines = []
+        for i, point in points:
+            lines.append(f"        x{i} = {point}")
             lines += defs.get(f"x{i}", [])
-        lines += stage
-        lines += [
+        return lines + common + [
             f"        k{s}_{i} = " + (expr if j == i else f"k{s}_{j}")
             for i, j, expr in body
         ]
-    lines += [
-        "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
-        "        raise DomainError('field evaluation failed in a step: '"
-        " + str(exc)) from exc",
+
+    def inner(s):  # stage s at the coordinates the expressions read
+        return stage(s, [
+            (i, f"z{i} + h * ({_A_SUMS[s].format(i)})") for i in sorted(em.used)
+        ])
+
+    def fails(what):
+        return [
+            "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+            f"        raise DomainError('field evaluation failed in {what}: '"
+            " + str(exc)) from exc",
+        ]
+
+    slots = range(dim)
+    unpack_z = "    " + "".join(f"z{i}, " for i in slots) + "= z"
+    reads = [f"d{i}" for i in slots] + [
+        f"k{s}_{i}" for s in _DENSE_READS for i in slots
     ]
-    lines += [
-        f"    q{i} = h * ({_DP_E_SUM.format(i)})"
-        f" / (atol + rtol * max(abs(z{i}), abs(x{i})))"
-        for i in slots
-    ]
-    squares = " + ".join(f"q{i}*q{i}" for i in slots)
-    # x - x is 0.0 for a finite x and NaN otherwise
-    nonfinite = " + ".join([f"(x{i} - x{i})" for i in slots] + ["(err - err)"])
-    absolutes = ", ".join(f"abs(x{i})" for i in slots)
     gap = "W" if em.parabolic else f"x{em.gap_slot}"
-    lines += [
-        f"    err = _sqrt((0.0 + {squares}) / {dim})",
+    absolutes = ", ".join(f"abs(x{i})" for i in slots)
+
+    lines = [
+        "def _step(z, k1, h, atol, rtol):",
+        unpack_z,
+        "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
+        "    try:",
+    ]
+    for s in range(2, 13):
+        lines += inner(s)
+    lines += [f"        g{i} = {_B_SUM.format(i)}" for i in slots]
+    lines += [f"        d{i} = h * g{i}" for i in slots]
+    lines += stage(13, [(i, f"z{i} + d{i}") for i in slots])
+    lines += fails("a step")
+    for i in slots:
+        lines += [
+            f"    sk{i} = atol + rtol * max(abs(z{i}), abs(x{i}))",
+            f"    u{i} = ({_E5_SUM.format(i)}) / sk{i}",
+            f"    v{i} = (g{i}{_BHH_DIFF.format(i)}) / sk{i}",
+        ]
+    # x - x is 0.0 for a finite x and NaN otherwise; so is den - den, and
+    # a finite den keeps sqrt(den) and the error norm finite
+    nonfinite = " + ".join([f"(x{i} - x{i})" for i in slots] + ["(den - den)"])
+    step = lines + [
+        "    s5 = " + " + ".join(f"u{i}*u{i}" for i in slots),
+        "    s3 = " + " + ".join(f"v{i}*v{i}" for i in slots),
+        "    den = s5 + 0.01 * s3",
         f"    if {nonfinite} != 0.0:",
         "        return None",
+        f"    err = h * s5 / (_sqrt(den) * {_fmt_float(math.sqrt(dim))})"
+        " if den > 0.0 else 0.0",
         "    return ("
         + "".join(f"x{i}, " for i in slots)
         + "), err, ("
-        + "".join(f"k7_{i}, " for i in slots)
-        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}",
+        + "".join(f"k13_{i}, " for i in slots)
+        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, ("
+        + "".join(f"{r}, " for r in reads)
+        + ")",
     ]
-    return "\n".join(lines) + "\n"
+    lines = [
+        "def _dense(z, h, st, thetas):",
+        unpack_z,
+        "    " + "".join(f"{r}, " for r in reads) + "= st",
+        "    try:",
+    ]
+    for s in (14, 15, 16):
+        lines += inner(s)
+    # one copy of the coefficient sums, run per slot over the stages' slices
+    columns = [
+        f"st[{p * dim}:{(p + 1) * dim}]" for p in range(len(reads) // dim)
+    ] + [
+        "(" + "".join(f"k{s}_{i}, " for i in slots) + ")" for s in (14, 15, 16)
+    ]
+    names = ["d"] + [f"a{s}" for s in _DENSE_READS + (14, 15, 16)]
+    rest = [
+        "    cs = [",
+        "        (h * a1 - d, 2.0 * d - h * (a13 + a1), "
+        + ", ".join(f"h * ({d})" for d in _D_SUMS) + ")",
+        f"        for {', '.join(names)} in zip({', '.join(columns)})",
+        "    ]",
+        # finite exactly when every coefficient is, but for an overflow of
+        # the sum itself
+        "    total = sum(map(sum, cs))",
+        "    if total - total != 0.0:",
+        "        return None",
+        "    " + "".join(
+            "(" + "".join(f"c{r}_{i}, " for r in range(1, 7)) + "), "
+            for i in slots
+        ) + "= cs",
+        "    out = []",
+        "    for th in thetas:",
+        "        y = 1.0 - th",
+    ]
+    for i in slots:
+        poly = (
+            f"th * (d{i} + y * (c1_{i} + th * (c2_{i} + y * (c3_{i} + th * "
+            f"(c4_{i} + y * (c5_{i} + th * c6_{i}))))))"
+        )
+        if i == t_slot:
+            rest += [f"        dt = {poly}", f"        x{i} = z{i} + dt"]
+        else:
+            rest.append(f"        x{i} = z{i} + {poly}")
+    if em.parabolic:  # W of a fill state, under the try like the stages'
+        rest.append(em.inline(derived[0][1]))
+    rest += [
+        "        out.append((("
+        + "".join(f"x{i}, " for i in slots)
+        + f"), dt, {gap}))",
+        "    return out",
+    ]
+    lines += ["    " + line for line in rest] + fails("dense output")
+    return "\n".join(step) + "\n", "\n".join(lines) + "\n"
 
 
 def _emit_vector(em: _Emitter, exprs, jac_exprs) -> str:
@@ -437,19 +674,22 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
         "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
         for row in jac_exprs
     )
-    src = (
+    parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
-        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
-        + _emit_step(em, templates, n if nonautonomous else n + 1)
-    )
+        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n",
+    ) + _emit_dop853(em, templates, n if nonautonomous else n + 1,
+                     0 if nonautonomous else n)
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
                 "DomainError": DomainError}
-    exec(compile(src, "<desing-field>", "exec"), ns)
+    # one compile per part keeps the compiler's peak memory to the largest
+    for part in parts:
+        exec(compile(part, "<desing-field>", "exec"), ns)
+    src = "\n".join(parts)
     vsrc = _emit_vector(em, exprs, jac_exprs)
     vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
                  "_zeros": np.zeros}
     exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
-    return (ns["_rhs"], ns["_jac"], ns["_step"], vns["_rhs_v"],
+    return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense"], vns["_rhs_v"],
             vns["_jac_v"], src + "\n" + vsrc)
 
 
@@ -462,13 +702,17 @@ class DesingField:
     evaluation time, which keeps the horizon exact.  Evaluation goes through
     expressions compiled once at construction.
 
-    ``step(z, k1, h, atol, rtol)`` is the field's compiled Dormand-Prince
-    5(4) step: from state ``z`` (the coordinates, then t for an autonomous
-    field) and its derivative ``k1`` it returns the new state, the RMS error
-    norm, the derivative there, the largest |slot| of the new state and its
-    horizon gap in the step's own arithmetic (Python's ``**``, where
-    ``horizon_gap`` goes through NumPy and may differ in the last bit), or
-    None when the new state or the error norm is not finite.
+    ``step(z, k1, h, atol, rtol)`` is the field's compiled DOP853 step:
+    from state ``z`` (the coordinates, then t for an autonomous field) and
+    its derivative ``k1`` it returns the new state, the error norm, the
+    derivative there, the largest |slot| of the new state, its horizon gap
+    in the step's own arithmetic (Python's ``**``, where ``horizon_gap``
+    goes through NumPy and may differ in the last bit) and the tuple
+    ``dense`` reads, which starts with the step's increments; or None when
+    the new state or the error norm is not finite.  ``dense(z, h, st,
+    thetas)`` evaluates that step's 7th-order interpolant at each theta in
+    (0, 1), as ``(state, dt, gap)`` with dt the physical time since the
+    step's start.
     ``rhs_array`` and ``jacobian_array`` evaluate a batch of points at once.
     ``source_code`` holds all the generated source.
     """
@@ -485,7 +729,7 @@ class DesingField:
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        rhs, jac, step, rhs_v, jac_v, src = _compile_field(
+        rhs, jac, step, dense, rhs_v, jac_v, src = _compile_field(
             self.n,
             parabolic,
             2 * self.htype.beta_full(),
@@ -499,6 +743,7 @@ class DesingField:
         object.__setattr__(self, "_rhs", rhs)
         object.__setattr__(self, "_jac", jac)
         object.__setattr__(self, "step", step)
+        object.__setattr__(self, "dense", dense)
         object.__setattr__(self, "_rhs_v", rhs_v)
         object.__setattr__(self, "_jac_v", jac_v)
         object.__setattr__(self, "source_code", src)

@@ -1,15 +1,22 @@
 """Flows, horizon equilibria and spectral analysis of desingularized fields.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step control,
-hand-rolled so the stopping semantics are exact: a trajectory ends with one of
-four reasons (horizon_reached / tau_exhausted / left_domain / diverged), a
-stage that probes outside the chart domain causes a retry with a smaller step
-rather than a crash, and a step-size underflow raises StepFailure.  Physical
-time is reconstructed along the way from the time factor dt/dtau.  The step
-itself is generated per field (``DesingField.step``, emitted in ``desing``):
-the stages, the tableau and the error norm are unrolled around the field's
-own expressions, and the step also returns the state's largest slot and its
-horizon gap; this module keeps the step-size control and the stops.
+The integrator is DOP853 (Hairer's 8th-order Dormand-Prince pair with its
+5th/3rd-order error estimate and 7th-order dense output), hand-rolled so
+the stopping semantics are exact: a trajectory ends with one of four
+reasons (horizon_reached / tau_exhausted / left_domain / diverged), a stage
+that probes outside the chart domain causes a retry with a smaller step
+rather than a crash, and a step-size underflow raises StepFailure.  Steps
+are sized by accuracy alone, apart from a limit on how far one step may
+move the horizon gap; the trajectory's samples come from the dense output,
+spaced for the rate fits, with every step end among them.  Physical time is
+reconstructed along the way from the time factor dt/dtau, and each sample
+also keeps its time increment from the previous one.  The step and the
+dense output are generated per field (``DesingField.step`` and
+``DesingField.dense``, emitted in ``desing``): the stages, the tableau and
+the error norm are unrolled around the field's own expressions, and the
+step also returns the state's largest slot, its horizon gap and its
+increments; this module keeps the step-size control, the sampling and the
+stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
@@ -81,8 +88,10 @@ class IntegratorControls:
 
     horizon_eps is the gap below which a trajectory counts as having reached
     the horizon; setting it to 0 disables that stop (used for invariance
-    runs started exactly on the horizon).  max_step bounds the tau step so
-    the asymptotic approach stays densely enough sampled for rate fitting.
+    runs started exactly on the horizon).  max_step bounds the tau spacing
+    of the recorded samples, not the steps: a longer step is filled in by
+    dense output, so the asymptotic approach stays densely sampled for
+    rate fitting.
     """
 
     rel_tol: float = 1e-10
@@ -94,11 +103,17 @@ class IntegratorControls:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An integrated orbit of a desingularized field.
+    """An integrated orbit of a desingularized field, as samples.
 
-    taus is strictly increasing and ts nondecreasing; sample 0 is the initial
-    condition, so ``len(taus) - 1`` equals the number of accepted steps.
-    coords, ts and, on a directional chart, gaps are views of one array.
+    Sample 0 is the initial condition and every accepted step's end is a
+    sample; between two step ends lie the step's dense-output samples, so
+    ``len(taus) - 1`` is at least ``n_accepted``.  taus is strictly
+    increasing and ts nondecreasing.  ``dts[i]`` is the physical time from
+    sample i - 1 to sample i (``dts[0] = 0``), taken from the time slot's
+    own increment within its step, never from a difference of the absolute
+    times in ts, so a sum of trailing dts keeps its relative accuracy when
+    it is far smaller than t.  coords, ts and, on a directional chart, gaps
+    are views of one array.
     """
 
     dfield: DesingField
@@ -106,12 +121,40 @@ class Trajectory:
     coords: np.ndarray
     ts: np.ndarray
     gaps: np.ndarray
+    dts: np.ndarray
     stop_reason: str
+    n_accepted: int = 0
     n_rejected: int = 0
 
-    @property
-    def n_accepted(self) -> int:
-        return len(self.taus) - 1
+
+# dense-output samples keep consecutive horizon gaps within this many
+# decades of each other
+_GAP_DECADES = 0.1
+# the next step is cut so that, at the decay rate of this one, it changes
+# the horizon gap by at most this many decades (a factor of 2)
+_STEP_DECADES = 0.3
+
+
+def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
+    """A step's dense-output samples, as ``(state, dt, gap)`` at
+    theta = j/m for j = 1 .. m-1; [] for m <= 1.  m is raised until no two
+    consecutive gaps of the sequence g0, fills, g1 that both exceed
+    ``floor`` lie more than _GAP_DECADES apart.  Returns None when the
+    dense output is not finite and raises DomainError when an extra stage
+    fails to evaluate."""
+    while m > 1:
+        out = dfield.dense(z, h, st, [j / m for j in range(1, m)])
+        if out is None:
+            return None
+        worst, prev = 0.0, g0
+        for g in [f[2] for f in out] + [g1]:
+            if g > floor and prev > floor:
+                worst = max(worst, abs(math.log10(g) - math.log10(prev)))
+            prev = g
+        if worst <= _GAP_DECADES:
+            return out
+        m = math.ceil(m * worst / _GAP_DECADES) + 1
+    return []
 
 
 def integrate(
@@ -127,13 +170,31 @@ def integrate(
     carried alongside the state, starting at t0, with dt/dtau equal to the
     field's time factor.
 
-    An accepted step appends its state tuple and its tau; ``coords``, ``ts``
-    and ``gaps`` are built once at the stop, the gaps by one
-    ``horizon_gap_of`` call on the chart (NumPy).  Each step also returns
-    its own gap at the new state; a step whose gap is finite and more than
-    1e-14 above ``max(horizon_eps, 0)`` goes on, and every other stop
-    decision reads ``DesingField.horizon_gap`` instead, so each decision is
-    the one the stored gaps give.
+    Steps are DOP853 steps (``DesingField.step``) under the standard
+    controller: a step is accepted when its error norm is at most 1, the
+    next step is 0.9 * err**(-1/8) times this one, clipped to [0.2, 10],
+    and does not grow right after a rejection.  A stage outside the domain
+    or a non-finite result retries at half the step.  Steps have no fixed
+    cap, but the next step is cut so that, at this step's rate, it moves
+    the horizon gap by at most 0.3 decade: near the horizon the deviation
+    from the target equilibrium falls below the absolute tolerance, and
+    without the cut the controller would grow the steps until the gap, which
+    the fits read on a log scale, lost its relative accuracy.  An accepted
+    step records, before its end, uniformly spaced dense-output samples
+    (``DesingField.dense``) so that no two consecutive samples are more
+    than ``max_step`` apart in tau or, where both gaps exceed
+    ``max(horizon_eps, 0) + 1e-14``, more than 0.1 decade apart in the
+    horizon gap (in the step's own arithmetic).  An extra stage outside the
+    domain, or a non-finite dense output, retries the step at half its
+    size, too.
+
+    ``coords``, ``ts`` and ``gaps`` are built once at the stop, the gaps by
+    one ``horizon_gap_of`` call on the chart (NumPy).  Every stop is
+    decided at a step end.  Each step also returns its own gap at the new
+    state; a step whose gap is finite and more than 1e-14 above
+    ``max(horizon_eps, 0)`` goes on, and every other stop decision reads
+    ``DesingField.horizon_gap`` instead, so each decision is the one the
+    stored gaps give.
 
     Raises StepFailure when the adaptive step size underflows below 1e-15.
     """
@@ -144,10 +205,12 @@ def integrate(
         raise ValueError(f"coords0 has length {len(x0)}, expected {n}")
     nonaut = dfield.nonautonomous
     z = tuple(x0) if nonaut else (*x0, float(t0))
+    t_slot = 0 if nonaut else n
     states = [z]
     taus = [0.0]
+    dts = [0.0]
     tau = 0.0
-    n_rejected = 0
+    n_accepted = n_rejected = 0
 
     gap = dfield.horizon_gap(x0)
     stop = None
@@ -160,7 +223,7 @@ def integrate(
     elif tau >= ctl.tau_max:
         stop = TAU_EXHAUSTED
     if stop is not None:
-        return _mk_traj(dfield, taus, states, stop, n_rejected)
+        return _mk_traj(dfield, taus, states, dts, stop, 0, 0)
 
     k1 = dfield.rhs_values(x0)
     if nonaut:
@@ -175,10 +238,12 @@ def integrate(
     # this floor has P < 1, so NumPy's gap is within 1e-14 of it and above
     # every gap threshold too: the step goes on under both.  On a
     # directional chart both gaps are s.  A NaN gap fails the test, and W
-    # is never +inf.
+    # is never +inf.  The same floor bounds the gaps that the sampling
+    # keeps within 0.1 decade of each other: below it the gap is rounding
+    # noise on a parabolic chart.
     floor = max(eps, 0.0) + 1e-14
     h = min(_H_INIT, tau_max)
-    err_prev = 1e-4
+    rejected = False
     steps = 0
 
     while True:
@@ -192,26 +257,48 @@ def integrate(
             h = tau_max - tau
             capped = True
 
+        fills = None
         try:
             out = step(z, k1, h, atol, rtol)
+            if out is not None:
+                z_new, err, k13, guard, gap_new, st = out
+                factor = 10.0 if err == 0.0 else min(
+                    10.0, max(0.2, 0.9 * err ** -0.125)
+                )
+                if err > 1.0:
+                    n_rejected += 1
+                    h *= factor
+                    rejected = True
+                    continue
+                m = math.ceil(h / max_step)
+                decades = 0.0
+                if gap_new > floor and gap > floor:
+                    decades = abs(math.log10(gap_new) - math.log10(gap))
+                    m = max(m, math.ceil(decades / _GAP_DECADES))
+                fills = _fill(dfield, z, h, st, m, gap, gap_new, floor)
         except DomainError:
-            out = None
-        if out is None:  # a stage left the domain, or a non-finite result
+            pass
+        if fills is None:  # a stage left the domain, or a non-finite result
             n_rejected += 1
             h *= 0.5
-            continue
-        z_new, err, k7, guard, gap = out
-        if err > 1.0:
-            n_rejected += 1
-            h *= max(0.1, min(0.9, 0.9 * err ** -0.2))
+            rejected = True
             continue
 
         # accepted
+        n_accepted += 1
+        dt_prev = 0.0
+        for j, (state, dt, _) in enumerate(fills, start=1):
+            states.append(state)
+            taus.append(tau + h * (j / (len(fills) + 1)))
+            dts.append(dt - dt_prev)
+            dt_prev = dt
         tau = tau_max if capped else tau + h
         z = z_new
-        k1 = k7
+        k1 = k13
         states.append(z)
         taus.append(tau)
+        dts.append(st[t_slot] - dt_prev)
+        gap = gap_new
         if not gap > floor:
             gap = dfield.horizon_gap(z[:n])
 
@@ -224,18 +311,17 @@ def integrate(
         elif tau >= tau_max - 1e-14:
             stop = TAU_EXHAUSTED
         if stop is not None:
-            return _mk_traj(dfield, taus, states, stop, n_rejected)
+            return _mk_traj(dfield, taus, states, dts, stop, n_accepted,
+                            n_rejected)
 
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.9 * err ** -0.14 * err_prev ** 0.08
-            factor = min(5.0, max(0.2, factor))
-        h = min(h * factor, max_step)
-        err_prev = max(err, 1e-10)
+        h_next = h * (min(factor, 1.0) if rejected else factor)
+        if decades > 0.0:
+            h_next = min(h_next, h * _STEP_DECADES / decades)
+        h = h_next
+        rejected = False
 
 
-def _mk_traj(dfield, taus, states, stop, n_rejected) -> Trajectory:
+def _mk_traj(dfield, taus, states, dts, stop, n_accepted, n_rejected):
     path = np.array(states, dtype=float)
     coords = path[:, :dfield.n]
     return Trajectory(
@@ -244,7 +330,9 @@ def _mk_traj(dfield, taus, states, stop, n_rejected) -> Trajectory:
         coords=coords,
         ts=path[:, 0 if dfield.nonautonomous else dfield.n],
         gaps=dfield.chart.horizon_gap_of(coords),
+        dts=np.array(dts, dtype=float),
         stop_reason=stop,
+        n_accepted=n_accepted,
         n_rejected=n_rejected,
     )
 

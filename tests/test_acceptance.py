@@ -28,6 +28,7 @@ from horizon_lab import (
     embed,
     estimate_decay,
     estimate_tmax,
+    extrapolate_tail,
     find_horizon_equilibria,
     fit_rate,
     grid_seeds,
@@ -170,7 +171,8 @@ def test_c04_scalar_quadratic_oracle():
         lam, _ = estimate_decay(traj)
         t_max, _ = estimate_tmax(traj, lam, 1.0)
         assert t_max == pytest.approx(1.0, abs=1e-6)
-        slope, r2, coeff = fit_rate(traj, t_max, 0, ht)
+        tail = extrapolate_tail(traj, lam, 1.0)
+        slope, r2, coeff = fit_rate(traj, tail, 0, ht)
         assert slope == pytest.approx(-1.0, abs=0.01)
         assert coeff == pytest.approx(1.0, abs=0.01)
 
@@ -234,10 +236,10 @@ def test_c06_kk_families_rates_and_vanishing():
         assert by_name["u2"].fitted_exponent == pytest.approx(-2.0, abs=0.1)
         assert by_name["w1"].vanishing and by_name["w2"].vanishing
         lam, _ = estimate_decay(traj)
-        t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
+        tail = extrapolate_tail(traj, lam, b.htype.k_float)
         for i in (3, 4):
             with pytest.raises(VanishingComponent):
-                fit_rate(traj, t_max, i, b.htype)
+                fit_rate(traj, tail, i, b.htype)
 
 
 def test_c07_selfsimilar_curve_and_rate():
@@ -256,8 +258,8 @@ def test_c07_selfsimilar_curve_and_rate():
             normal = sorted(eq.eigenvalues.real)[:2]
             assert normal == pytest.approx([-t, -t], rel=1e-8)
         lam, _ = estimate_decay(traj)
-        t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
-        slope, r2, _ = fit_rate(traj, t_max, 1, b.htype)
+        tail = extrapolate_tail(traj, lam, b.htype.k_float)
+        slope, r2, _ = fit_rate(traj, tail, 1, b.htype)
         assert slope == pytest.approx(-0.5, abs=0.02)
 
 
@@ -286,9 +288,9 @@ def test_c08_mems_equilibria_stability_rates():
             assert eig_fd == pytest.approx(eig, abs=1e-6)
 
         lam, _ = estimate_decay(traj)
-        t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
-        slope_w, _, _ = fit_rate(traj, t_max, 1, b.htype)
-        slope_v, _, _ = fit_rate(traj, t_max, 2, b.htype)
+        tail = extrapolate_tail(traj, lam, b.htype.k_float)
+        slope_w, _, _ = fit_rate(traj, tail, 1, b.htype)
+        slope_v, _, _ = fit_rate(traj, tail, 2, b.htype)
         assert slope_w == pytest.approx(-2.0 / 3.0, abs=0.03)
         assert slope_v == pytest.approx(-5.0 / 3.0, abs=0.05)
 

@@ -24,6 +24,7 @@ from horizon_lab import (
     embed,
     estimate_decay,
     estimate_tmax,
+    extrapolate_tail,
     find_horizon_equilibria,
     grid_seeds,
     fit_rate,
@@ -104,7 +105,8 @@ def test_tmax_rejects_nonpositive_rate_and_order(scalar_run):
 
 def test_scalar_rate_fit(scalar_run):
     _, traj = scalar_run
-    slope, r2, coeff = fit_rate(traj, 1.0, 0, SCALAR_HT)
+    # y(t) = 1/(1-t): t_max = 1 exactly, and k = 1 keeps 1 - t accurate
+    slope, r2, coeff = fit_rate(traj, 1.0 - traj.ts[-1], 0, SCALAR_HT)
     assert slope == pytest.approx(-1.0, abs=0.005)
     assert r2 > 0.9999
     assert coeff == pytest.approx(1.0, abs=0.01)
@@ -120,7 +122,7 @@ def test_fit_rate_rejects_weight_zero():
     pt = embed(df.chart, np.array([0.3, 1.0]))
     traj = integrate(df, pt.coords)
     with pytest.raises(DomainError, match="weight 0"):
-        fit_rate(traj, traj.ts[-1] + 1e-12, 0, ht)
+        fit_rate(traj, 1e-12, 0, ht)
 
 
 def test_fit_rate_insufficient_window():
@@ -131,7 +133,7 @@ def test_fit_rate_insufficient_window():
         df, pt.coords, controls=IntegratorControls(horizon_eps=2e-3)
     )
     with pytest.raises(InsufficientWindow):
-        fit_rate(traj, 1.0, 0, SCALAR_HT)
+        fit_rate(traj, 1.0 - traj.ts[-1], 0, SCALAR_HT)
 
 
 def test_kk_transverse_components_vanish():
@@ -141,10 +143,10 @@ def test_kk_transverse_components_vanish():
     pt = embed(df.chart, np.asarray(run["y0"], dtype=float))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
-    t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
+    tail = extrapolate_tail(traj, lam, b.htype.k_float)
     for i in (3, 4):  # both w components collapse onto the equilibrium zero
         with pytest.raises(VanishingComponent):
-            fit_rate(traj, t_max, i, b.htype)
+            fit_rate(traj, tail, i, b.htype)
 
 
 def test_kk_constant_slow_components_vanish_off_zero():
@@ -156,10 +158,10 @@ def test_kk_constant_slow_components_vanish_off_zero():
     pt = embed(df.chart, np.array([0.0, 3.0, 1.0, 0.3, 0.2]))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
-    t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
+    tail = extrapolate_tail(traj, lam, b.htype.k_float)
     for i in (3, 4):
         with pytest.raises(VanishingComponent):
-            fit_rate(traj, t_max, i, b.htype)
+            fit_rate(traj, tail, i, b.htype)
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
     report = build_report(traj, eqs, b.htype)
     by_name = {r.variable: r for r in report.records}
@@ -172,9 +174,9 @@ def test_kk_constant_slow_components_vanish_off_zero():
 def test_mems_rates_and_signs(mems_run):
     b, df, traj = mems_run
     lam, _ = estimate_decay(traj)
-    t_max, _ = estimate_tmax(traj, lam, b.htype.k_float)
-    slope_w, r2_w, coeff_w = fit_rate(traj, t_max, 1, b.htype)
-    slope_v, r2_v, coeff_v = fit_rate(traj, t_max, 2, b.htype)
+    tail = extrapolate_tail(traj, lam, b.htype.k_float)
+    slope_w, r2_w, coeff_w = fit_rate(traj, tail, 1, b.htype)
+    slope_v, r2_v, coeff_v = fit_rate(traj, tail, 2, b.htype)
     assert slope_w == pytest.approx(-2.0 / 3.0, abs=0.03)
     assert slope_v == pytest.approx(-5.0 / 3.0, abs=0.05)
     assert r2_w > 0.999 and r2_v > 0.999
@@ -298,3 +300,39 @@ def test_mems_full_report(mems_run):
     )
     assert report.type1_confirmed
     assert report.t_max == pytest.approx(traj.ts[-1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# time to go without cancellation
+
+
+def _quartic_report(t0):
+    # y' = y^4, y(t0) = 1: y = (3 (t_max - t))^(-1/3), t_max = t0 + 1/3.
+    # With k = 3, t_max - t falls to gap**3 ~ 1e-24 inside the fit window,
+    # far below the ulp of t.
+    fs = FieldSpec(variable_names=("y",), components=((m(1.0, 4),),))
+    ht = HomogeneityType(alpha=(1,), k=3)
+    df = build_parabolic_desing(fs, ht)
+    traj = integrate(df, embed(df.chart, np.array([1.0])).coords, t0=t0)
+    return build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]), ht)
+
+
+def test_quartic_rate_is_shift_invariant():
+    reports = [_quartic_report(t0) for t0 in (0.0, 10.0, 1000.0)]
+    for t0, report in zip((0.0, 10.0, 1000.0), reports):
+        (rec,) = report.records
+        assert rec.fitted_exponent == pytest.approx(-1.0 / 3.0, rel=1e-3)
+        assert rec.leading_coefficient == pytest.approx(3.0 ** (-1.0 / 3.0),
+                                                        rel=1e-3)
+        assert report.t_max - t0 == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert report.type1_confirmed
+    # a pure time shift changes nothing but t_max
+    first = reports[0]
+    for t0, report in zip((10.0, 1000.0), reports[1:]):
+        assert report.t_max - t0 == pytest.approx(first.t_max, rel=1e-9)
+        assert report.lambda_decay == pytest.approx(first.lambda_decay, rel=1e-4)
+        for a, b in zip(report.records, first.records):
+            assert a.fitted_exponent == pytest.approx(b.fitted_exponent, rel=1e-6)
+            assert a.leading_coefficient == pytest.approx(
+                b.leading_coefficient, rel=1e-6
+            )

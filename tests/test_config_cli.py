@@ -23,10 +23,12 @@ from horizon_lab.config import (
     parse_config,
 )
 from horizon_lab.cli import emit_example, main, run_pipeline
+from horizon_lab.charts import embed
 from horizon_lab.dynamics import (
     IntegratorControls,
     find_horizon_equilibria,
     grid_seeds,
+    integrate,
 )
 from horizon_lab.systems import EXAMPLES, selfsimilar
 
@@ -455,7 +457,11 @@ def test_pipeline_scalar_outputs(tmp_path):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tau", "t", "coord_0", "horizon_gap"]
-    assert len(rows) - 1 == run["accepted_steps"]
+    # a row per sample after the initial condition; the report counts steps
+    df = cli.build_field_from_config(cfg)
+    traj = integrate(df, embed(df.chart, np.array([1.0])).coords)
+    assert len(rows) - 1 == len(traj.taus) - 1
+    assert run["accepted_steps"] == traj.n_accepted < len(rows) - 1
     taus = [float(r[0]) for r in rows[1:]]
     assert taus == sorted(taus)
     assert float(rows[-1][3]) < 1e-11

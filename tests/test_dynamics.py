@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as _DOP
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from horizon_lab import (
     DIVERGED,
@@ -90,7 +92,9 @@ def test_trajectory_shape_contracts():
     df = scalar_field()
     pt = embed(df.chart, np.array([1.0]))
     traj = integrate(df, pt.coords)
-    assert traj.n_accepted == len(traj.taus) - 1
+    # every accepted step adds its end, after its dense-output samples
+    assert 0 < traj.n_accepted < len(traj.taus) - 1
+    assert traj.dts.shape == traj.taus.shape and traj.dts[0] == 0.0
     assert np.all(np.diff(traj.taus) > 0)
     assert np.all(np.diff(traj.ts) >= 0)
     assert traj.coords.shape == (len(traj.taus), 1)
@@ -199,67 +203,144 @@ def test_integrator_tightens_with_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# generated step against the list-based Dormand-Prince arithmetic
+# generated step against the list-based DOP853 arithmetic
 
-_REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-           187 / 2100, 1 / 40)
-_REF_E = tuple(b5 - b4 for b5, b4 in zip(_REF_B5, _REF_B4))
+# SciPy's copy of Hairer's DOP853 constants, 0-based: _A[s - 1] weights the
+# stages that stage s reads (16 stages, the dense output's 14..16 included)
+_A = [[float(v) for v in row] for row in _DOP.A]
+_B = [float(v) for v in _DOP.B]
+_E5 = [float(v) for v in _DOP.E5]
+# dop853.f's 3rd-order weights (0-based stage, weight); SciPy's E3 is B
+# minus them
+_BHH = ((0, 0.244094488188976377952755905512),
+        (8, 0.733846688281611857341361741547),
+        (11, 0.220588235294117647058823529412e-1))
+_D = [[float(v) for v in row] for row in _DOP.D]
+# the stages (1-based) the dense output reads from the step
+_READS = sorted({j + 1 for row in _D for j, v in enumerate(row) if v} - {14, 15, 16})
 
 
-def _left_sum(terms):
-    # sum() from the integer 0, added left to right: what sum() computes on
-    # Python <= 3.11 (3.12 compensates float sums)
-    acc = 0
+def test_third_order_weights_are_scipys():
+    for j, c in _BHH:
+        assert _B[j] - c == _DOP.E3[j]
+
+
+def _fold(terms):
+    # added left to right from the first term, as the generated sums are
+    terms = iter(terms)
+    acc = next(terms)
     for term in terms:
         acc = acc + term
     return acc
 
 
-def _reference_step(dfield):
-    """A step with the stage sums over lists of lists that the generated
-    step replaced, evaluating the field through rhs_values, with its guard
-    from the list and its gap from DesingField.horizon_gap (NumPy)."""
+def _weighted(row, ks, i):
+    """sum of row[j] * ks[j][i] over the nonzero weights, in stage order."""
+    return _fold(c * ks[j][i] for j, c in enumerate(row) if c != 0.0)
+
+
+def _py_gap(dfield, state):
+    """The horizon gap in the generated code's arithmetic (Python's **)."""
+    chart = dfield.chart
+    if isinstance(chart, DirectionalChart):
+        return state[chart.i0]
+    two_beta = 2 * dfield.htype.beta_full()
+    return 1.0 - _fold(
+        state[j] ** int(two_beta[j]) for j in dfield.htype.i_alpha
+    )
+
+
+def _reference_rhs(dfield):
     n = dfield.n
 
     def rhs(state):
         values = dfield.rhs_values(state[:n])
         return list(values[:-1]) if dfield.nonautonomous else list(values)
 
+    return rhs
+
+
+def _reference_stages(dfield, z, k1, h):
+    """Stages 1..13 of a step as lists over the state slots, with the
+    increments and the new state, evaluating the field through
+    rhs_values."""
+    rhs = _reference_rhs(dfield)
+    dim = len(z)
+    ks = [list(k1)] + [None] * 15
+    for s in range(1, 12):
+        ks[s] = rhs([z[i] + h * _weighted(_A[s], ks, i) for i in range(dim)])
+    d = [h * _weighted(_B, ks, i) for i in range(dim)]
+    x = [z[i] + d[i] for i in range(dim)]
+    ks[12] = rhs(x)
+    return ks, d, x
+
+
+def _reference_extra_stages(dfield, z, h, ks):
+    """Fills in the dense output's stages 14..16."""
+    rhs = _reference_rhs(dfield)
+    for s in (13, 14, 15):
+        ks[s] = rhs([z[i] + h * _weighted(_A[s], ks, i) for i in range(len(z))])
+
+
+def _reference_step(dfield):
+    """The generated step and dense output as list arithmetic: stage sums
+    over lists of lists, the field through rhs_values, the same
+    ``(z_new, err, k13, guard, gap, st)`` and ``(state, dt, gap)`` results,
+    and every sum added in the generated code's order."""
+
     def step(z, k1, h, atol, rtol):
         dim = len(z)
-        ks = [list(k1)] + [None] * 6
-        for s in range(1, 7):
-            a = _REF_A[s]
-            zs = [
-                z[i] + h * _left_sum(a[j] * ks[j][i] for j in range(s))
-                for i in range(dim)
-            ]
-            ks[s] = rhs(zs)
-        err = [
-            h * _left_sum(_REF_E[j] * ks[j][i] for j in range(7))
+        ks, d, x = _reference_stages(dfield, z, k1, h)
+        u, v = [], []
+        for i in range(dim):
+            sk = atol + rtol * max(abs(z[i]), abs(x[i]))
+            u.append(_weighted(_E5, ks, i) / sk)
+            g = _weighted(_B, ks, i)
+            v.append(_fold([g] + [-c * ks[j][i] for j, c in _BHH]) / sk)
+        s5 = _fold(q * q for q in u)
+        s3 = _fold(q * q for q in v)
+        den = s5 + 0.01 * s3
+        if not all(map(math.isfinite, x + [den])):
+            return None
+        err = h * s5 / (math.sqrt(den) * math.sqrt(dim)) if den > 0.0 else 0.0
+        st = tuple(d) + tuple(ks[s - 1][i] for s in _READS for i in range(dim))
+        return x, err, ks[12], max(abs(v) for v in x), _py_gap(dfield, x), st
+
+    def dense(z, h, st, thetas):
+        dim = len(z)
+        d = list(st[:dim])
+        ks = [None] * 16
+        for pos, s in enumerate(_READS, start=1):
+            ks[s - 1] = list(st[pos * dim:(pos + 1) * dim])
+        _reference_extra_stages(dfield, z, h, ks)
+        t_slot = 0 if dfield.nonautonomous else dfield.n
+        c = [
+            [h * ks[0][i] - d[i], 2.0 * d[i] - h * (ks[12][i] + ks[0][i])]
+            + [h * _weighted(row, ks, i) for row in _D]
             for i in range(dim)
         ]
-        acc = 0.0
-        for e, a, b in zip(err, z, zs):
-            q = e / (atol + rtol * max(abs(a), abs(b)))
-            acc += q * q
-        err_norm = math.sqrt(acc / dim)
-        if not all(map(math.isfinite, zs + [err_norm])):
+        total = sum(map(sum, c))
+        if total - total != 0.0:
             return None
-        guard = max(abs(v) for v in zs)
-        return zs, err_norm, ks[6], guard, dfield.horizon_gap(zs[:n])
+        out = []
+        for th in thetas:
+            y = 1.0 - th
+            polys = [
+                th * (d[i] + y * (c1 + th * (c2 + y * (c3 + th * (
+                    c4 + y * (c5 + th * c6))))))
+                for i, (c1, c2, c3, c4, c5, c6) in enumerate(c)
+            ]
+            state = [z[i] + polys[i] for i in range(dim)]
+            out.append((tuple(state), polys[t_slot], _py_gap(dfield, state)))
+        return out
 
-    return step
+    return step, dense
+
+
+def _use_reference(dfield):
+    step, dense = _reference_step(dfield)
+    object.__setattr__(dfield, "step", step)
+    object.__setattr__(dfield, "dense", dense)
 
 
 def _stiff_sqrt_field():
@@ -337,7 +418,7 @@ def test_generated_step_matches_list_reference(name, y0, t0):
                HORIZON_REACHED)
     )
     generated, reference = build(), build()
-    object.__setattr__(reference, "step", _reference_step(reference))
+    _use_reference(reference)
     generated_step = generated.step
     domain_errors = []
 
@@ -353,9 +434,10 @@ def test_generated_step_matches_list_reference(name, y0, t0):
     controls = IntegratorControls(tau_max=tau_max)
     got = integrate(generated, coords, t0=t0, controls=controls)
     want = integrate(reference, coords, t0=t0, controls=controls)
-    for attr in ("taus", "coords", "ts", "gaps"):
+    for attr in ("taus", "coords", "ts", "gaps", "dts"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
     assert got.stop_reason == want.stop_reason == stop
+    assert got.n_accepted == want.n_accepted
     assert got.n_rejected == want.n_rejected
     if name == "stiff_sqrt":
         assert len(domain_errors) > 0
@@ -385,12 +467,12 @@ def test_generated_step_raises_domain_error_like_rhs_values(chi_power, chi):
 
 @pytest.mark.parametrize(
     "k1_chi, h, atol, rtol",
-    [(1.7e308, 12.0, 1e-12, 1e-10), (1e10, 1e-3, 0.0, 1e-300)],
+    [(1.7e308, 20.0, 1e-12, 1e-10), (1e10, 1e-3, 0.0, 1e-300)],
     ids=["state_overflows", "error_norm_overflows"],
 )
 def test_generated_step_flags_non_finite_results(k1_chi, h, atol, rtol):
     # chi' = 0, so chi's stage sums read only the given k1: the first case
-    # overflows chi's new value while its error term stays finite (q = e /
+    # overflows chi's increment while its error terms stay finite (u = e /
     # inf = 0); the second keeps the state finite and overflows the squares
     # of the error norm.  Either way the step is rejected, as the list
     # reference rejects it.
@@ -399,7 +481,7 @@ def test_generated_step_flags_non_finite_results(k1_chi, h, atol, rtol):
     z = (0.5, 0.1, 0.0)
     k1 = [k1_chi] + list(df.rhs_values(z[:2]))[1:]
     assert df.step(z, k1, h, atol, rtol) is None
-    assert _reference_step(df)(list(z), k1, h, atol, rtol) is None
+    assert _reference_step(df)[0](list(z), k1, h, atol, rtol) is None
 
 
 def test_generated_step_fails_like_list_reference():
@@ -413,12 +495,89 @@ def test_generated_step_fails_like_list_reference():
     for reference in (False, True):
         df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
         if reference:
-            object.__setattr__(df, "step", _reference_step(df))
+            _use_reference(df)
         pt = embed(df.chart, np.array([0.5, 0.1]))
         with pytest.raises(StepFailure) as info:
             integrate(df, pt.coords, controls=IntegratorControls(tau_max=50.0))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name", ["painleve1", "mems", "kk_dafermos"])
+def test_dense_output_matches_scipy(name):
+    # SciPy's DOP853DenseOutput built from the same stages (the reference
+    # stages equal the generated ones bit for bit) agrees with the generated
+    # dense output, which forms its coefficients in another order
+    b = make_example(name)
+    df = example_field(b)
+    run = b.default_runs[0]
+    coords = embed(df.chart, np.asarray(run["y0"], dtype=float)).coords
+    traj = integrate(df, coords, t0=run.get("t0", 0.0))
+    for z, h in ((traj.coords[len(traj.taus) // 3], 0.1), (traj.coords[-5], 1.0)):
+        z = list(z) if df.nonautonomous else list(z) + [0.25]
+        k1 = _reference_rhs(df)(z)
+        _, err, _, _, _, st = df.step(tuple(z), k1, h, 1e-12, 1e-10)
+        thetas = [0.1, 0.35, 0.5, 0.8, 0.95]
+        got = np.array([state for state, _, _ in df.dense(tuple(z), h, st, thetas)])
+        ks, _, x = _reference_stages(df, z, k1, h)
+        _reference_extra_stages(df, z, h, ks)
+        K = np.array(ks)
+        y_old, y_new = np.array(z), np.array(x)
+        delta = y_new - y_old
+        F = np.empty((7, len(z)))
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (K[12] + K[0])
+        F[3:] = h * (_DOP.D @ K)
+        want = Dop853DenseOutput(0.0, h, y_old, F)(np.array(thetas) * h).T
+        assert err <= 1.0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _recorded_run(name, controls):
+    """An example run, with the new state of every step that passed the
+    error test, in order."""
+    b = make_example(name)
+    df = example_field(b)
+    real_step = df.step
+    ends = []
+
+    def recording(*args):
+        out = real_step(*args)
+        if out is not None and out[1] <= 1.0:
+            ends.append(out[0])
+        return out
+
+    object.__setattr__(df, "step", recording)
+    run = b.default_runs[0]
+    coords = embed(df.chart, np.asarray(run["y0"], dtype=float)).coords
+    return df, ends, integrate(df, coords, t0=run.get("t0", 0.0),
+                               controls=controls)
+
+
+@pytest.mark.parametrize("max_step", [0.2, 0.05, math.inf])
+@pytest.mark.parametrize("name", example_names())
+def test_sampling_contract(name, max_step):
+    controls = IntegratorControls(max_step=max_step)
+    df, ends, traj = _recorded_run(name, controls)
+    path = [tuple(c) for c in traj.coords] if df.nonautonomous else [
+        tuple(c) + (t,) for c, t in zip(traj.coords, traj.ts)
+    ]
+    # every step end is a sample, in order, and the last sample is one
+    assert len(ends) == traj.n_accepted
+    pos = [path.index(tuple(e), 1) for e in ends]
+    assert pos == sorted(pos) and pos[-1] == len(path) - 1
+    # consecutive samples: at most max_step apart in tau and, above the
+    # stop threshold, at most 0.1 decade apart in the step's own gap
+    assert np.max(np.diff(traj.taus)) <= max_step + 1e-12
+    gaps = np.array([_py_gap(df, p) for p in path])
+    floor = controls.horizon_eps + 1e-14
+    both = (gaps[1:] > floor) & (gaps[:-1] > floor)
+    decades = np.abs(np.diff(np.log10(np.where(gaps > floor, gaps, 1.0))))
+    assert np.max(decades[both]) <= 0.1 + 1e-12
+    # the time increments add up to the elapsed time
+    assert math.fsum(traj.dts) == pytest.approx(traj.ts[-1] - traj.ts[0],
+                                                rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +929,8 @@ def synthetic_trajectory(taus, gaps):
         coords=np.zeros((n, 1)),
         ts=np.zeros(n),
         gaps=gaps,
+        dts=np.zeros(n),
         stop_reason=TAU_EXHAUSTED,
-        n_rejected=0,
     )
 
 
