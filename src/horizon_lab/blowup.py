@@ -161,13 +161,16 @@ def fit_rate(
 
     Raises InsufficientWindow (< 20 window samples), VanishingComponent (the
     chart coordinate of the component tends to zero, so the component is
-    sub-polynomial and no rate is claimed), DomainError (weight-0 component).
+    sub-polynomial and no rate is claimed), DomainError (weight-0 component,
+    or an index outside the field).
     The chart coordinate counts as vanishing when its median magnitude is
     below 1e-5, or when it shrinks with the gap: log|x_i| against log(gap)
     has slope above 1/2 (alpha_i for a constant component, 0 for one that
     blows up at the type rate).
     """
     i = int(component_index)
+    if not 0 <= i < htype.n:
+        raise DomainError(f"component {i} is not one of the field's {htype.n}")
     alpha_i = htype.alpha[i]
     if alpha_i == 0:
         raise DomainError(

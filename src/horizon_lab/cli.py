@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .blowup import BlowupReport, build_report
-from .charts import DirectionalChart
+from . import charts
 from .config import (
     AnalysisConfig,
     canonical_text,
@@ -122,7 +122,7 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
             )
     if config.chart_kind == "parabolic":
         return build_parabolic_desing(config.field, htype)
-    chart = DirectionalChart(
+    chart = charts.DirectionalChart(
         htype=htype, i0=config.chart_index, sign=config.chart_sign
     )
     return build_directional_desing(config.field, htype, chart)
@@ -143,7 +143,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
     coords = [column(traj.coords[:, i]) for i in range(n)]
     ts = coords[0] if traj.dfield.nonautonomous else column(traj.ts)
-    if isinstance(traj.dfield.chart, DirectionalChart):
+    if isinstance(traj.dfield.chart, charts.DirectionalChart):
         gaps = coords[traj.dfield.chart.i0]
     else:
         gaps = column(traj.gaps)
@@ -200,9 +200,7 @@ def _global_equilibria(
 ) -> list:
     """Horizon equilibria on the family slice (weight-0 values) through the
     first run's initial point; ``t_slice`` replaces its time value."""
-    from .charts import embed
-
-    anchor = embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
+    anchor = charts.embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
     if t_slice is not None:
         if not (dfield.nonautonomous and math.isfinite(t_slice)):
             raise DomainError("t_slice needs a nonautonomous field and a finite value")
@@ -246,9 +244,7 @@ def _analyze_one_run(
         "error": None,
     }
     try:
-        from .charts import embed
-
-        point = embed(dfield.chart, np.asarray(run.y0))
+        point = charts.embed(dfield.chart, np.asarray(run.y0))
         controls = IntegratorControls(
             rel_tol=run.rel_tol,
             abs_tol=run.abs_tol,

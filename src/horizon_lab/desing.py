@@ -706,13 +706,11 @@ class DesingField:
     from state ``z`` (the coordinates, then t for an autonomous field) and
     its derivative ``k1`` it returns the new state, the error norm, the
     derivative there, the largest |slot| of the new state, its horizon gap
-    in the step's own arithmetic (Python's ``**``, where ``horizon_gap``
-    goes through NumPy and may differ in the last bit) and the tuple
-    ``dense`` reads, which starts with the step's increments; or None when
-    the new state or the error norm is not finite.  ``dense(z, h, st,
-    thetas)`` evaluates that step's 7th-order interpolant at each theta in
-    (0, 1), as ``(state, dt, gap)`` with dt the physical time since the
-    step's start.
+    and the tuple ``dense`` reads, which starts with the step's increments;
+    or None when the new state or the error norm is not finite.
+    ``dense(z, h, st, thetas)`` evaluates that step's 7th-order interpolant
+    at each theta in (0, 1), as ``(state, dt, gap)`` with dt the physical
+    time since the step's start.
     ``rhs_array`` and ``jacobian_array`` evaluate a batch of points at once.
     ``source_code`` holds all the generated source.
     """

@@ -91,7 +91,8 @@ class IntegratorControls:
     runs started exactly on the horizon).  max_step bounds the tau spacing
     of the recorded samples, not the steps: a longer step is filled in by
     dense output, so the asymptotic approach stays densely sampled for
-    rate fitting.
+    rate fitting.  A NaN field, ``abs_tol <= 0`` or ``max_step <= 0``
+    raises DomainError.
     """
 
     rel_tol: float = 1e-10
@@ -99,6 +100,15 @@ class IntegratorControls:
     tau_max: float = 200.0
     horizon_eps: float = 1e-12
     max_step: float = 0.2
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            positive = name in ("abs_tol", "max_step")
+            if math.isnan(value) or (positive and value <= 0):
+                raise DomainError(
+                    f"integrator control {name} must be a "
+                    f"{'positive ' if positive else ''}number, got {value}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +122,8 @@ class Trajectory:
     sample i - 1 to sample i (``dts[0] = 0``), taken from the time slot's
     own increment within its step, never from a difference of the absolute
     times in ts, so a sum of trailing dts keeps its relative accuracy when
-    it is far smaller than t.  coords, ts and, on a directional chart, gaps
+    it is far smaller than t.  ``gaps[i]`` is the horizon gap that the
+    integrator computed for sample i and read for its stops.  coords and ts
     are views of one array.
     """
 
@@ -184,17 +195,14 @@ def integrate(
     (``DesingField.dense``) so that no two consecutive samples are more
     than ``max_step`` apart in tau or, where both gaps exceed
     ``max(horizon_eps, 0) + 1e-14``, more than 0.1 decade apart in the
-    horizon gap (in the step's own arithmetic).  An extra stage outside the
-    domain, or a non-finite dense output, retries the step at half its
-    size, too.
+    horizon gap.  An extra stage outside the domain, or a non-finite dense
+    output, retries the step at half its size, too.
 
-    ``coords``, ``ts`` and ``gaps`` are built once at the stop, the gaps by
-    one ``horizon_gap_of`` call on the chart (NumPy).  Every stop is
-    decided at a step end.  Each step also returns its own gap at the new
-    state; a step whose gap is finite and more than 1e-14 above
-    ``max(horizon_eps, 0)`` goes on, and every other stop decision reads
-    ``DesingField.horizon_gap`` instead, so each decision is the one the
-    stored gaps give.
+    Each sample keeps the horizon gap computed for it: the chart's at the
+    initial state, the dense output's at a fill sample, the step's at a
+    step end.  Every stop is decided on those gaps, at the initial state
+    and at each step end, by one rule (``_stop``).  The arrays are built
+    once at the stop.
 
     Raises StepFailure when the adaptive step size underflows below 1e-15.
     """
@@ -213,35 +221,20 @@ def integrate(
     n_accepted = n_rejected = 0
 
     gap = dfield.horizon_gap(x0)
-    stop = None
-    if not math.isfinite(gap) or any(not math.isfinite(v) for v in z):
-        stop = DIVERGED
-    elif gap < -_DOMAIN_SLACK:
-        stop = LEFT_DOMAIN
-    elif ctl.horizon_eps > 0 and gap < ctl.horizon_eps:
-        stop = HORIZON_REACHED
-    elif tau >= ctl.tau_max:
-        stop = TAU_EXHAUSTED
+    gaps = [gap]
+    stop = _stop(float(np.max(np.abs(z))), gap, tau, ctl)
     if stop is not None:
-        return _mk_traj(dfield, taus, states, dts, stop, 0, 0)
+        return _mk_traj(dfield, taus, states, dts, gaps, stop, 0, 0)
 
     k1 = dfield.rhs_values(x0)
     if nonaut:
         k1 = k1[:-1]
     step = dfield.step
-    atol, rtol, eps = ctl.abs_tol, ctl.rel_tol, ctl.horizon_eps
+    atol, rtol = ctl.abs_tol, ctl.rel_tol
     tau_max, max_step = ctl.tau_max, ctl.max_step
-    # On a parabolic chart the step's gap is W = 1 - P with Python's `**`,
-    # and NumPy's power, which horizon_gap uses, differs from it in the last
-    # bit of a term now and then (394 of 9453 painleve1 steps, by at most
-    # 2.2e-16), so the two gaps differ by a few ulps of P.  A step gap above
-    # this floor has P < 1, so NumPy's gap is within 1e-14 of it and above
-    # every gap threshold too: the step goes on under both.  On a
-    # directional chart both gaps are s.  A NaN gap fails the test, and W
-    # is never +inf.  The same floor bounds the gaps that the sampling
-    # keeps within 0.1 decade of each other: below it the gap is rounding
-    # noise on a parabolic chart.
-    floor = max(eps, 0.0) + 1e-14
+    # the sampling spaces only gaps above this floor: below it a parabolic
+    # gap W = 1 - P is rounding noise
+    floor = max(ctl.horizon_eps, 0.0) + 1e-14
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0
@@ -287,31 +280,24 @@ def integrate(
         # accepted
         n_accepted += 1
         dt_prev = 0.0
-        for j, (state, dt, _) in enumerate(fills, start=1):
+        for j, (state, dt, fill_gap) in enumerate(fills, start=1):
             states.append(state)
             taus.append(tau + h * (j / (len(fills) + 1)))
             dts.append(dt - dt_prev)
+            gaps.append(fill_gap)
             dt_prev = dt
         tau = tau_max if capped else tau + h
         z = z_new
         k1 = k13
+        gap = gap_new
         states.append(z)
         taus.append(tau)
         dts.append(st[t_slot] - dt_prev)
-        gap = gap_new
-        if not gap > floor:
-            gap = dfield.horizon_gap(z[:n])
+        gaps.append(gap)
 
-        if guard > _STATE_GUARD or not math.isfinite(gap):
-            stop = DIVERGED
-        elif gap < -_DOMAIN_SLACK:
-            stop = LEFT_DOMAIN
-        elif eps > 0 and gap < eps:
-            stop = HORIZON_REACHED
-        elif tau >= tau_max - 1e-14:
-            stop = TAU_EXHAUSTED
+        stop = _stop(guard, gap, tau, ctl)
         if stop is not None:
-            return _mk_traj(dfield, taus, states, dts, stop, n_accepted,
+            return _mk_traj(dfield, taus, states, dts, gaps, stop, n_accepted,
                             n_rejected)
 
         h_next = h * (min(factor, 1.0) if rejected else factor)
@@ -321,15 +307,28 @@ def integrate(
         rejected = False
 
 
-def _mk_traj(dfield, taus, states, dts, stop, n_accepted, n_rejected):
+def _stop(guard, gap, tau, ctl):
+    """The reason to stop at a sample, or None: ``guard`` is its largest
+    |slot| (NaN when a slot is) and ``gap`` its horizon gap."""
+    if not (guard <= _STATE_GUARD and math.isfinite(gap)):
+        return DIVERGED
+    if gap < -_DOMAIN_SLACK:
+        return LEFT_DOMAIN
+    if ctl.horizon_eps > 0 and gap < ctl.horizon_eps:
+        return HORIZON_REACHED
+    if tau >= ctl.tau_max - 1e-14:
+        return TAU_EXHAUSTED
+    return None
+
+
+def _mk_traj(dfield, taus, states, dts, gaps, stop, n_accepted, n_rejected):
     path = np.array(states, dtype=float)
-    coords = path[:, :dfield.n]
     return Trajectory(
         dfield=dfield,
         taus=np.array(taus, dtype=float),
-        coords=coords,
+        coords=path[:, :dfield.n],
         ts=path[:, 0 if dfield.nonautonomous else dfield.n],
-        gaps=dfield.chart.horizon_gap_of(coords),
+        gaps=np.array(gaps, dtype=float),
         dts=np.array(dts, dtype=float),
         stop_reason=stop,
         n_accepted=n_accepted,

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizon_lab import (
     HORIZON_REACHED,
     TAU_EXHAUSTED,
+    DirectionalChart,
     DomainError,
     FieldSpec,
     HomogeneityType,
@@ -123,6 +126,12 @@ def test_fit_rate_rejects_weight_zero():
     traj = integrate(df, pt.coords)
     with pytest.raises(DomainError, match="weight 0"):
         fit_rate(traj, 1e-12, 0, ht)
+
+
+def test_fit_rate_rejects_component_outside_field(scalar_run):
+    _, traj = scalar_run
+    with pytest.raises(DomainError, match="component 5"):
+        fit_rate(traj, 1.0 - traj.ts[-1], 5, SCALAR_HT)
 
 
 def test_fit_rate_insufficient_window():
@@ -336,3 +345,35 @@ def test_quartic_rate_is_shift_invariant():
             assert a.leading_coefficient == pytest.approx(
                 b.leading_coefficient, rel=1e-6
             )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    c=st.floats(0.5, 10.0),
+    span=st.floats(0.01, 10.0),
+    t0=st.floats(-1000.0, 1000.0),
+    directional=st.booleans(),
+)
+def test_power_law_rates_match_closed_form(k, c, span, t0, directional):
+    # y' = c y^(k+1) blows up at t_max = t0 + span from
+    # y0 = (k c span)^(-1/k), as y = (k c (t_max - t))^(-1/k)
+    fs = FieldSpec(variable_names=("y",), components=((m(c, k + 1),),))
+    ht = HomogeneityType(alpha=(1,), k=k)
+    if directional:
+        df = build_directional_desing(
+            fs, ht, DirectionalChart(htype=ht, i0=0, sign=1)
+        )
+    else:
+        df = build_parabolic_desing(fs, ht)
+    y0 = (k * c * span) ** (-1.0 / k)
+    traj = integrate(df, embed(df.chart, np.array([y0])).coords, t0=t0)
+    report = build_report(
+        traj, find_horizon_equilibria(df, [traj.coords[-1]]), ht
+    )
+    (rec,) = report.records
+    assert rec.fitted_exponent == pytest.approx(-1.0 / k, rel=1e-3)
+    assert rec.leading_coefficient == pytest.approx((k * c) ** (-1.0 / k),
+                                                    rel=1e-3)
+    assert report.t_max - t0 == pytest.approx(span, rel=1e-9)
+    assert report.type1_confirmed

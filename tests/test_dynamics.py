@@ -202,6 +202,43 @@ def test_integrator_tightens_with_tolerance():
     assert errs[1] < errs[0] / 50
 
 
+_PASSENGER = FieldSpec(
+    variable_names=("chi", "y"), components=((), (m(1.0, 0, 2),))
+)
+_PASSENGER_HT = HomogeneityType(alpha=(0, 1), k=1)
+
+
+@pytest.mark.parametrize(
+    "field, htype, y0, controls",
+    [
+        # chi stays exactly 0, so the error scale of its slot is abs_tol
+        (_PASSENGER, _PASSENGER_HT, [0.0, 1.0], {"abs_tol": 0.0}),
+        (SCALAR, SCALAR_HT, [1.0], {"max_step": 0.0}),
+        (SCALAR, SCALAR_HT, [1.0], {"max_step": math.nan}),
+        (SCALAR, SCALAR_HT, [1.0], {"rel_tol": math.nan}),
+        (SCALAR, SCALAR_HT, [1.0], {"abs_tol": math.nan}),
+        (SCALAR, SCALAR_HT, [1.0], {"tau_max": math.nan}),
+        (SCALAR, SCALAR_HT, [1.0], {"horizon_eps": math.nan, "tau_max": 5.0}),
+    ],
+    ids=["abs_tol_zero", "max_step_zero", "max_step_nan", "rel_tol_nan",
+         "abs_tol_nan", "tau_max_nan", "horizon_eps_nan"],
+)
+def test_unusable_controls_are_domain_errors(field, htype, y0, controls):
+    df = build_parabolic_desing(field, htype)
+    pt = embed(df.chart, np.array(y0))
+    name = next(iter(controls))
+    with pytest.raises(DomainError, match=name):
+        integrate(df, pt.coords, controls=IntegratorControls(**controls))
+
+
+def test_degenerate_but_usable_controls_are_kept():
+    df = scalar_field()
+    pt = embed(df.chart, np.array([1.0]))
+    controls = IntegratorControls(rel_tol=0.0, horizon_eps=0.0,
+                                  max_step=math.inf, tau_max=2.0)
+    assert integrate(df, pt.coords, controls=controls).stop_reason == TAU_EXHAUSTED
+
+
 # ---------------------------------------------------------------------------
 # generated step against the list-based DOP853 arithmetic
 
@@ -536,41 +573,56 @@ def test_dense_output_matches_scipy(name):
 
 def _recorded_run(name, controls):
     """An example run, with the new state of every step that passed the
-    error test, in order."""
+    error test, in order, and the gap that the step or the dense output
+    returned for each state it returned."""
     b = make_example(name)
     df = example_field(b)
-    real_step = df.step
-    ends = []
+    real_step, real_dense = df.step, df.dense
+    ends, returned = [], {}
 
-    def recording(*args):
+    def recording_step(*args):
         out = real_step(*args)
-        if out is not None and out[1] <= 1.0:
-            ends.append(out[0])
+        if out is not None:
+            returned[tuple(out[0])] = out[4]
+            if out[1] <= 1.0:
+                ends.append(out[0])
         return out
 
-    object.__setattr__(df, "step", recording)
+    def recording_dense(*args):
+        out = real_dense(*args)
+        for state, _, gap in out or ():
+            returned[tuple(state)] = gap
+        return out
+
+    object.__setattr__(df, "step", recording_step)
+    object.__setattr__(df, "dense", recording_dense)
     run = b.default_runs[0]
     coords = embed(df.chart, np.asarray(run["y0"], dtype=float)).coords
-    return df, ends, integrate(df, coords, t0=run.get("t0", 0.0),
-                               controls=controls)
+    traj = integrate(df, coords, t0=run.get("t0", 0.0), controls=controls)
+    return df, ends, returned, traj
+
+
+def _path(df, traj):
+    """The trajectory's samples as integrator states."""
+    if df.nonautonomous:
+        return [tuple(c) for c in traj.coords]
+    return [tuple(c) + (t,) for c, t in zip(traj.coords, traj.ts)]
 
 
 @pytest.mark.parametrize("max_step", [0.2, 0.05, math.inf])
 @pytest.mark.parametrize("name", example_names())
 def test_sampling_contract(name, max_step):
     controls = IntegratorControls(max_step=max_step)
-    df, ends, traj = _recorded_run(name, controls)
-    path = [tuple(c) for c in traj.coords] if df.nonautonomous else [
-        tuple(c) + (t,) for c, t in zip(traj.coords, traj.ts)
-    ]
+    df, ends, _, traj = _recorded_run(name, controls)
+    path = _path(df, traj)
     # every step end is a sample, in order, and the last sample is one
     assert len(ends) == traj.n_accepted
     pos = [path.index(tuple(e), 1) for e in ends]
     assert pos == sorted(pos) and pos[-1] == len(path) - 1
     # consecutive samples: at most max_step apart in tau and, above the
-    # stop threshold, at most 0.1 decade apart in the step's own gap
+    # stop threshold, at most 0.1 decade apart in the stored gap
     assert np.max(np.diff(traj.taus)) <= max_step + 1e-12
-    gaps = np.array([_py_gap(df, p) for p in path])
+    gaps = traj.gaps
     floor = controls.horizon_eps + 1e-14
     both = (gaps[1:] > floor) & (gaps[:-1] > floor)
     decades = np.abs(np.diff(np.log10(np.where(gaps > floor, gaps, 1.0))))
@@ -607,41 +659,42 @@ def _states_near_gap(df, target):
 @pytest.mark.parametrize(
     "threshold", [1e-12, -_DOMAIN_SLACK], ids=["horizon_eps", "domain_slack"]
 )
-def test_parabolic_stop_decision_is_numpys(threshold):
-    # the generated step computes W with Python's `**`, the stored gaps come
-    # from NumPy, and the two differ in the last bit now and then: at a
-    # threshold integrate must decide as NumPy's gap does
+def test_parabolic_stop_decision_is_the_steps(threshold):
+    # the generated step computes W with Python's `**`, the chart with
+    # NumPy's power, and the two differ in the last bit now and then: at a
+    # threshold integrate decides on the step's gap and stores that one
     df = example_field(painleve1())
     states = _states_near_gap(df, threshold)
     straddling = [
-        (state, g_np) for state, g_step, g_np in states
+        (state, g_step) for state, g_step, g_np in states
         if (g_step < threshold) != (g_np < threshold)
     ]
     assert straddling, "no state where the two gaps straddle the threshold"
-    chosen = straddling + [(st, g_np) for st, _, g_np in states[::40]]
+    chosen = straddling + [(st, g_step) for st, g_step, _ in states[::40]]
     real_step = df.step
     start = embed(df.chart, np.array([0.0, 10.0, 80.0])).coords
-    for state, g_np in chosen:
+    for state, g_step in chosen:
         object.__setattr__(
             df, "step", lambda z, k1, h, a, r, s=tuple(state):
             real_step(s, k1, 0.0, a, r)
         )
         traj = integrate(df, start, controls=IntegratorControls(tau_max=1.0))
-        if g_np < -_DOMAIN_SLACK:
+        if g_step < -_DOMAIN_SLACK:
             want = LEFT_DOMAIN
-        elif g_np < 1e-12:
+        elif g_step < 1e-12:
             want = HORIZON_REACHED
         else:
             want = TAU_EXHAUSTED
         assert traj.stop_reason == want
-        assert traj.gaps[-1] == g_np
+        assert traj.gaps[-1] == g_step
 
 
 @pytest.mark.parametrize("name", example_names())
-def test_stored_gaps_are_per_point_numpy_gaps(name):
-    _, df, traj = example_run(name)
-    per_point = [df.horizon_gap(c) for c in traj.coords]
-    assert traj.gaps.tolist() == per_point
+def test_stored_gaps_are_the_integrators(name):
+    df, _, returned, traj = _recorded_run(name, IntegratorControls())
+    path = _path(df, traj)
+    assert traj.gaps[0] == df.horizon_gap(traj.coords[0])
+    assert traj.gaps[1:].tolist() == [returned[p] for p in path[1:]]
 
 
 # ---------------------------------------------------------------------------
