@@ -11,6 +11,15 @@ and back via ``y_j = kappa**(alpha_j) x_j`` with ``kappa = 1 / (1 - P(x))``.
 The horizon gap ``W = 1 - P`` equals ``1/kappa`` exactly, which the embedding
 exploits to keep round trips at working precision.
 
+The embedding solves for kappa in scaled units.  With
+``m = max(1, max_i |y_i|**(1/alpha_i))``, ``yhat = y / m**alpha`` and
+``R = m * P~(yhat)**(1/(2c))``, kappa = R / u where u solves
+``phi(u) = u**(2c) + u / R - 1 = 0`` in (0, min(1, R)].  phi increases, is
+convex there and is positive at min(1, R), so Newton from that end falls
+monotonically onto the root and needs no bracket.  No power of y, kappa or
+P~ is formed, so every finite point embeds; the floor of m at 1 keeps
+``m**-alpha`` from underflowing.
+
 A directional chart covers one half-space ``sign * y_i0 > 0`` with
 ``s = (sign * y_i0)**(-1/alpha_i0)`` stored in slot i0 and the remaining
 coordinates rescaled by powers of s; its horizon is simply ``{s = 0}``.
@@ -46,6 +55,11 @@ _KAPPA_RTOL = 1e-14
 _KAPPA_MAX_ITER = 200
 
 
+def _require_finite(y: np.ndarray) -> None:
+    if not np.isfinite(y).all():
+        raise DomainError("phase point is not finite")
+
+
 @dataclass(frozen=True)
 class ParabolicChart:
     """The global quasi-parabolic chart for a homogeneity type."""
@@ -60,13 +74,10 @@ class ParabolicChart:
     def label(self) -> str:
         return "parabolic"
 
-    def _two_beta(self) -> np.ndarray:
-        return 2 * self.htype.beta_full()
-
     def horizon_poly(self, coords: np.ndarray) -> np.ndarray:
         """P at one point or a batch (last axis = variables)."""
         x = np.asarray(coords, dtype=float)
-        tb = self._two_beta()
+        tb = 2 * self.htype.beta_full()
         idx = list(self.htype.i_alpha)
         return (x[..., idx] ** tb[idx]).sum(axis=-1)
 
@@ -75,7 +86,7 @@ class ParabolicChart:
 
     def grad_horizon_poly(self, coords: np.ndarray) -> np.ndarray:
         x = np.asarray(coords, dtype=float)
-        tb = self._two_beta()
+        tb = 2 * self.htype.beta_full()
         out = np.zeros_like(x)
         for i in self.htype.i_alpha:
             out[..., i] = tb[i] * x[..., i] ** (tb[i] - 1)
@@ -83,12 +94,34 @@ class ParabolicChart:
 
     def embed_array(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized embed: (m, n) phase points -> (coords, horizon_gap)."""
-        yv = np.asarray(y, dtype=float)
-        kappa = np.asarray(solve_kappa(self, yv), dtype=float)
-        alpha = self.htype.alpha_array()
-        scale = np.power(kappa[..., None], -alpha.astype(float))
-        coords = yv * scale
+        coords, kappa = self.embed_kappa(y)
         return coords, 1.0 / kappa
+
+    def embed_kappa(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """embed_array with kappa in place of the gap: the scaled Newton
+        solve of the module docstring; the origin gives kappa = 1, x = y."""
+        yv = np.asarray(y, dtype=float)
+        _require_finite(yv)
+        idx = list(self.htype.i_alpha)
+        alpha = self.htype.alpha_array()
+        tc = 2 * self.htype.c
+        m = np.maximum(1.0, (np.abs(yv[..., idx]) ** (1.0 / alpha[idx])).max(-1))
+        inv_m = 1.0 / m
+        yhat = yv * inv_m[..., None] ** alpha
+        S = self.horizon_poly(yhat)
+        done = S == 0.0
+        root = np.where(done, 1.0, S) ** (1.0 / tc)
+        R = root / inv_m  # the rounding of inv_m cancels against yhat's
+        u = np.minimum(1.0, R)
+        for _ in range(_KAPPA_MAX_ITER):
+            ut = u ** (tc - 1)
+            # a member whose own step fell below the tolerance stops moving
+            step = (ut * u + u / R - 1.0) / (tc * ut + 1.0 / R) * ~done
+            u = u - step
+            done = done | (np.abs(step) <= _KAPPA_RTOL * u)
+            if done.all():
+                return yhat * (u / root)[..., None] ** alpha, R / u
+        raise ConvergenceError(f"kappa did not converge in {_KAPPA_MAX_ITER} steps")
 
     def unscale(self, x_j, gap, j: int):
         """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap."""
@@ -145,6 +178,7 @@ class DirectionalChart:
 
     def embed_array(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         yv = np.asarray(y, dtype=float)
+        _require_finite(yv)
         pivot = self.sign * yv[..., self.i0]
         if np.any(pivot <= 0):
             raise ChartDomainError(
@@ -217,56 +251,20 @@ def horizon_value(chart: Chart, coords) -> Tuple[float, np.ndarray]:
 
 
 def solve_kappa(chart: ParabolicChart, y) -> Union[float, np.ndarray]:
-    """Solve kappa**(2c) - kappa**(2c-1) = P~(y) for the unique root >= 1.
-
-    Safeguarded Newton from the provable upper bound 1 + P~**(1/(2c)) inside
-    the bracket [1, 1 + P~**(1/(2c)) + P~]; converges to 1e-14 relative.
-    Vectorized over a batch of phase points.
-    """
+    """Solve kappa**(2c) - kappa**(2c-1) = P~(y) for the unique root >= 1,
+    to 1e-14 relative, at one phase point or a batch; the embedding's
+    horizon gap is exactly 1.0 / kappa."""
     if not isinstance(chart, ParabolicChart):
         raise TypeError("solve_kappa applies to the parabolic chart")
-    yv = np.asarray(y, dtype=float)
-    single = yv.ndim == 1
-    tb = chart._two_beta()
-    idx = list(chart.htype.i_alpha)
-    with np.errstate(over="ignore"):
-        ptilde = (yv[..., idx] ** tb[idx].astype(float)).sum(axis=-1)
-    if not np.all(np.isfinite(ptilde)):
-        raise DomainError("phase point too large: P~ overflows float64")
-    tc = 2 * chart.htype.c
-
-    pt = np.atleast_1d(ptilde)
-    lo = np.ones_like(pt)
-    hi = 1.0 + pt ** (1.0 / tc)
-    kappa = hi.copy()
-    done = pt == 0.0
-    kappa[done] = 1.0
-    for _ in range(_KAPPA_MAX_ITER):
-        if done.all():
-            break
-        F = kappa ** (tc - 1) * (kappa - 1.0) - pt
-        Fp = kappa ** (tc - 2) * (tc * kappa - (tc - 1))
-        lo = np.where(~done & (F < 0), kappa, lo)
-        hi = np.where(~done & (F > 0), kappa, hi)
-        step = F / Fp
-        new = kappa - step
-        outside = (new <= lo) | (new >= hi)
-        new = np.where(outside & ~done, 0.5 * (lo + hi), new)
-        moved = np.abs(new - kappa)
-        kappa = np.where(done, kappa, new)
-        done = done | (moved <= _KAPPA_RTOL * kappa)
-    else:
-        raise ConvergenceError("kappa iteration did not converge in 200 steps")
-    if single:
-        return float(kappa[0])
-    return kappa.reshape(ptilde.shape)
+    kappa = chart.embed_kappa(y)[1]
+    return float(kappa) if np.ndim(y) == 1 else kappa
 
 
 def embed(chart: Chart, y) -> EmbeddedPoint:
     """Map a phase-space point into chart coordinates.
 
     Raises ChartDomainError for points outside a directional chart's
-    half-space and DomainError for points too large for float64.
+    half-space and DomainError for a point that is not finite.
 
     Round-trip accuracy (project(embed(y)) ~ y to 1e-10 relative or
     better) holds while each rescaled coordinate y_i / kappa^alpha_i is

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -9,7 +12,10 @@ from horizon_lab import (
     Monomial,
     build_directional_desing,
     build_parabolic_desing,
+    parse_config,
 )
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # acceptance tests append (criterion_id, passed, line) triples here; the
 # terminal-summary hook below replays them outside pytest's capture so every
@@ -38,6 +44,18 @@ def fd_jacobian(func, x, h=1e-6):
         xm[j] -= step
         J[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * step)
     return J
+
+
+def workload_config(name, seed):
+    """The benchmark's config for ``name`` at ``seed``."""
+    mod = sys.modules.get("perfbench_workloads")
+    if mod is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = mod  # dataclasses look their module up here
+        spec.loader.exec_module(mod)
+    w = mod.WORKLOADS[name]
+    return parse_config(mod.config_text(w, seed, w.runs))
 
 
 def _sqrt_coordinate():

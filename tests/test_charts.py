@@ -1,6 +1,7 @@
 """Embedding charts: the kappa solve, round trips, and chart transitions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from horizon_lab import (
     solve_kappa,
     transition,
 )
+from horizon_lab import charts
+
+from conftest import workload_config
 
 HT_PAIR = HomogeneityType(alpha=(2, 3), k=1)
 HT_SCALAR = HomogeneityType(alpha=(1,), k=1)
 HT_MIXED = HomogeneityType(alpha=(0, 2, 3), k=1)
+HT_TWENTY = HomogeneityType(alpha=(1, 2, 5), k=1)  # 2c = 20
 
 
 def kappa_bisect(htype, y, iters=200):
@@ -67,11 +72,49 @@ def test_solve_kappa_batch_matches_pointwise():
 
 
 def test_solve_kappa_huge_point():
-    # P~ near the top of float range: the Newton bracket must not overflow
+    # P~ near the top of float range: the scaled solve forms no power of y
     chart = ParabolicChart(htype=HT_SCALAR)
     kappa = solve_kappa(chart, np.array([1e150]))
     assert math.isfinite(kappa)
     assert kappa ** 2 - kappa == pytest.approx(1e300, rel=1e-10)
+
+
+def test_solve_kappa_golden_ratio():
+    # y = 1 on alpha = (1,): kappa**2 - kappa = 1, correctly rounded
+    chart = ParabolicChart(htype=HT_SCALAR)
+    assert solve_kappa(chart, np.array([1.0])) == (1 + 5**0.5) / 2
+
+
+def _painleve1_points(seed):
+    config = workload_config("painleve1_cli", seed)
+    assert config.htype == HT_MIXED
+    return np.array([run.y0 for run in config.runs])
+
+
+def test_solve_kappa_exact_residual():
+    # the exact Newton correction F / (kappa F') at the returned kappa, on
+    # the benchmark's painleve1 starting points: within two ulps of the root
+    chart = ParabolicChart(htype=HT_MIXED)
+    tc = 2 * HT_MIXED.c
+    tb = 2 * HT_MIXED.beta_full()
+    for y in _painleve1_points(1):
+        k = Fraction(solve_kappa(chart, y))
+        P = sum(Fraction(y[i]) ** int(tb[i]) for i in HT_MIXED.i_alpha)
+        F = k**tc - k ** (tc - 1) - P
+        Fp = tc * k ** (tc - 1) - (tc - 1) * k ** (tc - 2)
+        assert abs(F / (k * Fp)) < 4e-16
+
+
+def test_solve_kappa_iteration_bound(monkeypatch):
+    # Newton from min(1, R) converges within 10 iterations at any scale
+    monkeypatch.setattr(charts, "_KAPPA_MAX_ITER", 10)
+    for seed in (1, 2, 3):
+        solve_kappa(ParabolicChart(htype=HT_MIXED), _painleve1_points(seed))
+    rng = np.random.default_rng(7)
+    for htype in (HT_SCALAR, HT_PAIR, HT_TWENTY):
+        shape = (2000, htype.n)
+        y = 10.0 ** rng.uniform(-300.0, 300.0, shape) * rng.choice([-1.0, 1.0], shape)
+        assert np.all(solve_kappa(ParabolicChart(htype=htype), y) >= 1.0)
 
 
 def test_solve_kappa_origin_is_one():
@@ -107,10 +150,44 @@ def test_parabolic_round_trip_near_blowup_scale():
     assert np.allclose(back, y, rtol=1e-10)
 
 
-def test_embed_rejects_unrepresentable_points():
-    chart = ParabolicChart(htype=HT_PAIR)
-    with pytest.raises(DomainError):
-        embed(chart, np.array([1e120, 0.0]))  # u^6 overflows float64
+def test_parabolic_round_trip_far_out():
+    # P~(y) overflows float64 at each point; the scaled solve never forms
+    # it.  Each keeps kappa**alpha_j finite in every slot, as project needs
+    # (kappa**3 overflows at (1e300, 0) on HT_PAIR).
+    far = [
+        (HT_PAIR, [1e120, 0.0]),
+        (HT_PAIR, [1e160, -1e160]),
+        (HT_PAIR, [-1e200, 1e300]),
+        (HT_PAIR, [0.0, -1e300]),
+        (HT_SCALAR, [1e160]),
+        (HT_SCALAR, [-1e300]),
+    ]
+    for htype, y in far:
+        y = np.array(y)
+        back = project(embed(ParabolicChart(htype=htype), y))
+        assert np.allclose(back, y, rtol=1e-10, atol=0.0)
+
+
+def test_parabolic_embed_rejects_non_finite():
+    chart = ParabolicChart(htype=HT_MIXED)
+    for slot in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            y = np.array([0.5, 2.0, -1.0])
+            y[slot] = bad
+            with pytest.raises(DomainError, match="not finite"):
+                embed(chart, y)
+            with pytest.raises(DomainError, match="not finite"):
+                solve_kappa(chart, y)
+
+
+def test_directional_embed_rejects_non_finite():
+    chart = DirectionalChart(htype=HT_MIXED, i0=1, sign=1)
+    for slot in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            y = np.array([0.5, 2.0, -1.0])
+            y[slot] = bad
+            with pytest.raises(DomainError, match="not finite"):
+                embed(chart, y)
 
 
 def _signed_floats(floor, bound):

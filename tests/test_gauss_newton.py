@@ -7,10 +7,7 @@ member at a time, gives the reference listing; the batched solver must
 find the same points with the same classifications.
 """
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +24,13 @@ from horizon_lab import (
     find_horizon_equilibria,
     grid_seeds,
     integrate,
-    parse_config,
     trace_equilibrium_curve,
 )
 from horizon_lab import dynamics
 from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import example_names, make_example, painleve1, selfsimilar
 
-_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import workload_config
 
 
 def _scalar_gauss_newton(residual, jac, x0, max_iter=60):
@@ -138,23 +134,11 @@ def test_example_listing_matches_reference(monkeypatch, name):
     assert_same_listing(got, want)
 
 
-def _workload_config(name, seed):
-    """The benchmark's config for ``name`` at ``seed``."""
-    mod = sys.modules.get("perfbench_workloads")
-    if mod is None:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
-        mod = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = mod  # dataclasses look their module up here
-        spec.loader.exec_module(mod)
-    w = mod.WORKLOADS[name]
-    return parse_config(mod.config_text(w, seed, w.runs))
-
-
 @pytest.mark.parametrize("workload", ["kk_sweep", "mems_sweep", "painleve1_cli"])
 def test_workload_targets_match_reference(monkeypatch, workload):
     """Seed 1 of each benchmark config: the global listing and every run's
     endpoint target."""
-    config = _workload_config(workload, 1)
+    config = workload_config(workload, 1)
     df = build_field_from_config(config)
     anchors = []
     for run in config.runs:
