@@ -60,15 +60,34 @@ def _require_finite(y: np.ndarray) -> None:
         raise DomainError("phase point is not finite")
 
 
-@dataclass(frozen=True)
-class ParabolicChart:
-    """The global quasi-parabolic chart for a homogeneity type."""
-
-    htype: HomogeneityType
+class _Chart:
+    """What both charts share: the dimension, and the inverse of
+    ``embed_array`` from each slot's ``unscale``."""
 
     @property
     def n(self) -> int:
         return self.htype.n
+
+    def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Vectorized inverse of embed_array.
+
+        Takes the horizon gap from the embedding (s on a directional chart):
+        recomputing 1 - P(x) near the horizon loses precision to cancellation.
+        """
+        x = np.asarray(coords, dtype=float)
+        gap = np.asarray(gap, dtype=float)
+        if np.any(gap < 0):
+            raise DomainError("coordinates outside the closed chart domain (gap < 0)")
+        if np.any(gap == 0):
+            raise HorizonError("cannot project a point on the horizon (gap = 0)")
+        return np.stack([self.unscale(x[..., j], gap, j) for j in range(self.n)], -1)
+
+
+@dataclass(frozen=True)
+class ParabolicChart(_Chart):
+    """The global quasi-parabolic chart for a homogeneity type."""
+
+    htype: HomogeneityType
 
     @property
     def label(self) -> str:
@@ -124,26 +143,22 @@ class ParabolicChart:
         raise ConvergenceError(f"kappa did not converge in {_KAPPA_MAX_ITER} steps")
 
     def unscale(self, x_j, gap, j: int):
-        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap."""
-        return x_j * (1.0 / gap) ** float(self.htype.alpha[j])
-
-    def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
-        """Vectorized inverse of embed_array.
-
-        Takes the exact horizon gap from the embedding: recomputing
-        1 - P(x) near the horizon loses precision to cancellation.
-        """
-        x = np.asarray(coords, dtype=float)
-        gap = np.asarray(gap, dtype=float)
-        if np.any(gap < 0):
-            raise DomainError("coordinates outside the closed chart domain (P > 1)")
-        if np.any(gap == 0):
-            raise HorizonError("cannot project a point on the horizon (P = 1)")
-        return np.stack([self.unscale(x[..., j], gap, j) for j in range(self.n)], -1)
+        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap; where
+        kappa**alpha_j overflows, kappa's binary exponent scales x_j's."""
+        a = self.htype.alpha[j]
+        kappa = 1.0 / np.asarray(gap, dtype=float)
+        with np.errstate(over="ignore"):
+            scale = kappa ** float(a)
+        far = ~np.isfinite(scale)
+        if not far.any():
+            return x_j * scale
+        (k_mant, k_exp), (x_mant, x_exp) = np.frexp(kappa), np.frexp(x_j)
+        return np.where(far, np.ldexp(x_mant * k_mant ** a, x_exp + k_exp * a),
+                        x_j * np.where(far, 1.0, scale))
 
 
 @dataclass(frozen=True)
-class DirectionalChart:
+class DirectionalChart(_Chart):
     """One directional chart: covers sign * y_i0 > 0, horizon {s = 0}.
 
     Coordinate slot i0 stores s; the other slots store the rescaled
@@ -163,10 +178,6 @@ class DirectionalChart:
                 f"alpha[{self.i0}] = "
                 f"{self.htype.alpha[self.i0] if 0 <= self.i0 < self.htype.n else '?'}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.htype.n
 
     @property
     def label(self) -> str:
@@ -197,16 +208,6 @@ class DirectionalChart:
         sign * s**(-alpha_i0) from s alone."""
         power = s ** (-float(self.htype.alpha[j]))
         return self.sign * power if j == self.i0 else x_j * power
-
-    def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
-        """Vectorized inverse of embed_array; ``gap`` is s."""
-        x = np.asarray(coords, dtype=float)
-        s = np.asarray(gap, dtype=float)
-        if np.any(s < 0):
-            raise DomainError("negative s: outside the closed chart domain")
-        if np.any(s == 0):
-            raise HorizonError("cannot project a point on the horizon (s = 0)")
-        return np.stack([self.unscale(x[..., j], s, j) for j in range(self.n)], -1)
 
 
 Chart = Union[ParabolicChart, DirectionalChart]
@@ -286,10 +287,6 @@ def project(point: EmbeddedPoint) -> np.ndarray:
     than recomputing it, so embed -> project round trips at ~1e-14.
     Raises HorizonError on the horizon: infinity has no phase-space image.
     """
-    if point.horizon_gap < 0:
-        raise DomainError("point lies outside the closed chart domain")
-    if point.horizon_gap == 0:
-        raise HorizonError("cannot project a horizon point (gap = 0)")
     return point.chart.project_array(
         point.coords, np.asarray(point.horizon_gap, dtype=float)
     )

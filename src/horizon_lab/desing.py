@@ -769,9 +769,15 @@ class DesingField:
 
     # -- evaluation ------------------------------------------------------
 
+    def _point(self, coords) -> list:
+        z = [float(v) for v in coords]
+        if len(z) != self.n:
+            raise ValueError(f"coords has length {len(z)}, expected {self.n}")
+        return z
+
     def rhs_values(self, coords) -> Tuple[float, ...]:
         """(g_0, ..., g_{n-1}, dt_dtau) in one compiled call."""
-        z = [float(v) for v in coords]
+        z = self._point(coords)
         try:
             return self._rhs(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -784,7 +790,7 @@ class DesingField:
         return float(self.rhs_values(coords)[-1])
 
     def jacobian(self, coords) -> np.ndarray:
-        z = [float(v) for v in coords]
+        z = self._point(coords)
         try:
             rows = self._jac(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:

@@ -13,11 +13,10 @@ denominator at most 10**6, and with a 1e-12 relative tolerance otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -320,22 +319,13 @@ def jacobian_field(field: FieldSpec, point: Sequence[float]) -> np.ndarray:
             for j, ej in enumerate(m.exponents):
                 if ej == 0:
                     continue
-                term = m.coeff * float(ej) * power(float(x[j]), _dec(ej))
+                term = m.coeff * float(ej) * power(float(x[j]), ej - 1)
                 for l, el in enumerate(m.exponents):
                     if l == j or el == 0:
                         continue
                     term *= power(float(x[l]), el)
                 J[i, j] += term
     return J
-
-
-def _dec(e: Real) -> Real:
-    """e - 1 staying exact for ints/Fractions."""
-    if isinstance(e, int):
-        return e - 1
-    if isinstance(e, Fraction):
-        return e - 1
-    return float(e) - 1.0
 
 
 @dataclass(frozen=True)
@@ -427,66 +417,73 @@ def classify_monomials(field: FieldSpec, htype: HomogeneityType) -> HomogeneityR
     return report
 
 
-def infer_type(field: FieldSpec, alpha_max: int) -> list:
+@dataclass(frozen=True, eq=False)
+class _RankedTypes(Sequence):
+    """Candidate types in rank order, each built only when it is read from
+    its flat index into the weight grid ``shape`` and its order in ``ks``."""
+
+    shape: Tuple[int, ...]
+    flat: np.ndarray
+    ks: np.ndarray
+    k_of: Callable
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        alpha = np.unravel_index(self.flat[i], self.shape)
+        return HomogeneityType(tuple(int(a) for a in alpha), self.k_of(self.ks[i]))
+
+
+def infer_type(field: FieldSpec, alpha_max: int) -> Sequence[HomogeneityType]:
     """Search integer weight vectors recovering an AQH type for the field.
 
     Enumerates alpha in [0, alpha_max]^n (alpha_0 pinned to 0 for
     nonautonomous fields), computes the smallest admissible order
     k = max_i max_m (<m, alpha> - alpha_i), and keeps candidates with k > 0.
     Sorted by k descending, ties by smaller |alpha|_1 then lexicographic.
+
+    One NumPy pass over the weight grid sums each monomial's degree slot by
+    slot: exactly, in integers scaled by the exponents' common denominator,
+    when every exponent is nice, else in floats left to right as
+    ``Monomial.weighted_degree`` does.  k is an int for int exponents, a
+    Fraction for other nice ones and a float otherwise.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be >= 1")
-    n = field.n
-    has_monomials = any(field.components)
-    if not has_monomials:
+    if not any(field.components):
         raise NoTypeFound("field has no monomials; no homogeneity type exists")
-    ranges = [range(alpha_max + 1)] * n
-    if field.nonautonomous:
-        ranges[0] = range(1)
-
-    monos = []
-    comp_of = []
-    for i, monomials in enumerate(field.components):
-        for m in monomials:
-            monos.append(m)
-            comp_of.append(i)
-    all_int = all(isinstance(e, int) for m in monos for e in m.exponents)
-
-    found = []
-    if all_int:
-        # every candidate order is max <m, alpha> - alpha_i over monomials,
-        # which one matrix product yields for the whole weight grid at once
-        E = np.asarray([m.exponents for m in monos], dtype=np.int64)
-        comp = np.asarray(comp_of, dtype=np.int64)
-        A = np.asarray(list(itertools.product(*ranges)), dtype=np.int64)
-        A = A[A.any(axis=1)]
-        ks = (A @ E.T - A[:, comp]).max(axis=1)
-        keep = ks > 0
-        for row, k in zip(A[keep], ks[keep]):
-            found.append(
-                HomogeneityType(alpha=tuple(int(v) for v in row), k=int(k))
-            )
+    monos = [(i, m.exponents) for i, ms in enumerate(field.components) for m in ms]
+    exact = [[_exactify(e) for e in es] for _, es in monos]
+    if any(None in fs for fs in exact):
+        scale, k_of, dtype = 1, float, float
+        weights = [[float(e) for e in es] for _, es in monos]
     else:
-        for alpha in itertools.product(*ranges):
-            if not any(alpha):
-                continue
-            k: Optional[Real] = None
-            for i, m in zip(comp_of, monos):
-                cand = m.weighted_degree(alpha)
-                cand = (
-                    cand - alpha[i]
-                    if isinstance(cand, Fraction)
-                    else float(cand) - alpha[i]
-                )
-                if k is None or _degree_cmp(cand, k) > 0:
-                    k = cand
-            if k is None or float(k) <= 0:
-                continue
-            found.append(HomogeneityType(alpha=alpha, k=k))
-    if not found:
+        scale = math.lcm(*(f.denominator for fs in exact for f in fs))
+        weights = [[int(f * scale) for f in fs] for fs in exact]
+        all_int = all(isinstance(e, int) for _, es in monos for e in es)
+        k_of = int if all_int else (lambda v: Fraction(int(v), scale))
+        # int64 and the ranking's k / scale are exact below 2**53
+        bound = alpha_max * max(sum(map(abs, w)) + scale for w in weights)
+        dtype = np.int64 if bound < 2**53 else object
+    n = field.n
+    shape = (1 if field.nonautonomous else alpha_max + 1,) + (alpha_max + 1,) * (n - 1)
+    axes = np.indices(shape, sparse=True)
+    grid = [a.astype(dtype) for a in axes]
+    ks = None
+    for (i, _), w in zip(monos, weights):
+        terms = (w[j] * grid[j] for j in np.flatnonzero(w))
+        deg = sum(terms, np.zeros(shape, dtype)) - scale * grid[i]
+        ks = deg if ks is None else np.maximum(ks, deg, out=ks)
+    flat = np.flatnonzero(ks > 0)
+    if not len(flat):
         raise NoTypeFound(
             f"no weight vector in [0, {alpha_max}]^{n} admits a positive order"
         )
-    found.sort(key=lambda h: (-h.k_float, sum(h.alpha), h.alpha))
-    return found
+    ks = ks.ravel()[flat]
+    # the grid's C order is alpha's lexicographic order and lexsort is
+    # stable, so ties in k and |alpha|_1 keep alpha's order
+    order = np.lexsort((sum(axes).ravel()[flat], np.asarray(ks / -scale, dtype=float)))
+    return _RankedTypes(shape, flat[order], ks[order], k_of)

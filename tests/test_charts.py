@@ -152,13 +152,15 @@ def test_parabolic_round_trip_near_blowup_scale():
 
 def test_parabolic_round_trip_far_out():
     # P~(y) overflows float64 at each point; the scaled solve never forms
-    # it.  Each keeps kappa**alpha_j finite in every slot, as project needs
-    # (kappa**3 overflows at (1e300, 0) on HT_PAIR).
+    # it.  On HT_PAIR kappa**3 overflows at (1e206, 1e3) and (1e300, 0),
+    # where x_1 is 1e-306 and 0.
     far = [
         (HT_PAIR, [1e120, 0.0]),
         (HT_PAIR, [1e160, -1e160]),
         (HT_PAIR, [-1e200, 1e300]),
         (HT_PAIR, [0.0, -1e300]),
+        (HT_PAIR, [1e206, 1e3]),
+        (HT_PAIR, [1e300, 0.0]),
         (HT_SCALAR, [1e160]),
         (HT_SCALAR, [-1e300]),
     ]

@@ -372,6 +372,15 @@ def test_evaluate_desing_returns_triplet():
     assert dt == pytest.approx(df.time_scale([0.5]))
 
 
+@pytest.mark.parametrize("method", ["rhs_values", "g", "time_scale", "jacobian"])
+@pytest.mark.parametrize("coords", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]])
+def test_evaluation_checks_the_coordinate_count(method, coords):
+    b = make_example("painleve1")
+    df = build_parabolic_desing(b.field, b.htype)
+    with pytest.raises(ValueError, match="expected 3"):
+        getattr(df, method)(coords)
+
+
 def test_evaluate_desing_domain_grace():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
     # a hair outside the closed domain is tolerated (integration overshoot)
