@@ -53,11 +53,31 @@ __all__ = [
 
 _KAPPA_RTOL = 1e-14
 _KAPPA_MAX_ITER = 200
+_TINY = np.finfo(float).tiny
 
 
 def _require_finite(y: np.ndarray) -> None:
     if not np.isfinite(y).all():
         raise DomainError("phase point is not finite")
+
+
+def _times_power(x, base, a):
+    """x * base**a for base > 0, elementwise; where base**a leaves the
+    normal range, base's binary exponent scales x's instead, so the product
+    is lost only where it leaves the range itself."""
+    with np.errstate(over="ignore", under="ignore"):
+        scale = base ** a
+    far = ~((scale >= _TINY) & (scale < np.inf))
+    if not far.any():
+        return x * scale
+    (b_mant, b_exp), (x_mant, x_exp) = np.frexp(base), np.frexp(x)
+    e = b_exp * a
+    e_int = np.floor(e)
+    return np.where(
+        far,
+        np.ldexp(x_mant * b_mant ** a * 2.0 ** (e - e_int), x_exp + e_int.astype(int)),
+        x * np.where(far, 1.0, scale),
+    )
 
 
 class _Chart:
@@ -143,18 +163,9 @@ class ParabolicChart(_Chart):
         raise ConvergenceError(f"kappa did not converge in {_KAPPA_MAX_ITER} steps")
 
     def unscale(self, x_j, gap, j: int):
-        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap; where
-        kappa**alpha_j overflows, kappa's binary exponent scales x_j's."""
-        a = self.htype.alpha[j]
+        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap."""
         kappa = 1.0 / np.asarray(gap, dtype=float)
-        with np.errstate(over="ignore"):
-            scale = kappa ** float(a)
-        far = ~np.isfinite(scale)
-        if not far.any():
-            return x_j * scale
-        (k_mant, k_exp), (x_mant, x_exp) = np.frexp(kappa), np.frexp(x_j)
-        return np.where(far, np.ldexp(x_mant * k_mant ** a, x_exp + k_exp * a),
-                        x_j * np.where(far, 1.0, scale))
+        return _times_power(x_j, kappa, float(self.htype.alpha[j]))
 
 
 @dataclass(frozen=True)
@@ -199,15 +210,15 @@ class DirectionalChart(_Chart):
         a0 = self.htype.alpha[self.i0]
         s = pivot ** (-1.0 / a0)
         alpha = self.htype.alpha_array().astype(float)
-        coords = yv * np.power(s[..., None], alpha)
+        coords = _times_power(yv, s[..., None], alpha)
         coords[..., self.i0] = s
         return coords, s
 
     def unscale(self, x_j, s, j: int):
         """Phase coordinate y_j = s**(-alpha_j) x_j; slot i0 gives
         sign * s**(-alpha_i0) from s alone."""
-        power = s ** (-float(self.htype.alpha[j]))
-        return self.sign * power if j == self.i0 else x_j * power
+        x = self.sign if j == self.i0 else x_j
+        return _times_power(x, s, -float(self.htype.alpha[j]))
 
 
 Chart = Union[ParabolicChart, DirectionalChart]

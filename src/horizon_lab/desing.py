@@ -801,16 +801,27 @@ class DesingField:
         """``rhs_values`` at each row of an (m, n) array, as (m, n + 1).
 
         A row where the scalar evaluation raises DomainError holds
-        non-finite values instead; the other rows are unaffected.
+        non-finite values instead; the other rows are unaffected.  A single
+        row goes through the scalar code, which costs far less than NumPy
+        on one-element arrays.
         """
-        with np.errstate(all="ignore"):
-            return self._rhs_v(np.asarray(coords, dtype=float))
+        return self._batch(self._rhs, self._rhs_v, coords)
 
     def jacobian_array(self, coords) -> np.ndarray:
         """``jacobian`` at each row of an (m, n) array, as (m, n, n), with
         non-finite entries in rows outside the domain."""
+        return self._batch(self._jac, self._jac_v, coords)
+
+    @staticmethod
+    def _batch(scalar, vector, coords) -> np.ndarray:
+        Z = np.asarray(coords, dtype=float)
+        if len(Z) == 1:
+            try:
+                return np.array([scalar(Z[0].tolist())])
+            except (DomainError, ZeroDivisionError, ValueError, OverflowError):
+                pass  # the array code leaves the failing entries non-finite
         with np.errstate(all="ignore"):
-            return self._jac_v(np.asarray(coords, dtype=float))
+            return vector(Z)
 
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))

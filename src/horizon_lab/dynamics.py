@@ -24,8 +24,14 @@ augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
 such as a trajectory endpoint; each seed's weight-0 slots pick its family
 slice.  All seeds of one search form a single batch: the residuals and
 Jacobians come from the field's array evaluators (``DesingField.rhs_array``
-/ ``jacobian_array``), the least-squares steps from one stacked
-pseudo-inverse, and each seed keeps its own line search and stopping rules.
+/ ``jacobian_array``) and each seed keeps its own line search and stopping
+rules.  A component that vanishes on the whole search slice (on a
+directional chart, every term carries a positive power of s) is left out of
+the system, with its derivatives.  Each least-squares step is the
+pseudo-inverse step with LAPACK's default rank cutoff: a square member
+whose bound ||J||_F^k / |det J| on its condition number stays below 1e12,
+where that cutoff cannot fire, takes it from one stacked ``solve``, every
+other member from one stacked SVD.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -412,6 +418,33 @@ def _eigvals(J: np.ndarray) -> np.ndarray:
 
 
 _GN_MAX_ITER = 60
+# a bound on cond(J) far below 1 / (k eps), where pinv's cutoff starts
+_SOLVE_COND = 1e12
+
+
+def _lstsq_steps(J, b, rcond):
+    """pinv(J[i]) @ b[i] for a (m, p, k) batch, singular values at or below
+    ``rcond`` times the largest dropped.  A square member with
+    ||J||_F^k < _SOLVE_COND |det J| has cond(J) <= ||J||_F^k / |det J|
+    below the cutoff and takes one stacked ``solve``; the others take one
+    stacked SVD."""
+    m, p, k = J.shape
+    delta = np.empty((m, k))
+    by_svd = np.ones(m, dtype=bool)
+    if p == k:
+        fro = np.linalg.norm(J, axis=(1, 2))
+        by_svd = ~(fro ** k < _SOLVE_COND * np.abs(np.linalg.det(J)))
+        sq = ~by_svd
+        if sq.any():
+            delta[sq] = np.linalg.solve(J[sq], b[sq, :, None])[..., 0]
+    if by_svd.any():
+        # pinv's own arithmetic, so the step keeps its bits
+        u, sv, vt = np.linalg.svd(J[by_svd], full_matrices=False)
+        large = sv > rcond * sv.max(axis=-1, keepdims=True)
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+        pinv = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
+        delta[by_svd] = (pinv @ b[by_svd, :, None])[..., 0]
+    return delta
 
 
 def _gauss_newton(residual, jac, x0):
@@ -422,13 +455,15 @@ def _gauss_newton(residual, jac, x0):
     ``x`` (one row each) and ``jac(x, rows)`` their (len(rows), p, k)
     Jacobians; a member outside its domain gets non-finite entries.  Each
     member iterates on its own (Nocedal & Wright, Numerical Optimization,
-    Sec. 10.3): the least-squares step from the pseudo-inverse, with
-    LAPACK's default rank cutoff, is halved up to 30 times until |r| drops
-    (a non-finite trial counts as no drop).  A member stops at |r| < 1e-14,
-    at a non-finite Jacobian, when no trial improved, when the step is zero,
-    not finite or below 1e-15 (1 + |x|), or after 60 iterations.
-    Returns (x, r): each member's last point and its residual there, which
-    is finite unless the residual at the seed is not.
+    Sec. 10.3): the least-squares step is the pseudo-inverse's, with
+    LAPACK's default rank cutoff max(p, k) eps, taken by ``solve`` for a
+    square member whose condition bound ||J||_F^k / |det J| is below 1e12
+    and by SVD otherwise (``_lstsq_steps``).  It is halved up to 30 times
+    until |r| drops (a non-finite trial counts as no drop).  A member
+    stops at |r| < 1e-14, at a non-finite Jacobian, when no trial improved,
+    when the step is zero, not finite or below 1e-15 (1 + |x|), or after
+    60 iterations.  Returns (x, r): each member's last point and its
+    residual there, which is finite unless the residual at the seed is not.
     """
     x = np.array(x0, dtype=float)
     r = residual(x, np.arange(len(x)))
@@ -443,7 +478,7 @@ def _gauss_newton(residual, jac, x0):
         J = jac(x[idx], idx)
         keep = np.isfinite(J).all(axis=(1, 2))
         idx, J = idx[keep], J[keep]
-        delta = (np.linalg.pinv(J, rcond) @ -r[idx, :, None])[..., 0]
+        delta = _lstsq_steps(J, -r[idx], rcond)
         step = np.linalg.norm(delta, axis=1)
         keep = np.isfinite(step) & (step > 0.0)
         idx, delta, step = idx[keep], delta[keep], step[keep]
@@ -481,6 +516,20 @@ def _free_slots(dfield: DesingField) -> list:
     return [i for i in dfield.htype.i_alpha if i != pivot]
 
 
+def _live_rows(dfield: DesingField) -> list:
+    """Components a search keeps.  On a directional chart a component whose
+    every term carries a positive power of the pivot s, an empty one
+    included, is zero on the slice {s = 0} with its free-column
+    derivatives, and is left out; a parabolic chart keeps them all."""
+    if not isinstance(dfield.chart, DirectionalChart):
+        return list(range(dfield.n))
+    pivot = dfield.chart.i0
+    return [
+        i for i, comp in enumerate(dfield.components)
+        if not all(exps[pivot] > 0 for exps, _ in comp)
+    ]
+
+
 def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
     """Grid seeds on the family slice through ``anchor`` (full chart
     coordinates) as one (m, n) array: 7 points per solved slot, the others
@@ -505,10 +554,11 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
 
     Parabolic charts solve the augmented system [g(x); P(x) - 1]; directional
-    charts solve g restricted to {s = 0} (each seed's s is set to 0).  A
-    seed's weight-0 slots stay at its values: they pick the member of a
-    family of equilibria, e.g. the time slice (``Equilibrium.t_slice``) of
-    a nonautonomous field, so one batch may mix slices.  All seeds are
+    charts solve g restricted to {s = 0} (each seed's s is set to 0),
+    without the components that vanish there (``_live_rows``).  A seed's
+    weight-0 slots stay at its values: they pick the member of a family of
+    equilibria, e.g. the time slice (``Equilibrium.t_slice``) of a
+    nonautonomous field, so one batch may mix slices.  All seeds are
     solved in one batched Gauss-Newton call.  Only points meeting
     the residual contract (|g| < 1e-10, horizon constraint < 1e-12) are
     returned, deduplicated in seed order: a point is dropped when it lies
@@ -527,18 +577,29 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     if not parabolic:
         X0[:, chart.i0] = 0.0
     free = _free_slots(dfield)
+    # every row on a parabolic chart; with no live row all are kept, so that
+    # a seed outside the domain still shows it
+    live = _live_rows(dfield) or list(range(n))
 
     def points(v, rows):
         X = X0[rows]
         X[:, free] = v
         return X
 
+    def drop_dead(A):
+        if len(live) == n:
+            return A
+        # a member whose dead rows are not finite stays outside the domain
+        out = A[:, live]
+        out[~np.isfinite(A).all(axis=tuple(range(1, A.ndim)))] = np.nan
+        return out
+
     def residual(v, rows):
         X = points(v, rows)
         g = dfield.rhs_array(X)[:, :n]
         if parabolic:
             return np.column_stack([g, chart.horizon_poly(X) - 1.0])
-        return g
+        return drop_dead(g)
 
     def jac(v, rows):
         X = points(v, rows)
@@ -546,12 +607,12 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         if parabolic:
             gradP = chart.grad_horizon_poly(X)
             J = np.concatenate([J, gradP[:, None, :]], axis=1)
-        return J[:, :, free]
+        return drop_dead(J[:, :, free])
 
     with np.errstate(all="ignore"):
         v, r = _gauss_newton(residual, jac, X0[:, free])
         rnorm = np.linalg.norm(r, axis=1)
-        accepted = np.linalg.norm(r[:, :n], axis=1) < _RESIDUAL_TOL
+        accepted = np.linalg.norm(r[:, :len(live)], axis=1) < _RESIDUAL_TOL
         if parabolic:
             accepted &= np.abs(r[:, n]) < _CONSTRAINT_TOL
     X = points(v, np.arange(len(X0)))

@@ -170,6 +170,23 @@ def test_parabolic_round_trip_far_out():
         assert np.allclose(back, y, rtol=1e-10, atol=0.0)
 
 
+def test_directional_round_trip_far_out():
+    # on HT_PAIR's chart i0 = 0, s = y_0**(-1/2) and x_1 = y_1 s**3: s**3
+    # underflows at y_0 = 1e250 and overflows at 1e-250, and s**-3 does the
+    # opposite on the way back, while every coordinate is a normal double
+    far = [[1e250, 1e300], [1e250, -1e200], [1e-250, 1e-300], [1e-250, 0.0],
+           [1e-280, -1e-250]]
+    for y in far:
+        for sign in (1, -1):
+            y = np.array(y)
+            y[0] = sign * abs(y[0])
+            pt = embed(DirectionalChart(htype=HT_PAIR, i0=0, sign=sign), y)
+            assert np.all(np.isfinite(pt.coords))
+            assert np.all((pt.coords != 0) == (y != 0))
+            back = project(pt)
+            assert np.allclose(back, y, rtol=1e-10, atol=0.0)
+
+
 def test_parabolic_embed_rejects_non_finite():
     chart = ParabolicChart(htype=HT_MIXED)
     for slot in range(3):

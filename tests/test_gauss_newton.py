@@ -7,6 +7,7 @@ member at a time, gives the reference listing; the batched solver must
 find the same points with the same classifications.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -220,23 +221,102 @@ def test_rank_deficient_seed_matches_reference(monkeypatch):
     assert_same_listing(got, want)
 
 
-@pytest.mark.parametrize("small", [1e-9, 0.0], ids=["ill_conditioned", "singular"])
-def test_linear_step_keeps_lstsq_rank_cutoff(small):
+@pytest.mark.parametrize(
+    "rows, small, path",
+    [
+        (3, 1e-9, "svd"),
+        (3, 0.0, "svd"),
+        (2, 1e-9, "solve"),
+        (2, 1e-13, "svd"),
+        (2, 0.0, "svd"),
+    ],
+    ids=["ill_conditioned", "singular", "square_solve", "square_svd_kept",
+         "square_svd_dropped"],
+)
+def test_linear_step_keeps_lstsq_rank_cutoff(monkeypatch, rows, small, path):
     # r(x) = A x - b: the first step is the least-squares solution, and the
-    # cutoff keeps a singular value 1e-9 of the largest but drops a zero one
-    A = np.array([[1.0, 0.0], [0.0, small], [0.0, 0.0]])
-    b = np.array([1.0, 1e-9, 0.5])
+    # cutoff keeps a singular value 1e-9 or 1e-13 of the largest but drops a
+    # zero one.  The square system solves directly only while its condition
+    # bound ||A||_F^2 / |det A| stays below 1e12, as it does at 1e-9.
+    A = np.array([[1.0, 0.0], [0.0, small], [0.0, 0.0]])[:rows]
+    b = np.array([1.0, 1e-9, 0.5])[:rows]
+    used = []
+    for name in ("solve", "svd"):
+        def spy(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            used.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     x, r = dynamics._gauss_newton(
         lambda v, rows: v @ A.T - b,
-        lambda v, rows: np.broadcast_to(A, (len(v), 3, 2)),
+        lambda v, rows: np.broadcast_to(A, (len(v),) + A.shape),
         np.zeros((1, 2)),
     )
+    monkeypatch.undo()
+    assert used[0] == path
     want, *_ = np.linalg.lstsq(A, b, rcond=None)
     assert np.allclose(x[0], want, rtol=1e-12, atol=0.0)
-    assert np.allclose(x[0], [1.0, 1.0 if small else 0.0], rtol=1e-12, atol=0.0)
+    assert np.allclose(x[0], [1.0, 1e-9 / small if small else 0.0],
+                       rtol=1e-12, atol=0.0)
     ref, _ = _scalar_gauss_newton(lambda v: A @ v - b, lambda v: A, np.zeros(2))
     assert np.allclose(x[0], ref, rtol=1e-12, atol=0.0)
-    assert np.linalg.norm(r[0]) == pytest.approx(0.5, rel=1e-12)
+    unexplained = 0.5 if rows == 3 else (0.0 if small else 1e-9)
+    assert np.linalg.norm(r[0]) == pytest.approx(unexplained, rel=1e-12, abs=1e-20)
+
+
+def test_live_rows_of_the_examples():
+    # kk: chi' = 0 and the pivot row u2' carries s; mems: the time row r'
+    # and the pivot row w' carry s
+    live = {name: dynamics._live_rows(example_field(make_example(name)))
+            for name in example_names()}
+    assert live["kk_dafermos"] == [1, 3, 4]
+    assert live["mems"] == [2]
+    assert live["painleve1"] == [0, 1, 2]  # parabolic: every row
+    kk = example_field(make_example("kk_dafermos"))
+    parabolic_kk = build_parabolic_desing(kk.source, kk.htype)
+    assert dynamics._live_rows(parabolic_kk) == list(range(kk.n))
+
+
+def test_one_s_free_term_keeps_a_row_live():
+    # the pivot row of a desingularized field always carries s; add one
+    # term without it
+    kk = example_field(make_example("kk_dafermos"))
+    pivot = kk.chart.i0
+    comps = list(kk.components)
+    assert all(exps[pivot] > 0 for exps, _ in comps[pivot])
+    exps, w = next(iter(comps[pivot]))
+    s_free = tuple(0 if j == pivot else e for j, e in enumerate(exps))
+    comps[pivot] = {**comps[pivot], (s_free, w): 0.5}
+    changed = dataclasses.replace(kk, components=tuple(comps))
+    assert dynamics._live_rows(changed) == [1, 2, 3, 4]
+
+
+def test_singular_dead_row_still_rejects_its_seed(monkeypatch):
+    # r' = 1/r, y' = y^2, z' = -y z over y > 0: the rows of r and of the
+    # pivot carry s and are left out, but at r = 0 the r row is 0 * inf
+    fs = FieldSpec(
+        variable_names=("r", "y", "z"),
+        components=((Monomial(1.0, (-1, 0, 0)),), (Monomial(1.0, (0, 2, 0)),),
+                    (Monomial(-1.0, (0, 1, 1)),)),
+    )
+    ht = HomogeneityType(alpha=(0, 1, 1), k=1)
+    df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=1, sign=1))
+    assert dynamics._live_rows(df) == [2]
+    seeds = [[0.0, 0.0, 0.3], [2.0, 0.0, 0.3]]
+    got, want = _both(monkeypatch, lambda: find_horizon_equilibria(df, seeds))
+    assert [e.t_slice for e in got] == [None]
+    assert got[0].coords.tolist() == [2.0, 0.0, 0.0]
+    assert_same_listing(got, want)
+    # with no row left live, the seed still carries its domain failure
+    fs = FieldSpec(
+        variable_names=("r", "y"),
+        components=((Monomial(1.0, (-1, 0)),), (Monomial(1.0, (0, 2)),)),
+    )
+    ht = HomogeneityType(alpha=(0, 1), k=1)
+    df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=1, sign=1))
+    assert dynamics._live_rows(df) == []
+    assert [e.coords.tolist() for e in
+            find_horizon_equilibria(df, [[0.0, 0.0], [2.0, 0.0]])] == [[2.0, 0.0]]
 
 
 def test_bad_seed_leaves_good_seed_alone():
