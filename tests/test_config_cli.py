@@ -1,6 +1,7 @@
 """Config parsing, canonical serialization, the pipeline, and CLI behavior."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -431,6 +432,38 @@ def test_emit_parse_emit_is_byte_stable(name):
     second = canonical_text(cfg.document)
     assert first == second
     assert first.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "name, params, digest",
+    [
+        ("painleve1", {}, "77fc1de1c02c7f599c151aa03a629c02a5cc2bdf6c5130b99c63782dc445c81e"),
+        ("kk_dafermos", {}, "73e141fb229358b8018c28f51225c643a48048860c4d87bd01bdb958faf2dd48"),
+        ("selfsimilar", {}, "3baec1628b1120caf28fc67f853dbac17084019aba3e613bec784e9c2259ead1"),
+        ("mems", {}, "9814e144f1bc44fed35fb126fe2680f1476f417beaa7900dcec4fac6bf22ea69"),
+        (
+            "kk_dafermos",
+            {"epsilon": 0.5},
+            "7df56786cb379f39aefb0816b4932f5fcc6fbe1beab6c97eb05dec03cad69851",
+        ),
+        (
+            "mems",
+            {"n_dim": 2, "p": 4, "q": 1.5},
+            "8ff4ca9824b88e735e50273e4702832ad63e4a683bb435af145f441852a82ad7",
+        ),
+        (
+            "selfsimilar",
+            {"m": -0.5, "beta": -2.0, "alpha_ss": 0.3},
+            "a600f7253687f6f571e8cd16e91820d1622e95ea8aa45a4129ae0f56c138c5e2",
+        ),
+    ],
+)
+def test_emitted_example_configs_are_pinned(name, params, digest):
+    """The --emit-config bytes of every example, at its defaults and at one
+    non-default parameter set, are fixed: a refactor of the builders must
+    keep them."""
+    text = emit_example(name, params)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_canonical_text_key_order_independent():
