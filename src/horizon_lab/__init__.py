@@ -91,7 +91,6 @@ from .homogeneity import (
     jacobian_field,
 )
 from .systems import (
-    SystemBundle,
     kk_dafermos,
     make_example,
     mems,
@@ -155,7 +154,6 @@ __all__ = [
     "fit_rate",
     "build_report",
     # systems
-    "SystemBundle",
     "painleve1",
     "kk_dafermos",
     "selfsimilar",

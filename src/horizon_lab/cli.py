@@ -31,12 +31,7 @@ import numpy as np
 
 from .blowup import BlowupReport, build_report
 from . import charts
-from .config import (
-    AnalysisConfig,
-    canonical_text,
-    config_from_bundle,
-    parse_config,
-)
+from .config import AnalysisConfig, canonical_text, parse_config
 from .desing import (
     DesingField,
     build_directional_desing,
@@ -45,7 +40,6 @@ from .desing import (
 from .dynamics import (
     HORIZON_REACHED,
     Equilibrium,
-    IntegratorControls,
     Trajectory,
     find_horizon_equilibria,
     grid_seeds,
@@ -245,13 +239,7 @@ def _analyze_one_run(
     }
     try:
         point = charts.embed(dfield.chart, np.asarray(run.y0))
-        controls = IntegratorControls(
-            rel_tol=run.rel_tol,
-            abs_tol=run.abs_tol,
-            tau_max=run.tau_max,
-            horizon_eps=run.horizon_eps,
-        )
-        traj = integrate(dfield, point.coords, t0=run.t0, controls=controls)
+        traj = integrate(dfield, point.coords, t0=run.t0, controls=run.controls)
     except HorizonLabError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return record
@@ -393,8 +381,7 @@ def emit_example(name: str, params: Optional[dict] = None) -> str:
     Raises UnknownExample for unregistered names and DomainError for
     parameters outside the model's valid range.
     """
-    bundle = make_example(name, params)
-    return canonical_text(config_from_bundle(bundle))
+    return canonical_text(make_example(name, params).document)
 
 
 # --------------------------------------------------------------------------
@@ -528,11 +515,10 @@ def _cmd_example(args) -> int:
         for name in list_examples():
             print(name)
         return 0
-    text = emit_example(args.name, dict(args.param))
+    config = make_example(args.name, dict(args.param))
     if args.emit_config:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_text(config.document))
         return 0
-    config = parse_config(text)
     out_dir = args.out or str(Path("horizon_lab_out") / args.name)
     code, report = run_pipeline(config, out_dir=out_dir, jobs=args.jobs)
     _print_run_summary(report, out_dir)

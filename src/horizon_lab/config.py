@@ -26,26 +26,20 @@ __all__ = [
     "AnalysisConfig",
     "parse_config",
     "canonical_text",
-    "config_from_bundle",
 ]
 
 SCHEMA_VERSION = 1
 
-# a run that leaves a tolerance out gets the integrator's own default
-DEFAULT_REL_TOL = IntegratorControls.rel_tol
-DEFAULT_ABS_TOL = IntegratorControls.abs_tol
-DEFAULT_HORIZON_EPS = IntegratorControls.horizon_eps
-DEFAULT_TAU_MAX = IntegratorControls.tau_max
-
 # type inference enumerates (alpha_max + 1)^m weight vectors for m free weights
 _MAX_WEIGHT_VECTORS = 10**6
 
-# a run's optional numbers: default and bound
+# a run's optional integrator controls and their bounds; one left out gets
+# the IntegratorControls default
 _RUN_LIMITS = {
-    "tau_max": (DEFAULT_TAU_MAX, {"above": 0}),
-    "rel_tol": (DEFAULT_REL_TOL, {"above": 0}),
-    "abs_tol": (DEFAULT_ABS_TOL, {"above": 0}),
-    "horizon_eps": (DEFAULT_HORIZON_EPS, {"at_least": 0}),
+    "tau_max": {"above": 0},
+    "rel_tol": {"above": 0},
+    "abs_tol": {"above": 0},
+    "horizon_eps": {"at_least": 0},
 }
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
@@ -110,14 +104,11 @@ def _choice(value, ptr: str, options: tuple):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One integration request: initial point plus tolerances."""
+    """One integration request: initial point plus integrator controls."""
 
     y0: Tuple[float, ...]
-    t0: float = 0.0
-    tau_max: float = DEFAULT_TAU_MAX
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    horizon_eps: float = DEFAULT_HORIZON_EPS
+    t0: float
+    controls: IntegratorControls
 
 
 @dataclass(frozen=True)
@@ -350,11 +341,12 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
             raise SchemaError(
                 "for nonautonomous fields t0 must equal y0[0]", f"{ptr}/t0"
             )
-        limits = {
-            key: float(_number(rdoc.get(key, default), f"{ptr}/{key}", **bound))
-            for key, (default, bound) in _RUN_LIMITS.items()
-        }
-        runs.append(RunSpec(y0=y0, t0=float(t0), **limits))
+        controls = IntegratorControls(**{
+            key: float(_number(rdoc[key], f"{ptr}/{key}", **bound))
+            for key, bound in _RUN_LIMITS.items()
+            if key in rdoc
+        })
+        runs.append(RunSpec(y0=y0, t0=float(t0), controls=controls))
 
     odoc = _object(doc.get("outputs", {}), "/outputs", (), ("directory", "formats"))
     formats = _list(odoc.get("formats", ["csv", "json"]), "/outputs/formats", 1)
@@ -393,55 +385,3 @@ def _monomial(value, ptr: str) -> tuple:
 def canonical_text(doc: dict) -> str:
     """Serialize a config/report dict deterministically (byte-stable)."""
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def config_from_bundle(bundle) -> dict:
-    """Build the canonical config document for a built-in system bundle."""
-    field = bundle.field
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "field": {
-            "variables": list(field.variable_names),
-            "nonautonomous": field.nonautonomous,
-            "components": [
-                [
-                    {"coeff": m.coeff, "exponents": [_num(e) for e in m.exponents]}
-                    for m in comp
-                ]
-                for comp in field.components
-            ],
-        },
-        "homogeneity": {
-            "alpha": list(bundle.htype.alpha),
-            "k": _num(bundle.htype.k),
-        },
-        "chart": (
-            {"type": "parabolic"}
-            if bundle.chart_kind == "parabolic"
-            else {
-                "type": "directional",
-                "index": bundle.chart_index,
-                "sign": bundle.chart_sign,
-            }
-        ),
-        "runs": [
-            {
-                "y0": [float(v) for v in run["y0"]],
-                "t0": float(run.get("t0", 0.0)),
-                "tau_max": float(run.get("tau_max", DEFAULT_TAU_MAX)),
-                "rel_tol": DEFAULT_REL_TOL,
-                "abs_tol": DEFAULT_ABS_TOL,
-                "horizon_eps": DEFAULT_HORIZON_EPS,
-            }
-            for run in bundle.default_runs
-        ],
-    }
-    return doc
-
-
-def _num(value):
-    """JSON-friendly number: ints stay ints, fractions/floats become floats."""
-    if isinstance(value, int):
-        return value
-    f = float(value)
-    return int(f) if f.is_integer() else f

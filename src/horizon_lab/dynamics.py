@@ -88,7 +88,7 @@ _STATE_GUARD = 1e100
 _H_INIT = 1e-6
 _MAX_STEPS = 2_000_000
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorControls:
     """Tolerances and stopping thresholds for integrate().
 
@@ -97,8 +97,8 @@ class IntegratorControls:
     runs started exactly on the horizon).  max_step bounds the tau spacing
     of the recorded samples, not the steps: a longer step is filled in by
     dense output, so the asymptotic approach stays densely sampled for
-    rate fitting.  A NaN field, ``abs_tol <= 0`` or ``max_step <= 0``
-    raises DomainError.
+    rate fitting.  A NaN field, ``rel_tol < 0``, ``abs_tol <= 0`` or
+    ``max_step <= 0`` raises DomainError.
     """
 
     rel_tol: float = 1e-10
@@ -109,11 +109,15 @@ class IntegratorControls:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            positive = name in ("abs_tol", "max_step")
-            if math.isnan(value) or (positive and value <= 0):
+            if name in ("abs_tol", "max_step"):
+                ok, kind = value > 0, "a positive number"
+            elif name == "rel_tol":
+                ok, kind = value >= 0, "a nonnegative number"
+            else:
+                ok, kind = not math.isnan(value), "a number"
+            if not ok:
                 raise DomainError(
-                    f"integrator control {name} must be a "
-                    f"{'positive ' if positive else ''}number, got {value}"
+                    f"integrator control {name} must be {kind}, got {value}"
                 )
 
 
@@ -685,13 +689,13 @@ def trace_equilibrium_curve(
         raise ValueError("need a nonzero t_step")
     direction = 1.0 if t_stop > t_start else -1.0
     step = direction * abs(float(t_step))
-    ts = []
-    t = t_start
-    while direction * (t - t_stop) <= 1e-12:
-        ts.append(t_stop if direction * (t - t_stop) > 0 else t)
-        t += step
-    if direction * (ts[-1] - t_stop) < -1e-12:  # pragma: no cover - guard
-        ts.append(t_stop)
+    # slice i is t_start + i * step, so rounding never accumulates; the
+    # last slice is t_stop itself, in place of a grid point within 1e-12
+    n_steps = math.floor((abs(t_stop - t_start) + 1e-12) / abs(step))
+    ts = [t_start + i * step for i in range(n_steps + 1)]
+    if abs(ts[-1] - t_stop) <= 1e-12:
+        ts.pop()
+    ts.append(t_stop)
 
     x_prev = np.asarray(seed, dtype=float).copy()
     if x_prev.shape != (dfield.n,):

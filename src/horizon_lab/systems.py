@@ -1,8 +1,9 @@
 """Built-in example systems with known blow-up/quenching behaviour.
 
-Each builder returns a SystemBundle: the field, its homogeneity type, the
-chart that hosts the interesting dynamics and default runs in original
-coordinates.  The four models:
+Each builder writes the config document of one analysis -- the field, its
+homogeneity type, the chart that hosts the interesting dynamics and a
+default run in original coordinates -- and returns the AnalysisConfig that
+parse_config gives for it.  The four models:
 
 - painleve1: u'' = 6u^2 + t, the nonautonomous workhorse with algebraic
   double poles (u ~ (t-t*)^-2).
@@ -18,15 +19,13 @@ coordinates.  The four models:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from .charts import DirectionalChart, ParabolicChart
+from .config import SCHEMA_VERSION, AnalysisConfig, canonical_text, parse_config
+from .dynamics import IntegratorControls
 from .errors import DomainError, UnknownExample
-from .homogeneity import FieldSpec, HomogeneityType, Monomial
 
 __all__ = [
-    "SystemBundle",
     "painleve1",
     "kk_dafermos",
     "selfsimilar",
@@ -37,53 +36,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemBundle:
-    """A ready-to-analyze model: field + type + chart + default runs."""
-
-    name: str
-    field: FieldSpec
-    htype: HomogeneityType
-    chart_kind: str  # "parabolic" | "directional"
-    chart_index: Optional[int] = None
-    chart_sign: int = 1
-    default_runs: Tuple[dict, ...] = ()
-
-    def chart(self):
-        if self.chart_kind == "parabolic":
-            return ParabolicChart(htype=self.htype)
-        return DirectionalChart(
-            htype=self.htype, i0=self.chart_index, sign=self.chart_sign
-        )
+def _num(value):
+    """JSON-friendly number: ints stay ints, fractions/floats become floats."""
+    if isinstance(value, int):
+        return value
+    f = float(value)
+    return int(f) if f.is_integer() else f
 
 
-def _m(coeff, *exps) -> Monomial:
-    return Monomial(coeff=coeff, exponents=tuple(exps))
+def _m(coeff, *exps) -> dict:
+    return {"coeff": float(coeff), "exponents": [_num(e) for e in exps]}
 
 
-def painleve1() -> SystemBundle:
+def _config(
+    variables, components, nonautonomous, alpha, k, chart, y0, t0=0.0
+) -> AnalysisConfig:
+    """The parsed config of one system with a single default run.
+
+    The run spells out the integrator's default controls, so the emitted
+    config shows every knob a user may turn.
+    """
+    controls = IntegratorControls()
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "field": {
+            "variables": variables,
+            "nonautonomous": nonautonomous,
+            "components": components,
+        },
+        "homogeneity": {"alpha": alpha, "k": _num(k)},
+        "chart": chart,
+        "runs": [
+            {
+                "y0": y0,
+                "t0": t0,
+                "tau_max": controls.tau_max,
+                "rel_tol": controls.rel_tol,
+                "abs_tol": controls.abs_tol,
+                "horizon_eps": controls.horizon_eps,
+            }
+        ],
+    }
+    return parse_config(canonical_text(doc))
+
+
+def painleve1() -> AnalysisConfig:
     """First Painlevé equation u'' = 6u^2 + t as (chi, u, v)."""
-    fs = FieldSpec(
-        variable_names=("chi", "u", "v"),
-        components=(
+    v0 = 2.0 * 10.0**1.5  # tangent to the stable horizon approach at u0 = 10
+    return _config(
+        ("chi", "u", "v"),
+        (
             (_m(1.0, 0, 0, 0),),
             (_m(1.0, 0, 0, 1),),
             (_m(6.0, 0, 2, 0), _m(1.0, 1, 0, 0)),
         ),
         nonautonomous=True,
-    )
-    htype = HomogeneityType(alpha=(0, 2, 3), k=1)
-    v0 = 2.0 * 10.0**1.5  # tangent to the stable horizon approach at u0 = 10
-    return SystemBundle(
-        name="painleve1",
-        field=fs,
-        htype=htype,
-        chart_kind="parabolic",
-        default_runs=({"y0": (0.0, 10.0, v0), "t0": 0.0},),
+        alpha=(0, 2, 3),
+        k=1,
+        chart={"type": "parabolic"},
+        y0=(0.0, 10.0, v0),
     )
 
 
-def kk_dafermos(epsilon: float = 0.0) -> SystemBundle:
+def kk_dafermos(epsilon: float = 0.0) -> AnalysisConfig:
     """Slow-fast Dafermos regularization with blow-up in the fast pair.
 
     Variables (chi, u1, u2, w1, w2); epsilon is the slow speed, 0 <= eps < 1.
@@ -106,30 +121,25 @@ def kk_dafermos(epsilon: float = 0.0) -> SystemBundle:
     )
     comp_w1 = (_m(-eps, 0, 1, 0, 0, 0),) if eps else ()
     comp_w2 = (_m(-eps, 0, 0, 1, 0, 0),) if eps else ()
-    fs = FieldSpec(
-        variable_names=("chi", "u1", "u2", "w1", "w2"),
-        components=(comp_chi, comp_u1, comp_u2, comp_w1, comp_w2),
+    return _config(
+        ("chi", "u1", "u2", "w1", "w2"),
+        (comp_chi, comp_u1, comp_u2, comp_w1, comp_w2),
         nonautonomous=False,
-    )
-    htype = HomogeneityType(alpha=(0, 1, 2, 1, 2), k=1)
-    return SystemBundle(
-        name="kk_dafermos",
-        field=fs,
-        htype=htype,
-        chart_kind="directional",
-        chart_index=2,
-        chart_sign=1,
-        default_runs=({"y0": (0.0, 3.0, 1.0, 0.0, 0.0), "t0": 0.0},),
+        alpha=(0, 1, 2, 1, 2),
+        k=1,
+        chart={"type": "directional", "index": 2, "sign": 1},
+        y0=(0.0, 3.0, 1.0, 0.0, 0.0),
     )
 
 
 def selfsimilar(
     m: float = -1.0, beta: float = -1.0, alpha_ss: Optional[float] = None
-) -> SystemBundle:
+) -> AnalysisConfig:
     """Self-similar profile system chi' = 1, u' = u^{1-m} v, v' = ...
 
-    Requires m < 0 and beta < 0; alpha_ss defaults to (2*beta + 1)/(1 - m),
-    the similarity exponent balancing the scaling relations.
+    Requires m < 0, beta < 0 and alpha_ss != 0; alpha_ss defaults to
+    (2*beta + 1)/(1 - m), the similarity exponent balancing the scaling
+    relations.
     """
     mf = float(m)
     bf = float(beta)
@@ -138,29 +148,25 @@ def selfsimilar(
     if bf >= 0:
         raise DomainError(f"self-similar family needs beta < 0, got {beta}")
     a_ss = (2.0 * bf + 1.0) / (1.0 - mf) if alpha_ss is None else float(alpha_ss)
+    if a_ss == 0:
+        raise DomainError(f"self-similar family needs alpha_ss != 0, got {a_ss}")
     e = 1.0 - mf  # the u-exponent, > 1
-    fs = FieldSpec(
-        variable_names=("chi", "u", "v"),
-        components=(
+    return _config(
+        ("chi", "u", "v"),
+        (
             (_m(1.0, 0, 0, 0),),
             (_m(1.0, 0, e, 1),),
             (_m(-bf, 1, e, 1), _m(-a_ss, 0, 1, 0)),
         ),
         nonautonomous=True,
-    )
-    htype = HomogeneityType(alpha=(0, 1, 1), k=e)
-    return SystemBundle(
-        name="selfsimilar",
-        field=fs,
-        htype=htype,
-        chart_kind="directional",
-        chart_index=1,
-        chart_sign=1,
-        default_runs=({"y0": (0.0, 1.0, 1.0), "t0": 0.0},),
+        alpha=(0, 1, 1),
+        k=e,
+        chart={"type": "directional", "index": 1, "sign": 1},
+        y0=(0.0, 1.0, 1.0),
     )
 
 
-def mems(n_dim: int = 3, p: int = 2, q: float = 1.0) -> SystemBundle:
+def mems(n_dim: int = 3, p: int = 2, q: float = 1.0) -> AnalysisConfig:
     """Quenching model (r, w, v): w'' plus curvature and forcing terms.
 
     w' = v and v' = -(n_dim-1)/r * v - r^q * w^{p+2} + 2 v^2 / w, with p even
@@ -181,28 +187,19 @@ def mems(n_dim: int = 3, p: int = 2, q: float = 1.0) -> SystemBundle:
     comp_v = [_m(-1.0, qf, pi + 2, 0), _m(2.0, 0, -1, 2)]
     if nd > 1:
         comp_v.insert(0, _m(-(nd - 1.0), -1, 0, 1))
-    fs = FieldSpec(
-        variable_names=("r", "w", "v"),
-        components=(
-            (_m(1.0, 0, 0, 0),),
-            (_m(1.0, 0, 0, 1),),
-            tuple(comp_v),
-        ),
+    return _config(
+        ("r", "w", "v"),
+        ((_m(1.0, 0, 0, 0),), (_m(1.0, 0, 0, 1),), comp_v),
         nonautonomous=True,
-    )
-    htype = HomogeneityType(alpha=(0, 2, pi + 3), k=pi + 1)
-    return SystemBundle(
-        name="mems",
-        field=fs,
-        htype=htype,
-        chart_kind="directional",
-        chart_index=1,
-        chart_sign=-1,
-        default_runs=({"y0": (1.0, -1.0, -1.0), "t0": 1.0},),
+        alpha=(0, 2, pi + 3),
+        k=pi + 1,
+        chart={"type": "directional", "index": 1, "sign": -1},
+        y0=(1.0, -1.0, -1.0),
+        t0=1.0,
     )
 
 
-EXAMPLES: Dict[str, Callable[..., SystemBundle]] = {
+EXAMPLES: Dict[str, Callable[..., AnalysisConfig]] = {
     "painleve1": painleve1,
     "kk_dafermos": kk_dafermos,
     "selfsimilar": selfsimilar,
@@ -214,7 +211,7 @@ def example_names():
     return sorted(EXAMPLES)
 
 
-def make_example(name: str, params: Optional[dict] = None) -> SystemBundle:
+def make_example(name: str, params: Optional[dict] = None) -> AnalysisConfig:
     """Instantiate a built-in example by name with keyword parameters.
 
     Raises UnknownExample for an unregistered name and DomainError for an

@@ -40,6 +40,7 @@ from horizon_lab import (
     IntegratorControls,
     Monomial,
 )
+from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import EXAMPLES, kk_dafermos, mems, painleve1, selfsimilar
 
 
@@ -68,13 +69,9 @@ def criterion(cid: str, summary: str, budget: float):
 
 
 def bundle_run(b, **controls):
-    chart = b.chart()
-    if isinstance(chart, DirectionalChart):
-        df = build_directional_desing(b.field, b.htype, chart)
-    else:
-        df = build_parabolic_desing(b.field, b.htype)
-    run = b.default_runs[0]
-    pt = embed(df.chart, np.asarray(run["y0"], dtype=float))
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    pt = embed(df.chart, np.asarray(run.y0, dtype=float))
     traj = integrate(
         df, pt.coords, controls=IntegratorControls(**controls) if controls else None
     )
@@ -198,7 +195,7 @@ def test_c05_painleve_rates_and_blowup_time(painleve):
             return abs(y[0]) - 1e8
 
         big.terminal = True
-        y0 = list(painleve.bundle.default_runs[0]["y0"][1:])
+        y0 = list(painleve.bundle.runs[0].y0[1:])
         sol = solve_ivp(
             rhs, (0.0, 1.0), y0, rtol=1e-12, atol=1e-12, events=big
         )
@@ -309,12 +306,7 @@ def test_c09_horizon_invariance():
             "mems": np.array([1.0, 0.0, -1.0]),
         }
         for name, x0 in starts.items():
-            b = EXAMPLES[name]()
-            chart = b.chart()
-            if isinstance(chart, DirectionalChart):
-                df = build_directional_desing(b.field, b.htype, chart)
-            else:
-                df = build_parabolic_desing(b.field, b.htype)
+            df = build_field_from_config(EXAMPLES[name]())
             traj = integrate(
                 df,
                 x0,
@@ -348,8 +340,8 @@ def test_c10_roundtrip_precision_bulk():
         mm = mems()
         cases = [
             ("parabolic", build_parabolic_desing(pb.field, pb.htype).chart, ()),
-            ("directional[+]", kk.chart(), ((2, 1.0),)),
-            ("directional[-]", mm.chart(), ((1, -1.0),)),
+            ("directional[+]", build_field_from_config(kk).chart, ((2, 1.0),)),
+            ("directional[-]", build_field_from_config(mm).chart, ((1, -1.0),)),
         ]
         for label, chart, fixed in cases:
             y = random_block(chart.n, fixed)
@@ -372,7 +364,7 @@ def test_c11_chart_consistency(painleve):
 
         chart_u = DirectionalChart(htype=b.htype, i0=1, sign=1)
         df_u = build_directional_desing(b.field, b.htype, chart_u)
-        y0 = np.asarray(b.default_runs[0]["y0"], dtype=float)
+        y0 = np.asarray(b.runs[0].y0, dtype=float)
         traj_u = integrate(df_u, embed(chart_u, y0).coords)
         lam_u, _ = estimate_decay(traj_u)
         t_dir, _ = estimate_tmax(traj_u, lam_u, b.htype.k_float)

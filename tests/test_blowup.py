@@ -34,6 +34,7 @@ from horizon_lab import (
     integrate,
     trace_equilibrium_curve,
 )
+from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import kk_dafermos, mems, selfsimilar
 
 
@@ -55,9 +56,9 @@ def scalar_run():
 @pytest.fixture(scope="module")
 def mems_run():
     b = mems()
-    df = build_directional_desing(b.field, b.htype, b.chart())
-    run = b.default_runs[0]
-    pt = embed(df.chart, np.asarray(run["y0"], dtype=float))
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    pt = embed(df.chart, np.asarray(run.y0, dtype=float))
     return b, df, integrate(df, pt.coords)
 
 
@@ -147,9 +148,9 @@ def test_fit_rate_insufficient_window():
 
 def test_kk_transverse_components_vanish():
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
-    run = b.default_runs[0]
-    pt = embed(df.chart, np.asarray(run["y0"], dtype=float))
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    pt = embed(df.chart, np.asarray(run.y0, dtype=float))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
     tail = extrapolate_tail(traj, lam, b.htype.k_float)
@@ -163,7 +164,7 @@ def test_kk_constant_slow_components_vanish_off_zero():
     shrink like s^alpha_i along the approach although their medians over
     the fit window are not tiny; they must still count as vanishing."""
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     pt = embed(df.chart, np.array([0.0, 3.0, 1.0, 0.3, 0.2]))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
@@ -281,9 +282,9 @@ def test_report_rejects_empty_target_list(scalar_run):
 
 def test_report_against_equilibrium_curve():
     b = selfsimilar()
-    df = build_directional_desing(b.field, b.htype, b.chart())
-    run = b.default_runs[0]
-    pt = embed(df.chart, np.asarray(run["y0"], dtype=float))
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    pt = embed(df.chart, np.asarray(run.y0, dtype=float))
     traj = integrate(df, pt.coords)
     curve = trace_equilibrium_curve(
         df, (0.4, 1.0), 0.02, seed=np.array([0.4, 0.0, 0.4])

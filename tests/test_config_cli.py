@@ -14,15 +14,7 @@ import pytest
 
 import horizon_lab
 from horizon_lab import DomainError, SchemaError, cli
-from horizon_lab.config import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_HORIZON_EPS,
-    DEFAULT_REL_TOL,
-    DEFAULT_TAU_MAX,
-    canonical_text,
-    config_from_bundle,
-    parse_config,
-)
+from horizon_lab.config import canonical_text, parse_config
 from horizon_lab.cli import emit_example, main, run_pipeline
 from horizon_lab.charts import embed
 from horizon_lab.dynamics import (
@@ -62,16 +54,15 @@ def test_minimal_scalar_config():
     assert cfg.chart_kind == "parabolic"
     run = cfg.runs[0]
     assert run.y0 == (1.0,)
-    assert run.rel_tol == DEFAULT_REL_TOL
-    assert run.abs_tol == DEFAULT_ABS_TOL
-    assert run.horizon_eps == DEFAULT_HORIZON_EPS
-    assert run.tau_max == DEFAULT_TAU_MAX
+    assert run.controls == IntegratorControls()
 
 
 def test_run_without_tolerances_gets_integrator_defaults():
-    run = parse_config(json.dumps(SCALAR_DOC)).runs[0]
+    controls = parse_config(json.dumps(SCALAR_DOC)).runs[0].controls
     defaults = IntegratorControls()
-    assert (run.rel_tol, run.abs_tol, run.horizon_eps, run.tau_max) == (
+    assert (
+        controls.rel_tol, controls.abs_tol, controls.horizon_eps, controls.tau_max
+    ) == (
         defaults.rel_tol,
         defaults.abs_tol,
         defaults.horizon_eps,
@@ -426,8 +417,7 @@ def test_example_registry_contents():
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_emit_parse_emit_is_byte_stable(name):
-    bundle = EXAMPLES[name]()
-    first = canonical_text(config_from_bundle(bundle))
+    first = canonical_text(EXAMPLES[name]().document)
     cfg = parse_config(first)
     second = canonical_text(cfg.document)
     assert first == second
@@ -766,19 +756,24 @@ def test_emit_example_rejects_non_finite_params(name, param, value):
 
 
 @pytest.mark.parametrize(
-    "param, message",
+    "name, param, message",
     [
-        ("nope=1", "nope"),  # the builder has no such parameter
-        ("p", "NAME=VALUE"),
-        ("p=abc", "NAME=VALUE"),
-        ("p=nan", "NAME=VALUE"),
-        ("p=inf", "NAME=VALUE"),
-        ("p=2.5", "must be integers"),
-        ("n_dim=2.5", "must be integers"),
+        pytest.param(name, param, message, id=f"{param}-{message}")
+        for name, param, message in [
+            ("mems", "nope=1", "nope"),  # the builder has no such parameter
+            ("mems", "p", "NAME=VALUE"),
+            ("mems", "p=abc", "NAME=VALUE"),
+            ("mems", "p=nan", "NAME=VALUE"),
+            ("mems", "p=inf", "NAME=VALUE"),
+            ("mems", "p=2.5", "must be integers"),
+            ("mems", "n_dim=2.5", "must be integers"),
+            # alpha_ss = 0 would make a monomial with coefficient 0
+            ("selfsimilar", "alpha_ss=0", "alpha_ss != 0"),
+        ]
     ],
 )
-def test_main_example_bad_param_exits_1(capsys, param, message):
-    assert main(["example", "mems", "--param", param, "--emit-config"]) == 1
+def test_main_example_bad_param_exits_1(capsys, name, param, message):
+    assert main(["example", name, "--param", param, "--emit-config"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

@@ -25,6 +25,7 @@ from horizon_lab import (
     evaluate_desing,
     extend_nonautonomous,
 )
+from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import example_names, make_example
 
 from conftest import CLAMPED_FIELDS, fd_jacobian
@@ -193,7 +194,7 @@ def test_kk_directional_matches_printed_system():
     from horizon_lab.systems import kk_dafermos
 
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     rng = np.random.default_rng(14)
     for _ in range(40):
         chi, x1, s, x3, x4 = rng.uniform(-2, 2, size=5)
@@ -212,7 +213,7 @@ def test_mems_negative_chart_matches_printed_system():
     from horizon_lab.systems import mems
 
     b = mems()  # n=3, p=2, q=1; chart sign -1 on w
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     rng = np.random.default_rng(15)
     for _ in range(40):
         r = rng.uniform(0.2, 2.0)
@@ -403,11 +404,7 @@ def test_source_code_is_exposed():
 
 
 def _example(name):
-    b = make_example(name)
-    chart = b.chart()
-    if isinstance(chart, DirectionalChart):
-        return build_directional_desing(b.field, b.htype, chart)
-    return build_parabolic_desing(b.field, b.htype)
+    return build_field_from_config(make_example(name))
 
 
 # the benchmark workloads run the kk_dafermos, mems and painleve1 examples

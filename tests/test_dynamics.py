@@ -22,7 +22,6 @@ from horizon_lab import (
     Monomial,
     StepFailure,
     Trajectory,
-    build_directional_desing,
     build_parabolic_desing,
     build_report,
     check_nonresonance,
@@ -34,6 +33,7 @@ from horizon_lab import (
     spectrum_classify,
     trace_equilibrium_curve,
 )
+from horizon_lab.cli import build_field_from_config
 from horizon_lab.dynamics import _DOMAIN_SLACK
 from horizon_lab.systems import (
     example_names,
@@ -219,9 +219,11 @@ _PASSENGER_HT = HomogeneityType(alpha=(0, 1), k=1)
         (SCALAR, SCALAR_HT, [1.0], {"abs_tol": math.nan}),
         (SCALAR, SCALAR_HT, [1.0], {"tau_max": math.nan}),
         (SCALAR, SCALAR_HT, [1.0], {"horizon_eps": math.nan, "tau_max": 5.0}),
+        # a negative rel_tol makes chi's error scale exactly 0
+        (_PASSENGER, _PASSENGER_HT, [1.0, 1.0], {"rel_tol": -1e-12, "abs_tol": 1e-12}),
     ],
     ids=["abs_tol_zero", "max_step_zero", "max_step_nan", "rel_tol_nan",
-         "abs_tol_nan", "tau_max_nan", "horizon_eps_nan"],
+         "abs_tol_nan", "tau_max_nan", "horizon_eps_nan", "rel_tol_negative"],
 )
 def test_unusable_controls_are_domain_errors(field, htype, y0, controls):
     df = build_parabolic_desing(field, htype)
@@ -439,8 +441,8 @@ _STEP_FIELDS = {
 def _step_cases():
     cases = []
     for name in example_names():
-        run = make_example(name).default_runs[0]
-        cases.append(pytest.param(name, run["y0"], run.get("t0", 0.0), id=name))
+        run = make_example(name).runs[0]
+        cases.append(pytest.param(name, run.y0, run.t0, id=name))
     for wl, (name, y0, t0) in _BENCHMARK_FIRST_RUNS.items():
         cases.append(pytest.param(name, y0, t0, id=wl))
     for name, (_, y0, _, _) in _STEP_FIELDS.items():
@@ -451,7 +453,7 @@ def _step_cases():
 @pytest.mark.parametrize("name,y0,t0", _step_cases())
 def test_generated_step_matches_list_reference(name, y0, t0):
     build, _, tau_max, stop = _STEP_FIELDS.get(
-        name, (lambda: example_field(make_example(name)), None, 200.0,
+        name, (lambda: build_field_from_config(make_example(name)), None, 200.0,
                HORIZON_REACHED)
     )
     generated, reference = build(), build()
@@ -546,10 +548,10 @@ def test_dense_output_matches_scipy(name):
     # stages equal the generated ones bit for bit) agrees with the generated
     # dense output, which forms its coefficients in another order
     b = make_example(name)
-    df = example_field(b)
-    run = b.default_runs[0]
-    coords = embed(df.chart, np.asarray(run["y0"], dtype=float)).coords
-    traj = integrate(df, coords, t0=run.get("t0", 0.0))
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
+    traj = integrate(df, coords, t0=run.t0)
     for z, h in ((traj.coords[len(traj.taus) // 3], 0.1), (traj.coords[-5], 1.0)):
         z = list(z) if df.nonautonomous else list(z) + [0.25]
         k1 = _reference_rhs(df)(z)
@@ -576,7 +578,7 @@ def _recorded_run(name, controls):
     error test, in order, and the gap that the step or the dense output
     returned for each state it returned."""
     b = make_example(name)
-    df = example_field(b)
+    df = build_field_from_config(b)
     real_step, real_dense = df.step, df.dense
     ends, returned = [], {}
 
@@ -596,9 +598,9 @@ def _recorded_run(name, controls):
 
     object.__setattr__(df, "step", recording_step)
     object.__setattr__(df, "dense", recording_dense)
-    run = b.default_runs[0]
-    coords = embed(df.chart, np.asarray(run["y0"], dtype=float)).coords
-    traj = integrate(df, coords, t0=run.get("t0", 0.0), controls=controls)
+    run = b.runs[0]
+    coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
+    traj = integrate(df, coords, t0=run.t0, controls=controls)
     return df, ends, returned, traj
 
 
@@ -663,7 +665,7 @@ def test_parabolic_stop_decision_is_the_steps(threshold):
     # the generated step computes W with Python's `**`, the chart with
     # NumPy's power, and the two differ in the last bit now and then: at a
     # threshold integrate decides on the step's gap and stores that one
-    df = example_field(painleve1())
+    df = build_field_from_config(painleve1())
     states = _states_near_gap(df, threshold)
     straddling = [
         (state, g_step) for state, g_step, g_np in states
@@ -744,7 +746,7 @@ def test_painleve_spectrum_closed_form():
 
 def test_kk_equilibria_and_classification():
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
     vals = sorted(float(e.coords[1]) for e in eqs)
     lo = math.sqrt(3.0 - math.sqrt(3.0))
@@ -759,7 +761,7 @@ def test_kk_equilibria_and_classification():
 
 def test_equilibrium_residual_contract():
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     for e in find_horizon_equilibria(df, grid_seeds(df, np.zeros(5))):
         assert e.residual < 1e-10
         assert float(np.linalg.norm(df.g(e.coords))) < 1e-10
@@ -769,7 +771,7 @@ def test_spectrum_classify_nonhyperbolic_detection():
     # the self-similar slice carries a second equilibrium whose neutral
     # count exceeds its tangential dimension
     b = selfsimilar()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     eqs = find_horizon_equilibria(df, grid_seeds(df, [1.5, 0.0, 0.0]))
     kinds = sorted(e.classification for e in eqs)
     assert kinds == ["nonhyperbolic", "sink"]
@@ -799,7 +801,7 @@ def test_seed_batch_width_must_match_field():
 def test_one_batch_mixes_time_slices():
     # each mems seed carries its own r; the equilibria sit at v = ±sqrt(2 r)
     b = mems()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     seeds = [[1.0, 0.3, 1.5], [1.0, 0.3, -1.5], [2.0, 0.3, 2.2], [2.0, 0.3, -2.2]]
     eqs = find_horizon_equilibria(df, seeds)
     got = sorted((e.t_slice, float(np.sign(e.coords[2]))) for e in eqs)
@@ -813,7 +815,7 @@ def test_one_batch_mixes_time_slices():
 
 def test_eigenvalues_in_canonical_order():
     b = kk_dafermos()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
     sf = scalar_field()
     eqs += find_horizon_equilibria(sf, grid_seeds(sf, np.zeros(1)))
@@ -826,17 +828,10 @@ def test_eigenvalues_in_canonical_order():
 # horizon targets
 
 
-def example_field(b):
-    chart = b.chart()
-    if isinstance(chart, DirectionalChart):
-        return build_directional_desing(b.field, b.htype, chart)
-    return build_parabolic_desing(b.field, b.htype)
-
-
 def example_run(name):
     b = make_example(name)
-    df = example_field(b)
-    pt = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float))
+    df = build_field_from_config(b)
+    pt = embed(df.chart, np.asarray(b.runs[0].y0, dtype=float))
     return b, df, integrate(df, pt.coords)
 
 
@@ -857,7 +852,7 @@ def test_endpoint_target_matches_grid_target(name):
 
 def test_search_pins_weight_zero_slots_at_seed():
     b = kk_dafermos()  # chi has weight 0 and labels a family of slices
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     anchor = np.array([0.5, 1.0, 0.3, 0.2, 0.1])
     seeds = grid_seeds(df, anchor)
     assert np.all(seeds[:, [0, 2]] == anchor[[0, 2]])
@@ -875,7 +870,7 @@ def test_search_pins_weight_zero_slots_at_seed():
 
 def test_selfsimilar_equilibrium_curve():
     b = selfsimilar()  # m = -1, beta = -1
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     curve = trace_equilibrium_curve(
         df, (1.0, 2.0), 0.05, seed=np.array([1.0, 0.0, 1.0])
     )
@@ -890,10 +885,26 @@ def test_selfsimilar_equilibrium_curve():
     assert (lo, hi) == pytest.approx((-2.0, -1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "t_range, t_step, n_grid",
+    [((0.0, 1.0), 0.1, 10), ((1.0, 0.0), 0.1, 10), ((0.0, 1.0), 0.3, 4)],
+    ids=["ascending", "descending", "off_grid"],
+)
+def test_curve_slices_are_grid_points_then_the_range_end(t_range, t_step, n_grid):
+    # slice i is t_start + i * step, not a running sum of steps, and the
+    # last slice is t_range[1] itself, on the grid or off it
+    df = build_field_from_config(painleve1())
+    seed = np.array([t_range[0], 17.0 ** (-1.0 / 6.0), 2.0 * 17.0 ** (-0.25)])
+    curve = trace_equilibrium_curve(df, t_range, t_step, seed=seed)
+    step = math.copysign(t_step, t_range[1] - t_range[0])
+    grid = tuple(t_range[0] + i * step for i in range(n_grid))
+    assert curve.t_values == grid + (t_range[1],)
+
+
 def test_curve_break_carries_t_value():
     # continuing the MEMS branch across r = 0 hits the r^-1 singularity
     b = mems()
-    df = build_directional_desing(b.field, b.htype, b.chart())
+    df = build_field_from_config(b)
     with pytest.raises(CurveBreak) as exc_info:
         trace_equilibrium_curve(
             df, (0.5, -0.5), -0.05, seed=np.array([0.5, 0.0, -1.0])

@@ -116,18 +116,11 @@ def assert_same_listing(got, want):
         assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-12
 
 
-def example_field(b):
-    chart = b.chart()
-    if isinstance(chart, DirectionalChart):
-        return build_directional_desing(b.field, b.htype, chart)
-    return build_parabolic_desing(b.field, b.htype)
-
-
 @pytest.mark.parametrize("name", example_names())
 def test_example_listing_matches_reference(monkeypatch, name):
     b = make_example(name)
-    df = example_field(b)
-    anchor = embed(df.chart, np.asarray(b.default_runs[0]["y0"], dtype=float)).coords
+    df = build_field_from_config(b)
+    anchor = embed(df.chart, np.asarray(b.runs[0].y0, dtype=float)).coords
     got, want = _both(
         monkeypatch, lambda: find_horizon_equilibria(df, grid_seeds(df, anchor))
     )
@@ -170,7 +163,7 @@ def test_explicit_seeds_and_slices_match_reference(monkeypatch):
         )
         assert len(got) == 2
         assert_same_listing(got, want)
-    kk = example_field(make_example("kk_dafermos"))
+    kk = build_field_from_config(make_example("kk_dafermos"))
     for chi in (0.0, 0.4):
         seeds = [np.array([chi, 1.0, 0.0, 0.2, -0.1])]
         got, want = _both(
@@ -182,7 +175,7 @@ def test_explicit_seeds_and_slices_match_reference(monkeypatch):
 
 
 def test_curve_continuation_matches_reference(monkeypatch):
-    df = example_field(selfsimilar())
+    df = build_field_from_config(selfsimilar())
     got, want = _both(
         monkeypatch,
         lambda: trace_equilibrium_curve(
@@ -267,12 +260,12 @@ def test_linear_step_keeps_lstsq_rank_cutoff(monkeypatch, rows, small, path):
 def test_live_rows_of_the_examples():
     # kk: chi' = 0 and the pivot row u2' carries s; mems: the time row r'
     # and the pivot row w' carry s
-    live = {name: dynamics._live_rows(example_field(make_example(name)))
+    live = {name: dynamics._live_rows(build_field_from_config(make_example(name)))
             for name in example_names()}
     assert live["kk_dafermos"] == [1, 3, 4]
     assert live["mems"] == [2]
     assert live["painleve1"] == [0, 1, 2]  # parabolic: every row
-    kk = example_field(make_example("kk_dafermos"))
+    kk = build_field_from_config(make_example("kk_dafermos"))
     parabolic_kk = build_parabolic_desing(kk.source, kk.htype)
     assert dynamics._live_rows(parabolic_kk) == list(range(kk.n))
 
@@ -280,7 +273,7 @@ def test_live_rows_of_the_examples():
 def test_one_s_free_term_keeps_a_row_live():
     # the pivot row of a desingularized field always carries s; add one
     # term without it
-    kk = example_field(make_example("kk_dafermos"))
+    kk = build_field_from_config(make_example("kk_dafermos"))
     pivot = kk.chart.i0
     comps = list(kk.components)
     assert all(exps[pivot] > 0 for exps, _ in comps[pivot])
@@ -358,7 +351,7 @@ def test_bad_seed_leaves_good_seed_alone():
 def test_selfsimilar_double_zero_listed_once():
     # at t = 0 the v-equation reduces to -v^2: the solve stops at |r| < 1e-14
     # about sqrt(|r|) from the double zero, on both sides of it
-    df = example_field(selfsimilar())
+    df = build_field_from_config(selfsimilar())
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(3)))
     assert len(eqs) == 1
     assert eqs[0].classification == "nonhyperbolic"
