@@ -275,7 +275,8 @@ _worker_state: tuple = ()
 def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
     """Pool initializer: keep (config, field, csv_dir) for this worker
     process.  Compiled evaluators do not pickle, so each worker builds its
-    own field, once."""
+    own field, once; a forked worker finds the compiled evaluators in the
+    cache it inherits, and a spawned one compiles them."""
     global _worker_state
     _worker_state = (config, build_field_from_config(config), csv_dir)
 

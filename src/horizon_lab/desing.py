@@ -19,19 +19,22 @@ happen symbolically on sparse exponent dictionaries, so the field is evaluated
 in closed form: nothing is ever computed at infinity, and powers of the
 horizon functions W and s appear with provably nonnegative exponents.
 
-Evaluation compiles each field once into plain Python expressions (value,
-Jacobian, time factor); the Jacobian is the exact term-wise derivative,
-including the chain rule through W.  The same compilation emits one
-DOP853 step per field and its dense output, with the stages, the tableau
-and the state dimension unrolled around those expressions (each distinct
-power and expression evaluated once per stage), and array versions of
-the value and the Jacobian that evaluate a whole batch of points with NumPy
-(the batched equilibrium search uses them): where the scalar code raises a
-domain error, the array code leaves non-finite entries in that point's row.
+Evaluation goes through plain Python expressions (value, Jacobian, time
+factor), compiled once per distinct generated source per process (bounded
+LRU); fields with the same source share the stateless compiled functions.
+The Jacobian is the exact term-wise derivative, including the chain rule
+through W.  The same source holds one DOP853 step per field and its dense
+output, with the stages, the tableau and the state dimension unrolled
+around those expressions (each distinct power and expression evaluated
+once per stage), and array versions of the value and the Jacobian that
+evaluate a whole batch of points with NumPy (the batched equilibrium search
+uses them): where the scalar code raises a domain error, the array code
+leaves non-finite entries in that point's row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -679,18 +682,29 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n",
     ) + _emit_dop853(em, templates, n if nonautonomous else n + 1,
                      0 if nonautonomous else n)
+    vsrc = _emit_vector(em, exprs, jac_exprs)
+    return _compiled(parts, vsrc) + ("\n".join(parts) + "\n" + vsrc,)
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(parts: Tuple[str, ...], vsrc: str):
+    """``(_rhs, _jac, _step, _dense, _rhs_v, _jac_v)`` compiled from the
+    generated source, once per distinct source, like ``re``'s pattern cache.
+
+    The functions hold no state (their globals are ``power``, ``math``,
+    ``DomainError`` and NumPy functions), so fields whose source matches
+    byte for byte share them; keying on the source makes a hit exact.
+    """
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
                 "DomainError": DomainError}
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
-    src = "\n".join(parts)
-    vsrc = _emit_vector(em, exprs, jac_exprs)
     vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
                  "_zeros": np.zeros}
     exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
     return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense"], vns["_rhs_v"],
-            vns["_jac_v"], src + "\n" + vsrc)
+            vns["_jac_v"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,7 +714,9 @@ class DesingField:
     ``components[i]`` and ``time_factor`` map (coordinate exponents,
     W-exponent) to coefficients; W is recomputed from the coordinates at
     evaluation time, which keeps the horizon exact.  Evaluation goes through
-    expressions compiled once at construction.
+    expressions compiled once per distinct generated source per process
+    (bounded LRU); fields with the same source share the stateless compiled
+    functions.
 
     ``step(z, k1, h, atol, rtol)`` is the field's compiled DOP853 step:
     from state ``z`` (the coordinates, then t for an autonomous field) and

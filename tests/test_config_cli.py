@@ -915,6 +915,43 @@ def test_cli_jobs_flag_is_byte_identical(tmp_path):
     assert one.stdout.replace("j1", "@") == two.stdout.replace("j2", "@")
 
 
+def test_jobs_workers_need_no_inherited_field(tmp_path):
+    """Spawned workers start with an empty compile cache (as under a
+    forkserver default) and still give the bytes of ``--jobs 1``."""
+    cfg = tmp_path / "cfg.json"
+    d = doc()
+    d["runs"] = [{"y0": [1.0]}, {"y0": [3.0]}, {"y0": [0.5]}]
+    cfg.write_text(json.dumps(d))
+    script = tmp_path / "spawned.py"
+    script.write_text(
+        "import multiprocessing, sys\n"
+        "from horizon_lab import cli\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    sys.exit(cli.main(['analyze', sys.argv[1], '--out', sys.argv[2],\n"
+        "                       '--jobs', sys.argv[3]]))\n"
+    )
+    env = dict(os.environ)
+    env.pop("HORIZON_LAB_LOG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    procs = [
+        subprocess.run(
+            [sys.executable, str(script), str(cfg), out, jobs],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        for out, jobs in (("j1", "1"), ("j2", "2"))
+    ]
+    assert [p.returncode for p in procs] == [0, 0], procs[1].stderr
+    assert procs[0].stdout.replace("j1", "@") == procs[1].stdout.replace("j2", "@")
+    names = sorted(f.name for f in (tmp_path / "j1").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "j2").iterdir())
+    assert "run_002.csv" in names
+    for name in names:
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+
 def test_runs_without_jsonschema(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SCALAR_DOC))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horizon_lab import desing
 from horizon_lab import (
     AlreadyExtendedError,
     ChartDomainError,
@@ -24,6 +25,7 @@ from horizon_lab import (
     eval_field,
     evaluate_desing,
     extend_nonautonomous,
+    integrate,
 )
 from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import example_names, make_example
@@ -460,3 +462,67 @@ def test_array_domain_failure_stays_in_its_row(field, bad, good):
         assert np.array_equal(R[i], df.rhs_array(Z[i:i + 1])[0])
         assert np.array_equal(J[i], df.jacobian_array(Z[i:i + 1])[0])
         assert np.all(np.isfinite(R[i])) and np.all(np.isfinite(J[i]))
+
+
+# ---------------------------------------------------------------------------
+# the compiled-evaluator cache, keyed by the generated source
+
+_COMPILED = ("_rhs", "_jac", "step", "dense", "_rhs_v", "_jac_v")
+
+
+def test_same_config_shares_compiled_functions():
+    cfg = make_example("kk_dafermos")
+    df1, df2 = build_field_from_config(cfg), build_field_from_config(cfg)
+    assert df1 is not df2
+    assert all(getattr(df1, a) is getattr(df2, a) for a in _COMPILED)
+    assert df1.source_code == df2.source_code
+
+
+@pytest.mark.parametrize(
+    "name, a, b",
+    [("kk_dafermos", {"epsilon": 0.0}, {"epsilon": 0.5}), ("mems", {"p": 2}, {"p": 4})],
+)
+def test_distinct_sources_get_distinct_functions(name, a, b):
+    df1 = build_field_from_config(make_example(name, a))
+    df2 = build_field_from_config(make_example(name, b))
+    assert df1.source_code != df2.source_code
+    assert all(getattr(df1, f) is not getattr(df2, f) for f in _COMPILED)
+
+
+def test_compile_cache_is_bounded():
+    maxsize = desing._compiled.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
+
+
+def _samples(df, run):
+    traj = integrate(df, embed(df.chart, np.asarray(run.y0)).coords,
+                     t0=run.t0, controls=run.controls)
+    return [a.tobytes() for a in (traj.taus, traj.ts, traj.coords, traj.dts, traj.gaps)]
+
+
+@pytest.mark.parametrize("name", ["kk_dafermos", "painleve1"])
+def test_recompiled_field_integrates_byte_identically(name):
+    cfg = make_example(name)
+    desing._compiled.cache_clear()
+    df1 = build_field_from_config(cfg)
+    first = _samples(df1, cfg.runs[0])
+    desing._compiled.cache_clear()
+    df2 = build_field_from_config(cfg)
+    assert df2.step is not df1.step  # compiled afresh
+    assert df2.source_code == df1.source_code
+    assert _samples(df2, cfg.runs[0]) == first
+
+
+def test_domain_failure_raises_after_a_cache_hit():
+    cfg = make_example("mems")
+    build_field_from_config(cfg)
+    hits = desing._compiled.cache_info().hits
+    df = build_field_from_config(cfg)
+    assert desing._compiled.cache_info().hits == hits + 1
+    bad = [0.0, 0.3, -0.5]  # mems at r = 0 reaches r**(-1)
+    with pytest.raises(DomainError):
+        df.rhs_values(bad)
+    with pytest.raises(DomainError):
+        df.jacobian(bad)
+    with pytest.raises(DomainError, match="in a step"):
+        df.step(bad, [0.0, 0.0, 0.0], 0.1, 1e-12, 1e-10)
