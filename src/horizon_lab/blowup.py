@@ -10,6 +10,8 @@ log(t_max - t) over a window straddling the horizon approach; for a type-I
 blow-up the slopes must reproduce -alpha_i / k.  t_max - t is the tail plus
 the trajectory's own time increments after each sample, never a difference
 of absolute times: with k = 3 it drops below the ulp of t inside the window.
+Every function reads the type (alpha and k) from ``traj.dfield.htype``, the
+type the trajectory's field was built on.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import (
     NotConverged,
     VanishingComponent,
 )
-from .homogeneity import HomogeneityType
 
 __all__ = [
     "RateRecord",
@@ -56,13 +57,14 @@ _R2_CONFIRM = 0.999
 _EXPONENT_CONFIRM = 0.05
 
 
-def extrapolate_tail(traj: Trajectory, lambda_decay: float, k: float) -> float:
+def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
     """The physical time a horizon-reaching trajectory has left after its
     last sample.
 
     Extrapolates the time factor A*exp(-k*lambda*tau) beyond the last
     sample, A fitted over the final decade of the horizon gap, and returns
-    its integral A*exp(-k*lambda*tau_end)/(k*lambda).
+    its integral A*exp(-k*lambda*tau_end)/(k*lambda); k is the order of
+    the field's type.
 
     Raises NotConverged unless the trajectory actually reached the horizon,
     InsufficientWindow when no sample lies off the horizon.
@@ -73,11 +75,8 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float, k: float) -> float:
             stop_reason=traj.stop_reason,
         )
     lam = float(lambda_decay)
-    kf = float(k)
     if not (lam > 0 and math.isfinite(lam)):
         raise DomainError(f"decay rate must be positive, got {lambda_decay}")
-    if not (kf > 0 and math.isfinite(kf)):
-        raise DomainError(f"order k must be positive, got {k}")
 
     gaps = traj.gaps
     pos = np.nonzero(gaps > 0)[0]
@@ -87,7 +86,7 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float, k: float) -> float:
     window = pos[gaps[pos] <= 10.0 * g_end]
     if len(window) < 2:
         window = pos[-min(10, len(pos)):]
-    rate = kf * lam
+    rate = traj.dfield.htype.k_float * lam
     # an explicit left-to-right sum: the builtin sum() compensates exact
     # floats from Python 3.12 on, and t_max must not depend on the version
     log_A_sum, count = 0.0, 0
@@ -117,9 +116,7 @@ def _time_to_go(traj: Trajectory, tail: float) -> np.ndarray:
     return np.cumsum(np.append(tail, traj.dts[:0:-1]))[::-1]
 
 
-def estimate_tmax(
-    traj: Trajectory, lambda_decay: float, k: float
-) -> Tuple[float, float]:
+def estimate_tmax(traj: Trajectory, lambda_decay: float) -> Tuple[float, float]:
     """Blow-up time from a horizon-reaching trajectory plus its decay rate.
 
     Returns (t_max, tail_fraction): t_max = t(tau_end) + tail with the tail
@@ -127,7 +124,7 @@ def estimate_tmax(
     total reconstructed span, the time to go at sample 0.  Raises as
     ``extrapolate_tail``.
     """
-    return _tmax(traj, extrapolate_tail(traj, lambda_decay, k))
+    return _tmax(traj, extrapolate_tail(traj, lambda_decay))
 
 
 def _tmax(traj: Trajectory, tail: float) -> Tuple[float, float]:
@@ -144,10 +141,7 @@ def _window_mask(traj: Trajectory, to_go: np.ndarray) -> np.ndarray:
 
 
 def fit_rate(
-    traj: Trajectory,
-    tail: float,
-    component_index: int,
-    htype: HomogeneityType,
+    traj: Trajectory, tail: float, component_index: int
 ) -> Tuple[float, float, float]:
     """Fit the power-law rate of one original component near blow-up.
 
@@ -166,8 +160,9 @@ def fit_rate(
     The chart coordinate counts as vanishing when its median magnitude is
     below 1e-5, or when it shrinks with the gap: log|x_i| against log(gap)
     has slope above 1/2 (alpha_i for a constant component, 0 for one that
-    blows up at the type rate).
+    blows up at the type rate).  alpha_i comes from the field's type.
     """
+    htype = traj.dfield.htype
     i = int(component_index)
     if not 0 <= i < htype.n:
         raise DomainError(f"component {i} is not one of the field's {htype.n}")
@@ -252,13 +247,14 @@ class BlowupReport:
 def build_report(
     traj: Trajectory,
     targets: Union[Equilibrium, Sequence[Equilibrium], EquilibriumCurve],
-    htype: HomogeneityType,
 ) -> BlowupReport:
     """Assemble the blow-up report for a horizon-reaching trajectory.
 
     ``targets`` may be a single equilibrium, a list, or an equilibrium curve;
     the closest one (time slot excluded from the distance) within 0.1 of the
     trajectory endpoint becomes the shadowed target, else NoTargetFound.
+    Every positively weighted variable of the field's type gets a rate
+    record, its prediction -alpha_i/k.
     """
     if isinstance(targets, EquilibriumCurve):
         candidates = list(targets.samples)
@@ -283,14 +279,15 @@ def build_report(
     target = candidates[best]
 
     lam, residual_slope = estimate_decay(traj)
-    tail = extrapolate_tail(traj, lam, htype.k_float)
+    tail = extrapolate_tail(traj, lam)
     t_max, tail_fraction = _tmax(traj, tail)
 
+    htype = traj.dfield.htype
     names = traj.dfield.source.variable_names
     records = []
     for i in htype.i_alpha:
         try:
-            fitted, r2, coeff = fit_rate(traj, tail, i, htype)
+            fitted, r2, coeff = fit_rate(traj, tail, i)
         except VanishingComponent:
             fitted = r2 = coeff = None
         records.append(

@@ -52,7 +52,6 @@ from .errors import (
     SchemaError,
     UnknownExample,
 )
-from .homogeneity import infer_type
 from .systems import example_names, make_example
 
 __all__ = [
@@ -95,31 +94,13 @@ def _setup_logging() -> None:
 
 
 def build_field_from_config(config: AnalysisConfig) -> DesingField:
-    """Resolve the homogeneity type and construct the desingularized field."""
-    htype = config.htype
-    if htype is None:
-        candidates = infer_type(config.field, config.infer_alpha_max)
-        htype = candidates[0]
-        log.info(
-            "inferred type alpha=%s, k=%s (%d candidates)",
-            htype.alpha,
-            htype.k,
-            len(candidates),
-        )
-        if (
-            config.chart_kind == "directional"
-            and htype.alpha[config.chart_index] == 0
-        ):
-            raise SchemaError(
-                "inferred type gives the chart variable weight 0",
-                "/chart/index",
-            )
-    if config.chart_kind == "parabolic":
-        return build_parabolic_desing(config.field, htype)
-    chart = charts.DirectionalChart(
-        htype=htype, i0=config.chart_index, sign=config.chart_sign
-    )
-    return build_directional_desing(config.field, htype, chart)
+    """The desingularized field of ``config.field`` on ``config.chart``,
+    for the type ``parse_config`` resolved.  Raises what the builders
+    raise, e.g. NegativeWExponentError for a monomial that breaks the
+    type."""
+    if isinstance(config.chart, charts.DirectionalChart):
+        return build_directional_desing(config.field, config.htype, config.chart)
+    return build_parabolic_desing(config.field, config.htype)
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -202,22 +183,22 @@ def _global_equilibria(
     return find_horizon_equilibria(dfield, grid_seeds(dfield, anchor))
 
 
-def _run_report(dfield: DesingField, traj: Trajectory) -> BlowupReport:
+def _run_report(traj: Trajectory) -> BlowupReport:
     """Blow-up report against the equilibrium the trajectory shadows.
 
     One Gauss-Newton solve from the endpoint finds that equilibrium; the
     grid search through the endpoint's family slice is the fallback when
     the solve finds nothing within reach of the endpoint.
     """
-    end = traj.coords[-1]
+    dfield, end = traj.dfield, traj.coords[-1]
     targets = find_horizon_equilibria(dfield, [end])
     if targets:
         try:
-            return build_report(traj, targets, dfield.htype)
+            return build_report(traj, targets)
         except NoTargetFound:
             pass
     fallback = find_horizon_equilibria(dfield, grid_seeds(dfield, end))
-    return build_report(traj, fallback, dfield.htype)
+    return build_report(traj, fallback)
 
 
 def _analyze_one_run(
@@ -263,7 +244,7 @@ def _analyze_one_run(
         return record
 
     try:
-        record["blowup"] = _blowup_doc(_run_report(dfield, traj))
+        record["blowup"] = _blowup_doc(_run_report(traj))
     except HorizonLabError as exc:
         record["error"] = {"type": type(exc).__name__, "message": str(exc)}
     return record
@@ -527,7 +508,9 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _read_config(args.config)
+    """Parse the config, which resolves an inferred type, and build its
+    field, so a config ``analyze`` rejects fails here too."""
+    build_field_from_config(_read_config(args.config))
     print("config OK")
     return 0
 

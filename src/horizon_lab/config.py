@@ -4,20 +4,24 @@ A config is a JSON object (schema version 1) describing the field, its
 homogeneity data (explicit or inferred), the chart, the runs, and output
 options.  Parsing is strict and validates as it reads: unknown keys are
 rejected, and every failure raises SchemaError carrying a JSON pointer to
-the offending element.  Canonical emission (sorted keys, two-space indent,
-trailing newline) is byte-stable under a parse/emit round trip.
+the offending element.  Parsing also resolves the homogeneity type, by
+inference if asked, and builds the chart on it: the one type every later
+stage reads.  Canonical emission (sorted keys, two-space indent, trailing
+newline) is byte-stable under a parse/emit round trip.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
+from .charts import Chart, DirectionalChart, ParabolicChart
 from .dynamics import IntegratorControls
 from .errors import SchemaError
-from .homogeneity import FieldSpec, HomogeneityType, Monomial
+from .homogeneity import FieldSpec, HomogeneityType, Monomial, infer_type
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -30,17 +34,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+log = logging.getLogger("horizon_lab")
+
 # type inference enumerates (alpha_max + 1)^m weight vectors for m free weights
 _MAX_WEIGHT_VECTORS = 10**6
 
-# a run's optional integrator controls and their bounds; one left out gets
-# the IntegratorControls default
-_RUN_LIMITS = {
-    "tau_max": {"above": 0},
-    "rel_tol": {"above": 0},
-    "abs_tol": {"above": 0},
-    "horizon_eps": {"at_least": 0},
-}
+# the integrator controls a run may give, checked against
+# IntegratorControls.BOUNDS; one left out gets the IntegratorControls default
+_RUN_CONTROLS = ("tau_max", "rel_tol", "abs_tol", "horizon_eps")
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
 
@@ -121,16 +122,15 @@ class OutputSpec:
 class AnalysisConfig:
     """A validated analysis request.
 
-    Either ``htype`` is set (explicit alpha/k) or ``infer_alpha_max`` is set
-    (type inference requested); never both.
+    ``htype`` is the resolved homogeneity type: the config's explicit
+    alpha/k, or the first candidate of ``infer_type`` when it asks for
+    inference.  ``chart`` is the parabolic or directional chart built on
+    that type.
     """
 
     field: FieldSpec
-    htype: Optional[HomogeneityType]
-    infer_alpha_max: Optional[int]
-    chart_kind: str
-    chart_index: Optional[int]
-    chart_sign: int
+    htype: HomogeneityType
+    chart: Chart
     runs: Tuple[RunSpec, ...]
     outputs: OutputSpec
     document: dict = dc_field(repr=False, default_factory=dict)
@@ -161,9 +161,12 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     - alpha/k mixed with infer/alpha_max, ``alpha_max`` without
       ``"infer": true``, alpha without k or k without alpha, an all-zero
       alpha, k <= 0, or an inference search over more than 10^6 weights;
-    - a directional chart without an index, over a weight-0 variable, or
-      with an initial point outside its half-space; a parabolic chart with
-      an index or sign.
+    - a directional chart without an index, over a variable of weight 0
+      in the explicit or inferred type, or with an initial point outside
+      its half-space; a parabolic chart with an index or sign.
+
+    ``"infer": true`` resolves the type as ``infer_type(field, alpha_max)[0]``
+    and logs it at info level; NoTypeFound propagates when there is none.
     """
     if isinstance(text, bytes):
         try:
@@ -248,23 +251,27 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         raise SchemaError(
             "give either alpha/k or infer/alpha_max, not both", "/homogeneity"
         )
-    htype = None
-    infer_alpha_max = None
     if inferred:
         if not infer:
             raise SchemaError(
                 "alpha_max requires \"infer\": true", "/homogeneity/infer"
             )
-        infer_alpha_max = int(
+        alpha_max = int(
             _integer(hdoc.get("alpha_max", 6), "/homogeneity/alpha_max", 1)
         )
         searched = n - int(nonautonomous)  # the time weight is pinned to 0
-        if (infer_alpha_max + 1) ** searched > _MAX_WEIGHT_VECTORS:
+        if (alpha_max + 1) ** searched > _MAX_WEIGHT_VECTORS:
             raise SchemaError(
-                f"inference would search {infer_alpha_max + 1}^{searched} "
+                f"inference would search {alpha_max + 1}^{searched} "
                 f"weight vectors, more than {_MAX_WEIGHT_VECTORS}",
                 "/homogeneity/alpha_max",
             )
+        candidates = infer_type(field, alpha_max)
+        htype = candidates[0]
+        log.info(
+            "inferred type alpha=%s, k=%s (%d candidates)",
+            htype.alpha, htype.k, len(candidates),
+        )
     else:
         if "alpha" not in hdoc or "k" not in hdoc:
             raise SchemaError(
@@ -299,7 +306,11 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     chart_index = None
     if "index" in cdoc:
         chart_index = int(_integer(cdoc["index"], "/chart/index", 0))
-    if chart_kind == "directional":
+    if chart_kind == "parabolic":
+        if "index" in cdoc or "sign" in cdoc:
+            raise SchemaError("parabolic charts take no index or sign", "/chart")
+        chart = ParabolicChart(htype=htype)
+    else:
         if chart_index is None:
             raise SchemaError("directional chart needs an index", "/chart")
         if chart_index >= n:
@@ -307,20 +318,17 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
                 f"chart index {chart_index} out of range for {n} variables",
                 "/chart/index",
             )
-        if htype is not None and htype.alpha[chart_index] == 0:
+        if htype.alpha[chart_index] == 0:
             raise SchemaError(
                 "directional charts need a positively weighted variable",
                 "/chart/index",
             )
-    elif "index" in cdoc or "sign" in cdoc:
-        raise SchemaError(
-            "parabolic charts take no index or sign", "/chart"
-        )
+        chart = DirectionalChart(htype=htype, i0=chart_index, sign=chart_sign)
 
     runs = []
     for i, rdoc in enumerate(_list(doc["runs"], "/runs", 1)):
         ptr = f"/runs/{i}"
-        _object(rdoc, ptr, ("y0",), ("t0", *_RUN_LIMITS))
+        _object(rdoc, ptr, ("y0",), ("t0", *_RUN_CONTROLS))
         y0 = tuple(
             float(_number(v, f"{ptr}/y0/{j}"))
             for j, v in enumerate(_list(rdoc["y0"], f"{ptr}/y0", 1))
@@ -329,12 +337,12 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
             raise SchemaError(
                 f"y0 has {len(y0)} entries for {n} variables", f"{ptr}/y0"
             )
-        if chart_kind == "directional" and chart_index is not None:
-            if chart_sign * y0[chart_index] <= 0:
+        if isinstance(chart, DirectionalChart):
+            if chart.sign * y0[chart.i0] <= 0:
                 raise SchemaError(
                     f"initial point lies outside the chart half-space "
-                    f"({'+' if chart_sign > 0 else '-'}y[{chart_index}] > 0)",
-                    f"{ptr}/y0/{chart_index}",
+                    f"({'+' if chart.sign > 0 else '-'}y[{chart.i0}] > 0)",
+                    f"{ptr}/y0/{chart.i0}",
                 )
         t0 = _number(rdoc.get("t0", y0[0] if nonautonomous else 0.0), f"{ptr}/t0")
         if nonautonomous and t0 != y0[0]:
@@ -342,8 +350,10 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
                 "for nonautonomous fields t0 must equal y0[0]", f"{ptr}/t0"
             )
         controls = IntegratorControls(**{
-            key: float(_number(rdoc[key], f"{ptr}/{key}", **bound))
-            for key, bound in _RUN_LIMITS.items()
+            key: float(
+                _number(rdoc[key], f"{ptr}/{key}", **IntegratorControls.BOUNDS[key])
+            )
+            for key in _RUN_CONTROLS
             if key in rdoc
         })
         runs.append(RunSpec(y0=y0, t0=float(t0), controls=controls))
@@ -363,10 +373,7 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     return AnalysisConfig(
         field=field,
         htype=htype,
-        infer_alpha_max=infer_alpha_max,
-        chart_kind=chart_kind,
-        chart_index=chart_index,
-        chart_sign=chart_sign,
+        chart=chart,
         runs=tuple(runs),
         outputs=outputs,
         document=doc,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -97,9 +97,19 @@ class IntegratorControls:
     runs started exactly on the horizon).  max_step bounds the tau spacing
     of the recorded samples, not the steps: a longer step is filled in by
     dense output, so the asymptotic approach stays densely sampled for
-    rate fitting.  A NaN field, ``rel_tol < 0``, ``abs_tol <= 0`` or
-    ``max_step <= 0`` raises DomainError.
+    rate fitting.  A control outside ``BOUNDS``, NaN included, raises
+    DomainError; ``rel_tol`` must be positive, as SciPy asks of any rtol.
     """
+
+    # each control's bound as ``config._number`` keywords: "above" is
+    # strict, "at_least" is not, and NaN fails both
+    BOUNDS: ClassVar[Dict[str, Dict[str, float]]] = {
+        "tau_max": {"above": 0},
+        "rel_tol": {"above": 0},
+        "abs_tol": {"above": 0},
+        "horizon_eps": {"at_least": 0},
+        "max_step": {"above": 0},
+    }
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -108,13 +118,12 @@ class IntegratorControls:
     max_step: float = 0.2
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name in ("abs_tol", "max_step"):
-                ok, kind = value > 0, "a positive number"
-            elif name == "rel_tol":
-                ok, kind = value >= 0, "a nonnegative number"
+        for name, bound in self.BOUNDS.items():
+            value = getattr(self, name)
+            if "above" in bound:
+                ok, kind = value > bound["above"], f"greater than {bound['above']}"
             else:
-                ok, kind = not math.isnan(value), "a number"
+                ok, kind = value >= bound["at_least"], f"at least {bound['at_least']}"
             if not ok:
                 raise DomainError(
                     f"integrator control {name} must be {kind}, got {value}"
@@ -431,8 +440,10 @@ def _lstsq_steps(J, b, rcond):
     ``rcond`` times the largest dropped.  A square member with
     ||J||_F^k < _SOLVE_COND |det J| has cond(J) <= ||J||_F^k / |det J|
     below the cutoff and takes one stacked ``solve``; the others take one
-    stacked SVD."""
+    stacked SVD.  With no column (k = 0) the step is empty."""
     m, p, k = J.shape
+    if k == 0:
+        return np.empty((m, 0))
     delta = np.empty((m, k))
     by_svd = np.ones(m, dtype=bool)
     if p == k:

@@ -166,10 +166,10 @@ def test_c04_scalar_quadratic_oracle():
         df = build_parabolic_desing(fs, ht)
         traj = integrate(df, embed(df.chart, np.array([1.0])).coords)
         lam, _ = estimate_decay(traj)
-        t_max, _ = estimate_tmax(traj, lam, 1.0)
+        t_max, _ = estimate_tmax(traj, lam)
         assert t_max == pytest.approx(1.0, abs=1e-6)
-        tail = extrapolate_tail(traj, lam, 1.0)
-        slope, r2, coeff = fit_rate(traj, tail, 0, ht)
+        tail = extrapolate_tail(traj, lam)
+        slope, r2, coeff = fit_rate(traj, tail, 0)
         assert slope == pytest.approx(-1.0, abs=0.01)
         assert coeff == pytest.approx(1.0, abs=0.01)
 
@@ -181,7 +181,7 @@ def test_c05_painleve_rates_and_blowup_time(painleve):
         "leading coefficient",
         10.0,
     ):
-        report = build_report(painleve.traj, painleve.eqs, painleve.bundle.htype)
+        report = build_report(painleve.traj, painleve.eqs)
         by_name = {r.variable: r for r in report.records}
         assert by_name["u"].fitted_exponent == pytest.approx(-2.0, abs=0.04)
         assert by_name["v"].fitted_exponent == pytest.approx(-3.0, abs=0.06)
@@ -227,16 +227,16 @@ def test_c06_kk_families_rates_and_vanishing():
         assert kinds[round(lo, 6)] == "saddle"
         assert kinds[round(hi, 6)] == "sink"
 
-        report = build_report(traj, eqs, b.htype)
+        report = build_report(traj, eqs)
         by_name = {r.variable: r for r in report.records}
         assert by_name["u1"].fitted_exponent == pytest.approx(-1.0, abs=0.05)
         assert by_name["u2"].fitted_exponent == pytest.approx(-2.0, abs=0.1)
         assert by_name["w1"].vanishing and by_name["w2"].vanishing
         lam, _ = estimate_decay(traj)
-        tail = extrapolate_tail(traj, lam, b.htype.k_float)
+        tail = extrapolate_tail(traj, lam)
         for i in (3, 4):
             with pytest.raises(VanishingComponent):
-                fit_rate(traj, tail, i, b.htype)
+                fit_rate(traj, tail, i)
 
 
 def test_c07_selfsimilar_curve_and_rate():
@@ -255,8 +255,8 @@ def test_c07_selfsimilar_curve_and_rate():
             normal = sorted(eq.eigenvalues.real)[:2]
             assert normal == pytest.approx([-t, -t], rel=1e-8)
         lam, _ = estimate_decay(traj)
-        tail = extrapolate_tail(traj, lam, b.htype.k_float)
-        slope, r2, _ = fit_rate(traj, tail, 1, b.htype)
+        tail = extrapolate_tail(traj, lam)
+        slope, r2, _ = fit_rate(traj, tail, 1)
         assert slope == pytest.approx(-0.5, abs=0.02)
 
 
@@ -285,9 +285,9 @@ def test_c08_mems_equilibria_stability_rates():
             assert eig_fd == pytest.approx(eig, abs=1e-6)
 
         lam, _ = estimate_decay(traj)
-        tail = extrapolate_tail(traj, lam, b.htype.k_float)
-        slope_w, _, _ = fit_rate(traj, tail, 1, b.htype)
-        slope_v, _, _ = fit_rate(traj, tail, 2, b.htype)
+        tail = extrapolate_tail(traj, lam)
+        slope_w, _, _ = fit_rate(traj, tail, 1)
+        slope_v, _, _ = fit_rate(traj, tail, 2)
         assert slope_w == pytest.approx(-2.0 / 3.0, abs=0.03)
         assert slope_v == pytest.approx(-5.0 / 3.0, abs=0.05)
 
@@ -360,14 +360,14 @@ def test_c11_chart_consistency(painleve):
     ):
         b = painleve.bundle
         lam_p, _ = estimate_decay(painleve.traj)
-        t_par, _ = estimate_tmax(painleve.traj, lam_p, b.htype.k_float)
+        t_par, _ = estimate_tmax(painleve.traj, lam_p)
 
         chart_u = DirectionalChart(htype=b.htype, i0=1, sign=1)
         df_u = build_directional_desing(b.field, b.htype, chart_u)
         y0 = np.asarray(b.runs[0].y0, dtype=float)
         traj_u = integrate(df_u, embed(chart_u, y0).coords)
         lam_u, _ = estimate_decay(traj_u)
-        t_dir, _ = estimate_tmax(traj_u, lam_u, b.htype.k_float)
+        t_dir, _ = estimate_tmax(traj_u, lam_u)
         assert t_dir == pytest.approx(t_par, rel=1e-6)
 
 

@@ -69,7 +69,7 @@ def mems_run():
 def test_scalar_tmax_matches_closed_form(scalar_run):
     df, traj = scalar_run
     lam, _ = estimate_decay(traj)
-    t_max, tail_fraction = estimate_tmax(traj, lam, 1.0)
+    t_max, tail_fraction = estimate_tmax(traj, lam)
     # y(t) = 1/(1-t) blows up at exactly t = 1
     assert t_max == pytest.approx(1.0, abs=1e-9)
     assert 0 < tail_fraction < 1e-9
@@ -80,7 +80,7 @@ def test_tmax_requires_horizon_arrival():
     pt = embed(df.chart, np.array([1.0]))
     traj = integrate(df, pt.coords, controls=IntegratorControls(tau_max=0.5))
     with pytest.raises(NotConverged) as exc_info:
-        estimate_tmax(traj, 1.0, 1.0)
+        estimate_tmax(traj, 1.0)
     assert exc_info.value.stop_reason == TAU_EXHAUSTED
 
 
@@ -90,17 +90,18 @@ def test_tmax_without_positive_gap_is_insufficient_window():
     assert traj.stop_reason == HORIZON_REACHED
     assert traj.n_accepted == 0 and traj.gaps[0] == 0.0
     with pytest.raises(InsufficientWindow):
-        estimate_tmax(traj, 1.0, 1.0)
+        estimate_tmax(traj, 1.0)
 
 
 def test_tmax_rejects_nonpositive_rate_and_order(scalar_run):
     _, traj = scalar_run
     with pytest.raises(DomainError):
-        estimate_tmax(traj, -1.0, 1.0)
+        estimate_tmax(traj, -1.0)
     with pytest.raises(DomainError):
-        estimate_tmax(traj, 0.0, 1.0)
+        estimate_tmax(traj, 0.0)
+    # the order comes from the field's type, which cannot hold k <= 0
     with pytest.raises(DomainError):
-        estimate_tmax(traj, 1.0, 0.0)
+        HomogeneityType(alpha=(1,), k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_tmax_rejects_nonpositive_rate_and_order(scalar_run):
 def test_scalar_rate_fit(scalar_run):
     _, traj = scalar_run
     # y(t) = 1/(1-t): t_max = 1 exactly, and k = 1 keeps 1 - t accurate
-    slope, r2, coeff = fit_rate(traj, 1.0 - traj.ts[-1], 0, SCALAR_HT)
+    slope, r2, coeff = fit_rate(traj, 1.0 - traj.ts[-1], 0)
     assert slope == pytest.approx(-1.0, abs=0.005)
     assert r2 > 0.9999
     assert coeff == pytest.approx(1.0, abs=0.01)
@@ -126,13 +127,13 @@ def test_fit_rate_rejects_weight_zero():
     pt = embed(df.chart, np.array([0.3, 1.0]))
     traj = integrate(df, pt.coords)
     with pytest.raises(DomainError, match="weight 0"):
-        fit_rate(traj, 1e-12, 0, ht)
+        fit_rate(traj, 1e-12, 0)
 
 
 def test_fit_rate_rejects_component_outside_field(scalar_run):
     _, traj = scalar_run
     with pytest.raises(DomainError, match="component 5"):
-        fit_rate(traj, 1.0 - traj.ts[-1], 5, SCALAR_HT)
+        fit_rate(traj, 1.0 - traj.ts[-1], 5)
 
 
 def test_fit_rate_insufficient_window():
@@ -143,7 +144,7 @@ def test_fit_rate_insufficient_window():
         df, pt.coords, controls=IntegratorControls(horizon_eps=2e-3)
     )
     with pytest.raises(InsufficientWindow):
-        fit_rate(traj, 1.0 - traj.ts[-1], 0, SCALAR_HT)
+        fit_rate(traj, 1.0 - traj.ts[-1], 0)
 
 
 def test_kk_transverse_components_vanish():
@@ -153,10 +154,10 @@ def test_kk_transverse_components_vanish():
     pt = embed(df.chart, np.asarray(run.y0, dtype=float))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
-    tail = extrapolate_tail(traj, lam, b.htype.k_float)
+    tail = extrapolate_tail(traj, lam)
     for i in (3, 4):  # both w components collapse onto the equilibrium zero
         with pytest.raises(VanishingComponent):
-            fit_rate(traj, tail, i, b.htype)
+            fit_rate(traj, tail, i)
 
 
 def test_kk_constant_slow_components_vanish_off_zero():
@@ -168,12 +169,12 @@ def test_kk_constant_slow_components_vanish_off_zero():
     pt = embed(df.chart, np.array([0.0, 3.0, 1.0, 0.3, 0.2]))
     traj = integrate(df, pt.coords)
     lam, _ = estimate_decay(traj)
-    tail = extrapolate_tail(traj, lam, b.htype.k_float)
+    tail = extrapolate_tail(traj, lam)
     for i in (3, 4):
         with pytest.raises(VanishingComponent):
-            fit_rate(traj, tail, i, b.htype)
+            fit_rate(traj, tail, i)
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(5)))
-    report = build_report(traj, eqs, b.htype)
+    report = build_report(traj, eqs)
     by_name = {r.variable: r for r in report.records}
     assert by_name["w1"].vanishing and by_name["w2"].vanishing
     assert not by_name["u1"].vanishing and not by_name["u2"].vanishing
@@ -184,9 +185,9 @@ def test_kk_constant_slow_components_vanish_off_zero():
 def test_mems_rates_and_signs(mems_run):
     b, df, traj = mems_run
     lam, _ = estimate_decay(traj)
-    tail = extrapolate_tail(traj, lam, b.htype.k_float)
-    slope_w, r2_w, coeff_w = fit_rate(traj, tail, 1, b.htype)
-    slope_v, r2_v, coeff_v = fit_rate(traj, tail, 2, b.htype)
+    tail = extrapolate_tail(traj, lam)
+    slope_w, r2_w, coeff_w = fit_rate(traj, tail, 1)
+    slope_v, r2_v, coeff_v = fit_rate(traj, tail, 2)
     assert slope_w == pytest.approx(-2.0 / 3.0, abs=0.03)
     assert slope_v == pytest.approx(-5.0 / 3.0, abs=0.05)
     assert r2_w > 0.999 and r2_v > 0.999
@@ -245,7 +246,7 @@ def test_rate_record_confirmation_logic():
 def test_scalar_report_end_to_end(scalar_run):
     df, traj = scalar_run
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
-    report = build_report(traj, eqs, SCALAR_HT)
+    report = build_report(traj, eqs)
     assert report.t_max == pytest.approx(1.0, abs=1e-9)
     assert report.shadowed_target.coords[0] == pytest.approx(1.0)
     assert report.type1_confirmed
@@ -262,7 +263,7 @@ def test_report_accepts_single_equilibrium(scalar_run):
     df, traj = scalar_run
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     sink = [e for e in eqs if e.classification == "sink"][0]
-    report = build_report(traj, sink, SCALAR_HT)
+    report = build_report(traj, sink)
     assert report.shadowed_target is sink
 
 
@@ -271,13 +272,13 @@ def test_report_rejects_far_target(scalar_run):
     eqs = find_horizon_equilibria(df, grid_seeds(df, np.zeros(1)))
     source = [e for e in eqs if e.classification == "source"][0]
     with pytest.raises(NoTargetFound, match="threshold"):
-        build_report(traj, source, SCALAR_HT)
+        build_report(traj, source)
 
 
 def test_report_rejects_empty_target_list(scalar_run):
     df, traj = scalar_run
     with pytest.raises(NoTargetFound):
-        build_report(traj, [], SCALAR_HT)
+        build_report(traj, [])
 
 
 def test_report_against_equilibrium_curve():
@@ -289,7 +290,7 @@ def test_report_against_equilibrium_curve():
     curve = trace_equilibrium_curve(
         df, (0.4, 1.0), 0.02, seed=np.array([0.4, 0.0, 0.4])
     )
-    report = build_report(traj, curve, b.htype)
+    report = build_report(traj, curve)
     chi_end = float(traj.coords[-1][0])
     # the shadowed slice is the curve sample nearest the arrival time
     assert report.shadowed_target.t_slice == pytest.approx(chi_end, abs=0.011)
@@ -304,7 +305,7 @@ def test_mems_full_report(mems_run):
     b, df, traj = mems_run
     r_end = float(traj.coords[-1][0])
     eqs = find_horizon_equilibria(df, grid_seeds(df, [r_end, 0.0, 0.0]))
-    report = build_report(traj, eqs, b.htype)
+    report = build_report(traj, eqs)
     assert report.shadowed_target.coords[2] == pytest.approx(
         -math.sqrt(2.0 * r_end), rel=1e-6
     )
@@ -324,7 +325,7 @@ def _quartic_report(t0):
     ht = HomogeneityType(alpha=(1,), k=3)
     df = build_parabolic_desing(fs, ht)
     traj = integrate(df, embed(df.chart, np.array([1.0])).coords, t0=t0)
-    return build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]), ht)
+    return build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]))
 
 
 def test_quartic_rate_is_shift_invariant():
@@ -370,7 +371,7 @@ def test_power_law_rates_match_closed_form(k, c, span, t0, directional):
     y0 = (k * c * span) ** (-1.0 / k)
     traj = integrate(df, embed(df.chart, np.array([y0])).coords, t0=t0)
     report = build_report(
-        traj, find_horizon_equilibria(df, [traj.coords[-1]]), ht
+        traj, find_horizon_equilibria(df, [traj.coords[-1]])
     )
     (rec,) = report.records
     assert rec.fitted_exponent == pytest.approx(-1.0 / k, rel=1e-3)

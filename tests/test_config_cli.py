@@ -51,7 +51,7 @@ def test_minimal_scalar_config():
     cfg = parse_config(json.dumps(SCALAR_DOC))
     assert cfg.field.variable_names == ("y",)
     assert cfg.htype.alpha == (1,)
-    assert cfg.chart_kind == "parabolic"
+    assert cfg.chart.label == "parabolic"
     run = cfg.runs[0]
     assert run.y0 == (1.0,)
     assert run.controls == IntegratorControls()
@@ -349,7 +349,8 @@ def test_single_violation_pointer(where, value, pointer):
 def test_single_violation_pointer_infer(where, value, pointer):
     text = _mutated(where, value, homogeneity=INFER)
     if pointer is None:
-        assert parse_config(text).infer_alpha_max == 6
+        # y' = y^2 ranks weight alpha_max first, at k = alpha_max
+        assert parse_config(text).htype.k == 6
         return
     with pytest.raises(SchemaError) as exc_info:
         parse_config(text)
@@ -399,7 +400,8 @@ def test_alpha_max_bounds_the_weight_search(n, nonautonomous, homogeneity):
 )
 def test_alpha_max_within_bound_accepted(n, nonautonomous, alpha_max):
     text = _inferred_doc(n, nonautonomous, alpha_max=alpha_max)
-    assert parse_config(text).infer_alpha_max == alpha_max
+    # the first candidate puts alpha_max on the last variable: k = alpha_max
+    assert parse_config(text).htype.k == alpha_max
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +703,71 @@ def test_main_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "/homogeneity/alpha" in err
+
+
+# configs that once ended a command in a traceback or passed validate only
+_COMMAND_DOCS = {
+    # v has weight 0 on the directional chart over y > 0, so the horizon
+    # search has no column to solve for while v' = y stays nonzero
+    "zero_columns": doc(
+        field={
+            "variables": ["y", "v"],
+            "components": [
+                [{"coeff": 1.0, "exponents": [2, 0]}],
+                [{"coeff": 1.0, "exponents": [1, 0]}],
+            ],
+        },
+        homogeneity={"alpha": [1, 0], "k": 1},
+        chart={"type": "directional", "index": 0, "sign": 1},
+        runs=[{"y0": [1.0, 0.0]}],
+    ),
+    # y^3 has weighted degree 3 > k + alpha = 2: no field can be built
+    "cubic_off_type": doc(
+        field={
+            "variables": ["y"],
+            "components": [[{"coeff": 1.0, "exponents": [3]}]],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, codes",
+    [
+        # the examples with an inferred type: kk_dafermos's puts weight 0
+        # on its chart variable, the others' runs miss the horizon
+        ("painleve1", (0, 2)),
+        ("kk_dafermos", (1, 1)),
+        ("selfsimilar", (0, 2)),
+        ("mems", (0, 2)),
+        ("zero_columns", (0, 2)),
+        ("cubic_off_type", (1, 1)),
+    ],
+)
+def test_commands_end_without_traceback_and_validate_agrees(
+    case, codes, tmp_path, capsys
+):
+    if case in EXAMPLES:
+        d = json.loads(emit_example(case))
+        d["homogeneity"] = {"infer": True}
+    else:
+        d = _COMMAND_DOCS[case]
+    cfg = str(tmp_path / "cfg.json")
+    Path(cfg).write_text(json.dumps(d))
+    validate = main(["validate", cfg])
+    validate_err = capsys.readouterr().err
+    analyze = main(["analyze", cfg, "--out", str(tmp_path / "out")])
+    analyze_err = capsys.readouterr().err
+    assert (validate, analyze) == codes
+    if validate == 1:
+        assert validate_err == analyze_err != ""
+
+
+def test_equilibria_without_free_columns_lists_none(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_COMMAND_DOCS["zero_columns"]))
+    assert main(["equilibria", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("0 horizon equilibria")
 
 
 def test_main_equilibria_lists_scalar_pair(tmp_path, capsys):

@@ -221,9 +221,13 @@ _PASSENGER_HT = HomogeneityType(alpha=(0, 1), k=1)
         (SCALAR, SCALAR_HT, [1.0], {"horizon_eps": math.nan, "tau_max": 5.0}),
         # a negative rel_tol makes chi's error scale exactly 0
         (_PASSENGER, _PASSENGER_HT, [1.0, 1.0], {"rel_tol": -1e-12, "abs_tol": 1e-12}),
+        (SCALAR, SCALAR_HT, [1.0], {"rel_tol": 0.0}),
+        (SCALAR, SCALAR_HT, [1.0], {"tau_max": 0.0}),
+        (SCALAR, SCALAR_HT, [1.0], {"horizon_eps": -1.0}),
     ],
     ids=["abs_tol_zero", "max_step_zero", "max_step_nan", "rel_tol_nan",
-         "abs_tol_nan", "tau_max_nan", "horizon_eps_nan", "rel_tol_negative"],
+         "abs_tol_nan", "tau_max_nan", "horizon_eps_nan", "rel_tol_negative",
+         "rel_tol_zero", "tau_max_zero", "horizon_eps_negative"],
 )
 def test_unusable_controls_are_domain_errors(field, htype, y0, controls):
     df = build_parabolic_desing(field, htype)
@@ -236,8 +240,8 @@ def test_unusable_controls_are_domain_errors(field, htype, y0, controls):
 def test_degenerate_but_usable_controls_are_kept():
     df = scalar_field()
     pt = embed(df.chart, np.array([1.0]))
-    controls = IntegratorControls(rel_tol=0.0, horizon_eps=0.0,
-                                  max_step=math.inf, tau_max=2.0)
+    controls = IntegratorControls(horizon_eps=0.0, max_step=math.inf,
+                                  tau_max=2.0)
     assert integrate(df, pt.coords, controls=controls).stop_reason == TAU_EXHAUSTED
 
 
@@ -843,8 +847,8 @@ def test_endpoint_target_matches_grid_target(name):
     assert len(single) == 1
     grid = find_horizon_equilibria(df, grid_seeds(df, end))
     assert len(grid) > 1
-    a = build_report(traj, single, b.htype).shadowed_target
-    g = build_report(traj, grid, b.htype).shadowed_target
+    a = build_report(traj, single).shadowed_target
+    g = build_report(traj, grid).shadowed_target
     assert np.max(np.abs(a.coords - g.coords)) < 1e-12
     assert a.classification == g.classification
     assert np.max(np.abs(a.eigenvalues - g.eigenvalues)) < 1e-12

@@ -199,6 +199,23 @@ def test_zero_free_columns_match_reference(monkeypatch):
     assert_same_listing(got, want)
 
 
+def test_zero_free_columns_with_live_residual_match_reference(monkeypatch):
+    # y' = y^2, v' = y with v of weight 0 on the directional chart over
+    # y > 0: s and v are held, so the solve has no column, and v' = y keeps
+    # the residual nonzero on the horizon; the step is empty, not an error
+    fs = FieldSpec(
+        variable_names=("y", "v"),
+        components=((Monomial(1.0, (2, 0)),), (Monomial(1.0, (1, 0)),)),
+    )
+    ht = HomogeneityType(alpha=(1, 0), k=1)
+    df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=0, sign=1))
+    assert dynamics._free_slots(df) == []
+    got, want = _both(
+        monkeypatch, lambda: find_horizon_equilibria(df, grid_seeds(df, [0.0, 0.0]))
+    )
+    assert got == want == []
+
+
 def test_rank_deficient_seed_matches_reference(monkeypatch):
     # at (u, v) = (-1, 0) on painleve1's horizon the 3x2 Jacobian of
     # [g_u, g_v, P - 1] over (u, v) has rank 1
