@@ -73,6 +73,7 @@ from .errors import (
     NotAQHError,
     NotConverged,
     NoTypeFound,
+    OutputError,
     SchemaError,
     StepFailure,
     UnknownExample,
@@ -185,5 +186,6 @@ __all__ = [
     "NoTargetFound",
     "SchemaError",
     "UnknownExample",
+    "OutputError",
     "AlreadyExtendedError",
 ]

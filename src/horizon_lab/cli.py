@@ -12,7 +12,9 @@ end), an
 equilibria.csv with columns index,classification,residual,t_slice,
 coord_0..coord_{n-1},eig_re_0..eig_re_{n-1},eig_im_0..eig_im_{n-1} (each
 row carries the values of the matching report.json "equilibria" entry),
-and a canonical report.json.
+and a canonical report.json.  A rerun overwrites each of these files in
+place and cuts it at its new end, which leaves the bytes of a fresh run;
+an output path that cannot be created or written raises OutputError.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .errors import (
     DomainError,
     HorizonLabError,
     NoTargetFound,
+    OutputError,
     SchemaError,
     UnknownExample,
 )
@@ -103,6 +106,37 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
     return build_parabolic_desing(config.field, config.htype)
 
 
+def _output_dir(path: Path) -> Path:
+    """``path``, created with its parents unless it is a directory already."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory: {exc}") from exc
+    return path
+
+
+def _write_output(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, the one way outputs are written.
+
+    An existing file is overwritten in place and then cut at the new end,
+    rather than truncated to zero and rewritten, which costs several times
+    more on some filesystems; a rerun into the same directory leaves the
+    same bytes as a fresh run.  A new file gets the mode ``write_text``
+    gives it.
+    """
+    data = text.encode("utf-8")
+    try:
+        try:
+            fh = open(path, "r+b")
+        except FileNotFoundError:
+            fh = open(path, "wb")
+        with fh:
+            fh.write(data)
+            fh.truncate()
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
+
+
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """One row per trajectory sample but the initial condition: every
     accepted step's end, after the step's dense-output samples.
@@ -124,7 +158,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         gaps = column(traj.gaps)
     lines = [",".join(header)]
     lines += map(",".join, zip(column(traj.taus), ts, *coords, gaps))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _write_equilibria_csv(path: Path, docs) -> None:
@@ -144,7 +178,7 @@ def _write_equilibria_csv(path: Path, docs) -> None:
         values = doc["coords"] + [re for re, _ in eigs] + [im for _, im in eigs]
         row = [str(idx), doc["classification"], repr(doc["residual"]), t_slice]
         lines.append(",".join(row + list(map(repr, values))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def _equilibrium_doc(eq: Equilibrium) -> dict:
@@ -280,8 +314,9 @@ def run_pipeline(
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    out = Path(out_dir if out_dir is not None else config.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(
+        Path(out_dir if out_dir is not None else config.outputs.directory)
+    )
     csv_dir = out if "csv" in config.outputs.formats else None
 
     dfield = build_field_from_config(config)
@@ -340,9 +375,7 @@ def run_pipeline(
         "runs": records,
     }
     if "json" in config.outputs.formats:
-        (out / "report.json").write_text(
-            canonical_text(report_doc), encoding="utf-8"
-        )
+        _write_output(out / "report.json", canonical_text(report_doc))
 
     ok = all(r["error"] is None for r in records)
     return (0 if ok else 2), report_doc
@@ -484,10 +517,9 @@ def _cmd_equilibria(args) -> int:
         print(f"  [{i}] {eq.classification}: ({coord_str})")
         print(f"      residual {eq.residual:.3g}; eigenvalues {eig_str}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         _write_equilibria_csv(
-            out / "equilibria.csv", [_equilibrium_doc(eq) for eq in eqs]
+            _output_dir(Path(args.out)) / "equilibria.csv",
+            [_equilibrium_doc(eq) for eq in eqs],
         )
     return 0
 

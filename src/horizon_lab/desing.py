@@ -24,12 +24,13 @@ factor), compiled once per distinct generated source per process (bounded
 LRU); fields with the same source share the stateless compiled functions.
 The Jacobian is the exact term-wise derivative, including the chain rule
 through W.  The same source holds one DOP853 step per field and its dense
-output, with the stages, the tableau and the state dimension unrolled
-around those expressions (each distinct power and expression evaluated
-once per stage), and array versions of the value and the Jacobian that
-evaluate a whole batch of points with NumPy (the batched equilibrium search
-uses them): where the scalar code raises a domain error, the array code
-leaves non-finite entries in that point's row.
+output (its coefficients formed once per step, then evaluated per sample),
+with the stages, the tableau and the state dimension unrolled around those
+expressions (each distinct power and expression evaluated once per stage),
+and array versions of the value and the Jacobian that evaluate a whole
+batch of points with NumPy (the batched equilibrium search uses them):
+where the scalar code raises a domain error, the array code leaves
+non-finite entries in that point's row.
 """
 
 from __future__ import annotations
@@ -454,13 +455,14 @@ _E5_SUM = _combo(_DOP_E5, "k{}_{{0}}")
 _BHH_DIFF = "".join(
     f" - {_fmt_float(c)}*k{j}_{{0}}" for j, c in sorted(_DOP_BHH.items())
 )
-# the dense output's sums over one slot's stage values a1, a6, ..., a16
-_D_SUMS = tuple(_combo(row, "a{}") for row in _DOP_D)
+# the dense output's coefficients 3..6 as templates of the slot
+_D_SUMS = tuple(_combo(row, "k{}_{{0}}") for row in _DOP_D)
 
 
-def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int) -> str:
-    """Sources of ``_step(z, k1, h, atol, rtol)`` and of ``_dense(z, h, st,
-    thetas)``, as a pair.
+def _emit_dop853(em: _Emitter, templates, dim: int,
+                 t_slot: int) -> Tuple[str, str, str]:
+    """Sources of ``_step(z, k1, h, atol, rtol)``, ``_dense_coeffs(z, h,
+    st)`` and ``_dense(z, cs, thetas)``, as a triple.
 
     ``_step`` returns ``(z_new, err, k13, guard, gap, st)``: the new state,
     the error norm of Hairer's DOP853 (the 5th-order estimate, damped by the
@@ -471,13 +473,18 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int) -> str:
     step whose new state or error norm is not finite returns None instead,
     and a stage that fails to evaluate raises DomainError, as in rhs_values.
 
-    ``_dense`` evaluates the extra stages 14..16 from a step's ``z``, ``h``
-    and ``st``, then the 7th-order interpolant at each ``theta`` in (0, 1):
-    one ``(state, dt, gap)`` per theta, where ``dt`` is slot ``t_slot`` of
-    the polynomial without its base term, i.e. the physical time since the
-    step's start, and ``gap`` the state's horizon gap in the step's own
-    arithmetic.  It returns None when a coefficient is not finite and
-    raises DomainError like the step.
+    The dense output comes in two parts, so that a step pays for its
+    coefficients once however many thetas it is sampled at.
+    ``_dense_coeffs`` evaluates the extra stages 14..16 from a step's
+    ``z``, ``h`` and ``st`` and forms the 7th-order interpolant's
+    coefficients, straight-line per slot: the tuple ``cs`` of d_i and
+    c1_i .. c6_i, slot after slot.  It returns None when a coefficient is
+    not finite and raises DomainError like the step.  ``_dense`` evaluates
+    that interpolant at each ``theta`` in (0, 1): one ``(state, dt, gap)``
+    per theta, where ``dt`` is slot ``t_slot`` of the polynomial without
+    its base term, i.e. the physical time since the step's start, and
+    ``gap`` the state's horizon gap in the step's own arithmetic (it
+    raises DomainError where that W fails to evaluate).
 
     ``templates`` are ``em``'s templates of the field's n components plus
     its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
@@ -579,39 +586,45 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int) -> str:
         + "".join(f"{r}, " for r in reads)
         + ")",
     ]
-    lines = [
-        "def _dense(z, h, st, thetas):",
+    coeffs = [
+        "def _dense_coeffs(z, h, st):",
         unpack_z,
         "    " + "".join(f"{r}, " for r in reads) + "= st",
         "    try:",
     ]
     for s in (14, 15, 16):
-        lines += inner(s)
-    # one copy of the coefficient sums, run per slot over the stages' slices
-    columns = [
-        f"st[{p * dim}:{(p + 1) * dim}]" for p in range(len(reads) // dim)
-    ] + [
-        "(" + "".join(f"k{s}_{i}, " for i in slots) + ")" for s in (14, 15, 16)
-    ]
-    names = ["d"] + [f"a{s}" for s in _DENSE_READS + (14, 15, 16)]
-    rest = [
-        "    cs = [",
-        "        (h * a1 - d, 2.0 * d - h * (a13 + a1), "
-        + ", ".join(f"h * ({d})" for d in _D_SUMS) + ")",
-        f"        for {', '.join(names)} in zip({', '.join(columns)})",
-        "    ]",
-        # finite exactly when every coefficient is, but for an overflow of
-        # the sum itself
-        "    total = sum(map(sum, cs))",
+        coeffs += inner(s)
+    coeffs += fails("dense output")
+    for i in slots:
+        coeffs += [
+            f"    c1_{i} = h * k1_{i} - d{i}",
+            f"    c2_{i} = 2.0 * d{i} - h * (k13_{i} + k1_{i})",
+        ] + [
+            f"    c{r}_{i} = h * ({row.format(i)})"
+            for r, row in enumerate(_D_SUMS, start=3)
+        ]
+    # finite exactly when every coefficient is, but for an overflow of the
+    # sum itself
+    total = " + ".join(
+        "(" + " + ".join(f"c{r}_{i}" for r in range(1, 7)) + ")" for i in slots
+    )
+    packed = "".join(
+        f"d{i}, " + "".join(f"c{r}_{i}, " for r in range(1, 7)) for i in slots
+    )
+    coeffs += [
+        f"    total = {total}",
         "    if total - total != 0.0:",
         "        return None",
-        "    " + "".join(
-            "(" + "".join(f"c{r}_{i}, " for r in range(1, 7)) + "), "
-            for i in slots
-        ) + "= cs",
+        f"    return ({packed})",
+    ]
+    lines = [
+        "def _dense(z, cs, thetas):",
+        unpack_z,
+        "    " + packed + "= cs",
         "    out = []",
-        "    for th in thetas:",
-        "        y = 1.0 - th",
+        "    try:",
+        "        for th in thetas:",
+        "            y = 1.0 - th",
     ]
     for i in slots:
         poly = (
@@ -619,19 +632,17 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int) -> str:
             f"(c4_{i} + y * (c5_{i} + th * c6_{i}))))))"
         )
         if i == t_slot:
-            rest += [f"        dt = {poly}", f"        x{i} = z{i} + dt"]
+            lines += [f"            dt = {poly}", f"            x{i} = z{i} + dt"]
         else:
-            rest.append(f"        x{i} = z{i} + {poly}")
+            lines.append(f"            x{i} = z{i} + {poly}")
     if em.parabolic:  # W of a fill state, under the try like the stages'
-        rest.append(em.inline(derived[0][1]))
-    rest += [
-        "        out.append((("
+        lines.append("    " + em.inline(derived[0][1]))
+    lines += [
+        "            out.append((("
         + "".join(f"x{i}, " for i in slots)
         + f"), dt, {gap}))",
-        "    return out",
-    ]
-    lines += ["    " + line for line in rest] + fails("dense output")
-    return "\n".join(step) + "\n", "\n".join(lines) + "\n"
+    ] + fails("dense output") + ["    return out"]
+    return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
 
 
 def _emit_vector(em: _Emitter, exprs, jac_exprs) -> str:
@@ -688,8 +699,9 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
 
 @functools.lru_cache(maxsize=32)
 def _compiled(parts: Tuple[str, ...], vsrc: str):
-    """``(_rhs, _jac, _step, _dense, _rhs_v, _jac_v)`` compiled from the
-    generated source, once per distinct source, like ``re``'s pattern cache.
+    """``(_rhs, _jac, _step, _dense_coeffs, _dense, _rhs_v, _jac_v)``
+    compiled from the generated source, once per distinct source, like
+    ``re``'s pattern cache.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
@@ -703,8 +715,8 @@ def _compiled(parts: Tuple[str, ...], vsrc: str):
     vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
                  "_zeros": np.zeros}
     exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
-    return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense"], vns["_rhs_v"],
-            vns["_jac_v"])
+    return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense_coeffs"],
+            ns["_dense"], vns["_rhs_v"], vns["_jac_v"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -722,11 +734,12 @@ class DesingField:
     from state ``z`` (the coordinates, then t for an autonomous field) and
     its derivative ``k1`` it returns the new state, the error norm, the
     derivative there, the largest |slot| of the new state, its horizon gap
-    and the tuple ``dense`` reads, which starts with the step's increments;
-    or None when the new state or the error norm is not finite.
-    ``dense(z, h, st, thetas)`` evaluates that step's 7th-order interpolant
-    at each theta in (0, 1), as ``(state, dt, gap)`` with dt the physical
-    time since the step's start.
+    and the tuple ``dense_coeffs`` reads, which starts with the step's
+    increments; or None when the new state or the error norm is not finite.
+    ``dense_coeffs(z, h, st)`` forms that step's 7th-order interpolant once
+    (None when a coefficient is not finite), and ``dense(z, cs, thetas)``
+    evaluates it at each theta in (0, 1), as ``(state, dt, gap)`` with dt
+    the physical time since the step's start.
     ``rhs_array`` and ``jacobian_array`` evaluate a batch of points at once.
     ``source_code`` holds all the generated source.
     """
@@ -743,7 +756,7 @@ class DesingField:
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        rhs, jac, step, dense, rhs_v, jac_v, src = _compile_field(
+        rhs, jac, step, dense_coeffs, dense, rhs_v, jac_v, src = _compile_field(
             self.n,
             parabolic,
             2 * self.htype.beta_full(),
@@ -757,6 +770,7 @@ class DesingField:
         object.__setattr__(self, "_rhs", rhs)
         object.__setattr__(self, "_jac", jac)
         object.__setattr__(self, "step", step)
+        object.__setattr__(self, "dense_coeffs", dense_coeffs)
         object.__setattr__(self, "dense", dense)
         object.__setattr__(self, "_rhs_v", rhs_v)
         object.__setattr__(self, "_jac_v", jac_v)

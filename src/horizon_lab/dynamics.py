@@ -11,12 +11,13 @@ move the horizon gap; the trajectory's samples come from the dense output,
 spaced for the rate fits, with every step end among them.  Physical time is
 reconstructed along the way from the time factor dt/dtau, and each sample
 also keeps its time increment from the previous one.  The step and the
-dense output are generated per field (``DesingField.step`` and
-``DesingField.dense``, emitted in ``desing``): the stages, the tableau and
-the error norm are unrolled around the field's own expressions, and the
-step also returns the state's largest slot, its horizon gap and its
-increments; this module keeps the step-size control, the sampling and the
-stops.
+dense output are generated per field (``DesingField.step``,
+``DesingField.dense_coeffs`` and ``DesingField.dense``, emitted in
+``desing``): the stages, the tableau and the error norm are unrolled around
+the field's own expressions, and the step also returns the state's largest
+slot, its horizon gap and its increments; a step that holds samples forms
+its dense-output coefficients once and evaluates them at each sample.
+This module keeps the step-size control, the sampling and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
@@ -167,15 +168,20 @@ _STEP_DECADES = 0.3
 
 def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
     """A step's dense-output samples, as ``(state, dt, gap)`` at
-    theta = j/m for j = 1 .. m-1; [] for m <= 1.  m is raised until no two
-    consecutive gaps of the sequence g0, fills, g1 that both exceed
-    ``floor`` lie more than _GAP_DECADES apart.  Returns None when the
-    dense output is not finite and raises DomainError when an extra stage
-    fails to evaluate."""
-    while m > 1:
-        out = dfield.dense(z, h, st, [j / m for j in range(1, m)])
-        if out is None:
-            return None
+    theta = j/m for j = 1 .. m-1; [] for m <= 1, without forming the dense
+    output.  Otherwise its coefficients are formed once, and m is raised
+    until no two consecutive gaps of the sequence g0, fills, g1 that both
+    exceed ``floor`` lie more than _GAP_DECADES apart; each raise evaluates
+    only the new thetas.  Returns None when the dense output is not finite
+    and raises DomainError when an extra stage or a sample's gap fails to
+    evaluate."""
+    if m <= 1:
+        return []
+    cs = dfield.dense_coeffs(z, h, st)
+    if cs is None:
+        return None
+    while True:
+        out = dfield.dense(z, cs, [j / m for j in range(1, m)])
         worst, prev = 0.0, g0
         for g in [f[2] for f in out] + [g1]:
             if g > floor and prev > floor:
@@ -184,7 +190,6 @@ def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
         if worst <= _GAP_DECADES:
             return out
         m = math.ceil(m * worst / _GAP_DECADES) + 1
-    return []
 
 
 def integrate(
@@ -211,7 +216,7 @@ def integrate(
     without the cut the controller would grow the steps until the gap, which
     the fits read on a log scale, lost its relative accuracy.  An accepted
     step records, before its end, uniformly spaced dense-output samples
-    (``DesingField.dense``) so that no two consecutive samples are more
+    (``DesingField.dense_coeffs`` once, then ``DesingField.dense``) so that no two consecutive samples are more
     than ``max_step`` apart in tau or, where both gaps exceed
     ``max(horizon_eps, 0) + 1e-14``, more than 0.1 decade apart in the
     horizon gap.  An extra stage outside the domain, or a non-finite dense

@@ -25,6 +25,7 @@ __all__ = [
     "NoTargetFound",
     "SchemaError",
     "UnknownExample",
+    "OutputError",
     "AlreadyExtendedError",
 ]
 
@@ -146,6 +147,14 @@ class SchemaError(HorizonLabError):
 
 class UnknownExample(HorizonLabError):
     """Requested built-in example name is not registered."""
+
+
+class OutputError(HorizonLabError):
+    """An output directory or file could not be created or written.
+
+    Wraps the OSError, e.g. ``--out`` naming an existing file, or a run
+    CSV's path being a directory.
+    """
 
 
 class AlreadyExtendedError(HorizonLabError):

@@ -608,6 +608,30 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
     ).read_bytes()
 
 
+def test_rerun_overwrites_longer_outputs_in_place(tmp_path):
+    # a rerun into a directory whose files are longer than the new content
+    # cuts the stale tails; new files get the mode write_text gives them
+    d = doc()
+    d["runs"] = [{"y0": [1.0]}, {"y0": [0.5]}]
+    cfg = parse_config(json.dumps(d))
+    names = ("run_000.csv", "run_001.csv", "equilibria.csv", "report.json")
+    old_umask = os.umask(0o027)
+    try:
+        run_pipeline(cfg, out_dir=str(tmp_path / "fresh"))
+    finally:
+        os.umask(old_umask)
+    fresh = {name: (tmp_path / "fresh" / name).read_bytes() for name in names}
+    for name in names:
+        assert (tmp_path / "fresh" / name).stat().st_mode & 0o777 == 0o640
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name in names:
+        (stale / name).write_bytes(fresh[name] + b"stale tail\n" * 100)
+    run_pipeline(cfg, out_dir=str(stale))
+    assert {name: (stale / name).read_bytes() for name in names} == fresh
+    assert sorted(f.name for f in stale.iterdir()) == sorted(names)
+
+
 @pytest.mark.parametrize("endpoint", ["found", "none", "far", "nowhere"])
 def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     """The endpoint solve gives the target; when it finds nothing, or only
@@ -980,6 +1004,30 @@ def test_cli_jobs_flag_is_byte_identical(tmp_path):
         tmp_path / "j2" / "report.json"
     ).read_bytes()
     assert one.stdout.replace("j1", "@") == two.stdout.replace("j2", "@")
+
+
+@pytest.mark.parametrize(
+    "case", ["example_out_file", "equilibria_out_file", "csv_is_dir", "csv_is_dir_jobs"]
+)
+def test_output_path_errors_exit_1_without_traceback(tmp_path, case):
+    cfg = tmp_path / "cfg.json"
+    d = doc()
+    d["runs"] = [{"y0": [1.0]}, {"y0": [0.5]}]
+    cfg.write_text(json.dumps(d))
+    (tmp_path / "a_file").write_text("not a directory\n")
+    (tmp_path / "out" / "run_000.csv").mkdir(parents=True)
+    args = {
+        "example_out_file": ["example", "selfsimilar", "--out", "a_file"],
+        "equilibria_out_file": ["equilibria", str(cfg), "--out", "a_file"],
+        "csv_is_dir": ["analyze", str(cfg), "--out", "out"],
+        # the CSV is written in a worker process
+        "csv_is_dir_jobs": ["analyze", str(cfg), "--out", "out", "--jobs", "2"],
+    }[case]
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: OutputError: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_jobs_workers_need_no_inherited_field(tmp_path):

@@ -467,7 +467,8 @@ def test_array_domain_failure_stays_in_its_row(field, bad, good):
 # ---------------------------------------------------------------------------
 # the compiled-evaluator cache, keyed by the generated source
 
-_COMPILED = ("_rhs", "_jac", "step", "dense", "_rhs_v", "_jac_v")
+_COMPILED = ("_rhs", "_jac", "step", "dense_coeffs", "dense", "_rhs_v",
+             "_jac_v")
 
 
 def test_same_config_shares_compiled_functions():

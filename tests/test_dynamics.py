@@ -349,14 +349,13 @@ def _reference_step(dfield):
         st = tuple(d) + tuple(ks[s - 1][i] for s in _READS for i in range(dim))
         return x, err, ks[12], max(abs(v) for v in x), _py_gap(dfield, x), st
 
-    def dense(z, h, st, thetas):
+    def dense_coeffs(z, h, st):
         dim = len(z)
         d = list(st[:dim])
         ks = [None] * 16
         for pos, s in enumerate(_READS, start=1):
             ks[s - 1] = list(st[pos * dim:(pos + 1) * dim])
         _reference_extra_stages(dfield, z, h, ks)
-        t_slot = 0 if dfield.nonautonomous else dfield.n
         c = [
             [h * ks[0][i] - d[i], 2.0 * d[i] - h * (ks[12][i] + ks[0][i])]
             + [h * _weighted(row, ks, i) for row in _D]
@@ -365,6 +364,12 @@ def _reference_step(dfield):
         total = sum(map(sum, c))
         if total - total != 0.0:
             return None
+        return d, c
+
+    def dense(z, cs, thetas):
+        d, c = cs
+        dim = len(z)
+        t_slot = 0 if dfield.nonautonomous else dfield.n
         out = []
         for th in thetas:
             y = 1.0 - th
@@ -377,12 +382,13 @@ def _reference_step(dfield):
             out.append((tuple(state), polys[t_slot], _py_gap(dfield, state)))
         return out
 
-    return step, dense
+    return step, dense_coeffs, dense
 
 
 def _use_reference(dfield):
-    step, dense = _reference_step(dfield)
+    step, dense_coeffs, dense = _reference_step(dfield)
     object.__setattr__(dfield, "step", step)
+    object.__setattr__(dfield, "dense_coeffs", dense_coeffs)
     object.__setattr__(dfield, "dense", dense)
 
 
@@ -561,7 +567,8 @@ def test_dense_output_matches_scipy(name):
         k1 = _reference_rhs(df)(z)
         _, err, _, _, _, st = df.step(tuple(z), k1, h, 1e-12, 1e-10)
         thetas = [0.1, 0.35, 0.5, 0.8, 0.95]
-        got = np.array([state for state, _, _ in df.dense(tuple(z), h, st, thetas)])
+        cs = df.dense_coeffs(tuple(z), h, st)
+        got = np.array([state for state, _, _ in df.dense(tuple(z), cs, thetas)])
         ks, _, x = _reference_stages(df, z, k1, h)
         _reference_extra_stages(df, z, h, ks)
         K = np.array(ks)
@@ -596,7 +603,7 @@ def _recorded_run(name, controls):
 
     def recording_dense(*args):
         out = real_dense(*args)
-        for state, _, gap in out or ():
+        for state, _, gap in out:
             returned[tuple(state)] = gap
         return out
 
@@ -636,6 +643,37 @@ def test_sampling_contract(name, max_step):
     # the time increments add up to the elapsed time
     assert math.fsum(traj.dts) == pytest.approx(traj.ts[-1] - traj.ts[0],
                                                 rel=1e-12)
+
+
+def test_dense_coefficients_formed_once_per_filled_step():
+    # the kk_dafermos example raises m on some steps, so its samples take
+    # more dense evaluations than coefficient sets
+    df, ends, _, traj = _recorded_run("kk_dafermos", IntegratorControls())
+    ends = list(ends)  # the run below records its steps again
+    real_coeffs, real_dense = df.dense_coeffs, df.dense
+    formed, evaluated = [], []
+
+    def counting_coeffs(*args):
+        formed.append(real_coeffs(*args))
+        return formed[-1]
+
+    def counting_dense(z, cs, thetas):
+        evaluated.append(cs)
+        return real_dense(z, cs, thetas)
+
+    object.__setattr__(df, "dense_coeffs", counting_coeffs)
+    object.__setattr__(df, "dense", counting_dense)
+    run = make_example("kk_dafermos").runs[0]
+    coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
+    again = integrate(df, coords, t0=run.t0)
+    assert np.array_equal(again.coords, traj.coords)
+    path = _path(df, traj)
+    pos = [0] + [path.index(tuple(e), 1) for e in ends]
+    filled = sum(b - a > 1 for a, b in zip(pos, pos[1:]))
+    assert 0 < filled == len(formed)
+    assert all(cs is not None for cs in formed)
+    assert len(evaluated) > len(formed)
+    assert [id(cs) for cs in formed] == list(dict.fromkeys(map(id, evaluated)))
 
 
 # ---------------------------------------------------------------------------
