@@ -13,8 +13,9 @@ equilibria.csv with columns index,classification,residual,t_slice,
 coord_0..coord_{n-1},eig_re_0..eig_re_{n-1},eig_im_0..eig_im_{n-1} (each
 row carries the values of the matching report.json "equilibria" entry),
 and a canonical report.json.  A rerun overwrites each of these files in
-place and cuts it at its new end, which leaves the bytes of a fresh run;
-an output path that cannot be created or written raises OutputError.
+place and cuts it at its new end, which leaves the bytes of a fresh run
+once it completes (see _write_output); an output path that cannot be
+created or written raises OutputError.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
     return build_parabolic_desing(config.field, config.htype)
 
 
+_O_BINARY = getattr(os, "O_BINARY", 0)  # no newline translation on Windows
+
+
 def _output_dir(path: Path) -> Path:
     """``path``, created with its parents unless it is a directory already."""
     try:
@@ -118,19 +122,20 @@ def _output_dir(path: Path) -> Path:
 def _write_output(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, the one way outputs are written.
 
-    An existing file is overwritten in place and then cut at the new end,
-    rather than truncated to zero and rewritten, which costs several times
-    more on some filesystems; a rerun into the same directory leaves the
-    same bytes as a fresh run.  A new file gets the mode ``write_text``
-    gives it.
+    The file is opened for writing only, created when missing with the
+    mode ``write_text`` gives it (0o666 less the umask).  An existing file
+    is overwritten in place and then cut at the new end, rather than
+    truncated to zero and rewritten, which costs several times more on
+    some filesystems (ext4 mounted with ``discard``); a completed rerun
+    into the same directory leaves the same bytes as a fresh run.  The
+    rewrite is not crash-safe: a rerun killed between the write and the
+    cut leaves the new bytes followed by the old file's tail, which for a
+    shorter CSV reads as rows of two runs.
     """
     data = text.encode("utf-8")
     try:
-        try:
-            fh = open(path, "r+b")
-        except FileNotFoundError:
-            fh = open(path, "wb")
-        with fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.truncate()
     except OSError as exc:

@@ -617,14 +617,18 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         "        return None",
         f"    return ({packed})",
     ]
+    # only a parabolic chart's W can raise here; the polynomial is float
+    # arithmetic, so a directional chart's loop needs no try
+    loop = "        " if em.parabolic else "    "
+    pad = loop + "    "
     lines = [
         "def _dense(z, cs, thetas):",
         unpack_z,
         "    " + packed + "= cs",
         "    out = []",
-        "    try:",
-        "        for th in thetas:",
-        "            y = 1.0 - th",
+    ] + (["    try:"] if em.parabolic else []) + [
+        f"{loop}for th in thetas:",
+        f"{pad}y = 1.0 - th",
     ]
     for i in slots:
         poly = (
@@ -632,16 +636,19 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
             f"(c4_{i} + y * (c5_{i} + th * c6_{i}))))))"
         )
         if i == t_slot:
-            lines += [f"            dt = {poly}", f"            x{i} = z{i} + dt"]
+            lines += [f"{pad}dt = {poly}", f"{pad}x{i} = z{i} + dt"]
         else:
-            lines.append(f"            x{i} = z{i} + {poly}")
+            lines.append(f"{pad}x{i} = z{i} + {poly}")
     if em.parabolic:  # W of a fill state, under the try like the stages'
         lines.append("    " + em.inline(derived[0][1]))
-    lines += [
-        "            out.append((("
+    lines.append(
+        f"{pad}out.append((("
         + "".join(f"x{i}, " for i in slots)
-        + f"), dt, {gap}))",
-    ] + fails("dense output") + ["    return out"]
+        + f"), dt, {gap}))"
+    )
+    if em.parabolic:
+        lines += fails("dense output")
+    lines.append("    return out")
     return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
 
 

@@ -610,7 +610,8 @@ def test_pipeline_rerun_is_deterministic(tmp_path):
 
 def test_rerun_overwrites_longer_outputs_in_place(tmp_path):
     # a rerun into a directory whose files are longer than the new content
-    # cuts the stale tails; new files get the mode write_text gives them
+    # cuts the stale tails; new files get the mode write_text gives them,
+    # and an existing file needs no read permission (root ignores the mode)
     d = doc()
     d["runs"] = [{"y0": [1.0]}, {"y0": [0.5]}]
     cfg = parse_config(json.dumps(d))
@@ -627,7 +628,9 @@ def test_rerun_overwrites_longer_outputs_in_place(tmp_path):
     stale.mkdir()
     for name in names:
         (stale / name).write_bytes(fresh[name] + b"stale tail\n" * 100)
+    (stale / "report.json").chmod(0o200)
     run_pipeline(cfg, out_dir=str(stale))
+    (stale / "report.json").chmod(0o600)
     assert {name: (stale / name).read_bytes() for name in names} == fresh
     assert sorted(f.name for f in stale.iterdir()) == sorted(names)
 
