@@ -99,9 +99,8 @@ def _setup_logging() -> None:
 
 def build_field_from_config(config: AnalysisConfig) -> DesingField:
     """The desingularized field of ``config.field`` on ``config.chart``,
-    for the type ``parse_config`` resolved.  Raises what the builders
-    raise, e.g. NegativeWExponentError for a monomial that breaks the
-    type."""
+    for the config's type.  Raises what the builders raise, e.g.
+    NegativeWExponentError for a monomial that breaks the type."""
     if isinstance(config.chart, charts.DirectionalChart):
         return build_directional_desing(config.field, config.htype, config.chart)
     return build_parabolic_desing(config.field, config.htype)
@@ -166,10 +165,10 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     _write_output(path, "\n".join(lines) + "\n")
 
 
-def _write_equilibria_csv(path: Path, docs) -> None:
-    """One row per ``_equilibrium_doc``.  The Jacobian is n x n, so n
-    coordinate columns and n eigenvalue columns of each part."""
-    n = len(docs[0]["coords"]) if docs else 0
+def _write_equilibria_csv(path: Path, n: int, docs) -> None:
+    """One row per ``_equilibrium_doc`` of a field with n slots.  The
+    Jacobian is n x n, so n coordinate columns and n eigenvalue columns of
+    each part, also when there are no rows."""
     header = (
         ["index", "classification", "residual", "t_slice"]
         + [f"coord_{i}" for i in range(n)]
@@ -363,7 +362,7 @@ def run_pipeline(
         log.warning("equilibrium search failed: %s", exc)
     eq_docs = [_equilibrium_doc(eq) for eq in equilibria]
     if csv_dir is not None:
-        _write_equilibria_csv(out / "equilibria.csv", eq_docs)
+        _write_equilibria_csv(out / "equilibria.csv", dfield.n, eq_docs)
 
     htype = dfield.htype
     report_doc = {
@@ -524,6 +523,7 @@ def _cmd_equilibria(args) -> int:
     if args.out:
         _write_equilibria_csv(
             _output_dir(Path(args.out)) / "equilibria.csv",
+            dfield.n,
             [_equilibrium_doc(eq) for eq in eqs],
         )
     return 0
@@ -545,8 +545,8 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Parse the config, which resolves an inferred type, and build its
-    field, so a config ``analyze`` rejects fails here too."""
+    """Parse the config and build its field, so a config ``analyze``
+    rejects fails here too."""
     build_field_from_config(_read_config(args.config))
     print("config OK")
     return 0

@@ -1,19 +1,18 @@
 """Configuration documents: validation, parsing, canonical serialization.
 
 A config is a JSON object (schema version 1) describing the field, its
-homogeneity data (explicit or inferred), the chart, the runs, and output
-options.  Parsing is strict and validates as it reads: unknown keys are
-rejected, and every failure raises SchemaError carrying a JSON pointer to
-the offending element.  Parsing also resolves the homogeneity type, by
-inference if asked, and builds the chart on it: the one type every later
-stage reads.  Canonical emission (sorted keys, two-space indent, trailing
-newline) is byte-stable under a parse/emit round trip.
+homogeneity type (alpha, k), the chart, the runs, and output options.
+Parsing is strict and validates as it reads: unknown keys are rejected,
+and every failure raises SchemaError carrying a JSON pointer to the
+offending element.  Parsing also builds the chart on the config's type:
+the one type every later stage reads.  Canonical emission (sorted keys,
+two-space indent, trailing newline) is byte-stable under a parse/emit
+round trip.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Tuple, Union
@@ -21,7 +20,7 @@ from typing import Tuple, Union
 from .charts import Chart, DirectionalChart, ParabolicChart
 from .dynamics import IntegratorControls
 from .errors import SchemaError
-from .homogeneity import FieldSpec, HomogeneityType, Monomial, infer_type
+from .homogeneity import FieldSpec, HomogeneityType, Monomial
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -33,11 +32,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger("horizon_lab")
-
-# type inference enumerates (alpha_max + 1)^m weight vectors for m free weights
-_MAX_WEIGHT_VECTORS = 10**6
 
 # the integrator controls a run may give, checked against
 # IntegratorControls.BOUNDS; one left out gets the IntegratorControls default
@@ -122,10 +116,8 @@ class OutputSpec:
 class AnalysisConfig:
     """A validated analysis request.
 
-    ``htype`` is the resolved homogeneity type: the config's explicit
-    alpha/k, or the first candidate of ``infer_type`` when it asks for
-    inference.  ``chart`` is the parabolic or directional chart built on
-    that type.
+    ``htype`` is the config's homogeneity type (alpha, k).  ``chart`` is
+    the parabolic or directional chart built on that type.
     """
 
     field: FieldSpec
@@ -143,30 +135,25 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     for the root), for text that is not UTF-8 JSON and for a document with
     - an unknown key in any object, or a missing required one (``schema``,
       ``field``, ``homogeneity``, ``chart``, ``runs``; ``field.variables``
-      and ``components``; a monomial's ``coeff`` and ``exponents``;
-      ``chart.type``; a run's ``y0``);
+      and ``components``; ``homogeneity.alpha`` and ``k``; a monomial's
+      ``coeff`` and ``exponents``; ``chart.type``; a run's ``y0``);
     - a wrong JSON type: a boolean is never a number, while an integral
       float such as 1.0 counts as an integer;
     - a NaN or infinite number anywhere, 1e999 and integers beyond float
       range included;
     - a value out of range: ``tau_max``, ``rel_tol`` or ``abs_tol`` <= 0;
-      ``horizon_eps``, an ``alpha`` entry or ``chart.index`` < 0;
-      ``alpha_max`` < 1; an empty ``variables``, ``runs``, ``y0`` or
-      ``formats``; ``schema`` not 1, ``chart.type`` not parabolic or
-      directional, ``chart.sign`` not 1 or -1, a format not csv or json;
+      ``horizon_eps``, an ``alpha`` entry or ``chart.index`` < 0; an empty
+      ``variables``, ``runs``, ``y0`` or ``formats``; ``schema`` not 1,
+      ``chart.type`` not parabolic or directional, ``chart.sign`` not 1 or
+      -1, a format not csv or json;
     - repeated variable names, a zero coefficient, or components, exponents,
       alpha, y0 or a chart index that do not fit the number of variables;
     - a nonautonomous field without t' = 1 as component 0, with a nonzero
       time weight, or with a run whose ``t0`` is not ``y0[0]``;
-    - alpha/k mixed with infer/alpha_max, ``alpha_max`` without
-      ``"infer": true``, alpha without k or k without alpha, an all-zero
-      alpha, k <= 0, or an inference search over more than 10^6 weights;
-    - a directional chart without an index, over a variable of weight 0
-      in the explicit or inferred type, or with an initial point outside
-      its half-space; a parabolic chart with an index or sign.
-
-    ``"infer": true`` resolves the type as ``infer_type(field, alpha_max)[0]``
-    and logs it at info level; NoTypeFound propagates when there is none.
+    - an all-zero alpha or k <= 0;
+    - a directional chart without an index, over a variable of weight 0,
+      or with an initial point outside its half-space; a parabolic chart
+      with an index or sign.
     """
     if isinstance(text, bytes):
         try:
@@ -241,64 +228,29 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         nonautonomous=nonautonomous,
     )
 
-    hdoc = _object(
-        doc["homogeneity"], "/homogeneity", (), ("alpha", "k", "infer", "alpha_max")
+    hdoc = _object(doc["homogeneity"], "/homogeneity", ("alpha", "k"))
+    alpha = tuple(
+        _integer(a, f"/homogeneity/alpha/{i}", 0)
+        for i, a in enumerate(_list(hdoc["alpha"], "/homogeneity/alpha"))
     )
-    infer = _typed(hdoc.get("infer", False), "/homogeneity/infer", bool)
-    explicit = "alpha" in hdoc or "k" in hdoc
-    inferred = infer or "alpha_max" in hdoc
-    if explicit and inferred:
+    if len(alpha) != n:
         raise SchemaError(
-            "give either alpha/k or infer/alpha_max, not both", "/homogeneity"
+            f"alpha has {len(alpha)} entries for {n} variables",
+            "/homogeneity/alpha",
         )
-    if inferred:
-        if not infer:
-            raise SchemaError(
-                "alpha_max requires \"infer\": true", "/homogeneity/infer"
-            )
-        alpha_max = int(
-            _integer(hdoc.get("alpha_max", 6), "/homogeneity/alpha_max", 1)
+    if not any(alpha):
+        raise SchemaError(
+            "alpha must have at least one positive entry",
+            "/homogeneity/alpha",
         )
-        searched = n - int(nonautonomous)  # the time weight is pinned to 0
-        if (alpha_max + 1) ** searched > _MAX_WEIGHT_VECTORS:
-            raise SchemaError(
-                f"inference would search {alpha_max + 1}^{searched} "
-                f"weight vectors, more than {_MAX_WEIGHT_VECTORS}",
-                "/homogeneity/alpha_max",
-            )
-        candidates = infer_type(field, alpha_max)
-        htype = candidates[0]
-        log.info(
-            "inferred type alpha=%s, k=%s (%d candidates)",
-            htype.alpha, htype.k, len(candidates),
+    if nonautonomous and alpha[0] != 0:
+        raise SchemaError(
+            "the time variable must have weight 0", "/homogeneity/alpha/0"
         )
-    else:
-        if "alpha" not in hdoc or "k" not in hdoc:
-            raise SchemaError(
-                "explicit homogeneity needs both alpha and k", "/homogeneity"
-            )
-        alpha = tuple(
-            _integer(a, f"/homogeneity/alpha/{i}", 0)
-            for i, a in enumerate(_list(hdoc["alpha"], "/homogeneity/alpha"))
-        )
-        if len(alpha) != n:
-            raise SchemaError(
-                f"alpha has {len(alpha)} entries for {n} variables",
-                "/homogeneity/alpha",
-            )
-        if not any(alpha):
-            raise SchemaError(
-                "alpha must have at least one positive entry",
-                "/homogeneity/alpha",
-            )
-        if nonautonomous and alpha[0] != 0:
-            raise SchemaError(
-                "the time variable must have weight 0", "/homogeneity/alpha/0"
-            )
-        k = _number(hdoc["k"], "/homogeneity/k")
-        if not k > 0:
-            raise SchemaError("order k must be positive", "/homogeneity/k")
-        htype = HomogeneityType(alpha=alpha, k=k)
+    k = _number(hdoc["k"], "/homogeneity/k")
+    if not k > 0:
+        raise SchemaError("order k must be positive", "/homogeneity/k")
+    htype = HomogeneityType(alpha=alpha, k=k)
 
     cdoc = _object(doc["chart"], "/chart", ("type",), ("index", "sign"))
     chart_kind = _choice(cdoc["type"], "/chart/type", ("parabolic", "directional"))

@@ -216,11 +216,11 @@ def integrate(
     without the cut the controller would grow the steps until the gap, which
     the fits read on a log scale, lost its relative accuracy.  An accepted
     step records, before its end, uniformly spaced dense-output samples
-    (``DesingField.dense_coeffs`` once, then ``DesingField.dense``) so that no two consecutive samples are more
-    than ``max_step`` apart in tau or, where both gaps exceed
-    ``max(horizon_eps, 0) + 1e-14``, more than 0.1 decade apart in the
-    horizon gap.  An extra stage outside the domain, or a non-finite dense
-    output, retries the step at half its size, too.
+    (``DesingField.dense_coeffs`` once, then ``DesingField.dense``) so that
+    no two consecutive samples are more than ``max_step`` apart in tau or,
+    where both gaps exceed ``horizon_eps + 1e-14``, more than 0.1 decade
+    apart in the horizon gap.  An extra stage outside the domain, or a
+    non-finite dense output, retries the step at half its size, too.
 
     Each sample keeps the horizon gap computed for it: the chart's at the
     initial state, the dense output's at a fill sample, the step's at a
@@ -258,7 +258,7 @@ def integrate(
     tau_max, max_step = ctl.tau_max, ctl.max_step
     # the sampling spaces only gaps above this floor: below it a parabolic
     # gap W = 1 - P is rounding noise
-    floor = max(ctl.horizon_eps, 0.0) + 1e-14
+    floor = ctl.horizon_eps + 1e-14
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0

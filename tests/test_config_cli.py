@@ -203,17 +203,14 @@ FULL_DOC = {
     ],
     "outputs": {"directory": "out", "formats": ["csv", "json"]},
 }
-INFER = {"infer": True, "alpha_max": 6}
 DELETE = object()
 OVERFLOW = "<1e999>"  # stands for the literal 1e999, which json cannot emit
 MONO = ("field", "components", 1, 0)
 RUN = ("runs", 0)
 
 
-def _mutated(where, value, homogeneity=None):
+def _mutated(where, value):
     d = json.loads(json.dumps(FULL_DOC))
-    if homogeneity is not None:
-        d["homogeneity"] = dict(homogeneity)
     target = d
     for key in where[:-1]:
         target = target[key]
@@ -334,74 +331,20 @@ def test_single_violation_pointer(where, value, pointer):
 
 
 @pytest.mark.parametrize(
-    "where, value, pointer",
+    "homogeneity, message",
     [
-        (("homogeneity", "infer"), 1, "/homogeneity/infer"),
-        (("homogeneity", "alpha_max"), True, "/homogeneity/alpha_max"),
-        (("homogeneity", "alpha_max"), 0, "/homogeneity/alpha_max"),
-        (("homogeneity", "alpha_max"), 2.5, "/homogeneity/alpha_max"),
-        (("homogeneity", "alpha_max"), float("nan"), "/homogeneity/alpha_max"),
-        (("homogeneity", "alpha_max"), 6.0, None),
-        (("homogeneity", "alpha_max"), DELETE, None),
-        (("homogeneity", "zz"), 1, "/homogeneity"),
+        ({"infer": True}, "missing key(s): 'alpha', 'k'"),
+        ({"alpha": [1], "k": 1, "alpha_max": 6}, "unknown key(s): 'alpha_max'"),
+        ({"alpha": [1]}, "missing key(s): 'k'"),
+        ({"k": 1}, "missing key(s): 'alpha'"),
     ],
+    ids=["infer", "alpha_max", "alpha_only", "k_only"],
 )
-def test_single_violation_pointer_infer(where, value, pointer):
-    text = _mutated(where, value, homogeneity=INFER)
-    if pointer is None:
-        # y' = y^2 ranks weight alpha_max first, at k = alpha_max
-        assert parse_config(text).htype.k == 6
-        return
+def test_homogeneity_states_alpha_and_k(homogeneity, message):
     with pytest.raises(SchemaError) as exc_info:
-        parse_config(text)
-    assert exc_info.value.pointer == pointer
-
-
-def _inferred_doc(n, nonautonomous=False, **homogeneity):
-    """y_i' = y_i^2 in n variables (t' = 1 first if nonautonomous)."""
-    comps = [
-        [{"coeff": 1.0, "exponents": [2 * (j == i) for j in range(n)]}]
-        for i in range(n)
-    ]
-    if nonautonomous:
-        comps[0] = [{"coeff": 1.0, "exponents": [0] * n}]
-    return json.dumps(
-        doc(
-            field={
-                "variables": [f"x{i}" for i in range(n)],
-                "components": comps,
-                "nonautonomous": nonautonomous,
-            },
-            homogeneity={"infer": True, **homogeneity},
-            runs=[{"y0": [1.0] * n}],
-        )
-    )
-
-
-@pytest.mark.parametrize(
-    "n, nonautonomous, homogeneity",
-    [
-        (2, False, {"alpha_max": 10**6}),  # would list 10^12 weight vectors
-        (1, False, {"alpha_max": 10**6}),
-        (8, False, {}),  # the default alpha_max 6 over 8 weights: 7^8
-        (9, True, {}),
-    ],
-)
-def test_alpha_max_bounds_the_weight_search(n, nonautonomous, homogeneity):
-    text = _inferred_doc(n, nonautonomous, **homogeneity)
-    with pytest.raises(SchemaError) as exc_info:
-        parse_config(text)
-    assert exc_info.value.pointer == "/homogeneity/alpha_max"
-
-
-@pytest.mark.parametrize(
-    "n, nonautonomous, alpha_max",
-    [(7, False, 6), (8, True, 6), (2, False, 999), (1, False, 999_999)],
-)
-def test_alpha_max_within_bound_accepted(n, nonautonomous, alpha_max):
-    text = _inferred_doc(n, nonautonomous, alpha_max=alpha_max)
-    # the first candidate puts alpha_max on the last variable: k = alpha_max
-    assert parse_config(text).htype.k == alpha_max
+        parse_config(json.dumps(doc(homogeneity=homogeneity)))
+    assert exc_info.value.pointer == "/homogeneity"
+    assert message in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +643,16 @@ def test_equilibria_csv_matches_report(tmp_path, name):
 
 
 def test_equilibria_csv_without_equilibria(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_global_equilibria", lambda config, dfield: [])
+    monkeypatch.setattr(cli, "_global_equilibria", lambda config, dfield, t=None: [])
     run_pipeline(parse_config(json.dumps(SCALAR_DOC)), out_dir=str(tmp_path))
-    assert (tmp_path / "equilibria.csv").read_text(encoding="utf-8") == (
-        "index,classification,residual,t_slice\n"
-    )
+    header = "index,classification,residual,t_slice,coord_0,eig_re_0,eig_im_0\n"
+    assert (tmp_path / "equilibria.csv").read_text(encoding="utf-8") == header
     assert _equilibria_files(tmp_path)[1:] == ([], [])
+    # the equilibria command writes the same header for an empty listing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SCALAR_DOC))
+    assert main(["equilibria", str(cfg), "--out", str(tmp_path / "eq")]) == 0
+    assert (tmp_path / "eq" / "equilibria.csv").read_text(encoding="utf-8") == header
 
 
 # ---------------------------------------------------------------------------
@@ -761,12 +708,12 @@ _COMMAND_DOCS = {
 @pytest.mark.parametrize(
     "case, codes",
     [
-        # the examples with an inferred type: kk_dafermos's puts weight 0
-        # on its chart variable, the others' runs miss the horizon
-        ("painleve1", (0, 2)),
+        # the examples with their type replaced by {"infer": true}, which
+        # states no alpha and k: a config error at /homogeneity
+        ("painleve1", (1, 1)),
         ("kk_dafermos", (1, 1)),
-        ("selfsimilar", (0, 2)),
-        ("mems", (0, 2)),
+        ("selfsimilar", (1, 1)),
+        ("mems", (1, 1)),
         ("zero_columns", (0, 2)),
         ("cubic_off_type", (1, 1)),
     ],
@@ -788,6 +735,9 @@ def test_commands_end_without_traceback_and_validate_agrees(
     assert (validate, analyze) == codes
     if validate == 1:
         assert validate_err == analyze_err != ""
+        assert validate_err.count("\n") == 1
+    if case in EXAMPLES:
+        assert "(at /homogeneity)" in validate_err
 
 
 def test_equilibria_without_free_columns_lists_none(tmp_path, capsys):
@@ -977,6 +927,20 @@ def test_cli_exit_codes(tmp_path):
     err = run_cli(["analyze", str(bad), "--out", "out_b"], cwd=tmp_path)
     assert err.returncode == 1
     assert err.stderr.strip() != ""
+
+
+def test_cli_rejects_homogeneity_without_alpha_and_k(tmp_path):
+    d = json.loads(emit_example("painleve1"))
+    d["homogeneity"] = {"infer": True}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    validate = run_cli(["validate", str(cfg)], cwd=tmp_path)
+    analyze = run_cli(["analyze", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert validate.returncode == analyze.returncode == 1
+    assert validate.stderr == analyze.stderr == (
+        "config error: missing key(s): 'alpha', 'k' (at /homogeneity)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_log_env_toggles_stderr(tmp_path):

@@ -22,3 +22,12 @@ def test_quick_start_runs_and_confirms_type1():
     assert len(claims) == len(printed) == 4
     for claim, line in zip(claims, printed):
         assert line.startswith(claim.rstrip(".")), (claim, line)
+
+
+def test_infer_type_snippet_prints_its_candidates():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    block = next(b for b in blocks if "infer_type" in b)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == ["(3,) 3", "(2,) 2", "(1,) 1"]
