@@ -347,6 +347,20 @@ def test_homogeneity_states_alpha_and_k(homogeneity, message):
     assert message in str(exc_info.value)
 
 
+@pytest.mark.parametrize(
+    "where, value, pointer",
+    [pytest.param(("homogeneity", "zz"), 1, "/homogeneity", id="where7-1-/homogeneity")],
+)
+def test_single_violation_pointer_infer(where, value, pointer):
+    # a block written for the removed infer/alpha_max keys, with a stray key
+    # besides, is still one violation, pointed at the block itself
+    d = dict(FULL_DOC, homogeneity={"infer": True, "alpha_max": 6})
+    d[where[0]][where[1]] = value
+    with pytest.raises(SchemaError) as exc_info:
+        parse_config(json.dumps(d))
+    assert exc_info.value.pointer == pointer
+
+
 # ---------------------------------------------------------------------------
 # built-in systems and canonical serialization
 
