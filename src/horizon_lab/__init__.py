@@ -22,7 +22,6 @@ from .charts import (
     EmbeddedPoint,
     ParabolicChart,
     embed,
-    horizon_value,
     project,
     solve_kappa,
     transition,
@@ -119,7 +118,6 @@ __all__ = [
     "ParabolicChart",
     "DirectionalChart",
     "EmbeddedPoint",
-    "horizon_value",
     "solve_kappa",
     "embed",
     "project",

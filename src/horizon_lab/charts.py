@@ -44,7 +44,6 @@ __all__ = [
     "ParabolicChart",
     "DirectionalChart",
     "EmbeddedPoint",
-    "horizon_value",
     "solve_kappa",
     "embed",
     "project",
@@ -241,25 +240,6 @@ class EmbeddedPoint:
             self, "coords", np.asarray(self.coords, dtype=float).copy()
         )
         object.__setattr__(self, "horizon_gap", float(self.horizon_gap))
-
-
-def horizon_value(chart: Chart, coords) -> Tuple[float, np.ndarray]:
-    """Horizon function and its gradient at chart coordinates.
-
-    Parabolic: (P(x), grad P).  Directional: (s, e_i0).  Accepts a single
-    point (n,) or a batch (..., n); scalar outputs follow the input shape.
-    """
-    x = np.asarray(coords, dtype=float)
-    if isinstance(chart, ParabolicChart):
-        P = chart.horizon_poly(x)
-        grad = chart.grad_horizon_poly(x)
-    else:
-        P = x[..., chart.i0]
-        grad = np.zeros_like(x)
-        grad[..., chart.i0] = 1.0
-    if x.ndim == 1:
-        return float(P), grad
-    return P, grad
 
 
 def solve_kappa(chart: ParabolicChart, y) -> Union[float, np.ndarray]:

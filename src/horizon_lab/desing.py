@@ -26,11 +26,14 @@ The Jacobian is the exact term-wise derivative, including the chain rule
 through W.  The same source holds one DOP853 step per field and its dense
 output (its coefficients formed once per step, then evaluated per sample),
 with the stages, the tableau and the state dimension unrolled around those
-expressions (each distinct power and expression evaluated once per stage),
-and array versions of the value and the Jacobian that evaluate a whole
-batch of points with NumPy (the batched equilibrium search uses them):
-where the scalar code raises a domain error, the array code leaves
-non-finite entries in that point's row.
+expressions (each distinct power and expression evaluated once per stage).
+
+On the horizon W = 0 (resp. s = 0), so there only the terms with no power
+of the gap act: the principal part of the field.  The source also holds
+array evaluators of that restriction, its nonempty components and their
+partials, for a whole batch of points with NumPy (the batched equilibrium
+search solves them): where a scalar evaluation would raise a domain error,
+they leave non-finite entries in that point's row.
 """
 
 from __future__ import annotations
@@ -260,12 +263,9 @@ class _Emitter:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
         return expr
 
-    def derived(self, indent: str, vector: bool = False) -> list:
+    def derived(self, indent: str) -> list:
         """(symbol, template) pairs computing W and the clamped bases from
-        the x{j} locals; ``vector`` clamps whole arrays with ``_max``."""
-        def clamp(sym):
-            return f"_max({sym}, 0.0)" if vector else f"{sym} if {sym} > 0.0 else 0.0"
-
+        the x{j} locals."""
         lines = []
         if self.parabolic:
             terms = [
@@ -273,10 +273,10 @@ class _Emitter:
             ]
             lines.append(("W", f"{indent}W = 1.0 - ({' + '.join(terms)})"))
             if self.needs_w_clamp:
-                lines.append(("Wc", f"{indent}Wc = {clamp('W')}"))
+                lines.append(("Wc", f"{indent}Wc = W if W > 0.0 else 0.0"))
         elif self.needs_s_clamp:
             j = self.gap_slot
-            lines.append((f"x{j}c", f"{indent}x{j}c = {clamp(f'x{j}')}"))
+            lines.append((f"x{j}c", f"{indent}x{j}c = x{j} if x{j} > 0.0 else 0.0"))
         return lines
 
     def preamble(self) -> str:
@@ -652,38 +652,47 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
     return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
 
 
-def _emit_vector(em: _Emitter, exprs, jac_exprs) -> str:
-    """Source of ``_rhs_v(Z) -> (m, n + 1)`` and ``_jac_v(Z) -> (m, n, n)``.
-
-    Row i evaluates the field's n components and its time factor (resp. the
-    Jacobian) at point ``Z[i]``, from the same expressions as ``_rhs`` and
-    ``_jac``; each entry is written into a preallocated array, so constant
-    entries broadcast and zero Jacobian entries are never written.  Where
-    the scalar code raises (``_pw`` of a negative base or of zero with a
-    negative exponent, an integer power of zero below zero, an overflow),
-    NumPy gives NaN or inf instead; the expressions only add and multiply,
-    so that entry stays non-finite and the other rows are unaffected.
+def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...]) -> str:
+    """Source of ``_horizon_rhs(Z) -> (m, p)`` and ``_horizon_jac(Z) -> (m,
+    p, n)``: the p polynomials ``horizon`` and their partials in every
+    coordinate at each point ``Z[i]``, written into preallocated arrays
+    (zero partials never).  They carry no power of the horizon gap, so no
+    W, clamp or chain rule through W.  Where the scalar code would raise
+    (``_pw`` of a negative base or of zero with a negative exponent, an
+    integer power of zero below zero, an overflow), NumPy gives NaN or inf,
+    and since the expressions only add and multiply, it stays in that
+    point's row.
     """
-    n = em.n
-    pre = ["    " + "".join(f"x{j}, " for j in range(n)) + "= Z.T"]
-    pre += [em.inline(t) for _, t in em.derived("    ", vector=True)]
-    lines = ["def _rhs_v(Z):"] + pre + [f"    out = _empty((len(Z), {n + 1}))"]
-    lines += [f"    out[:, {i}] = {expr}" for i, expr in enumerate(exprs)]
-    lines += ["    return out", "", "def _jac_v(Z):"] + pre
-    lines += [f"    out = _zeros((len(Z), {n}, {n}))"]
-    lines += [
-        f"    out[:, {i}, {j}] = {expr}"
-        for i, row in enumerate(jac_exprs)
-        for j, expr in enumerate(row)
-        if expr != "0.0"
-    ]
+    n, p = em.n, len(horizon)
+    pre = "    " + "".join(f"x{j}, " for j in range(n)) + "= Z.T"
+    lines = ["def _horizon_rhs(Z):", pre, f"    out = _empty((len(Z), {p}))"]
+    lines += [f"    out[:, {i}] = {em.inline(em.poly(q))}"
+              for i, q in enumerate(horizon)]
+    lines += ["    return out", "", "def _horizon_jac(Z):", pre,
+              f"    out = _zeros((len(Z), {p}, {n}))"]
+    for i, q in enumerate(horizon):
+        for j in range(n):
+            d = _pdiff_var(q, j)
+            if d:
+                lines.append(f"    out[:, {i}, {j}] = {em.inline(em.poly(d))}")
     lines += ["    return out"]
     return "\n".join(lines) + "\n"
 
 
+def _on_horizon(p: Poly, gap_slot: Optional[int]) -> Poly:
+    """The terms of ``p`` with no power of the horizon gap (W on the
+    parabolic chart, ``gap_slot`` None; the s of slot ``gap_slot`` on a
+    directional one): the part of ``p`` that acts on the horizon."""
+    return {
+        (exps, w): c for (exps, w), c in p.items()
+        if (w if gap_slot is None else exps[gap_slot]) == 0
+    }
+
+
 def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
                    components: Tuple[Poly, ...], time_factor: Poly,
-                   jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool):
+                   jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool,
+                   horizon: Tuple[Poly, ...]):
     em = _Emitter(n, parabolic, two_beta, i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
@@ -700,15 +709,15 @@ def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n",
     ) + _emit_dop853(em, templates, n if nonautonomous else n + 1,
                      0 if nonautonomous else n)
-    vsrc = _emit_vector(em, exprs, jac_exprs)
-    return _compiled(parts, vsrc) + ("\n".join(parts) + "\n" + vsrc,)
+    hsrc = _emit_horizon(em, horizon)
+    return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
 @functools.lru_cache(maxsize=32)
-def _compiled(parts: Tuple[str, ...], vsrc: str):
-    """``(_rhs, _jac, _step, _dense_coeffs, _dense, _rhs_v, _jac_v)``
-    compiled from the generated source, once per distinct source, like
-    ``re``'s pattern cache.
+def _compiled(parts: Tuple[str, ...], hsrc: str):
+    """``(_rhs, _jac, _step, _dense_coeffs, _dense, _horizon_rhs,
+    _horizon_jac)`` compiled from the generated source, once per distinct
+    source, like ``re``'s pattern cache.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
@@ -719,11 +728,10 @@ def _compiled(parts: Tuple[str, ...], vsrc: str):
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
-    vns: dict = {"_pw": np.power, "_max": np.maximum, "_empty": np.empty,
-                 "_zeros": np.zeros}
-    exec(compile(vsrc, "<desing-field-array>", "exec"), vns)
+    hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros}
+    exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
     return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense_coeffs"],
-            ns["_dense"], vns["_rhs_v"], vns["_jac_v"])
+            ns["_dense"], hns["_horizon_rhs"], hns["_horizon_jac"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -747,8 +755,13 @@ class DesingField:
     (None when a coefficient is not finite), and ``dense(z, cs, thetas)``
     evaluates it at each theta in (0, 1), as ``(state, dt, gap)`` with dt
     the physical time since the step's start.
-    ``rhs_array`` and ``jacobian_array`` evaluate a batch of points at once.
-    ``source_code`` holds all the generated source.
+
+    On the horizon only the terms with no power of the horizon gap act (W on
+    the parabolic chart, s on a directional one).  ``horizon_rows`` lists
+    the components that keep such a term; ``horizon_rhs_array`` and
+    ``horizon_jacobian_array`` evaluate those rows of that restriction, and
+    their partials, at a batch of points at once.  ``source_code`` holds
+    all the generated source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]
@@ -759,29 +772,30 @@ class DesingField:
 
     def __post_init__(self):
         parabolic = isinstance(self.chart, ParabolicChart)
+        gap_slot = None if parabolic else self.chart.i0
         jac_rows = tuple(
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        rhs, jac, step, dense_coeffs, dense, rhs_v, jac_v, src = _compile_field(
+        horizon = [_on_horizon(p, gap_slot) for p in self.components]
+        rows = tuple(i for i, p in enumerate(horizon) if p)
+        compiled = _compile_field(
             self.n,
             parabolic,
             2 * self.htype.beta_full(),
             self.htype.i_alpha,
-            None if parabolic else self.chart.i0,
+            gap_slot,
             self.components,
             self.time_factor,
             jac_rows,
             self.nonautonomous,
+            tuple(horizon[i] for i in rows),
         )
-        object.__setattr__(self, "_rhs", rhs)
-        object.__setattr__(self, "_jac", jac)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "dense_coeffs", dense_coeffs)
-        object.__setattr__(self, "dense", dense)
-        object.__setattr__(self, "_rhs_v", rhs_v)
-        object.__setattr__(self, "_jac_v", jac_v)
-        object.__setattr__(self, "source_code", src)
+        object.__setattr__(self, "horizon_rows", rows)
+        for name, value in zip(("_rhs", "_jac", "step", "dense_coeffs", "dense",
+                                "_horizon_rhs", "_horizon_jac", "source_code"),
+                               compiled):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -834,31 +848,19 @@ class DesingField:
             raise DomainError(f"jacobian evaluation failed at {z}: {exc}") from exc
         return np.asarray(rows, dtype=float)
 
-    def rhs_array(self, coords) -> np.ndarray:
-        """``rhs_values`` at each row of an (m, n) array, as (m, n + 1).
-
-        A row where the scalar evaluation raises DomainError holds
-        non-finite values instead; the other rows are unaffected.  A single
-        row goes through the scalar code, which costs far less than NumPy
-        on one-element arrays.
-        """
-        return self._batch(self._rhs, self._rhs_v, coords)
-
-    def jacobian_array(self, coords) -> np.ndarray:
-        """``jacobian`` at each row of an (m, n) array, as (m, n, n), with
-        non-finite entries in rows outside the domain."""
-        return self._batch(self._jac, self._jac_v, coords)
-
-    @staticmethod
-    def _batch(scalar, vector, coords) -> np.ndarray:
-        Z = np.asarray(coords, dtype=float)
-        if len(Z) == 1:
-            try:
-                return np.array([scalar(Z[0].tolist())])
-            except (DomainError, ZeroDivisionError, ValueError, OverflowError):
-                pass  # the array code leaves the failing entries non-finite
+    def horizon_rhs_array(self, coords) -> np.ndarray:
+        """The field restricted to the horizon at each row of an (m, n)
+        array, as (m, p): its components ``horizon_rows``, from their terms
+        with no power of the horizon gap.  A row where such a term fails to
+        evaluate holds non-finite values; the other rows are unaffected."""
         with np.errstate(all="ignore"):
-            return vector(Z)
+            return self._horizon_rhs(np.asarray(coords, dtype=float))
+
+    def horizon_jacobian_array(self, coords) -> np.ndarray:
+        """The partials of ``horizon_rhs_array`` in every coordinate, as
+        (m, p, n), with non-finite entries in rows outside the domain."""
+        with np.errstate(all="ignore"):
+            return self._horizon_jac(np.asarray(coords, dtype=float))
 
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))

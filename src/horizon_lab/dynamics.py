@@ -20,19 +20,19 @@ its dense-output coefficients once and evaluates them at each sample.
 This module keeps the step-size control, the sampling and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
-augmented system [g(x); P(x) - 1] (parabolic) or on g restricted to {s = 0}
-(directional), seeded on a small grid (``grid_seeds``) or at given points
-such as a trajectory endpoint; each seed's weight-0 slots pick its family
-slice.  All seeds of one search form a single batch: the residuals and
-Jacobians come from the field's array evaluators (``DesingField.rhs_array``
-/ ``jacobian_array``) and each seed keeps its own line search and stopping
-rules.  A component that vanishes on the whole search slice (on a
-directional chart, every term carries a positive power of s) is left out of
-the system, with its derivatives.  Each least-squares step is the
-pseudo-inverse step with LAPACK's default rank cutoff: a square member
-whose bound ||J||_F^k / |det J| on its condition number stays below 1e12,
-where that cutoff cannot fire, takes it from one stacked ``solve``, every
-other member from one stacked SVD.
+field restricted to the horizon, the terms with no power of the gap
+(``DesingField.horizon_rows``), augmented by P(x) - 1 on the parabolic
+chart and taken at s = 0 on a directional one.  It is seeded on a small
+grid (``grid_seeds``) or at given points such as a trajectory endpoint;
+each seed's weight-0 slots pick its family slice.  All seeds of one search
+form a single batch: the residuals and Jacobians come from the field's
+array evaluators (``DesingField.horizon_rhs_array`` /
+``horizon_jacobian_array``) and each seed keeps its own line search and
+stopping rules.  Each least-squares step is the pseudo-inverse step with
+LAPACK's default rank cutoff: a square member whose bound
+||J||_F^k / |det J| on its condition number stays below 1e12, where that
+cutoff cannot fire, takes it from one stacked ``solve``, every other member
+from one stacked SVD.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -172,9 +172,9 @@ def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
     output.  Otherwise its coefficients are formed once, and m is raised
     until no two consecutive gaps of the sequence g0, fills, g1 that both
     exceed ``floor`` lie more than _GAP_DECADES apart; each raise evaluates
-    only the new thetas.  Returns None when the dense output is not finite
-    and raises DomainError when an extra stage or a sample's gap fails to
-    evaluate."""
+    all m - 1 thetas of the new m again and reuses only the coefficients.
+    Returns None when the dense output is not finite and raises DomainError
+    when an extra stage or a sample's gap fails to evaluate."""
     if m <= 1:
         return []
     cs = dfield.dense_coeffs(z, h, st)
@@ -536,20 +536,6 @@ def _free_slots(dfield: DesingField) -> list:
     return [i for i in dfield.htype.i_alpha if i != pivot]
 
 
-def _live_rows(dfield: DesingField) -> list:
-    """Components a search keeps.  On a directional chart a component whose
-    every term carries a positive power of the pivot s, an empty one
-    included, is zero on the slice {s = 0} with its free-column
-    derivatives, and is left out; a parabolic chart keeps them all."""
-    if not isinstance(dfield.chart, DirectionalChart):
-        return list(range(dfield.n))
-    pivot = dfield.chart.i0
-    return [
-        i for i, comp in enumerate(dfield.components)
-        if not all(exps[pivot] > 0 for exps, _ in comp)
-    ]
-
-
 def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
     """Grid seeds on the family slice through ``anchor`` (full chart
     coordinates) as one (m, n) array: 7 points per solved slot, the others
@@ -573,18 +559,19 @@ def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
 def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
 
-    Parabolic charts solve the augmented system [g(x); P(x) - 1]; directional
-    charts solve g restricted to {s = 0} (each seed's s is set to 0),
-    without the components that vanish there (``_live_rows``).  A seed's
-    weight-0 slots stay at its values: they pick the member of a family of
-    equilibria, e.g. the time slice (``Equilibrium.t_slice``) of a
-    nonautonomous field, so one batch may mix slices.  All seeds are
-    solved in one batched Gauss-Newton call.  Only points meeting
-    the residual contract (|g| < 1e-10, horizon constraint < 1e-12) are
-    returned, deduplicated in seed order: a point is dropped when it lies
-    within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an earlier one, |r| and |r'|
-    being their final residuals (a solve that stops at |r| ~ 1e-14 sits
-    about sqrt(|r|) from a double zero).
+    The search solves the field restricted to the horizon, its rows
+    ``DesingField.horizon_rows``: on the parabolic chart together with the
+    row P(x) - 1, on a directional chart at s = 0 (each seed's s is set to
+    0).  A seed's weight-0 slots stay at its values: they pick the member
+    of a family of equilibria, e.g. the time slice
+    (``Equilibrium.t_slice``) of a nonautonomous field, so one batch may
+    mix slices.  All seeds are solved in one batched Gauss-Newton call.
+    Only points meeting the residual contract (|g| < 1e-10, horizon
+    constraint < 1e-12) are returned, deduplicated in seed order: a point
+    is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
+    earlier one, |r| and |r'| being their final residuals (a solve that
+    stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).  A
+    point where the full field fails to evaluate is dropped too.
     """
     chart = dfield.chart
     parabolic = isinstance(chart, ParabolicChart)
@@ -597,44 +584,34 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     if not parabolic:
         X0[:, chart.i0] = 0.0
     free = _free_slots(dfield)
-    # every row on a parabolic chart; with no live row all are kept, so that
-    # a seed outside the domain still shows it
-    live = _live_rows(dfield) or list(range(n))
+    p = len(dfield.horizon_rows)
 
     def points(v, rows):
         X = X0[rows]
         X[:, free] = v
         return X
 
-    def drop_dead(A):
-        if len(live) == n:
-            return A
-        # a member whose dead rows are not finite stays outside the domain
-        out = A[:, live]
-        out[~np.isfinite(A).all(axis=tuple(range(1, A.ndim)))] = np.nan
-        return out
-
     def residual(v, rows):
         X = points(v, rows)
-        g = dfield.rhs_array(X)[:, :n]
+        g = dfield.horizon_rhs_array(X)
         if parabolic:
             return np.column_stack([g, chart.horizon_poly(X) - 1.0])
-        return drop_dead(g)
+        return g
 
     def jac(v, rows):
         X = points(v, rows)
-        J = dfield.jacobian_array(X)
+        J = dfield.horizon_jacobian_array(X)
         if parabolic:
             gradP = chart.grad_horizon_poly(X)
             J = np.concatenate([J, gradP[:, None, :]], axis=1)
-        return drop_dead(J[:, :, free])
+        return J[:, :, free]
 
     with np.errstate(all="ignore"):
         v, r = _gauss_newton(residual, jac, X0[:, free])
         rnorm = np.linalg.norm(r, axis=1)
-        accepted = np.linalg.norm(r[:, :len(live)], axis=1) < _RESIDUAL_TOL
+        accepted = np.linalg.norm(r[:, :p], axis=1) < _RESIDUAL_TOL
         if parabolic:
-            accepted &= np.abs(r[:, n]) < _CONSTRAINT_TOL
+            accepted &= np.abs(r[:, p]) < _CONSTRAINT_TOL
     X = points(v, np.arange(len(X0)))
 
     # in seed order, each kept point absorbs the later ones within reach
@@ -652,6 +629,10 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     tangential_dims = n - len(dfield.htype.i_alpha)
     out = []
     for x in found:
+        try:
+            g = dfield.g(x)
+        except DomainError:  # a term the horizon drops is singular here
+            continue
         J = dfield.jacobian(x)
         eigs = np.sort(_eigvals(J))  # by (real, imag), not LAPACK's order
         split = spectrum_classify(eigs, tangential_dims)
@@ -659,7 +640,7 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
             Equilibrium(
                 coords=x,
                 t_slice=float(x[0]) if dfield.nonautonomous else None,
-                residual=float(np.linalg.norm(dfield.g(x))),
+                residual=float(np.linalg.norm(g)),
                 eigenvalues=eigs,
                 tangential_dims=tangential_dims,
                 classification=split.classification,

@@ -892,6 +892,26 @@ def test_main_equilibria_t_slice(tmp_path, capsys):
     assert "DomainError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["1e15", "3e16", "5e16", "1e17", "3e17", "1e18", "1e19"])
+def test_main_equilibria_far_t_slice_lists_both_points(tmp_path, t):
+    # the search solves the field on the horizon, where painleve1's weight-0
+    # term t * W**4 is gone, so a far slice lists C02's two closed-form
+    # points (17^(-1/6), +-2 17^(-1/4)) like any other slice
+    cfg_path = tmp_path / "painleve1.json"
+    cfg_path.write_text(emit_example("painleve1"))
+    out = tmp_path / "out"
+    assert main(["equilibria", str(cfg_path), "--t-slice", t, "--out", str(out)]) == 0
+    with open(out / "equilibria.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    u, v = 17.0 ** (-1.0 / 6.0), 2.0 * 17.0 ** (-1.0 / 4.0)
+    got = sorted((float(r["coord_1"]), float(r["coord_2"])) for r in rows)
+    assert len(got) == 2
+    assert got[0] == pytest.approx((u, -v), rel=1e-10)
+    assert got[1] == pytest.approx((u, v), rel=1e-10)
+    assert sorted(r["classification"] for r in rows) == ["sink", "source"]
+    assert all(r["t_slice"] == repr(float(t)) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # CLI via subprocess: exit codes, logging, determinism
 

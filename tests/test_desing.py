@@ -25,6 +25,7 @@ from horizon_lab import (
     eval_field,
     evaluate_desing,
     extend_nonautonomous,
+    grid_seeds,
     integrate,
 )
 from horizon_lab.cli import build_field_from_config
@@ -397,8 +398,8 @@ def test_source_code_is_exposed():
     assert "def _rhs(" in df.source_code
     assert "def _jac(" in df.source_code
     assert "def _step(" in df.source_code
-    assert "def _rhs_v(" in df.source_code
-    assert "def _jac_v(" in df.source_code
+    assert "def _horizon_rhs(" in df.source_code
+    assert "def _horizon_jac(" in df.source_code
 
 
 # ---------------------------------------------------------------------------
@@ -420,29 +421,49 @@ _ARRAY_FIELDS = {
 @pytest.mark.parametrize("name", sorted(_ARRAY_FIELDS))
 def test_array_evaluators_match_scalar(name):
     df = _ARRAY_FIELDS[name]()
+    rows = list(df.horizon_rows)
     rng = np.random.default_rng(11)
-    Z = rng.uniform(-0.9, 0.9, size=(300, df.n))
-    R, J = df.rhs_array(Z), df.jacobian_array(Z)
-    assert R.shape == (300, df.n + 1) and J.shape == (300, df.n, df.n)
-    failures = 0
+    if isinstance(df.chart, DirectionalChart):
+        # at s = 0 every left-out term is an exact zero, so the horizon rows
+        # are the field's and so are their partials off the pivot, up to
+        # NumPy's powers, which differ from Python's in the last bit; the
+        # restriction has no s, so its s-partials are 0
+        i0 = df.chart.i0
+        Z = rng.uniform(-0.9, 0.9, size=(300, df.n))
+        Z[:, i0] = 0.0
+        R, J = df.horizon_rhs_array(Z), df.horizon_jacobian_array(Z)
+        assert R.shape == (300, len(rows)) and J.shape == (300, len(rows), df.n)
+        assert not J[:, :, i0].any()
+        if not rows:  # every term carries s (and an s-partial is s**(-1/2))
+            return
+        cols = [j for j in range(df.n) if j != i0]
+        for z, r, jac in zip(Z, R, J):
+            for got, want in ((r, np.asarray(df.rhs_values(z))[rows]),
+                              (jac[:, cols], df.jacobian(z)[np.ix_(rows, cols)])):
+                assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        return
+    # on P = 1 the full field reads W = 1 - P, zero up to rounding
+    Z = np.vstack([grid_seeds(df, rng.uniform(0.1, 0.9, df.n)) for _ in range(5)])
+    R, J = df.horizon_rhs_array(Z), df.horizon_jacobian_array(Z)
+    assert R.shape == (len(Z), len(rows)) and J.shape == (len(Z), len(rows), df.n)
     for z, r, jac in zip(Z, R, J):
-        for scalar, got in ((df.rhs_values, r), (df.jacobian, jac)):
-            try:
-                want = np.asarray(scalar(z), dtype=float)
-            except DomainError:
-                failures += 1
-                assert not np.all(np.isfinite(got))
-                continue
-            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-    if name == "sqrt_coordinate":  # half the points have r < 0
-        assert failures > 100
+        want = np.asarray(df.rhs_values(z))[rows]
+        assert np.all(np.abs(r - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        fd = fd_jacobian(lambda x: df.horizon_rhs_array(x[None, :])[0], z)
+        assert np.all(np.abs(jac - fd) <= 1e-6 * np.maximum(1.0, np.abs(jac)))
+
+
+def _reciprocal_coordinate():
+    # y' = y^2 / r on the parabolic chart: r**(-1) sits in a term with no
+    # power of W, so it reaches the horizon evaluators
+    fs = FieldSpec(variable_names=("r", "y"), components=((), (m(1.0, -1, 2),)))
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
 
 
 @pytest.mark.parametrize(
     "field, bad, good",
     [
-        # mems at r = 0 reaches r**(-1)
-        (lambda: _example("mems"), [0.0, 0.3, -0.5], [[1.0, 0.3, -0.5], [0.5, 0.1, 0.2]]),
+        (_reciprocal_coordinate, [0.0, 0.5], [[1.0, 0.3], [0.5, -0.2]]),
         # a fractional power of a negative base
         (CLAMPED_FIELDS["sqrt_coordinate"], [-1.0, 0.5], [[4.0, 0.5], [0.25, -0.3]]),
     ],
@@ -450,25 +471,26 @@ def test_array_evaluators_match_scalar(name):
 )
 def test_array_domain_failure_stays_in_its_row(field, bad, good):
     df = field()
+    assert df.horizon_rows == (1,)
     with pytest.raises(DomainError):
         df.rhs_values(bad)
     with pytest.raises(DomainError):
         df.jacobian(bad)
     Z = np.array([good[0], bad, good[1]])
-    R, J = df.rhs_array(Z), df.jacobian_array(Z)
+    R, J = df.horizon_rhs_array(Z), df.horizon_jacobian_array(Z)
     assert not np.all(np.isfinite(R[1]))
     assert not np.all(np.isfinite(J[1]))
     for i in (0, 2):
-        assert np.array_equal(R[i], df.rhs_array(Z[i:i + 1])[0])
-        assert np.array_equal(J[i], df.jacobian_array(Z[i:i + 1])[0])
+        assert np.array_equal(R[i], df.horizon_rhs_array(Z[i:i + 1])[0])
+        assert np.array_equal(J[i], df.horizon_jacobian_array(Z[i:i + 1])[0])
         assert np.all(np.isfinite(R[i])) and np.all(np.isfinite(J[i]))
 
 
 # ---------------------------------------------------------------------------
 # the compiled-evaluator cache, keyed by the generated source
 
-_COMPILED = ("_rhs", "_jac", "step", "dense_coeffs", "dense", "_rhs_v",
-             "_jac_v")
+_COMPILED = ("_rhs", "_jac", "step", "dense_coeffs", "dense", "_horizon_rhs",
+             "_horizon_jac")
 
 
 def test_same_config_shares_compiled_functions():

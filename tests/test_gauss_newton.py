@@ -276,15 +276,16 @@ def test_linear_step_keeps_lstsq_rank_cutoff(monkeypatch, rows, small, path):
 
 def test_live_rows_of_the_examples():
     # kk: chi' = 0 and the pivot row u2' carries s; mems: the time row r'
-    # and the pivot row w' carry s
-    live = {name: dynamics._live_rows(build_field_from_config(make_example(name)))
+    # and the pivot row w' carry s; painleve1: the time row t' is q W**k;
+    # kk on the parabolic chart: chi' = 0 is empty
+    rows = {name: build_field_from_config(make_example(name)).horizon_rows
             for name in example_names()}
-    assert live["kk_dafermos"] == [1, 3, 4]
-    assert live["mems"] == [2]
-    assert live["painleve1"] == [0, 1, 2]  # parabolic: every row
+    assert rows["kk_dafermos"] == (1, 3, 4)
+    assert rows["mems"] == (2,)
+    assert rows["painleve1"] == (1, 2)
     kk = build_field_from_config(make_example("kk_dafermos"))
     parabolic_kk = build_parabolic_desing(kk.source, kk.htype)
-    assert dynamics._live_rows(parabolic_kk) == list(range(kk.n))
+    assert parabolic_kk.horizon_rows == (1, 2, 3, 4)
 
 
 def test_one_s_free_term_keeps_a_row_live():
@@ -298,12 +299,15 @@ def test_one_s_free_term_keeps_a_row_live():
     s_free = tuple(0 if j == pivot else e for j, e in enumerate(exps))
     comps[pivot] = {**comps[pivot], (s_free, w): 0.5}
     changed = dataclasses.replace(kk, components=tuple(comps))
-    assert dynamics._live_rows(changed) == [1, 2, 3, 4]
+    assert changed.horizon_rows == (1, 2, 3, 4)
+    # the pivot's horizon row is that term alone
+    assert changed.horizon_rhs_array(np.ones((1, kk.n)))[0, 1] == 0.5
 
 
 def test_singular_dead_row_still_rejects_its_seed(monkeypatch):
     # r' = 1/r, y' = y^2, z' = -y z over y > 0: the rows of r and of the
-    # pivot carry s and are left out, but at r = 0 the r row is 0 * inf
+    # pivot carry s and are not on the horizon, but at r = 0 the full
+    # field's r row raises, so a point found there is dropped
     fs = FieldSpec(
         variable_names=("r", "y", "z"),
         components=((Monomial(1.0, (-1, 0, 0)),), (Monomial(1.0, (0, 2, 0)),),
@@ -311,31 +315,32 @@ def test_singular_dead_row_still_rejects_its_seed(monkeypatch):
     )
     ht = HomogeneityType(alpha=(0, 1, 1), k=1)
     df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=1, sign=1))
-    assert dynamics._live_rows(df) == [2]
+    assert df.horizon_rows == (2,)
     seeds = [[0.0, 0.0, 0.3], [2.0, 0.0, 0.3]]
     got, want = _both(monkeypatch, lambda: find_horizon_equilibria(df, seeds))
     assert [e.t_slice for e in got] == [None]
     assert got[0].coords.tolist() == [2.0, 0.0, 0.0]
     assert_same_listing(got, want)
-    # with no row left live, the seed still carries its domain failure
+    # with no horizon row, the full field still rejects the seed at r = 0
     fs = FieldSpec(
         variable_names=("r", "y"),
         components=((Monomial(1.0, (-1, 0)),), (Monomial(1.0, (0, 2)),)),
     )
     ht = HomogeneityType(alpha=(0, 1), k=1)
     df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=1, sign=1))
-    assert dynamics._live_rows(df) == []
+    assert df.horizon_rows == ()
     assert [e.coords.tolist() for e in
             find_horizon_equilibria(df, [[0.0, 0.0], [2.0, 0.0]])] == [[2.0, 0.0]]
 
 
 def test_bad_seed_leaves_good_seed_alone():
-    # x' = -100 x, y' = y^2 + sqrt(x): with x frozen, the seed at x = -1
-    # takes a fractional power of a negative base everywhere
+    # x' = -100 x, y' = y^2 + sqrt(x) y^2: with x frozen, the seed at
+    # x = -1 takes a fractional power of a negative base everywhere, in a
+    # term with no power of W, so on the horizon too
     fs = FieldSpec(
         variable_names=("x", "y"),
         components=((Monomial(-100.0, (1, 0)),),
-                    (Monomial(1.0, (0, 2)), Monomial(1.0, (0.5, 0)))),
+                    (Monomial(1.0, (0, 2)), Monomial(1.0, (0.5, 2)))),
     )
     df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
     good = np.array([0.25, 0.3])
@@ -354,8 +359,8 @@ def test_bad_seed_leaves_good_seed_alone():
             return np.column_stack([np.asarray(frozen)[idx], v])
 
         return dynamics._gauss_newton(
-            lambda v, idx: df.rhs_array(points(v, idx))[:, :2],
-            lambda v, idx: df.jacobian_array(points(v, idx))[:, :, 1:],
+            lambda v, idx: df.horizon_rhs_array(points(v, idx)),
+            lambda v, idx: df.horizon_jacobian_array(points(v, idx))[:, :, 1:],
             np.full((len(frozen), 1), 0.3),
         )
 
