@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .charts import DirectionalChart
 from .dynamics import (
     HORIZON_REACHED,
     Equilibrium,
@@ -180,8 +179,7 @@ def fit_rate(
     chart = traj.dfield.chart
     coords = traj.coords[idx]
     gaps = traj.gaps[idx]
-    directional = isinstance(chart, DirectionalChart)
-    if not (directional and i == chart.i0):
+    if i != traj.dfield.gap_slot:  # a directional s vanishes by design
         xi = np.abs(coords[:, i])
         if np.median(xi) < _VANISH_TOL or (
             np.all(xi > 0)

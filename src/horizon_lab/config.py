@@ -19,7 +19,7 @@ from typing import Tuple, Union
 
 from .charts import Chart, DirectionalChart, ParabolicChart
 from .dynamics import IntegratorControls
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .homogeneity import FieldSpec, HomogeneityType, Monomial
 
 __all__ = [
@@ -150,7 +150,8 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
       alpha, y0 or a chart index that do not fit the number of variables;
     - a nonautonomous field without t' = 1 as component 0, with a nonzero
       time weight, or with a run whose ``t0`` is not ``y0[0]``;
-    - an all-zero alpha or k <= 0;
+    - an all-zero alpha or k <= 0; an alpha entry or a 2 beta_i = 2
+      lcm(alpha)/alpha_i beyond int64 (2**63 - 1);
     - a directional chart without an index, over a variable of weight 0,
       or with an initial point outside its half-space; a parabolic chart
       with an index or sign.
@@ -250,7 +251,10 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     k = _number(hdoc["k"], "/homogeneity/k")
     if not k > 0:
         raise SchemaError("order k must be positive", "/homogeneity/k")
-    htype = HomogeneityType(alpha=alpha, k=k)
+    try:  # k is checked above, so what fails here is alpha's size
+        htype = HomogeneityType(alpha=alpha, k=k)
+    except DomainError as exc:
+        raise SchemaError(str(exc), "/homogeneity/alpha") from None
 
     cdoc = _object(doc["chart"], "/chart", ("type",), ("index", "sign"))
     chart_kind = _choice(cdoc["type"], "/chart/type", ("parabolic", "directional"))

@@ -17,7 +17,10 @@ In a directional chart over sign * y_i0 > 0,
 where f^ folds sign**(m_i0) into each rescaled monomial.  Both constructions
 happen symbolically on sparse exponent dictionaries, so the field is evaluated
 in closed form: nothing is ever computed at infinity, and powers of the
-horizon functions W and s appear with provably nonnegative exponents.
+horizon functions W and s appear with provably nonnegative exponents.  A term
+is keyed by one exponent tuple whose slot ``gap_slot`` holds the power of the
+horizon gap: s's own slot i0 on a directional chart, an extra slot n after the
+coordinates for W on the parabolic one.
 
 Evaluation goes through plain Python expressions (value, Jacobian, time
 factor), compiled once per distinct generated source per process (bounded
@@ -42,7 +45,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -71,10 +74,11 @@ __all__ = [
 
 Real = Union[int, float, Fraction]
 
-# A polynomial in (chart coords, W): {(exps, w_exp): coeff}.  In directional
-# charts the s-powers live in the i0 slot of exps and w_exp stays 0.
-TermKey = Tuple[Tuple[Real, ...], Real]
-Poly = Dict[TermKey, float]
+# A polynomial as {exps: coeff}.  The exponent tuple has a slot per chart
+# coordinate and, on the parabolic chart, one more slot n for W; the slot of
+# the horizon gap (W, or s = x_i0 on a directional chart) is the field's
+# gap_slot.
+Poly = Dict[Tuple[Real, ...], float]
 
 
 def _canon_e(e: Real) -> Real:
@@ -101,7 +105,7 @@ def _eadd(a: Real, b: Real) -> Real:
     )
 
 
-def _padd(dst: Poly, key: TermKey, coeff: float) -> None:
+def _padd(dst: Poly, key: Tuple[Real, ...], coeff: float) -> None:
     cur = dst.get(key, 0.0) + coeff
     if cur == 0.0:
         dst.pop(key, None)
@@ -116,55 +120,34 @@ def _pscale(p: Poly, c: float) -> Poly:
 
 
 def _pmul_var(p: Poly, j: int, e: Real) -> Poly:
-    """Multiply a polynomial by x_j**e."""
+    """Multiply a polynomial by the symbol of slot j to the power e."""
     out: Poly = {}
-    for (exps, w), coeff in p.items():
+    for exps, coeff in p.items():
         new = list(exps)
         new[j] = _eadd(new[j], e)
-        _padd(out, (tuple(new), w), coeff)
-    return out
-
-
-def _pmul_w(p: Poly, e: Real) -> Poly:
-    out: Poly = {}
-    for (exps, w), coeff in p.items():
-        _padd(out, (exps, _eadd(w, e)), coeff)
+        _padd(out, tuple(new), coeff)
     return out
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
-    for (ea, wa), ca in a.items():
-        for (eb, wb), cb in b.items():
-            exps = tuple(_eadd(x, y) for x, y in zip(ea, eb))
-            _padd(out, (exps, _eadd(wa, wb)), ca * cb)
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _padd(out, tuple(_eadd(x, y) for x, y in zip(ea, eb)), ca * cb)
     return out
 
 
 def _pdiff_var(p: Poly, j: int) -> Poly:
-    """Formal d/dx_j treating W as an independent symbol."""
+    """Formal d/d(slot j), every slot an independent symbol."""
     out: Poly = {}
-    for (exps, w), coeff in p.items():
+    for exps, coeff in p.items():
         e = exps[j]
         if e == 0:
             continue
         new = list(exps)
         new[j] = _eadd(e, -1)
-        _padd(out, (tuple(new), w), coeff * float(e))
+        _padd(out, tuple(new), coeff * float(e))
     return out
-
-
-def _pdiff_w(p: Poly) -> Poly:
-    out: Poly = {}
-    for (exps, w), coeff in p.items():
-        if w == 0:
-            continue
-        _padd(out, (exps, _eadd(w, -1)), coeff * float(w))
-    return out
-
-
-def _zero_exps(n: int) -> Tuple[Real, ...]:
-    return (0,) * n
 
 
 # --------------------------------------------------------------------------
@@ -175,18 +158,13 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _emit_power(sym: str, e: Real, clamped_sym: Optional[str] = None) -> str:
-    e = _canon_e(e)
-    if isinstance(e, int):
-        if e == 1:
-            return sym
-        return f"{sym}**({e})" if e < 0 else f"{sym}**{e}"
-    target = clamped_sym if clamped_sym is not None else sym
-    return f"_pw({target}, {_fmt_float(float(e))})"
-
-
 class _Emitter:
     """Shared expression emitter for one desingularized field.
+
+    Slot j < n of a term key is the coordinate ``x{j}``; on the parabolic
+    chart (``gap_slot == n``) slot n is ``W``.  A fractional power of the
+    horizon gap reads its clamp ``Wc`` / ``x{i0}c`` (the gap, or 0 below
+    the horizon), bound only when some term needs it.
 
     Expressions come out as templates: each power other than a first power
     is a ``{p<k>}`` field, one name per distinct power text; ``powers``
@@ -195,54 +173,48 @@ class _Emitter:
     binds a power it uses more than once to its name instead.
     """
 
-    def __init__(self, n: int, parabolic: bool, two_beta: np.ndarray,
-                 i_alpha: Tuple[int, ...], gap_slot: Optional[int]):
+    def __init__(self, n: int, two_beta: np.ndarray, i_alpha: Tuple[int, ...],
+                 gap_slot: int):
         self.n = n
-        self.parabolic = parabolic
+        self.parabolic = gap_slot == n
         self.two_beta = two_beta
         self.i_alpha = i_alpha
-        self.gap_slot = gap_slot  # directional: slot index of s
-        self.needs_w_clamp = False
-        self.needs_s_clamp = False
+        self.gap_slot = gap_slot
+        self.gap = "W" if self.parabolic else f"x{gap_slot}"
+        self.needs_clamp = False
         # coordinates read by the emitted expressions or by W
-        self.used = set(i_alpha) if parabolic else set()
+        self.used = set(i_alpha) if self.parabolic else set()
         self.powers: Dict[str, Tuple[str, str]] = {}
         self.texts: Dict[str, str] = {}  # power name -> text
 
-    def var(self, j: int) -> str:
-        return f"x{j}"
-
-    def power(self, sym: str, e: Real, clamped_sym: Optional[str] = None) -> str:
-        text = _emit_power(sym, e, clamped_sym)
-        if text == sym:
-            return text
+    def power(self, sym: str, e: Real) -> str:
+        e = _canon_e(e)
+        if e == 1:
+            return sym
+        if isinstance(e, int):
+            text = f"{sym}**({e})" if e < 0 else f"{sym}**{e}"
+        else:
+            text = f"_pw({sym}, {_fmt_float(float(e))})"
         if text not in self.powers:
-            fractional = not isinstance(_canon_e(e), int)
-            base = clamped_sym if fractional and clamped_sym else sym
-            self.powers[text] = (f"p{len(self.powers)}", base)
+            self.powers[text] = (f"p{len(self.powers)}", sym)
             self.texts[self.powers[text][0]] = text
         return "{" + self.powers[text][0] + "}"
 
     def inline(self, template: str) -> str:
         return template.format_map(self.texts)
 
-    def term(self, exps: Tuple[Real, ...], w: Real, coeff: float) -> str:
+    def term(self, exps: Tuple[Real, ...], coeff: float) -> str:
         factors = []
         for j, e in enumerate(exps):
             if e == 0:
                 continue
-            self.used.add(j)
-            clamp = None
-            if self.gap_slot is not None and j == self.gap_slot and not isinstance(_canon_e(e), int):
-                clamp = f"x{j}c"
-                self.needs_s_clamp = True
-            factors.append(self.power(self.var(j), e, clamp))
-        if w != 0:
-            if not isinstance(_canon_e(w), int):
-                self.needs_w_clamp = True
-                factors.append(self.power("W", w, "Wc"))
-            else:
-                factors.append(self.power("W", w))
+            sym = self.gap if j == self.gap_slot else f"x{j}"
+            if j < self.n:
+                self.used.add(j)
+            if j == self.gap_slot and not isinstance(_canon_e(e), int):
+                self.needs_clamp = True
+                sym += "c"
+            factors.append(self.power(sym, e))
         if not factors:
             return _fmt_float(coeff)
         if coeff == 1.0:
@@ -255,16 +227,15 @@ class _Emitter:
         if not p:
             return "0.0"
         # deterministic source: sort terms by exponent signature
-        items = sorted(p.items(), key=lambda kv: (tuple(map(float, kv[0][0])),
-                                                  float(kv[0][1])))
-        parts = [self.term(exps, w, coeff) for (exps, w), coeff in items]
+        items = sorted(p.items(), key=lambda kv: tuple(map(float, kv[0])))
+        parts = [self.term(exps, coeff) for exps, coeff in items]
         expr = parts[0]
         for piece in parts[1:]:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
         return expr
 
     def derived(self, indent: str) -> list:
-        """(symbol, template) pairs computing W and the clamped bases from
+        """(symbol, template) pairs computing W and the clamped gap from
         the x{j} locals."""
         lines = []
         if self.parabolic:
@@ -272,11 +243,9 @@ class _Emitter:
                 self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
             ]
             lines.append(("W", f"{indent}W = 1.0 - ({' + '.join(terms)})"))
-            if self.needs_w_clamp:
-                lines.append(("Wc", f"{indent}Wc = W if W > 0.0 else 0.0"))
-        elif self.needs_s_clamp:
-            j = self.gap_slot
-            lines.append((f"x{j}c", f"{indent}x{j}c = x{j} if x{j} > 0.0 else 0.0"))
+        if self.needs_clamp:
+            g = self.gap
+            lines.append((f"{g}c", f"{indent}{g}c = {g} if {g} > 0.0 else 0.0"))
         return lines
 
     def preamble(self) -> str:
@@ -546,7 +515,6 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
     reads = [f"d{i}" for i in slots] + [
         f"k{s}_{i}" for s in _DENSE_READS for i in slots
     ]
-    gap = "W" if em.parabolic else f"x{em.gap_slot}"
     absolutes = ", ".join(f"abs(x{i})" for i in slots)
 
     lines = [
@@ -582,7 +550,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         + "".join(f"x{i}, " for i in slots)
         + "), err, ("
         + "".join(f"k13_{i}, " for i in slots)
-        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, ("
+        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {em.gap}, ("
         + "".join(f"{r}, " for r in reads)
         + ")",
     ]
@@ -644,7 +612,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
     lines.append(
         f"{pad}out.append((("
         + "".join(f"x{i}, " for i in slots)
-        + f"), dt, {gap}))"
+        + f"), dt, {em.gap}))"
     )
     if em.parabolic:
         lines += fails("dense output")
@@ -679,21 +647,18 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _on_horizon(p: Poly, gap_slot: Optional[int]) -> Poly:
-    """The terms of ``p`` with no power of the horizon gap (W on the
-    parabolic chart, ``gap_slot`` None; the s of slot ``gap_slot`` on a
+def _on_horizon(p: Poly, gap_slot: int) -> Poly:
+    """The terms of ``p`` with a zero exponent in slot ``gap_slot``, the
+    horizon gap's (W's slot n on the parabolic chart, s's slot i0 on a
     directional one): the part of ``p`` that acts on the horizon."""
-    return {
-        (exps, w): c for (exps, w), c in p.items()
-        if (w if gap_slot is None else exps[gap_slot]) == 0
-    }
+    return {exps: c for exps, c in p.items() if exps[gap_slot] == 0}
 
 
-def _compile_field(n: int, parabolic: bool, two_beta, i_alpha, gap_slot,
+def _compile_field(n: int, two_beta, i_alpha, gap_slot: int,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool,
                    horizon: Tuple[Poly, ...]):
-    em = _Emitter(n, parabolic, two_beta, i_alpha, gap_slot)
+    em = _Emitter(n, two_beta, i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
     exprs = [em.inline(t) for t in templates]
@@ -738,12 +703,14 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
 class DesingField:
     """A desingularized field on a chart, stored as extended monomials.
 
-    ``components[i]`` and ``time_factor`` map (coordinate exponents,
-    W-exponent) to coefficients; W is recomputed from the coordinates at
-    evaluation time, which keeps the horizon exact.  Evaluation goes through
-    expressions compiled once per distinct generated source per process
-    (bounded LRU); fields with the same source share the stateless compiled
-    functions.
+    ``components[i]`` and ``time_factor`` map exponent tuples to
+    coefficients.  A tuple has one slot per chart coordinate and, on the
+    parabolic chart, a slot n for W; ``gap_slot`` is the horizon gap's slot
+    (n for W, i0 for a directional chart's s).  W is recomputed from the
+    coordinates at evaluation time, which keeps the horizon exact.
+    Evaluation goes through expressions compiled once per distinct
+    generated source per process (bounded LRU); fields with the same source
+    share the stateless compiled functions.
 
     ``step(z, k1, h, atol, rtol)`` is the field's compiled DOP853 step:
     from state ``z`` (the coordinates, then t for an autonomous field) and
@@ -757,7 +724,8 @@ class DesingField:
     the physical time since the step's start.
 
     On the horizon only the terms with no power of the horizon gap act (W on
-    the parabolic chart, s on a directional one).  ``horizon_rows`` lists
+    the parabolic chart, s on a directional one): those with a zero
+    exponent in ``gap_slot``.  ``horizon_rows`` lists
     the components that keep such a term; ``horizon_rhs_array`` and
     ``horizon_jacobian_array`` evaluate those rows of that restriction, and
     their partials, at a batch of points at once.  ``source_code`` holds
@@ -771,8 +739,10 @@ class DesingField:
     time_factor: Poly
 
     def __post_init__(self):
-        parabolic = isinstance(self.chart, ParabolicChart)
-        gap_slot = None if parabolic else self.chart.i0
+        gap_slot = (
+            self.n if isinstance(self.chart, ParabolicChart) else self.chart.i0
+        )
+        object.__setattr__(self, "gap_slot", gap_slot)
         jac_rows = tuple(
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
@@ -781,7 +751,6 @@ class DesingField:
         rows = tuple(i for i, p in enumerate(horizon) if p)
         compiled = _compile_field(
             self.n,
-            parabolic,
             2 * self.htype.beta_full(),
             self.htype.i_alpha,
             gap_slot,
@@ -806,12 +775,13 @@ class DesingField:
         return self.source.nonautonomous
 
     def _component_partial(self, i: int, j: int) -> Poly:
-        """Exact d g_i / d x_j including the chain rule through W."""
+        """Exact d g_i / d x_j including the chain rule through W, whose
+        slot n holds W = 1 - sum_j x_j**(2 beta_j)."""
         p = self.components[i]
         out = _pdiff_var(p, j)
-        if isinstance(self.chart, ParabolicChart) and j in self.htype.i_alpha:
+        if self.gap_slot == self.n and j in self.htype.i_alpha:
             tb = int(2 * self.htype.beta_of(j))
-            dw = _pdiff_w(p)
+            dw = _pdiff_var(p, self.n)
             if dw:
                 chain = _pmul_var(dw, j, tb - 1)
                 for key, coeff in _pscale(chain, -float(tb)).items():
@@ -981,16 +951,16 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
                         f"parabolic chart (the variable crosses zero); use a "
                         f"directional chart"
                     )
-    zero = _zero_exps(n)
+    zero = (0,) * n
     ftilde = []
     for i, comp in enumerate(field.components):
         p: Poly = {}
         for m in comp:
             w = _rescale_exponent(htype, i, m)
-            _padd(p, (tuple(_canon_e(e) for e in m.exponents), w), m.coeff)
+            _padd(p, tuple(_canon_e(e) for e in m.exponents) + (w,), m.coeff)
         ftilde.append(p)
     tc = 2 * htype.c
-    q: Poly = {(zero, 0): 1.0, (zero, 1): -(tc - 1) / tc}
+    q: Poly = {zero + (0,): 1.0, zero + (1,): -(tc - 1) / tc}
     G: Poly = {}
     for pos, j in enumerate(htype.i_alpha):
         tbj = 2 * htype.beta[pos]
@@ -1005,7 +975,7 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
             for key, coeff in _pscale(_pmul_var(G, i, 1), -float(ai)).items():
                 _padd(gi, key, coeff)
         components.append(gi)
-    time_factor = _pmul_w(q, htype.k)
+    time_factor = _pmul_var(q, n, htype.k)
     return DesingField(
         chart=ParabolicChart(htype=htype),
         htype=htype,
@@ -1064,7 +1034,7 @@ def build_directional_desing(
                 coeff = m.coeff
             exps = [_canon_e(e) for e in m.exponents]
             exps[i0] = s_exp
-            _padd(p, (tuple(exps), 0), coeff)
+            _padd(p, tuple(exps), coeff)
         fhat.append(p)
     components = []
     for i in range(n):
@@ -1080,9 +1050,9 @@ def build_directional_desing(
                 for key, coeff in coupling.items():
                     _padd(gi, key, coeff)
         components.append(gi)
-    zero = list(_zero_exps(n))
-    zero[i0] = _canon_e(htype.k)
-    time_factor: Poly = {(tuple(zero), 0): 1.0}
+    exps = [0] * n
+    exps[i0] = _canon_e(htype.k)
+    time_factor: Poly = {tuple(exps): 1.0}
     return DesingField(
         chart=chart,
         htype=htype,

@@ -47,7 +47,7 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from .charts import DirectionalChart, ParabolicChart
+from .charts import ParabolicChart
 from .desing import DesingField
 from .errors import (
     CurveBreak,
@@ -531,9 +531,9 @@ _DEDUP_TOL = 1e-8
 
 
 def _free_slots(dfield: DesingField) -> list:
-    """Slots a search solves for: the weighted ones but a directional s."""
-    pivot = dfield.chart.i0 if isinstance(dfield.chart, DirectionalChart) else None
-    return [i for i in dfield.htype.i_alpha if i != pivot]
+    """Slots a search solves for: the weighted ones but the horizon gap's
+    (a directional s; W's slot n is no coordinate)."""
+    return [i for i in dfield.htype.i_alpha if i != dfield.gap_slot]
 
 
 def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
@@ -675,11 +675,16 @@ def trace_equilibrium_curve(
     the branch downward).  Each slice reuses the previous solution as its
     seed; losing the branch (residual contract violated, a jump bigger than
     the continuation bound, or a slice on which the field itself is
-    singular) raises CurveBreak with the offending t.
+    singular) raises CurveBreak with the offending t.  A non-finite
+    t_range or t_step raises DomainError before any slice is solved.
     """
     if not dfield.nonautonomous:
         raise DomainError("equilibrium curves require a nonautonomous field")
     t_start, t_stop = float(t_range[0]), float(t_range[1])
+    if not all(math.isfinite(v) for v in (t_start, t_stop, float(t_step))):
+        raise DomainError(
+            f"t_range and t_step must be finite, got {t_range} and {t_step}"
+        )
     if t_stop == t_start:
         raise ValueError("need a nondegenerate t_range")
     if t_step == 0:

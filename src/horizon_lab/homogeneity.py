@@ -40,6 +40,7 @@ Real = Union[int, float, Fraction]
 
 _RATIONAL_DENOM_LIMIT = 10**6
 _FLOAT_TOL = 1e-12
+_INT64_MAX = 2**63 - 1
 
 
 def _exactify(x: Real) -> Optional[Fraction]:
@@ -193,7 +194,8 @@ class HomogeneityType:
 
     Derived data: ``i_alpha`` (indices with positive weight), ``beta``
     (beta_i = c / alpha_i over i_alpha, in i_alpha order) and
-    ``c = lcm {alpha_i : i in i_alpha}``.
+    ``c = lcm {alpha_i : i in i_alpha}``.  Raises DomainError unless every
+    alpha_i and every 2 beta_i fits in int64.
     """
 
     alpha: Tuple[int, ...]
@@ -215,6 +217,13 @@ class HomogeneityType:
             raise DomainError(f"homogeneity order k must be positive, got {self.k}")
         object.__setattr__(self, "alpha", alpha)
         beta, c = derive_beta(alpha)
+        # alpha and the W power 2 beta are evaluated as int64 arrays
+        if max(alpha) > _INT64_MAX or 2 * max(beta) > _INT64_MAX:
+            raise DomainError(
+                f"weights too large: every alpha_i and 2 beta_i = "
+                f"2 lcm(alpha)/alpha_i must be at most 2**63 - 1, got "
+                f"alpha = {alpha}"
+            )
         object.__setattr__(self, "i_alpha", tuple(i for i, a in enumerate(alpha) if a > 0))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", c)

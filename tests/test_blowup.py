@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad, solve_ivp
 
 from horizon_lab import (
     HORIZON_REACHED,
@@ -25,6 +26,7 @@ from horizon_lab import (
     build_parabolic_desing,
     build_report,
     embed,
+    eval_field,
     estimate_decay,
     estimate_tmax,
     extrapolate_tail,
@@ -379,3 +381,85 @@ def test_power_law_rates_match_closed_form(k, c, span, t0, directional):
                                                     rel=1e-3)
     assert report.t_max - t0 == pytest.approx(span, rel=1e-9)
     assert report.type1_confirmed
+
+
+def _pipeline_report(fs, ht, y0, directional):
+    """Blow-up report of y0 on the parabolic chart or on directional[+0]."""
+    if directional:
+        df = build_directional_desing(
+            fs, ht, DirectionalChart(htype=ht, i0=0, sign=1)
+        )
+    else:
+        df = build_parabolic_desing(fs, ht)
+    traj = integrate(df, embed(df.chart, np.asarray(y0, dtype=float)).coords)
+    return build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    j_frac=st.floats(0.0, 1.0),
+    a=st.floats(0.5, 2.0),
+    b=st.floats(-1.0, 1.0),
+    y0=st.floats(2.0, 10.0),
+)
+def test_scalar_tmax_matches_quadrature(k, j_frac, a, b, y0):
+    # y' = a y^(k+1) + b y^j, 0 <= j <= k, blows up at
+    # t_max = int_{y0}^inf dy / f(y); |y| = 1e5 is out of an event-based
+    # oracle's reach for k = 3
+    j = round(j_frac * k)
+    terms = (m(a, k + 1),) + ((m(b, j),) if b else ())
+    fs = FieldSpec(variable_names=("y",), components=(terms,))
+    ht = HomogeneityType(alpha=(1,), k=k)
+    t_ref, _ = quad(lambda y: 1.0 / (a * y ** (k + 1) + b * y**j),
+                    y0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    for directional in (False, True):
+        report = _pipeline_report(fs, ht, [y0], directional)
+        assert report.t_max == pytest.approx(t_ref, rel=1e-6)
+        assert report.type1_confirmed
+
+
+def _event_tmax(fs, y0, index, exponent):
+    """DOP853 on the original field to |y_index| = 1e5 and 1e7, with t_max
+    extrapolated from the type-I law |y_i| ~ C (t_max - t)^(-exponent):
+    (t_max - t1) / (t_max - t2) = (1e7 / 1e5)^(1 / exponent) = R."""
+    levels = (1e5, 1e7)
+
+    def crossing(level):
+        def event(_t, y):
+            return abs(y[index]) - level
+
+        event.direction = 1.0
+        event.terminal = level == levels[-1]
+        return event
+
+    sol = solve_ivp(lambda _t, y: eval_field(fs, y), (0.0, 100.0),
+                    np.asarray(y0, dtype=float), method="DOP853",
+                    rtol=1e-13, atol=1e-13,
+                    events=[crossing(level) for level in levels])
+    assert sol.status == 1 and all(len(te) for te in sol.t_events)
+    t1, t2 = float(sol.t_events[0][0]), float(sol.t_events[1][0])
+    ratio = (levels[1] / levels[0]) ** (1.0 / exponent)
+    return (ratio * t2 - t1) / (ratio - 1.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    a=st.floats(1.0, 6.0),
+    b=st.floats(-1.0, 1.0),
+    u0=st.floats(2.0, 10.0),
+    lam=st.floats(0.8, 1.2),
+)
+def test_planar_tmax_matches_event_oracle(a, b, u0, lam):
+    # u' = v, v' = a u^2 + b of type alpha = (2, 3), k = 1, started near
+    # the separatrix v = sqrt(2a/3) u^(3/2); u blows up like (t_max - t)^-2
+    terms = (m(a, 2, 0),) + ((m(b, 0, 0),) if b else ())
+    fs = FieldSpec(variable_names=("u", "v"),
+                   components=((m(1.0, 0, 1),), terms))
+    ht = HomogeneityType(alpha=(2, 3), k=1)
+    y0 = [u0, lam * math.sqrt(2.0 * a / 3.0) * u0**1.5]
+    t_ref = _event_tmax(fs, y0, 0, 2.0)
+    for directional in (False, True):
+        report = _pipeline_report(fs, ht, y0, directional)
+        assert report.t_max == pytest.approx(t_ref, rel=1e-6)
+        assert report.type1_confirmed

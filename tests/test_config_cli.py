@@ -977,6 +977,38 @@ def test_cli_rejects_homogeneity_without_alpha_and_k(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _mems_with_alpha(alpha, k):
+    d = json.loads(emit_example("mems"))
+    d["homogeneity"] = {"alpha": alpha, "k": k}
+    return d
+
+
+@pytest.mark.parametrize(
+    "case", ["mems_param", "mems_config", "scalar_2_70", "two_beta_wraps"]
+)
+def test_cli_rejects_weights_beyond_int64(tmp_path, case):
+    # mems's p = 1e20 gives alpha_w = 10**20 + 3; 2**70 is beyond int64;
+    # (0, 2, 2**62 + 3) fits, but its 2 beta_w = 2**63 + 6 does not
+    docs = {
+        "mems_config": _mems_with_alpha([0, 2, 10**20 + 3], 10**20 + 1),
+        "scalar_2_70": doc(homogeneity={"alpha": [2**70], "k": 2**70}),
+        "two_beta_wraps": _mems_with_alpha([0, 2, 2**62 + 3], 3),
+    }
+    if case == "mems_param":
+        commands = [["example", "mems", "--param", "p=1e20", "--out", "out"]]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(docs[case]))
+        commands = [["validate", "cfg.json"],
+                    ["analyze", "cfg.json", "--out", "out"]]
+    for args in commands:
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: weights too large")
+        assert proc.stderr.endswith("(at /homogeneity/alpha)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_log_env_toggles_stderr(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SCALAR_DOC))

@@ -1,5 +1,6 @@
 """Desingularized field construction: closed forms, Jacobians, invariance."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -549,3 +550,36 @@ def test_domain_failure_raises_after_a_cache_hit():
         df.jacobian(bad)
     with pytest.raises(DomainError, match="in a step"):
         df.step(bad, [0.0, 0.0, 0.0], 0.1, 1e-12, 1e-10)
+
+
+def test_gap_slot_keys_the_horizon_gap():
+    # a directional chart's s is its own coordinate slot i0; the parabolic
+    # chart's W is one more slot n after the coordinates
+    kk = build_field_from_config(make_example("kk_dafermos"))
+    p1 = build_field_from_config(make_example("painleve1"))
+    kk_par = build_parabolic_desing(kk.source, kk.htype)
+    for df, slot, width in ((kk, kk.chart.i0, kk.n), (p1, p1.n, p1.n + 1),
+                            (kk_par, kk.n, kk.n + 1)):
+        assert df.gap_slot == slot
+        assert {len(e) for p in df.components + (df.time_factor,) for e in p} \
+            == {width}
+        # dt/dtau = s^k on a directional chart, q W^k on the parabolic one
+        assert sorted(e[slot] for e in df.time_factor) == (
+            [df.htype.k] if width == df.n else [df.htype.k, df.htype.k + 1]
+        )
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("kk_dafermos", "2c30018f6f9d2a0e00296bef654bf833082e5a5d21eef5ce50f3cfcf315b3ee2"),
+        ("mems", "4a040adc86e81216140c2c8babb8653cca500acb8a97c3384b637be7c9ecb092"),
+        ("painleve1", "81e329443b240416bd678412f76c85a64dc05dde0f64ec9eccbde503ab8f4d92"),
+        ("selfsimilar", "b8e97a82faa0c64323b0473e2fe726bf6cd028cd9d0e0c1b05699fab4a281a7b"),
+    ],
+)
+def test_example_source_code_is_pinned(name, digest):
+    """The generated source of every example's field is fixed: a refactor
+    of the term algebra or of the emitter must keep it byte for byte."""
+    code = build_field_from_config(make_example(name)).source_code
+    assert hashlib.sha256(code.encode("utf-8")).hexdigest() == digest

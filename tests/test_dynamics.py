@@ -34,6 +34,7 @@ from horizon_lab import (
     trace_equilibrium_curve,
 )
 from horizon_lab.cli import build_field_from_config
+from horizon_lab import dynamics
 from horizon_lab.dynamics import _DOMAIN_SLACK
 from horizon_lab.systems import (
     example_names,
@@ -941,6 +942,24 @@ def test_curve_slices_are_grid_points_then_the_range_end(t_range, t_step, n_grid
     step = math.copysign(t_step, t_range[1] - t_range[0])
     grid = tuple(t_range[0] + i * step for i in range(n_grid))
     assert curve.t_values == grid + (t_range[1],)
+
+
+@pytest.mark.parametrize(
+    "t_range, t_step",
+    [((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf), ((0.0, math.inf), 0.1),
+     ((math.nan, 1.0), 0.1)],
+    ids=["step_nan", "step_inf", "stop_inf", "start_nan"],
+)
+def test_curve_rejects_non_finite_inputs(monkeypatch, t_range, t_step):
+    df = build_field_from_config(painleve1())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a slice was solved")
+
+    monkeypatch.setattr(dynamics, "find_horizon_equilibria", no_solve)
+    seed = np.array([0.0, 17.0 ** (-1.0 / 6.0), 2.0 * 17.0 ** (-0.25)])
+    with pytest.raises(DomainError, match="must be finite"):
+        trace_equilibrium_curve(df, t_range, t_step, seed=seed)
 
 
 def test_curve_break_carries_t_value():

@@ -294,10 +294,10 @@ def test_one_s_free_term_keeps_a_row_live():
     kk = build_field_from_config(make_example("kk_dafermos"))
     pivot = kk.chart.i0
     comps = list(kk.components)
-    assert all(exps[pivot] > 0 for exps, _ in comps[pivot])
-    exps, w = next(iter(comps[pivot]))
+    assert all(exps[pivot] > 0 for exps in comps[pivot])
+    exps = next(iter(comps[pivot]))
     s_free = tuple(0 if j == pivot else e for j, e in enumerate(exps))
-    comps[pivot] = {**comps[pivot], (s_free, w): 0.5}
+    comps[pivot] = {**comps[pivot], s_free: 0.5}
     changed = dataclasses.replace(kk, components=tuple(comps))
     assert changed.horizon_rows == (1, 2, 3, 4)
     # the pivot's horizon row is that term alone

@@ -80,6 +80,24 @@ def test_htype_rejects_bad_weights():
         HomogeneityType(alpha=(1.5,), k=1)
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [(2**63,), (0, 2, 2**62 + 3)],
+    ids=["alpha_beyond_int64", "two_beta_beyond_int64"],
+)
+def test_htype_rejects_weights_beyond_int64(alpha):
+    # 2 * beta_full() of (0, 2, 2**62 + 3) would wrap to a negative W power
+    with pytest.raises(DomainError, match="2\\*\\*63 - 1"):
+        HomogeneityType(alpha=alpha, k=1)
+
+
+def test_htype_keeps_weights_at_the_int64_bound():
+    ht = HomogeneityType(alpha=(2**63 - 1,), k=1)
+    assert list(2 * ht.beta_full()) == [2]
+    ht = HomogeneityType(alpha=(2, 2**62 - 1), k=1)  # odd: c = 2**63 - 2
+    assert list(2 * ht.beta_full()) == [2**63 - 2, 4]
+
+
 # ---------------------------------------------------------------------------
 # guarded power
 
