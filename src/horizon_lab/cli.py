@@ -253,6 +253,7 @@ def _analyze_one_run(
         "tau_end": None,
         "t_end": None,
         "accepted_steps": None,
+        "rejected_steps": None,
         "blowup": None,
         "error": None,
     }
@@ -267,6 +268,7 @@ def _analyze_one_run(
     record["tau_end"] = float(traj.taus[-1])
     record["t_end"] = float(traj.ts[-1])
     record["accepted_steps"] = traj.n_accepted
+    record["rejected_steps"] = traj.n_rejected
     if csv_dir is not None:
         record["csv"] = f"run_{run_index:03d}.csv"
         _write_trajectory_csv(csv_dir / record["csv"], traj)

@@ -31,6 +31,16 @@ output (its coefficients formed once per step, then evaluated per sample),
 with the stages, the tableau and the state dimension unrolled around those
 expressions (each distinct power and expression evaluated once per stage).
 
+On a directional chart the step's state holds L = ln s in s's slot, with
+dL/dtau = -(sign/alpha_i0) f^_i0, ds/dtau's terms with s's power lowered
+by one; a stage binds s = exp(L) and its powers from it, so an error in L
+is a relative error in the gap and s = 0 is L = -inf.  The time factor
+there is s**k, so a step whose s**k decays by more than 0.1 e-fold at its
+starting log-rate rho integrates u = t - s**k / rho in the time slot and
+forms t back from the stage's own s**k: near a hyperbolic horizon
+equilibrium L is almost linear in tau, u' almost 0, and the time
+increments keep their relative accuracy over long steps.
+
 On the horizon W = 0 (resp. s = 0), so there only the terms with no power
 of the gap act: the principal part of the field.  The source also holds
 array evaluators of that restriction, its nonempty components and their
@@ -162,9 +172,10 @@ class _Emitter:
     """Shared expression emitter for one desingularized field.
 
     Slot j < n of a term key is the coordinate ``x{j}``; on the parabolic
-    chart (``gap_slot == n``) slot n is ``W``.  A fractional power of the
-    horizon gap reads its clamp ``Wc`` / ``x{i0}c`` (the gap, or 0 below
-    the horizon), bound only when some term needs it.
+    chart (``gap_slot == n``) slot n is ``W``.  A fractional power of W
+    reads its clamp ``Wc`` (W, or 0 below the horizon), bound only when some
+    term needs it.  A directional chart's s needs no clamp: the step forms
+    it as exp(ln s), and elsewhere s < 0 is outside the chart.
 
     Expressions come out as templates: each power other than a first power
     is a ``{p<k>}`` field, one name per distinct power text; ``powers``
@@ -211,7 +222,7 @@ class _Emitter:
             sym = self.gap if j == self.gap_slot else f"x{j}"
             if j < self.n:
                 self.used.add(j)
-            if j == self.gap_slot and not isinstance(_canon_e(e), int):
+            if j == self.n and not isinstance(_canon_e(e), int):
                 self.needs_clamp = True
                 sym += "c"
             factors.append(self.power(sym, e))
@@ -235,8 +246,8 @@ class _Emitter:
         return expr
 
     def derived(self, indent: str) -> list:
-        """(symbol, template) pairs computing W and the clamped gap from
-        the x{j} locals."""
+        """(symbol, template) pairs computing W and its clamp from the
+        x{j} locals."""
         lines = []
         if self.parabolic:
             terms = [
@@ -244,12 +255,17 @@ class _Emitter:
             ]
             lines.append(("W", f"{indent}W = 1.0 - ({' + '.join(terms)})"))
         if self.needs_clamp:
-            g = self.gap
-            lines.append((f"{g}c", f"{indent}{g}c = {g} if {g} > 0.0 else 0.0"))
+            lines.append(("Wc", f"{indent}Wc = W if W > 0.0 else 0.0"))
         return lines
 
-    def preamble(self) -> str:
-        loads = [f"    x{j} = z[{j}]" for j in range(self.n)]
+    def preamble(self, ln_gap: bool = False) -> str:
+        """Lines binding the x{j} locals from ``z``, then the derived ones;
+        with ``ln_gap``, ``z`` holds ln s in s's slot."""
+        loads = [
+            f"    x{j} = _exp(z[{j}])" if ln_gap and j == self.gap_slot
+            else f"    x{j} = z[{j}]"
+            for j in range(self.n)
+        ]
         return "\n".join(loads + [self.inline(t) for _, t in self.derived("    ")])
 
 
@@ -405,6 +421,9 @@ _DOP_D = (
      15: -0.39177261675615439165231486172e+2,
      16: -0.14972683625798562581422125276e+3},
 )
+# on a directional chart, a step whose time factor s**k decays by more
+# than this many e-folds at its starting rate integrates t - s**k / rho
+_SPLIT_EFOLDS = 0.1
 # the step's stages that the dense output reads
 _DENSE_READS = tuple(sorted(set().union(*_DOP_D) - {14, 15, 16}))
 
@@ -428,32 +447,47 @@ _BHH_DIFF = "".join(
 _D_SUMS = tuple(_combo(row, "k{}_{{0}}") for row in _DOP_D)
 
 
-def _emit_dop853(em: _Emitter, templates, dim: int,
-                 t_slot: int) -> Tuple[str, str, str]:
+def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
+                 k: float) -> Tuple[str, str, str]:
     """Sources of ``_step(z, k1, h, atol, rtol)``, ``_dense_coeffs(z, h,
     st)`` and ``_dense(z, cs, thetas)``, as a triple.
 
+    The state ``z`` is the chart coordinates, then t for an autonomous
+    field; on a directional chart its slot i0 holds L = ln s instead of s,
+    and ``templates`` give that slot's dL/dtau.  A stage binds s =
+    exp(L) once (exp(-inf) = 0 is the horizon), then each distinct power
+    of s, so s >= 0 needs no clamp.  There the time slot's t' = s**k, the
+    time factor, is split by the step's own rho = k L'(0): with q = 1/rho
+    (0 when rho h >= -_SPLIT_EFOLDS, which keeps t itself), the tableau
+    integrates u = t - s**k q, u' = t' (1 - k L' q), and t = t0 + (u - u0)
+    + (s**k - k1_t) q at every stage, at the new state and in the dense
+    output, with k1_t = s**k at the step's start; u's increment is ``du``.
+
     ``_step`` returns ``(z_new, err, k13, guard, gap, st)``: the new state,
     the error norm of Hairer's DOP853 (the 5th-order estimate, damped by the
-    3rd-order one), the derivative there, ``max |z_new_i|`` over every state
-    slot, the horizon gap at the new state (stage 13's W on a parabolic
-    chart, s on a directional one) and the tuple the dense output reads: the
-    increments d_i = z_new_i - z_i, then the stages of ``_DENSE_READS``.  A
-    step whose new state or error norm is not finite returns None instead,
-    and a stage that fails to evaluate raises DomainError, as in rhs_values.
+    3rd-order one), the derivative there, ``max |x_i|`` over the new
+    state's coordinates and t (s, not L, in slot i0), the horizon gap at
+    the new state (stage 13's W on a parabolic chart, its s on a
+    directional one) and the tuple the dense output reads: the increments
+    d_i = z_new_i - z_i, then the stages of ``_DENSE_READS``, then on a
+    directional chart ``du`` and ``q``.  A step whose
+    new state (read as s in slot i0, so L = -inf passes) or error norm is
+    not finite returns None instead, and a stage that fails to evaluate
+    raises DomainError, as in rhs_values.
 
     The dense output comes in two parts, so that a step pays for its
     coefficients once however many thetas it is sampled at.
     ``_dense_coeffs`` evaluates the extra stages 14..16 from a step's
     ``z``, ``h`` and ``st`` and forms the 7th-order interpolant's
-    coefficients, straight-line per slot: the tuple ``cs`` of d_i and
-    c1_i .. c6_i, slot after slot.  It returns None when a coefficient is
+    coefficients, straight-line per slot: the tuple ``cs`` of d_i (du for
+    a split time slot) and c1_i .. c6_i, slot after slot, then k1_t and
+    ``q`` on a directional chart.  It returns None when a coefficient is
     not finite and raises DomainError like the step.  ``_dense`` evaluates
     that interpolant at each ``theta`` in (0, 1): one ``(state, dt, gap)``
     per theta, where ``dt`` is slot ``t_slot`` of the polynomial without
     its base term, i.e. the physical time since the step's start, and
-    ``gap`` the state's horizon gap in the step's own arithmetic (it
-    raises DomainError where that W fails to evaluate).
+    ``gap`` the state's horizon gap in the step's own arithmetic, W or
+    exp(L) (it raises DomainError where that gap fails to evaluate).
 
     ``templates`` are ``em``'s templates of the field's n components plus
     its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
@@ -471,6 +505,11 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
     expressions read, so a step fails exactly where a full field evaluation
     does.
     """
+    ln = None if em.parabolic else em.gap_slot
+    T = t_slot
+    kk = _fmt_float(k)
+    # the time factor s**k, with the stage's shared powers, and inline
+    tf_text, tf_inline = templates[-1], em.inline(templates[-1])
     first: Dict[str, int] = {}
     body = [(i, first.setdefault(t, i), t) for i, t in enumerate(templates)]
     body = [(i, j, t) for i, j, t in body if j == i or i < dim]
@@ -487,6 +526,14 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
     for sym, t in derived:
         common += [t.format_map(fill)] + defs.get(sym, [])
     body = [(i, j, t.format_map(fill)) for i, j, t in body]
+    tf_text = tf_text.format_map(fill)
+
+    def col(i):  # the stage derivatives slot i's sums read: k{s}_{col}
+        return "u" if ln is not None and i == T else i
+
+    def ku_line(s):  # the split time slot's derivative at stage s
+        return [f"        k{s}_u = k{s}_{T} * (1.0 - w * k{s}_{ln})"] \
+            if ln is not None else []
 
     def stage(s, points):
         lines = []
@@ -496,12 +543,19 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         return lines + common + [
             f"        k{s}_{i} = " + (expr if j == i else f"k{s}_{j}")
             for i, j, expr in body
-        ]
+        ] + ku_line(s)
 
     def inner(s):  # stage s at the coordinates the expressions read
-        return stage(s, [
-            (i, f"z{i} + h * ({_A_SUMS[s].format(i)})") for i in sorted(em.used)
-        ])
+        points = []
+        # s first: a time coordinate reads it
+        for i in sorted(em.used, key=lambda i: (i != ln, i)):
+            point = f"z{i} + h * ({_A_SUMS[s].format(col(i))})"
+            if i == ln:
+                point = f"_exp({point})"
+            elif ln is not None and i == T:
+                point += f" + ({tf_text} - k1_{T}) * q"
+            points.append((i, point))
+        return stage(s, points)
 
     def fails(what):
         return [
@@ -511,10 +565,15 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         ]
 
     slots = range(dim)
+    # the new state's slots: L itself in the ln slot, whose x is s
+    new = [f"l{i}" if i == ln else f"x{i}" for i in slots]
+    # the increment each slot's interpolant starts from: u's for the time
+    dname = [f"d{col(i)}" for i in slots]
+    extras = [] if ln is None else ["du", "q"]
     unpack_z = "    " + "".join(f"z{i}, " for i in slots) + "= z"
     reads = [f"d{i}" for i in slots] + [
         f"k{s}_{i}" for s in _DENSE_READS for i in slots
-    ]
+    ] + extras
     absolutes = ", ".join(f"abs(x{i})" for i in slots)
 
     lines = [
@@ -523,17 +582,38 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
         "    try:",
     ]
+    if ln is not None:
+        # u = t - s**k / rho, with rho the time factor's log-rate at the
+        # step's start, takes the time factor's exponential decay out of
+        # the quadrature; a rate slower than _SPLIT_EFOLDS e-folds over
+        # the step keeps u = t (q = 0)
+        lines += [
+            f"        rho = {kk} * k1_{ln}",
+            f"        q = 1.0 / rho if rho * h < -{_fmt_float(_SPLIT_EFOLDS)}"
+            " else 0.0",
+            f"        w = {kk} * q",
+        ] + ku_line(1)
     for s in range(2, 13):
         lines += inner(s)
-    lines += [f"        g{i} = {_B_SUM.format(i)}" for i in slots]
-    lines += [f"        d{i} = h * g{i}" for i in slots]
-    lines += stage(13, [(i, f"z{i} + d{i}") for i in slots])
+    lines += [f"        g{i} = {_B_SUM.format(col(i))}" for i in slots]
+    lines += [f"        {dname[i]} = h * g{i}" for i in slots]
+    if ln is None:
+        lines += stage(13, [(i, f"z{i} + d{i}") for i in slots])
+    else:
+        # s first: the time reads it
+        lines.append(f"        l{ln} = z{ln} + d{ln}")
+        lines += stage(13, [(ln, f"_exp(l{ln})")] + [
+            (i, f"z{i} + d{i}") for i in slots if i != ln
+        ])
+        # the time's increment reads s**k, bound with s above its point
+        at = lines.index(f"        x{T} = z{T} + d{T}")
+        lines.insert(at, f"        d{T} = du + ({tf_text} - k1_{T}) * q")
     lines += fails("a step")
     for i in slots:
         lines += [
-            f"    sk{i} = atol + rtol * max(abs(z{i}), abs(x{i}))",
-            f"    u{i} = ({_E5_SUM.format(i)}) / sk{i}",
-            f"    v{i} = (g{i}{_BHH_DIFF.format(i)}) / sk{i}",
+            f"    sk{i} = atol + rtol * max(abs(z{i}), abs({new[i]}))",
+            f"    u{i} = ({_E5_SUM.format(col(i))}) / sk{i}",
+            f"    v{i} = (g{i}{_BHH_DIFF.format(col(i))}) / sk{i}",
         ]
     # x - x is 0.0 for a finite x and NaN otherwise; so is den - den, and
     # a finite den keeps sqrt(den) and the error norm finite
@@ -547,7 +627,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         f"    err = h * s5 / (_sqrt(den) * {_fmt_float(math.sqrt(dim))})"
         " if den > 0.0 else 0.0",
         "    return ("
-        + "".join(f"x{i}, " for i in slots)
+        + "".join(f"{v}, " for v in new)
         + "), err, ("
         + "".join(f"k13_{i}, " for i in slots)
         + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {em.gap}, ("
@@ -560,15 +640,20 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         "    " + "".join(f"{r}, " for r in reads) + "= st",
         "    try:",
     ]
+    if ln is not None:
+        coeffs.append(f"        w = {kk} * q")
+        for s in _DENSE_READS:
+            coeffs += ku_line(s)
     for s in (14, 15, 16):
         coeffs += inner(s)
     coeffs += fails("dense output")
     for i in slots:
+        c, d = col(i), dname[i]
         coeffs += [
-            f"    c1_{i} = h * k1_{i} - d{i}",
-            f"    c2_{i} = 2.0 * d{i} - h * (k13_{i} + k1_{i})",
+            f"    c1_{i} = h * k1_{c} - {d}",
+            f"    c2_{i} = 2.0 * {d} - h * (k13_{c} + k1_{c})",
         ] + [
-            f"    c{r}_{i} = h * ({row.format(i)})"
+            f"    c{r}_{i} = h * ({row.format(c)})"
             for r, row in enumerate(_D_SUMS, start=3)
         ]
     # finite exactly when every coefficient is, but for an overflow of the
@@ -577,45 +662,50 @@ def _emit_dop853(em: _Emitter, templates, dim: int,
         "(" + " + ".join(f"c{r}_{i}" for r in range(1, 7)) + ")" for i in slots
     )
     packed = "".join(
-        f"d{i}, " + "".join(f"c{r}_{i}, " for r in range(1, 7)) for i in slots
-    )
+        f"{dname[i]}, " + "".join(f"c{r}_{i}, " for r in range(1, 7))
+        for i in slots
+    ) + ("" if ln is None else f"k1_{T}, q, ")
     coeffs += [
         f"    total = {total}",
         "    if total - total != 0.0:",
         "        return None",
         f"    return ({packed})",
     ]
-    # only a parabolic chart's W can raise here; the polynomial is float
-    # arithmetic, so a directional chart's loop needs no try
-    loop = "        " if em.parabolic else "    "
-    pad = loop + "    "
+    # the polynomial is float arithmetic; W, or exp(L), can raise
+    pad = "            "
     lines = [
         "def _dense(z, cs, thetas):",
         unpack_z,
         "    " + packed + "= cs",
         "    out = []",
-    ] + (["    try:"] if em.parabolic else []) + [
-        f"{loop}for th in thetas:",
+        "    try:",
+        "        for th in thetas:",
         f"{pad}y = 1.0 - th",
     ]
-    for i in slots:
-        poly = (
-            f"th * (d{i} + y * (c1_{i} + th * (c2_{i} + y * (c3_{i} + th * "
+
+    def poly(i):
+        d = dname[i]
+        return (
+            f"th * ({d} + y * (c1_{i} + th * (c2_{i} + y * (c3_{i} + th * "
             f"(c4_{i} + y * (c5_{i} + th * c6_{i}))))))"
         )
-        if i == t_slot:
-            lines += [f"{pad}dt = {poly}", f"{pad}x{i} = z{i} + dt"]
-        else:
-            lines.append(f"{pad}x{i} = z{i} + {poly}")
+
+    if ln is not None:  # s first: the time reads it
+        lines += [f"{pad}l{ln} = z{ln} + {poly(ln)}", f"{pad}x{ln} = _exp(l{ln})"]
+    for i in slots:
+        if i == T:
+            split_t = "" if ln is None else f" + ({tf_inline} - k1_{T}) * q"
+            lines += [f"{pad}dt = {poly(i)}{split_t}", f"{pad}x{i} = z{i} + dt"]
+        elif i != ln:
+            lines.append(f"{pad}x{i} = z{i} + {poly(i)}")
     if em.parabolic:  # W of a fill state, under the try like the stages'
         lines.append("    " + em.inline(derived[0][1]))
     lines.append(
         f"{pad}out.append((("
-        + "".join(f"x{i}, " for i in slots)
+        + "".join(f"{v}, " for v in new)
         + f"), dt, {em.gap}))"
     )
-    if em.parabolic:
-        lines += fails("dense output")
+    lines += fails("dense output")
     lines.append("    return out")
     return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
 
@@ -654,7 +744,7 @@ def _on_horizon(p: Poly, gap_slot: int) -> Poly:
     return {exps: c for exps, c in p.items() if exps[gap_slot] == 0}
 
 
-def _compile_field(n: int, two_beta, i_alpha, gap_slot: int,
+def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool,
                    horizon: Tuple[Poly, ...]):
@@ -669,34 +759,45 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int,
         "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
         for row in jac_exprs
     )
+    dim = n if nonautonomous else n + 1
     parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n",
-    ) + _emit_dop853(em, templates, n if nonautonomous else n + 1,
-                     0 if nonautonomous else n)
+    )
+    if not em.parabolic:
+        # the step's state holds L = ln s in s's slot, and dL/dtau is
+        # ds/dtau with s's exponent lowered by one; ``_deriv``, the state's
+        # derivative from the step's own expressions, gives the first k1
+        templates[gap_slot] = em.poly(_pmul_var(components[gap_slot], gap_slot, -1))
+        d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
+        parts += (f"def _deriv(z):\n{em.preamble(ln_gap=True)}\n"
+                  f"    return (\n        {d_body},\n    )\n",)
+    parts += _emit_dop853(em, templates, dim, 0 if nonautonomous else n, k)
     hsrc = _emit_horizon(em, horizon)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
 @functools.lru_cache(maxsize=32)
 def _compiled(parts: Tuple[str, ...], hsrc: str):
-    """``(_rhs, _jac, _step, _dense_coeffs, _dense, _horizon_rhs,
+    """``(_rhs, _jac, _deriv, _step, _dense_coeffs, _dense, _horizon_rhs,
     _horizon_jac)`` compiled from the generated source, once per distinct
-    source, like ``re``'s pattern cache.
+    source, like ``re``'s pattern cache; ``_deriv`` is None on the
+    parabolic chart, whose step state is the coordinates themselves.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
     byte for byte share them; keying on the source makes a hit exact.
     """
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
-                "DomainError": DomainError}
+                "_exp": math.exp, "DomainError": DomainError}
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
     hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros}
     exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
-    return (ns["_rhs"], ns["_jac"], ns["_step"], ns["_dense_coeffs"],
-            ns["_dense"], hns["_horizon_rhs"], hns["_horizon_jac"])
+    return (ns["_rhs"], ns["_jac"], ns.get("_deriv"), ns["_step"],
+            ns["_dense_coeffs"], ns["_dense"], hns["_horizon_rhs"],
+            hns["_horizon_jac"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,14 +811,17 @@ class DesingField:
     coordinates at evaluation time, which keeps the horizon exact.
     Evaluation goes through expressions compiled once per distinct
     generated source per process (bounded LRU); fields with the same source
-    share the stateless compiled functions.
+    share the stateless compiled functions.  ``rhs_values``, ``jacobian``
+    and the horizon evaluators take the chart coordinates, s included.
 
     ``step(z, k1, h, atol, rtol)`` is the field's compiled DOP853 step:
-    from state ``z`` (the coordinates, then t for an autonomous field) and
-    its derivative ``k1`` it returns the new state, the error norm, the
-    derivative there, the largest |slot| of the new state, its horizon gap
-    and the tuple ``dense_coeffs`` reads, which starts with the step's
-    increments; or None when the new state or the error norm is not finite.
+    from state ``z`` (the coordinates, with ln s in place of s on a
+    directional chart, then t for an autonomous field) and its derivative
+    ``k1`` (``state_derivative``) it returns the new state, the error
+    norm, the derivative there, the largest |x_i| of the new state (s, not
+    ln s), its horizon gap and the tuple ``dense_coeffs`` reads, which
+    starts with the step's increments; or None when the new state or the
+    error norm is not finite.
     ``dense_coeffs(z, h, st)`` forms that step's 7th-order interpolant once
     (None when a coefficient is not finite), and ``dense(z, cs, thetas)``
     evaluates it at each theta in (0, 1), as ``(state, dt, gap)`` with dt
@@ -754,6 +858,7 @@ class DesingField:
             2 * self.htype.beta_full(),
             self.htype.i_alpha,
             gap_slot,
+            self.htype.k_float,
             self.components,
             self.time_factor,
             jac_rows,
@@ -761,8 +866,9 @@ class DesingField:
             tuple(horizon[i] for i in rows),
         )
         object.__setattr__(self, "horizon_rows", rows)
-        for name, value in zip(("_rhs", "_jac", "step", "dense_coeffs", "dense",
-                                "_horizon_rhs", "_horizon_jac", "source_code"),
+        for name, value in zip(("_rhs", "_jac", "_deriv", "step",
+                                "dense_coeffs", "dense", "_horizon_rhs",
+                                "_horizon_jac", "source_code"),
                                compiled):
             object.__setattr__(self, name, value)
 
@@ -801,6 +907,19 @@ class DesingField:
         z = self._point(coords)
         try:
             return self._rhs(z)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
+
+    def state_derivative(self, z) -> Tuple[float, ...]:
+        """The derivative of an integrator state ``z``, as ``step`` reads
+        it for ``k1``: ``z`` holds the coordinates, with ln s in s's slot
+        on a directional chart, then t for an autonomous field.  On a
+        directional chart it comes from the step's expressions for that
+        state, so no 0/0 at s = 0 (L = -inf)."""
+        if self._deriv is None:
+            return self.rhs_values(z[:self.n])[:len(z)]
+        try:
+            return self._deriv(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
 
@@ -1040,6 +1159,9 @@ def build_directional_desing(
     for i in range(n):
         if i == i0:
             gi = _pscale(_pmul_var(fhat[i0], i0, 1), -float(sigma) / a0)
+            # every term carries s, so dL/dtau = (ds/dtau) / s, with each
+            # exponent of s lowered by one, has no negative power of s
+            assert all(exps[i0] >= 1 for exps in gi), "a term of ds/dtau lacks s"
         else:
             gi = dict(fhat[i])
             ai = htype.alpha[i]

@@ -7,8 +7,10 @@ reasons (horizon_reached / tau_exhausted / left_domain / diverged), a stage
 that probes outside the chart domain causes a retry with a smaller step
 rather than a crash, and a step-size underflow raises StepFailure.  Steps
 are sized by accuracy alone, apart from a limit on how far one step may
-move the horizon gap; the trajectory's samples come from the dense output,
-spaced for the rate fits, with every step end among them.  Physical time is
+move the horizon gap (the parabolic chart's W) or the time factor s**k (a
+directional chart, whose state holds ln s); the trajectory's samples come
+from the dense output, spaced for the rate fits, with every step end among
+them.  Physical time is
 reconstructed along the way from the time factor dt/dtau, and each sample
 also keeps its time increment from the previous one.  The step and the
 dense output are generated per field (``DesingField.step``,
@@ -144,7 +146,9 @@ class Trajectory:
     times in ts, so a sum of trailing dts keeps its relative accuracy when
     it is far smaller than t.  ``gaps[i]`` is the horizon gap that the
     integrator computed for sample i and read for its stops.  coords and ts
-    are views of one array.
+    are views of one array.  On a directional chart the integrator's state
+    holds L = ln s, but coords hold s itself: coordinate i0 of a sample is
+    its gap, exp(L).
     """
 
     dfield: DesingField
@@ -161,20 +165,38 @@ class Trajectory:
 # dense-output samples keep consecutive horizon gaps within this many
 # decades of each other
 _GAP_DECADES = 0.1
-# the next step is cut so that, at the decay rate of this one, it changes
-# the horizon gap by at most this many decades (a factor of 2)
+# where the gap is no state slot, the next step is cut so that, at the
+# decay rate of this one, it changes the gap by at most this many decades
+# (a factor of 2)
 _STEP_DECADES = 0.3
+# on a directional chart, so that the time factor s**k changes by at most
+# this many decades: a sample's time increment is a difference of the
+# step's running times, so it keeps about 16 - 4 digits
+_STEP_TIME_DECADES = 4.0
+_LOG10_E = 1.0 / math.log(10.0)
 
 
-def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
+def _spread(levels) -> float:
+    """The largest |difference| of consecutive gap levels; a NaN one (a
+    level left out, or -inf on both sides) counts as none."""
+    worst = 0.0
+    for a, b in zip(levels, levels[1:]):
+        d = abs(b - a)
+        if d > worst:
+            worst = d
+    return worst
+
+
+def _fill(dfield: DesingField, z, h, st, m, v0, v1, level):
     """A step's dense-output samples, as ``(state, dt, gap)`` at
     theta = j/m for j = 1 .. m-1; [] for m <= 1, without forming the dense
     output.  Otherwise its coefficients are formed once, and m is raised
-    until no two consecutive gaps of the sequence g0, fills, g1 that both
-    exceed ``floor`` lie more than _GAP_DECADES apart; each raise evaluates
-    all m - 1 thetas of the new m again and reuses only the coefficients.
-    Returns None when the dense output is not finite and raises DomainError
-    when an extra stage or a sample's gap fails to evaluate."""
+    until no two consecutive gap levels (decades, ``level(state, gap)``)
+    of the sequence v0, fills, v1 lie more than _GAP_DECADES apart; each
+    raise evaluates all m - 1 thetas of the new m again and reuses only
+    the coefficients.  Returns None when the dense output is not finite
+    and raises DomainError when an extra stage or a sample's gap fails to
+    evaluate."""
     if m <= 1:
         return []
     cs = dfield.dense_coeffs(z, h, st)
@@ -182,11 +204,7 @@ def _fill(dfield: DesingField, z, h, st, m, g0, g1, floor):
         return None
     while True:
         out = dfield.dense(z, cs, [j / m for j in range(1, m)])
-        worst, prev = 0.0, g0
-        for g in [f[2] for f in out] + [g1]:
-            if g > floor and prev > floor:
-                worst = max(worst, abs(math.log10(g) - math.log10(prev)))
-            prev = g
+        worst = _spread([v0] + [level(s, g) for s, _, g in out] + [v1])
         if worst <= _GAP_DECADES:
             return out
         m = math.ceil(m * worst / _GAP_DECADES) + 1
@@ -203,30 +221,41 @@ def integrate(
     ``coords0`` are chart coordinates.  For nonautonomous fields the time
     variable is coordinate 0 (t0 is ignored); for autonomous fields t is
     carried alongside the state, starting at t0, with dt/dtau equal to the
-    field's time factor.
+    field's time factor.  On a directional chart the state holds L = ln s
+    in s's slot i0, so an error in L is a relative error in the gap: it
+    starts at log(s0) (-inf for s0 <= 0, on the horizon) and follows
+    dL/dtau = -(sign/alpha_i0) f^_i0.
 
     Steps are DOP853 steps (``DesingField.step``) under the standard
     controller: a step is accepted when its error norm is at most 1, the
     next step is 0.9 * err**(-1/8) times this one, clipped to [0.2, 10],
     and does not grow right after a rejection.  A stage outside the domain
     or a non-finite result retries at half the step.  Steps have no fixed
-    cap, but the next step is cut so that, at this step's rate, it moves
-    the horizon gap by at most 0.3 decade: near the horizon the deviation
-    from the target equilibrium falls below the absolute tolerance, and
-    without the cut the controller would grow the steps until the gap, which
-    the fits read on a log scale, lost its relative accuracy.  An accepted
-    step records, before its end, uniformly spaced dense-output samples
+    cap.  Where the gap is no state slot (the parabolic chart's W = 1 - P),
+    the next step is cut so that, at this step's rate, it moves the gap by
+    at most 0.3 decade: near the horizon the deviation from the target
+    equilibrium falls below the absolute tolerance, and without the cut
+    the controller would grow the steps until the gap, which the fits read
+    on a log scale, lost its relative accuracy.  An ln s slot keeps that
+    accuracy itself, and the step's split time slot keeps the time
+    increments' (``DesingField.step``); there the cut only keeps the time
+    factor s**k within 4 decades per step, since a sample's time increment
+    is a difference of its step's running times.  An accepted step
+    records, before its end, uniformly spaced dense-output samples
     (``DesingField.dense_coeffs`` once, then ``DesingField.dense``) so that
-    no two consecutive samples are more than ``max_step`` apart in tau or,
-    where both gaps exceed ``horizon_eps + 1e-14``, more than 0.1 decade
-    apart in the horizon gap.  An extra stage outside the domain, or a
-    non-finite dense output, retries the step at half its size, too.
+    no two consecutive samples are more than ``max_step`` apart in tau or
+    more than 0.1 decade apart in the horizon gap: in L / ln 10 on a
+    directional chart, and where both gaps exceed ``horizon_eps + 1e-14``
+    in log10 W on the parabolic one (below that floor W is rounding
+    noise).  An extra stage outside the domain, or a non-finite dense
+    output, retries the step at half its size, too.
 
     Each sample keeps the horizon gap computed for it: the chart's at the
     initial state, the dense output's at a fill sample, the step's at a
-    step end.  Every stop is decided on those gaps, at the initial state
-    and at each step end, by one rule (``_stop``).  The arrays are built
-    once at the stop.
+    step end; on a directional chart that is exp(L), which is also the
+    sample's stored s.  Every stop is decided on those gaps, at the
+    initial state and at each step end, by one rule (``_stop``).  The
+    arrays are built once at the stop.
 
     Raises StepFailure when the adaptive step size underflows below 1e-15.
     """
@@ -238,30 +267,42 @@ def integrate(
     nonaut = dfield.nonautonomous
     z = tuple(x0) if nonaut else (*x0, float(t0))
     t_slot = 0 if nonaut else n
-    states = [z]
-    taus = [0.0]
-    dts = [0.0]
     tau = 0.0
     n_accepted = n_rejected = 0
 
     gap = dfield.horizon_gap(x0)
-    gaps = [gap]
     stop = _stop(float(np.max(np.abs(z))), gap, tau, ctl)
+    ln_slot = dfield.gap_slot if dfield.gap_slot < n else None
+    if ln_slot is not None:
+        z = z[:ln_slot] + (math.log(gap) if gap > 0.0 else -math.inf,) \
+            + z[ln_slot + 1:]
+
+        def level(state, gap):
+            return state[ln_slot] * _LOG10_E
+        cut = _STEP_TIME_DECADES / dfield.htype.k_float
+    else:
+        # the sampling spaces only gaps above this floor: below it a
+        # parabolic gap W = 1 - P is rounding noise
+        floor = ctl.horizon_eps + 1e-14
+
+        def level(state, gap):
+            return math.log10(gap) if gap > floor else math.nan
+        cut = _STEP_DECADES
+    states = [z]
+    taus = [0.0]
+    dts = [0.0]
+    gaps = [gap]
     if stop is not None:
         return _mk_traj(dfield, taus, states, dts, gaps, stop, 0, 0)
 
-    k1 = dfield.rhs_values(x0)
-    if nonaut:
-        k1 = k1[:-1]
+    k1 = dfield.state_derivative(z)
     step = dfield.step
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     tau_max, max_step = ctl.tau_max, ctl.max_step
-    # the sampling spaces only gaps above this floor: below it a parabolic
-    # gap W = 1 - P is rounding noise
-    floor = ctl.horizon_eps + 1e-14
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0
+    v = level(z, gap)
 
     while True:
         steps += 1
@@ -288,11 +329,12 @@ def integrate(
                     rejected = True
                     continue
                 m = math.ceil(h / max_step)
-                decades = 0.0
-                if gap_new > floor and gap > floor:
-                    decades = abs(math.log10(gap_new) - math.log10(gap))
+                v_new = level(z_new, gap_new)
+                # NaN where a level is left out: no spacing, no cut
+                decades = abs(v_new - v)
+                if decades > _GAP_DECADES:
                     m = max(m, math.ceil(decades / _GAP_DECADES))
-                fills = _fill(dfield, z, h, st, m, gap, gap_new, floor)
+                fills = _fill(dfield, z, h, st, m, v, v_new, level)
         except DomainError:
             pass
         if fills is None:  # a stage left the domain, or a non-finite result
@@ -314,6 +356,7 @@ def integrate(
         z = z_new
         k1 = k13
         gap = gap_new
+        v = v_new
         states.append(z)
         taus.append(tau)
         dts.append(st[t_slot] - dt_prev)
@@ -326,7 +369,7 @@ def integrate(
 
         h_next = h * (min(factor, 1.0) if rejected else factor)
         if decades > 0.0:
-            h_next = min(h_next, h * _STEP_DECADES / decades)
+            h_next = min(h_next, h * cut / decades)
         h = h_next
         rejected = False
 
@@ -347,6 +390,8 @@ def _stop(guard, gap, tau, ctl):
 
 def _mk_traj(dfield, taus, states, dts, gaps, stop, n_accepted, n_rejected):
     path = np.array(states, dtype=float)
+    if dfield.gap_slot < dfield.n:  # the states hold L = ln s there
+        path[:, dfield.gap_slot] = gaps
     return Trajectory(
         dfield=dfield,
         taus=np.array(taus, dtype=float),

@@ -34,10 +34,11 @@ from horizon_lab import (
     grid_seeds,
     fit_rate,
     integrate,
+    spectrum_classify,
     trace_equilibrium_curve,
 )
 from horizon_lab.cli import build_field_from_config
-from horizon_lab.systems import kk_dafermos, mems, selfsimilar
+from horizon_lab.systems import kk_dafermos, make_example, mems, selfsimilar
 
 
 def m(coeff, *exps):
@@ -313,6 +314,23 @@ def test_mems_full_report(mems_run):
     )
     assert report.type1_confirmed
     assert report.t_max == pytest.approx(traj.ts[-1], rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["mems", "kk_dafermos", "selfsimilar"])
+def test_directional_decay_matches_slow_eigenvalue(name):
+    # on a directional chart the step integrates ln s, so the decay fit
+    # reads a gap with its relative accuracy down to the horizon stop
+    b = make_example(name)
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    traj = integrate(df, embed(df.chart, np.asarray(run.y0, dtype=float)).coords,
+                     t0=run.t0, controls=run.controls)
+    report = build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]))
+    eq = report.shadowed_target
+    split = spectrum_classify(eq.eigenvalues, eq.tangential_dims)
+    slow = min(abs(eq.eigenvalues[i].real) for i in split.stable)
+    assert report.lambda_decay == pytest.approx(slow, rel=1e-9)
+    assert report.residual_slope < 1e-8
 
 
 # ---------------------------------------------------------------------------

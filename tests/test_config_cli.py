@@ -444,6 +444,7 @@ def test_pipeline_scalar_outputs(tmp_path):
     traj = integrate(df, embed(df.chart, np.array([1.0])).coords)
     assert len(rows) - 1 == len(traj.taus) - 1
     assert run["accepted_steps"] == traj.n_accepted < len(rows) - 1
+    assert run["rejected_steps"] == traj.n_rejected
     taus = [float(r[0]) for r in rows[1:]]
     assert taus == sorted(taus)
     assert float(rows[-1][3]) < 1e-11
@@ -1037,6 +1038,10 @@ def test_cli_jobs_flag_is_byte_identical(tmp_path):
         tmp_path / "j2" / "report.json"
     ).read_bytes()
     assert one.stdout.replace("j1", "@") == two.stdout.replace("j2", "@")
+    # each run record counts its rejected steps as well as its accepted ones
+    for run in json.loads((tmp_path / "j2" / "report.json").read_text())["runs"]:
+        assert isinstance(run["accepted_steps"], int)
+        assert isinstance(run["rejected_steps"], int)
 
 
 @pytest.mark.parametrize(

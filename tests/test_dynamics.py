@@ -13,7 +13,6 @@ from horizon_lab import (
     LEFT_DOMAIN,
     TAU_EXHAUSTED,
     CurveBreak,
-    DirectionalChart,
     DomainError,
     FieldSpec,
     HomogeneityType,
@@ -134,6 +133,22 @@ def test_horizon_eps_zero_disables_horizon_stop():
     )
     assert traj.stop_reason == TAU_EXHAUSTED
     assert np.max(np.abs(traj.gaps)) < 1e-9
+
+
+def test_on_horizon_directional_start_stays_on_the_horizon():
+    # on mems' chart s0 = 0 is L = -inf: the step, its dense output, the
+    # sample spacing and the stops carry it without a NaN (no 0 * -inf and
+    # no -inf - -inf), and s = exp(L) stays exactly 0
+    df = build_field_from_config(mems())
+    traj = integrate(
+        df, np.array([1.0, 0.0, -1.0]),
+        controls=IntegratorControls(tau_max=20.0, horizon_eps=0.0),
+    )
+    assert traj.stop_reason == TAU_EXHAUSTED
+    assert len(traj.taus) > traj.n_accepted + 1  # dense samples too
+    assert np.all(np.isfinite(traj.coords)) and np.all(np.isfinite(traj.ts))
+    assert np.all(traj.gaps == 0.0)
+    assert np.all(traj.coords[:, df.gap_slot] == 0.0)
 
 
 def _runaway_field():
@@ -283,11 +298,28 @@ def _weighted(row, ks, i):
     return _fold(c * ks[j][i] for j, c in enumerate(row) if c != 0.0)
 
 
+def _ln_split(dfield):
+    """(i0, time slot, k) of a directional field, whose step state holds
+    L = ln s in slot i0, or None on the parabolic chart."""
+    if dfield.gap_slot == dfield.n:
+        return None
+    return dfield.gap_slot, (0 if dfield.nonautonomous else dfield.n), \
+        dfield.htype.k_float
+
+
+def _sample(dfield, state):
+    """A step state as a trajectory sample: s = exp(L) in slot i0."""
+    split = _ln_split(dfield)
+    if split is None:
+        return tuple(state)
+    i0 = split[0]
+    return tuple(state[:i0]) + (math.exp(state[i0]),) + tuple(state[i0 + 1:])
+
+
 def _py_gap(dfield, state):
     """The horizon gap in the generated code's arithmetic (Python's **)."""
-    chart = dfield.chart
-    if isinstance(chart, DirectionalChart):
-        return state[chart.i0]
+    if _ln_split(dfield) is not None:
+        return math.exp(state[dfield.gap_slot])
     two_beta = 2 * dfield.htype.beta_full()
     return 1.0 - _fold(
         state[j] ** int(two_beta[j]) for j in dfield.htype.i_alpha
@@ -295,80 +327,148 @@ def _py_gap(dfield, state):
 
 
 def _reference_rhs(dfield):
-    n = dfield.n
-
     def rhs(state):
-        values = dfield.rhs_values(state[:n])
-        return list(values[:-1]) if dfield.nonautonomous else list(values)
+        return list(dfield.state_derivative(tuple(state)))
 
     return rhs
 
 
+class _Stages:
+    """The stages of one step as lists over the state slots, ``ks[s - 1]``
+    for stage s, evaluating the field through ``state_derivative``.  On a
+    directional chart the time slot's sums read the split derivative
+    ``ku[s - 1] = k_t * (1 - w k_L)`` instead (``cols``), with q = 1/rho
+    and w = k q as the step forms them."""
+
+    def __init__(self, dfield, z, k1, h):
+        self.rhs = _reference_rhs(dfield)
+        self.split = _ln_split(dfield)
+        self.z, self.h = list(z), h
+        self.ks = [list(k1)] + [None] * 15
+        self.ku = [None] * 16
+        self.q = self.w = 0.0
+        if self.split is not None:
+            i0, _, k = self.split
+            rho = k * k1[i0]
+            self.q = 1.0 / rho if rho * h < -0.1 else 0.0
+            self.w = k * self.q
+            self._split_stage(0)
+
+    def shift(self, state):
+        """(s**k at ``state`` - s**k at the step's start) q, the part of a
+        split time slot's increment that is not u's."""
+        _, t, _ = self.split
+        return (self.rhs(state)[t] - self.ks[0][t]) * self.q
+
+    def _split_stage(self, j):
+        if self.split is not None:
+            i0, t, _ = self.split
+            self.ku[j] = self.ks[j][t] * (1.0 - self.w * self.ks[j][i0])
+
+    def col(self, j):
+        """What the sums read of stage j + 1."""
+        if self.split is None:
+            return self.ks[j]
+        out = list(self.ks[j])
+        out[self.split[1]] = self.ku[j]
+        return out
+
+    def weighted(self, row, i):
+        cols = [self.col(j) if row[j] != 0.0 else None for j in range(len(row))]
+        return _weighted(row, cols, i)
+
+    def point(self, row):
+        z, h = self.z, self.h
+        pt = [z[i] + h * self.weighted(row, i) for i in range(len(z))]
+        if self.split is not None:
+            t = self.split[1]
+            pt[t] = pt[t] + self.shift(pt)
+        return pt
+
+    def evaluate(self, s, row):
+        self.ks[s] = self.rhs(self.point(row))
+        self._split_stage(s)
+
+
 def _reference_stages(dfield, z, k1, h):
-    """Stages 1..13 of a step as lists over the state slots, with the
-    increments and the new state, evaluating the field through
-    rhs_values."""
-    rhs = _reference_rhs(dfield)
+    """Stages 1..13 of a step, with its increments (the time slot's
+    whole) and new state."""
+    st = _Stages(dfield, z, k1, h)
     dim = len(z)
-    ks = [list(k1)] + [None] * 15
     for s in range(1, 12):
-        ks[s] = rhs([z[i] + h * _weighted(_A[s], ks, i) for i in range(dim)])
-    d = [h * _weighted(_B, ks, i) for i in range(dim)]
+        st.evaluate(s, _A[s])
+    d = [h * st.weighted(_B, i) for i in range(dim)]
     x = [z[i] + d[i] for i in range(dim)]
-    ks[12] = rhs(x)
-    return ks, d, x
+    st.du = None
+    if st.split is not None:
+        t = st.split[1]
+        st.du = d[t]
+        d[t] = st.du + st.shift(x)
+        x[t] = z[t] + d[t]
+    st.ks[12] = st.rhs(x)
+    st._split_stage(12)
+    return st, d, x
 
 
-def _reference_extra_stages(dfield, z, h, ks):
+def _reference_extra_stages(st):
     """Fills in the dense output's stages 14..16."""
-    rhs = _reference_rhs(dfield)
     for s in (13, 14, 15):
-        ks[s] = rhs([z[i] + h * _weighted(_A[s], ks, i) for i in range(len(z))])
+        st.evaluate(s, _A[s])
 
 
 def _reference_step(dfield):
     """The generated step and dense output as list arithmetic: stage sums
-    over lists of lists, the field through rhs_values, the same
+    over lists of lists, the field through state_derivative, the same
     ``(z_new, err, k13, guard, gap, st)`` and ``(state, dt, gap)`` results,
     and every sum added in the generated code's order."""
+    split = _ln_split(dfield)
 
     def step(z, k1, h, atol, rtol):
         dim = len(z)
-        ks, d, x = _reference_stages(dfield, z, k1, h)
+        st, d, x = _reference_stages(dfield, z, k1, h)
         u, v = [], []
         for i in range(dim):
             sk = atol + rtol * max(abs(z[i]), abs(x[i]))
-            u.append(_weighted(_E5, ks, i) / sk)
-            g = _weighted(_B, ks, i)
-            v.append(_fold([g] + [-c * ks[j][i] for j, c in _BHH]) / sk)
+            u.append(st.weighted(_E5, i) / sk)
+            g = st.weighted(_B, i)
+            v.append(_fold([g] + [-c * st.col(j)[i] for j, c in _BHH]) / sk)
         s5 = _fold(q * q for q in u)
         s3 = _fold(q * q for q in v)
         den = s5 + 0.01 * s3
-        if not all(map(math.isfinite, x + [den])):
+        xs = list(_sample(dfield, x))
+        if not all(map(math.isfinite, xs + [den])):
             return None
         err = h * s5 / (math.sqrt(den) * math.sqrt(dim)) if den > 0.0 else 0.0
-        st = tuple(d) + tuple(ks[s - 1][i] for s in _READS for i in range(dim))
-        return x, err, ks[12], max(abs(v) for v in x), _py_gap(dfield, x), st
+        reads = tuple(d) + tuple(st.ks[s - 1][i] for s in _READS for i in range(dim))
+        if split is not None:
+            reads += (st.du, st.q)
+        return x, err, st.ks[12], max(abs(v) for v in xs), _py_gap(dfield, x), reads
 
-    def dense_coeffs(z, h, st):
+    def dense_coeffs(z, h, reads):
         dim = len(z)
-        d = list(st[:dim])
-        ks = [None] * 16
+        d = list(reads[:dim])
+        st = _Stages(dfield, z, [0.0] * dim, h)
         for pos, s in enumerate(_READS, start=1):
-            ks[s - 1] = list(st[pos * dim:(pos + 1) * dim])
-        _reference_extra_stages(dfield, z, h, ks)
+            st.ks[s - 1] = list(reads[pos * dim:(pos + 1) * dim])
+        if split is not None:
+            du, st.q = reads[-2:]
+            st.w = split[2] * st.q
+            d[split[1]] = du
+            for s in _READS:
+                st._split_stage(s - 1)
+        _reference_extra_stages(st)
         c = [
-            [h * ks[0][i] - d[i], 2.0 * d[i] - h * (ks[12][i] + ks[0][i])]
-            + [h * _weighted(row, ks, i) for row in _D]
+            [h * st.col(0)[i] - d[i], 2.0 * d[i] - h * (st.col(12)[i] + st.col(0)[i])]
+            + [h * st.weighted(row, i) for row in _D]
             for i in range(dim)
         ]
         total = sum(map(sum, c))
         if total - total != 0.0:
             return None
-        return d, c
+        return d, c, st
 
     def dense(z, cs, thetas):
-        d, c = cs
+        d, c, st = cs
         dim = len(z)
         t_slot = 0 if dfield.nonautonomous else dfield.n
         out = []
@@ -380,6 +480,9 @@ def _reference_step(dfield):
                 for i, (c1, c2, c3, c4, c5, c6) in enumerate(c)
             ]
             state = [z[i] + polys[i] for i in range(dim)]
+            if split is not None:
+                polys[t_slot] = polys[t_slot] + st.shift(state)
+                state[t_slot] = z[t_slot] + polys[t_slot]
             out.append((tuple(state), polys[t_slot], _py_gap(dfield, state)))
         return out
 
@@ -557,30 +660,41 @@ def test_generated_step_fails_like_list_reference():
 def test_dense_output_matches_scipy(name):
     # SciPy's DOP853DenseOutput built from the same stages (the reference
     # stages equal the generated ones bit for bit) agrees with the generated
-    # dense output, which forms its coefficients in another order
+    # dense output, which forms its coefficients in another order; on a
+    # directional chart it interpolates the split time slot u, to which
+    # (s**k - s0**k) q adds the rest of t
     b = make_example(name)
     df = build_field_from_config(b)
+    split = _ln_split(df)
     run = b.runs[0]
     coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
     traj = integrate(df, coords, t0=run.t0)
     for z, h in ((traj.coords[len(traj.taus) // 3], 0.1), (traj.coords[-5], 1.0)):
         z = list(z) if df.nonautonomous else list(z) + [0.25]
+        if split is not None:
+            z[split[0]] = math.log(z[split[0]])
         k1 = _reference_rhs(df)(z)
         _, err, _, _, _, st = df.step(tuple(z), k1, h, 1e-12, 1e-10)
         thetas = [0.1, 0.35, 0.5, 0.8, 0.95]
         cs = df.dense_coeffs(tuple(z), h, st)
         got = np.array([state for state, _, _ in df.dense(tuple(z), cs, thetas)])
-        ks, _, x = _reference_stages(df, z, k1, h)
-        _reference_extra_stages(df, z, h, ks)
-        K = np.array(ks)
-        y_old, y_new = np.array(z), np.array(x)
-        delta = y_new - y_old
+        stages, d, _ = _reference_stages(df, z, k1, h)
+        _reference_extra_stages(stages)
+        K = np.array([stages.col(j) for j in range(16)])
+        y_old = np.array(z)
+        delta = np.array(d)
+        if split is not None:
+            delta[split[1]] = stages.du
         F = np.empty((7, len(z)))
         F[0] = delta
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[12] + K[0])
         F[3:] = h * (_DOP.D @ K)
         want = Dop853DenseOutput(0.0, h, y_old, F)(np.array(thetas) * h).T
+        if split is not None:
+            t = split[1]
+            want[:, t] += [stages.shift(list(w)) for w in want]
+            assert stages.q != 0.0  # the time slot is split
         assert err <= 1.0
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -597,15 +711,15 @@ def _recorded_run(name, controls):
     def recording_step(*args):
         out = real_step(*args)
         if out is not None:
-            returned[tuple(out[0])] = out[4]
+            returned[_sample(df, out[0])] = out[4]
             if out[1] <= 1.0:
-                ends.append(out[0])
+                ends.append(_sample(df, out[0]))
         return out
 
     def recording_dense(*args):
         out = real_dense(*args)
         for state, _, gap in out:
-            returned[tuple(state)] = gap
+            returned[_sample(df, state)] = gap
         return out
 
     object.__setattr__(df, "step", recording_step)
@@ -617,7 +731,8 @@ def _recorded_run(name, controls):
 
 
 def _path(df, traj):
-    """The trajectory's samples as integrator states."""
+    """The trajectory's samples as integrator states, but with s in place
+    of L = ln s on a directional chart (``_sample``)."""
     if df.nonautonomous:
         return [tuple(c) for c in traj.coords]
     return [tuple(c) + (t,) for c, t in zip(traj.coords, traj.ts)]
@@ -633,11 +748,12 @@ def test_sampling_contract(name, max_step):
     assert len(ends) == traj.n_accepted
     pos = [path.index(tuple(e), 1) for e in ends]
     assert pos == sorted(pos) and pos[-1] == len(path) - 1
-    # consecutive samples: at most max_step apart in tau and, above the
-    # stop threshold, at most 0.1 decade apart in the stored gap
+    # consecutive samples: at most max_step apart in tau and at most 0.1
+    # decade apart in the stored gap, on the parabolic chart only above
+    # the stop threshold
     assert np.max(np.diff(traj.taus)) <= max_step + 1e-12
     gaps = traj.gaps
-    floor = controls.horizon_eps + 1e-14
+    floor = controls.horizon_eps + 1e-14 if _ln_split(df) is None else 0.0
     both = (gaps[1:] > floor) & (gaps[:-1] > floor)
     decades = np.abs(np.diff(np.log10(np.where(gaps > floor, gaps, 1.0))))
     assert np.max(decades[both]) <= 0.1 + 1e-12
@@ -647,9 +763,10 @@ def test_sampling_contract(name, max_step):
 
 
 def test_dense_coefficients_formed_once_per_filled_step():
-    # the kk_dafermos example raises m on some steps, so its samples take
-    # more dense evaluations than coefficient sets
-    df, ends, _, traj = _recorded_run("kk_dafermos", IntegratorControls())
+    # the painleve1 example with no max_step raises m on some steps, so its
+    # samples take more dense evaluations than coefficient sets
+    controls = IntegratorControls(max_step=math.inf)
+    df, ends, _, traj = _recorded_run("painleve1", controls)
     ends = list(ends)  # the run below records its steps again
     real_coeffs, real_dense = df.dense_coeffs, df.dense
     formed, evaluated = [], []
@@ -664,9 +781,9 @@ def test_dense_coefficients_formed_once_per_filled_step():
 
     object.__setattr__(df, "dense_coeffs", counting_coeffs)
     object.__setattr__(df, "dense", counting_dense)
-    run = make_example("kk_dafermos").runs[0]
+    run = make_example("painleve1").runs[0]
     coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
-    again = integrate(df, coords, t0=run.t0)
+    again = integrate(df, coords, t0=run.t0, controls=controls)
     assert np.array_equal(again.coords, traj.coords)
     path = _path(df, traj)
     pos = [0] + [path.index(tuple(e), 1) for e in ends]
