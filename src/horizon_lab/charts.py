@@ -122,14 +122,6 @@ class ParabolicChart(_Chart):
     def horizon_gap_of(self, coords: np.ndarray) -> np.ndarray:
         return 1.0 - self.horizon_poly(coords)
 
-    def grad_horizon_poly(self, coords: np.ndarray) -> np.ndarray:
-        x = np.asarray(coords, dtype=float)
-        tb = 2 * self.htype.beta_full()
-        out = np.zeros_like(x)
-        for i in self.htype.i_alpha:
-            out[..., i] = tb[i] * x[..., i] ** (tb[i] - 1)
-        return out
-
     def embed_array(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized embed: (m, n) phase points -> (coords, horizon_gap)."""
         coords, kappa = self.embed_kappa(y)

@@ -35,11 +35,7 @@ import numpy as np
 from .blowup import BlowupReport, build_report
 from . import charts
 from .config import AnalysisConfig, canonical_text, parse_config
-from .desing import (
-    DesingField,
-    build_directional_desing,
-    build_parabolic_desing,
-)
+from .desing import DesingField, build_desing
 from .dynamics import (
     HORIZON_REACHED,
     Equilibrium,
@@ -101,9 +97,7 @@ def build_field_from_config(config: AnalysisConfig) -> DesingField:
     """The desingularized field of ``config.field`` on ``config.chart``,
     for the config's type.  Raises what the builders raise, e.g.
     NegativeWExponentError for a monomial that breaks the type."""
-    if isinstance(config.chart, charts.DirectionalChart):
-        return build_directional_desing(config.field, config.htype, config.chart)
-    return build_parabolic_desing(config.field, config.htype)
+    return build_desing(config.field, config.htype, config.chart)
 
 
 _O_BINARY = getattr(os, "O_BINARY", 0)  # no newline translation on Windows
@@ -156,10 +150,8 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
     coords = [column(traj.coords[:, i]) for i in range(n)]
     ts = coords[0] if traj.dfield.nonautonomous else column(traj.ts)
-    if isinstance(traj.dfield.chart, charts.DirectionalChart):
-        gaps = coords[traj.dfield.chart.i0]
-    else:
-        gaps = column(traj.gaps)
+    gap_slot = traj.dfield.gap_slot
+    gaps = coords[gap_slot] if gap_slot < n else column(traj.gaps)
     lines = [",".join(header)]
     lines += map(",".join, zip(column(traj.taus), ts, *coords, gaps))
     _write_output(path, "\n".join(lines) + "\n")

@@ -43,10 +43,11 @@ increments keep their relative accuracy over long steps.
 
 On the horizon W = 0 (resp. s = 0), so there only the terms with no power
 of the gap act: the principal part of the field.  The source also holds
-array evaluators of that restriction, its nonempty components and their
-partials, for a whole batch of points with NumPy (the batched equilibrium
-search solves them): where a scalar evaluation would raise a domain error,
-they leave non-finite entries in that point's row.
+array evaluators of the system the batched equilibrium search solves, for
+a batch of points with NumPy: that restriction's nonempty components, with
+P(x) - 1 on the parabolic chart, and their partials in the slots solved
+for; where a scalar evaluation would raise a domain error, they leave
+non-finite entries in that point's row.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
     "extend_nonautonomous",
     "build_parabolic_desing",
     "build_directional_desing",
+    "build_desing",
     "evaluate_desing",
 ]
 
@@ -245,15 +247,18 @@ class _Emitter:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
         return expr
 
+    def horizon_poly(self) -> str:
+        """The template of P = sum x_j**(2 beta_j), summed in i_alpha order."""
+        return " + ".join(
+            self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
+        )
+
     def derived(self, indent: str) -> list:
         """(symbol, template) pairs computing W and its clamp from the
         x{j} locals."""
         lines = []
         if self.parabolic:
-            terms = [
-                self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
-            ]
-            lines.append(("W", f"{indent}W = 1.0 - ({' + '.join(terms)})"))
+            lines.append(("W", f"{indent}W = 1.0 - ({self.horizon_poly()})"))
         if self.needs_clamp:
             lines.append(("Wc", f"{indent}Wc = W if W > 0.0 else 0.0"))
         return lines
@@ -710,29 +715,37 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
 
 
-def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...]) -> str:
-    """Source of ``_horizon_rhs(Z) -> (m, p)`` and ``_horizon_jac(Z) -> (m,
-    p, n)``: the p polynomials ``horizon`` and their partials in every
-    coordinate at each point ``Z[i]``, written into preallocated arrays
-    (zero partials never).  They carry no power of the horizon gap, so no
-    W, clamp or chain rule through W.  Where the scalar code would raise
+def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
+                  free: Tuple[int, ...]) -> str:
+    """Source of ``_horizon_rhs(Z) -> (m, p + c)`` and ``_horizon_jac(Z) ->
+    (m, p + c, f)``, the system a horizon search solves at each point
+    ``Z[i]``, written into preallocated arrays: the p polynomials
+    ``horizon`` and, on the parabolic chart only (c = 1), the row P(x) - 1
+    with P summed as in W, and their partials in the ``free`` slots (zero
+    partials never).  No row carries a power of the horizon gap, so no W,
+    clamp or chain rule through W.  Where the scalar code would raise
     (``_pw`` of a negative base or of zero with a negative exponent, an
     integer power of zero below zero, an overflow), NumPy gives NaN or inf,
     and since the expressions only add and multiply, it stays in that
     point's row.
     """
-    n, p = em.n, len(horizon)
+    n, polys = em.n, list(horizon)
+    rows = [em.poly(q) for q in polys]
+    if em.parabolic:
+        rows.append(f"({em.horizon_poly()}) - 1.0")
+        tb = em.two_beta
+        polys.append({tuple(int(tb[j]) if i == j else 0 for i in range(n + 1)): 1.0
+                      for j in em.i_alpha})
     pre = "    " + "".join(f"x{j}, " for j in range(n)) + "= Z.T"
-    lines = ["def _horizon_rhs(Z):", pre, f"    out = _empty((len(Z), {p}))"]
-    lines += [f"    out[:, {i}] = {em.inline(em.poly(q))}"
-              for i, q in enumerate(horizon)]
+    lines = ["def _horizon_rhs(Z):", pre, f"    out = _empty((len(Z), {len(rows)}))"]
+    lines += [f"    out[:, {i}] = {em.inline(r)}" for i, r in enumerate(rows)]
     lines += ["    return out", "", "def _horizon_jac(Z):", pre,
-              f"    out = _zeros((len(Z), {p}, {n}))"]
-    for i, q in enumerate(horizon):
-        for j in range(n):
+              f"    out = _zeros((len(Z), {len(rows)}, {len(free)}))"]
+    for i, q in enumerate(polys):
+        for c, j in enumerate(free):
             d = _pdiff_var(q, j)
             if d:
-                lines.append(f"    out[:, {i}, {j}] = {em.inline(em.poly(d))}")
+                lines.append(f"    out[:, {i}, {c}] = {em.inline(em.poly(d))}")
     lines += ["    return out"]
     return "\n".join(lines) + "\n"
 
@@ -747,7 +760,7 @@ def _on_horizon(p: Poly, gap_slot: int) -> Poly:
 def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool,
-                   horizon: Tuple[Poly, ...]):
+                   horizon: Tuple[Poly, ...], free: Tuple[int, ...]):
     em = _Emitter(n, two_beta, i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
@@ -766,14 +779,14 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
     )
     if not em.parabolic:
         # the step's state holds L = ln s in s's slot, and dL/dtau is
-        # ds/dtau with s's exponent lowered by one; ``_deriv``, the state's
-        # derivative from the step's own expressions, gives the first k1
+        # ds/dtau with s's exponent lowered by one
         templates[gap_slot] = em.poly(_pmul_var(components[gap_slot], gap_slot, -1))
-        d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
-        parts += (f"def _deriv(z):\n{em.preamble(ln_gap=True)}\n"
-                  f"    return (\n        {d_body},\n    )\n",)
+    # ``_deriv`` gives the first k1 from the step's own expressions
+    d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
+    parts += (f"def _deriv(z):\n{em.preamble(ln_gap=True)}\n"
+              f"    return (\n        {d_body},\n    )\n",)
     parts += _emit_dop853(em, templates, dim, 0 if nonautonomous else n, k)
-    hsrc = _emit_horizon(em, horizon)
+    hsrc = _emit_horizon(em, horizon, free)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
@@ -781,8 +794,7 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
 def _compiled(parts: Tuple[str, ...], hsrc: str):
     """``(_rhs, _jac, _deriv, _step, _dense_coeffs, _dense, _horizon_rhs,
     _horizon_jac)`` compiled from the generated source, once per distinct
-    source, like ``re``'s pattern cache; ``_deriv`` is None on the
-    parabolic chart, whose step state is the coordinates themselves.
+    source, like ``re``'s pattern cache.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
@@ -795,7 +807,7 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
         exec(compile(part, "<desing-field>", "exec"), ns)
     hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros}
     exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
-    return (ns["_rhs"], ns["_jac"], ns.get("_deriv"), ns["_step"],
+    return (ns["_rhs"], ns["_jac"], ns["_deriv"], ns["_step"],
             ns["_dense_coeffs"], ns["_dense"], hns["_horizon_rhs"],
             hns["_horizon_jac"])
 
@@ -829,11 +841,12 @@ class DesingField:
 
     On the horizon only the terms with no power of the horizon gap act (W on
     the parabolic chart, s on a directional one): those with a zero
-    exponent in ``gap_slot``.  ``horizon_rows`` lists
-    the components that keep such a term; ``horizon_rhs_array`` and
-    ``horizon_jacobian_array`` evaluate those rows of that restriction, and
-    their partials, at a batch of points at once.  ``source_code`` holds
-    all the generated source.
+    exponent in ``gap_slot``.  ``horizon_rows`` lists the components that
+    keep such a term and ``free_slots`` the weighted slots but
+    ``gap_slot``; ``horizon_rhs_array`` and ``horizon_jacobian_array``
+    evaluate those rows, with P(x) - 1 on the parabolic chart, and their
+    partials in ``free_slots`` at a batch of points at once: the system a
+    horizon search solves.  ``source_code`` holds all the generated source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]
@@ -853,6 +866,7 @@ class DesingField:
         )
         horizon = [_on_horizon(p, gap_slot) for p in self.components]
         rows = tuple(i for i, p in enumerate(horizon) if p)
+        free = tuple(i for i in self.htype.i_alpha if i != gap_slot)
         compiled = _compile_field(
             self.n,
             2 * self.htype.beta_full(),
@@ -864,8 +878,10 @@ class DesingField:
             jac_rows,
             self.nonautonomous,
             tuple(horizon[i] for i in rows),
+            free,
         )
         object.__setattr__(self, "horizon_rows", rows)
+        object.__setattr__(self, "free_slots", free)
         for name, value in zip(("_rhs", "_jac", "_deriv", "step",
                                 "dense_coeffs", "dense", "_horizon_rhs",
                                 "_horizon_jac", "source_code"),
@@ -913,11 +929,10 @@ class DesingField:
     def state_derivative(self, z) -> Tuple[float, ...]:
         """The derivative of an integrator state ``z``, as ``step`` reads
         it for ``k1``: ``z`` holds the coordinates, with ln s in s's slot
-        on a directional chart, then t for an autonomous field.  On a
-        directional chart it comes from the step's expressions for that
-        state, so no 0/0 at s = 0 (L = -inf)."""
-        if self._deriv is None:
-            return self.rhs_values(z[:self.n])[:len(z)]
+        on a directional chart, then t for an autonomous field.  It comes
+        from the step's expressions for that state (on the parabolic chart,
+        ``rhs_values``' own, cut to the state's slots), so a directional
+        chart has no 0/0 at s = 0 (L = -inf)."""
         try:
             return self._deriv(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -938,16 +953,17 @@ class DesingField:
         return np.asarray(rows, dtype=float)
 
     def horizon_rhs_array(self, coords) -> np.ndarray:
-        """The field restricted to the horizon at each row of an (m, n)
-        array, as (m, p): its components ``horizon_rows``, from their terms
-        with no power of the horizon gap.  A row where such a term fails to
-        evaluate holds non-finite values; the other rows are unaffected."""
+        """The horizon system at each row of an (m, n) array, as (m, p + c):
+        the components ``horizon_rows`` from their terms with no power of
+        the horizon gap, then P(x) - 1 on the parabolic chart (c = 1).  A
+        row where such a term fails to evaluate holds non-finite values;
+        the other rows are unaffected."""
         with np.errstate(all="ignore"):
             return self._horizon_rhs(np.asarray(coords, dtype=float))
 
     def horizon_jacobian_array(self, coords) -> np.ndarray:
-        """The partials of ``horizon_rhs_array`` in every coordinate, as
-        (m, p, n), with non-finite entries in rows outside the domain."""
+        """The partials of ``horizon_rhs_array`` in the ``free_slots``, as
+        (m, p + c, f), with non-finite entries in rows outside the domain."""
         with np.errstate(all="ignore"):
             return self._horizon_jac(np.asarray(coords, dtype=float))
 
@@ -1182,3 +1198,10 @@ def build_directional_desing(
         components=tuple(components),
         time_factor=time_factor,
     )
+
+
+def build_desing(field: FieldSpec, htype: HomogeneityType, chart) -> DesingField:
+    """Desingularize a field on ``chart``, parabolic or directional."""
+    if isinstance(chart, ParabolicChart):
+        return build_parabolic_desing(field, htype)
+    return build_directional_desing(field, htype, chart)

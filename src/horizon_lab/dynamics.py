@@ -23,14 +23,13 @@ This module keeps the step-size control, the sampling and the stops.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 field restricted to the horizon, the terms with no power of the gap
-(``DesingField.horizon_rows``), augmented by P(x) - 1 on the parabolic
-chart and taken at s = 0 on a directional one.  It is seeded on a small
-grid (``grid_seeds``) or at given points such as a trajectory endpoint;
-each seed's weight-0 slots pick its family slice.  All seeds of one search
-form a single batch: the residuals and Jacobians come from the field's
-array evaluators (``DesingField.horizon_rhs_array`` /
-``horizon_jacobian_array``) and each seed keeps its own line search and
-stopping rules.  Each least-squares step is the pseudo-inverse step with
+(``DesingField.horizon_rows``), with P(x) - 1 on the parabolic chart and
+at s = 0 on a directional one.  It is seeded on a small grid
+(``grid_seeds``) or at given points such as a trajectory endpoint; each
+seed's weight-0 slots pick its family slice.  All seeds of one search form
+a single batch: the field generates the whole system
+(``DesingField.horizon_rhs_array`` / ``horizon_jacobian_array``) and each
+seed keeps its own line search and stopping rules.  Each least-squares step is the pseudo-inverse step with
 LAPACK's default rank cutoff: a square member whose bound
 ||J||_F^k / |det J| on its condition number stays below 1e12, where that
 cutoff cannot fire, takes it from one stacked ``solve``, every other member
@@ -49,7 +48,6 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from .charts import ParabolicChart
 from .desing import DesingField
 from .errors import (
     CurveBreak,
@@ -575,22 +573,23 @@ _CONSTRAINT_TOL = 1e-12
 _DEDUP_TOL = 1e-8
 
 
-def _free_slots(dfield: DesingField) -> list:
-    """Slots a search solves for: the weighted ones but the horizon gap's
-    (a directional s; W's slot n is no coordinate)."""
-    return [i for i in dfield.htype.i_alpha if i != dfield.gap_slot]
-
-
 def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
     """Grid seeds on the family slice through ``anchor`` (full chart
-    coordinates) as one (m, n) array: 7 points per solved slot, the others
-    kept at ``anchor``, projected onto the horizon for parabolic charts via
-    the anisotropic scaling P(r^alpha * x) = r^2c P(x)."""
-    parabolic = isinstance(dfield.chart, ParabolicChart)
-    free = _free_slots(dfield)
+    coordinates) as one (m, n) array: 7 points per ``free_slots`` slot,
+    the others kept at ``anchor``, projected onto the horizon for parabolic
+    charts via the anisotropic scaling P(r^alpha * x) = r^2c P(x).  A
+    non-finite anchor raises DomainError."""
+    n = dfield.n
+    anchor = np.asarray(anchor, dtype=float)
+    if anchor.shape != (n,):
+        raise ValueError(f"anchor shape {anchor.shape}, expected ({n},)")
+    if not np.isfinite(anchor).all():
+        raise DomainError(f"anchor must be finite, got {anchor.tolist()}")
+    parabolic = dfield.gap_slot == n
+    free = list(dfield.free_slots)
     axis = np.linspace(-1.05, 1.05, 7) if parabolic else np.linspace(-5.0, 5.0, 7)
     grid = np.array(list(itertools.product(axis, repeat=len(free))))
-    seeds = np.tile(np.asarray(anchor, dtype=float), (len(grid), 1))
+    seeds = np.tile(anchor, (len(grid), 1))
     seeds[:, free] = grid
     if parabolic:
         P = dfield.chart.horizon_poly(seeds)
@@ -604,31 +603,33 @@ def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
 def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
 
-    The search solves the field restricted to the horizon, its rows
-    ``DesingField.horizon_rows``: on the parabolic chart together with the
-    row P(x) - 1, on a directional chart at s = 0 (each seed's s is set to
-    0).  A seed's weight-0 slots stay at its values: they pick the member
-    of a family of equilibria, e.g. the time slice
-    (``Equilibrium.t_slice``) of a nonautonomous field, so one batch may
-    mix slices.  All seeds are solved in one batched Gauss-Newton call.
+    The search solves the system the field generates for it
+    (``DesingField.horizon_rhs_array``): the field's rows on the horizon,
+    with P(x) - 1 on the parabolic chart, in ``DesingField.free_slots``,
+    at s = 0 on a directional chart.  A seed's weight-0 slots stay at its
+    values: they pick the member of a family of equilibria, e.g. the time
+    slice (``Equilibrium.t_slice``) of a nonautonomous field, so one batch
+    may mix slices.  All seeds are solved in one batched Gauss-Newton call.
     Only points meeting the residual contract (|g| < 1e-10, horizon
     constraint < 1e-12) are returned, deduplicated in seed order: a point
     is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
     earlier one, |r| and |r'| being their final residuals (a solve that
     stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).  A
-    point where the full field fails to evaluate is dropped too.
+    point where the full field fails to evaluate is dropped too.  A seed
+    that is not finite raises DomainError before any solve.
     """
-    chart = dfield.chart
-    parabolic = isinstance(chart, ParabolicChart)
     n = dfield.n
     X0 = np.array(seeds, dtype=float)
     if X0.size == 0:
         X0 = X0.reshape(0, n)
     if X0.ndim != 2 or X0.shape[1] != n:
         raise ValueError(f"seeds shape {X0.shape}, expected (m, {n})")
-    if not parabolic:
-        X0[:, chart.i0] = 0.0
-    free = _free_slots(dfield)
+    bad = np.flatnonzero(~np.isfinite(X0).all(axis=1))
+    if bad.size:
+        raise DomainError(f"seed {bad[0]} is not finite: {X0[bad[0]].tolist()}")
+    if dfield.gap_slot < n:
+        X0[:, dfield.gap_slot] = 0.0
+    free = list(dfield.free_slots)
     p = len(dfield.horizon_rows)
 
     def points(v, rows):
@@ -636,27 +637,16 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         X[:, free] = v
         return X
 
-    def residual(v, rows):
-        X = points(v, rows)
-        g = dfield.horizon_rhs_array(X)
-        if parabolic:
-            return np.column_stack([g, chart.horizon_poly(X) - 1.0])
-        return g
-
-    def jac(v, rows):
-        X = points(v, rows)
-        J = dfield.horizon_jacobian_array(X)
-        if parabolic:
-            gradP = chart.grad_horizon_poly(X)
-            J = np.concatenate([J, gradP[:, None, :]], axis=1)
-        return J[:, :, free]
-
     with np.errstate(all="ignore"):
-        v, r = _gauss_newton(residual, jac, X0[:, free])
+        v, r = _gauss_newton(
+            lambda v, rows: dfield.horizon_rhs_array(points(v, rows)),
+            lambda v, rows: dfield.horizon_jacobian_array(points(v, rows)),
+            X0[:, free],
+        )
         rnorm = np.linalg.norm(r, axis=1)
-        accepted = np.linalg.norm(r[:, :p], axis=1) < _RESIDUAL_TOL
-        if parabolic:
-            accepted &= np.abs(r[:, p]) < _CONSTRAINT_TOL
+        accepted = (np.linalg.norm(r[:, :p], axis=1) < _RESIDUAL_TOL) & (
+            np.abs(r[:, p:]) < _CONSTRAINT_TOL
+        ).all(axis=1)
     X = points(v, np.arange(len(X0)))
 
     # in seed order, each kept point absorbs the later ones within reach
@@ -721,7 +711,7 @@ def trace_equilibrium_curve(
     seed; losing the branch (residual contract violated, a jump bigger than
     the continuation bound, or a slice on which the field itself is
     singular) raises CurveBreak with the offending t.  A non-finite
-    t_range or t_step raises DomainError before any slice is solved.
+    t_range, t_step or seed raises DomainError before any slice is solved.
     """
     if not dfield.nonautonomous:
         raise DomainError("equilibrium curves require a nonautonomous field")
@@ -747,6 +737,8 @@ def trace_equilibrium_curve(
     x_prev = np.asarray(seed, dtype=float).copy()
     if x_prev.shape != (dfield.n,):
         raise ValueError(f"seed shape {x_prev.shape}, expected ({dfield.n},)")
+    if not np.isfinite(x_prev).all():
+        raise DomainError(f"seed must be finite, got {x_prev.tolist()}")
     jump_bound = max(100.0 * abs(t_step), 1.0)
     samples = []
     for t_val in ts:
@@ -798,12 +790,12 @@ def check_nonresonance(stable_eigs, order_N: int) -> Tuple[bool, Optional[tuple]
     individual eigenvalue.  On failure returns the witness
     (m, index-or-None): the offending tuple and matched eigenvalue.
     """
+    if order_N < 1:
+        raise ValueError("order_N must be >= 1")
     lam = [complex(v) for v in stable_eigs]
     d = len(lam)
     if d == 0:
         return True, None
-    if order_N < 1:
-        raise ValueError("order_N must be >= 1")
     tol = 1e-10
     top = 2 * order_N
     for m in itertools.product(range(top + 1), repeat=d):

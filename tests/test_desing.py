@@ -137,13 +137,12 @@ def test_horizon_tangency_parabolic():
     fs = random_aqh_field(rng, alpha, k)
     ht = HomogeneityType(alpha=alpha, k=k)
     df = build_parabolic_desing(fs, ht)
-    chart = df.chart
     for _ in range(30):
         v = rng.uniform(-0.95, 0.95)
         u = (1.0 - v**4) ** (1.0 / 6.0) * rng.choice([-1.0, 1.0])
         x = np.array([u, v])
         g = df.g(x)
-        grad = chart.grad_horizon_poly(x)
+        grad = np.array([6 * u**5, 4 * v**3])  # of P = u^6 + v^4
         assert abs(float(g @ grad)) < 1e-12
 
 
@@ -422,36 +421,71 @@ _ARRAY_FIELDS = {
 @pytest.mark.parametrize("name", sorted(_ARRAY_FIELDS))
 def test_array_evaluators_match_scalar(name):
     df = _ARRAY_FIELDS[name]()
-    rows = list(df.horizon_rows)
+    rows, free = list(df.horizon_rows), list(df.free_slots)
+    assert free == [j for j in df.htype.i_alpha if j != df.gap_slot]
     rng = np.random.default_rng(11)
-    if isinstance(df.chart, DirectionalChart):
+    if df.gap_slot < df.n:
         # at s = 0 every left-out term is an exact zero, so the horizon rows
-        # are the field's and so are their partials off the pivot, up to
-        # NumPy's powers, which differ from Python's in the last bit; the
-        # restriction has no s, so its s-partials are 0
-        i0 = df.chart.i0
+        # are the field's and so are their partials in the free slots, up
+        # to NumPy's powers, which differ from Python's in the last bit
+        i0 = df.gap_slot
         Z = rng.uniform(-0.9, 0.9, size=(300, df.n))
         Z[:, i0] = 0.0
         R, J = df.horizon_rhs_array(Z), df.horizon_jacobian_array(Z)
-        assert R.shape == (300, len(rows)) and J.shape == (300, len(rows), df.n)
-        assert not J[:, :, i0].any()
+        assert R.shape == (300, len(rows)) and J.shape == (300, len(rows), len(free))
         if not rows:  # every term carries s (and an s-partial is s**(-1/2))
             return
-        cols = [j for j in range(df.n) if j != i0]
         for z, r, jac in zip(Z, R, J):
             for got, want in ((r, np.asarray(df.rhs_values(z))[rows]),
-                              (jac[:, cols], df.jacobian(z)[np.ix_(rows, cols)])):
+                              (jac, df.jacobian(z)[np.ix_(rows, free)])):
                 assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
         return
-    # on P = 1 the full field reads W = 1 - P, zero up to rounding
+    # on P = 1 the full field reads W = 1 - P, zero up to rounding; the
+    # last row is the constraint P - 1
     Z = np.vstack([grid_seeds(df, rng.uniform(0.1, 0.9, df.n)) for _ in range(5)])
     R, J = df.horizon_rhs_array(Z), df.horizon_jacobian_array(Z)
-    assert R.shape == (len(Z), len(rows)) and J.shape == (len(Z), len(rows), df.n)
+    p = len(rows)
+    assert R.shape == (len(Z), p + 1) and J.shape == (len(Z), p + 1, len(free))
     for z, r, jac in zip(Z, R, J):
         want = np.asarray(df.rhs_values(z))[rows]
-        assert np.all(np.abs(r - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        fd = fd_jacobian(lambda x: df.horizon_rhs_array(x[None, :])[0], z)
+        assert np.all(np.abs(r[:p] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        assert abs(r[p]) <= 1e-13
+
+        def system(v):
+            x = z.copy()
+            x[free] = v
+            return df.horizon_rhs_array(x[None, :])[0]
+
+        fd = fd_jacobian(system, z[free])
         assert np.all(np.abs(jac - fd) <= 1e-6 * np.maximum(1.0, np.abs(jac)))
+
+
+def _alpha_123():
+    # x' = x^2, y' = x y, z' = y^2 on the parabolic chart of
+    # alpha = (1, 2, 3), k = 1: P = x^12 + y^6 + z^4
+    fs = FieldSpec(
+        variable_names=("x", "y", "z"),
+        components=((m(1.0, 2, 0, 0),), (m(1.0, 1, 1, 0),), (m(1.0, 0, 2, 0),)),
+    )
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(1, 2, 3), k=1))
+
+
+# a nonautonomous and an autonomous field on the parabolic chart
+_PARABOLIC = {"painleve1": lambda: _example("painleve1"), "alpha_123": _alpha_123}
+
+
+@pytest.mark.parametrize("name", sorted(_PARABOLIC))
+def test_horizon_constraint_row_is_the_charts(name):
+    # the generated row P - 1 and its partials, bit for bit against the
+    # chart's horizon polynomial and the closed form 2 beta_j x_j^(2 beta_j - 1)
+    df = _PARABOLIC[name]()
+    tb = 2 * df.htype.beta_full()
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-1.2, 1.2, size=(100_000, df.n))
+    R, J = df.horizon_rhs_array(X), df.horizon_jacobian_array(X)
+    assert np.array_equal(R[:, -1], df.chart.horizon_poly(X) - 1.0)
+    for c, j in enumerate(df.free_slots):
+        assert np.array_equal(J[:, -1, c], tb[j] * X[:, j] ** (tb[j] - 1))
 
 
 def _reciprocal_coordinate():
@@ -572,6 +606,20 @@ def test_state_derivative_is_the_field_in_ln_s(name):
     assert np.all(np.isfinite(df.state_derivative(tuple(state))))
 
 
+@pytest.mark.parametrize("name", sorted(_PARABOLIC))
+def test_parabolic_state_derivative_is_rhs_values_cut(name):
+    # on the parabolic chart the state is the coordinates (then t for an
+    # autonomous field): its derivative is rhs_values cut to the state's
+    # slots, bit for bit, from the generated _deriv
+    df = _PARABOLIC[name]()
+    assert "def _deriv(" in df.source_code
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        x = rng.uniform(-0.6, 0.6, size=df.n)
+        state = tuple(x) if df.nonautonomous else (*x, 0.5)
+        assert df.state_derivative(state) == df.rhs_values(x)[:len(state)]
+
+
 def test_gap_slot_keys_the_horizon_gap():
     # a directional chart's s is its own coordinate slot i0; the parabolic
     # chart's W is one more slot n after the coordinates
@@ -592,10 +640,10 @@ def test_gap_slot_keys_the_horizon_gap():
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("kk_dafermos", "7e5e378df6b8c26127bc991a481bac3c6796cc9510c79ad024f8b6516a265759"),
-        ("mems", "cb25ea25a4fd028c7bed44de80b75c68473dfe6c01783915307f6293d96bb529"),
-        ("painleve1", "81e329443b240416bd678412f76c85a64dc05dde0f64ec9eccbde503ab8f4d92"),
-        ("selfsimilar", "93b7b5c8756ab7e7ce16e0adb4ec9a9281a9aae1a434b0e33ccd110920754a06"),
+        ("kk_dafermos", "0c70af0fc9cbcd45d47207dfaf8722cc48f72bb9a07a66f6bf95b066c789e352"),
+        ("mems", "d88ae9dbcefd954724b26ca920a61cd83bf1aac8e546b9a4879e867ec91717e3"),
+        ("painleve1", "3d52d7c5b21329656e28af070f1f95001fa208a0c1e72c642800f9fef19bf60e"),
+        ("selfsimilar", "b7a62daeeffce54cce61004464df4e1b4e2a760760ba7a1584830bc41fe46e60"),
     ],
 )
 def test_example_source_code_is_pinned(name, digest):

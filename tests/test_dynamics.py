@@ -1,6 +1,7 @@
 """Integration, stop conditions, equilibrium finding and spectral analysis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1079,6 +1080,46 @@ def test_curve_rejects_non_finite_inputs(monkeypatch, t_range, t_step):
         trace_equilibrium_curve(df, t_range, t_step, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "system, slot",
+    [(painleve1, 0), (painleve1, 1), (painleve1, 2), (mems, 1)],
+    ids=["painleve1_t", "painleve1_u", "painleve1_v", "mems_s"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_search_rejects_non_finite_inputs(monkeypatch, system, slot, bad):
+    # a non-finite seed or anchor is a DomainError before any solve: no
+    # RuntimeWarning from the dedup, no EigenFailure, and no CurveBreak
+    # ("field singular") from a trace; a directional chart's s is no
+    # exception, though the search sets it to 0
+    df = build_field_from_config(system())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a seed was solved")
+
+    monkeypatch.setattr(dynamics, "_gauss_newton", no_solve)
+    good = [0.5] * df.n
+    point = list(good)
+    point[slot] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            find_horizon_equilibria(df, [good, point])
+        with pytest.raises(DomainError, match="must be finite"):
+            grid_seeds(df, point)
+        if df.nonautonomous:
+            with pytest.raises(DomainError, match="must be finite"):
+                trace_equilibrium_curve(df, (0.0, 1.0), 0.5, seed=point)
+
+
+@pytest.mark.parametrize("anchor", [[0.0, 0.5], [0.0, 0.5, 0.5, 0.5], [[0.0, 0.5, 0.5]]],
+                         ids=["short", "long", "nested"])
+def test_grid_seeds_rejects_an_anchor_of_another_shape(anchor):
+    df = build_field_from_config(painleve1())
+    with pytest.raises(ValueError, match="anchor shape"):
+        grid_seeds(df, anchor)
+
+
 def test_curve_break_carries_t_value():
     # continuing the MEMS branch across r = 0 hits the r^-1 singularity
     b = mems()
@@ -1146,6 +1187,13 @@ def test_eigenvalue_match_resonance():
     ok, witness = check_nonresonance([-1.0, -2.0], order_N=1)
     assert not ok
     assert witness == ((2, 0), 1)
+
+
+@pytest.mark.parametrize("eigs", [[], [-1.0]], ids=["empty", "one"])
+def test_nonresonance_rejects_an_order_below_one(eigs):
+    # the order is checked before an empty spectrum returns
+    with pytest.raises(ValueError, match="order_N"):
+        check_nonresonance(eigs, order_N=0)
 
 
 def test_zero_sum_resonance():
