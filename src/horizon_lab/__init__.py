@@ -13,6 +13,7 @@ from .blowup import (
     BlowupReport,
     RateRecord,
     build_report,
+    estimate_decay,
     estimate_tmax,
     extrapolate_tail,
     fit_rate,
@@ -50,7 +51,6 @@ from .dynamics import (
     SpectralSplit,
     Trajectory,
     check_nonresonance,
-    estimate_decay,
     find_horizon_equilibria,
     grid_seeds,
     integrate,

@@ -12,6 +12,13 @@ the trajectory's own time increments after each sample, never a difference
 of absolute times: with k = 3 it drops below the ulp of t inside the window.
 Every function reads the type (alpha and k) from ``traj.dfield.htype``, the
 type the trajectory's field was built on.
+
+The decay rate lambda comes from the gap itself (``estimate_decay``).  Every
+straight line here is the closed-form least-squares line about the means
+(``_line``).  A report forms the time to go and the rate window once and
+fits all its components in one stacked pass over the window, one
+contiguous row per component, so a report costs a fixed number of NumPy
+calls and ``fit_rate`` on one component gives its record's numbers exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +29,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import (
-    HORIZON_REACHED,
-    Equilibrium,
-    EquilibriumCurve,
-    Trajectory,
-    estimate_decay,
-)
+from .dynamics import HORIZON_REACHED, Equilibrium, EquilibriumCurve, Trajectory
 from .errors import (
     DomainError,
     InsufficientWindow,
@@ -40,6 +41,7 @@ from .errors import (
 __all__ = [
     "RateRecord",
     "BlowupReport",
+    "estimate_decay",
     "estimate_tmax",
     "extrapolate_tail",
     "fit_rate",
@@ -89,10 +91,11 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
     # an explicit left-to-right sum: the builtin sum() compensates exact
     # floats from Python 3.12 on, and t_max must not depend on the version
     log_A_sum, count = 0.0, 0
-    for i in window:
-        tf = traj.dfield.time_scale(traj.coords[i])
+    time_scale = traj.dfield.time_scale
+    for x, tau in zip(traj.coords[window].tolist(), traj.taus[window].tolist()):
+        tf = time_scale(x)
         if tf > 0:
-            log_A_sum += math.log(tf) + rate * traj.taus[i]
+            log_A_sum += math.log(tf) + rate * tau
             count += 1
     if not count:
         raise NotConverged(
@@ -123,12 +126,74 @@ def estimate_tmax(traj: Trajectory, lambda_decay: float) -> Tuple[float, float]:
     total reconstructed span, the time to go at sample 0.  Raises as
     ``extrapolate_tail``.
     """
-    return _tmax(traj, extrapolate_tail(traj, lambda_decay))
+    tail = extrapolate_tail(traj, lambda_decay)
+    return _tmax(traj, tail, _time_to_go(traj, tail))
 
 
-def _tmax(traj: Trajectory, tail: float) -> Tuple[float, float]:
-    span = float(_time_to_go(traj, tail)[0])
+def _tmax(traj: Trajectory, tail: float, to_go: np.ndarray) -> Tuple[float, float]:
+    span = float(to_go[0])
     return float(traj.ts[-1]) + tail, (tail / span if span > 0 else math.inf)
+
+
+def _line(x: np.ndarray, ys: np.ndarray):
+    """The least-squares line through the points (x, y) for each row y of
+    the (c, N) array ``ys``, in closed form about the means:
+    slope = sum(dx dy) / sum(dx**2), with dx and dy the deviations from
+    the means.  Returns (slope, intercept, residuals, dy), the residuals
+    dy - slope dx.  Each row's sums reduce a contiguous row, so a row's
+    numbers do not depend on the other rows."""
+    n = len(x)
+    x_mean = np.add.reduce(x) / n
+    dx = x - x_mean
+    y_mean = np.add.reduce(ys, axis=1) / n
+    dy = ys - y_mean[:, None]
+    slope = np.add.reduce(dx * dy, axis=1) / np.add.reduce(dx * dx)
+    return slope, y_mean - slope * x_mean, dy - slope[:, None] * dx, dy
+
+
+def _sorted_median(s: np.ndarray) -> np.ndarray:
+    """The median of each row of the row-sorted (c, N) array ``s``: its
+    middle element, or the mean of the two middle ones, as ``np.median``
+    gives it (without the ``numpy.ma`` import of its first call)."""
+    h = s.shape[1] // 2
+    return s[:, h] if s.shape[1] % 2 else (s[:, h - 1] + s[:, h]) / 2
+
+
+def estimate_decay(traj: Trajectory, window: Optional[Tuple[float, float]] = None):
+    """Fit the exponential decay rate of the horizon gap.
+
+    Returns (lambda, residual_slope): lambda from the least-squares line
+    (``_line``, in closed form) through log(gap) vs tau over the window
+    (default: the trailing stretch where the gap is within 1e4 of its
+    final value), residual_slope the peak-to-peak drift of the fit
+    residuals divided by the window length -- a slope-free measure of how
+    straight the decay really is.
+
+    Raises InsufficientWindow with fewer than 20 usable samples.
+    """
+    taus = traj.taus
+    gaps = traj.gaps
+    pos = gaps > 0
+    if window is not None:
+        lo, hi = float(window[0]), float(window[1])
+        mask = pos & (taus >= lo) & (taus <= hi)
+    else:
+        if not np.any(pos):
+            raise InsufficientWindow("no positive horizon gaps to fit")
+        g_end = gaps[pos][-1]
+        mask = pos & (gaps <= 1e4 * g_end)
+    idx = np.flatnonzero(mask)
+    if len(idx) < 20:
+        raise InsufficientWindow(
+            f"decay window holds {len(idx)} samples; need at least 20"
+        )
+    x = taus[idx]
+    span = float(x[-1] - x[0])
+    if span <= 0:
+        raise InsufficientWindow("decay window has zero length")
+    slope, _, resid, _ = _line(x, np.log(gaps[idx])[None, :])
+    residual_slope = float((resid.max() - resid.min()) / span)
+    return float(-slope[0]), residual_slope
 
 
 def _window_mask(traj: Trajectory, to_go: np.ndarray) -> np.ndarray:
@@ -139,18 +204,62 @@ def _window_mask(traj: Trajectory, to_go: np.ndarray) -> np.ndarray:
     )
 
 
+def _rate_fits(traj: Trajectory, to_go: np.ndarray, comps: Sequence[int]) -> list:
+    """The rate fit of each component in ``comps`` (positively weighted
+    slots) over the rate window, in one stacked pass: a list of
+    (fitted_exponent, r_squared, leading_coefficient), or None for a
+    vanishing component.  ``to_go`` is ``_time_to_go`` of the trajectory.
+
+    The window's samples are laid out as one contiguous row per component,
+    so each component's numbers are the same whichever components share
+    the pass.  Raises InsufficientWindow (< 20 window samples).
+    """
+    idx = np.flatnonzero(_window_mask(traj, to_go))
+    if len(idx) < _MIN_FIT_SAMPLES:
+        raise InsufficientWindow(
+            f"rate window holds {len(idx)} samples; need {_MIN_FIT_SAMPLES}"
+        )
+    comps = np.asarray(comps, dtype=int)
+    gaps = traj.gaps[idx]
+    X = np.ascontiguousarray(traj.coords[idx][:, comps].T)
+    # a directional s vanishes by design; every other chart coordinate
+    # vanishes when its median magnitude is tiny or it shrinks with the gap
+    tested = np.flatnonzero(comps != traj.dfield.gap_slot)
+    xi = np.abs(X[tested])
+    srt = np.sort(xi, axis=1)
+    gone = _sorted_median(srt) < _VANISH_TOL
+    pos = srt[:, 0] > 0
+    gone[pos] |= _line(np.log(gaps), np.log(xi[pos]))[0] > _VANISH_SLOPE
+    vanishing = np.zeros(len(comps), dtype=bool)
+    vanishing[tested] = gone
+    live = np.flatnonzero(~vanishing)
+    y = traj.dfield.chart.unscale(X[live], gaps, comps[live, None])
+    slope, intercept, resid, dy = _line(np.log(to_go[idx]), np.log(np.abs(y)))
+    ss_res = np.add.reduce(resid * resid, axis=1)
+    ss_tot = np.add.reduce(dy * dy, axis=1)
+    fits: list = [None] * len(comps)
+    for r, row in enumerate(live.tolist()):
+        tot = float(ss_tot[r])
+        r2 = 1.0 - float(ss_res[r]) / tot if tot > 0 else 0.0
+        coeff = math.exp(intercept[r]) * (1.0 if y[r, -1] >= 0 else -1.0)
+        fits[row] = (float(slope[r]), r2, coeff)
+    return fits
+
+
 def fit_rate(
     traj: Trajectory, tail: float, component_index: int
 ) -> Tuple[float, float, float]:
     """Fit the power-law rate of one original component near blow-up.
 
     Reconstructs y_i along the trajectory over the window where the horizon
-    gap lies in [1e-8, 1e-3] and fits log|y_i| ~ log(t_max - t), with
-    t_max - t the tail plus the trajectory's time increments after each
-    sample, added from the end; ``tail`` is the time left
-    after the last sample (``extrapolate_tail``).  Returns
-    (fitted_exponent, r_squared, leading_coefficient), the coefficient signed
-    by the component's final sign.
+    gap lies in [1e-8, 1e-3] and fits the least-squares line (``_line``,
+    in closed form) of log|y_i| against log(t_max - t), with t_max - t the
+    tail plus the trajectory's time increments after each sample, added
+    from the end; ``tail`` is the time left after the last sample
+    (``extrapolate_tail``).  Returns (fitted_exponent, r_squared,
+    leading_coefficient), the coefficient signed by the component's final
+    sign: exactly the numbers of ``build_report``'s record for component
+    i, from the same stacked fit.
 
     Raises InsufficientWindow (< 20 window samples), VanishingComponent (the
     chart coordinate of the component tends to zero, so the component is
@@ -165,40 +274,17 @@ def fit_rate(
     i = int(component_index)
     if not 0 <= i < htype.n:
         raise DomainError(f"component {i} is not one of the field's {htype.n}")
-    alpha_i = htype.alpha[i]
-    if alpha_i == 0:
+    if htype.alpha[i] == 0:
         raise DomainError(
             f"component {i} has weight 0; it does not blow up polynomially"
         )
-    to_go = _time_to_go(traj, tail)
-    idx = np.nonzero(_window_mask(traj, to_go))[0]
-    if len(idx) < _MIN_FIT_SAMPLES:
-        raise InsufficientWindow(
-            f"rate window holds {len(idx)} samples; need {_MIN_FIT_SAMPLES}"
+    (fit,) = _rate_fits(traj, _time_to_go(traj, tail), [i])
+    if fit is None:
+        raise VanishingComponent(
+            f"chart coordinate {i} tends to zero along the approach; "
+            f"the component is sub-polynomial relative to the type rate"
         )
-    chart = traj.dfield.chart
-    coords = traj.coords[idx]
-    gaps = traj.gaps[idx]
-    if i != traj.dfield.gap_slot:  # a directional s vanishes by design
-        xi = np.abs(coords[:, i])
-        if np.median(xi) < _VANISH_TOL or (
-            np.all(xi > 0)
-            and np.polyfit(np.log(gaps), np.log(xi), 1)[0] > _VANISH_SLOPE
-        ):
-            raise VanishingComponent(
-                f"chart coordinate {i} tends to zero along the approach; "
-                f"the component is sub-polynomial relative to the type rate"
-            )
-    y = chart.unscale(coords[:, i], gaps, i)
-    x = np.log(to_go[idx])
-    ylog = np.log(np.abs(y))
-    slope, intercept = np.polyfit(x, ylog, 1)
-    fitted = ylog - (intercept + slope * x)
-    ss_res = float(np.sum(fitted**2))
-    ss_tot = float(np.sum((ylog - ylog.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    coeff = math.exp(intercept) * (1.0 if y[-1] >= 0 else -1.0)
-    return float(slope), float(r2), float(coeff)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -252,7 +338,10 @@ def build_report(
     the closest one (time slot excluded from the distance) within 0.1 of the
     trajectory endpoint becomes the shadowed target, else NoTargetFound.
     Every positively weighted variable of the field's type gets a rate
-    record, its prediction -alpha_i/k.
+    record, its prediction -alpha_i/k.  lambda comes from
+    ``estimate_decay``, the tail from ``extrapolate_tail``; the time to go
+    and the rate window are formed once, and every component is fitted in
+    one stacked pass, whose record i is what ``fit_rate`` returns for i.
     """
     if isinstance(targets, EquilibriumCurve):
         candidates = list(targets.samples)
@@ -262,12 +351,10 @@ def build_report(
         candidates = list(targets)
     if not candidates:
         raise NoTargetFound("no candidate equilibria supplied")
-    end = traj.coords[-1]
     skip_time = 1 if traj.dfield.nonautonomous else 0
-    dists = [
-        float(np.max(np.abs(end - eq.coords)[skip_time:], initial=0.0))
-        for eq in candidates
-    ]
+    ends = np.array([eq.coords for eq in candidates])
+    dists = np.max(np.abs(traj.coords[-1] - ends)[:, skip_time:], axis=1,
+                   initial=0.0)
     best = int(np.argmin(dists))
     if dists[best] >= _TARGET_RADIUS:
         raise NoTargetFound(
@@ -278,27 +365,24 @@ def build_report(
 
     lam, residual_slope = estimate_decay(traj)
     tail = extrapolate_tail(traj, lam)
-    t_max, tail_fraction = _tmax(traj, tail)
+    to_go = _time_to_go(traj, tail)
+    t_max, tail_fraction = _tmax(traj, tail, to_go)
 
     htype = traj.dfield.htype
     names = traj.dfield.source.variable_names
-    records = []
-    for i in htype.i_alpha:
-        try:
-            fitted, r2, coeff = fit_rate(traj, tail, i)
-        except VanishingComponent:
-            fitted = r2 = coeff = None
-        records.append(
-            RateRecord(
-                variable=names[i],
-                component_index=i,
-                predicted_exponent=float(htype.blowup_exponent(i)),
-                fitted_exponent=fitted,
-                fit_r2=r2,
-                leading_coefficient=coeff,
-                vanishing=fitted is None,
-            )
+    fits = _rate_fits(traj, to_go, htype.i_alpha)
+    records = [
+        RateRecord(
+            variable=names[i],
+            component_index=i,
+            predicted_exponent=float(htype.blowup_exponent(i)),
+            fitted_exponent=None if fit is None else fit[0],
+            fit_r2=None if fit is None else fit[1],
+            leading_coefficient=None if fit is None else fit[2],
+            vanishing=fit is None,
         )
+        for i, fit in zip(htype.i_alpha, fits)
+    ]
     active = [r for r in records if not r.vanishing]
     confirmed = bool(active) and all(r.confirmed for r in active)
     return BlowupReport(

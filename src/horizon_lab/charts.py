@@ -81,7 +81,7 @@ def _times_power(x, base, a):
 
 class _Chart:
     """What both charts share: the dimension, and the inverse of
-    ``embed_array`` from each slot's ``unscale``."""
+    ``embed_array`` from ``unscale`` of every slot at once."""
 
     @property
     def n(self) -> int:
@@ -99,7 +99,7 @@ class _Chart:
             raise DomainError("coordinates outside the closed chart domain (gap < 0)")
         if np.any(gap == 0):
             raise HorizonError("cannot project a point on the horizon (gap = 0)")
-        return np.stack([self.unscale(x[..., j], gap, j) for j in range(self.n)], -1)
+        return self.unscale(x, gap[..., None], np.arange(self.n))
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,12 @@ class ParabolicChart(_Chart):
                 return yhat * (u / root)[..., None] ** alpha, R / u
         raise ConvergenceError(f"kappa did not converge in {_KAPPA_MAX_ITER} steps")
 
-    def unscale(self, x_j, gap, j: int):
-        """Phase coordinate y_j = kappa**alpha_j x_j, kappa = 1 / gap."""
+    def unscale(self, x, gap, j):
+        """Phase coordinates y_j = kappa**alpha_j x_j, kappa = 1 / gap, of
+        the slots ``j`` (one slot, or an integer array that broadcasts with
+        ``x`` and ``gap``)."""
         kappa = 1.0 / np.asarray(gap, dtype=float)
-        return _times_power(x_j, kappa, float(self.htype.alpha[j]))
+        return _times_power(x, kappa, self.htype.alpha_array()[j].astype(float))
 
 
 @dataclass(frozen=True)
@@ -205,11 +207,12 @@ class DirectionalChart(_Chart):
         coords[..., self.i0] = s
         return coords, s
 
-    def unscale(self, x_j, s, j: int):
-        """Phase coordinate y_j = s**(-alpha_j) x_j; slot i0 gives
-        sign * s**(-alpha_i0) from s alone."""
-        x = self.sign if j == self.i0 else x_j
-        return _times_power(x, s, -float(self.htype.alpha[j]))
+    def unscale(self, x, s, j):
+        """Phase coordinates y_j = s**(-alpha_j) x_j of the slots ``j`` (one
+        slot, or an integer array that broadcasts with ``x`` and ``s``);
+        slot i0 gives sign * s**(-alpha_i0) from s alone."""
+        x = np.where(j == self.i0, float(self.sign), x)
+        return _times_power(x, s, -self.htype.alpha_array()[j].astype(float))
 
 
 Chart = Union[ParabolicChart, DirectionalChart]

@@ -28,12 +28,17 @@ at s = 0 on a directional one.  It is seeded on a small grid
 (``grid_seeds``) or at given points such as a trajectory endpoint; each
 seed's weight-0 slots pick its family slice.  All seeds of one search form
 a single batch: the field generates the whole system
-(``DesingField.horizon_rhs_array`` / ``horizon_jacobian_array``) and each
-seed keeps its own line search and stopping rules.  Each least-squares step is the pseudo-inverse step with
+(``DesingField.horizon_system``, the functions behind
+``horizon_rhs_array`` / ``horizon_jacobian_array``, called under one
+``np.errstate`` per search) and each seed keeps its own line search and
+stopping rules, among them a stop at a least-squares stationary point
+that is no zero.  Each least-squares step is the pseudo-inverse step with
 LAPACK's default rank cutoff: a square member whose bound
 ||J||_F^k / |det J| on its condition number stays below 1e12, where that
 cutoff cannot fire, takes it from one stacked ``solve``, every other member
-from one stacked SVD.
+from one stacked SVD.  An iteration is a fixed number of stacked NumPy
+calls whatever the batch size, one seed included; row norms are the
+reduction ``np.linalg.norm`` performs (``_norms``), without its dispatch.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -53,7 +58,6 @@ from .errors import (
     CurveBreak,
     DomainError,
     EigenFailure,
-    InsufficientWindow,
     StepFailure,
 )
 
@@ -69,7 +73,6 @@ __all__ = [
     "spectrum_classify",
     "trace_equilibrium_curve",
     "check_nonresonance",
-    "estimate_decay",
     "HORIZON_REACHED",
     "TAU_EXHAUSTED",
     "LEFT_DOMAIN",
@@ -448,13 +451,14 @@ class SpectralSplit:
 
 def spectrum_classify(eigenvalues, tangential_dims: int) -> SpectralSplit:
     """Split ``eigenvalues`` into tangential (least |Re|) and normal parts."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    order = np.argsort(np.abs(eigs.real), kind="stable")
-    normal = [int(i) for i in order[tangential_dims:]]
-    neutral_count = int(np.sum(np.abs(eigs.real) < TOL_NEUTRAL))
-    stable = tuple(i for i in normal if eigs[i].real < 0)
-    unstable = tuple(i for i in normal if eigs[i].real > 0)
-    gap = float(min((abs(eigs[i].real) for i in normal), default=0.0))
+    re = np.asarray(eigenvalues, dtype=complex).real.tolist()
+    mag = [abs(v) for v in re]
+    # a stable sort by |Re|, as np.argsort(kind="stable") orders them
+    normal = sorted(range(len(re)), key=mag.__getitem__)[tangential_dims:]
+    neutral_count = sum(v < TOL_NEUTRAL for v in mag)
+    stable = tuple(i for i in normal if re[i] < 0)
+    unstable = tuple(i for i in normal if re[i] > 0)
+    gap = min((mag[i] for i in normal), default=0.0)
     mismatch = neutral_count != tangential_dims
     weak = bool(normal) and gap <= 10 * TOL_NEUTRAL
     nonhyperbolic = mismatch or weak
@@ -483,31 +487,43 @@ _GN_MAX_ITER = 60
 _SOLVE_COND = 1e12
 
 
-def _lstsq_steps(J, b, rcond):
+def _norms(v: np.ndarray, axis=1) -> np.ndarray:
+    """The Euclidean norm over ``axis`` (Frobenius for two axes) of each
+    member of a batch: the reduction ``np.linalg.norm(v, axis=axis)``
+    performs, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=axis))
+
+
+def _lstsq_steps(J, b, rcond, fro):
     """pinv(J[i]) @ b[i] for a (m, p, k) batch, singular values at or below
-    ``rcond`` times the largest dropped.  A square member with
-    ||J||_F^k < _SOLVE_COND |det J| has cond(J) <= ||J||_F^k / |det J|
-    below the cutoff and takes one stacked ``solve``; the others take one
-    stacked SVD.  With no column (k = 0) the step is empty."""
+    ``rcond`` times the largest dropped; ``fro`` holds the members'
+    Frobenius norms.  A square member with ||J||_F^k < _SOLVE_COND |det J|
+    has cond(J) <= ||J||_F^k / |det J| below the cutoff and takes one
+    stacked ``solve``; the others take one stacked SVD.  With no column
+    (k = 0) the step is empty."""
     m, p, k = J.shape
     if k == 0:
         return np.empty((m, 0))
-    delta = np.empty((m, k))
-    by_svd = np.ones(m, dtype=bool)
     if p == k:
-        fro = np.linalg.norm(J, axis=(1, 2))
-        by_svd = ~(fro ** k < _SOLVE_COND * np.abs(np.linalg.det(J)))
-        sq = ~by_svd
+        sq = fro ** k < _SOLVE_COND * np.abs(np.linalg.det(J))
+        if sq.all():
+            return np.linalg.solve(J, b[:, :, None])[..., 0]
         if sq.any():
+            delta = np.empty((m, k))
             delta[sq] = np.linalg.solve(J[sq], b[sq, :, None])[..., 0]
-    if by_svd.any():
-        # pinv's own arithmetic, so the step keeps its bits
-        u, sv, vt = np.linalg.svd(J[by_svd], full_matrices=False)
-        large = sv > rcond * sv.max(axis=-1, keepdims=True)
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-        pinv = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
-        delta[by_svd] = (pinv @ b[by_svd, :, None])[..., 0]
-    return delta
+            delta[~sq] = _pinv_steps(J[~sq], b[~sq], rcond)
+            return delta
+    return _pinv_steps(J, b, rcond)
+
+
+def _pinv_steps(J, b, rcond):
+    """pinv(J[i]) @ b[i] from one stacked SVD, in pinv's own arithmetic so
+    that the step keeps its bits."""
+    u, sv, vt = np.linalg.svd(J, full_matrices=False)
+    large = sv > rcond * sv.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+    pinv = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
+    return (pinv @ b[:, :, None])[..., 0]
 
 
 def _gauss_newton(residual, jac, x0):
@@ -522,49 +538,67 @@ def _gauss_newton(residual, jac, x0):
     LAPACK's default rank cutoff max(p, k) eps, taken by ``solve`` for a
     square member whose condition bound ||J||_F^k / |det J| is below 1e12
     and by SVD otherwise (``_lstsq_steps``).  It is halved up to 30 times
-    until |r| drops (a non-finite trial counts as no drop).  A member
-    stops at |r| < 1e-14, at a non-finite Jacobian, when no trial improved,
-    when the step is zero, not finite or below 1e-15 (1 + |x|), or after
-    60 iterations.  Returns (x, r): each member's last point and its
-    residual there, which is finite unless the residual at the seed is not.
+    until |r| drops: a trial counts when |r| falls, or stays equal under a
+    step above 1e-14, and a non-finite trial never does.
+
+    A member stops at |r| < 1e-14; at a Jacobian with a non-finite norm;
+    at a least-squares stationary point that is no zero, where
+    ||J^T r|| <= 1e-3 ||J||_F |r| while |r| > 1e-6, since no step can make
+    |r| drop much there; when no trial improved; when the step is zero,
+    not finite or below 1e-15 (1 + |x|); or after 60 iterations.  A member
+    whose residual norm at the seed is not finite never moves.  Every
+    member's norms, steps and trials are one stacked NumPy call each per
+    iteration, whatever m.  Returns (x, r): each member's last point and
+    its residual there, which is finite unless the residual at the seed
+    is not.
     """
     x = np.array(x0, dtype=float)
     r = residual(x, np.arange(len(x)))
-    active = np.isfinite(r).all(axis=1)
-    rnorm = np.where(active, np.linalg.norm(r, axis=1), np.inf)
+    rnorm = _norms(r)
+    idx = np.flatnonzero((rnorm >= 1e-14) & (rnorm < np.inf))
+    stalled = np.zeros(len(x), dtype=bool)
     rcond = max(r.shape[1], x.shape[1]) * np.finfo(float).eps
     for _ in range(_GN_MAX_ITER):
-        active &= rnorm >= 1e-14
-        idx = np.flatnonzero(active)
         if not idx.size:
             break
         J = jac(x[idx], idx)
-        keep = np.isfinite(J).all(axis=(1, 2))
-        idx, J = idx[keep], J[keep]
-        delta = _lstsq_steps(J, -r[idx], rcond)
-        step = np.linalg.norm(delta, axis=1)
-        keep = np.isfinite(step) & (step > 0.0)
-        idx, delta, step = idx[keep], delta[keep], step[keep]
-        pending = np.ones(len(idx), dtype=bool)
-        for _halve in range(30):
-            p = np.flatnonzero(pending)
-            if not p.size:
+        fro = _norms(J, (1, 2))
+        rn, b = rnorm[idx], -r[idx]
+        ok = fro < np.inf
+        far = rn > 1e-6
+        if far.any():
+            grad = _norms((b[:, None, :] @ J)[:, 0])
+            ok &= ~(far & (grad <= 1e-3 * fro * rn))
+        if not ok.all():
+            idx, J, fro, b = idx[ok], J[ok], fro[ok], b[ok]
+            if not idx.size:
                 break
-            rows = idx[p]
-            trial = x[rows] + delta[p]
+        delta = _lstsq_steps(J, b, rcond, fro)
+        step = _norms(delta)
+        ok = (step > 0.0) & (step < np.inf)
+        if not ok.all():
+            idx, delta, step = idx[ok], delta[ok], step[ok]
+        rows, d, st = idx, delta, step
+        for _halve in range(30):
+            if not rows.size:
+                break
+            trial = x[rows] + d
             r_new = residual(trial, rows)
-            rn = np.linalg.norm(r_new, axis=1)
+            rn = _norms(r_new)
             old = rnorm[rows]
-            better = np.isfinite(r_new).all(axis=1) & (
-                (rn < old) | ((rn == old) & (step[p] > 1e-14))
-            )
+            # old is finite, so a trial that counts is finite too
+            better = (rn < old) | ((rn == old) & (st > 1e-14))
+            if better.all():
+                x[rows], r[rows], rnorm[rows] = trial, r_new, rn
+                rows = rows[:0]
+                break
             done = rows[better]
             x[done], r[done], rnorm[done] = trial[better], r_new[better], rn[better]
-            pending[p[better]] = False
-            delta[p[~better]] *= 0.5
-        small = step < 1e-15 * (1.0 + np.linalg.norm(x[idx], axis=1))
-        active[:] = False
-        active[idx[~pending & ~small]] = True
+            worse = ~better
+            rows, d, st = rows[worse], d[worse] * 0.5, st[worse]
+        stalled[rows] = True
+        small = step < 1e-15 * (1.0 + _norms(x[idx]))
+        idx = idx[~(small | stalled[idx]) & (rnorm[idx] >= 1e-14)]
     return x, r
 
 
@@ -637,29 +671,32 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         X[:, free] = v
         return X
 
+    rhs, jac = dfield.horizon_system
     with np.errstate(all="ignore"):
         v, r = _gauss_newton(
-            lambda v, rows: dfield.horizon_rhs_array(points(v, rows)),
-            lambda v, rows: dfield.horizon_jacobian_array(points(v, rows)),
+            lambda v, rows: rhs(points(v, rows)),
+            lambda v, rows: jac(points(v, rows)),
             X0[:, free],
         )
-        rnorm = np.linalg.norm(r, axis=1)
-        accepted = (np.linalg.norm(r[:, :p], axis=1) < _RESIDUAL_TOL) & (
+        rnorm = _norms(r)
+        accepted = (_norms(r[:, :p]) < _RESIDUAL_TOL) & (
             np.abs(r[:, p:]) < _CONSTRAINT_TOL
         ).all(axis=1)
-    X = points(v, np.arange(len(X0)))
+    X = X0.copy()
+    X[:, free] = v
 
     # in seed order, each kept point absorbs the later ones within reach
     idx = np.flatnonzero(accepted)
     reach = np.sqrt(rnorm[idx])
-    found = []
+    kept = []
     while idx.size:
-        x = X[idx[0]]
-        found.append(x)
-        far = np.max(np.abs(X[idx] - x), axis=1) >= _DEDUP_TOL + reach[0] + reach
+        kept.append(idx[0])
+        far = np.max(np.abs(X[idx] - X[idx[0]]), axis=1) >= _DEDUP_TOL + reach[0] + reach
         idx, reach = idx[far], reach[far]
+    found = X[kept]
+    # lexicographically by the coordinates rounded to 10 decimals
+    found = found[np.lexsort(np.round(found, 10).T[::-1])]
 
-    found.sort(key=lambda x: tuple(np.round(x, 10)))
     # every weight-0 slot is a direction along the horizon
     tangential_dims = n - len(dfield.htype.i_alpha)
     out = []
@@ -675,7 +712,7 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
             Equilibrium(
                 coords=x,
                 t_slice=float(x[0]) if dfield.nonautonomous else None,
-                residual=float(np.linalg.norm(g)),
+                residual=math.sqrt(g.dot(g)),  # np.linalg.norm(g)'s arithmetic
                 eigenvalues=eigs,
                 tangential_dims=tangential_dims,
                 classification=split.classification,
@@ -779,7 +816,7 @@ def trace_equilibrium_curve(
 
 
 # --------------------------------------------------------------------------
-# spectral conditions and decay estimation
+# spectral conditions
 
 
 def check_nonresonance(stable_eigs, order_N: int) -> Tuple[bool, Optional[tuple]]:
@@ -809,41 +846,3 @@ def check_nonresonance(stable_eigs, order_N: int) -> Tuple[bool, Optional[tuple]
             if abs(val - li) <= tol * max(1.0, abs(li)):
                 return False, (m, i)
     return True, None
-
-
-def estimate_decay(traj: Trajectory, window: Optional[Tuple[float, float]] = None):
-    """Fit the exponential decay rate of the horizon gap.
-
-    Returns (lambda, residual_slope): lambda from a least-squares line
-    through log(gap) vs tau over the window (default: the trailing stretch
-    where the gap is within 1e4 of its final value), residual_slope the
-    peak-to-peak drift of the fit residuals divided by the window length --
-    a slope-free measure of how straight the decay really is.
-
-    Raises InsufficientWindow with fewer than 20 usable samples.
-    """
-    taus = traj.taus
-    gaps = traj.gaps
-    pos = gaps > 0
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        mask = pos & (taus >= lo) & (taus <= hi)
-    else:
-        if not np.any(pos):
-            raise InsufficientWindow("no positive horizon gaps to fit")
-        g_end = gaps[pos][-1]
-        mask = pos & (gaps <= 1e4 * g_end)
-    idx = np.nonzero(mask)[0]
-    if len(idx) < 20:
-        raise InsufficientWindow(
-            f"decay window holds {len(idx)} samples; need at least 20"
-        )
-    x = taus[idx]
-    y = np.log(gaps[idx])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (intercept + slope * x)
-    span = float(x[-1] - x[0])
-    if span <= 0:
-        raise InsufficientWindow("decay window has zero length")
-    residual_slope = float((resid.max() - resid.min()) / span)
-    return float(-slope), residual_slope

@@ -37,8 +37,15 @@ from horizon_lab import (
     spectrum_classify,
     trace_equilibrium_curve,
 )
+from horizon_lab.blowup import _line, _sorted_median
 from horizon_lab.cli import build_field_from_config
-from horizon_lab.systems import kk_dafermos, make_example, mems, selfsimilar
+from horizon_lab.systems import (
+    example_names,
+    kk_dafermos,
+    make_example,
+    mems,
+    selfsimilar,
+)
 
 
 def m(coeff, *exps):
@@ -331,6 +338,69 @@ def test_directional_decay_matches_slow_eigenvalue(name):
     slow = min(abs(eq.eigenvalues[i].real) for i in split.stable)
     assert report.lambda_decay == pytest.approx(slow, rel=1e-9)
     assert report.residual_slope < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the closed-form line, the exact median and the stacked fits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(1.0, 50.0),
+    slope=st.floats(-5.0, 5.0),
+    intercept=st.floats(-5.0, 5.0),
+    noise=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_line_matches_polyfit(n, lo, width, slope, intercept, noise, seed):
+    # abscissae spread over [lo, lo + width], so the fit is well conditioned
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(lo, lo + width, n))
+    x[0], x[-1] = lo, lo + width
+    y = intercept + slope * x + noise * rng.standard_normal(n)
+    got_slope, got_intercept, resid, dy = _line(x, y[None, :])
+    want_slope, want_intercept = np.polyfit(x, y, 1)
+    scale = 1.0 + abs(want_slope) + abs(want_intercept)
+    assert abs(got_slope[0] - want_slope) <= 1e-12 * scale
+    assert abs(got_intercept[0] - want_intercept) <= 1e-12 * scale
+    fitted = y - (want_intercept + want_slope * x)
+    assert np.allclose(resid[0], fitted, rtol=0.0, atol=1e-11 * scale)
+    assert np.allclose(dy[0], y - y.mean(), rtol=0.0, atol=1e-12 * scale)
+
+
+def test_sorted_median_is_np_median():
+    # np.median itself stays out of the package: its first call imports
+    # numpy.ma
+    rng = np.random.default_rng(5)
+    for n in range(1, 301):
+        rows = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8, 8, (3, 1))
+        got = _sorted_median(np.sort(rows, axis=1))
+        assert got.tolist() == [np.median(row) for row in rows]
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_fit_rate_is_the_reports_record(name):
+    # one stacked pass fits every component; fit_rate runs it on one
+    # component and must give the record's numbers exactly
+    b = make_example(name)
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    traj = integrate(df, embed(df.chart, np.asarray(run.y0, dtype=float)).coords,
+                     t0=run.t0, controls=run.controls)
+    report = build_report(traj, find_horizon_equilibria(df, [traj.coords[-1]]))
+    tail = extrapolate_tail(traj, report.lambda_decay)
+    assert [r.component_index for r in report.records] == list(df.htype.i_alpha)
+    assert any(not r.vanishing for r in report.records)
+    for rec in report.records:
+        if rec.vanishing:
+            with pytest.raises(VanishingComponent):
+                fit_rate(traj, tail, rec.component_index)
+        else:
+            assert fit_rate(traj, tail, rec.component_index) == (
+                rec.fitted_exponent, rec.fit_r2, rec.leading_coefficient
+            )
 
 
 # ---------------------------------------------------------------------------

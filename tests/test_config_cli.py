@@ -1130,3 +1130,30 @@ def test_runs_without_jsonschema(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "config OK\n"
+
+
+def test_example_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call in a process (about
+    # 15 ms and 1 MB); a whole example run must not pay for it
+    script = (
+        "import sys\n"
+        "from horizon_lab.cli import main\n"
+        "rc = main(['example', 'mems', '--out', sys.argv[1]])\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "sys.exit(rc)\n"
+    )
+    env = dict(os.environ)
+    env.pop("HORIZON_LAB_LOG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "run_000.csv").exists()

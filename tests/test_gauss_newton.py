@@ -383,3 +383,74 @@ def test_selfsimilar_double_zero_listed_once():
         eqs = find_horizon_equilibria(df, grid_seeds(df, [t, 0.0, 0.0]))
         kinds = sorted(e.classification for e in eqs)
         assert kinds == ["nonhyperbolic", "sink"]
+
+
+def test_direct_norms_are_np_linalg_norms():
+    rng = np.random.default_rng(3)
+    for m, p, k in [(1, 1, 1), (1, 3, 2), (7, 5, 4), (343, 3, 3), (4, 0, 2)]:
+        scale = 10.0 ** rng.uniform(-150, 150, (m, 1, 1))
+        J = rng.standard_normal((m, p, k)) * scale
+        r = J[:, :, 0] if k else np.zeros((m, p))
+        assert dynamics._norms(r).tobytes() == np.linalg.norm(r, axis=1).tobytes()
+        assert (dynamics._norms(J, (1, 2)).tobytes()
+                == np.linalg.norm(J, axis=(1, 2)).tobytes())
+
+
+def _counted(fn, calls):
+    def call(v, rows):
+        calls.append(len(rows))
+        return fn(v, rows)
+
+    return call
+
+
+def test_member_at_a_nonzero_minimum_stops_early():
+    # r(x) = (x^2, 1): the least-squares minimum x = 0 leaves |r| = 1, and
+    # each Gauss-Newton step only halves x, so without the stationary stop
+    # the member would iterate until its step fell below 1e-15
+    calls = []
+    x, r = dynamics._gauss_newton(
+        lambda v, rows: np.column_stack([v[:, 0] ** 2, np.ones(len(v))]),
+        _counted(lambda v, rows: np.stack([2.0 * v, np.zeros_like(v)], axis=1),
+                 calls),
+        np.array([[1.0], [-0.8]]),
+    )
+    # ||J^T r|| / (||J||_F |r|) = x^2 / sqrt(1 + x^4) falls below 1e-3
+    # once |x| < 0.0317, on the sixth point of the halving sequence
+    assert len(calls) == 6
+    assert np.all(np.abs(x[:, 0]) < 0.0317) and np.all(np.abs(x[:, 0]) > 0.015)
+    assert np.all(np.abs(r[:, 1]) == 1.0)
+
+
+def test_member_with_linear_progress_is_not_stopped():
+    # r(x) = (x, x) with a Jacobian twice the true one: each step halves x
+    # and |r|, the residual lies in the range of J throughout, and the
+    # member runs on until |r| < 1e-14
+    calls = []
+    x, r = dynamics._gauss_newton(
+        lambda v, rows: np.column_stack([v[:, 0], v[:, 0]]),
+        _counted(lambda v, rows: np.full((len(v), 2, 1), 2.0), calls),
+        np.array([[1.0]]),
+    )
+    # sqrt(2) 2^-k < 1e-14 first holds at k = 48
+    assert len(calls) == 48
+    assert x[0, 0] == pytest.approx(2.0 ** -48, rel=1e-12)
+    assert np.linalg.norm(r[0]) < 1e-14
+
+
+def test_painleve1_listing_drops_hopeless_seeds_early(monkeypatch):
+    # of painleve1's 48 grid seeds, the ones that find nothing settle at a
+    # nonzero least-squares minimum; they stop there and the listing is the
+    # same two points
+    df = build_parabolic_desing(painleve1().field, painleve1().htype)
+    seeds = grid_seeds(df, np.zeros(3))
+    rows = []
+    solve = dynamics._gauss_newton
+
+    def counting(residual, jac, x0):
+        return solve(residual, _counted(jac, rows), x0)
+
+    monkeypatch.setattr(dynamics, "_gauss_newton", counting)
+    eqs = find_horizon_equilibria(df, seeds)
+    assert len(seeds) == 48 and len(eqs) == 2
+    assert len(rows) <= 15 and sum(rows) <= 400
