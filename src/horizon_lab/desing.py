@@ -967,14 +967,6 @@ class DesingField:
         with np.errstate(all="ignore"):
             return self._horizon_jac(np.asarray(coords, dtype=float))
 
-    @property
-    def horizon_system(self):
-        """The generated functions behind ``horizon_rhs_array`` and
-        ``horizon_jacobian_array``, as a pair, for a caller that passes
-        (m, n) float arrays and itself ignores floating-point errors
-        (``np.errstate``) around all its calls, as the search does."""
-        return self._horizon_rhs, self._horizon_jac
-
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))
 

@@ -27,18 +27,18 @@ field restricted to the horizon, the terms with no power of the gap
 at s = 0 on a directional one.  It is seeded on a small grid
 (``grid_seeds``) or at given points such as a trajectory endpoint; each
 seed's weight-0 slots pick its family slice.  All seeds of one search form
-a single batch: the field generates the whole system
-(``DesingField.horizon_system``, the functions behind
-``horizon_rhs_array`` / ``horizon_jacobian_array``, called under one
-``np.errstate`` per search) and each seed keeps its own line search and
-stopping rules, among them a stop at a least-squares stationary point
-that is no zero.  Each least-squares step is the pseudo-inverse step with
-LAPACK's default rank cutoff: a square member whose bound
-||J||_F^k / |det J| on its condition number stays below 1e12, where that
-cutoff cannot fire, takes it from one stacked ``solve``, every other member
-from one stacked SVD.  An iteration is a fixed number of stacked NumPy
-calls whatever the batch size, one seed included; row norms are the
-reduction ``np.linalg.norm`` performs (``_norms``), without its dispatch.
+a single batch: the field generates the whole system (the functions behind
+``DesingField.horizon_rhs_array`` / ``horizon_jacobian_array``, called
+under one ``np.errstate`` per search) and each seed keeps its own line
+search and stopping rules, among them a stop at a least-squares
+stationary point that is no zero.  Each least-squares step is the
+pseudo-inverse step with LAPACK's default rank cutoff: a square member
+whose bound ||J||_F^k / |det J| on its condition number stays below 1e12,
+where that cutoff cannot fire, takes it from one stacked ``solve``, every
+other member from one stacked SVD.  An iteration is a fixed number of
+stacked NumPy calls whatever the batch size, one seed included; row norms
+are the reduction ``np.linalg.norm`` performs (``_norms``), without its
+dispatch.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -504,26 +504,21 @@ def _lstsq_steps(J, b, rcond, fro):
     m, p, k = J.shape
     if k == 0:
         return np.empty((m, 0))
+    delta = np.empty((m, k))
+    by_svd = np.ones(m, dtype=bool)
     if p == k:
-        sq = fro ** k < _SOLVE_COND * np.abs(np.linalg.det(J))
-        if sq.all():
-            return np.linalg.solve(J, b[:, :, None])[..., 0]
+        by_svd = ~(fro ** k < _SOLVE_COND * np.abs(np.linalg.det(J)))
+        sq = ~by_svd
         if sq.any():
-            delta = np.empty((m, k))
             delta[sq] = np.linalg.solve(J[sq], b[sq, :, None])[..., 0]
-            delta[~sq] = _pinv_steps(J[~sq], b[~sq], rcond)
-            return delta
-    return _pinv_steps(J, b, rcond)
-
-
-def _pinv_steps(J, b, rcond):
-    """pinv(J[i]) @ b[i] from one stacked SVD, in pinv's own arithmetic so
-    that the step keeps its bits."""
-    u, sv, vt = np.linalg.svd(J, full_matrices=False)
-    large = sv > rcond * sv.max(axis=-1, keepdims=True)
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-    pinv = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
-    return (pinv @ b[:, :, None])[..., 0]
+    if by_svd.any():
+        # pinv's own arithmetic, so the step keeps its bits
+        u, sv, vt = np.linalg.svd(J[by_svd], full_matrices=False)
+        large = sv > rcond * sv.max(axis=-1, keepdims=True)
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+        pinv = vt.swapaxes(-1, -2) @ (inv[..., None] * u.swapaxes(-1, -2))
+        delta[by_svd] = (pinv @ b[by_svd, :, None])[..., 0]
+    return delta
 
 
 def _gauss_newton(residual, jac, x0):
@@ -534,7 +529,7 @@ def _gauss_newton(residual, jac, x0):
     ``x`` (one row each) and ``jac(x, rows)`` their (len(rows), p, k)
     Jacobians; a member outside its domain gets non-finite entries.  Each
     member iterates on its own (Nocedal & Wright, Numerical Optimization,
-    Sec. 10.3): the least-squares step is the pseudo-inverse's, with
+    Sec. 10.3): the least-squares step delta is the pseudo-inverse's, with
     LAPACK's default rank cutoff max(p, k) eps, taken by ``solve`` for a
     square member whose condition bound ||J||_F^k / |det J| is below 1e12
     and by SVD otherwise (``_lstsq_steps``).  It is halved up to 30 times
@@ -543,14 +538,15 @@ def _gauss_newton(residual, jac, x0):
 
     A member stops at |r| < 1e-14; at a Jacobian with a non-finite norm;
     at a least-squares stationary point that is no zero, where
-    ||J^T r|| <= 1e-3 ||J||_F |r| while |r| > 1e-6, since no step can make
-    |r| drop much there; when no trial improved; when the step is zero,
-    not finite or below 1e-15 (1 + |x|); or after 60 iterations.  A member
-    whose residual norm at the seed is not finite never moves.  Every
-    member's norms, steps and trials are one stacked NumPy call each per
-    iteration, whatever m.  Returns (x, r): each member's last point and
-    its residual there, which is finite unless the residual at the seed
-    is not.
+    |J delta| <= 1e-3 |r| while |r| > 1e-6: J delta is -r's part in the
+    range of J, so r is nearly orthogonal to that range and no step can
+    make |r| drop much, however J is conditioned or its rows scaled; when
+    no trial improved; when the step is zero, not finite or below
+    1e-15 (1 + |x|); or after 60 iterations.  A member whose residual
+    norm at the seed is not finite never moves.  Every member's norms,
+    steps and trials are one stacked NumPy call each per iteration,
+    whatever m.  Returns (x, r): each member's last point and its residual
+    there, which is finite unless the residual at the seed is not.
     """
     x = np.array(x0, dtype=float)
     r = residual(x, np.arange(len(x)))
@@ -563,21 +559,14 @@ def _gauss_newton(residual, jac, x0):
             break
         J = jac(x[idx], idx)
         fro = _norms(J, (1, 2))
-        rn, b = rnorm[idx], -r[idx]
-        ok = fro < np.inf
-        far = rn > 1e-6
-        if far.any():
-            grad = _norms((b[:, None, :] @ J)[:, 0])
-            ok &= ~(far & (grad <= 1e-3 * fro * rn))
-        if not ok.all():
-            idx, J, fro, b = idx[ok], J[ok], fro[ok], b[ok]
-            if not idx.size:
-                break
-        delta = _lstsq_steps(J, b, rcond, fro)
+        keep = fro < np.inf
+        idx, J, fro = idx[keep], J[keep], fro[keep]
+        delta = _lstsq_steps(J, -r[idx], rcond, fro)
         step = _norms(delta)
-        ok = (step > 0.0) & (step < np.inf)
-        if not ok.all():
-            idx, delta, step = idx[ok], delta[ok], step[ok]
+        rn = rnorm[idx]
+        fit = _norms((J @ delta[:, :, None])[..., 0])
+        keep = (step > 0.0) & (step < np.inf) & ((fit > 1e-3 * rn) | (rn <= 1e-6))
+        idx, delta, step = idx[keep], delta[keep], step[keep]
         rows, d, st = idx, delta, step
         for _halve in range(30):
             if not rows.size:
@@ -588,10 +577,6 @@ def _gauss_newton(residual, jac, x0):
             old = rnorm[rows]
             # old is finite, so a trial that counts is finite too
             better = (rn < old) | ((rn == old) & (st > 1e-14))
-            if better.all():
-                x[rows], r[rows], rnorm[rows] = trial, r_new, rn
-                rows = rows[:0]
-                break
             done = rows[better]
             x[done], r[done], rnorm[done] = trial[better], r_new[better], rn[better]
             worse = ~better
@@ -671,7 +656,10 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         X[:, free] = v
         return X
 
-    rhs, jac = dfield.horizon_system
+    # the generated evaluators behind horizon_rhs_array and
+    # horizon_jacobian_array, without the np.errstate each of those enters:
+    # one np.errstate covers the whole search
+    rhs, jac = dfield._horizon_rhs, dfield._horizon_jac
     with np.errstate(all="ignore"):
         v, r = _gauss_newton(
             lambda v, rows: rhs(points(v, rows)),

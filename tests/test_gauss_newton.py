@@ -415,8 +415,9 @@ def test_member_at_a_nonzero_minimum_stops_early():
                  calls),
         np.array([[1.0], [-0.8]]),
     )
-    # ||J^T r|| / (||J||_F |r|) = x^2 / sqrt(1 + x^4) falls below 1e-3
-    # once |x| < 0.0317, on the sixth point of the halving sequence
+    # the step is -x/2, so |J delta| / |r| = x^2 / sqrt(1 + x^4) falls
+    # below 1e-3 once |x| < 0.0317, on the sixth point of the halving
+    # sequence
     assert len(calls) == 6
     assert np.all(np.abs(x[:, 0]) < 0.0317) and np.all(np.abs(x[:, 0]) > 0.015)
     assert np.all(np.abs(r[:, 1]) == 1.0)
@@ -436,6 +437,26 @@ def test_member_with_linear_progress_is_not_stopped():
     assert len(calls) == 48
     assert x[0, 0] == pytest.approx(2.0 ** -48, rel=1e-12)
     assert np.linalg.norm(r[0]) < 1e-14
+
+
+def test_degenerate_zero_of_a_two_slot_system_is_found():
+    # r(x, y) = (x^2, 10 y) has a nonhyperbolic double zero at the origin:
+    # from (0.1, 1) the first step sets y = 0 and each later one halves x,
+    # so |J^T r| / (|J|_F |r|) = 2x / 10 shrinks with x while r stays in
+    # the range of J.  The member is no stationary point and runs on until
+    # |r| < 1e-14
+    def jac(v, rows):
+        J = np.zeros((len(v), 2, 2))
+        J[:, 0, 0], J[:, 1, 1] = 2.0 * v[:, 0], 10.0
+        return J
+
+    x, r = dynamics._gauss_newton(
+        lambda v, rows: np.column_stack([v[:, 0] ** 2, 10.0 * v[:, 1]]),
+        jac,
+        np.array([[0.1, 1.0]]),
+    )
+    assert np.linalg.norm(r[0]) < 1e-14
+    assert 0.0 < x[0, 0] < 1e-7 and x[0, 1] == 0.0
 
 
 def test_painleve1_listing_drops_hopeless_seeds_early(monkeypatch):
