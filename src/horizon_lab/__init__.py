@@ -24,8 +24,6 @@ from .charts import (
     ParabolicChart,
     embed,
     project,
-    solve_kappa,
-    transition,
 )
 from .config import (
     AnalysisConfig,
@@ -37,8 +35,6 @@ from .desing import (
     DesingField,
     build_directional_desing,
     build_parabolic_desing,
-    evaluate_desing,
-    extend_nonautonomous,
 )
 from .dynamics import (
     DIVERGED,
@@ -58,7 +54,6 @@ from .dynamics import (
     trace_equilibrium_curve,
 )
 from .errors import (
-    AlreadyExtendedError,
     ChartDomainError,
     ConvergenceError,
     CurveBreak,
@@ -79,7 +74,6 @@ from .errors import (
     VanishingComponent,
 )
 from .homogeneity import (
-    ExtendedFieldSpec,
     FieldSpec,
     HomogeneityReport,
     HomogeneityType,
@@ -88,7 +82,6 @@ from .homogeneity import (
     derive_beta,
     eval_field,
     infer_type,
-    jacobian_field,
 )
 from .systems import (
     kk_dafermos,
@@ -97,7 +90,7 @@ from .systems import (
     painleve1,
     selfsimilar,
 )
-from .cli import emit_example, list_examples, run_pipeline
+from .cli import run_pipeline
 
 __version__ = "0.1.0"
 
@@ -106,28 +99,22 @@ __all__ = [
     # homogeneity
     "Monomial",
     "FieldSpec",
-    "ExtendedFieldSpec",
     "HomogeneityType",
     "HomogeneityReport",
     "derive_beta",
     "eval_field",
-    "jacobian_field",
     "classify_monomials",
     "infer_type",
     # charts
     "ParabolicChart",
     "DirectionalChart",
     "EmbeddedPoint",
-    "solve_kappa",
     "embed",
     "project",
-    "transition",
     # desingularization
     "DesingField",
-    "extend_nonautonomous",
     "build_parabolic_desing",
     "build_directional_desing",
-    "evaluate_desing",
     # dynamics
     "IntegratorControls",
     "Trajectory",
@@ -164,8 +151,6 @@ __all__ = [
     "OutputSpec",
     "parse_config",
     "run_pipeline",
-    "list_examples",
-    "emit_example",
     # errors
     "HorizonLabError",
     "DomainError",
@@ -185,5 +170,4 @@ __all__ = [
     "SchemaError",
     "UnknownExample",
     "OutputError",
-    "AlreadyExtendedError",
 ]

@@ -102,8 +102,8 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
             "time factor vanished before the final window; cannot extrapolate",
             stop_reason=traj.stop_reason,
         )
-    A = math.exp(log_A_sum / count)
-    return A * math.exp(-rate * float(traj.taus[-1])) / rate
+    # one exp of the summed logs: A alone can overflow where the tail cannot
+    return math.exp(log_A_sum / count - rate * float(traj.taus[-1])) / rate
 
 
 def _time_to_go(traj: Trajectory, tail: float) -> np.ndarray:

@@ -44,10 +44,8 @@ __all__ = [
     "ParabolicChart",
     "DirectionalChart",
     "EmbeddedPoint",
-    "solve_kappa",
     "embed",
     "project",
-    "transition",
 ]
 
 _KAPPA_RTOL = 1e-14
@@ -237,16 +235,6 @@ class EmbeddedPoint:
         object.__setattr__(self, "horizon_gap", float(self.horizon_gap))
 
 
-def solve_kappa(chart: ParabolicChart, y) -> Union[float, np.ndarray]:
-    """Solve kappa**(2c) - kappa**(2c-1) = P~(y) for the unique root >= 1,
-    to 1e-14 relative, at one phase point or a batch; the embedding's
-    horizon gap is exactly 1.0 / kappa."""
-    if not isinstance(chart, ParabolicChart):
-        raise TypeError("solve_kappa applies to the parabolic chart")
-    kappa = chart.embed_kappa(y)[1]
-    return float(kappa) if np.ndim(y) == 1 else kappa
-
-
 def embed(chart: Chart, y) -> EmbeddedPoint:
     """Map a phase-space point into chart coordinates.
 
@@ -277,20 +265,3 @@ def project(point: EmbeddedPoint) -> np.ndarray:
         point.coords, np.asarray(point.horizon_gap, dtype=float)
     )
 
-
-def transition(point: EmbeddedPoint, to_chart: Chart) -> EmbeddedPoint:
-    """Re-express an interior point in another chart of the same type.
-
-    Composition of project and embed; horizon points cannot transition
-    (HorizonError), and the target chart's sign condition applies
-    (ChartDomainError).
-    """
-    if to_chart.htype.alpha != point.chart.htype.alpha:
-        raise ChartDomainError(
-            "transition requires charts of the same homogeneity type"
-        )
-    if point.chart == to_chart:
-        return EmbeddedPoint(
-            chart=to_chart, coords=point.coords, horizon_gap=point.horizon_gap
-        )
-    return embed(to_chart, project(point))

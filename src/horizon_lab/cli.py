@@ -58,8 +58,6 @@ __all__ = [
     "main",
     "app",
     "run_pipeline",
-    "list_examples",
-    "emit_example",
     "build_field_from_config",
 ]
 
@@ -380,24 +378,6 @@ def run_pipeline(
 
 
 # --------------------------------------------------------------------------
-# examples
-
-
-def list_examples():
-    """Names of the built-in example systems."""
-    return example_names()
-
-
-def emit_example(name: str, params: Optional[dict] = None) -> str:
-    """Canonical config text for a built-in example.
-
-    Raises UnknownExample for unregistered names and DomainError for
-    parameters outside the model's valid range.
-    """
-    return canonical_text(make_example(name, params).document)
-
-
-# --------------------------------------------------------------------------
 # argument parsing
 
 
@@ -525,7 +505,7 @@ def _cmd_equilibria(args) -> int:
 
 def _cmd_example(args) -> int:
     if args.name == "list":
-        for name in list_examples():
+        for name in example_names():
             print(name)
         return 0
     config = make_example(args.name, dict(args.param))

@@ -61,14 +61,8 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from .charts import DirectionalChart, ParabolicChart
-from .errors import (
-    AlreadyExtendedError,
-    ChartDomainError,
-    DomainError,
-    NegativeWExponentError,
-)
+from .errors import ChartDomainError, DomainError, NegativeWExponentError
 from .homogeneity import (
-    ExtendedFieldSpec,
     FieldSpec,
     HomogeneityType,
     Monomial,
@@ -77,11 +71,9 @@ from .homogeneity import (
 
 __all__ = [
     "DesingField",
-    "extend_nonautonomous",
     "build_parabolic_desing",
     "build_directional_desing",
     "build_desing",
-    "evaluate_desing",
 ]
 
 Real = Union[int, float, Fraction]
@@ -843,10 +835,15 @@ class DesingField:
     the parabolic chart, s on a directional one): those with a zero
     exponent in ``gap_slot``.  ``horizon_rows`` lists the components that
     keep such a term and ``free_slots`` the weighted slots but
-    ``gap_slot``; ``horizon_rhs_array`` and ``horizon_jacobian_array``
-    evaluate those rows, with P(x) - 1 on the parabolic chart, and their
-    partials in ``free_slots`` at a batch of points at once: the system a
-    horizon search solves.  ``source_code`` holds all the generated source.
+    ``gap_slot``.  ``horizon_rhs_array(Z)`` and ``horizon_jacobian_array(Z)``
+    are the generated ``_horizon_rhs`` and ``_horizon_jac``: at each row of
+    an (m, n) float array they give those rows, then P(x) - 1 on the
+    parabolic chart (c = 1), as (m, p + c), and their partials in
+    ``free_slots``, as (m, p + c, f): the system a horizon search solves.
+    A row outside the domain holds non-finite entries and leaves the other
+    rows alone.  They enter no ``np.errstate``: the caller owns it, as the
+    search does with one for its whole solve.  ``source_code`` holds all
+    the generated source.
     """
 
     chart: Union[ParabolicChart, DirectionalChart]
@@ -883,8 +880,8 @@ class DesingField:
         object.__setattr__(self, "horizon_rows", rows)
         object.__setattr__(self, "free_slots", free)
         for name, value in zip(("_rhs", "_jac", "_deriv", "step",
-                                "dense_coeffs", "dense", "_horizon_rhs",
-                                "_horizon_jac", "source_code"),
+                                "dense_coeffs", "dense", "horizon_rhs_array",
+                                "horizon_jacobian_array", "source_code"),
                                compiled):
             object.__setattr__(self, name, value)
 
@@ -952,92 +949,12 @@ class DesingField:
             raise DomainError(f"jacobian evaluation failed at {z}: {exc}") from exc
         return np.asarray(rows, dtype=float)
 
-    def horizon_rhs_array(self, coords) -> np.ndarray:
-        """The horizon system at each row of an (m, n) array, as (m, p + c):
-        the components ``horizon_rows`` from their terms with no power of
-        the horizon gap, then P(x) - 1 on the parabolic chart (c = 1).  A
-        row where such a term fails to evaluate holds non-finite values;
-        the other rows are unaffected."""
-        with np.errstate(all="ignore"):
-            return self._horizon_rhs(np.asarray(coords, dtype=float))
-
-    def horizon_jacobian_array(self, coords) -> np.ndarray:
-        """The partials of ``horizon_rhs_array`` in the ``free_slots``, as
-        (m, p + c, f), with non-finite entries in rows outside the domain."""
-        with np.errstate(all="ignore"):
-            return self._horizon_jac(np.asarray(coords, dtype=float))
-
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))
 
 
-def evaluate_desing(dfield: DesingField, coords) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Evaluate (g, Jacobian, dt/dtau) at chart coordinates.
-
-    Coordinates must lie in the closed chart domain (a 1e-9 grace below the
-    horizon absorbs roundoff); on the horizon of a nonautonomous field the
-    returned dt/dtau is exactly zero.
-    """
-    x = np.asarray(coords, dtype=float)
-    if x.shape != (dfield.n,):
-        raise ValueError(f"coords shape {x.shape}, expected ({dfield.n},)")
-    gap = dfield.horizon_gap(x)
-    if not math.isfinite(gap) or gap < -1e-9:
-        raise DomainError(
-            f"coordinates outside the closed chart domain (gap = {gap})"
-        )
-    values = dfield.rhs_values(x)
-    return (
-        np.asarray(values[:-1], dtype=float),
-        dfield.jacobian(x),
-        float(values[-1]),
-    )
-
-
 # --------------------------------------------------------------------------
 # constructions
-
-
-def extend_nonautonomous(
-    field: FieldSpec, htype: HomogeneityType
-) -> Tuple[ExtendedFieldSpec, HomogeneityType]:
-    """Prepend the time variable (weight 0, equation t' = 1) to a field.
-
-    Fields already marked nonautonomous (variable 0 is t) are rebranded in
-    place after checking the weights; autonomous fields gain a fresh
-    decoupled t.  Applying the extension twice raises AlreadyExtendedError.
-    """
-    if isinstance(field, ExtendedFieldSpec):
-        raise AlreadyExtendedError("field already carries the time extension")
-    if field.nonautonomous:
-        if htype.n == field.n - 1:
-            htype = HomogeneityType(alpha=(0,) + htype.alpha, k=htype.k)
-        _check_type(field, htype)
-        extended = ExtendedFieldSpec(
-            variable_names=field.variable_names,
-            components=field.components,
-            nonautonomous=True,
-        )
-        return extended, htype
-    _check_type(field, htype)
-    t_name = "t"
-    while t_name in field.variable_names:
-        t_name += "_"
-    names = (t_name,) + field.variable_names
-    shifted = tuple(
-        tuple(
-            Monomial(coeff=m.coeff, exponents=(0,) + m.exponents)
-            for m in comp
-        )
-        for comp in field.components
-    )
-    n_new = field.n + 1
-    components = ((Monomial(coeff=1.0, exponents=(0,) * n_new),),) + shifted
-    extended = ExtendedFieldSpec(
-        variable_names=names, components=components, nonautonomous=True
-    )
-    new_htype = HomogeneityType(alpha=(0,) + htype.alpha, k=htype.k)
-    return extended, new_htype
 
 
 def _check_type(field: FieldSpec, htype: HomogeneityType) -> None:

@@ -5,10 +5,11 @@ The integrator is DOP853 (Hairer's 8th-order Dormand-Prince pair with its
 the stopping semantics are exact: a trajectory ends with one of four
 reasons (horizon_reached / tau_exhausted / left_domain / diverged), a stage
 that probes outside the chart domain causes a retry with a smaller step
-rather than a crash, and a step-size underflow raises StepFailure.  Steps
-are sized by accuracy alone, apart from a limit on how far one step may
-move the horizon gap (the parabolic chart's W) or the time factor s**k (a
-directional chart, whose state holds ln s); the trajectory's samples come
+rather than a crash, and a step-size underflow or a spent budget of
+2,000,000 step attempts raises StepFailure.  Steps are sized by accuracy
+alone, apart from a limit on how far one step may move the horizon gap
+(the parabolic chart's W) or the time factor s**k (a directional chart,
+whose state holds ln s); the trajectory's samples come
 from the dense output, spaced for the rate fits, with every step end among
 them.  Physical time is
 reconstructed along the way from the time factor dt/dtau, and each sample
@@ -27,8 +28,8 @@ field restricted to the horizon, the terms with no power of the gap
 at s = 0 on a directional one.  It is seeded on a small grid
 (``grid_seeds``) or at given points such as a trajectory endpoint; each
 seed's weight-0 slots pick its family slice.  All seeds of one search form
-a single batch: the field generates the whole system (the functions behind
-``DesingField.horizon_rhs_array`` / ``horizon_jacobian_array``, called
+a single batch: the field generates the whole system
+(``DesingField.horizon_rhs_array`` / ``horizon_jacobian_array``, called
 under one ``np.errstate`` per search) and each seed keeps its own line
 search and stopping rules, among them a stop at a least-squares
 stationary point that is no zero.  Each least-squares step is the
@@ -258,7 +259,8 @@ def integrate(
     initial state and at each step end, by one rule (``_stop``).  The
     arrays are built once at the stop.
 
-    Raises StepFailure when the adaptive step size underflows below 1e-15.
+    Raises StepFailure when the adaptive step size underflows below 1e-15
+    or the run makes more than 2,000,000 step attempts.
     """
     ctl = controls or IntegratorControls()
     n = dfield.n
@@ -656,14 +658,10 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         X[:, free] = v
         return X
 
-    # the generated evaluators behind horizon_rhs_array and
-    # horizon_jacobian_array, without the np.errstate each of those enters:
-    # one np.errstate covers the whole search
-    rhs, jac = dfield._horizon_rhs, dfield._horizon_jac
     with np.errstate(all="ignore"):
         v, r = _gauss_newton(
-            lambda v, rows: rhs(points(v, rows)),
-            lambda v, rows: jac(points(v, rows)),
+            lambda v, rows: dfield.horizon_rhs_array(points(v, rows)),
+            lambda v, rows: dfield.horizon_jacobian_array(points(v, rows)),
             X0[:, free],
         )
         rnorm = _norms(r)

@@ -26,7 +26,6 @@ __all__ = [
     "SchemaError",
     "UnknownExample",
     "OutputError",
-    "AlreadyExtendedError",
 ]
 
 
@@ -91,7 +90,8 @@ class ConvergenceError(HorizonLabError):
 
 
 class StepFailure(HorizonLabError):
-    """The adaptive integrator's step size underflowed (h < 1e-15)."""
+    """The adaptive integrator gave up: its step size underflowed
+    (h < 1e-15) or it used up its budget of 2,000,000 step attempts."""
 
 
 class EigenFailure(HorizonLabError):
@@ -155,7 +155,3 @@ class OutputError(HorizonLabError):
     Wraps the OSError, e.g. ``--out`` naming an existing file, or a run
     CSV's path being a directory.
     """
-
-
-class AlreadyExtendedError(HorizonLabError):
-    """extend_nonautonomous was applied to an already-extended field."""

@@ -25,12 +25,10 @@ from .errors import DomainError, NoTypeFound, NotAQHError
 __all__ = [
     "Monomial",
     "FieldSpec",
-    "ExtendedFieldSpec",
     "HomogeneityType",
     "HomogeneityReport",
     "derive_beta",
     "eval_field",
-    "jacobian_field",
     "classify_monomials",
     "infer_type",
     "power",
@@ -184,10 +182,6 @@ class FieldSpec:
         return len(self.variable_names)
 
 
-class ExtendedFieldSpec(FieldSpec):
-    """A FieldSpec produced by prepending the time variable t (t' = 1)."""
-
-
 @dataclass(frozen=True)
 class HomogeneityType:
     """An asymptotic quasi-homogeneity type: weights alpha and order k + 1.
@@ -310,33 +304,6 @@ def eval_field(field: FieldSpec, point: Sequence[float]) -> np.ndarray:
     return out
 
 
-def jacobian_field(field: FieldSpec, point: Sequence[float]) -> np.ndarray:
-    """Exact Jacobian df/dy at a point via term-wise differentiation.
-
-    Differentiation must not manufacture 0**negative: a monomial with
-    exponent e_j in x_j contributes e_j * x_j**(e_j - 1) times the other
-    factors, and that power is evaluated under the same domain rules as
-    eval_field.
-    """
-    x = np.asarray(point, dtype=float)
-    if x.shape != (field.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({field.n},)")
-    n = field.n
-    J = np.zeros((n, n))
-    for i, monomials in enumerate(field.components):
-        for m in monomials:
-            for j, ej in enumerate(m.exponents):
-                if ej == 0:
-                    continue
-                term = m.coeff * float(ej) * power(float(x[j]), ej - 1)
-                for l, el in enumerate(m.exponents):
-                    if l == j or el == 0:
-                        continue
-                    term *= power(float(x[l]), el)
-                J[i, j] += term
-    return J
-
-
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Partition of each component's monomials by weighted degree.
@@ -352,15 +319,6 @@ class HomogeneityReport:
     principal: Tuple[Tuple[int, ...], ...]
     residual: Tuple[Tuple[int, ...], ...]
     violations: Tuple[Tuple[int, int], ...]
-
-    @property
-    def empty_principal_components(self) -> Tuple[int, ...]:
-        """Components that have monomials but none of top weighted degree."""
-        return tuple(
-            i
-            for i, (p, r) in enumerate(zip(self.principal, self.residual))
-            if not p and r
-        )
 
     @property
     def valid(self) -> bool:

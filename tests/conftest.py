@@ -12,8 +12,10 @@ from horizon_lab import (
     Monomial,
     build_directional_desing,
     build_parabolic_desing,
+    make_example,
     parse_config,
 )
+from horizon_lab.config import canonical_text
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -44,6 +46,12 @@ def fd_jacobian(func, x, h=1e-6):
         xm[j] -= step
         J[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * step)
     return J
+
+
+def example_text(name, params=None):
+    """The canonical config text of a built-in example, as ``horizon-lab
+    example NAME --emit-config`` prints it."""
+    return canonical_text(make_example(name, params).document)
 
 
 def workload_config(name, seed):

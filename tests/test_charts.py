@@ -1,4 +1,8 @@
-"""Embedding charts: the kappa solve, round trips, and chart transitions."""
+"""Embedding charts: the kappa solve, round trips, and chart transitions.
+
+The kappa solve is ``ParabolicChart.embed_kappa``; a transition between
+charts is ``embed(to_chart, project(point))``.
+"""
 
 import math
 from fractions import Fraction
@@ -17,8 +21,6 @@ from horizon_lab import (
     ParabolicChart,
     embed,
     project,
-    solve_kappa,
-    transition,
 )
 from horizon_lab import charts
 
@@ -56,7 +58,7 @@ def test_solve_kappa_against_bisection():
     rng = np.random.default_rng(11)
     for _ in range(50):
         y = rng.uniform(-30.0, 30.0, size=2)
-        k_newton = solve_kappa(chart, y)
+        k_newton = chart.embed_kappa(y)[1]
         k_oracle = kappa_bisect(HT_PAIR, y)
         assert k_newton == pytest.approx(k_oracle, rel=1e-12)
 
@@ -65,15 +67,15 @@ def test_solve_kappa_batch_matches_pointwise():
     chart = ParabolicChart(htype=HT_MIXED)
     rng = np.random.default_rng(5)
     ys = rng.uniform(-10.0, 10.0, size=(40, 3))
-    batch = solve_kappa(chart, ys)
-    single = np.array([solve_kappa(chart, y) for y in ys])
+    batch = chart.embed_kappa(ys)[1]
+    single = np.array([chart.embed_kappa(y)[1] for y in ys])
     assert np.array_equal(batch, single)
 
 
 def test_solve_kappa_huge_point():
     # P~ near the top of float range: the scaled solve forms no power of y
     chart = ParabolicChart(htype=HT_SCALAR)
-    kappa = solve_kappa(chart, np.array([1e150]))
+    kappa = chart.embed_kappa(np.array([1e150]))[1]
     assert math.isfinite(kappa)
     assert kappa ** 2 - kappa == pytest.approx(1e300, rel=1e-10)
 
@@ -81,7 +83,7 @@ def test_solve_kappa_huge_point():
 def test_solve_kappa_golden_ratio():
     # y = 1 on alpha = (1,): kappa**2 - kappa = 1, correctly rounded
     chart = ParabolicChart(htype=HT_SCALAR)
-    assert solve_kappa(chart, np.array([1.0])) == (1 + 5**0.5) / 2
+    assert chart.embed_kappa(np.array([1.0]))[1] == (1 + 5**0.5) / 2
 
 
 def _painleve1_points(seed):
@@ -97,7 +99,7 @@ def test_solve_kappa_exact_residual():
     tc = 2 * HT_MIXED.c
     tb = 2 * HT_MIXED.beta_full()
     for y in _painleve1_points(1):
-        k = Fraction(solve_kappa(chart, y))
+        k = Fraction(chart.embed_kappa(y)[1])
         P = sum(Fraction(y[i]) ** int(tb[i]) for i in HT_MIXED.i_alpha)
         F = k**tc - k ** (tc - 1) - P
         Fp = tc * k ** (tc - 1) - (tc - 1) * k ** (tc - 2)
@@ -108,24 +110,24 @@ def test_solve_kappa_iteration_bound(monkeypatch):
     # Newton from min(1, R) converges within 10 iterations at any scale
     monkeypatch.setattr(charts, "_KAPPA_MAX_ITER", 10)
     for seed in (1, 2, 3):
-        solve_kappa(ParabolicChart(htype=HT_MIXED), _painleve1_points(seed))
+        ParabolicChart(htype=HT_MIXED).embed_kappa(_painleve1_points(seed))[1]
     rng = np.random.default_rng(7)
     for htype in (HT_SCALAR, HT_PAIR, HT_TWENTY):
         shape = (2000, htype.n)
         y = 10.0 ** rng.uniform(-300.0, 300.0, shape) * rng.choice([-1.0, 1.0], shape)
-        assert np.all(solve_kappa(ParabolicChart(htype=htype), y) >= 1.0)
+        assert np.all(ParabolicChart(htype=htype).embed_kappa(y)[1] >= 1.0)
 
 
 def test_solve_kappa_origin_is_one():
     chart = ParabolicChart(htype=HT_PAIR)
-    assert solve_kappa(chart, np.zeros(2)) == 1.0
+    assert chart.embed_kappa(np.zeros(2))[1] == 1.0
 
 
 def test_embed_gap_is_reciprocal_kappa():
     chart = ParabolicChart(htype=HT_PAIR)
     y = np.array([3.0, -2.0])
     pt = embed(chart, y)
-    kappa = solve_kappa(chart, y)
+    kappa = chart.embed_kappa(y)[1]
     assert pt.horizon_gap == 1.0 / kappa
     # the embedded point sits at P = 1 - gap up to evaluation roundoff
     P = chart.horizon_poly(pt.coords)
@@ -195,7 +197,7 @@ def test_parabolic_embed_rejects_non_finite():
             with pytest.raises(DomainError, match="not finite"):
                 embed(chart, y)
             with pytest.raises(DomainError, match="not finite"):
-                solve_kappa(chart, y)
+                chart.embed_kappa(y)[1]
 
 
 def test_directional_embed_rejects_non_finite():
@@ -298,7 +300,7 @@ def test_transition_parabolic_to_directional():
     par = ParabolicChart(htype=HT_MIXED)
     dire = DirectionalChart(htype=HT_MIXED, i0=1, sign=1)
     y = np.array([0.3, 7.0, -11.0])
-    via_transition = transition(embed(par, y), dire)
+    via_transition = embed(dire, project(embed(par, y)))
     direct = embed(dire, y)
     assert np.allclose(via_transition.coords, direct.coords, rtol=1e-12)
     assert via_transition.horizon_gap == pytest.approx(
@@ -310,7 +312,7 @@ def test_transition_directional_to_parabolic():
     par = ParabolicChart(htype=HT_MIXED)
     dire = DirectionalChart(htype=HT_MIXED, i0=2, sign=-1)
     y = np.array([0.0, 2.0, -5.0])
-    via_transition = transition(embed(dire, y), par)
+    via_transition = embed(par, project(embed(dire, y)))
     direct = embed(par, y)
     assert np.allclose(via_transition.coords, direct.coords, rtol=1e-12)
 
@@ -320,15 +322,7 @@ def test_transition_outside_target_chart():
     dire_neg = DirectionalChart(htype=HT_MIXED, i0=1, sign=-1)
     pt = embed(dire_pos, np.array([0.0, 3.0, 1.0]))
     with pytest.raises(ChartDomainError):
-        transition(pt, dire_neg)
-
-
-def test_transition_requires_same_type():
-    a = ParabolicChart(htype=HT_MIXED)
-    b = DirectionalChart(htype=HT_PAIR, i0=0, sign=1)
-    pt = embed(a, np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ChartDomainError):
-        transition(pt, b)
+        embed(dire_neg, project(pt))
 
 
 def test_embedded_point_copies_coords():

