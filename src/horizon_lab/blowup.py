@@ -19,16 +19,19 @@ straight line here is the closed-form least-squares line about the means
 fits all its components in one stacked pass over the window, one
 contiguous row per component, so a report costs a fixed number of NumPy
 calls and ``fit_rate`` on one component gives its record's numbers exactly.
+``build_report`` is ``nearest_target`` followed by ``fit_blowup``, which
+needs no target, so a trajectory can be fitted before its target is found.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .desing import DesingField
 from .dynamics import HORIZON_REACHED, Equilibrium, EquilibriumCurve, Trajectory
 from .errors import (
     DomainError,
@@ -45,6 +48,8 @@ __all__ = [
     "estimate_tmax",
     "extrapolate_tail",
     "fit_rate",
+    "nearest_target",
+    "fit_blowup",
     "build_report",
 ]
 
@@ -316,7 +321,8 @@ class BlowupReport:
 
     type1_confirmed is true when every non-vanishing component rate matches
     its prediction -alpha_i/k with r^2 > 0.999 and 5% exponent agreement.
-    shadowed_target is the horizon equilibrium the orbit approaches.
+    shadowed_target is the horizon equilibrium the orbit approaches (None
+    from ``fit_blowup``, before a target is chosen).
     """
 
     t_max: float
@@ -325,23 +331,19 @@ class BlowupReport:
     residual_slope: float
     records: Tuple[RateRecord, ...]
     type1_confirmed: bool
-    shadowed_target: Equilibrium
+    shadowed_target: Optional[Equilibrium]
 
 
-def build_report(
-    traj: Trajectory,
+def nearest_target(
+    dfield: DesingField,
+    end,
     targets: Union[Equilibrium, Sequence[Equilibrium], EquilibriumCurve],
-) -> BlowupReport:
-    """Assemble the blow-up report for a horizon-reaching trajectory.
+) -> Equilibrium:
+    """The target a trajectory ending at ``end`` shadows.
 
-    ``targets`` may be a single equilibrium, a list, or an equilibrium curve;
-    the closest one (time slot excluded from the distance) within 0.1 of the
-    trajectory endpoint becomes the shadowed target, else NoTargetFound.
-    Every positively weighted variable of the field's type gets a rate
-    record, its prediction -alpha_i/k.  lambda comes from
-    ``estimate_decay``, the tail from ``extrapolate_tail``; the time to go
-    and the rate window are formed once, and every component is fitted in
-    one stacked pass, whose record i is what ``fit_rate`` returns for i.
+    ``targets`` may be a single equilibrium, a list, or an equilibrium
+    curve; the closest one (time slot excluded from the distance) within
+    0.1 of ``end`` is returned, else NoTargetFound.
     """
     if isinstance(targets, EquilibriumCurve):
         candidates = list(targets.samples)
@@ -351,18 +353,28 @@ def build_report(
         candidates = list(targets)
     if not candidates:
         raise NoTargetFound("no candidate equilibria supplied")
-    skip_time = 1 if traj.dfield.nonautonomous else 0
+    skip_time = 1 if dfield.nonautonomous else 0
     ends = np.array([eq.coords for eq in candidates])
-    dists = np.max(np.abs(traj.coords[-1] - ends)[:, skip_time:], axis=1,
-                   initial=0.0)
+    dists = np.max(np.abs(end - ends)[:, skip_time:], axis=1, initial=0.0)
     best = int(np.argmin(dists))
     if dists[best] >= _TARGET_RADIUS:
         raise NoTargetFound(
             f"nearest equilibrium is {dists[best]:.3g} from the trajectory "
             f"endpoint (threshold {_TARGET_RADIUS})"
         )
-    target = candidates[best]
+    return candidates[best]
 
+
+def fit_blowup(traj: Trajectory) -> BlowupReport:
+    """The part of the blow-up report that does not depend on the target:
+    every field but ``shadowed_target``, which is None.
+
+    Every positively weighted variable of the field's type gets a rate
+    record, its prediction -alpha_i/k.  lambda comes from
+    ``estimate_decay``, the tail from ``extrapolate_tail``; the time to go
+    and the rate window are formed once, and every component is fitted in
+    one stacked pass, whose record i is what ``fit_rate`` returns for i.
+    """
     lam, residual_slope = estimate_decay(traj)
     tail = extrapolate_tail(traj, lam)
     to_go = _time_to_go(traj, tail)
@@ -370,12 +382,13 @@ def build_report(
 
     htype = traj.dfield.htype
     names = traj.dfield.source.variable_names
+    predicted = htype.predicted_exponents
     fits = _rate_fits(traj, to_go, htype.i_alpha)
     records = [
         RateRecord(
             variable=names[i],
             component_index=i,
-            predicted_exponent=float(htype.blowup_exponent(i)),
+            predicted_exponent=predicted[i],
             fitted_exponent=None if fit is None else fit[0],
             fit_r2=None if fit is None else fit[1],
             leading_coefficient=None if fit is None else fit[2],
@@ -392,5 +405,17 @@ def build_report(
         residual_slope=residual_slope,
         records=tuple(records),
         type1_confirmed=confirmed,
-        shadowed_target=target,
+        shadowed_target=None,
     )
+
+
+def build_report(
+    traj: Trajectory,
+    targets: Union[Equilibrium, Sequence[Equilibrium], EquilibriumCurve],
+) -> BlowupReport:
+    """Assemble the blow-up report for a horizon-reaching trajectory: the
+    target ``nearest_target`` picks for its endpoint, checked first, so
+    its NoTargetFound wins over a fit's error, and ``fit_blowup``.
+    """
+    target = nearest_target(traj.dfield, traj.coords[-1], targets)
+    return replace(fit_blowup(traj), shadowed_target=target)

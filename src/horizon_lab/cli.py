@@ -16,6 +16,12 @@ and a canonical report.json.  A rerun overwrites each of these files in
 place and cuts it at its new end, which leaves the bytes of a fresh run
 once it completes (see _write_output); an output path that cannot be
 created or written raises OutputError.
+
+A process analyzes its runs as one block in two passes: one run at a time
+it integrates, writes the CSV and fits what does not depend on the target,
+keeping only the endpoint and the fits; then a single batched search from
+all the endpoints finds each run's target.  With ``--jobs N`` each worker
+takes one interleaved block of runs (see run_pipeline).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .blowup import BlowupReport, build_report
+from .blowup import BlowupReport, fit_blowup, nearest_target
 from . import charts
 from .config import AnalysisConfig, canonical_text, parse_config
 from .desing import DesingField, build_desing
@@ -42,6 +48,7 @@ from .dynamics import (
     Trajectory,
     find_horizon_equilibria,
     grid_seeds,
+    horizon_equilibria_per_seed,
     integrate,
 )
 from .errors import (
@@ -211,29 +218,21 @@ def _global_equilibria(
     return find_horizon_equilibria(dfield, grid_seeds(dfield, anchor))
 
 
-def _run_report(traj: Trajectory) -> BlowupReport:
-    """Blow-up report against the equilibrium the trajectory shadows.
-
-    One Gauss-Newton solve from the endpoint finds that equilibrium; the
-    grid search through the endpoint's family slice is the fallback when
-    the solve finds nothing within reach of the endpoint.
-    """
-    dfield, end = traj.dfield, traj.coords[-1]
-    targets = find_horizon_equilibria(dfield, [end])
-    if targets:
-        try:
-            return build_report(traj, targets)
-        except NoTargetFound:
-            pass
-    fallback = find_horizon_equilibria(dfield, grid_seeds(dfield, end))
-    return build_report(traj, fallback)
+def _error_doc(exc: HorizonLabError) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def _analyze_one_run(
+def _first_pass(
     config: AnalysisConfig, dfield: DesingField, run_index: int, csv_dir: Optional[Path]
-) -> dict:
-    """Integrate one run to the horizon and report its blow-up; writes the
-    run's trajectory CSV into ``csv_dir`` unless it is None."""
+):
+    """Integrate one run, write its CSV into ``csv_dir`` unless it is None,
+    and fit what of its report does not depend on the target.
+
+    Returns (record, end, fit): end is the endpoint of a horizon-reaching
+    trajectory and fit its ``fit_blowup``, or the error doc of what that
+    raised; both are None for a run that did not reach the horizon, whose
+    record is complete.  The trajectory itself is not kept.
+    """
     run = config.runs[run_index]
     record: dict = {
         "index": run_index,
@@ -251,8 +250,8 @@ def _analyze_one_run(
         point = charts.embed(dfield.chart, np.asarray(run.y0))
         traj = integrate(dfield, point.coords, t0=run.t0, controls=run.controls)
     except HorizonLabError as exc:
-        record["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return record
+        record["error"] = _error_doc(exc)
+        return record, None, None
 
     record["stop_reason"] = traj.stop_reason
     record["tau_end"] = float(traj.taus[-1])
@@ -271,13 +270,61 @@ def _analyze_one_run(
                 f"reaching the horizon"
             ),
         }
-        return record
+        return record, None, None
 
     try:
-        record["blowup"] = _blowup_doc(_run_report(traj))
+        fit = fit_blowup(traj)
     except HorizonLabError as exc:
-        record["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    return record
+        fit = _error_doc(exc)
+    return record, traj.coords[-1].copy(), fit
+
+
+def _shadowed_target(dfield: DesingField, end: np.ndarray, found) -> Equilibrium:
+    """The equilibrium a trajectory ending at ``end`` shadows.  ``found``
+    is the endpoint solve's entry for it (``horizon_equilibria_per_seed``),
+    raised when it is an exception; the grid search through the endpoint's
+    family slice is the fallback when the solve finds nothing within reach
+    of the endpoint."""
+    if isinstance(found, HorizonLabError):
+        raise found
+    try:
+        return nearest_target(dfield, end, found)
+    except NoTargetFound:
+        fallback = find_horizon_equilibria(dfield, grid_seeds(dfield, end))
+        return nearest_target(dfield, end, fallback)
+
+
+def _analyze_block(
+    config: AnalysisConfig, dfield: DesingField, indices, csv_dir: Optional[Path]
+) -> list:
+    """The records of the runs ``indices``, in two passes.
+
+    The first runs one run at a time (``_first_pass``), so a process holds
+    one trajectory at a time.  The second solves from every horizon-reaching
+    endpoint in one batch (``horizon_equilibria_per_seed``) and completes
+    each record: an error of the endpoint solve or a NoTargetFound comes
+    before an error of the fit, and each stays in its run's record.
+    """
+    records, pending = [], []
+    for i in indices:
+        record, end, fit = _first_pass(config, dfield, i, csv_dir)
+        records.append(record)
+        if end is not None:
+            pending.append((record, end, fit))
+    found = horizon_equilibria_per_seed(dfield, [end for _, end, _ in pending])
+    for (record, end, fit), entry in zip(pending, found):
+        try:
+            target = _shadowed_target(dfield, end, entry)
+        except HorizonLabError as exc:
+            record["error"] = _error_doc(exc)
+            continue
+        if isinstance(fit, dict):
+            record["error"] = fit
+        else:
+            record["blowup"] = _blowup_doc(
+                dataclasses.replace(fit, shadowed_target=target)
+            )
+    return records
 
 
 _worker_state: tuple = ()
@@ -292,9 +339,9 @@ def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
     _worker_state = (config, build_field_from_config(config), csv_dir)
 
 
-def _run_in_worker(run_index: int) -> dict:
+def _block_in_worker(indices: range) -> list:
     config, dfield, csv_dir = _worker_state
-    return _analyze_one_run(config, dfield, run_index, csv_dir)
+    return _analyze_block(config, dfield, indices, csv_dir)
 
 
 def run_pipeline(
@@ -303,6 +350,14 @@ def run_pipeline(
     jobs: int = 1,
 ) -> Tuple[int, dict]:
     """Run every configured trajectory and write outputs.
+
+    The runs form one block (``_analyze_block``): each is integrated and
+    fitted in turn, and one batched solve from all their endpoints finds
+    the targets.  With ``jobs`` > 1 and several runs, each of
+    w = min(jobs, runs) worker processes takes one interleaved block, runs
+    k, k + w, k + 2w, ...: no run costs much more than another, so static
+    blocks keep the workers about equally busy.  The records are the same
+    bytes whichever way the runs are split.
 
     Returns (exit_code, report document).  Exit code 2 means at least one
     run is partial (did not reach the horizon or produced no blow-up
@@ -326,17 +381,19 @@ def run_pipeline(
 
     n_runs = len(config.runs)
     if jobs > 1 and n_runs > 1:
+        workers = min(jobs, n_runs)
+        blocks = [range(n_runs)[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(
-            max_workers=min(jobs, n_runs),
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(config, csv_dir),
         ) as pool:
-            # chunksize 1: per-run cost is heavy-tailed (painleve1)
-            records = list(pool.map(_run_in_worker, range(n_runs), chunksize=1))
+            records = sorted(
+                (r for block in pool.map(_block_in_worker, blocks) for r in block),
+                key=lambda r: r["index"],
+            )
     else:
-        records = [
-            _analyze_one_run(config, dfield, i, csv_dir) for i in range(n_runs)
-        ]
+        records = _analyze_block(config, dfield, range(n_runs), csv_dir)
     for r in records:
         log.info(
             "run %s: stop=%s tau_end=%s error=%s",

@@ -39,7 +39,13 @@ where that cutoff cannot fire, takes it from one stacked ``solve``, every
 other member from one stacked SVD.  An iteration is a fixed number of
 stacked NumPy calls whatever the batch size, one seed included; row norms
 are the reduction ``np.linalg.norm`` performs (``_norms``), without its
-dispatch.
+dispatch.  Since each member iterates on its own, a batch gives each seed
+the bits of a search from that seed alone.  So the endpoints of many
+trajectories share one solve (``horizon_equilibria_per_seed``), each
+getting what ``find_horizon_equilibria`` would give it alone; both
+searches accept points by one test and classify them by one helper, with
+one stacked ``eigvals`` over the accepted points.  Curve continuation
+still solves one seed at a time.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -59,6 +65,7 @@ from .errors import (
     CurveBreak,
     DomainError,
     EigenFailure,
+    HorizonLabError,
     StepFailure,
 )
 
@@ -70,6 +77,7 @@ __all__ = [
     "SpectralSplit",
     "integrate",
     "find_horizon_equilibria",
+    "horizon_equilibria_per_seed",
     "grid_seeds",
     "spectrum_classify",
     "trace_equilibrium_curve",
@@ -621,34 +629,24 @@ def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
     return seeds
 
 
-def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
-    """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
-
-    The search solves the system the field generates for it
-    (``DesingField.horizon_rhs_array``): the field's rows on the horizon,
-    with P(x) - 1 on the parabolic chart, in ``DesingField.free_slots``,
-    at s = 0 on a directional chart.  A seed's weight-0 slots stay at its
-    values: they pick the member of a family of equilibria, e.g. the time
-    slice (``Equilibrium.t_slice``) of a nonautonomous field, so one batch
-    may mix slices.  All seeds are solved in one batched Gauss-Newton call.
-    Only points meeting the residual contract (|g| < 1e-10, horizon
-    constraint < 1e-12) are returned, deduplicated in seed order: a point
-    is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
-    earlier one, |r| and |r'| being their final residuals (a solve that
-    stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).  A
-    point where the full field fails to evaluate is dropped too.  A seed
-    that is not finite raises DomainError before any solve.
-    """
+def _seed_array(dfield: DesingField, seeds) -> np.ndarray:
+    """``seeds`` as a new (m, n) float array; ValueError for another shape."""
     n = dfield.n
     X0 = np.array(seeds, dtype=float)
     if X0.size == 0:
         X0 = X0.reshape(0, n)
     if X0.ndim != 2 or X0.shape[1] != n:
         raise ValueError(f"seeds shape {X0.shape}, expected (m, {n})")
-    bad = np.flatnonzero(~np.isfinite(X0).all(axis=1))
-    if bad.size:
-        raise DomainError(f"seed {bad[0]} is not finite: {X0[bad[0]].tolist()}")
-    if dfield.gap_slot < n:
+    return X0
+
+
+def _solve_on_horizon(dfield: DesingField, X0: np.ndarray):
+    """One batched Gauss-Newton solve from the finite (m, n) seeds ``X0``,
+    which it changes: every seed's gap slot is set to 0.  Returns (X, rnorm,
+    accepted): each member's last point, its residual norm there and
+    whether it meets the residual contract (|g| < 1e-10 over the horizon
+    rows, every constraint row below 1e-12 in magnitude)."""
+    if dfield.gap_slot < dfield.n:
         X0[:, dfield.gap_slot] = 0.0
     free = list(dfield.free_slots)
     p = len(dfield.horizon_rows)
@@ -670,6 +668,90 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         ).all(axis=1)
     X = X0.copy()
     X[:, free] = v
+    return X, rnorm, accepted
+
+
+def _spectra(Js: list) -> list:
+    """``np.sort(_eigvals(J))`` for each Jacobian J, from one stacked
+    ``eigvals`` call; a member's eigenvalues are real when all of its own
+    are, as a call on it alone gives them.  When the stacked call fails,
+    each member is solved alone, and one that fails gets its EigenFailure."""
+    if not Js:
+        return []
+    try:
+        spectra = list(np.linalg.eigvals(np.array(Js)))
+    except np.linalg.LinAlgError:
+        spectra = []
+        for J in Js:
+            try:
+                spectra.append(_eigvals(J))
+            except EigenFailure as exc:
+                spectra.append(exc)
+    out = []
+    for w in spectra:
+        if not isinstance(w, EigenFailure):
+            if w.dtype.kind == "c" and not w.imag.any():
+                w = w.real
+            w = np.sort(w)  # by (real, imag), not LAPACK's order
+        out.append(w)
+    return out
+
+
+def _classify(dfield: DesingField, X: np.ndarray) -> list:
+    """The equilibrium at each accepted point (row) of ``X``: None where
+    the full field fails to evaluate (a term the horizon drops is singular
+    there), or the HorizonLabError its Jacobian or spectrum raised."""
+    out: list = [None] * len(X)
+    todo = []
+    for i, x in enumerate(X):
+        try:
+            g = dfield.g(x)
+        except DomainError:
+            continue
+        try:
+            todo.append((i, x, g, dfield.jacobian(x)))
+        except HorizonLabError as exc:
+            out[i] = exc
+    # every weight-0 slot is a direction along the horizon
+    tangential_dims = dfield.n - len(dfield.htype.i_alpha)
+    for (i, x, g, _), eigs in zip(todo, _spectra([J for *_, J in todo])):
+        if isinstance(eigs, EigenFailure):
+            out[i] = eigs
+            continue
+        out[i] = Equilibrium(
+            coords=x,
+            t_slice=float(x[0]) if dfield.nonautonomous else None,
+            residual=math.sqrt(g.dot(g)),  # np.linalg.norm(g)'s arithmetic
+            eigenvalues=eigs,
+            tangential_dims=tangential_dims,
+            classification=spectrum_classify(eigs, tangential_dims).classification,
+        )
+    return out
+
+
+def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
+    """Locate equilibria of g on the horizon from an (m, n) batch of seeds.
+
+    The search solves the system the field generates for it
+    (``DesingField.horizon_rhs_array``): the field's rows on the horizon,
+    with P(x) - 1 on the parabolic chart, in ``DesingField.free_slots``,
+    at s = 0 on a directional chart.  A seed's weight-0 slots stay at its
+    values: they pick the member of a family of equilibria, e.g. the time
+    slice (``Equilibrium.t_slice``) of a nonautonomous field, so one batch
+    may mix slices.  All seeds are solved in one batched Gauss-Newton call.
+    Only points meeting the residual contract (|g| < 1e-10, horizon
+    constraint < 1e-12) are returned, deduplicated in seed order: a point
+    is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
+    earlier one, |r| and |r'| being their final residuals (a solve that
+    stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).  A
+    point where the full field fails to evaluate is dropped too.  A seed
+    that is not finite raises DomainError before any solve.
+    """
+    X0 = _seed_array(dfield, seeds)
+    bad = np.flatnonzero(~np.isfinite(X0).all(axis=1))
+    if bad.size:
+        raise DomainError(f"seed {bad[0]} is not finite: {X0[bad[0]].tolist()}")
+    X, rnorm, accepted = _solve_on_horizon(dfield, X0)
 
     # in seed order, each kept point absorbs the later ones within reach
     idx = np.flatnonzero(accepted)
@@ -682,28 +764,41 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     found = X[kept]
     # lexicographically by the coordinates rounded to 10 decimals
     found = found[np.lexsort(np.round(found, 10).T[::-1])]
-
-    # every weight-0 slot is a direction along the horizon
-    tangential_dims = n - len(dfield.htype.i_alpha)
     out = []
-    for x in found:
-        try:
-            g = dfield.g(x)
-        except DomainError:  # a term the horizon drops is singular here
-            continue
-        J = dfield.jacobian(x)
-        eigs = np.sort(_eigvals(J))  # by (real, imag), not LAPACK's order
-        split = spectrum_classify(eigs, tangential_dims)
-        out.append(
-            Equilibrium(
-                coords=x,
-                t_slice=float(x[0]) if dfield.nonautonomous else None,
-                residual=math.sqrt(g.dot(g)),  # np.linalg.norm(g)'s arithmetic
-                eigenvalues=eigs,
-                tangential_dims=tangential_dims,
-                classification=split.classification,
-            )
-        )
+    for eq in _classify(dfield, found):
+        if isinstance(eq, HorizonLabError):
+            raise eq
+        if eq is not None:
+            out.append(eq)
+    return out
+
+
+def horizon_equilibria_per_seed(dfield: DesingField, seeds) -> list:
+    """For each seed, what ``find_horizon_equilibria(dfield, [seed])``
+    returns, or the HorizonLabError it raises, from one batched solve.
+
+    Each entry is [] or [Equilibrium], or the exception: DomainError for a
+    seed that is not finite, EigenFailure where the eigenvalue iteration
+    fails; an exception stays in its seed's entry.  Each member of the
+    batch iterates on its own (``_gauss_newton``), so every entry holds the
+    bits of that seed's single-seed search, at the NumPy call count of one
+    search for the whole batch.
+    """
+    X0 = _seed_array(dfield, seeds)
+    finite = np.isfinite(X0).all(axis=1)
+    out: list = [
+        [] if ok else DomainError(f"seed 0 is not finite: {x.tolist()}")
+        for ok, x in zip(finite.tolist(), X0)
+    ]
+    rows = np.flatnonzero(finite)
+    if not rows.size:
+        return out
+    X, _, accepted = _solve_on_horizon(dfield, X0[rows])
+    for row, eq in zip(rows[accepted].tolist(), _classify(dfield, X[accepted])):
+        if isinstance(eq, HorizonLabError):
+            out[row] = eq
+        elif eq is not None:
+            out[row] = [eq]
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -272,6 +273,12 @@ class HomogeneityType:
         if ke is not None:
             return -Fraction(self.alpha[index]) / ke
         return -self.alpha[index] / float(self.k)
+
+    @cached_property
+    def predicted_exponents(self) -> Tuple[float, ...]:
+        """``float(blowup_exponent(i))`` for every variable i, formed once
+        per type."""
+        return tuple(float(self.blowup_exponent(i)) for i in range(self.n))
 
 
 def derive_beta(alpha: Sequence[int]) -> Tuple[Tuple[int, ...], int]:

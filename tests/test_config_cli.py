@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import horizon_lab
-from horizon_lab import DomainError, SchemaError, cli
+from horizon_lab import DesingField, DomainError, SchemaError, cli
 from horizon_lab.config import canonical_text, parse_config
 from horizon_lab.cli import main, run_pipeline
 from horizon_lab.charts import embed
@@ -484,7 +485,7 @@ class RecordingPool:
 
     def __init__(self, max_workers, initializer, initargs):
         self.max_workers = max_workers
-        self.chunksize = None
+        self.tasks = None
         initializer(*initargs)
         RecordingPool.made.append(self)
 
@@ -494,9 +495,9 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize):
-        self.chunksize = chunksize
-        return map(fn, iterable)
+    def map(self, fn, iterable):
+        self.tasks = list(iterable)
+        return map(fn, self.tasks)
 
 
 def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
@@ -526,7 +527,9 @@ def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
     assert code == 0 and pooled == serial
     (pool,) = RecordingPool.made
     assert pool.max_workers == 3  # min(jobs, runs)
-    assert pool.chunksize == 1
+    # one task per worker, a block of runs; together they hold each run once
+    assert len(pool.tasks) == pool.max_workers
+    assert sorted(i for block in pool.tasks for i in block) == [0, 1, 2]
     # the parent's field plus one for the one worker, not one per run
     assert len(builds) == 2 and all(c is cfg for c in builds)
     for name in ("run_000.csv", "run_001.csv", "run_002.csv"):
@@ -599,20 +602,25 @@ def test_rerun_overwrites_longer_outputs_in_place(tmp_path):
 def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     """The endpoint solve gives the target; when it finds nothing, or only
     an equilibrium out of reach of the endpoint, the grid search runs."""
-    real = cli.find_horizon_equilibria
+    real_grid = cli.find_horizon_equilibria
+    real_ends = cli.horizon_equilibria_per_seed
     calls = []
 
-    def spy(dfield, seeds):
-        grid = len(seeds) > 1
-        calls.append(grid)
-        if endpoint == "nowhere" or (endpoint == "none" and not grid):
-            return []
-        if endpoint == "far" and not grid:
+    def spy_ends(dfield, seeds):
+        calls.append(False)
+        if endpoint in ("none", "nowhere"):
+            return [[] for _ in seeds]
+        if endpoint == "far":
             # the source at y = -1, far from the endpoint near the sink at +1
             seeds = -np.asarray(seeds)
-        return real(dfield, seeds)
+        return real_ends(dfield, seeds)
 
-    monkeypatch.setattr(cli, "find_horizon_equilibria", spy)
+    def spy_grid(dfield, seeds):
+        calls.append(True)
+        return [] if endpoint == "nowhere" else real_grid(dfield, seeds)
+
+    monkeypatch.setattr(cli, "horizon_equilibria_per_seed", spy_ends)
+    monkeypatch.setattr(cli, "find_horizon_equilibria", spy_grid)
     code, report = run_pipeline(
         parse_config(json.dumps(SCALAR_DOC)), out_dir=str(tmp_path)
     )
@@ -628,6 +636,95 @@ def test_run_target_falls_back_to_grid(tmp_path, monkeypatch, endpoint):
     # endpoint solve, grid fallback if needed, then the global listing
     fallback = [] if endpoint == "found" else [True]
     assert calls == [False] + fallback + [True]
+
+
+# painleve1 runs with every outcome: a plain one (t_end 0.32); one with
+# t_end 0.41, whose endpoint solve a test can blank to force the grid
+# fallback; one that starts on the horizon, so its decay fit has 1 sample;
+# one that stops at a gap below 0.9, far from every equilibrium, so
+# NoTargetFound wins over its fit's error; one that runs out of tau; and a
+# fast one (t_end 1e-4), whose endpoint Jacobian a test can spoil
+_P1 = json.loads(example_text("painleve1"))
+_P1_RUNS = [
+    {"y0": [0.0, 10.0, 63.245553203367585]},
+    {"y0": [0.0, 6.0, 30.0]},
+    {"y0": [0.0, 10.0, 63.245553203367585], "horizon_eps": 0.5},
+    {"y0": [0.0, 1.0, 1.0], "horizon_eps": 0.9},
+    {"y0": [0.0, 10.0, 63.245553203367585], "tau_max": 0.5},
+    {"y0": [0.0, 1e8, 1e12]},
+]
+
+
+def _block_and_alone(tmp_path, d):
+    """The run records of config ``d``, and those of a config of each run
+    alone, renumbered; the run CSVs must match too."""
+    _, together = run_pipeline(parse_config(json.dumps(d)), out_dir=str(tmp_path / "all"))
+    alone = []
+    for i, run in enumerate(d["runs"]):
+        out = tmp_path / f"run{i}"
+        _, solo = run_pipeline(parse_config(json.dumps(dict(d, runs=[run]))), out_dir=str(out))
+        (record,) = solo["runs"]
+        if record["csv"] is not None:
+            name = f"run_{i:03d}.csv"
+            assert (out / record["csv"]).read_bytes() == (tmp_path / "all" / name).read_bytes()
+            record["csv"] = name
+        alone.append(dict(record, index=i))
+    return together["runs"], alone
+
+
+def test_block_records_equal_one_run_records(tmp_path, monkeypatch):
+    """A run's record does not depend on the runs it shares a block with:
+    its grid fallback, its fit error and its endpoint's EigenFailure stay
+    in its own record."""
+    real = cli.horizon_equilibria_per_seed
+    jacobian = DesingField.jacobian
+
+    def late_slices_find_nothing(dfield, seeds):
+        found = real(dfield, seeds)
+        return [[] if s[0] > 0.35 else f for s, f in zip(seeds, found)]
+
+    def nan_on_early_slices(self, coords):
+        J = jacobian(self, coords)
+        return J * np.nan if 0.0 < coords[0] < 1e-3 else J
+
+    monkeypatch.setattr(cli, "horizon_equilibria_per_seed", late_slices_find_nothing)
+    monkeypatch.setattr(DesingField, "jacobian", nan_on_early_slices)
+    together, alone = _block_and_alone(tmp_path, dict(_P1, runs=_P1_RUNS))
+    assert together == alone
+    errors = [r["error"] and r["error"]["type"] for r in together]
+    assert errors == [None, None, "InsufficientWindow", "NoTargetFound",
+                      "NotConverged", "EigenFailure"]
+    # run 1's target comes from the grid fallback on its own slice
+    assert together[1]["blowup"]["shadowed_target"]["t_slice"] == together[1]["t_end"]
+
+
+def test_overflow_config_records_equal_one_run_records(tmp_path):
+    from test_cli_robustness import OVERFLOW_CONFIG
+
+    together, alone = _block_and_alone(tmp_path, OVERFLOW_CONFIG)
+    assert together == alone
+    assert [r["error"] for r in together] == [None, None]
+
+
+def test_serial_pipeline_holds_one_trajectory_at_a_time(tmp_path, monkeypatch):
+    """The first pass keeps a run's endpoint and fits, not its trajectory
+    or a view of its samples, so a process holds one trajectory at a
+    time."""
+    alive = []
+    real = cli.integrate
+
+    def tracked(*args, **kwargs):
+        assert [ref for ref in alive if ref() is not None] == []
+        traj = real(*args, **kwargs)
+        alive.extend([weakref.ref(traj), weakref.ref(traj.coords.base)])
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", tracked)
+    _, report = run_pipeline(
+        parse_config(json.dumps(dict(_P1, runs=_P1_RUNS))), out_dir=str(tmp_path)
+    )
+    assert len(alive) == 2 * len(_P1_RUNS) == 2 * len(report["runs"])
+    assert [ref for ref in alive if ref() is not None] == []
 
 
 def _equilibria_files(out):

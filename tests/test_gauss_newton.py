@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from horizon_lab import (
+    DesingField,
     DirectionalChart,
     DomainError,
+    EigenFailure,
+    HorizonLabError,
     FieldSpec,
     HomogeneityType,
     Monomial,
@@ -477,3 +480,75 @@ def test_painleve1_listing_drops_hopeless_seeds_early(monkeypatch):
     eqs = find_horizon_equilibria(df, seeds)
     assert len(seeds) == 48 and len(eqs) == 2
     assert len(rows) <= 15 and sum(rows) <= 400
+
+
+def _single(df, seed):
+    """``find_horizon_equilibria(df, [seed])``, or the error it raises."""
+    try:
+        return find_horizon_equilibria(df, [seed])
+    except HorizonLabError as exc:
+        return exc
+
+
+def _same_bits(a, b):
+    """Two search results with the same bits: the same exception, or the
+    same equilibria."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return len(a) == len(b) and all(
+        x.coords.tobytes() == y.coords.tobytes()
+        and x.residual.hex() == y.residual.hex()
+        and x.eigenvalues.tobytes() == y.eigenvalues.tobytes()
+        and x.classification == y.classification
+        and x.tangential_dims == y.tangential_dims
+        and x.t_slice == y.t_slice
+        for x, y in zip(a, b)
+    )
+
+
+def _example_end(name):
+    cfg = make_example(name)
+    df = build_field_from_config(cfg)
+    run = cfg.runs[0]
+    traj = integrate(df, embed(df.chart, np.asarray(run.y0)).coords,
+                     t0=run.t0, controls=run.controls)
+    return df, traj.coords[-1]
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_per_seed_search_equals_single_seed_searches(name):
+    """One stacked search gives every seed the bits of its own search: the
+    example's endpoint, beside a seed whose residual overflows (it never
+    converges) and a seed that is not finite."""
+    df, end = _example_end(name)
+    seeds = [end, np.full(df.n, 1e200), end, np.full(df.n, np.nan)]
+    block = dynamics.horizon_equilibria_per_seed(df, seeds)
+    assert len(block) == len(seeds)
+    for seed, entry in zip(seeds, block):
+        assert _same_bits(entry, _single(df, seed))
+    assert len(block[0]) == 1 and block[1] == []
+    assert isinstance(block[3], DomainError)
+    # alone, the endpoint gets the same bits as in the block
+    (alone,) = dynamics.horizon_equilibria_per_seed(df, [end])
+    assert _same_bits(alone, block[0])
+
+
+def test_per_seed_search_keeps_an_eigen_failure_in_its_seed(monkeypatch):
+    """A Jacobian that the eigenvalue iteration rejects fails its own seed
+    with EigenFailure; the other seeds of the stack keep their bits."""
+    df, end = _example_end("painleve1")
+    late = end.copy()
+    late[0] += 1.0  # the same equilibrium on a later time slice
+    jacobian = DesingField.jacobian
+
+    def nan_on_late_slices(self, coords):
+        J = jacobian(self, coords)
+        return J * np.nan if coords[0] > end[0] + 0.5 else J
+
+    monkeypatch.setattr(DesingField, "jacobian", nan_on_late_slices)
+    seeds = [end, late, end]
+    block = dynamics.horizon_equilibria_per_seed(df, seeds)
+    assert isinstance(block[1], EigenFailure)
+    assert len(block[0]) == 1
+    for seed, entry in zip(seeds, block):
+        assert _same_bits(entry, _single(df, seed))
