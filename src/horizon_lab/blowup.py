@@ -96,12 +96,16 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
     # an explicit left-to-right sum: the builtin sum() compensates exact
     # floats from Python 3.12 on, and t_max must not depend on the version
     log_A_sum, count = 0.0, 0
-    time_scale = traj.dfield.time_scale
-    for x, tau in zip(traj.coords[window].tolist(), traj.taus[window].tolist()):
-        tf = time_scale(x)
-        if tf > 0:
-            log_A_sum += math.log(tf) + rate * tau
-            count += 1
+    time_factor_at = traj.dfield.time_factor_at
+    try:
+        for x, tau in zip(traj.coords[window].tolist(),
+                          traj.taus[window].tolist()):
+            tf = time_factor_at(x)
+            if tf > 0:
+                log_A_sum += math.log(tf) + rate * tau
+                count += 1
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise DomainError(f"field evaluation failed at {x}: {exc}") from exc
     if not count:
         raise NotConverged(
             "time factor vanished before the final window; cannot extrapolate",

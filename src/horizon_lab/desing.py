@@ -26,10 +26,13 @@ Evaluation goes through plain Python expressions (value, Jacobian, time
 factor), compiled once per distinct generated source per process (bounded
 LRU); fields with the same source share the stateless compiled functions.
 The Jacobian is the exact term-wise derivative, including the chain rule
-through W.  The same source holds one DOP853 step per field and its dense
-output (its coefficients formed once per step, then evaluated per sample),
-with the stages, the tableau and the state dimension unrolled around those
+through W.  The same source holds one DOP853 step per field, with the
+stages, the tableau and the state dimension unrolled around those
 expressions (each distinct power and expression evaluated once per stage).
+An accepted step also forms its dense output's coefficients once, samples
+it by the sampling rule this module owns (``max_step`` apart in tau, 0.1
+decade apart in the horizon gap) and appends the samples to a flat list,
+so a step costs one call.
 
 On a directional chart the step's state holds L = ln s in s's slot, with
 dL/dtau = -(sign/alpha_i0) f^_i0, ds/dtau's terms with s's power lowered
@@ -421,8 +424,13 @@ _DOP_D = (
 # on a directional chart, a step whose time factor s**k decays by more
 # than this many e-folds at its starting rate integrates t - s**k / rho
 _SPLIT_EFOLDS = 0.1
-# the step's stages that the dense output reads
-_DENSE_READS = tuple(sorted(set().union(*_DOP_D) - {14, 15, 16}))
+# a step's samples keep consecutive horizon gaps within this many decades
+_GAP_DECADES = 0.1
+# a gap level is log10 of the gap; on a directional chart L * _LOG10_E with
+# L = ln s.  It must be 1/ln 10 = 0.43429448190325176, not log10(e) =
+# 0.4342944819032518: the levels set the sampling and, through the
+# controller's cut, the step sizes, so that one ulp moves them
+_LOG10_E = 1.0 / math.log(10.0)
 
 
 def _combo(row, stage: str) -> str:
@@ -445,9 +453,10 @@ _D_SUMS = tuple(_combo(row, "k{}_{{0}}") for row in _DOP_D)
 
 
 def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
-                 k: float) -> Tuple[str, str, str]:
-    """Sources of ``_step(z, k1, h, atol, rtol)``, ``_dense_coeffs(z, h,
-    st)`` and ``_dense(z, cs, thetas)``, as a triple.
+                 k: float) -> str:
+    """Source of ``_step(z, k1, h, tau, tau_end, lv, out, atol, rtol,
+    max_step, floor)``: one attempted DOP853 step over [tau, tau_end], its
+    dense output and the samples it records.
 
     The state ``z`` is the chart coordinates, then t for an autonomous
     field; on a directional chart its slot i0 holds L = ln s instead of s,
@@ -460,31 +469,35 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     + (s**k - k1_t) q at every stage, at the new state and in the dense
     output, with k1_t = s**k at the step's start; u's increment is ``du``.
 
-    ``_step`` returns ``(z_new, err, k13, guard, gap, st)``: the new state,
-    the error norm of Hairer's DOP853 (the 5th-order estimate, damped by the
-    3rd-order one), the derivative there, ``max |x_i|`` over the new
-    state's coordinates and t (s, not L, in slot i0), the horizon gap at
-    the new state (stage 13's W on a parabolic chart, its s on a
-    directional one) and the tuple the dense output reads: the increments
-    d_i = z_new_i - z_i, then the stages of ``_DENSE_READS``, then on a
-    directional chart ``du`` and ``q``.  A step whose
-    new state (read as s in slot i0, so L = -inf passes) or error norm is
-    not finite returns None instead, and a stage that fails to evaluate
-    raises DomainError, as in rhs_values.
+    The step returns None when its new state (read as s in slot i0, so L =
+    -inf passes), its error norm or a dense-output coefficient is not
+    finite, and the error norm alone (Hairer's DOP853: the 5th-order
+    estimate, damped by the 3rd-order one) when that exceeds 1.  A stage
+    that fails to evaluate raises DomainError, as in rhs_values.  An
+    accepted step returns ``(z_new, err, k13, guard, gap, lv_new)``: the
+    new state, the error norm, the derivative there, ``max |x_i|`` over
+    the new state's coordinates and t (s, not L, in slot i0), the horizon
+    gap there (stage 13's W on a parabolic chart, its s on a directional
+    one) and its gap level.
 
-    The dense output comes in two parts, so that a step pays for its
-    coefficients once however many thetas it is sampled at.
-    ``_dense_coeffs`` evaluates the extra stages 14..16 from a step's
-    ``z``, ``h`` and ``st`` and forms the 7th-order interpolant's
-    coefficients, straight-line per slot: the tuple ``cs`` of d_i (du for
-    a split time slot) and c1_i .. c6_i, slot after slot, then k1_t and
-    ``q`` on a directional chart.  It returns None when a coefficient is
-    not finite and raises DomainError like the step.  ``_dense`` evaluates
-    that interpolant at each ``theta`` in (0, 1): one ``(state, dt, gap)``
-    per theta, where ``dt`` is slot ``t_slot`` of the polynomial without
-    its base term, i.e. the physical time since the step's start, and
-    ``gap`` the state's horizon gap in the step's own arithmetic, W or
-    exp(L) (it raises DomainError where that gap fails to evaluate).
+    It also appends its samples to the flat list ``out``.  A gap level is
+    log10 of the gap, ``L * _LOG10_E`` on a directional chart and log10 W
+    above ``floor`` on the parabolic one (NaN at or below it, where W is
+    rounding noise); ``lv`` is the level at ``z``.  The step takes m =
+    ceil(h / max_step), raised to ceil(d / _GAP_DECADES) when its end
+    levels lie d > _GAP_DECADES apart.  For m > 1 it evaluates the extra
+    stages 14..16, forms the 7th-order interpolant's coefficients once and
+    samples it at theta = j/m, j = 1 .. m-1.  While two consecutive levels
+    of the sequence z, samples, new state lie more than _GAP_DECADES apart
+    (a NaN difference counts as none), it drops its samples and samples
+    again at m = ceil(m d / _GAP_DECADES) + 1, d the largest difference.
+    Each sample, then the new state, is appended as its state with s in
+    slot i0, its tau (tau + h theta, then tau_end), its physical time
+    increment from the sample before and, on the parabolic chart only, its
+    W.  A sample's time is slot ``t_slot`` of the interpolant without its
+    base term, so the increments are differences of the step's own running
+    times.  Where a sample's s or W fails to evaluate, the step removes its
+    samples and raises DomainError.
 
     ``templates`` are ``em``'s templates of the field's n components plus
     its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
@@ -505,6 +518,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     ln = None if em.parabolic else em.gap_slot
     T = t_slot
     kk = _fmt_float(k)
+    gd = _fmt_float(_GAP_DECADES)
     # the time factor s**k, with the stage's shared powers, and inline
     tf_text, tf_inline = templates[-1], em.inline(templates[-1])
     first: Dict[str, int] = {}
@@ -566,16 +580,18 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     new = [f"l{i}" if i == ln else f"x{i}" for i in slots]
     # the increment each slot's interpolant starts from: u's for the time
     dname = [f"d{col(i)}" for i in slots]
-    extras = [] if ln is None else ["du", "q"]
-    unpack_z = "    " + "".join(f"z{i}, " for i in slots) + "= z"
-    reads = [f"d{i}" for i in slots] + [
-        f"k{s}_{i}" for s in _DENSE_READS for i in slots
-    ] + extras
     absolutes = ", ".join(f"abs(x{i})" for i in slots)
+    # a state's gap level, its gap, and its sample's floats after the time
+    # increment; the new state's sample, kept while the dense output runs
+    if ln is None:
+        level, gap, extra = "_log10(W) if W > floor else _nan", "W", ", W"
+    else:
+        level, gap, extra = f"l{ln} * {_fmt_float(_LOG10_E)}", f"x{ln}", ""
+    keep = [f"e{i}" for i in slots] + (["eW"] if ln is None else [])
 
     lines = [
-        "def _step(z, k1, h, atol, rtol):",
-        unpack_z,
+        "def _step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor):",
+        "    " + "".join(f"z{i}, " for i in slots) + "= z",
         "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
         "    try:",
     ]
@@ -615,7 +631,8 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     # x - x is 0.0 for a finite x and NaN otherwise; so is den - den, and
     # a finite den keeps sqrt(den) and the error norm finite
     nonfinite = " + ".join([f"(x{i} - x{i})" for i in slots] + ["(den - den)"])
-    step = lines + [
+    ends = "".join(f"x{i}, " for i in slots)
+    lines += [
         "    s5 = " + " + ".join(f"u{i}*u{i}" for i in slots),
         "    s3 = " + " + ".join(f"v{i}*v{i}" for i in slots),
         "    den = s5 + 0.01 * s3",
@@ -623,30 +640,29 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         "        return None",
         f"    err = h * s5 / (_sqrt(den) * {_fmt_float(math.sqrt(dim))})"
         " if den > 0.0 else 0.0",
-        "    return ("
-        + "".join(f"{v}, " for v in new)
-        + "), err, ("
+        "    if err > 1.0:",
+        "        return err",
+        f"    lv1 = {level}",
+        "    ret = (" + "".join(f"{v}, " for v in new) + "), err, ("
         + "".join(f"k13_{i}, " for i in slots)
-        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {em.gap}, ("
-        + "".join(f"{r}, " for r in reads)
-        + ")",
-    ]
-    coeffs = [
-        "def _dense_coeffs(z, h, st):",
-        unpack_z,
-        "    " + "".join(f"{r}, " for r in reads) + "= st",
+        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, lv1",
+        "    m = _ceil(h / max_step)",
+        "    dec = abs(lv1 - lv)",
+        f"    if dec > {gd}:",
+        f"        m = max(m, _ceil(dec / {gd}))",
+        "    if m <= 1:",
+        f"        out += ({ends}tau_end, d{T}{extra})",
+        "        return ret",
+        # the dense output rebinds the new state's locals
+        f"    {', '.join(keep)} = {ends}{extra[2:]}".rstrip(", "),
         "    try:",
     ]
-    if ln is not None:
-        coeffs.append(f"        w = {kk} * q")
-        for s in _DENSE_READS:
-            coeffs += ku_line(s)
     for s in (14, 15, 16):
-        coeffs += inner(s)
-    coeffs += fails("dense output")
+        lines += inner(s)
+    lines += fails("dense output")
     for i in slots:
         c, d = col(i), dname[i]
-        coeffs += [
+        lines += [
             f"    c1_{i} = h * k1_{c} - {d}",
             f"    c2_{i} = 2.0 * {d} - h * (k13_{c} + k1_{c})",
         ] + [
@@ -658,27 +674,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     total = " + ".join(
         "(" + " + ".join(f"c{r}_{i}" for r in range(1, 7)) + ")" for i in slots
     )
-    packed = "".join(
-        f"{dname[i]}, " + "".join(f"c{r}_{i}, " for r in range(1, 7))
-        for i in slots
-    ) + ("" if ln is None else f"k1_{T}, q, ")
-    coeffs += [
-        f"    total = {total}",
-        "    if total - total != 0.0:",
-        "        return None",
-        f"    return ({packed})",
-    ]
-    # the polynomial is float arithmetic; W, or exp(L), can raise
-    pad = "            "
-    lines = [
-        "def _dense(z, cs, thetas):",
-        unpack_z,
-        "    " + packed + "= cs",
-        "    out = []",
-        "    try:",
-        "        for th in thetas:",
-        f"{pad}y = 1.0 - th",
-    ]
+    pad = " " * 16
 
     def poly(i):
         d = dname[i]
@@ -687,6 +683,20 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
             f"(c4_{i} + y * (c5_{i} + th * c6_{i}))))))"
         )
 
+    lines += [
+        f"    total = {total}",
+        "    if total - total != 0.0:",
+        "        return None",
+        "    base = len(out)",
+        "    while True:",
+        "        worst = 0.0",
+        "        prev = lv",
+        "        dtp = 0.0",
+        "        try:",
+        "            for j in range(1, m):",
+        f"{pad}th = j / m",
+        f"{pad}y = 1.0 - th",
+    ]
     if ln is not None:  # s first: the time reads it
         lines += [f"{pad}l{ln} = z{ln} + {poly(ln)}", f"{pad}x{ln} = _exp(l{ln})"]
     for i in slots:
@@ -695,16 +705,32 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
             lines += [f"{pad}dt = {poly(i)}{split_t}", f"{pad}x{i} = z{i} + dt"]
         elif i != ln:
             lines.append(f"{pad}x{i} = z{i} + {poly(i)}")
-    if em.parabolic:  # W of a fill state, under the try like the stages'
-        lines.append("    " + em.inline(derived[0][1]))
-    lines.append(
-        f"{pad}out.append((("
-        + "".join(f"{v}, " for v in new)
-        + f"), dt, {em.gap}))"
-    )
-    lines += fails("dense output")
-    lines.append("    return out")
-    return tuple("\n".join(part) + "\n" for part in (step, coeffs, lines))
+    if ln is None:  # W of a sample, under the try like the stages'
+        lines.append("        " + em.inline(derived[0][1]))
+    lines += [
+        f"{pad}out += ({ends}tau + h * th, dt - dtp{extra})",
+        f"{pad}cur = {level}",
+        f"{pad}dec = abs(cur - prev)",
+        f"{pad}if dec > worst:",
+        f"{pad}    worst = dec",
+        f"{pad}prev = cur",
+        f"{pad}dtp = dt",
+        "        except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+        "            del out[base:]",
+        "            raise DomainError('field evaluation failed in dense output: '"
+        " + str(exc)) from exc",
+        "        dec = abs(lv1 - prev)",
+        "        if dec > worst:",
+        "            worst = dec",
+        f"        if worst <= {gd}:",
+        "            break",
+        "        del out[base:]",
+        f"        m = _ceil(m * worst / {gd}) + 1",
+        "    out += (" + "".join(f"e{i}, " for i in slots)
+        + f"tau_end, d{T} - dtp{', eW' if ln is None else ''})",
+        "    return ret",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
@@ -767,7 +793,8 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
     dim = n if nonautonomous else n + 1
     parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
-        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n",
+        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
+        f"def _time_factor(z):\n{pre}\n    return {exprs[-1]}\n",
     )
     if not em.parabolic:
         # the step's state holds L = ln s in s's slot, and dL/dtau is
@@ -777,14 +804,14 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
     d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
     parts += (f"def _deriv(z):\n{em.preamble(ln_gap=True)}\n"
               f"    return (\n        {d_body},\n    )\n",)
-    parts += _emit_dop853(em, templates, dim, 0 if nonautonomous else n, k)
+    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else n, k),)
     hsrc = _emit_horizon(em, horizon, free)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
 @functools.lru_cache(maxsize=32)
 def _compiled(parts: Tuple[str, ...], hsrc: str):
-    """``(_rhs, _jac, _deriv, _step, _dense_coeffs, _dense, _horizon_rhs,
+    """``(_rhs, _jac, _time_factor, _deriv, _step, _horizon_rhs,
     _horizon_jac)`` compiled from the generated source, once per distinct
     source, like ``re``'s pattern cache.
 
@@ -793,15 +820,15 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
     byte for byte share them; keying on the source makes a hit exact.
     """
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
-                "_exp": math.exp, "DomainError": DomainError}
+                "_exp": math.exp, "_ceil": math.ceil, "_log10": math.log10,
+                "_nan": math.nan, "DomainError": DomainError}
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
     hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros}
     exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
-    return (ns["_rhs"], ns["_jac"], ns["_deriv"], ns["_step"],
-            ns["_dense_coeffs"], ns["_dense"], hns["_horizon_rhs"],
-            hns["_horizon_jac"])
+    return (ns["_rhs"], ns["_jac"], ns["_time_factor"], ns["_deriv"],
+            ns["_step"], hns["_horizon_rhs"], hns["_horizon_jac"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -818,18 +845,23 @@ class DesingField:
     share the stateless compiled functions.  ``rhs_values``, ``jacobian``
     and the horizon evaluators take the chart coordinates, s included.
 
-    ``step(z, k1, h, atol, rtol)`` is the field's compiled DOP853 step:
-    from state ``z`` (the coordinates, with ln s in place of s on a
-    directional chart, then t for an autonomous field) and its derivative
-    ``k1`` (``state_derivative``) it returns the new state, the error
+    ``time_factor_at(z)`` is the generated dt/dtau alone, the expression
+    of ``rhs_values``' last entry, at a list of the n coordinates, with no
+    check: a failed evaluation raises what Python raises.
+
+    ``step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor)``
+    is the field's compiled DOP853 step (``_emit_dop853``), and this module
+    owns the sampling rule it carries out.  From state ``z`` (the
+    coordinates, with ln s in place of s on a directional chart, then t for
+    an autonomous field) and its derivative ``k1`` (``state_derivative``)
+    it returns None for a non-finite result, the error norm alone for a
+    step it rejects, and for an accepted one the new state, the error
     norm, the derivative there, the largest |x_i| of the new state (s, not
-    ln s), its horizon gap and the tuple ``dense_coeffs`` reads, which
-    starts with the step's increments; or None when the new state or the
-    error norm is not finite.
-    ``dense_coeffs(z, h, st)`` forms that step's 7th-order interpolant once
-    (None when a coefficient is not finite), and ``dense(z, cs, thetas)``
-    evaluates it at each theta in (0, 1), as ``(state, dt, gap)`` with dt
-    the physical time since the step's start.
+    ln s), its horizon gap and its gap level (``gap_level``); an accepted
+    step first appends its dense-output samples, at most ``max_step``
+    apart in tau and 0.1 decade in the gap, then the new state, to the
+    flat list ``out``.  ``dynamics.integrate`` owns the rest: the
+    step-size controller, the domain retry, the stops and the step budget.
 
     On the horizon only the terms with no power of the horizon gap act (W on
     the parabolic chart, s on a directional one): those with a zero
@@ -879,8 +911,8 @@ class DesingField:
         )
         object.__setattr__(self, "horizon_rows", rows)
         object.__setattr__(self, "free_slots", free)
-        for name, value in zip(("_rhs", "_jac", "_deriv", "step",
-                                "dense_coeffs", "dense", "horizon_rhs_array",
+        for name, value in zip(("_rhs", "_jac", "time_factor_at", "_deriv",
+                                "step", "horizon_rhs_array",
                                 "horizon_jacobian_array", "source_code"),
                                compiled):
             object.__setattr__(self, name, value)
@@ -939,7 +971,21 @@ class DesingField:
         return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
 
     def time_scale(self, coords) -> float:
-        return float(self.rhs_values(coords)[-1])
+        """dt/dtau, ``time_factor_at`` under ``rhs_values``' checks."""
+        z = self._point(coords)
+        try:
+            return float(self.time_factor_at(z))
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
+
+    def gap_level(self, z, gap: float, floor: float) -> float:
+        """The gap level ``step`` spaces samples by, at integrator state
+        ``z`` with horizon gap ``gap``: L * _LOG10_E on a directional
+        chart, log10 W above ``floor`` on the parabolic one and NaN
+        below."""
+        if self.gap_slot < self.n:
+            return z[self.gap_slot] * _LOG10_E
+        return math.log10(gap) if gap > floor else math.nan
 
     def jacobian(self, coords) -> np.ndarray:
         z = self._point(coords)

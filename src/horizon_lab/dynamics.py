@@ -9,18 +9,17 @@ rather than a crash, and a step-size underflow or a spent budget of
 2,000,000 step attempts raises StepFailure.  Steps are sized by accuracy
 alone, apart from a limit on how far one step may move the horizon gap
 (the parabolic chart's W) or the time factor s**k (a directional chart,
-whose state holds ln s); the trajectory's samples come
-from the dense output, spaced for the rate fits, with every step end among
-them.  Physical time is
-reconstructed along the way from the time factor dt/dtau, and each sample
-also keeps its time increment from the previous one.  The step and the
-dense output are generated per field (``DesingField.step``,
-``DesingField.dense_coeffs`` and ``DesingField.dense``, emitted in
-``desing``): the stages, the tableau and the error norm are unrolled around
-the field's own expressions, and the step also returns the state's largest
-slot, its horizon gap and its increments; a step that holds samples forms
-its dense-output coefficients once and evaluates them at each sample.
-This module keeps the step-size control, the sampling and the stops.
+whose state holds ln s); the trajectory's samples come from the dense
+output, spaced for the rate fits, with every step end among them.
+Physical time is reconstructed along the way from the time factor dt/dtau,
+and each sample also keeps its time increment from the previous one.
+Each attempted step is one call of the step generated per field
+(``DesingField.step``, emitted in ``desing``): the stages, the tableau and
+the error norm are unrolled around the field's own expressions, and an
+accepted step also forms its dense output once and appends its samples to
+a flat list.  ``desing`` owns that sampling rule; this module owns the
+step-size controller, the domain retry, the stops, the step budget and
+the trajectory's arrays.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 field restricted to the horizon, the terms with no power of the gap
@@ -172,9 +171,6 @@ class Trajectory:
     n_rejected: int = 0
 
 
-# dense-output samples keep consecutive horizon gaps within this many
-# decades of each other
-_GAP_DECADES = 0.1
 # where the gap is no state slot, the next step is cut so that, at the
 # decay rate of this one, it changes the gap by at most this many decades
 # (a factor of 2)
@@ -183,41 +179,9 @@ _STEP_DECADES = 0.3
 # this many decades: a sample's time increment is a difference of the
 # step's running times, so it keeps about 16 - 4 digits
 _STEP_TIME_DECADES = 4.0
-_LOG10_E = 1.0 / math.log(10.0)
-
-
-def _spread(levels) -> float:
-    """The largest |difference| of consecutive gap levels; a NaN one (a
-    level left out, or -inf on both sides) counts as none."""
-    worst = 0.0
-    for a, b in zip(levels, levels[1:]):
-        d = abs(b - a)
-        if d > worst:
-            worst = d
-    return worst
-
-
-def _fill(dfield: DesingField, z, h, st, m, v0, v1, level):
-    """A step's dense-output samples, as ``(state, dt, gap)`` at
-    theta = j/m for j = 1 .. m-1; [] for m <= 1, without forming the dense
-    output.  Otherwise its coefficients are formed once, and m is raised
-    until no two consecutive gap levels (decades, ``level(state, gap)``)
-    of the sequence v0, fills, v1 lie more than _GAP_DECADES apart; each
-    raise evaluates all m - 1 thetas of the new m again and reuses only
-    the coefficients.  Returns None when the dense output is not finite
-    and raises DomainError when an extra stage or a sample's gap fails to
-    evaluate."""
-    if m <= 1:
-        return []
-    cs = dfield.dense_coeffs(z, h, st)
-    if cs is None:
-        return None
-    while True:
-        out = dfield.dense(z, cs, [j / m for j in range(1, m)])
-        worst = _spread([v0] + [level(s, g) for s, _, g in out] + [v1])
-        if worst <= _GAP_DECADES:
-            return out
-        m = math.ceil(m * worst / _GAP_DECADES) + 1
+# samples per float64 chunk: a long run's samples leave the step's list of
+# Python floats every this many
+_CHUNK = 1 << 14
 
 
 def integrate(
@@ -236,36 +200,36 @@ def integrate(
     starts at log(s0) (-inf for s0 <= 0, on the horizon) and follows
     dL/dtau = -(sign/alpha_i0) f^_i0.
 
-    Steps are DOP853 steps (``DesingField.step``) under the standard
-    controller: a step is accepted when its error norm is at most 1, the
-    next step is 0.9 * err**(-1/8) times this one, clipped to [0.2, 10],
-    and does not grow right after a rejection.  A stage outside the domain
-    or a non-finite result retries at half the step.  Steps have no fixed
-    cap.  Where the gap is no state slot (the parabolic chart's W = 1 - P),
-    the next step is cut so that, at this step's rate, it moves the gap by
-    at most 0.3 decade: near the horizon the deviation from the target
-    equilibrium falls below the absolute tolerance, and without the cut
-    the controller would grow the steps until the gap, which the fits read
-    on a log scale, lost its relative accuracy.  An ln s slot keeps that
-    accuracy itself, and the step's split time slot keeps the time
-    increments' (``DesingField.step``); there the cut only keeps the time
-    factor s**k within 4 decades per step, since a sample's time increment
-    is a difference of its step's running times.  An accepted step
-    records, before its end, uniformly spaced dense-output samples
-    (``DesingField.dense_coeffs`` once, then ``DesingField.dense``) so that
-    no two consecutive samples are more than ``max_step`` apart in tau or
-    more than 0.1 decade apart in the horizon gap: in L / ln 10 on a
-    directional chart, and where both gaps exceed ``horizon_eps + 1e-14``
-    in log10 W on the parabolic one (below that floor W is rounding
-    noise).  An extra stage outside the domain, or a non-finite dense
-    output, retries the step at half its size, too.
+    Each attempted step is one call of the field's generated DOP853 step
+    (``DesingField.step``), which also forms an accepted step's dense
+    output and records its samples; the sampling rule is the step's: no
+    two consecutive samples more than ``max_step`` apart in tau or more
+    than 0.1 decade apart in the horizon gap, where both gaps exceed
+    ``horizon_eps + 1e-14`` on the parabolic chart (below that floor W is
+    rounding noise), with every step end among them.  This function owns
+    the rest.  The standard controller: a step is accepted when its error
+    norm is at most 1, the next step is 0.9 * err**(-1/8) times this one,
+    clipped to [0.2, 10], and does not grow right after a rejection.  The
+    domain retry: a stage or sample outside the domain, or a non-finite
+    result, retries at half the step.  Steps have no fixed cap.  Where the
+    gap is no state slot (the parabolic chart's W = 1 - P), the next step
+    is cut so that, at this step's rate, it moves the gap by at most 0.3
+    decade: near the horizon the deviation from the target equilibrium
+    falls below the absolute tolerance, and without the cut the controller
+    would grow the steps until the gap, which the fits read on a log
+    scale, lost its relative accuracy.  An ln s slot keeps that accuracy
+    itself, and the step's split time slot keeps the time increments';
+    there the cut only keeps the time factor s**k within 4 decades per
+    step, since a sample's time increment is a difference of its step's
+    running times.
 
     Each sample keeps the horizon gap computed for it: the chart's at the
-    initial state, the dense output's at a fill sample, the step's at a
-    step end; on a directional chart that is exp(L), which is also the
-    sample's stored s.  Every stop is decided on those gaps, at the
-    initial state and at each step end, by one rule (``_stop``).  The
-    arrays are built once at the stop.
+    initial state, the step's own at every other; on a directional chart
+    that is exp(L), which is also the sample's stored s.  Every stop is
+    decided on those gaps, at the initial state and at each step end, by
+    one rule (``_stop``).  The samples gather in one flat list of floats,
+    moved into a float64 chunk every ``_CHUNK`` samples, and the arrays are
+    built once at the stop.
 
     Raises StepFailure when the adaptive step size underflows below 1e-15
     or the run makes more than 2,000,000 step attempts.
@@ -275,45 +239,37 @@ def integrate(
     x0 = [float(v) for v in np.asarray(coords0, dtype=float)]
     if len(x0) != n:
         raise ValueError(f"coords0 has length {len(x0)}, expected {n}")
-    nonaut = dfield.nonautonomous
-    z = tuple(x0) if nonaut else (*x0, float(t0))
-    t_slot = 0 if nonaut else n
+    z = tuple(x0) if dfield.nonautonomous else (*x0, float(t0))
     tau = 0.0
     n_accepted = n_rejected = 0
 
     gap = dfield.horizon_gap(x0)
     stop = _stop(float(np.max(np.abs(z))), gap, tau, ctl)
+    # a sample as the step records it: its state, tau, time increment and,
+    # where the gap is no slot, W
+    flat = [*z, tau, 0.0]
     ln_slot = dfield.gap_slot if dfield.gap_slot < n else None
     if ln_slot is not None:
         z = z[:ln_slot] + (math.log(gap) if gap > 0.0 else -math.inf,) \
             + z[ln_slot + 1:]
-
-        def level(state, gap):
-            return state[ln_slot] * _LOG10_E
         cut = _STEP_TIME_DECADES / dfield.htype.k_float
     else:
-        # the sampling spaces only gaps above this floor: below it a
-        # parabolic gap W = 1 - P is rounding noise
-        floor = ctl.horizon_eps + 1e-14
-
-        def level(state, gap):
-            return math.log10(gap) if gap > floor else math.nan
+        flat.append(gap)
         cut = _STEP_DECADES
-    states = [z]
-    taus = [0.0]
-    dts = [0.0]
-    gaps = [gap]
     if stop is not None:
-        return _mk_traj(dfield, taus, states, dts, gaps, stop, 0, 0)
+        return _mk_traj(dfield, [], flat, stop, 0, 0)
 
     k1 = dfield.state_derivative(z)
     step = dfield.step
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     tau_max, max_step = ctl.tau_max, ctl.max_step
+    floor = ctl.horizon_eps + 1e-14
+    v = dfield.gap_level(z, gap, floor)
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0
-    v = level(z, gap)
+    chunks = []
+    limit = _CHUNK * len(flat)
 
     while True:
         steps += 1
@@ -321,67 +277,46 @@ def integrate(
             raise StepFailure(f"step budget {_MAX_STEPS} exhausted at tau = {tau}")
         if h < _MIN_STEP:
             raise StepFailure(f"step size underflow (h = {h}) at tau = {tau}")
-        capped = False
-        if tau + h >= tau_max:
+        tau_end = tau + h
+        if tau_end >= tau_max:
             h = tau_max - tau
-            capped = True
-
-        fills = None
+            tau_end = tau_max
         try:
-            out = step(z, k1, h, atol, rtol)
-            if out is not None:
-                z_new, err, k13, guard, gap_new, st = out
-                factor = 10.0 if err == 0.0 else min(
-                    10.0, max(0.2, 0.9 * err ** -0.125)
-                )
-                if err > 1.0:
-                    n_rejected += 1
-                    h *= factor
-                    rejected = True
-                    continue
-                m = math.ceil(h / max_step)
-                v_new = level(z_new, gap_new)
-                # NaN where a level is left out: no spacing, no cut
-                decades = abs(v_new - v)
-                if decades > _GAP_DECADES:
-                    m = max(m, math.ceil(decades / _GAP_DECADES))
-                fills = _fill(dfield, z, h, st, m, v, v_new, level)
+            out = step(z, k1, h, tau, tau_end, v, flat, atol, rtol, max_step,
+                       floor)
         except DomainError:
-            pass
-        if fills is None:  # a stage left the domain, or a non-finite result
+            out = None
+        if out is None:  # a stage left the domain, or a non-finite result
             n_rejected += 1
             h *= 0.5
+            rejected = True
+            continue
+        if type(out) is float:  # the error norm, above 1
+            n_rejected += 1
+            h *= max(0.2, 0.9 * out ** -0.125)
             rejected = True
             continue
 
         # accepted
         n_accepted += 1
-        dt_prev = 0.0
-        for j, (state, dt, fill_gap) in enumerate(fills, start=1):
-            states.append(state)
-            taus.append(tau + h * (j / (len(fills) + 1)))
-            dts.append(dt - dt_prev)
-            gaps.append(fill_gap)
-            dt_prev = dt
-        tau = tau_max if capped else tau + h
-        z = z_new
-        k1 = k13
-        gap = gap_new
-        v = v_new
-        states.append(z)
-        taus.append(tau)
-        dts.append(st[t_slot] - dt_prev)
-        gaps.append(gap)
-
+        z, err, k1, guard, gap, v_new = out
+        tau = tau_end
         stop = _stop(guard, gap, tau, ctl)
         if stop is not None:
-            return _mk_traj(dfield, taus, states, dts, gaps, stop, n_accepted,
+            return _mk_traj(dfield, chunks, flat, stop, n_accepted,
                             n_rejected)
+        if len(flat) >= limit:
+            chunks.append(np.array(flat))
+            flat = []
 
+        factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
         h_next = h * (min(factor, 1.0) if rejected else factor)
+        # NaN where a level is left out: no cut
+        decades = abs(v_new - v)
         if decades > 0.0:
             h_next = min(h_next, h * cut / decades)
         h = h_next
+        v = v_new
         rejected = False
 
 
@@ -399,17 +334,25 @@ def _stop(guard, gap, tau, ctl):
     return None
 
 
-def _mk_traj(dfield, taus, states, dts, gaps, stop, n_accepted, n_rejected):
-    path = np.array(states, dtype=float)
-    if dfield.gap_slot < dfield.n:  # the states hold L = ln s there
-        path[:, dfield.gap_slot] = gaps
+def _mk_traj(dfield, chunks, flat, stop, n_accepted, n_rejected):
+    """The trajectory of the samples in ``chunks``, then ``flat``, each as
+    ``integrate`` records it."""
+    dim = dfield.n if dfield.nonautonomous else dfield.n + 1
+    rows = np.array(flat, dtype=float)
+    if chunks:
+        rows = np.concatenate(chunks + [rows])
+    parabolic = dfield.gap_slot == dfield.n
+    rows = rows.reshape(-1, dim + 2 + parabolic)
+    # copies lay each array out as when it was built from its own list, so
+    # the fits' NumPy reductions see the same strides and give the same bits
+    path = rows[:, :dim].copy()
     return Trajectory(
         dfield=dfield,
-        taus=np.array(taus, dtype=float),
+        taus=rows[:, dim].copy(),
         coords=path[:, :dfield.n],
         ts=path[:, 0 if dfield.nonautonomous else dfield.n],
-        gaps=np.array(gaps, dtype=float),
-        dts=np.array(dts, dtype=float),
+        gaps=rows[:, dim + 2 if parabolic else dfield.gap_slot].copy(),
+        dts=rows[:, dim + 1].copy(),
         stop_reason=stop,
         n_accepted=n_accepted,
         n_rejected=n_rejected,

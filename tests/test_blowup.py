@@ -205,6 +205,22 @@ def test_mems_rates_and_signs(mems_run):
     assert coeff_w < 0 and coeff_v < 0
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_time_scale_is_the_last_entry_of_rhs_values(name):
+    # extrapolate_tail reads dt/dtau at its window's samples through
+    # time_factor_at, the time factor's expression alone: bit for bit
+    # rhs_values' last entry, at every sample of the run, as time_scale
+    b = make_example(name)
+    df = build_field_from_config(b)
+    run = b.runs[0]
+    coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
+    traj = integrate(df, coords, t0=run.t0, controls=run.controls)
+    assert traj.stop_reason == HORIZON_REACHED
+    for x in traj.coords.tolist():
+        want = float(df.rhs_values(x)[-1]).hex()
+        assert df.time_factor_at(x).hex() == df.time_scale(x).hex() == want
+
+
 # ---------------------------------------------------------------------------
 # RateRecord.confirmed
 

@@ -417,14 +417,55 @@ def _reference_extra_stages(st):
         st.evaluate(s, _A[s])
 
 
-def _reference_step(dfield):
-    """The generated step and dense output as list arithmetic: stage sums
-    over lists of lists, the field through state_derivative, the same
-    ``(z_new, err, k13, guard, gap, st)`` and ``(state, dt, gap)`` results,
-    and every sum added in the generated code's order."""
-    split = _ln_split(dfield)
+# a gap level is log10 of the gap, and on a directional chart L times
+# 1/ln 10 as Python forms it
+_LEVEL = 1.0 / math.log(10.0)
 
-    def step(z, k1, h, atol, rtol):
+
+def _width(dfield):
+    """Floats per recorded sample: the state, tau, the time increment and,
+    on the parabolic chart, W."""
+    dim = dfield.n if dfield.nonautonomous else dfield.n + 1
+    return dim + (2 if _ln_split(dfield) else 3)
+
+
+def _rows(dfield, flat):
+    """A flat sample list as (sample state, gap) pairs."""
+    w, split = _width(dfield), _ln_split(dfield)
+    rows = [tuple(flat[i:i + w]) for i in range(0, len(flat), w)]
+    dim = w - (2 if split else 3)
+    return [(r[:dim], r[split[0]] if split else r[-1]) for r in rows]
+
+
+def _call_step(df, z, k1, h, atol=1e-12, rtol=1e-10, max_step=math.inf,
+               lv=math.nan, floor=1e-12 + 1e-14):
+    """One call of a field's step from tau = 0, as (result, samples)."""
+    out = []
+    return df.step(tuple(z), k1, h, 0.0, h, lv, out, atol, rtol, max_step,
+                   floor), out
+
+
+def _reference_step(dfield):
+    """The generated step as list arithmetic: stage sums over lists of
+    lists, the field through state_derivative, every sum added in the
+    generated code's order, the dense output and its sampling written out;
+    the same results and the same floats appended to ``out``.  The step
+    counts the coefficient sets it forms (``formed``) and the times it
+    evaluates the dense output (``evaluated``)."""
+    split = _ln_split(dfield)
+    t_slot = 0 if dfield.nonautonomous else dfield.n
+
+    def level(state, gap, floor):
+        if split is not None:
+            return state[split[0]] * _LEVEL
+        return math.log10(gap) if gap > floor else math.nan
+
+    def record(out, state, tau, dt, gap):
+        out += _sample(dfield, state) + (tau, dt)
+        if split is None:
+            out.append(gap)
+
+    def stages(z, k1, h, atol, rtol):
         dim = len(z)
         st, d, x = _reference_stages(dfield, z, k1, h)
         u, v = [], []
@@ -440,38 +481,23 @@ def _reference_step(dfield):
         if not all(map(math.isfinite, xs + [den])):
             return None
         err = h * s5 / (math.sqrt(den) * math.sqrt(dim)) if den > 0.0 else 0.0
-        reads = tuple(d) + tuple(st.ks[s - 1][i] for s in _READS for i in range(dim))
-        if split is not None:
-            reads += (st.du, st.q)
-        return x, err, st.ks[12], max(abs(v) for v in xs), _py_gap(dfield, x), reads
+        return st, d, x, err, max(abs(v) for v in xs)
 
-    def dense_coeffs(z, h, reads):
-        dim = len(z)
-        d = list(reads[:dim])
-        st = _Stages(dfield, z, [0.0] * dim, h)
-        for pos, s in enumerate(_READS, start=1):
-            st.ks[s - 1] = list(reads[pos * dim:(pos + 1) * dim])
+    def dense_coeffs(z, h, st, d):
+        d = list(d)
         if split is not None:
-            du, st.q = reads[-2:]
-            st.w = split[2] * st.q
-            d[split[1]] = du
-            for s in _READS:
-                st._split_stage(s - 1)
+            d[split[1]] = st.du
         _reference_extra_stages(st)
         c = [
             [h * st.col(0)[i] - d[i], 2.0 * d[i] - h * (st.col(12)[i] + st.col(0)[i])]
             + [h * st.weighted(row, i) for row in _D]
-            for i in range(dim)
+            for i in range(len(z))
         ]
         total = sum(map(sum, c))
-        if total - total != 0.0:
-            return None
-        return d, c, st
+        return None if total - total != 0.0 else (d, c)
 
-    def dense(z, cs, thetas):
-        d, c, st = cs
-        dim = len(z)
-        t_slot = 0 if dfield.nonautonomous else dfield.n
+    def dense(z, st, cs, thetas):
+        d, c = cs
         out = []
         for th in thetas:
             y = 1.0 - th
@@ -480,21 +506,56 @@ def _reference_step(dfield):
                     c4 + y * (c5 + th * c6))))))
                 for i, (c1, c2, c3, c4, c5, c6) in enumerate(c)
             ]
-            state = [z[i] + polys[i] for i in range(dim)]
+            state = [z[i] + polys[i] for i in range(len(z))]
             if split is not None:
                 polys[t_slot] = polys[t_slot] + st.shift(state)
                 state[t_slot] = z[t_slot] + polys[t_slot]
-            out.append((tuple(state), polys[t_slot], _py_gap(dfield, state)))
+            out.append((state, polys[t_slot], _py_gap(dfield, state)))
         return out
 
-    return step, dense_coeffs, dense
+    def step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor):
+        res = stages(z, k1, h, atol, rtol)
+        if res is None:
+            return None
+        st, d, x, err, guard = res
+        if err > 1.0:
+            return err
+        gap = _py_gap(dfield, x)
+        lv1 = level(x, gap, floor)
+        m = math.ceil(h / max_step)
+        if abs(lv1 - lv) > 0.1:
+            m = max(m, math.ceil(abs(lv1 - lv) / 0.1))
+        fills = []
+        if m > 1:
+            cs = dense_coeffs(z, h, st, d)
+            if cs is None:
+                return None
+            step.formed += 1
+            while True:
+                fills = dense(z, st, cs, [j / m for j in range(1, m)])
+                step.evaluated += 1
+                levels = [lv] + [level(s, g, floor) for s, _, g in fills] + [lv1]
+                worst = max([0.0] + [
+                    abs(b - a) for a, b in zip(levels, levels[1:])
+                    if not math.isnan(b - a)
+                ])
+                if worst <= 0.1:
+                    break
+                m = math.ceil(m * worst / 0.1) + 1
+        dt_prev = 0.0
+        for j, (state, dt, g) in enumerate(fills, start=1):
+            record(out, state, tau + h * (j / m), dt - dt_prev, g)
+            dt_prev = dt
+        record(out, x, tau_end, d[t_slot] - dt_prev, gap)
+        return tuple(x), err, tuple(st.ks[12]), guard, gap, lv1
+
+    step.formed = step.evaluated = 0
+    return step
 
 
 def _use_reference(dfield):
-    step, dense_coeffs, dense = _reference_step(dfield)
-    object.__setattr__(dfield, "step", step)
-    object.__setattr__(dfield, "dense_coeffs", dense_coeffs)
-    object.__setattr__(dfield, "dense", dense)
+    object.__setattr__(dfield, "step", _reference_step(dfield))
+    return dfield.step
 
 
 def _stiff_sqrt_field():
@@ -567,23 +628,37 @@ def _step_cases():
 
 @pytest.mark.parametrize("name,y0,t0", _step_cases())
 def test_generated_step_matches_list_reference(name, y0, t0):
+    # every call of the generated step within a run is repeated on the
+    # list reference: the same result or DomainError, and the same floats
+    # appended; the whole run equals the reference's run
     build, _, tau_max, stop = _STEP_FIELDS.get(
         name, (lambda: build_field_from_config(make_example(name)), None, 200.0,
                HORIZON_REACHED)
     )
     generated, reference = build(), build()
+    twin = _reference_step(generated)
     _use_reference(reference)
     generated_step = generated.step
     domain_errors = []
 
-    def counted(*args):
+    def checked(z, k1, h, tau, tau_end, lv, out, *controls):
+        mine = []
         try:
-            return generated_step(*args)
+            want = twin(z, k1, h, tau, tau_end, lv, mine, *controls)
         except DomainError:
-            domain_errors.append(args[2])
+            want = DomainError
+        base = len(out)
+        try:
+            got = generated_step(z, k1, h, tau, tau_end, lv, out, *controls)
+        except DomainError:
+            assert want is DomainError and len(out) == base
+            domain_errors.append(h)
             raise
+        assert repr(got) == repr(want)
+        assert repr(out[base:]) == repr(mine)
+        return got
 
-    object.__setattr__(generated, "step", counted)
+    object.__setattr__(generated, "step", checked)
     coords = embed(generated.chart, np.asarray(y0, dtype=float)).coords
     controls = IntegratorControls(tau_max=tau_max)
     got = integrate(generated, coords, t0=t0, controls=controls)
@@ -616,7 +691,7 @@ def test_generated_step_raises_domain_error_like_rhs_values(chi_power, chi):
     with pytest.raises(DomainError):
         df.rhs_values([chi, 0.5])
     with pytest.raises(DomainError):
-        df.step([chi, 0.5, 0.0], [0.0, 1.0, 1.0], 1e-3, 1e-12, 1e-10)
+        _call_step(df, [chi, 0.5, 0.0], [0.0, 1.0, 1.0], 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -629,13 +704,14 @@ def test_generated_step_flags_non_finite_results(k1_chi, h, atol, rtol):
     # overflows chi's increment while its error terms stay finite (u = e /
     # inf = 0); the second keeps the state finite and overflows the squares
     # of the error norm.  Either way the step is rejected, as the list
-    # reference rejects it.
+    # reference rejects it, and records nothing.
     fs = FieldSpec(variable_names=("chi", "y"), components=((), (m(1.0, 0, 2),)))
     df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
     z = (0.5, 0.1, 0.0)
     k1 = [k1_chi] + list(df.rhs_values(z[:2]))[1:]
-    assert df.step(z, k1, h, atol, rtol) is None
-    assert _reference_step(df)[0](list(z), k1, h, atol, rtol) is None
+    assert _call_step(df, z, k1, h, atol, rtol) == (None, [])
+    _use_reference(df)
+    assert _call_step(df, z, k1, h, atol, rtol) == (None, [])
 
 
 def test_generated_step_fails_like_list_reference():
@@ -660,25 +736,31 @@ def test_generated_step_fails_like_list_reference():
 @pytest.mark.parametrize("name", ["painleve1", "mems", "kk_dafermos"])
 def test_dense_output_matches_scipy(name):
     # SciPy's DOP853DenseOutput built from the same stages (the reference
-    # stages equal the generated ones bit for bit) agrees with the generated
-    # dense output, which forms its coefficients in another order; on a
-    # directional chart it interpolates the split time slot u, to which
-    # (s**k - s0**k) q adds the rest of t
+    # stages equal the generated ones bit for bit) agrees with the samples
+    # the step records at theta = j/m, m = 20 here or more, whose dense
+    # output forms its coefficients in another order; on a directional
+    # chart it interpolates L = ln s, whose s the step records, and the
+    # split time slot u, to which (s**k - s0**k) q adds the rest of t
     b = make_example(name)
     df = build_field_from_config(b)
     split = _ln_split(df)
     run = b.runs[0]
     coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
     traj = integrate(df, coords, t0=run.t0)
+    dim = len(coords) + (0 if df.nonautonomous else 1)
     for z, h in ((traj.coords[len(traj.taus) // 3], 0.1), (traj.coords[-5], 1.0)):
         z = list(z) if df.nonautonomous else list(z) + [0.25]
         if split is not None:
             z[split[0]] = math.log(z[split[0]])
         k1 = _reference_rhs(df)(z)
-        _, err, _, _, _, st = df.step(tuple(z), k1, h, 1e-12, 1e-10)
-        thetas = [0.1, 0.35, 0.5, 0.8, 0.95]
-        cs = df.dense_coeffs(tuple(z), h, st)
-        got = np.array([state for state, _, _ in df.dense(tuple(z), cs, thetas)])
+        (z_new, err, *_), out = _call_step(df, z, k1, h, max_step=h / 20)
+        rows = _rows(df, out)
+        m = len(rows)
+        assert m >= 20 and rows[-1][0] == _sample(df, z_new)
+        got = np.array([state for state, _ in rows[:-1]])
+        if split is not None:
+            got[:, split[0]] = np.log(got[:, split[0]])
+        thetas = np.arange(1, m) / m
         stages, d, _ = _reference_stages(df, z, k1, h)
         _reference_extra_stages(stages)
         K = np.array([stages.col(j) for j in range(16)])
@@ -686,12 +768,12 @@ def test_dense_output_matches_scipy(name):
         delta = np.array(d)
         if split is not None:
             delta[split[1]] = stages.du
-        F = np.empty((7, len(z)))
+        F = np.empty((7, dim))
         F[0] = delta
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[12] + K[0])
         F[3:] = h * (_DOP.D @ K)
-        want = Dop853DenseOutput(0.0, h, y_old, F)(np.array(thetas) * h).T
+        want = Dop853DenseOutput(0.0, h, y_old, F)(thetas * h).T
         if split is not None:
             t = split[1]
             want[:, t] += [stages.shift(list(w)) for w in want]
@@ -702,29 +784,24 @@ def test_dense_output_matches_scipy(name):
 
 def _recorded_run(name, controls):
     """An example run, with the new state of every step that passed the
-    error test, in order, and the gap that the step or the dense output
-    returned for each state it returned."""
+    error test, in order, and the gap that the step recorded for each
+    sample it recorded."""
     b = make_example(name)
     df = build_field_from_config(b)
-    real_step, real_dense = df.step, df.dense
+    real_step = df.step
     ends, returned = [], {}
 
-    def recording_step(*args):
-        out = real_step(*args)
-        if out is not None:
-            returned[_sample(df, out[0])] = out[4]
-            if out[1] <= 1.0:
-                ends.append(_sample(df, out[0]))
-        return out
-
-    def recording_dense(*args):
-        out = real_dense(*args)
-        for state, _, gap in out:
-            returned[_sample(df, state)] = gap
-        return out
+    def recording_step(z, k1, h, tau, tau_end, lv, out, *controls):
+        base = len(out)
+        res = real_step(z, k1, h, tau, tau_end, lv, out, *controls)
+        if res is not None and type(res) is not float:
+            ends.append(_sample(df, res[0]))
+            rows = _rows(df, out[base:])
+            assert rows[-1] == (ends[-1], res[4])
+            returned.update(rows)
+        return res
 
     object.__setattr__(df, "step", recording_step)
-    object.__setattr__(df, "dense", recording_dense)
     run = b.runs[0]
     coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
     traj = integrate(df, coords, t0=run.t0, controls=controls)
@@ -764,35 +841,45 @@ def test_sampling_contract(name, max_step):
 
 
 def test_dense_coefficients_formed_once_per_filled_step():
-    # the painleve1 example with no max_step raises m on some steps, so its
-    # samples take more dense evaluations than coefficient sets
+    # the painleve1 example with no max_step samples some steps again at a
+    # larger m, which reuses the step's coefficients; the generated run
+    # equals, bit for bit, the list reference's, which forms one set of
+    # coefficients per filled step and evaluates more
     controls = IntegratorControls(max_step=math.inf)
-    df, ends, _, traj = _recorded_run("painleve1", controls)
-    ends = list(ends)  # the run below records its steps again
-    real_coeffs, real_dense = df.dense_coeffs, df.dense
-    formed, evaluated = [], []
+    b = make_example("painleve1")
+    run = b.runs[0]
+    runs = []
+    for reference in (False, True):
+        df = build_field_from_config(b)
+        if reference:
+            ref = _use_reference(df)
+        coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
+        runs.append(integrate(df, coords, t0=run.t0, controls=controls))
+    got, want = runs
+    for attr in ("taus", "coords", "ts", "gaps", "dts"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    filled = len(got.taus) - 1 - got.n_accepted
+    assert 0 < ref.formed < filled
+    assert ref.evaluated > ref.formed
 
-    def counting_coeffs(*args):
-        formed.append(real_coeffs(*args))
-        return formed[-1]
 
-    def counting_dense(z, cs, thetas):
-        evaluated.append(cs)
-        return real_dense(z, cs, thetas)
-
-    object.__setattr__(df, "dense_coeffs", counting_coeffs)
-    object.__setattr__(df, "dense", counting_dense)
-    run = make_example("painleve1").runs[0]
-    coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
-    again = integrate(df, coords, t0=run.t0, controls=controls)
-    assert np.array_equal(again.coords, traj.coords)
-    path = _path(df, traj)
-    pos = [0] + [path.index(tuple(e), 1) for e in ends]
-    filled = sum(b - a > 1 for a, b in zip(pos, pos[1:]))
-    assert 0 < filled == len(formed)
-    assert all(cs is not None for cs in formed)
-    assert len(evaluated) > len(formed)
-    assert [id(cs) for cs in formed] == list(dict.fromkeys(map(id, evaluated)))
+def test_chunked_trajectory_equals_unchunked(monkeypatch):
+    # a chunk of 3 samples moves a run's samples into many float64 chunks
+    # on both kinds of chart; the arrays keep every bit
+    for name in ("painleve1", "mems"):
+        b = make_example(name)
+        df = build_field_from_config(b)
+        coords = embed(df.chart, np.asarray(b.runs[0].y0, dtype=float)).coords
+        whole = integrate(df, coords, t0=b.runs[0].t0)
+        monkeypatch.setattr(dynamics, "_CHUNK", 3)
+        chunked = integrate(df, coords, t0=b.runs[0].t0)
+        monkeypatch.undo()
+        assert len(whole.taus) > 3 * 10
+        for attr in ("taus", "coords", "ts", "gaps", "dts"):
+            a, c = getattr(whole, attr), getattr(chunked, attr)
+            assert a.tobytes() == c.tobytes() and a.shape == c.shape, attr
+        assert (chunked.stop_reason, chunked.n_accepted, chunked.n_rejected) \
+            == (whole.stop_reason, whole.n_accepted, whole.n_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +890,7 @@ def _generated_gap(df, state):
     # with h = 0 every stage point is the state itself, so the step returns
     # the gap its own arithmetic gives there
     k1 = df.rhs_values(state[:df.n])[:df.n]
-    return df.step(tuple(state), k1, 0.0, 1e-12, 1e-10)[4]
+    return _call_step(df, state, k1, 0.0)[0][4]
 
 
 def _states_near_gap(df, target):
@@ -838,8 +925,8 @@ def test_parabolic_stop_decision_is_the_steps(threshold):
     start = embed(df.chart, np.array([0.0, 10.0, 80.0])).coords
     for state, g_step in chosen:
         object.__setattr__(
-            df, "step", lambda z, k1, h, a, r, s=tuple(state):
-            real_step(s, k1, 0.0, a, r)
+            df, "step", lambda z, k1, h, tau, *rest, s=tuple(state):
+            real_step(s, k1, 0.0, tau, *rest)
         )
         traj = integrate(df, start, controls=IntegratorControls(tau_max=1.0))
         if g_step < -_DOMAIN_SLACK:
