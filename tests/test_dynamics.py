@@ -276,8 +276,6 @@ _BHH = ((0, 0.244094488188976377952755905512),
         (8, 0.733846688281611857341361741547),
         (11, 0.220588235294117647058823529412e-1))
 _D = [[float(v) for v in row] for row in _DOP.D]
-# the stages (1-based) the dense output reads from the step
-_READS = sorted({j + 1 for row in _D for j, v in enumerate(row) if v} - {14, 15, 16})
 
 
 def test_third_order_weights_are_scipys():
