@@ -585,10 +585,13 @@ def test_gap_slot_keys_the_horizon_gap():
         ("painleve1", "69061390c85537e2226c200f51bfc9fb69f199d3674ceec0b2ebac9d5405ae38"),
         ("selfsimilar", "5df40fd7d9d24c76d90991a27c8019649353d9f3b056b0b145bc3a928cc56a98"),
     ],
+    ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],
 )
 def test_example_source_code_is_pinned(name, digest):
     """The generated source of every example's field is fixed: a refactor
     of the term algebra or of the emitter must keep it byte for byte.
+    The cases are named by example alone, so a deliberate change of the
+    emitted code updates a digest without renaming its case.
     painleve1's pin also guards the parabolic chart's step against the
     directional charts' ln s form."""
     code = build_field_from_config(make_example(name)).source_code
