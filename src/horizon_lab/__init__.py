@@ -7,7 +7,16 @@ from the resulting horizon dynamics: a solution blows up in finite time
 exactly when its compactified orbit reaches the horizon in finite
 desingularized time, and the approach to a hyperbolic horizon equilibrium
 dictates algebraic rates y_i ~ C (t_max - t)^(-alpha_i/k).
+
+Every matrix the package factors is a small stacked (n+1) x (n+1), on
+which a BLAS thread pool only adds start-up cost and idle threads, so
+OpenBLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS or
+imported NumPy first.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .blowup import (
     BlowupReport,

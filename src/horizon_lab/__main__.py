@@ -1,8 +1,6 @@
 """``python -m horizon_lab`` dispatches to the command line interface."""
 
-import sys
-
-from horizon_lab.cli import main
+from horizon_lab.cli import app
 
 if __name__ == "__main__":
-    sys.exit(main())
+    app()

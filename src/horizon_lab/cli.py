@@ -21,18 +21,25 @@ A process analyzes its runs as one block in two passes: one run at a time
 it integrates, writes the CSV and fits what does not depend on the target,
 keeping only the endpoint and the fits; then a single batched search from
 all the endpoints finds each run's target.  With ``--jobs N`` each worker
-takes one interleaved block of runs (see run_pipeline).
+takes one interleaved block of runs (see run_pipeline); the process pool
+is imported only when one starts.
+
+``app`` is the process entry (the ``horizon-lab`` script and ``python -m
+horizon_lab``).  It freezes the import-time heap before ``main``, so the
+interpreter's collections at exit skip it; ``main`` itself, which tests
+and benchmarks call in-process again and again, leaves the collector
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -334,7 +341,8 @@ def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
     """Pool initializer: keep (config, field, csv_dir) for this worker
     process.  Compiled evaluators do not pickle, so each worker builds its
     own field, once; a forked worker finds the compiled evaluators in the
-    cache it inherits, and a spawned one compiles them."""
+    cache it inherits, along with the heap ``app`` froze, and a spawned
+    one compiles them."""
     global _worker_state
     _worker_state = (config, build_field_from_config(config), csv_dir)
 
@@ -342,6 +350,14 @@ def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
 def _block_in_worker(indices: range) -> list:
     config, dfield, csv_dir = _worker_state
     return _analyze_block(config, dfield, indices, csv_dir)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_pipeline(
@@ -353,11 +369,12 @@ def run_pipeline(
 
     The runs form one block (``_analyze_block``): each is integrated and
     fitted in turn, and one batched solve from all their endpoints finds
-    the targets.  With ``jobs`` > 1 and several runs, each of
-    w = min(jobs, runs) worker processes takes one interleaved block, runs
-    k, k + w, k + 2w, ...: no run costs much more than another, so static
-    blocks keep the workers about equally busy.  The records are the same
-    bytes whichever way the runs are split.
+    the targets.  When w = min(jobs, runs, CPUs) is above 1, each of w
+    worker processes takes one interleaved block, runs k, k + w, k + 2w,
+    ...: no run costs much more than another, so static blocks keep the
+    workers about equally busy; more workers than CPUs would only share
+    them.  The records are the same bytes whichever way the runs are
+    split.
 
     Returns (exit_code, report document).  Exit code 2 means at least one
     run is partial (did not reach the horizon or produced no blow-up
@@ -380,8 +397,10 @@ def run_pipeline(
     log.debug("generated evaluator:\n%s", dfield.source_code)
 
     n_runs = len(config.runs)
-    if jobs > 1 and n_runs > 1:
-        workers = min(jobs, n_runs)
+    workers = min(jobs, n_runs, _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         blocks = [range(n_runs)[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -610,6 +629,7 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
+    gc.freeze()
     raise SystemExit(main())
 
 

@@ -970,14 +970,6 @@ class DesingField:
     def g(self, coords) -> np.ndarray:
         return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
 
-    def time_scale(self, coords) -> float:
-        """dt/dtau, ``time_factor_at`` under ``rhs_values``' checks."""
-        z = self._point(coords)
-        try:
-            return float(self.time_factor_at(z))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
-
     def gap_level(self, z, gap: float, floor: float) -> float:
         """The gap level ``step`` spaces samples by, at integrator state
         ``z`` with horizon gap ``gap``: L * _LOG10_E on a directional

@@ -206,10 +206,10 @@ def test_mems_rates_and_signs(mems_run):
 
 
 @pytest.mark.parametrize("name", example_names())
-def test_time_scale_is_the_last_entry_of_rhs_values(name):
+def test_time_factor_at_is_the_last_entry_of_rhs_values(name):
     # extrapolate_tail reads dt/dtau at its window's samples through
     # time_factor_at, the time factor's expression alone: bit for bit
-    # rhs_values' last entry, at every sample of the run, as time_scale
+    # rhs_values' last entry, at every sample of the run
     b = make_example(name)
     df = build_field_from_config(b)
     run = b.runs[0]
@@ -218,7 +218,7 @@ def test_time_scale_is_the_last_entry_of_rhs_values(name):
     assert traj.stop_reason == HORIZON_REACHED
     for x in traj.coords.tolist():
         want = float(df.rhs_values(x)[-1]).hex()
-        assert df.time_factor_at(x).hex() == df.time_scale(x).hex() == want
+        assert df.time_factor_at(x).hex() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, canonical serialization, the pipeline, and CLI behavior."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -500,6 +501,12 @@ class RecordingPool:
         return map(fn, self.tasks)
 
 
+def _pin_cpus(monkeypatch, cpus):
+    """The process may run on ``cpus`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
     d = doc()
     d["runs"] = [{"y0": [1.0]}, {"y0": [2.0]}, {"y0": [0.5]}]
@@ -516,26 +523,34 @@ def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
     def no_parse(text):
         raise AssertionError("a worker parsed config text")
 
-    RecordingPool.made.clear()
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # run_pipeline imports the pool class from concurrent.futures only
+    # when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "build_field_from_config", counting_build)
     monkeypatch.setattr(cli, "parse_config", no_parse)
     monkeypatch.setattr(horizon_lab.config, "parse_config", no_parse)
-    monkeypatch.setattr(cli, "_worker_state", ())
-    code, pooled = run_pipeline(cfg, out_dir=str(tmp_path / "pool"), jobs=8)
+    # one CPU, then a CPU count below the run count and one above it
+    for cpus in (1, 2, 4):
+        _pin_cpus(monkeypatch, cpus)
+        RecordingPool.made.clear()
+        builds.clear()
+        monkeypatch.setattr(cli, "_worker_state", ())
+        out = tmp_path / f"pool{cpus}"
+        code, pooled = run_pipeline(cfg, out_dir=str(out), jobs=8)
 
-    assert code == 0 and pooled == serial
-    (pool,) = RecordingPool.made
-    assert pool.max_workers == 3  # min(jobs, runs)
-    # one task per worker, a block of runs; together they hold each run once
-    assert len(pool.tasks) == pool.max_workers
-    assert sorted(i for block in pool.tasks for i in block) == [0, 1, 2]
-    # the parent's field plus one for the one worker, not one per run
-    assert len(builds) == 2 and all(c is cfg for c in builds)
-    for name in ("run_000.csv", "run_001.csv", "run_002.csv"):
-        assert (tmp_path / "pool" / name).read_bytes() == (
-            tmp_path / "serial" / name
-        ).read_bytes()
+        assert code == 0 and pooled == serial
+        if cpus == 1:  # one worker: the serial block, no pool
+            assert RecordingPool.made == [] and len(builds) == 1
+            continue
+        (pool,) = RecordingPool.made
+        assert pool.max_workers == min(8, 3, cpus)  # min(jobs, runs, CPUs)
+        # one task per worker, a block of runs; together they hold each run once
+        assert len(pool.tasks) == pool.max_workers
+        assert sorted(i for block in pool.tasks for i in block) == [0, 1, 2]
+        # the parent's field plus one for the one worker, not one per run
+        assert len(builds) == 2 and all(c is cfg for c in builds)
+        for name in ("run_000.csv", "run_001.csv", "run_002.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 DIRECTIONAL_SCALAR_DOC = doc(chart={"type": "directional", "index": 0, "sign": 1})
@@ -1233,12 +1248,14 @@ def test_runs_without_jsonschema(tmp_path):
 
 def test_example_run_does_not_import_numpy_ma(tmp_path):
     # np.median imports numpy.ma on its first call in a process (about
-    # 15 ms and 1 MB); a whole example run must not pay for it
+    # 15 ms and 1 MB), and the process pool's modules cost about 21 ms;
+    # a serial example run must pay for neither
     script = (
         "import sys\n"
         "from horizon_lab.cli import main\n"
         "rc = main(['example', 'mems', '--out', sys.argv[1]])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "unused = ('numpy.ma', 'concurrent.futures.process', 'multiprocessing')\n"
+        "print([m for m in unused if m in sys.modules])\n"
         "sys.exit(rc)\n"
     )
     env = dict(os.environ)
@@ -1254,5 +1271,48 @@ def test_example_run_does_not_import_numpy_ma(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "run_000.csv").exists()
+
+
+@pytest.mark.parametrize("callers, kept", [(None, "1"), ("2", "2")])
+def test_import_sets_openblas_threads_unless_the_caller_did(callers, kept):
+    # every matrix the package factors is a small (n+1) x (n+1): a BLAS
+    # thread pool would only cost start-up time and idle threads
+    script = (
+        "import os\n"
+        "import horizon_lab\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    print(len(os.listdir('/proc/self/task')))\n"
+    )
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if callers is not None:
+        env["OPENBLAS_NUM_THREADS"] = callers
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.split()
+    assert out[0] == kept
+    if callers is None and len(out) > 1:
+        # Linux: the main thread alone, no OpenBLAS worker
+        assert out[1] == "1"
+
+
+def test_app_freezes_the_heap_once_and_main_never(tmp_path, monkeypatch):
+    # the exit-time collections skip the frozen import-time heap; main and
+    # run_pipeline, called in-process again and again, leave it alone
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(1))
+    assert main(["example", "selfsimilar", "--out", str(tmp_path)]) == 0
+    assert freezes == []
+    monkeypatch.setattr(sys, "argv", ["horizon-lab", "example", "list"])
+    with pytest.raises(SystemExit) as exc:
+        cli.app()
+    assert exc.value.code == 0 and freezes == [1]

@@ -49,7 +49,7 @@ def test_scalar_parabolic_closed_form():
     for x in np.linspace(-0.99, 0.99, 21):
         W = 1.0 - x * x
         assert df.g([x])[0] == pytest.approx(0.5 * x * x * W, rel=1e-14)
-        assert df.time_scale([x]) == pytest.approx((1 - W / 2) * W, rel=1e-14)
+        assert df.rhs_values([x])[-1] == pytest.approx((1 - W / 2) * W, rel=1e-14)
 
 
 def test_scalar_parabolic_jacobian_closed_form():
@@ -62,8 +62,8 @@ def test_scalar_parabolic_jacobian_closed_form():
 def test_time_factor_positive_inside_domain():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
     xs = np.linspace(-0.999, 0.999, 101)
-    assert all(df.time_scale([x]) > 0 for x in xs)
-    assert df.time_scale([1.0]) == 0.0  # horizon: dt/dtau vanishes
+    assert all(df.rhs_values([x])[-1] > 0 for x in xs)
+    assert df.rhs_values([1.0])[-1] == 0.0  # horizon: dt/dtau vanishes
 
 
 def test_q_factor_range():
@@ -71,7 +71,7 @@ def test_q_factor_range():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
     for x in np.linspace(-1.0, 1.0, 41):
         W = 1.0 - x * x
-        q = df.time_scale([x]) / W if W > 0 else 0.5
+        q = df.rhs_values([x])[-1] / W if W > 0 else 0.5
         assert 0.5 - 1e-12 <= q <= 1.0 + 1e-12
 
 
@@ -180,7 +180,7 @@ def test_pushforward_consistency(chart_kind):
         x_minus = embed(chart, y - h * f).coords
         dx_dt_fd = (x_plus - x_minus) / (2 * h)
         x = embed(chart, y).coords
-        dx_dt = df.g(x) / df.time_scale(x)
+        dx_dt = df.g(x) / df.rhs_values(x)[-1]
         assert np.allclose(dx_dt, dx_dt_fd, rtol=5e-6, atol=1e-8)
 
 
@@ -321,7 +321,7 @@ def test_weight_zero_fractional_exponent_guarded_at_runtime():
         df.g([-1.0, 0.5])
 
 
-@pytest.mark.parametrize("method", ["rhs_values", "g", "time_scale", "jacobian"])
+@pytest.mark.parametrize("method", ["rhs_values", "g", "jacobian"])
 @pytest.mark.parametrize("coords", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]])
 def test_evaluation_checks_the_coordinate_count(method, coords):
     b = make_example("painleve1")
