@@ -11,12 +11,15 @@ dictates algebraic rates y_i ~ C (t_max - t)^(-alpha_i/k).
 Every matrix the package factors is a small stacked (n+1) x (n+1), on
 which a BLAS thread pool only adds start-up cost and idle threads, so
 OpenBLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS or
-imported NumPy first.
+imported NumPy first; the environment keeps no default for later children.
 """
 
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # OpenBLAS reads the variable as NumPy loads it
+    del os.environ["OPENBLAS_NUM_THREADS"], numpy
 
 from .blowup import (
     BlowupReport,

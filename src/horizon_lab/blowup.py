@@ -70,7 +70,7 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
     Extrapolates the time factor A*exp(-k*lambda*tau) beyond the last
     sample, A fitted over the final decade of the horizon gap, and returns
     its integral A*exp(-k*lambda*tau_end)/(k*lambda); k is the order of
-    the field's type.
+    the field's type, the time factor read at the recorded gaps.
 
     Raises NotConverged unless the trajectory actually reached the horizon,
     InsufficientWindow when no sample lies off the horizon.
@@ -98,14 +98,13 @@ def extrapolate_tail(traj: Trajectory, lambda_decay: float) -> float:
     log_A_sum, count = 0.0, 0
     time_factor_at = traj.dfield.time_factor_at
     try:
-        for x, tau in zip(traj.coords[window].tolist(),
-                          traj.taus[window].tolist()):
-            tf = time_factor_at(x)
+        for g, tau in zip(gaps[window].tolist(), traj.taus[window].tolist()):
+            tf = time_factor_at(g)
             if tf > 0:
                 log_A_sum += math.log(tf) + rate * tau
                 count += 1
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise DomainError(f"field evaluation failed at {x}: {exc}") from exc
+        raise DomainError(f"time factor failed at gap {g}: {exc}") from exc
     if not count:
         raise NotConverged(
             "time factor vanished before the final window; cannot extrapolate",

@@ -8,8 +8,7 @@ HORIZON_LAB_LOG environment variable (error | warn | info | debug).
 Outputs are deterministic: one CSV per run with columns
 tau,t,coord_0..coord_{n-1},horizon_gap (one row per trajectory sample after
 the initial condition: each accepted step's dense-output samples, then its
-end), an
-equilibria.csv with columns index,classification,residual,t_slice,
+end), an equilibria.csv with columns index,classification,residual,t_slice,
 coord_0..coord_{n-1},eig_re_0..eig_re_{n-1},eig_im_0..eig_im_{n-1} (each
 row carries the values of the matching report.json "equilibria" entry),
 and a canonical report.json.  A rerun overwrites each of these files in

@@ -34,7 +34,10 @@ it by the sampling rule this module owns (``max_step`` apart in tau, 0.1
 decade apart in the horizon gap) and appends the samples to a flat list,
 so a step costs one call.
 
-On a directional chart the step's state holds L = ln s in s's slot, with
+The step's state carries the horizon gap in slot ``gap_slot`` at the rate
+``gap_rate``.  On the parabolic chart that is W, dW/dtau = -G W (since
+dP/dtau = G W where P + W = 1), so W = 0 is invariant; rhs_values forms W
+= 1 - P from the coordinates.  On a directional chart it is L = ln s,
 dL/dtau = -(sign/alpha_i0) f^_i0, ds/dtau's terms with s's power lowered
 by one; a stage binds s = exp(L) and its powers from it, so an error in L
 is a relative error in the gap and s = 0 is L = -inf.  The time factor
@@ -168,11 +171,11 @@ def _fmt_float(x: float) -> str:
 class _Emitter:
     """Shared expression emitter for one desingularized field.
 
-    Slot j < n of a term key is the coordinate ``x{j}``; on the parabolic
-    chart (``gap_slot == n``) slot n is ``W``.  A fractional power of W
-    reads its clamp ``Wc`` (W, or 0 below the horizon), bound only when some
-    term needs it.  A directional chart's s needs no clamp: the step forms
-    it as exp(ln s), and elsewhere s < 0 is outside the chart.
+    Slot j of a term key is the local ``x{j}``, W for j = n on the
+    parabolic chart (``gap_slot == n``).  A fractional power of W reads its
+    clamp ``x{n}c`` (W, or 0 below the horizon), bound only when some term
+    needs it.  A directional chart's s needs no clamp: the step forms it as
+    exp(ln s), and elsewhere s < 0 is outside the chart.
 
     Expressions come out as templates: each power other than a first power
     is a ``{p<k>}`` field, one name per distinct power text; ``powers``
@@ -188,10 +191,8 @@ class _Emitter:
         self.two_beta = two_beta
         self.i_alpha = i_alpha
         self.gap_slot = gap_slot
-        self.gap = "W" if self.parabolic else f"x{gap_slot}"
         self.needs_clamp = False
-        # coordinates read by the emitted expressions or by W
-        self.used = set(i_alpha) if self.parabolic else set()
+        self.used = set()  # the slots the emitted expressions read
         self.powers: Dict[str, Tuple[str, str]] = {}
         self.texts: Dict[str, str] = {}  # power name -> text
 
@@ -216,9 +217,8 @@ class _Emitter:
         for j, e in enumerate(exps):
             if e == 0:
                 continue
-            sym = self.gap if j == self.gap_slot else f"x{j}"
-            if j < self.n:
-                self.used.add(j)
+            sym = f"x{j}"
+            self.used.add(j)
             if j == self.n and not isinstance(_canon_e(e), int):
                 self.needs_clamp = True
                 sym += "c"
@@ -248,25 +248,26 @@ class _Emitter:
             self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
         )
 
-    def derived(self, indent: str) -> list:
-        """(symbol, template) pairs computing W and its clamp from the
-        x{j} locals."""
-        lines = []
-        if self.parabolic:
-            lines.append(("W", f"{indent}W = 1.0 - ({self.horizon_poly()})"))
+    def derived(self, indent: str, state: bool = True) -> list:
+        """(symbol, template) pairs binding W's clamp, after W = 1 - P
+        where W is no ``state`` slot but formed from the coordinates."""
+        n, lines = self.n, []
+        if self.parabolic and not state:
+            lines.append((f"x{n}", f"{indent}x{n} = 1.0 - ({self.horizon_poly()})"))
         if self.needs_clamp:
-            lines.append(("Wc", f"{indent}Wc = W if W > 0.0 else 0.0"))
+            lines.append((f"x{n}c", f"{indent}x{n}c = x{n} if x{n} > 0.0 else 0.0"))
         return lines
 
-    def preamble(self, ln_gap: bool = False) -> str:
-        """Lines binding the x{j} locals from ``z``, then the derived ones;
-        with ``ln_gap``, ``z`` holds ln s in s's slot."""
+    def preamble(self, state: bool = False) -> str:
+        """Lines binding the x{j} locals from ``z``, chart coordinates or a
+        step's ``state`` (W in slot n, ln s in s's), then the derived ones."""
         loads = [
-            f"    x{j} = _exp(z[{j}])" if ln_gap and j == self.gap_slot
+            f"    x{j} = _exp(z[{j}])" if state and j == self.gap_slot < self.n
             else f"    x{j} = z[{j}]"
-            for j in range(self.n)
+            for j in range(self.n + (state and self.parabolic))
         ]
-        return "\n".join(loads + [self.inline(t) for _, t in self.derived("    ")])
+        pairs = self.derived("    ", state)
+        return "\n".join(loads + [self.inline(t) for _, t in pairs])
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6, with
@@ -431,6 +432,9 @@ _GAP_DECADES = 0.1
 # 0.4342944819032518: the levels set the sampling and, through the
 # controller's cut, the step sizes, so that one ulp moves them
 _LOG10_E = 1.0 / math.log(10.0)
+# W's level is NaN below the smallest normal float: a subnormal W loses
+# relative precision, down to steps of 5e-324 more than 0.1 decade apart
+_W_MIN = 2.0 ** -1022
 
 
 def _combo(row, stage: str) -> str:
@@ -455,54 +459,54 @@ _D_SUMS = tuple(_combo(row, "k{}_{{0}}") for row in _DOP_D)
 def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
                  k: float) -> str:
     """Source of ``_step(z, k1, h, tau, tau_end, lv, out, atol, rtol,
-    max_step, floor)``: one attempted DOP853 step over [tau, tau_end], its
-    dense output and the samples it records.
+    max_step)``: one attempted DOP853 step over [tau, tau_end], its dense
+    output and the samples it records.
 
-    The state ``z`` is the chart coordinates, then t for an autonomous
-    field; on a directional chart its slot i0 holds L = ln s instead of s,
-    and ``templates`` give that slot's dL/dtau.  A stage binds s =
-    exp(L) once (exp(-inf) = 0 is the horizon), then each distinct power
-    of s, so s >= 0 needs no clamp.  There the time slot's t' = s**k, the
-    time factor, is split by the step's own rho = k L'(0): with q = 1/rho
-    (0 when rho h >= -_SPLIT_EFOLDS, which keeps t itself), the tableau
-    integrates u = t - s**k q, u' = t' (1 - k L' q), and t = t0 + (u - u0)
+    The state ``z`` is the chart coordinates, then W on the parabolic
+    chart, then t for an autonomous field.  On a directional chart its
+    slot i0 holds L = ln s instead of s.  A stage binds s = exp(L) once
+    (exp(-inf) = 0 is the horizon), then each distinct power of s, so s >=
+    0 needs no clamp.  There the time slot's t' = s**k, the time factor,
+    is split by the step's own rho = k L'(0): with q = 1/rho (0 when rho h
+    >= -_SPLIT_EFOLDS, which keeps t itself), the tableau integrates u = t
+    - s**k q, u' = t' (1 - k L' q), and t = t0 + (u - u0)
     + (s**k - k1_t) q at every stage, at the new state and in the dense
     output, with k1_t = s**k at the step's start; u's increment is ``du``.
 
     The step returns None when its new state (read as s in slot i0, so L =
     -inf passes), its error norm or a dense-output coefficient is not
-    finite, and the error norm alone (Hairer's DOP853: the 5th-order
+    finite, or when W changes sign at its end or at a sample (W = 0 is
+    invariant), and the error norm alone (Hairer's DOP853: the 5th-order
     estimate, damped by the 3rd-order one) when that exceeds 1.  A stage
     that fails to evaluate raises DomainError, as in rhs_values.  An
     accepted step returns ``(z_new, err, k13, guard, gap, lv_new)``: the
     new state, the error norm, the derivative there, ``max |x_i|`` over
-    the new state's coordinates and t (s, not L, in slot i0), the horizon
-    gap there (stage 13's W on a parabolic chart, its s on a directional
-    one) and its gap level.
+    the new state's slots (s, not L, in slot i0), the horizon gap there
+    (its W or s) and its gap level.
 
     It also appends its samples to the flat list ``out``.  A gap level is
     log10 of the gap, ``L * _LOG10_E`` on a directional chart and log10 W
-    above ``floor`` on the parabolic one (NaN at or below it, where W is
-    rounding noise); ``lv`` is the level at ``z``.  The step takes m =
-    ceil(h / max_step), raised to ceil(d / _GAP_DECADES) when its end
-    levels lie d > _GAP_DECADES apart.  For m > 1 it evaluates the extra
-    stages 14..16, forms the 7th-order interpolant's coefficients once and
-    samples it at theta = j/m, j = 1 .. m-1.  While two consecutive levels
-    of the sequence z, samples, new state lie more than _GAP_DECADES apart
-    (a NaN difference counts as none), it drops its samples and samples
-    again at m = ceil(m d / _GAP_DECADES) + 1, d the largest difference.
-    Each sample, then the new state, is appended as its state with s in
-    slot i0, its tau (tau + h theta, then tau_end), its physical time
-    increment from the sample before and, on the parabolic chart only, its
-    W.  A sample's time is slot ``t_slot`` of the interpolant without its
-    base term, so the increments are differences of the step's own running
-    times.  Where a sample's s or W fails to evaluate, the step removes its
-    samples and raises DomainError.
+    on the parabolic one (NaN below ``_W_MIN``); ``lv`` is the level at
+    ``z``.  The step takes m = ceil(h / max_step), raised to ceil(d /
+    _GAP_DECADES) when its end levels lie d > _GAP_DECADES apart.  For m >
+    1 it evaluates the extra stages 14..16, forms the 7th-order
+    interpolant's coefficients once and samples it at theta = j/m, j = 1 ..
+    m-1.  While two consecutive levels of the sequence z, samples, new
+    state lie more than _GAP_DECADES apart (a NaN difference counts as
+    none), it drops its samples and samples again at m = ceil(m d /
+    _GAP_DECADES) + 1, d the largest difference.  Each sample, then the new
+    state, is appended as its state with s in slot i0, its tau (tau + h
+    theta, then tau_end) and its physical time increment from the sample
+    before.  A sample's time is slot ``t_slot`` of the interpolant without
+    its base term, so the increments are differences of the step's own
+    running times.  Where a sample's s fails to evaluate, the step removes
+    its samples and raises DomainError.
 
-    ``templates`` are ``em``'s templates of the field's n components plus
-    its time factor, so stage s binds k{s}_0 .. k{s}_n; the state has
-    ``dim`` slots (n, or n + 1 with t when the field is autonomous).  A
-    stage evaluates each distinct expression once and copies it where a
+    ``templates`` are ``em``'s templates of the field's n components, with
+    the gap slot's rate (-G W, or dL/dtau) in slot ``gap_slot``, then the
+    time factor, t's derivative; the state has their ``dim`` slots (all
+    but the time factor when the field is nonautonomous).  A stage
+    evaluates each distinct expression once and copies it where a
     sum reads the copy (the time factor of a nonautonomous field equals
     component 0 and no sum reads it), and each distinct power once: a power
     the stage uses twice is bound to a local right after the line that
@@ -581,16 +585,16 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     # the increment each slot's interpolant starts from: u's for the time
     dname = [f"d{col(i)}" for i in slots]
     absolutes = ", ".join(f"abs(x{i})" for i in slots)
-    # a state's gap level, its gap, and its sample's floats after the time
-    # increment; the new state's sample, kept while the dense output runs
-    if ln is None:
-        level, gap, extra = "_log10(W) if W > floor else _nan", "W", ", W"
-    else:
-        level, gap, extra = f"l{ln} * {_fmt_float(_LOG10_E)}", f"x{ln}", ""
-    keep = [f"e{i}" for i in slots] + (["eW"] if ln is None else [])
+    # a state's gap level; the new state, kept while the dense output runs
+    gap = f"x{em.gap_slot}"
+    level = (f"_log10({gap}) if {gap} >= {_W_MIN!r} else _nan" if ln is None
+             else f"l{ln} * {_fmt_float(_LOG10_E)}")
+    # W = 0 is invariant, so a W that changes sign is the step's error
+    flip = f"({gap} < 0.0) != (z{em.gap_slot} < 0.0)" if ln is None else ""
+    kept = "".join(f"e{i}, " for i in slots)
 
     lines = [
-        "def _step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor):",
+        "def _step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step):",
         "    " + "".join(f"z{i}, " for i in slots) + "= z",
         "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
         "    try:",
@@ -636,7 +640,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         "    s5 = " + " + ".join(f"u{i}*u{i}" for i in slots),
         "    s3 = " + " + ".join(f"v{i}*v{i}" for i in slots),
         "    den = s5 + 0.01 * s3",
-        f"    if {nonfinite} != 0.0:",
+        f"    if {nonfinite} != 0.0{flip and ' or ' + flip}:",
         "        return None",
         f"    err = h * s5 / (_sqrt(den) * {_fmt_float(math.sqrt(dim))})"
         " if den > 0.0 else 0.0",
@@ -651,10 +655,10 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         f"    if dec > {gd}:",
         f"        m = max(m, _ceil(dec / {gd}))",
         "    if m <= 1:",
-        f"        out += ({ends}tau_end, d{T}{extra})",
+        f"        out += ({ends}tau_end, d{T})",
         "        return ret",
         # the dense output rebinds the new state's locals
-        f"    {', '.join(keep)} = {ends}{extra[2:]}".rstrip(", "),
+        f"    {kept[:-2]} = {ends[:-2]}",
         "    try:",
     ]
     for s in (14, 15, 16):
@@ -705,10 +709,10 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
             lines += [f"{pad}dt = {poly(i)}{split_t}", f"{pad}x{i} = z{i} + dt"]
         elif i != ln:
             lines.append(f"{pad}x{i} = z{i} + {poly(i)}")
-    if ln is None:  # W of a sample, under the try like the stages'
-        lines.append("        " + em.inline(derived[0][1]))
+    if flip:
+        lines += [f"{pad}if {flip}:", f"{pad}    del out[base:]", f"{pad}    return None"]
     lines += [
-        f"{pad}out += ({ends}tau + h * th, dt - dtp{extra})",
+        f"{pad}out += ({ends}tau + h * th, dt - dtp)",
         f"{pad}cur = {level}",
         f"{pad}dec = abs(cur - prev)",
         f"{pad}if dec > worst:",
@@ -726,8 +730,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         "            break",
         "        del out[base:]",
         f"        m = _ceil(m * worst / {gd}) + 1",
-        "    out += (" + "".join(f"e{i}, " for i in slots)
-        + f"tau_end, d{T} - dtp{', eW' if ln is None else ''})",
+        f"    out += ({kept}tau_end, d{T} - dtp)",
         "    return ret",
     ]
     return "\n".join(lines) + "\n"
@@ -768,43 +771,37 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     return "\n".join(lines) + "\n"
 
 
-def _on_horizon(p: Poly, gap_slot: int) -> Poly:
-    """The terms of ``p`` with a zero exponent in slot ``gap_slot``, the
-    horizon gap's (W's slot n on the parabolic chart, s's slot i0 on a
-    directional one): the part of ``p`` that acts on the horizon."""
-    return {exps: c for exps, c in p.items() if exps[gap_slot] == 0}
-
-
 def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
                    components: Tuple[Poly, ...], time_factor: Poly,
-                   jac_rows: Tuple[Tuple[Poly, ...], ...], nonautonomous: bool,
-                   horizon: Tuple[Poly, ...], free: Tuple[int, ...]):
+                   gap_rate: Poly, jac_rows: Tuple[Tuple[Poly, ...], ...],
+                   nonautonomous: bool, horizon: Tuple[Poly, ...],
+                   free: Tuple[int, ...]):
     em = _Emitter(n, two_beta, i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
     exprs = [em.inline(t) for t in templates]
-    # preamble emitted last: clamping needs are discovered while emitting
+    # the step's state derivative: the gap's rate in the gap's slot, which
+    # on a directional chart takes the place of ds/dtau
+    templates[gap_slot:gap_slot + (gap_slot < n)] = [em.poly(gap_rate)]
+    # preambles emitted last: clamping needs are discovered while emitting
     pre = em.preamble()
     g_body = ",\n        ".join(exprs)
     j_body = ",\n        ".join(
         "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
         for row in jac_exprs
     )
-    dim = n if nonautonomous else n + 1
+    clamp = "".join(f"{t}\n" for _, t in em.derived("    "))
     parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
-        f"def _time_factor(z):\n{pre}\n    return {exprs[-1]}\n",
+        f"def _time_factor(x{gap_slot}):\n{clamp}    return {exprs[-1]}\n",
     )
-    if not em.parabolic:
-        # the step's state holds L = ln s in s's slot, and dL/dtau is
-        # ds/dtau with s's exponent lowered by one
-        templates[gap_slot] = em.poly(_pmul_var(components[gap_slot], gap_slot, -1))
+    dim = len(templates) - nonautonomous  # t' is the time factor, or slot 0's
     # ``_deriv`` gives the first k1 from the step's own expressions
     d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
-    parts += (f"def _deriv(z):\n{em.preamble(ln_gap=True)}\n"
+    parts += (f"def _deriv(z):\n{em.preamble(state=True)}\n"
               f"    return (\n        {d_body},\n    )\n",)
-    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else n, k),)
+    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else dim - 1, k),)
     hsrc = _emit_horizon(em, horizon, free)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
@@ -835,33 +832,35 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
 class DesingField:
     """A desingularized field on a chart, stored as extended monomials.
 
-    ``components[i]`` and ``time_factor`` map exponent tuples to
-    coefficients.  A tuple has one slot per chart coordinate and, on the
+    ``components[i]``, ``time_factor`` and ``gap_rate`` map exponent tuples
+    to coefficients.  A tuple has one slot per chart coordinate and, on the
     parabolic chart, a slot n for W; ``gap_slot`` is the horizon gap's slot
-    (n for W, i0 for a directional chart's s).  W is recomputed from the
-    coordinates at evaluation time, which keeps the horizon exact.
-    Evaluation goes through expressions compiled once per distinct
-    generated source per process (bounded LRU); fields with the same source
-    share the stateless compiled functions.  ``rhs_values``, ``jacobian``
-    and the horizon evaluators take the chart coordinates, s included.
+    (n for W, i0 for a directional chart's s).  ``gap_rate`` is the rate of
+    the integrator's gap slot: -G W for W, so W = 0 is invariant like s =
+    0, and dL/dtau for a directional chart's L = ln s.  Evaluation goes
+    through expressions compiled once per distinct generated source per
+    process (bounded LRU); fields with the same source share the stateless
+    compiled functions.  ``rhs_values``, ``jacobian`` and the horizon
+    evaluators take the chart coordinates (s included; W = 1 - P).
 
-    ``time_factor_at(z)`` is the generated dt/dtau alone, the expression
-    of ``rhs_values``' last entry, at a list of the n coordinates, with no
+    ``time_factor_at(gap)`` is the generated dt/dtau, ``rhs_values``' last
+    entry, a polynomial in the gap alone (s**k, or q(W) W**k), with no
     check: a failed evaluation raises what Python raises.
 
-    ``step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor)``
-    is the field's compiled DOP853 step (``_emit_dop853``), and this module
-    owns the sampling rule it carries out.  From state ``z`` (the
-    coordinates, with ln s in place of s on a directional chart, then t for
-    an autonomous field) and its derivative ``k1`` (``state_derivative``)
-    it returns None for a non-finite result, the error norm alone for a
-    step it rejects, and for an accepted one the new state, the error
-    norm, the derivative there, the largest |x_i| of the new state (s, not
-    ln s), its horizon gap and its gap level (``gap_level``); an accepted
-    step first appends its dense-output samples, at most ``max_step``
-    apart in tau and 0.1 decade in the gap, then the new state, to the
-    flat list ``out``.  ``dynamics.integrate`` owns the rest: the
-    step-size controller, the domain retry, the stops and the step budget.
+    ``step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step)`` is the
+    field's compiled DOP853 step (``_emit_dop853``), and this module owns
+    the sampling rule it carries out.  From state ``z`` (the coordinates,
+    with ln s in place of s on a directional chart, then W on the
+    parabolic one, then t for an autonomous field) and its derivative
+    ``k1`` (``state_derivative``) it returns None for a non-finite result
+    or a W that changes sign, the error norm alone for a step it rejects,
+    and for an accepted one the new state, the error norm, the derivative
+    there, the largest |slot| of the new state (s, not ln s), its horizon
+    gap and its gap level (``gap_level``); an accepted step first appends
+    its dense-output samples, at most ``max_step`` apart in tau and 0.1
+    decade in the gap, then the new state, to the flat list ``out``.
+    ``dynamics.integrate`` owns the rest: the step-size controller, the
+    domain retry, the stops and the step budget.
 
     On the horizon only the terms with no power of the horizon gap act (W on
     the parabolic chart, s on a directional one): those with a zero
@@ -883,6 +882,7 @@ class DesingField:
     source: FieldSpec
     components: Tuple[Poly, ...]
     time_factor: Poly
+    gap_rate: Poly
 
     def __post_init__(self):
         gap_slot = (
@@ -893,7 +893,9 @@ class DesingField:
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
         )
-        horizon = [_on_horizon(p, gap_slot) for p in self.components]
+        # the part of each component that acts on the horizon
+        horizon = [{e: c for e, c in p.items() if e[gap_slot] == 0}
+                   for p in self.components]
         rows = tuple(i for i, p in enumerate(horizon) if p)
         free = tuple(i for i in self.htype.i_alpha if i != gap_slot)
         compiled = _compile_field(
@@ -904,6 +906,7 @@ class DesingField:
             self.htype.k_float,
             self.components,
             self.time_factor,
+            self.gap_rate,
             jac_rows,
             self.nonautonomous,
             tuple(horizon[i] for i in rows),
@@ -958,10 +961,10 @@ class DesingField:
     def state_derivative(self, z) -> Tuple[float, ...]:
         """The derivative of an integrator state ``z``, as ``step`` reads
         it for ``k1``: ``z`` holds the coordinates, with ln s in s's slot
-        on a directional chart, then t for an autonomous field.  It comes
-        from the step's expressions for that state (on the parabolic chart,
-        ``rhs_values``' own, cut to the state's slots), so a directional
-        chart has no 0/0 at s = 0 (L = -inf)."""
+        on a directional chart, then W on the parabolic one, then t for an
+        autonomous field.  It comes from the step's expressions for that
+        state, the gap's slot from ``gap_rate``, so a directional chart has
+        no 0/0 at s = 0 (L = -inf)."""
         try:
             return self._deriv(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -970,14 +973,14 @@ class DesingField:
     def g(self, coords) -> np.ndarray:
         return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
 
-    def gap_level(self, z, gap: float, floor: float) -> float:
+    def gap_level(self, z) -> float:
         """The gap level ``step`` spaces samples by, at integrator state
-        ``z`` with horizon gap ``gap``: L * _LOG10_E on a directional
-        chart, log10 W above ``floor`` on the parabolic one and NaN
-        below."""
+        ``z``: log10 of the gap, as L * _LOG10_E on a directional chart,
+        and log10 W on the parabolic one, NaN below ``_W_MIN``."""
+        gap = z[self.gap_slot]
         if self.gap_slot < self.n:
-            return z[self.gap_slot] * _LOG10_E
-        return math.log10(gap) if gap > floor else math.nan
+            return gap * _LOG10_E
+        return math.log10(gap) if gap >= _W_MIN else math.nan
 
     def jacobian(self, coords) -> np.ndarray:
         z = self._point(coords)
@@ -1072,6 +1075,7 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
         source=field,
         components=tuple(components),
         time_factor=time_factor,
+        gap_rate=_pscale(_pmul_var(G, n, 1), -1.0),  # -dP/dtau on W = 1 - P
     )
 
 
@@ -1133,6 +1137,7 @@ def build_directional_desing(
             # every term carries s, so dL/dtau = (ds/dtau) / s, with each
             # exponent of s lowered by one, has no negative power of s
             assert all(exps[i0] >= 1 for exps in gi), "a term of ds/dtau lacks s"
+            gap_rate = _pmul_var(gi, i0, -1)
         else:
             gi = dict(fhat[i])
             ai = htype.alpha[i]
@@ -1152,6 +1157,7 @@ def build_directional_desing(
         source=field,
         components=tuple(components),
         time_factor=time_factor,
+        gap_rate=gap_rate,
     )
 
 

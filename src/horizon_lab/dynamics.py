@@ -8,9 +8,9 @@ that probes outside the chart domain causes a retry with a smaller step
 rather than a crash, and a step-size underflow or a spent budget of
 2,000,000 step attempts raises StepFailure.  Steps are sized by accuracy
 alone, apart from a limit on how far one step may move the horizon gap
-(the parabolic chart's W) or the time factor s**k (a directional chart,
-whose state holds ln s); the trajectory's samples come from the dense
-output, spaced for the rate fits, with every step end among them.
+(the parabolic chart's W slot) or the time factor s**k (a directional
+chart, whose gap slot holds ln s); the samples come from the dense output,
+spaced for the rate fits, with every step end among them.
 Physical time is reconstructed along the way from the time factor dt/dtau,
 and each sample also keeps its time increment from the previous one.
 Each attempted step is one call of the step generated per field
@@ -154,10 +154,10 @@ class Trajectory:
     own increment within its step, never from a difference of the absolute
     times in ts, so a sum of trailing dts keeps its relative accuracy when
     it is far smaller than t.  ``gaps[i]`` is the horizon gap that the
-    integrator computed for sample i and read for its stops.  coords and ts
-    are views of one array.  On a directional chart the integrator's state
-    holds L = ln s, but coords hold s itself: coordinate i0 of a sample is
-    its gap, exp(L).
+    integrator recorded for sample i, its state's gap slot, and read for
+    its stops.  coords, gaps and ts are columns of the recorded states.
+    On a directional chart the integrator's state holds L = ln s, but
+    coords hold s itself: coordinate i0 of a sample is its gap, exp(L).
     """
 
     dfield: DesingField
@@ -171,9 +171,8 @@ class Trajectory:
     n_rejected: int = 0
 
 
-# where the gap is no state slot, the next step is cut so that, at the
-# decay rate of this one, it changes the gap by at most this many decades
-# (a factor of 2)
+# on the parabolic chart, the next step is cut so that, at the decay rate
+# of this one, it changes W by at most this many decades (a factor of 2)
 _STEP_DECADES = 0.3
 # on a directional chart, so that the time factor s**k changes by at most
 # this many decades: a sample's time increment is a difference of the
@@ -194,42 +193,38 @@ def integrate(
 
     ``coords0`` are chart coordinates.  For nonautonomous fields the time
     variable is coordinate 0 (t0 is ignored); for autonomous fields t is
-    carried alongside the state, starting at t0, with dt/dtau equal to the
-    field's time factor.  On a directional chart the state holds L = ln s
-    in s's slot i0, so an error in L is a relative error in the gap: it
-    starts at log(s0) (-inf for s0 <= 0, on the horizon) and follows
-    dL/dtau = -(sign/alpha_i0) f^_i0.
+    carried as the state's last slot, starting at t0, with dt/dtau equal
+    to the field's time factor.  The horizon gap is a state slot: on the
+    parabolic chart W follows its rate -G W from W0 = 1 - P(x0) in slot n;
+    on a directional chart s's slot i0 holds L = ln s, so an error in L is
+    a relative error in the gap: it starts at log(s0) (-inf for s0 <= 0,
+    on the horizon) and follows dL/dtau = -(sign/alpha_i0) f^_i0.
 
     Each attempted step is one call of the field's generated DOP853 step
     (``DesingField.step``), which also forms an accepted step's dense
     output and records its samples; the sampling rule is the step's: no
-    two consecutive samples more than ``max_step`` apart in tau or more
-    than 0.1 decade apart in the horizon gap, where both gaps exceed
-    ``horizon_eps + 1e-14`` on the parabolic chart (below that floor W is
-    rounding noise), with every step end among them.  This function owns
-    the rest.  The standard controller: a step is accepted when its error
-    norm is at most 1, the next step is 0.9 * err**(-1/8) times this one,
-    clipped to [0.2, 10], and does not grow right after a rejection.  The
-    domain retry: a stage or sample outside the domain, or a non-finite
-    result, retries at half the step.  Steps have no fixed cap.  Where the
-    gap is no state slot (the parabolic chart's W = 1 - P), the next step
-    is cut so that, at this step's rate, it moves the gap by at most 0.3
-    decade: near the horizon the deviation from the target equilibrium
-    falls below the absolute tolerance, and without the cut the controller
-    would grow the steps until the gap, which the fits read on a log
-    scale, lost its relative accuracy.  An ln s slot keeps that accuracy
-    itself, and the step's split time slot keeps the time increments';
-    there the cut only keeps the time factor s**k within 4 decades per
-    step, since a sample's time increment is a difference of its step's
-    running times.
+    two consecutive samples more than ``max_step`` apart in tau or, where
+    both gaps are normal positive floats, more than 0.1 decade apart in the
+    horizon gap, with every step end among them.  This function owns the rest.  The
+    standard controller: a step is accepted when its error norm is at most
+    1, the next step is 0.9 * err**(-1/8) times this one, clipped to [0.2,
+    10], and does not grow right after a rejection.  The domain retry: a
+    stage or sample outside the domain, or a non-finite result, retries at
+    half the step.  Steps have no fixed cap.  On the parabolic chart the
+    next step is cut so that, at this step's rate, it moves W by at most
+    0.3 decade: near the horizon W falls below the absolute tolerance, and
+    without the cut the controller would grow the steps until W, which the
+    fits read on a log scale, lost its relative accuracy.  An ln s slot
+    keeps that accuracy itself, and the step's split time slot keeps the
+    time increments'; there the cut only keeps the time factor s**k within
+    4 decades per step, since a sample's time increment is a difference of
+    its step's running times.
 
-    Each sample keeps the horizon gap computed for it: the chart's at the
-    initial state, the step's own at every other; on a directional chart
-    that is exp(L), which is also the sample's stored s.  Every stop is
-    decided on those gaps, at the initial state and at each step end, by
-    one rule (``_stop``).  The samples gather in one flat list of floats,
-    moved into a float64 chunk every ``_CHUNK`` samples, and the arrays are
-    built once at the stop.
+    Each sample records its state (with s, not L), tau and time increment;
+    its gap is its gap slot.  Every stop is decided on those gaps, at the
+    initial state and at each step end, by one rule (``_stop``).  The
+    samples gather in one flat list of floats, moved into a float64 chunk
+    every ``_CHUNK`` samples, and the arrays are built once at the stop.
 
     Raises StepFailure when the adaptive step size underflows below 1e-15
     or the run makes more than 2,000,000 step attempts.
@@ -239,32 +234,31 @@ def integrate(
     x0 = [float(v) for v in np.asarray(coords0, dtype=float)]
     if len(x0) != n:
         raise ValueError(f"coords0 has length {len(x0)}, expected {n}")
-    z = tuple(x0) if dfield.nonautonomous else (*x0, float(t0))
     tau = 0.0
     n_accepted = n_rejected = 0
 
     gap = dfield.horizon_gap(x0)
+    slot = dfield.gap_slot
+    # the state: the coordinates, W on the parabolic chart, t if autonomous
+    z = tuple(x0) if slot < n else (*x0, gap)
+    if not dfield.nonautonomous:
+        z += (float(t0),)
     stop = _stop(float(np.max(np.abs(z))), gap, tau, ctl)
-    # a sample as the step records it: its state, tau, time increment and,
-    # where the gap is no slot, W
+    # a sample as the step records it: its state, tau and time increment
     flat = [*z, tau, 0.0]
-    ln_slot = dfield.gap_slot if dfield.gap_slot < n else None
-    if ln_slot is not None:
-        z = z[:ln_slot] + (math.log(gap) if gap > 0.0 else -math.inf,) \
-            + z[ln_slot + 1:]
+    if slot < n:
+        z = z[:slot] + (math.log(gap) if gap > 0.0 else -math.inf,) + z[slot + 1:]
         cut = _STEP_TIME_DECADES / dfield.htype.k_float
     else:
-        flat.append(gap)
         cut = _STEP_DECADES
     if stop is not None:
-        return _mk_traj(dfield, [], flat, stop, 0, 0)
+        return _mk_traj(dfield, len(z), [], flat, stop, 0, 0)
 
     k1 = dfield.state_derivative(z)
     step = dfield.step
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     tau_max, max_step = ctl.tau_max, ctl.max_step
-    floor = ctl.horizon_eps + 1e-14
-    v = dfield.gap_level(z, gap, floor)
+    v = dfield.gap_level(z)
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0
@@ -282,8 +276,7 @@ def integrate(
             h = tau_max - tau
             tau_end = tau_max
         try:
-            out = step(z, k1, h, tau, tau_end, v, flat, atol, rtol, max_step,
-                       floor)
+            out = step(z, k1, h, tau, tau_end, v, flat, atol, rtol, max_step)
         except DomainError:
             out = None
         if out is None:  # a stage left the domain, or a non-finite result
@@ -303,7 +296,7 @@ def integrate(
         tau = tau_end
         stop = _stop(guard, gap, tau, ctl)
         if stop is not None:
-            return _mk_traj(dfield, chunks, flat, stop, n_accepted,
+            return _mk_traj(dfield, len(z), chunks, flat, stop, n_accepted,
                             n_rejected)
         if len(flat) >= limit:
             chunks.append(np.array(flat))
@@ -334,15 +327,14 @@ def _stop(guard, gap, tau, ctl):
     return None
 
 
-def _mk_traj(dfield, chunks, flat, stop, n_accepted, n_rejected):
+def _mk_traj(dfield, dim, chunks, flat, stop, n_accepted, n_rejected):
     """The trajectory of the samples in ``chunks``, then ``flat``, each as
-    ``integrate`` records it."""
-    dim = dfield.n if dfield.nonautonomous else dfield.n + 1
+    ``integrate`` records it: its state of ``dim`` slots, tau and time
+    increment."""
     rows = np.array(flat, dtype=float)
     if chunks:
         rows = np.concatenate(chunks + [rows])
-    parabolic = dfield.gap_slot == dfield.n
-    rows = rows.reshape(-1, dim + 2 + parabolic)
+    rows = rows.reshape(-1, dim + 2)
     # copies lay each array out as when it was built from its own list, so
     # the fits' NumPy reductions see the same strides and give the same bits
     path = rows[:, :dim].copy()
@@ -350,8 +342,8 @@ def _mk_traj(dfield, chunks, flat, stop, n_accepted, n_rejected):
         dfield=dfield,
         taus=rows[:, dim].copy(),
         coords=path[:, :dfield.n],
-        ts=path[:, 0 if dfield.nonautonomous else dfield.n],
-        gaps=rows[:, dim + 2 if parabolic else dfield.gap_slot].copy(),
+        ts=path[:, 0 if dfield.nonautonomous else dim - 1],
+        gaps=rows[:, dfield.gap_slot].copy(),
         dts=rows[:, dim + 1].copy(),
         stop_reason=stop,
         n_accepted=n_accepted,

@@ -1275,16 +1275,22 @@ def test_example_run_does_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "out" / "run_000.csv").exists()
 
 
-@pytest.mark.parametrize("callers, kept", [(None, "1"), ("2", "2")])
-def test_import_sets_openblas_threads_unless_the_caller_did(callers, kept):
+@pytest.mark.parametrize("callers, blas_threads", [(None, "1"), ("2", "2")])
+def test_import_sets_openblas_threads_unless_the_caller_did(callers, blas_threads):
     # every matrix the package factors is a small (n+1) x (n+1): a BLAS
-    # thread pool would only cost start-up time and idle threads
+    # thread pool would only cost start-up time and idle threads.  The
+    # default holds while NumPy loads, when OpenBLAS reads it, and leaves
+    # the environment as it was, so a child that does not import
+    # horizon_lab sees the caller's value or none
     script = (
-        "import os\n"
+        "import os, subprocess, sys\n"
         "import horizon_lab\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
         "if os.path.isdir('/proc/self/task'):\n"
         "    print(len(os.listdir('/proc/self/task')))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "child = \"import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))\"\n"
+        "print(subprocess.run([sys.executable, '-c', child],\n"
+        "                     capture_output=True, text=True).stdout.strip())\n"
     )
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -1299,10 +1305,11 @@ def test_import_sets_openblas_threads_unless_the_caller_did(callers, kept):
     )
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.split()
-    assert out[0] == kept
-    if callers is None and len(out) > 1:
+    # the importer's environment and its child's: the caller's value or none
+    assert out[-2:] == [str(callers)] * 2
+    if callers is None and len(out) > 2:
         # Linux: the main thread alone, no OpenBLAS worker
-        assert out[1] == "1"
+        assert out[0] == blas_threads
 
 
 def test_app_freezes_the_heap_once_and_main_never(tmp_path, monkeypatch):

@@ -523,7 +523,7 @@ def test_domain_failure_raises_after_a_cache_hit():
         df.jacobian(bad)
     with pytest.raises(DomainError, match="in a step"):
         df.step(bad, [0.0, 0.0, 0.0], 0.1, 0.0, 0.1, math.nan, [], 1e-12, 1e-10,
-                math.inf, 1e-12)
+                math.inf)
 
 
 @pytest.mark.parametrize("name", ["kk_dafermos", "mems", "selfsimilar"])
@@ -548,16 +548,26 @@ def test_state_derivative_is_the_field_in_ln_s(name):
 
 @pytest.mark.parametrize("name", sorted(_PARABOLIC))
 def test_parabolic_state_derivative_is_rhs_values_cut(name):
-    # on the parabolic chart the state is the coordinates (then t for an
-    # autonomous field): its derivative is rhs_values cut to the state's
-    # slots, bit for bit, from the generated _deriv
+    # on the parabolic chart the state is the coordinates, then W, then t
+    # for an autonomous field.  At W = 1 - P(x), formed as rhs_values forms
+    # it, the generated _deriv gives the coordinates and t rhs_values' own
+    # derivatives, bit for bit, and W the slot's rate -G W, which there is
+    # -dP/dtau = -grad P . g
     df = _PARABOLIC[name]()
+    n, i_alpha = df.n, df.htype.i_alpha
+    tb = [int(v) for v in 2 * df.htype.beta_full()]
     assert "def _deriv(" in df.source_code
     rng = np.random.default_rng(4)
     for _ in range(50):
-        x = rng.uniform(-0.6, 0.6, size=df.n)
-        state = tuple(x) if df.nonautonomous else (*x, 0.5)
-        assert df.state_derivative(state) == df.rhs_values(x)[:len(state)]
+        x = rng.uniform(-0.6, 0.6, size=n).tolist()
+        w = 1.0 - sum(x[j] ** tb[j] for j in i_alpha)  # as rhs_values forms W
+        state = (*x, w) if df.nonautonomous else (*x, w, 0.5)
+        got, g = df.state_derivative(state), df.rhs_values(x)
+        assert got[:n] == g[:n] and got[n + 1:] == g[n:len(state) - 1]
+        # relative to the terms' magnitude, which the sum may cancel
+        terms = [tb[j] * x[j] ** (tb[j] - 1) * g[j] for j in i_alpha]
+        scale = sum(map(abs, terms)) + abs(got[n])
+        assert abs(got[n] + sum(terms)) <= 1e-13 * scale
 
 
 def test_gap_slot_keys_the_horizon_gap():
@@ -580,10 +590,10 @@ def test_gap_slot_keys_the_horizon_gap():
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("kk_dafermos", "02bd75bd286f265fd14d68f314525c5ef25d5871d8df2143706de6a69602cd7a"),
-        ("mems", "20e599f8292a4a6edadf2da92a8109e043200d2b317ab36165236ec61633d54c"),
-        ("painleve1", "69061390c85537e2226c200f51bfc9fb69f199d3674ceec0b2ebac9d5405ae38"),
-        ("selfsimilar", "5df40fd7d9d24c76d90991a27c8019649353d9f3b056b0b145bc3a928cc56a98"),
+        ("kk_dafermos", "a8d8bc08db626ba5ae058c6b4251c2b1be362334d83b6dae62e5b5eaef07b9be"),
+        ("mems", "a5eb3e2770fa194ae012dd7877f427157babc5e800cf3eca9649319812317128"),
+        ("painleve1", "20ea3155c4d9666545f806cf47caa2d23cff21185c2173aaa2b7ac09de738958"),
+        ("selfsimilar", "c29b93341fd6902d6ed6667c17156216bd0dc3c981686d4cbe8213f16b6cf992"),
     ],
     ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],
 )
@@ -592,7 +602,7 @@ def test_example_source_code_is_pinned(name, digest):
     of the term algebra or of the emitter must keep it byte for byte.
     The cases are named by example alone, so a deliberate change of the
     emitted code updates a digest without renaming its case.
-    painleve1's pin also guards the parabolic chart's step against the
-    directional charts' ln s form."""
+    painleve1's pin also guards the parabolic chart's step, with its W
+    slot, against the directional charts' ln s form."""
     code = build_field_from_config(make_example(name)).source_code
     assert hashlib.sha256(code.encode("utf-8")).hexdigest() == digest

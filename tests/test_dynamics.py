@@ -1,6 +1,7 @@
 """Integration, stop conditions, equilibrium finding and spectral analysis."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -316,13 +317,15 @@ def _sample(dfield, state):
 
 
 def _py_gap(dfield, state):
-    """The horizon gap in the generated code's arithmetic (Python's **)."""
-    if _ln_split(dfield) is not None:
-        return math.exp(state[dfield.gap_slot])
-    two_beta = 2 * dfield.htype.beta_full()
-    return 1.0 - _fold(
-        state[j] ** int(two_beta[j]) for j in dfield.htype.i_alpha
-    )
+    """The horizon gap of a step state: its W, or exp(L) for its L = ln s."""
+    gap = state[dfield.gap_slot]
+    return gap if _ln_split(dfield) is None else math.exp(gap)
+
+
+def _dim(dfield):
+    """Slots of a step state: the coordinates, W on the parabolic chart,
+    then t for an autonomous field."""
+    return dfield.n + (_ln_split(dfield) is None) + (not dfield.nonautonomous)
 
 
 def _reference_rhs(dfield):
@@ -420,27 +423,30 @@ def _reference_extra_stages(st):
 _LEVEL = 1.0 / math.log(10.0)
 
 
-def _width(dfield):
-    """Floats per recorded sample: the state, tau, the time increment and,
-    on the parabolic chart, W."""
-    dim = dfield.n if dfield.nonautonomous else dfield.n + 1
-    return dim + (2 if _ln_split(dfield) else 3)
-
-
 def _rows(dfield, flat):
-    """A flat sample list as (sample state, gap) pairs."""
-    w, split = _width(dfield), _ln_split(dfield)
-    rows = [tuple(flat[i:i + w]) for i in range(0, len(flat), w)]
-    dim = w - (2 if split else 3)
-    return [(r[:dim], r[split[0]] if split else r[-1]) for r in rows]
+    """A flat sample list (each sample its state, tau and time increment)
+    as (sample state, gap) pairs."""
+    dim = _dim(dfield)
+    rows = [tuple(flat[i:i + dim + 2]) for i in range(0, len(flat), dim + 2)]
+    return [(r[:dim], r[dfield.gap_slot]) for r in rows]
+
+
+class _Samples(list):
+    """A step's sample list that fails, in place of hanging, once a call
+    has recorded a million floats: a re-sampling loop that never settles
+    grows it without end."""
+
+    def __iadd__(self, floats):
+        super().__iadd__(floats)
+        assert len(self) <= 10**6, "the step kept re-sampling"
+        return self
 
 
 def _call_step(df, z, k1, h, atol=1e-12, rtol=1e-10, max_step=math.inf,
-               lv=math.nan, floor=1e-12 + 1e-14):
+               lv=math.nan):
     """One call of a field's step from tau = 0, as (result, samples)."""
-    out = []
-    return df.step(tuple(z), k1, h, 0.0, h, lv, out, atol, rtol, max_step,
-                   floor), out
+    out = _Samples()
+    return df.step(tuple(z), k1, h, 0.0, h, lv, out, atol, rtol, max_step), out
 
 
 def _reference_step(dfield):
@@ -451,17 +457,21 @@ def _reference_step(dfield):
     counts the coefficient sets it forms (``formed``) and the times it
     evaluates the dense output (``evaluated``)."""
     split = _ln_split(dfield)
-    t_slot = 0 if dfield.nonautonomous else dfield.n
+    t_slot = 0 if dfield.nonautonomous else _dim(dfield) - 1
 
-    def level(state, gap, floor):
+    def level(state):
         if split is not None:
             return state[split[0]] * _LEVEL
-        return math.log10(gap) if gap > floor else math.nan
+        gap = state[dfield.gap_slot]
+        return math.log10(gap) if gap >= sys.float_info.min else math.nan
 
-    def record(out, state, tau, dt, gap):
+    def flips(z, state):
+        """Whether W changed sign from the step's start ``z``."""
+        w = dfield.gap_slot
+        return split is None and (state[w] < 0.0) != (z[w] < 0.0)
+
+    def record(out, state, tau, dt):
         out += _sample(dfield, state) + (tau, dt)
-        if split is None:
-            out.append(gap)
 
     def stages(z, k1, h, atol, rtol):
         dim = len(z)
@@ -476,7 +486,7 @@ def _reference_step(dfield):
         s3 = _fold(q * q for q in v)
         den = s5 + 0.01 * s3
         xs = list(_sample(dfield, x))
-        if not all(map(math.isfinite, xs + [den])):
+        if not all(map(math.isfinite, xs + [den])) or flips(z, x):
             return None
         err = h * s5 / (math.sqrt(den) * math.sqrt(dim)) if den > 0.0 else 0.0
         return st, d, x, err, max(abs(v) for v in xs)
@@ -508,18 +518,17 @@ def _reference_step(dfield):
             if split is not None:
                 polys[t_slot] = polys[t_slot] + st.shift(state)
                 state[t_slot] = z[t_slot] + polys[t_slot]
-            out.append((state, polys[t_slot], _py_gap(dfield, state)))
+            out.append((state, polys[t_slot]))
         return out
 
-    def step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step, floor):
+    def step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step):
         res = stages(z, k1, h, atol, rtol)
         if res is None:
             return None
         st, d, x, err, guard = res
         if err > 1.0:
             return err
-        gap = _py_gap(dfield, x)
-        lv1 = level(x, gap, floor)
+        lv1 = level(x)
         m = math.ceil(h / max_step)
         if abs(lv1 - lv) > 0.1:
             m = max(m, math.ceil(abs(lv1 - lv) / 0.1))
@@ -532,7 +541,9 @@ def _reference_step(dfield):
             while True:
                 fills = dense(z, st, cs, [j / m for j in range(1, m)])
                 step.evaluated += 1
-                levels = [lv] + [level(s, g, floor) for s, _, g in fills] + [lv1]
+                if any(flips(z, s) for s, _ in fills):
+                    return None
+                levels = [lv] + [level(s) for s, _ in fills] + [lv1]
                 worst = max([0.0] + [
                     abs(b - a) for a, b in zip(levels, levels[1:])
                     if not math.isnan(b - a)
@@ -541,11 +552,11 @@ def _reference_step(dfield):
                     break
                 m = math.ceil(m * worst / 0.1) + 1
         dt_prev = 0.0
-        for j, (state, dt, g) in enumerate(fills, start=1):
-            record(out, state, tau + h * (j / m), dt - dt_prev, g)
+        for j, (state, dt) in enumerate(fills, start=1):
+            record(out, state, tau + h * (j / m), dt - dt_prev)
             dt_prev = dt
-        record(out, x, tau_end, d[t_slot] - dt_prev, gap)
-        return tuple(x), err, tuple(st.ks[12]), guard, gap, lv1
+        record(out, x, tau_end, d[t_slot] - dt_prev)
+        return tuple(x), err, tuple(st.ks[12]), guard, _py_gap(dfield, x), lv1
 
     step.formed = step.evaluated = 0
     return step
@@ -689,7 +700,7 @@ def test_generated_step_raises_domain_error_like_rhs_values(chi_power, chi):
     with pytest.raises(DomainError):
         df.rhs_values([chi, 0.5])
     with pytest.raises(DomainError):
-        _call_step(df, [chi, 0.5, 0.0], [0.0, 1.0, 1.0], 1e-3)
+        _call_step(df, [chi, 0.5, 0.75, 0.0], [0.0, 1.0, 1.0, 1.0], 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -705,8 +716,8 @@ def test_generated_step_flags_non_finite_results(k1_chi, h, atol, rtol):
     # reference rejects it, and records nothing.
     fs = FieldSpec(variable_names=("chi", "y"), components=((), (m(1.0, 0, 2),)))
     df = build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=1))
-    z = (0.5, 0.1, 0.0)
-    k1 = [k1_chi] + list(df.rhs_values(z[:2]))[1:]
+    z = (0.5, 0.1, 0.99, 0.0)
+    k1 = [k1_chi] + list(df.state_derivative(z))[1:]
     assert _call_step(df, z, k1, h, atol, rtol) == (None, [])
     _use_reference(df)
     assert _call_step(df, z, k1, h, atol, rtol) == (None, [])
@@ -738,16 +749,21 @@ def test_dense_output_matches_scipy(name):
     # the step records at theta = j/m, m = 20 here or more, whose dense
     # output forms its coefficients in another order; on a directional
     # chart it interpolates L = ln s, whose s the step records, and the
-    # split time slot u, to which (s**k - s0**k) q adds the rest of t
+    # split time slot u, to which (s**k - s0**k) q adds the rest of t.  On
+    # the parabolic chart a step near the horizon is shorter: there the
+    # state's distance from P + W = 1 decays 2c = 12 times faster than W,
+    # and a step of 1 leaves DOP853's stability region
     b = make_example(name)
     df = build_field_from_config(b)
     split = _ln_split(df)
     run = b.runs[0]
     coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
     traj = integrate(df, coords, t0=run.t0)
-    dim = len(coords) + (0 if df.nonautonomous else 1)
-    for z, h in ((traj.coords[len(traj.taus) // 3], 0.1), (traj.coords[-5], 1.0)):
-        z = list(z) if df.nonautonomous else list(z) + [0.25]
+    dim = _dim(df)
+    for i, h in ((len(traj.taus) // 3, 0.1), (-5, 0.3 if split is None else 1.0)):
+        z = list(_path(df, traj)[i])
+        if not df.nonautonomous:
+            z[-1] = 0.25
         if split is not None:
             z[split[0]] = math.log(z[split[0]])
         k1 = _reference_rhs(df)(z)
@@ -809,9 +825,12 @@ def _recorded_run(name, controls):
 def _path(df, traj):
     """The trajectory's samples as integrator states, but with s in place
     of L = ln s on a directional chart (``_sample``)."""
-    if df.nonautonomous:
-        return [tuple(c) for c in traj.coords]
-    return [tuple(c) + (t,) for c, t in zip(traj.coords, traj.ts)]
+    cols = [traj.coords]
+    if _ln_split(df) is None:
+        cols.append(traj.gaps[:, None])
+    if not df.nonautonomous:
+        cols.append(traj.ts[:, None])
+    return [tuple(row) for row in np.hstack(cols).tolist()]
 
 
 @pytest.mark.parametrize("max_step", [0.2, 0.05, math.inf])
@@ -824,15 +843,13 @@ def test_sampling_contract(name, max_step):
     assert len(ends) == traj.n_accepted
     pos = [path.index(tuple(e), 1) for e in ends]
     assert pos == sorted(pos) and pos[-1] == len(path) - 1
-    # consecutive samples: at most max_step apart in tau and at most 0.1
-    # decade apart in the stored gap, on the parabolic chart only above
-    # the stop threshold
+    # consecutive samples: at most max_step apart in tau and, where both
+    # gaps are positive, at most 0.1 decade apart in the stored gap
     assert np.max(np.diff(traj.taus)) <= max_step + 1e-12
     gaps = traj.gaps
-    floor = controls.horizon_eps + 1e-14 if _ln_split(df) is None else 0.0
-    both = (gaps[1:] > floor) & (gaps[:-1] > floor)
-    decades = np.abs(np.diff(np.log10(np.where(gaps > floor, gaps, 1.0))))
-    assert np.max(decades[both]) <= 0.1 + 1e-12
+    both = (gaps[1:] > 0.0) & (gaps[:-1] > 0.0)
+    decades = np.abs(np.diff(np.log10(np.where(gaps > 0.0, gaps, 1.0))))
+    assert both.all() and np.max(decades[both]) <= 0.1 + 1e-12
     # the time increments add up to the elapsed time
     assert math.fsum(traj.dts) == pytest.approx(traj.ts[-1] - traj.ts[0],
                                                 rel=1e-12)
@@ -887,20 +904,19 @@ def test_chunked_trajectory_equals_unchunked(monkeypatch):
 def _generated_gap(df, state):
     # with h = 0 every stage point is the state itself, so the step returns
     # the gap its own arithmetic gives there
-    k1 = df.rhs_values(state[:df.n])[:df.n]
-    return _call_step(df, state, k1, 0.0)[0][4]
+    return _call_step(df, state, df.state_derivative(state), 0.0)[0][4]
 
 
 def _states_near_gap(df, target):
-    """Painleve1 states whose gap lies within a few ulps of ``target``,
-    as (state, generated gap, NumPy gap) triples."""
+    """Painleve1 step states whose W slot lies within a few ulps of
+    ``target``, each way, as (state, generated gap) pairs."""
     rng = np.random.default_rng(5)
     out = []
-    for x2 in rng.uniform(0.1, 0.9, size=300):
+    for x2 in rng.uniform(0.1, 0.9, size=30):
         x1 = ((1.0 - target) - x2**4) ** (1 / 6)
         for k in range(-4, 5):
-            state = np.array([0.5, x1 + k * np.spacing(x1), x2])
-            out.append((state, _generated_gap(df, state), df.horizon_gap(state)))
+            state = (0.5, x1, x2, target + k * np.spacing(target))
+            out.append((state, _generated_gap(df, state)))
     return out
 
 
@@ -908,23 +924,19 @@ def _states_near_gap(df, target):
     "threshold", [1e-12, -_DOMAIN_SLACK], ids=["horizon_eps", "domain_slack"]
 )
 def test_parabolic_stop_decision_is_the_steps(threshold):
-    # the generated step computes W with Python's `**`, the chart with
-    # NumPy's power, and the two differ in the last bit now and then: at a
-    # threshold integrate decides on the step's gap and stores that one
+    # the step returns its new state's W slot as the gap: at a threshold
+    # integrate decides on that gap and stores that one.  Each step below
+    # stays at one state, from that state's own gap level
     df = build_field_from_config(painleve1())
     states = _states_near_gap(df, threshold)
-    straddling = [
-        (state, g_step) for state, g_step, g_np in states
-        if (g_step < threshold) != (g_np < threshold)
-    ]
-    assert straddling, "no state where the two gaps straddle the threshold"
-    chosen = straddling + [(st, g_step) for st, g_step, _ in states[::40]]
+    assert {g < threshold for _, g in states} == {True, False}
+    assert all(g == state[-1] for state, g in states)
     real_step = df.step
     start = embed(df.chart, np.array([0.0, 10.0, 80.0])).coords
-    for state, g_step in chosen:
+    for state, g_step in states[::3]:
         object.__setattr__(
-            df, "step", lambda z, k1, h, tau, *rest, s=tuple(state):
-            real_step(s, k1, 0.0, tau, *rest)
+            df, "step", lambda z, k1, h, tau, tau_end, lv, *rest, s=state:
+            real_step(s, k1, 0.0, tau, tau_end, df.gap_level(s), *rest)
         )
         traj = integrate(df, start, controls=IntegratorControls(tau_max=1.0))
         if g_step < -_DOMAIN_SLACK:
@@ -935,6 +947,73 @@ def test_parabolic_stop_decision_is_the_steps(threshold):
             want = TAU_EXHAUSTED
         assert traj.stop_reason == want
         assert traj.gaps[-1] == g_step
+
+
+def _fast_decay_field():
+    # t' = 1, y' = 1.26 t y^4 on the parabolic chart (k = 3): from t = -537
+    # W falls through the whole float range within about one unit of tau
+    fs = FieldSpec(
+        variable_names=("t", "y"),
+        components=((m(1.0, 0, 0),), (m(1.257144044008007, 1, 4),)),
+        nonautonomous=True,
+    )
+    return build_parabolic_desing(fs, HomogeneityType(alpha=(0, 1), k=3))
+
+
+def test_parabolic_step_keeps_the_sign_of_w():
+    # W = 0 is invariant, so a step whose W changes sign, at its end or at
+    # a sample, is rejected like a non-finite one and records nothing; far
+    # below the absolute tolerance nothing else bounds such a step.  The
+    # list reference rejects it too
+    for reference in (False, True):
+        df = _fast_decay_field()
+        if reference:
+            _use_reference(df)
+        for w in (6.4e-296, -6.4e-296):
+            z = (-537.3183714954172, -1.0, w)
+            for h in (1.0, 0.01):
+                got = _call_step(df, z, df.state_derivative(z), h,
+                                 max_step=5e-4, lv=df.gap_level(z))
+                assert got == (None, []), (reference, w, h)
+
+
+def test_subnormal_w_has_no_gap_level():
+    # a subnormal W moves in steps of 5e-324, more than 0.1 decade apart
+    # near the bottom, so no m could space its samples by the gap: they
+    # carry no level, and max_step alone spaces them
+    df = _fast_decay_field()
+    z = (-537.3183714954172, -1.0, 2e-323)
+    assert math.isnan(df.gap_level(z))
+    h = 8.8e-4
+    res, out = _call_step(df, z, df.state_derivative(z), h, max_step=h / 20,
+                          lv=df.gap_level(z))
+    rows = _rows(df, out)
+    assert len(rows) == 20 and math.isnan(res[5])
+    assert all(0.0 < gap < sys.float_info.min for _, gap in rows)
+
+
+def test_w_through_the_subnormals_ends(monkeypatch):
+    # without the two rules above this run's step resampled forever, once
+    # at a subnormal W and once at a W that had crossed zero
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 3000)
+    df = _fast_decay_field()
+    real_step = df.step
+
+    def bounded(z, k1, h, tau, tau_end, lv, out, *controls):
+        mine = _Samples()
+        try:
+            return real_step(z, k1, h, tau, tau_end, lv, mine, *controls)
+        finally:
+            out += mine
+
+    object.__setattr__(df, "step", bounded)
+    coords = embed(df.chart, np.array([-537.3183714995096, -49.40441437057941]))
+    controls = IntegratorControls(tau_max=30.0, horizon_eps=0.0)
+    try:
+        traj = integrate(df, coords.coords, controls=controls)
+    except StepFailure:
+        return
+    assert traj.stop_reason in (TAU_EXHAUSTED, LEFT_DOMAIN, DIVERGED)
 
 
 @pytest.mark.parametrize("name", example_names())
