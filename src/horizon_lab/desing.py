@@ -37,7 +37,14 @@ so a step costs one call.
 The step's state carries the horizon gap in slot ``gap_slot`` at the rate
 ``gap_rate``.  On the parabolic chart that is W, dW/dtau = -G W (since
 dP/dtau = G W where P + W = 1), so W = 0 is invariant; rhs_values forms W
-= 1 - P from the coordinates.  On a directional chart it is L = ln s,
+= 1 - P from the coordinates.  A state off the surface P + W = 1 lies
+outside the flow, so the step's coordinate rates there are free: each
+weighted slot gains F G D alpha_i x_i, F = (2c - 1)/(2c) and D = P + W -
+1, which vanishes on the surface and slows D' from -2c G D to G D ((2c -
+1) P - 2c), about the gap's own -G D near the horizon, so that DOP853's
+stability no longer sizes the steps there.  A stage binds G and Gs = G (1
+- F D) once and reads them in every weighted slot and in W's -G W.  On a
+directional chart it is L = ln s,
 dL/dtau = -(sign/alpha_i0) f^_i0, ds/dtau's terms with s's power lowered
 by one; a stage binds s = exp(L) and its powers from it, so an error in L
 is a relative error in the gap and s = 0 is L = -inf.  The time factor
@@ -192,6 +199,7 @@ class _Emitter:
         self.i_alpha = i_alpha
         self.gap_slot = gap_slot
         self.needs_clamp = False
+        self.step_locals: list = []  # (symbol, template): G, Gs
         self.used = set()  # the slots the emitted expressions read
         self.powers: Dict[str, Tuple[str, str]] = {}
         self.texts: Dict[str, str] = {}  # power name -> text
@@ -248,14 +256,22 @@ class _Emitter:
             self.power(f"x{j}", int(self.two_beta[j])) for j in self.i_alpha
         )
 
+    def clamp(self, indent: str) -> list:
+        """The (symbol, line) pair binding W's clamp, where a term needs it."""
+        n = self.n
+        return [(f"x{n}c", f"{indent}x{n}c = x{n} if x{n} > 0.0 else 0.0")
+                ] if self.needs_clamp else []
+
     def derived(self, indent: str, state: bool = True) -> list:
         """(symbol, template) pairs binding W's clamp, after W = 1 - P
-        where W is no ``state`` slot but formed from the coordinates."""
+        where W is no ``state`` slot but formed from the coordinates, and
+        before the ``step_locals`` where it is."""
         n, lines = self.n, []
         if self.parabolic and not state:
             lines.append((f"x{n}", f"{indent}x{n} = 1.0 - ({self.horizon_poly()})"))
-        if self.needs_clamp:
-            lines.append((f"x{n}c", f"{indent}x{n}c = x{n} if x{n} > 0.0 else 0.0"))
+        lines += self.clamp(indent)
+        if state:
+            lines += [(sym, f"{indent}{sym} = {t}") for sym, t in self.step_locals]
         return lines
 
     def preamble(self, state: bool = False) -> str:
@@ -502,10 +518,13 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     running times.  Where a sample's s fails to evaluate, the step removes
     its samples and raises DomainError.
 
-    ``templates`` are ``em``'s templates of the field's n components, with
-    the gap slot's rate (-G W, or dL/dtau) in slot ``gap_slot``, then the
-    time factor, t's derivative; the state has their ``dim`` slots (all
-    but the time factor when the field is nonautonomous).  A stage
+    ``templates`` are ``em``'s templates of the step's n coordinate rates
+    (``_stabilized`` on the parabolic chart), with the gap slot's rate
+    (-G W, or dL/dtau) in slot ``gap_slot``, then the time factor, t's
+    derivative; the state has their ``dim`` slots (all but the time factor
+    when the field is nonautonomous).  Every stage, the dense output's
+    too, binds ``em.derived``'s locals (W's clamp, G, Gs) after its
+    coordinates, as ``_deriv`` does.  A stage
     evaluates each distinct expression once and copies it where a
     sum reads the copy (the time factor of a nonautonomous field equals
     component 0 and no sum reads it), and each distinct power once: a power
@@ -771,18 +790,55 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     return "\n".join(lines) + "\n"
 
 
-def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
+def _stabilized(em: _Emitter, htype: HomogeneityType,
+                components: Tuple[Poly, ...], gap_rate: Poly) -> list:
+    """The templates of a parabolic step's coordinate rates, then W's -G W.
+
+    Component i's -alpha_i x_i G reads -alpha_i x_i Gs, Gs = G (1 - F D),
+    with G = -gap_rate / W and Gs bound as ``em.step_locals``: the rate
+    gains F G D alpha_i x_i (module docstring).  Since grad P . Lambda x =
+    2c P, D' = G D ((2c - 1) P - 2c).
+    """
+    n, tc = em.n, 2 * htype.c
+    G = _pscale(_pmul_var(gap_rate, n, -1), -1.0)
+    em.used.update(htype.i_alpha + (n,))
+    deviation = f"({em.horizon_poly()}) - 1.0 + x{n}"
+    em.step_locals = [
+        ("G", em.poly(G)),
+        ("Gs", f"G * (1.0 - {_fmt_float((tc - 1) / tc)} * ({deviation}))"),
+    ]
+    rates = []
+    for i, p in enumerate(components):
+        ai = htype.alpha[i]
+        if not ai:
+            rates.append(em.poly(p))
+            continue
+        # q f~_i, the component less its -alpha_i x_i G: exact, but within
+        # one rounding where a monomial of q f~_i met one of that term
+        rest = dict(p)
+        for key, coeff in _pmul_var(_pscale(G, float(ai)), i, 1).items():
+            _padd(rest, key, coeff)
+        gs = em.term(tuple(int(j == i) for j in range(n + 1)), -float(ai)) + "*Gs"
+        rates.append(f"{em.poly(rest)} - {gs[1:]}" if rest else gs)
+    return rates + [f"-G*x{n}"]
+
+
+def _compile_field(htype: HomogeneityType, gap_slot: int,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    gap_rate: Poly, jac_rows: Tuple[Tuple[Poly, ...], ...],
                    nonautonomous: bool, horizon: Tuple[Poly, ...],
                    free: Tuple[int, ...]):
-    em = _Emitter(n, two_beta, i_alpha, gap_slot)
+    n = htype.n
+    em = _Emitter(n, 2 * htype.beta_full(), htype.i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
     exprs = [em.inline(t) for t in templates]
     # the step's state derivative: the gap's rate in the gap's slot, which
     # on a directional chart takes the place of ds/dtau
-    templates[gap_slot:gap_slot + (gap_slot < n)] = [em.poly(gap_rate)]
+    if em.parabolic:
+        templates[:n] = _stabilized(em, htype, components, gap_rate)
+    else:
+        templates[gap_slot] = em.poly(gap_rate)
     # preambles emitted last: clamping needs are discovered while emitting
     pre = em.preamble()
     g_body = ",\n        ".join(exprs)
@@ -790,7 +846,7 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
         "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
         for row in jac_exprs
     )
-    clamp = "".join(f"{t}\n" for _, t in em.derived("    "))
+    clamp = "".join(f"{t}\n" for _, t in em.clamp("    "))
     parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
@@ -801,7 +857,8 @@ def _compile_field(n: int, two_beta, i_alpha, gap_slot: int, k: float,
     d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
     parts += (f"def _deriv(z):\n{em.preamble(state=True)}\n"
               f"    return (\n        {d_body},\n    )\n",)
-    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else dim - 1, k),)
+    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else dim - 1,
+                           htype.k_float),)
     hsrc = _emit_horizon(em, horizon, free)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
@@ -849,7 +906,9 @@ class DesingField:
 
     ``step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step)`` is the
     field's compiled DOP853 step (``_emit_dop853``), and this module owns
-    the sampling rule it carries out.  From state ``z`` (the coordinates,
+    the sampling rule it carries out.  On the parabolic chart a weighted
+    slot's rate gains F G D alpha_i x_i, which vanishes on P + W = 1
+    (``_stabilized``).  From state ``z`` (the coordinates,
     with ln s in place of s on a directional chart, then W on the
     parabolic one, then t for an autonomous field) and its derivative
     ``k1`` (``state_derivative``) it returns None for a non-finite result
@@ -899,11 +958,8 @@ class DesingField:
         rows = tuple(i for i, p in enumerate(horizon) if p)
         free = tuple(i for i in self.htype.i_alpha if i != gap_slot)
         compiled = _compile_field(
-            self.n,
-            2 * self.htype.beta_full(),
-            self.htype.i_alpha,
+            self.htype,
             gap_slot,
-            self.htype.k_float,
             self.components,
             self.time_factor,
             self.gap_rate,
@@ -964,7 +1020,8 @@ class DesingField:
         on a directional chart, then W on the parabolic one, then t for an
         autonomous field.  It comes from the step's expressions for that
         state, the gap's slot from ``gap_rate``, so a directional chart has
-        no 0/0 at s = 0 (L = -inf)."""
+        no 0/0 at s = 0 (L = -inf), and with the step's F G D alpha_i x_i
+        on the parabolic chart."""
         try:
             return self._deriv(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:

@@ -172,7 +172,11 @@ class Trajectory:
 
 
 # on the parabolic chart, the next step is cut so that, at the decay rate
-# of this one, it changes W by at most this many decades (a factor of 2)
+# of this one, it changes W by at most this many decades (a factor of 2),
+# h G <= 0.69.  The step's deviation from P + W = 1 decays at about G, not
+# 2c G, so this cut, not DOP853's stability (h |eigenvalue| <= 6.39), sizes
+# the steps near the horizon: on painleve1 the fastest rate left is the
+# sink's 6 G, which allows h G up to 1.07
 _STEP_DECADES = 0.3
 # on a directional chart, so that the time factor s**k changes by at most
 # this many decades: a sample's time increment is a difference of the
@@ -214,7 +218,10 @@ def integrate(
     next step is cut so that, at this step's rate, it moves W by at most
     0.3 decade: near the horizon W falls below the absolute tolerance, and
     without the cut the controller would grow the steps until W, which the
-    fits read on a log scale, lost its relative accuracy.  An ln s slot
+    fits read on a log scale, lost its relative accuracy.  The step's field
+    lets the deviation from P + W = 1 decay at about W's own rate
+    (``DesingField.step``), so there the cut, not the stability of DOP853,
+    sizes the steps.  An ln s slot
     keeps that accuracy itself, and the step's split time slot keeps the
     time increments'; there the cut only keeps the time factor s**k within
     4 decades per step, since a sample's time increment is a difference of

@@ -546,16 +546,34 @@ def test_state_derivative_is_the_field_in_ln_s(name):
     assert np.all(np.isfinite(df.state_derivative(tuple(state))))
 
 
+def _poly_at(p, point):
+    """A term dictionary's value at ``point``, term by term."""
+    return math.fsum(
+        c * math.prod(v ** e for v, e in zip(point, key)) for key, c in p.items()
+    )
+
+
+def _reference_g(df):
+    """G as a term dictionary: gap_rate is -G W, so each term loses one W."""
+    n = df.n
+    return {key[:n] + (key[n] - 1,): -c for key, c in df.gap_rate.items()}
+
+
 @pytest.mark.parametrize("name", sorted(_PARABOLIC))
 def test_parabolic_state_derivative_is_rhs_values_cut(name):
     # on the parabolic chart the state is the coordinates, then W, then t
     # for an autonomous field.  At W = 1 - P(x), formed as rhs_values forms
-    # it, the generated _deriv gives the coordinates and t rhs_values' own
-    # derivatives, bit for bit, and W the slot's rate -G W, which there is
-    # -dP/dtau = -grad P . g
+    # it, the generated _deriv gives the weight-0 slots and t rhs_values'
+    # own derivatives, bit for bit, and W the slot's rate -G W, which there
+    # is -dP/dtau = -grad P . g.  A weighted slot i adds F G D alpha_i x_i,
+    # F = (2c - 1)/(2c) and D = P + W - 1, here D's rounding alone; the
+    # step groups the terms of g_i otherwise, so that slot matches to
+    # rounding relative to the terms' magnitude
     df = _PARABOLIC[name]()
-    n, i_alpha = df.n, df.htype.i_alpha
+    n, i_alpha, alpha = df.n, df.htype.i_alpha, df.htype.alpha
     tb = [int(v) for v in 2 * df.htype.beta_full()]
+    f = (2 * df.htype.c - 1) / (2 * df.htype.c)
+    g_terms = _reference_g(df)
     assert "def _deriv(" in df.source_code
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -563,11 +581,41 @@ def test_parabolic_state_derivative_is_rhs_values_cut(name):
         w = 1.0 - sum(x[j] ** tb[j] for j in i_alpha)  # as rhs_values forms W
         state = (*x, w) if df.nonautonomous else (*x, w, 0.5)
         got, g = df.state_derivative(state), df.rhs_values(x)
-        assert got[:n] == g[:n] and got[n + 1:] == g[n:len(state) - 1]
+        assert [got[i] for i in range(n) if not alpha[i]] \
+            == [g[i] for i in range(n) if not alpha[i]]
+        assert got[n + 1:] == g[n:len(state) - 1]
+        G = _poly_at(g_terms, (*x, w))
+        dev = sum(x[j] ** tb[j] for j in i_alpha) + w - 1.0
+        for i in i_alpha:
+            want = g[i] + f * G * dev * alpha[i] * x[i]
+            scale = sum(abs(_poly_at({key: c}, (*x, w)))
+                        for key, c in df.components[i].items())
+            assert abs(got[i] - want) <= 1e-14 * scale
         # relative to the terms' magnitude, which the sum may cancel
         terms = [tb[j] * x[j] ** (tb[j] - 1) * g[j] for j in i_alpha]
         scale = sum(map(abs, terms)) + abs(got[n])
         assert abs(got[n] + sum(terms)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_PARABOLIC))
+def test_parabolic_step_slows_the_deviation_to_the_gap_rate(name):
+    # off the surface P + W = 1, the deviation D = P + W - 1 of the step's
+    # state decays as D' = grad P . x' + W' = G D ((2c - 1) P - 2c), about
+    # -G D near the horizon, where the field's own flow has -2c G D
+    df = _PARABOLIC[name]()
+    n, i_alpha, tc = df.n, df.htype.i_alpha, 2 * df.htype.c
+    tb = [int(v) for v in 2 * df.htype.beta_full()]
+    g_terms = _reference_g(df)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x = rng.uniform(-0.6, 0.6, size=n).tolist()
+        p = sum(x[j] ** tb[j] for j in i_alpha)
+        w = (1.0 - p) * rng.uniform(0.3, 1.7)
+        state = (*x, w) if df.nonautonomous else (*x, w, 0.5)
+        d = df.state_derivative(state)
+        rate = sum(tb[j] * x[j] ** (tb[j] - 1) * d[j] for j in i_alpha) + d[n]
+        want = _poly_at(g_terms, (*x, w)) * (p + w - 1.0) * ((tc - 1) * p - tc)
+        assert abs(rate - want) <= 1e-12 * abs(want)
 
 
 def test_gap_slot_keys_the_horizon_gap():
@@ -592,7 +640,7 @@ def test_gap_slot_keys_the_horizon_gap():
     [
         ("kk_dafermos", "a8d8bc08db626ba5ae058c6b4251c2b1be362334d83b6dae62e5b5eaef07b9be"),
         ("mems", "a5eb3e2770fa194ae012dd7877f427157babc5e800cf3eca9649319812317128"),
-        ("painleve1", "20ea3155c4d9666545f806cf47caa2d23cff21185c2173aaa2b7ac09de738958"),
+        ("painleve1", "5592a63ea6143e54b6485920c34debcc67b29ff8639017d35cd9fc49838672e2"),
         ("selfsimilar", "c29b93341fd6902d6ed6667c17156216bd0dc3c981686d4cbe8213f16b6cf992"),
     ],
     ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],

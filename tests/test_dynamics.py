@@ -856,11 +856,11 @@ def test_sampling_contract(name, max_step):
 
 
 def test_dense_coefficients_formed_once_per_filled_step():
-    # the painleve1 example with no max_step samples some steps again at a
-    # larger m, which reuses the step's coefficients; the generated run
-    # equals, bit for bit, the list reference's, which forms one set of
-    # coefficients per filled step and evaluates more
-    controls = IntegratorControls(max_step=math.inf)
+    # the painleve1 example with no max_step and rel_tol 1e-6 samples a
+    # step again at a larger m, which reuses the step's coefficients; the
+    # generated run equals, bit for bit, the list reference's, which forms
+    # one set of coefficients per filled step and evaluates more
+    controls = IntegratorControls(max_step=math.inf, rel_tol=1e-6)
     b = make_example("painleve1")
     run = b.runs[0]
     runs = []
@@ -876,6 +876,19 @@ def test_dense_coefficients_formed_once_per_filled_step():
     filled = len(got.taus) - 1 - got.n_accepted
     assert 0 < ref.formed < filled
     assert ref.evaluated > ref.formed
+
+
+def test_parabolic_steps_are_sized_by_accuracy():
+    # the step's field slows the deviation from P + W = 1 to the gap's
+    # rate, so near the horizon DOP853's stability interval no longer
+    # rejects the steps the 0.3-decade cut allows; a deviation decaying at
+    # 2c G = 12 G costs the painleve1 example 70 accepted and 10 rejected
+    b = make_example("painleve1")
+    df = build_field_from_config(b)
+    coords = embed(df.chart, np.asarray(b.runs[0].y0, dtype=float)).coords
+    traj = integrate(df, coords, t0=b.runs[0].t0, controls=b.runs[0].controls)
+    assert traj.stop_reason == HORIZON_REACHED
+    assert traj.n_rejected <= 5 and traj.n_accepted <= 60
 
 
 def test_chunked_trajectory_equals_unchunked(monkeypatch):
