@@ -19,9 +19,9 @@ created or written raises OutputError.
 A process analyzes its runs as one block in two passes: one run at a time
 it integrates, writes the CSV and fits what does not depend on the target,
 keeping only the endpoint and the fits; then a single batched search from
-all the endpoints finds each run's target.  With ``--jobs N`` each worker
-takes one interleaved block of runs (see run_pipeline); the process pool
-is imported only when one starts.
+all the endpoints finds each run's target.  With ``--jobs N`` the process
+forks a child per interleaved block of runs but one, which it analyzes
+itself (see run_pipeline); there is no process pool to import.
 
 ``app`` is the process entry (the ``horizon-lab`` script and ``python -m
 horizon_lab``).  It freezes the import-time heap before ``main``, so the
@@ -38,6 +38,7 @@ import gc
 import logging
 import math
 import os
+import pickle
 import sys
 from pathlib import Path
 from typing import Optional, Tuple
@@ -333,22 +334,84 @@ def _analyze_block(
     return records
 
 
-_worker_state: tuple = ()
+def _fork_block(
+    config: AnalysisConfig, dfield: DesingField, indices, csv_dir: Optional[Path]
+) -> Tuple[int, int]:
+    """Fork a child that analyzes the runs ``indices`` with the field it
+    inherits; returns (pid, fd), the child and the read end of its pipe.
+
+    The child sends one pickled result down the pipe, its records or the
+    exception its block raised, and leaves through ``os._exit`` whatever
+    happens, so it never returns into its caller's frames; it exits 0 only
+    once the whole result is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = _analyze_block(config, dfield, indices, csv_dir)
+            except Exception as exc:
+                result = exc
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)  # else the parent never reads EOF
+    return pid, read_fd
 
 
-def _init_worker(config: AnalysisConfig, csv_dir: Optional[Path]) -> None:
-    """Pool initializer: keep (config, field, csv_dir) for this worker
-    process.  Compiled evaluators do not pickle, so each worker builds its
-    own field, once; a forked worker finds the compiled evaluators in the
-    cache it inherits, along with the heap ``app`` froze, and a spawned
-    one compiles them."""
-    global _worker_state
-    _worker_state = (config, build_field_from_config(config), csv_dir)
+def _join_block(pid: int, read_fd: int) -> Tuple[bytes, int]:
+    """Read the child ``pid``'s pipe to EOF and reap it: (data, exit code)."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return data, os.waitstatus_to_exitcode(status)
 
 
-def _block_in_worker(indices: range) -> list:
-    config, dfield, csv_dir = _worker_state
-    return _analyze_block(config, dfield, indices, csv_dir)
+def _analyze_blocks(
+    config: AnalysisConfig, dfield: DesingField, blocks, csv_dir: Optional[Path]
+) -> list:
+    """The records of every block, sorted by run index: one forked child
+    per block but the first, which this process analyzes itself while the
+    children run.
+
+    Every child is read and reaped before anything is raised, an error of
+    this process's own block included.  That error comes first; else, of
+    the first child that failed, the exception its block raised, or a
+    HorizonLabError naming its runs and exit status when it ended without
+    a result.
+    """
+    children = []
+    try:
+        for indices in blocks[1:]:
+            children.append(_fork_block(config, dfield, indices, csv_dir))
+        records = _analyze_block(config, dfield, blocks[0], csv_dir)
+    finally:
+        sent = [_join_block(pid, fd) for pid, fd in children]
+    for indices, (data, code) in zip(blocks[1:], sent):
+        if code != 0:
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise HorizonLabError(
+                f"the worker for runs {', '.join(map(str, indices))} "
+                f"ended without a result ({how})"
+            )
+        result = pickle.loads(data)  # bytes a child of this process wrote
+        if isinstance(result, Exception):
+            raise result
+        records += result
+    return sorted(records, key=lambda r: r["index"])
 
 
 def _usable_cpus() -> int:
@@ -368,12 +431,17 @@ def run_pipeline(
 
     The runs form one block (``_analyze_block``): each is integrated and
     fitted in turn, and one batched solve from all their endpoints finds
-    the targets.  When w = min(jobs, runs, CPUs) is above 1, each of w
-    worker processes takes one interleaved block, runs k, k + w, k + 2w,
-    ...: no run costs much more than another, so static blocks keep the
-    workers about equally busy; more workers than CPUs would only share
-    them.  The records are the same bytes whichever way the runs are
-    split.
+    the targets.  When w = min(jobs, runs, CPUs) is above 1, the runs
+    split into w interleaved blocks, runs k, k + w, k + 2w, ...: no run
+    costs much more than another, so static blocks keep the processes
+    about equally busy; more processes than CPUs would only share them.
+    This process forks one child per block k = 1 .. w - 1, each with the
+    field already built, and analyzes block 0 itself
+    (``_analyze_blocks``); nothing is rebuilt or pickled on the way in,
+    and each child sends back its records through a pipe.  Where
+    ``os.fork`` does not exist, w is 1.  The records are the same bytes
+    whichever way the runs are split.  No child outlives the call,
+    whether it returns or raises.
 
     Returns (exit_code, report document).  Exit code 2 means at least one
     run is partial (did not reach the horizon or produced no blow-up
@@ -396,22 +464,9 @@ def run_pipeline(
     log.debug("generated evaluator:\n%s", dfield.source_code)
 
     n_runs = len(config.runs)
-    workers = min(jobs, n_runs, _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = [range(n_runs)[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(config, csv_dir),
-        ) as pool:
-            records = sorted(
-                (r for block in pool.map(_block_in_worker, blocks) for r in block),
-                key=lambda r: r["index"],
-            )
-    else:
-        records = _analyze_block(config, dfield, range(n_runs), csv_dir)
+    workers = min(jobs, n_runs, _usable_cpus()) if hasattr(os, "fork") else 1
+    blocks = [range(n_runs)[k::workers] for k in range(workers)]
+    records = _analyze_blocks(config, dfield, blocks, csv_dir)
     for r in records:
         log.info(
             "run %s: stop=%s tau_end=%s error=%s",

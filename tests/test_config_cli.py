@@ -1,6 +1,5 @@
 """Config parsing, canonical serialization, the pipeline, and CLI behavior."""
 
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -15,7 +14,14 @@ import numpy as np
 import pytest
 
 import horizon_lab
-from horizon_lab import DesingField, DomainError, SchemaError, cli
+from horizon_lab import (
+    DesingField,
+    DomainError,
+    HorizonLabError,
+    OutputError,
+    SchemaError,
+    cli,
+)
 from horizon_lab.config import canonical_text, parse_config
 from horizon_lab.cli import main, run_pipeline
 from horizon_lab.charts import embed
@@ -478,79 +484,146 @@ def test_pipeline_parallel_matches_serial(tmp_path):
         assert a == b
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor without starting a process: one
-    in-process "worker" runs the initializer once and then every task."""
-
-    made = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.tasks = None
-        initializer(*initargs)
-        RecordingPool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        self.tasks = list(iterable)
-        return map(fn, self.tasks)
-
-
 def _pin_cpus(monkeypatch, cpus):
     """The process may run on ``cpus`` CPUs, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
-def test_jobs_pool_builds_field_once_per_worker(tmp_path, monkeypatch):
-    d = doc()
-    d["runs"] = [{"y0": [1.0]}, {"y0": [2.0]}, {"y0": [0.5]}]
-    cfg = parse_config(json.dumps(d))
+def _assert_no_child_left():
+    # raises once this process has no child, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+THREE_RUNS_DOC = doc(runs=[{"y0": [1.0]}, {"y0": [2.0]}, {"y0": [0.5]}])
+
+
+def test_jobs_forks_one_child_per_block_but_the_first(tmp_path, monkeypatch):
+    cfg = parse_config(json.dumps(THREE_RUNS_DOC))
     _, serial = run_pipeline(cfg, out_dir=str(tmp_path / "serial"))
 
-    builds = []
-    real_build = cli.build_field_from_config
+    forks, builds = [], []
+    real_fork, real_build = os.fork, cli.build_field_from_config
 
-    def counting_build(config):
+    def counting_fork():
+        forks.append(1)  # in the parent, before the child exists
+        return real_fork()
+
+    def build_once(config):
+        # a child inherits this list, so a rebuild there raises too
+        if builds:
+            raise AssertionError("the field was built twice")
         builds.append(config)
         return real_build(config)
 
     def no_parse(text):
         raise AssertionError("a worker parsed config text")
 
-    # run_pipeline imports the pool class from concurrent.futures only
-    # when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "build_field_from_config", counting_build)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "build_field_from_config", build_once)
     monkeypatch.setattr(cli, "parse_config", no_parse)
     monkeypatch.setattr(horizon_lab.config, "parse_config", no_parse)
     # one CPU, then a CPU count below the run count and one above it
     for cpus in (1, 2, 4):
         _pin_cpus(monkeypatch, cpus)
-        RecordingPool.made.clear()
+        forks.clear()
         builds.clear()
-        monkeypatch.setattr(cli, "_worker_state", ())
-        out = tmp_path / f"pool{cpus}"
-        code, pooled = run_pipeline(cfg, out_dir=str(out), jobs=8)
+        out = tmp_path / f"jobs{cpus}"
+        code, fanned = run_pipeline(cfg, out_dir=str(out), jobs=8)
 
-        assert code == 0 and pooled == serial
-        if cpus == 1:  # one worker: the serial block, no pool
-            assert RecordingPool.made == [] and len(builds) == 1
-            continue
-        (pool,) = RecordingPool.made
-        assert pool.max_workers == min(8, 3, cpus)  # min(jobs, runs, CPUs)
-        # one task per worker, a block of runs; together they hold each run once
-        assert len(pool.tasks) == pool.max_workers
-        assert sorted(i for block in pool.tasks for i in block) == [0, 1, 2]
-        # the parent's field plus one for the one worker, not one per run
-        assert len(builds) == 2 and all(c is cfg for c in builds)
-        for name in ("run_000.csv", "run_001.csv", "run_002.csv"):
+        assert code == 0 and fanned == serial
+        # w = min(jobs, runs, CPUs) blocks; the parent analyzes one itself
+        assert len(forks) == min(8, 3, cpus) - 1
+        assert builds == [cfg]
+        for name in ("run_000.csv", "run_001.csv", "run_002.csv", "report.json"):
             assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        _assert_no_child_left()
+
+
+def _fail_blocks(monkeypatch, fail, parents):
+    """On two CPUs, make ``_analyze_block`` call ``fail(indices)`` on the
+    parent's block, the one that holds run 0, or else on the others."""
+    real_block = cli._analyze_block
+
+    def block(config, dfield, indices, csv_dir):
+        if (0 in indices) == parents:
+            fail(indices)
+        return real_block(config, dfield, indices, csv_dir)
+
+    monkeypatch.setattr(cli, "_analyze_block", block)
+    _pin_cpus(monkeypatch, 2)
+
+
+def test_jobs_child_exception_reaches_the_caller(tmp_path, monkeypatch):
+    def fail(indices):
+        raise OutputError(f"cannot write runs {list(indices)}")
+
+    _fail_blocks(monkeypatch, fail, parents=False)
+    cfg = parse_config(json.dumps(THREE_RUNS_DOC))
+    with pytest.raises(OutputError, match=r"^cannot write runs \[1\]$"):
+        run_pipeline(cfg, out_dir=str(tmp_path / "out"), jobs=2)
+    _assert_no_child_left()
+
+
+def test_jobs_child_without_result_is_an_error(tmp_path, monkeypatch, capsys):
+    def fail(indices):
+        os._exit(3)
+
+    _fail_blocks(monkeypatch, fail, parents=False)
+    cfg = parse_config(json.dumps(THREE_RUNS_DOC))
+    with pytest.raises(HorizonLabError) as info:
+        run_pipeline(cfg, out_dir=str(tmp_path / "out"), jobs=2)
+    assert type(info.value) is HorizonLabError
+    assert str(info.value) == "the worker for runs 1 ended without a result (exit status 3)"
+    _assert_no_child_left()
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(THREE_RUNS_DOC))
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(tmp_path / "cli"), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: HorizonLabError: the worker for runs 1 ended without a result "
+        "(exit status 3)"
+    ]
+    _assert_no_child_left()
+
+
+def test_jobs_parent_block_error_still_reaps_the_child(tmp_path, monkeypatch):
+    def fail(indices):
+        raise DomainError(f"parent's block {list(indices)}")
+
+    _fail_blocks(monkeypatch, fail, parents=True)
+    cfg = parse_config(json.dumps(THREE_RUNS_DOC))
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match=r"^parent's block \[0, 2\]$"):
+        run_pipeline(cfg, out_dir=str(out), jobs=2)
+    _assert_no_child_left()
+    # the child analyzed its block to the end: run 1's CSV, not the parent's
+    assert sorted(f.name for f in out.iterdir()) == ["run_001.csv"]
+
+
+def test_jobs_failed_fork_reaps_the_children_forked_before(tmp_path, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    _pin_cpus(monkeypatch, 3)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+    cfg = parse_config(json.dumps(THREE_RUNS_DOC))
+    with pytest.raises(BlockingIOError):
+        run_pipeline(cfg, out_dir=str(tmp_path / "out"), jobs=3)
+    _assert_no_child_left()
+    if fds:  # no pipe end is left open
+        assert set(os.listdir("/proc/self/fd")) <= fds
 
 
 DIRECTIONAL_SCALAR_DOC = doc(chart={"type": "directional", "index": 0, "sign": 1})
@@ -1183,8 +1256,10 @@ def test_output_path_errors_exit_1_without_traceback(tmp_path, case):
 
 
 def test_jobs_workers_need_no_inherited_field(tmp_path):
-    """Spawned workers start with an empty compile cache (as under a
-    forkserver default) and still give the bytes of ``--jobs 1``."""
+    """``--jobs`` output does not depend on multiprocessing's start
+    method: set to spawn, which like a forkserver default starts workers
+    from a fresh import, it leaves the forked children's bytes those of
+    ``--jobs 1``."""
     cfg = tmp_path / "cfg.json"
     d = doc()
     d["runs"] = [{"y0": [1.0]}, {"y0": [3.0]}, {"y0": [0.5]}]
@@ -1248,23 +1323,27 @@ def test_runs_without_jsonschema(tmp_path):
 
 def test_example_run_does_not_import_numpy_ma(tmp_path):
     # np.median imports numpy.ma on its first call in a process (about
-    # 15 ms and 1 MB), and the process pool's modules cost about 21 ms;
-    # a serial example run must pay for neither
+    # 15 ms and 1 MB), and a process pool's modules cost about 21 ms; an
+    # example run must pay for neither, and neither must a --jobs 2 run,
+    # whose two runs fork one child
     script = (
         "import sys\n"
         "from horizon_lab.cli import main\n"
         "rc = main(['example', 'mems', '--out', sys.argv[1]])\n"
+        "rc = rc or main(['analyze', sys.argv[2], '--out', sys.argv[3], '--jobs', '2'])\n"
         "unused = ('numpy.ma', 'concurrent.futures.process', 'multiprocessing')\n"
         "print([m for m in unused if m in sys.modules])\n"
         "sys.exit(rc)\n"
     )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc(runs=[{"y0": [1.0]}, {"y0": [2.0]}])))
     env = dict(os.environ)
     env.pop("HORIZON_LAB_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(cfg), str(tmp_path / "j2")],
         env=env,
         capture_output=True,
         text=True,
@@ -1273,6 +1352,7 @@ def test_example_run_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "run_000.csv").exists()
+    assert (tmp_path / "j2" / "run_001.csv").exists()
 
 
 @pytest.mark.parametrize("callers, blas_threads", [(None, "1"), ("2", "2")])
