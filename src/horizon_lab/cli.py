@@ -523,6 +523,14 @@ def _example_param(text: str) -> Tuple[str, float]:
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got '{text}'")
 
 
+# the --jobs help of analyze and example, which both run the pipeline
+_JOBS_HELP = (
+    "processes that analyze the runs (>= 1): min(JOBS, runs, usable CPUs) "
+    "of them, this one included, which forks the others and analyzes one "
+    "block of runs itself"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horizon-lab",
@@ -537,9 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run the full pipeline on a config")
     p_an.add_argument("config", help="path to a JSON config file")
     p_an.add_argument("--out", help="output directory (overrides config)")
-    p_an.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes (>= 1)"
-    )
+    p_an.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p_eq = sub.add_parser(
         "equilibria", help="locate and classify horizon equilibria"
@@ -550,7 +556,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--t-slice",
         type=float,
         default=None,
-        help="frozen time value (nonautonomous fields; default: first run's t0)",
+        help=(
+            "frozen time value (nonautonomous fields; default: first run's "
+            "t0); write a value such as -1e17 as --t-slice=-1e17, since "
+            "argparse reads -1e17 as an option"
+        ),
     )
 
     p_ex = sub.add_parser(
@@ -563,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--emit-config", action="store_true",
                       help="print the canonical config JSON and exit")
     p_ex.add_argument("--out", help="output directory for analysis")
-    p_ex.add_argument("--jobs", type=int, default=1)
+    p_ex.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_ex.add_argument(
         "--param",
         type=_example_param,

@@ -31,13 +31,14 @@ stages, the tableau and the state dimension unrolled around those
 expressions (each distinct power and expression evaluated once per stage).
 An accepted step also forms its dense output's coefficients once, samples
 it by the sampling rule this module owns (``max_step`` apart in tau, 0.1
-decade apart in the horizon gap) and appends the samples to a flat list,
-so a step costs one call.
+decade apart in the horizon gap), appends the samples to a flat list and
+returns the longest next step this module's cut allows, so a step costs
+one call.
 
-The step's state carries the horizon gap in slot ``gap_slot`` at the rate
-``gap_rate``.  On the parabolic chart that is W, dW/dtau = -G W (since
-dP/dtau = G W where P + W = 1), so W = 0 is invariant; rhs_values forms W
-= 1 - P from the coordinates.  A state off the surface P + W = 1 lies
+The step's state (``DesingField.start``) carries the horizon gap in slot
+``gap_slot`` at the rate ``gap_rate``.  On the parabolic chart that is W,
+dW/dtau = -G W (since dP/dtau = G W where P + W = 1), so W = 0 is
+invariant; rhs_values forms W = 1 - P from the coordinates.  A state off the surface P + W = 1 lies
 outside the flow, so the step's coordinate rates there are free: each
 weighted slot gains F G D alpha_i x_i, F = (2c - 1)/(2c) and D = P + W -
 1, which vanishes on the surface and slows D' from -2c G D to G D ((2c -
@@ -443,6 +444,16 @@ _DOP_D = (
 _SPLIT_EFOLDS = 0.1
 # a step's samples keep consecutive horizon gaps within this many decades
 _GAP_DECADES = 0.1
+# the step cuts the next one so that, at its own rate, that one changes W
+# by at most this many decades (h G <= 0.69): below the absolute tolerance
+# W would otherwise lose the relative accuracy the fits read.  With the
+# deviation from P + W = 1 slowed to about G, this cut, not DOP853's
+# stability (h |eigenvalue| <= 6.39), sizes the steps near the horizon
+_STEP_DECADES = 0.3
+# ln s keeps that accuracy itself, so a directional step cuts the next one
+# only to keep s**k within this many decades: a sample's time increment,
+# a difference of the step's running times, keeps about 16 - 4 digits
+_STEP_TIME_DECADES = 4.0
 # a gap level is log10 of the gap; on a directional chart L * _LOG10_E with
 # L = ln s.  It must be 1/ln 10 = 0.43429448190325176, not log10(e) =
 # 0.4342944819032518: the levels set the sampling and, through the
@@ -474,15 +485,15 @@ _D_SUMS = tuple(_combo(row, "k{}_{{0}}") for row in _DOP_D)
 
 def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
                  k: float) -> str:
-    """Source of ``_step(z, k1, h, tau, tau_end, lv, out, atol, rtol,
+    """Source of ``_step(z, k1, h, tau, tau_end, out, atol, rtol,
     max_step)``: one attempted DOP853 step over [tau, tau_end], its dense
-    output and the samples it records.
+    output, the samples it records and the cut on the next step.
 
-    The state ``z`` is the chart coordinates, then W on the parabolic
-    chart, then t for an autonomous field.  On a directional chart its
-    slot i0 holds L = ln s instead of s.  A stage binds s = exp(L) once
-    (exp(-inf) = 0 is the horizon), then each distinct power of s, so s >=
-    0 needs no clamp.  There the time slot's t' = s**k, the time factor,
+    The state ``z`` is ``DesingField.start``'s: the chart coordinates,
+    then W on the parabolic chart, then t for an autonomous field.  On a
+    directional chart its slot i0 holds L = ln s instead of s.  A stage
+    binds s = exp(L) once (exp(-inf) = 0 is the horizon), then each
+    distinct power of s, so s >= 0 needs no clamp.  There the time slot's t' = s**k, the time factor,
     is split by the step's own rho = k L'(0): with q = 1/rho (0 when rho h
     >= -_SPLIT_EFOLDS, which keeps t itself), the tableau integrates u = t
     - s**k q, u' = t' (1 - k L' q), and t = t0 + (u - u0)
@@ -495,17 +506,19 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     invariant), and the error norm alone (Hairer's DOP853: the 5th-order
     estimate, damped by the 3rd-order one) when that exceeds 1.  A stage
     that fails to evaluate raises DomainError, as in rhs_values.  An
-    accepted step returns ``(z_new, err, k13, guard, gap, lv_new)``: the
+    accepted step returns ``(z_new, err, k13, guard, gap, h_cut)``: the
     new state, the error norm, the derivative there, ``max |x_i|`` over
     the new state's slots (s, not L, in slot i0), the horizon gap there
-    (its W or s) and its gap level.
+    (its W or s) and the longest next step, h cut / d with d the
+    difference of its end levels (inf where d is NaN or 0): the cut is
+    ``_STEP_DECADES`` of W, or ``_STEP_TIME_DECADES / k`` of s.
 
     It also appends its samples to the flat list ``out``.  A gap level is
     log10 of the gap, ``L * _LOG10_E`` on a directional chart and log10 W
-    on the parabolic one (NaN below ``_W_MIN``); ``lv`` is the level at
-    ``z``.  The step takes m = ceil(h / max_step), raised to ceil(d /
-    _GAP_DECADES) when its end levels lie d > _GAP_DECADES apart.  For m >
-    1 it evaluates the extra stages 14..16, forms the 7th-order
+    on the parabolic one (NaN below ``_W_MIN``); ``lv``, the level at
+    ``z``, is the step's own.  It takes m = ceil(h / max_step), raised to
+    ceil(d / _GAP_DECADES) when its end levels lie d > _GAP_DECADES apart.
+    For m > 1 it evaluates the extra stages 14..16, forms the 7th-order
     interpolant's coefficients once and samples it at theta = j/m, j = 1 ..
     m-1.  While two consecutive levels of the sequence z, samples, new
     state lie more than _GAP_DECADES apart (a NaN difference counts as
@@ -542,6 +555,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     T = t_slot
     kk = _fmt_float(k)
     gd = _fmt_float(_GAP_DECADES)
+    cut = _fmt_float(_STEP_DECADES if ln is None else _STEP_TIME_DECADES / k)
     # the time factor s**k, with the stage's shared powers, and inline
     tf_text, tf_inline = templates[-1], em.inline(templates[-1])
     first: Dict[str, int] = {}
@@ -604,18 +618,23 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     # the increment each slot's interpolant starts from: u's for the time
     dname = [f"d{col(i)}" for i in slots]
     absolutes = ", ".join(f"abs(x{i})" for i in slots)
-    # a state's gap level; the new state, kept while the dense output runs
+
+    def level(v):  # the gap level of a state whose gap slot holds ``v``
+        return (f"_log10({v}) if {v} >= {_W_MIN!r} else _nan" if ln is None
+                else f"{v} * {_fmt_float(_LOG10_E)}")
+
+    # the new state's gap and gap level, kept while the dense output runs
     gap = f"x{em.gap_slot}"
-    level = (f"_log10({gap}) if {gap} >= {_W_MIN!r} else _nan" if ln is None
-             else f"l{ln} * {_fmt_float(_LOG10_E)}")
+    end_level = level(new[em.gap_slot])
     # W = 0 is invariant, so a W that changes sign is the step's error
     flip = f"({gap} < 0.0) != (z{em.gap_slot} < 0.0)" if ln is None else ""
     kept = "".join(f"e{i}, " for i in slots)
 
     lines = [
-        "def _step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step):",
+        "def _step(z, k1, h, tau, tau_end, out, atol, rtol, max_step):",
         "    " + "".join(f"z{i}, " for i in slots) + "= z",
         "    " + "".join(f"k1_{i}, " for i in slots) + "= k1",
+        f"    lv = {level(f'z{em.gap_slot}')}",
         "    try:",
     ]
     if ln is not None:
@@ -665,10 +684,11 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         " if den > 0.0 else 0.0",
         "    if err > 1.0:",
         "        return err",
-        f"    lv1 = {level}",
+        f"    lv1 = {end_level}",
         "    ret = (" + "".join(f"{v}, " for v in new) + "), err, ("
         + "".join(f"k13_{i}, " for i in slots)
-        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, lv1",
+        + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, "
+        f"h * {cut} / dec if (dec := abs(lv1 - lv)) > 0.0 else _inf",
         "    m = _ceil(h / max_step)",
         "    dec = abs(lv1 - lv)",
         f"    if dec > {gd}:",
@@ -732,7 +752,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         lines += [f"{pad}if {flip}:", f"{pad}    del out[base:]", f"{pad}    return None"]
     lines += [
         f"{pad}out += ({ends}tau + h * th, dt - dtp)",
-        f"{pad}cur = {level}",
+        f"{pad}cur = {end_level}",
         f"{pad}dec = abs(cur - prev)",
         f"{pad}if dec > worst:",
         f"{pad}    worst = dec",
@@ -826,7 +846,7 @@ def _stabilized(em: _Emitter, htype: HomogeneityType,
 def _compile_field(htype: HomogeneityType, gap_slot: int,
                    components: Tuple[Poly, ...], time_factor: Poly,
                    gap_rate: Poly, jac_rows: Tuple[Tuple[Poly, ...], ...],
-                   nonautonomous: bool, horizon: Tuple[Poly, ...],
+                   dim: int, time_slot: int, horizon: Tuple[Poly, ...],
                    free: Tuple[int, ...]):
     n = htype.n
     em = _Emitter(n, 2 * htype.beta_full(), htype.i_alpha, gap_slot)
@@ -852,13 +872,11 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
         f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
         f"def _time_factor(x{gap_slot}):\n{clamp}    return {exprs[-1]}\n",
     )
-    dim = len(templates) - nonautonomous  # t' is the time factor, or slot 0's
     # ``_deriv`` gives the first k1 from the step's own expressions
     d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
     parts += (f"def _deriv(z):\n{em.preamble(state=True)}\n"
               f"    return (\n        {d_body},\n    )\n",)
-    parts += (_emit_dop853(em, templates, dim, 0 if nonautonomous else dim - 1,
-                           htype.k_float),)
+    parts += (_emit_dop853(em, templates, dim, time_slot, htype.k_float),)
     hsrc = _emit_horizon(em, horizon, free)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
@@ -875,7 +893,7 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
     """
     ns: dict = {"_pw": power, "math": math, "_sqrt": math.sqrt,
                 "_exp": math.exp, "_ceil": math.ceil, "_log10": math.log10,
-                "_nan": math.nan, "DomainError": DomainError}
+                "_nan": math.nan, "_inf": math.inf, "DomainError": DomainError}
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
@@ -904,18 +922,20 @@ class DesingField:
     entry, a polynomial in the gap alone (s**k, or q(W) W**k), with no
     check: a failed evaluation raises what Python raises.
 
-    ``step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step)`` is the
-    field's compiled DOP853 step (``_emit_dop853``), and this module owns
-    the sampling rule it carries out.  On the parabolic chart a weighted
-    slot's rate gains F G D alpha_i x_i, which vanishes on P + W = 1
-    (``_stabilized``).  From state ``z`` (the coordinates,
-    with ln s in place of s on a directional chart, then W on the
-    parabolic one, then t for an autonomous field) and its derivative
-    ``k1`` (``state_derivative``) it returns None for a non-finite result
-    or a W that changes sign, the error norm alone for a step it rejects,
-    and for an accepted one the new state, the error norm, the derivative
-    there, the largest |slot| of the new state (s, not ln s), its horizon
-    gap and its gap level (``gap_level``); an accepted step first appends
+    The field owns the integrator's state and what the step decides on
+    it.  ``start(coords, t0)`` lays the state out: the coordinates, with
+    ln s in place of s on a directional chart, then W on the parabolic
+    one, then t (slot ``time_slot``) for an autonomous field.  ``step(z,
+    k1, h, tau, tau_end, out, atol, rtol, max_step)`` is the field's
+    compiled DOP853 step (``_emit_dop853``), and this module owns the
+    sampling rule and the step cut it carries out.  On the parabolic chart
+    a weighted slot's rate gains F G D alpha_i x_i, which vanishes on P +
+    W = 1 (``_stabilized``).  From state ``z`` and its derivative ``k1``
+    (``state_derivative``) it returns None for a non-finite result or a W
+    that changes sign, the error norm alone for a step it rejects, and for
+    an accepted one the new state, the error norm, the derivative there,
+    the largest |slot| of the new state (s, not ln s), its horizon gap and
+    the longest next step the cut allows; an accepted step first appends
     its dense-output samples, at most ``max_step`` apart in tau and 0.1
     decade in the gap, then the new state, to the flat list ``out``.
     ``dynamics.integrate`` owns the rest: the step-size controller, the
@@ -948,6 +968,11 @@ class DesingField:
             self.n if isinstance(self.chart, ParabolicChart) else self.chart.i0
         )
         object.__setattr__(self, "gap_slot", gap_slot)
+        # the integrator state's layout (``start``): t' is the time factor
+        # of an autonomous field, or slot 0's
+        dim = self.n + (gap_slot == self.n) + (not self.nonautonomous)
+        object.__setattr__(self, "state_dim", dim)
+        object.__setattr__(self, "time_slot", 0 if self.nonautonomous else dim - 1)
         jac_rows = tuple(
             tuple(self._component_partial(i, j) for j in range(self.n))
             for i in range(self.n)
@@ -964,7 +989,8 @@ class DesingField:
             self.time_factor,
             self.gap_rate,
             jac_rows,
-            self.nonautonomous,
+            dim,
+            self.time_slot,
             tuple(horizon[i] for i in rows),
             free,
         )
@@ -1030,15 +1056,6 @@ class DesingField:
     def g(self, coords) -> np.ndarray:
         return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
 
-    def gap_level(self, z) -> float:
-        """The gap level ``step`` spaces samples by, at integrator state
-        ``z``: log10 of the gap, as L * _LOG10_E on a directional chart,
-        and log10 W on the parabolic one, NaN below ``_W_MIN``."""
-        gap = z[self.gap_slot]
-        if self.gap_slot < self.n:
-            return gap * _LOG10_E
-        return math.log10(gap) if gap >= _W_MIN else math.nan
-
     def jacobian(self, coords) -> np.ndarray:
         z = self._point(coords)
         try:
@@ -1049,6 +1066,23 @@ class DesingField:
 
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))
+
+    def start(self, coords, t0: float = 0.0):
+        """``(row, z)`` at chart coordinates ``coords``: the state a
+        trajectory records first and the step's state.  ``row`` holds the
+        coordinates, then W = 1 - P(x) on the parabolic chart, then ``t0``
+        for an autonomous field; ``z`` is ``row`` with L = ln s in s's slot
+        on a directional chart (-inf for s <= 0, on the horizon).
+        ``row[gap_slot]`` is the horizon gap and ``row[time_slot]`` t."""
+        x = self._point(coords)
+        gap = self.horizon_gap(x)
+        row = tuple(x) if self.gap_slot < self.n else (*x, gap)
+        if not self.nonautonomous:
+            row += (float(t0),)
+        if self.gap_slot == self.n:
+            return row, row
+        ln_s = math.log(gap) if gap > 0.0 else -math.inf
+        return row, row[:self.gap_slot] + (ln_s,) + row[self.gap_slot + 1:]
 
 
 # --------------------------------------------------------------------------

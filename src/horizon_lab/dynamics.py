@@ -7,19 +7,16 @@ reasons (horizon_reached / tau_exhausted / left_domain / diverged), a stage
 that probes outside the chart domain causes a retry with a smaller step
 rather than a crash, and a step-size underflow or a spent budget of
 2,000,000 step attempts raises StepFailure.  Steps are sized by accuracy
-alone, apart from a limit on how far one step may move the horizon gap
-(the parabolic chart's W slot) or the time factor s**k (a directional
-chart, whose gap slot holds ln s); the samples come from the dense output,
-spaced for the rate fits, with every step end among them.
-Physical time is reconstructed along the way from the time factor dt/dtau,
-and each sample also keeps its time increment from the previous one.
-Each attempted step is one call of the step generated per field
-(``DesingField.step``, emitted in ``desing``): the stages, the tableau and
-the error norm are unrolled around the field's own expressions, and an
-accepted step also forms its dense output once and appends its samples to
-a flat list.  ``desing`` owns that sampling rule; this module owns the
-step-size controller, the domain retry, the stops, the step budget and
-the trajectory's arrays.
+alone, apart from the step's cut on how far one step may move the horizon
+gap (the parabolic chart's W) or the time factor s**k (a directional
+chart); the samples come from the dense output, spaced for the rate fits,
+with every step end among them.  Physical time is reconstructed along the
+way from the time factor dt/dtau, and each sample also keeps its time
+increment from the previous one.  Each attempted step is one call of the
+step generated per field (``DesingField.step``, emitted in ``desing``).
+``desing`` owns the state's layout, the sampling rule and the step cut;
+this module owns the step-size controller, the domain retry, the stops,
+the step budget and the trajectory's arrays.
 
 Horizon equilibria are found by a damped Gauss-Newton iteration on the
 field restricted to the horizon, the terms with no power of the gap
@@ -171,17 +168,6 @@ class Trajectory:
     n_rejected: int = 0
 
 
-# on the parabolic chart, the next step is cut so that, at the decay rate
-# of this one, it changes W by at most this many decades (a factor of 2),
-# h G <= 0.69.  The step's deviation from P + W = 1 decays at about G, not
-# 2c G, so this cut, not DOP853's stability (h |eigenvalue| <= 6.39), sizes
-# the steps near the horizon: on painleve1 the fastest rate left is the
-# sink's 6 G, which allows h G up to 1.07
-_STEP_DECADES = 0.3
-# on a directional chart, so that the time factor s**k changes by at most
-# this many decades: a sample's time increment is a difference of the
-# step's running times, so it keeps about 16 - 4 digits
-_STEP_TIME_DECADES = 4.0
 # samples per float64 chunk: a long run's samples leave the step's list of
 # Python floats every this many
 _CHUNK = 1 << 14
@@ -197,75 +183,43 @@ def integrate(
 
     ``coords0`` are chart coordinates.  For nonautonomous fields the time
     variable is coordinate 0 (t0 is ignored); for autonomous fields t is
-    carried as the state's last slot, starting at t0, with dt/dtau equal
-    to the field's time factor.  The horizon gap is a state slot: on the
-    parabolic chart W follows its rate -G W from W0 = 1 - P(x0) in slot n;
-    on a directional chart s's slot i0 holds L = ln s, so an error in L is
-    a relative error in the gap: it starts at log(s0) (-inf for s0 <= 0,
-    on the horizon) and follows dL/dtau = -(sign/alpha_i0) f^_i0.
+    carried as a state slot, starting at t0, with dt/dtau equal to the
+    field's time factor.  The field owns the state, the gap levels and the
+    step cut: ``DesingField.start`` lays out the state (the horizon gap as
+    a slot, W on the parabolic chart and ln s on a directional one), and
+    each attempted step is one call of its generated DOP853 step
+    (``DesingField.step``), which records an accepted step's samples by
+    its sampling rule and returns the longest next step its cut on the
+    gap's (or the time factor's) change allows.
 
-    Each attempted step is one call of the field's generated DOP853 step
-    (``DesingField.step``), which also forms an accepted step's dense
-    output and records its samples; the sampling rule is the step's: no
-    two consecutive samples more than ``max_step`` apart in tau or, where
-    both gaps are normal positive floats, more than 0.1 decade apart in the
-    horizon gap, with every step end among them.  This function owns the rest.  The
-    standard controller: a step is accepted when its error norm is at most
-    1, the next step is 0.9 * err**(-1/8) times this one, clipped to [0.2,
-    10], and does not grow right after a rejection.  The domain retry: a
-    stage or sample outside the domain, or a non-finite result, retries at
-    half the step.  Steps have no fixed cap.  On the parabolic chart the
-    next step is cut so that, at this step's rate, it moves W by at most
-    0.3 decade: near the horizon W falls below the absolute tolerance, and
-    without the cut the controller would grow the steps until W, which the
-    fits read on a log scale, lost its relative accuracy.  The step's field
-    lets the deviation from P + W = 1 decay at about W's own rate
-    (``DesingField.step``), so there the cut, not the stability of DOP853,
-    sizes the steps.  An ln s slot
-    keeps that accuracy itself, and the step's split time slot keeps the
-    time increments'; there the cut only keeps the time factor s**k within
-    4 decades per step, since a sample's time increment is a difference of
-    its step's running times.
-
-    Each sample records its state (with s, not L), tau and time increment;
-    its gap is its gap slot.  Every stop is decided on those gaps, at the
+    This function owns the rest.  The standard controller: a step is
+    accepted when its error norm is at most 1, the next step is 0.9 *
+    err**(-1/8) times this one, clipped to [0.2, 10], does not grow right
+    after a rejection and stays within the step's cut.  Steps have no fixed
+    cap.  The domain retry: a stage or sample outside the domain, or a
+    non-finite result, retries at half the step.  The stops: each sample
+    records its state (with s, not ln s), tau and time increment, its gap
+    is its gap slot, and every stop is decided on those gaps, at the
     initial state and at each step end, by one rule (``_stop``).  The
-    samples gather in one flat list of floats, moved into a float64 chunk
-    every ``_CHUNK`` samples, and the arrays are built once at the stop.
-
-    Raises StepFailure when the adaptive step size underflows below 1e-15
-    or the run makes more than 2,000,000 step attempts.
+    budget: StepFailure when the adaptive step size underflows below 1e-15
+    or the run makes more than 2,000,000 step attempts.  The samples
+    gather in one flat list of floats, moved into a float64 chunk every
+    ``_CHUNK`` samples, and the arrays are built once at the stop.
     """
     ctl = controls or IntegratorControls()
-    n = dfield.n
-    x0 = [float(v) for v in np.asarray(coords0, dtype=float)]
-    if len(x0) != n:
-        raise ValueError(f"coords0 has length {len(x0)}, expected {n}")
     tau = 0.0
     n_accepted = n_rejected = 0
-
-    gap = dfield.horizon_gap(x0)
-    slot = dfield.gap_slot
-    # the state: the coordinates, W on the parabolic chart, t if autonomous
-    z = tuple(x0) if slot < n else (*x0, gap)
-    if not dfield.nonautonomous:
-        z += (float(t0),)
-    stop = _stop(float(np.max(np.abs(z))), gap, tau, ctl)
+    row, z = dfield.start(coords0, t0)
+    stop = _stop(float(np.max(np.abs(row))), row[dfield.gap_slot], tau, ctl)
     # a sample as the step records it: its state, tau and time increment
-    flat = [*z, tau, 0.0]
-    if slot < n:
-        z = z[:slot] + (math.log(gap) if gap > 0.0 else -math.inf,) + z[slot + 1:]
-        cut = _STEP_TIME_DECADES / dfield.htype.k_float
-    else:
-        cut = _STEP_DECADES
+    flat = [*row, tau, 0.0]
     if stop is not None:
-        return _mk_traj(dfield, len(z), [], flat, stop, 0, 0)
+        return _mk_traj(dfield, [], flat, stop, 0, 0)
 
     k1 = dfield.state_derivative(z)
     step = dfield.step
     atol, rtol = ctl.abs_tol, ctl.rel_tol
     tau_max, max_step = ctl.tau_max, ctl.max_step
-    v = dfield.gap_level(z)
     h = min(_H_INIT, tau_max)
     rejected = False
     steps = 0
@@ -283,7 +237,7 @@ def integrate(
             h = tau_max - tau
             tau_end = tau_max
         try:
-            out = step(z, k1, h, tau, tau_end, v, flat, atol, rtol, max_step)
+            out = step(z, k1, h, tau, tau_end, flat, atol, rtol, max_step)
         except DomainError:
             out = None
         if out is None:  # a stage left the domain, or a non-finite result
@@ -299,24 +253,17 @@ def integrate(
 
         # accepted
         n_accepted += 1
-        z, err, k1, guard, gap, v_new = out
+        z, err, k1, guard, gap, h_cut = out
         tau = tau_end
         stop = _stop(guard, gap, tau, ctl)
         if stop is not None:
-            return _mk_traj(dfield, len(z), chunks, flat, stop, n_accepted,
-                            n_rejected)
+            return _mk_traj(dfield, chunks, flat, stop, n_accepted, n_rejected)
         if len(flat) >= limit:
             chunks.append(np.array(flat))
             flat = []
 
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
-        h_next = h * (min(factor, 1.0) if rejected else factor)
-        # NaN where a level is left out: no cut
-        decades = abs(v_new - v)
-        if decades > 0.0:
-            h_next = min(h_next, h * cut / decades)
-        h = h_next
-        v = v_new
+        h = min(h * (min(factor, 1.0) if rejected else factor), h_cut)
         rejected = False
 
 
@@ -334,13 +281,14 @@ def _stop(guard, gap, tau, ctl):
     return None
 
 
-def _mk_traj(dfield, dim, chunks, flat, stop, n_accepted, n_rejected):
+def _mk_traj(dfield, chunks, flat, stop, n_accepted, n_rejected):
     """The trajectory of the samples in ``chunks``, then ``flat``, each as
-    ``integrate`` records it: its state of ``dim`` slots, tau and time
-    increment."""
+    ``integrate`` records it: its state (``DesingField.start``'s row), tau
+    and time increment."""
     rows = np.array(flat, dtype=float)
     if chunks:
         rows = np.concatenate(chunks + [rows])
+    dim = dfield.state_dim
     rows = rows.reshape(-1, dim + 2)
     # copies lay each array out as when it was built from its own list, so
     # the fits' NumPy reductions see the same strides and give the same bits
@@ -349,7 +297,7 @@ def _mk_traj(dfield, dim, chunks, flat, stop, n_accepted, n_rejected):
         dfield=dfield,
         taus=rows[:, dim].copy(),
         coords=path[:, :dfield.n],
-        ts=path[:, 0 if dfield.nonautonomous else dim - 1],
+        ts=path[:, dfield.time_slot],
         gaps=rows[:, dfield.gap_slot].copy(),
         dts=rows[:, dim + 1].copy(),
         stop_reason=stop,
@@ -704,8 +652,10 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         far = np.max(np.abs(X[idx] - X[idx[0]]), axis=1) >= _DEDUP_TOL + reach[0] + reach
         idx, reach = idx[far], reach[far]
     found = X[kept]
-    # lexicographically by the coordinates rounded to 10 decimals
-    found = found[np.lexsort(np.round(found, 10).T[::-1])]
+    # lexicographically by the coordinates rounded to 10 decimals; rounding
+    # scales by 1e10, so a coordinate above about 1.8e298 keys as inf
+    with np.errstate(over="ignore"):
+        found = found[np.lexsort(np.round(found, 10).T[::-1])]
     out = []
     for eq in _classify(dfield, found):
         if isinstance(eq, HorizonLabError):

@@ -1100,6 +1100,57 @@ def test_main_equilibria_far_t_slice_lists_both_points(tmp_path, t):
     assert all(r["t_slice"] == repr(float(t)) for r in rows)
 
 
+def _help(command, capsys):
+    assert main([command, "--help"]) == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_states_jobs_and_negative_t_slice(capsys):
+    # both commands that run the pipeline say what --jobs counts; a negative
+    # slice in exponent form must be attached with "=", since argparse takes
+    # a bare -1e17 for an option
+    for command in ("analyze", "example"):
+        assert "min(JOBS, runs, usable CPUs)" in _help(command, capsys)
+        assert "analyzes one block of runs itself" in _help(command, capsys)
+    assert "--t-slice=-1e17" in _help("equilibria", capsys)
+    cfg_path = Path(__file__).parent / "unused.json"
+    assert main(["equilibria", str(cfg_path), "--t-slice", "-1e17"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
+# y' = y^2 with a time variable that no monomial reads: every slice has the
+# same two horizon points y = -1 (source) and y = 1 (sink)
+T_FREE_DOC = {
+    "schema": 1,
+    "field": {
+        "variables": ["t", "y"],
+        "nonautonomous": True,
+        "components": [[{"coeff": 1.0, "exponents": [0, 0]}],
+                       [{"coeff": 1.0, "exponents": [0, 2]}]],
+    },
+    "homogeneity": {"alpha": [0, 1], "k": 1},
+    "chart": {"type": "parabolic"},
+    "runs": [{"y0": [0.0, 1.0], "t0": 0.0}],
+}
+
+
+@pytest.mark.parametrize("t", ["1e300", "-1e300", "1.7e308"])
+def test_main_equilibria_huge_t_slice_sorts_without_overflow(tmp_path, capsys, t):
+    # the points are sorted by their coordinates rounded to 10 decimals,
+    # which scales t by 1e10 past the largest float; under the test suite's
+    # error::RuntimeWarning that overflow warning would end the search
+    cfg_path = tmp_path / "tfree.json"
+    cfg_path.write_text(json.dumps(T_FREE_DOC))
+    out = tmp_path / "out"
+    assert main(["equilibria", str(cfg_path), f"--t-slice={t}", "--out", str(out)]) == 0
+    assert "2 horizon equilibria" in capsys.readouterr().out
+    with open(out / "equilibria.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["classification"], float(r["coord_1"])) for r in rows] == [
+        ("source", -1.0), ("sink", 1.0)]
+    assert all(r["t_slice"] == repr(float(t)) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # CLI via subprocess: exit codes, logging, determinism
 

@@ -522,8 +522,7 @@ def test_domain_failure_raises_after_a_cache_hit():
     with pytest.raises(DomainError):
         df.jacobian(bad)
     with pytest.raises(DomainError, match="in a step"):
-        df.step(bad, [0.0, 0.0, 0.0], 0.1, 0.0, 0.1, math.nan, [], 1e-12, 1e-10,
-                math.inf)
+        df.step(bad, [0.0, 0.0, 0.0], 0.1, 0.0, 0.1, [], 1e-12, 1e-10, math.inf)
 
 
 @pytest.mark.parametrize("name", ["kk_dafermos", "mems", "selfsimilar"])
@@ -635,13 +634,38 @@ def test_gap_slot_keys_the_horizon_gap():
         )
 
 
+def test_start_lays_out_the_integrator_state():
+    # the recorded row is the coordinates, then W = 1 - P(x) on the
+    # parabolic chart, then t0 for an autonomous field; the step's state
+    # holds ln s in place of a directional chart's s, -inf on the horizon
+    p1 = build_field_from_config(make_example("painleve1"))
+    x = [0.5, 0.3, 0.4]
+    w = p1.horizon_gap(x)
+    assert p1.start(x, t0=7.0) == ((*x, w), (*x, w))
+    assert (p1.state_dim, p1.time_slot) == (4, 0)
+    kk = build_field_from_config(make_example("kk_dafermos"))
+    kk_par = build_parabolic_desing(kk.source, kk.htype)
+    x = [0.0, 1.0, 0.25, 0.1, 0.2]
+    w = kk_par.horizon_gap(x)
+    assert kk_par.start(x, t0=3.0) == ((*x, w, 3.0), (*x, w, 3.0))
+    assert (kk_par.state_dim, kk_par.time_slot) == (7, 6)
+    assert kk.gap_slot == 2
+    row, z = kk.start(x, t0=3.0)
+    assert row == (*x, 3.0) and z == (0.0, 1.0, math.log(0.25), 0.1, 0.2, 3.0)
+    assert (kk.state_dim, kk.time_slot) == (6, 5)
+    x[2] = 0.0
+    assert kk.start(x)[1][2] == -math.inf
+    with pytest.raises(ValueError):
+        kk.start(x[:4])
+
+
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("kk_dafermos", "a8d8bc08db626ba5ae058c6b4251c2b1be362334d83b6dae62e5b5eaef07b9be"),
-        ("mems", "a5eb3e2770fa194ae012dd7877f427157babc5e800cf3eca9649319812317128"),
-        ("painleve1", "5592a63ea6143e54b6485920c34debcc67b29ff8639017d35cd9fc49838672e2"),
-        ("selfsimilar", "c29b93341fd6902d6ed6667c17156216bd0dc3c981686d4cbe8213f16b6cf992"),
+        ("kk_dafermos", "7a2bfd1bc08986b733e7cf8014f4ea4f4a6d4c5107b6b1aca168bed1c863e320"),
+        ("mems", "3d785ee72c0f3fcded6a89e98293284bbcb4a6388495f4798501f4a0c4bb3ce8"),
+        ("painleve1", "b2ba5476d4cff1b2a3f7d173239cd7807c5227c4842fab57d6cdd3d7e3207503"),
+        ("selfsimilar", "d808b139b2fb33d8bf6d36efa5f6e8717596124fd31265dddc2018c79117cc96"),
     ],
     ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],
 )

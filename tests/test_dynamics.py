@@ -442,11 +442,10 @@ class _Samples(list):
         return self
 
 
-def _call_step(df, z, k1, h, atol=1e-12, rtol=1e-10, max_step=math.inf,
-               lv=math.nan):
+def _call_step(df, z, k1, h, atol=1e-12, rtol=1e-10, max_step=math.inf):
     """One call of a field's step from tau = 0, as (result, samples)."""
     out = _Samples()
-    return df.step(tuple(z), k1, h, 0.0, h, lv, out, atol, rtol, max_step), out
+    return df.step(tuple(z), k1, h, 0.0, h, out, atol, rtol, max_step), out
 
 
 def _reference_step(dfield):
@@ -458,6 +457,8 @@ def _reference_step(dfield):
     evaluates the dense output (``evaluated``)."""
     split = _ln_split(dfield)
     t_slot = 0 if dfield.nonautonomous else _dim(dfield) - 1
+    # the decades of W, or of the time factor s**k, the next step may span
+    cut = 0.3 if split is None else 4.0 / split[2]
 
     def level(state):
         if split is not None:
@@ -521,7 +522,8 @@ def _reference_step(dfield):
             out.append((state, polys[t_slot]))
         return out
 
-    def step(z, k1, h, tau, tau_end, lv, out, atol, rtol, max_step):
+    def step(z, k1, h, tau, tau_end, out, atol, rtol, max_step):
+        lv = level(z)
         res = stages(z, k1, h, atol, rtol)
         if res is None:
             return None
@@ -556,7 +558,9 @@ def _reference_step(dfield):
             record(out, state, tau + h * (j / m), dt - dt_prev)
             dt_prev = dt
         record(out, x, tau_end, d[t_slot] - dt_prev)
-        return tuple(x), err, tuple(st.ks[12]), guard, _py_gap(dfield, x), lv1
+        dec = abs(lv1 - lv)
+        h_cut = h * cut / dec if dec > 0.0 else math.inf
+        return tuple(x), err, tuple(st.ks[12]), guard, _py_gap(dfield, x), h_cut
 
     step.formed = step.evaluated = 0
     return step
@@ -650,15 +654,15 @@ def test_generated_step_matches_list_reference(name, y0, t0):
     generated_step = generated.step
     domain_errors = []
 
-    def checked(z, k1, h, tau, tau_end, lv, out, *controls):
+    def checked(z, k1, h, tau, tau_end, out, *controls):
         mine = []
         try:
-            want = twin(z, k1, h, tau, tau_end, lv, mine, *controls)
+            want = twin(z, k1, h, tau, tau_end, mine, *controls)
         except DomainError:
             want = DomainError
         base = len(out)
         try:
-            got = generated_step(z, k1, h, tau, tau_end, lv, out, *controls)
+            got = generated_step(z, k1, h, tau, tau_end, out, *controls)
         except DomainError:
             assert want is DomainError and len(out) == base
             domain_errors.append(h)
@@ -805,9 +809,9 @@ def _recorded_run(name, controls):
     real_step = df.step
     ends, returned = [], {}
 
-    def recording_step(z, k1, h, tau, tau_end, lv, out, *controls):
+    def recording_step(z, k1, h, tau, tau_end, out, *controls):
         base = len(out)
-        res = real_step(z, k1, h, tau, tau_end, lv, out, *controls)
+        res = real_step(z, k1, h, tau, tau_end, out, *controls)
         if res is not None and type(res) is not float:
             ends.append(_sample(df, res[0]))
             rows = _rows(df, out[base:])
@@ -856,24 +860,27 @@ def test_sampling_contract(name, max_step):
 
 
 def test_dense_coefficients_formed_once_per_filled_step():
-    # the painleve1 example with no max_step and rel_tol 1e-6 samples a
-    # step again at a larger m, which reuses the step's coefficients; the
-    # generated run equals, bit for bit, the list reference's, which forms
-    # one set of coefficients per filled step and evaluates more
-    controls = IntegratorControls(max_step=math.inf, rel_tol=1e-6)
-    b = make_example("painleve1")
-    run = b.runs[0]
-    runs = []
-    for reference in (False, True):
-        df = build_field_from_config(b)
-        if reference:
-            ref = _use_reference(df)
-        coords = embed(df.chart, np.asarray(run.y0, dtype=float)).coords
-        runs.append(integrate(df, coords, t0=run.t0, controls=controls))
-    got, want = runs
-    for attr in ("taus", "coords", "ts", "gaps", "dts"):
-        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-    filled = len(got.taus) - 1 - got.n_accepted
+    # one step of y' = y^2 from y = 0.7 over h = 2: W = 1 - y^2 falls
+    # 0.48 decade, so the step samples its dense output at m = 5, but W's
+    # decay speeds up along the step, one of those samples lies more than
+    # 0.1 decade from the next, and the step samples again at a larger m,
+    # which reuses the step's coefficients.  The generated step equals, bit
+    # for bit, the list reference, which forms one set of coefficients and
+    # evaluates the dense output more than once
+    df = scalar_field()
+    z = (0.7, 1.0 - 0.7 * 0.7, 0.0)
+    h, max_step = 2.0, 1.0
+    k1 = df.state_derivative(z)
+    got, out = _call_step(df, z, k1, h, rtol=1e-6, max_step=max_step)
+    ref = _reference_step(df)
+    mine = _Samples()
+    want = ref(z, k1, h, 0.0, h, mine, 1e-12, 1e-6, max_step)
+    assert repr(got) == repr(want) and repr(out) == repr(mine)
+    rows = _rows(df, out)
+    decades = abs(math.log10(got[4]) - math.log10(z[1]))
+    m = max(math.ceil(h / max_step), math.ceil(decades / 0.1))
+    assert m == 5 and len(rows) > m  # sampled again at a larger m
+    filled = len(rows) - 1
     assert 0 < ref.formed < filled
     assert ref.evaluated > ref.formed
 
@@ -939,7 +946,7 @@ def _states_near_gap(df, target):
 def test_parabolic_stop_decision_is_the_steps(threshold):
     # the step returns its new state's W slot as the gap: at a threshold
     # integrate decides on that gap and stores that one.  Each step below
-    # stays at one state, from that state's own gap level
+    # stays at one state
     df = build_field_from_config(painleve1())
     states = _states_near_gap(df, threshold)
     assert {g < threshold for _, g in states} == {True, False}
@@ -948,8 +955,8 @@ def test_parabolic_stop_decision_is_the_steps(threshold):
     start = embed(df.chart, np.array([0.0, 10.0, 80.0])).coords
     for state, g_step in states[::3]:
         object.__setattr__(
-            df, "step", lambda z, k1, h, tau, tau_end, lv, *rest, s=state:
-            real_step(s, k1, 0.0, tau, tau_end, df.gap_level(s), *rest)
+            df, "step", lambda z, k1, h, tau, tau_end, *rest, s=state:
+            real_step(s, k1, 0.0, tau, tau_end, *rest)
         )
         traj = integrate(df, start, controls=IntegratorControls(tau_max=1.0))
         if g_step < -_DOMAIN_SLACK:
@@ -986,22 +993,22 @@ def test_parabolic_step_keeps_the_sign_of_w():
             z = (-537.3183714954172, -1.0, w)
             for h in (1.0, 0.01):
                 got = _call_step(df, z, df.state_derivative(z), h,
-                                 max_step=5e-4, lv=df.gap_level(z))
+                                 max_step=5e-4)
                 assert got == (None, []), (reference, w, h)
 
 
 def test_subnormal_w_has_no_gap_level():
     # a subnormal W moves in steps of 5e-324, more than 0.1 decade apart
     # near the bottom, so no m could space its samples by the gap: they
-    # carry no level, and max_step alone spaces them
+    # carry no level, and max_step alone spaces them.  Nor does the step
+    # cut the next one by W's levels: though W moved, the cut is inf
     df = _fast_decay_field()
     z = (-537.3183714954172, -1.0, 2e-323)
-    assert math.isnan(df.gap_level(z))
+    assert 0.0 < z[2] < sys.float_info.min
     h = 8.8e-4
-    res, out = _call_step(df, z, df.state_derivative(z), h, max_step=h / 20,
-                          lv=df.gap_level(z))
+    res, out = _call_step(df, z, df.state_derivative(z), h, max_step=h / 20)
     rows = _rows(df, out)
-    assert len(rows) == 20 and math.isnan(res[5])
+    assert len(rows) == 20 and res[5] == math.inf and res[0][2] != z[2]
     assert all(0.0 < gap < sys.float_info.min for _, gap in rows)
 
 
@@ -1012,10 +1019,10 @@ def test_w_through_the_subnormals_ends(monkeypatch):
     df = _fast_decay_field()
     real_step = df.step
 
-    def bounded(z, k1, h, tau, tau_end, lv, out, *controls):
+    def bounded(z, k1, h, tau, tau_end, out, *controls):
         mine = _Samples()
         try:
-            return real_step(z, k1, h, tau, tau_end, lv, mine, *controls)
+            return real_step(z, k1, h, tau, tau_end, mine, *controls)
         finally:
             out += mine
 
