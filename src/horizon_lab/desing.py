@@ -22,18 +22,16 @@ is keyed by one exponent tuple whose slot ``gap_slot`` holds the power of the
 horizon gap: s's own slot i0 on a directional chart, an extra slot n after the
 coordinates for W on the parabolic one.
 
-Evaluation goes through plain Python expressions (value, Jacobian, time
-factor), compiled once per distinct generated source per process (bounded
-LRU); fields with the same source share the stateless compiled functions.
-The Jacobian is the exact term-wise derivative, including the chain rule
-through W.  The same source holds one DOP853 step per field, with the
-stages, the tableau and the state dimension unrolled around those
-expressions (each distinct power and expression evaluated once per stage).
-An accepted step also forms its dense output's coefficients once, samples
-it by the sampling rule this module owns (``max_step`` apart in tau, 0.1
-decade apart in the horizon gap), appends the samples to a flat list and
-returns the longest next step this module's cut allows, so a step costs
-one call.
+Evaluation goes through plain Python expressions (value, time factor),
+compiled once per distinct generated source per process (bounded LRU);
+fields with the same source share the stateless compiled functions.  The
+same source holds one DOP853 step per field, with the stages, the tableau
+and the state dimension unrolled around those expressions (each distinct
+power and expression evaluated once per stage).  An accepted step also
+forms its dense output's coefficients once, samples it by the sampling
+rule this module owns (``max_step`` apart in tau, 0.1 decade apart in the
+horizon gap), appends the samples to a flat list and returns the longest
+next step this module's cut allows, so a step costs one call.
 
 The step's state (``DesingField.start``) carries the horizon gap in slot
 ``gap_slot`` at the rate ``gap_rate``.  On the parabolic chart that is W,
@@ -60,7 +58,9 @@ of the gap act: the principal part of the field.  The source also holds
 array evaluators of the system the batched equilibrium search solves, for
 a batch of points with NumPy: that restriction's nonempty components, with
 P(x) - 1 on the parabolic chart, and their partials in the slots solved
-for; where a scalar evaluation would raise a domain error, they leave
+for; and the field's exact Jacobian, with the chain rule through W, at a
+batch of rows with W as a column of its own, to linearize at gap 0.
+Where a scalar evaluation would raise a domain error, they leave
 non-finite entries in that point's row.
 """
 
@@ -690,7 +690,6 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
         + f"), {f'max({absolutes})' if dim > 1 else absolutes}, {gap}, "
         f"h * {cut} / dec if (dec := abs(lv1 - lv)) > 0.0 else _inf",
         "    m = _ceil(h / max_step)",
-        "    dec = abs(lv1 - lv)",
         f"    if dec > {gd}:",
         f"        m = max(m, _ceil(dec / {gd}))",
         "    if m <= 1:",
@@ -776,7 +775,7 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
 
 
 def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
-                  free: Tuple[int, ...]) -> str:
+                  free: Tuple[int, ...], jac: list) -> str:
     """Source of ``_horizon_rhs(Z) -> (m, p + c)`` and ``_horizon_jac(Z) ->
     (m, p + c, f)``, the system a horizon search solves at each point
     ``Z[i]``, written into preallocated arrays: the p polynomials
@@ -787,7 +786,9 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     (``_pw`` of a negative base or of zero with a negative exponent, an
     integer power of zero below zero, an overflow), NumPy gives NaN or inf,
     and since the expressions only add and multiply, it stays in that
-    point's row.
+    point's row.  Then ``_jac(Z) -> (m, n, n)`` at rows laid out as
+    ``DesingField.jacobian_array`` reads them, from ``jac``, the templates
+    (i, j, t) of the Jacobian's nonzero entries; W's clamp is ``_maximum``.
     """
     n, polys = em.n, list(horizon)
     rows = [em.poly(q) for q in polys]
@@ -806,7 +807,12 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
             d = _pdiff_var(q, j)
             if d:
                 lines.append(f"    out[:, {i}, {c}] = {em.inline(em.poly(d))}")
-    lines += ["    return out"]
+    body = [f"    out[:, {i}, {j}] = {em.inline(t)}" for i, j, t in jac]
+    lines += ["    return out", "", "def _jac(Z):",
+              "    " + "".join(f"x{j}, " for j in range(n + em.parabolic)) + "= Z.T"]
+    if em.needs_clamp:
+        lines.append(f"    x{n}c = _maximum(x{n}, 0.0)")
+    lines += [f"    out = _zeros((len(Z), {n}, {n}))"] + body + ["    return out"]
     return "\n".join(lines) + "\n"
 
 
@@ -851,7 +857,8 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
     n = htype.n
     em = _Emitter(n, 2 * htype.beta_full(), htype.i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
-    jac_exprs = [[em.inline(em.poly(p)) for p in row] for row in jac_rows]
+    jac = [(i, j, em.poly(p)) for i, row in enumerate(jac_rows)
+           for j, p in enumerate(row) if p]
     exprs = [em.inline(t) for t in templates]
     # the step's state derivative: the gap's rate in the gap's slot, which
     # on a directional chart takes the place of ds/dtau
@@ -862,14 +869,9 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
     # preambles emitted last: clamping needs are discovered while emitting
     pre = em.preamble()
     g_body = ",\n        ".join(exprs)
-    j_body = ",\n        ".join(
-        "(" + ", ".join(row) + ("," if len(row) == 1 else "") + ")"
-        for row in jac_exprs
-    )
     clamp = "".join(f"{t}\n" for _, t in em.clamp("    "))
     parts = (
         f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
-        f"def _jac(z):\n{pre}\n    return (\n        {j_body},\n    )\n\n"
         f"def _time_factor(x{gap_slot}):\n{clamp}    return {exprs[-1]}\n",
     )
     # ``_deriv`` gives the first k1 from the step's own expressions
@@ -877,15 +879,15 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
     parts += (f"def _deriv(z):\n{em.preamble(state=True)}\n"
               f"    return (\n        {d_body},\n    )\n",)
     parts += (_emit_dop853(em, templates, dim, time_slot, htype.k_float),)
-    hsrc = _emit_horizon(em, horizon, free)
+    hsrc = _emit_horizon(em, horizon, free, jac)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
 @functools.lru_cache(maxsize=32)
 def _compiled(parts: Tuple[str, ...], hsrc: str):
-    """``(_rhs, _jac, _time_factor, _deriv, _step, _horizon_rhs,
-    _horizon_jac)`` compiled from the generated source, once per distinct
-    source, like ``re``'s pattern cache.
+    """``(_rhs, _time_factor, _deriv, _step, _horizon_rhs, _horizon_jac,
+    _jac)`` compiled from the generated source, once per distinct source,
+    like ``re``'s pattern cache.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
@@ -897,10 +899,11 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
     # one compile per part keeps the compiler's peak memory to the largest
     for part in parts:
         exec(compile(part, "<desing-field>", "exec"), ns)
-    hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros}
+    hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros,
+                 "_maximum": np.maximum}
     exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
-    return (ns["_rhs"], ns["_jac"], ns["_time_factor"], ns["_deriv"],
-            ns["_step"], hns["_horizon_rhs"], hns["_horizon_jac"])
+    return (ns["_rhs"], ns["_time_factor"], ns["_deriv"], ns["_step"],
+            hns["_horizon_rhs"], hns["_horizon_jac"], hns["_jac"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -917,6 +920,10 @@ class DesingField:
     process (bounded LRU); fields with the same source share the stateless
     compiled functions.  ``rhs_values``, ``jacobian`` and the horizon
     evaluators take the chart coordinates (s included; W = 1 - P).
+    ``jacobian_array(Z)`` is the generated ``_jac``, the exact Jacobian
+    (m, n, n) at each row of ``Z`` laid out as ``start``'s row without t:
+    W is read as given, 0 on the horizon.  ``jacobian(coords)`` is its row
+    at ``start(coords)``, DomainError where an entry is not finite.
 
     ``time_factor_at(gap)`` is the generated dt/dtau, ``rhs_values``' last
     entry, a polynomial in the gap alone (s**k, or q(W) W**k), with no
@@ -996,9 +1003,9 @@ class DesingField:
         )
         object.__setattr__(self, "horizon_rows", rows)
         object.__setattr__(self, "free_slots", free)
-        for name, value in zip(("_rhs", "_jac", "time_factor_at", "_deriv",
-                                "step", "horizon_rhs_array",
-                                "horizon_jacobian_array", "source_code"),
+        for name, value in zip(("_rhs", "time_factor_at", "_deriv", "step",
+                                "horizon_rhs_array", "horizon_jacobian_array",
+                                "jacobian_array", "source_code"),
                                compiled):
             object.__setattr__(self, name, value)
 
@@ -1057,12 +1064,13 @@ class DesingField:
         return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
 
     def jacobian(self, coords) -> np.ndarray:
-        z = self._point(coords)
-        try:
-            rows = self._jac(z)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DomainError(f"jacobian evaluation failed at {z}: {exc}") from exc
-        return np.asarray(rows, dtype=float)
+        """``jacobian_array`` at ``start(coords)``'s row, t left out."""
+        row = self.start(coords)[0][:self.n + (self.gap_slot == self.n)]
+        with np.errstate(all="ignore"):
+            J = self.jacobian_array(np.array([row]))[0]
+        if not np.isfinite(J).all():
+            raise DomainError(f"jacobian not finite at {list(row)}")
+        return J
 
     def horizon_gap(self, coords) -> float:
         return float(self.chart.horizon_gap_of(np.asarray(coords, dtype=float)))

@@ -39,9 +39,13 @@ dispatch.  Since each member iterates on its own, a batch gives each seed
 the bits of a search from that seed alone.  So the endpoints of many
 trajectories share one solve (``horizon_equilibria_per_seed``), each
 getting what ``find_horizon_equilibria`` would give it alone; both
-searches accept points by one test and classify them by one helper, with
-one stacked ``eigvals`` over the accepted points.  Curve continuation
-still solves one seed at a time.
+searches accept points by one test and classify them by one helper on
+the horizon they solved: the field's Jacobian at gap 0 (W = 0; s is 0
+already), one ``DesingField.jacobian_array`` call for all accepted
+points, then one stacked ``eigvals`` over those whose linearization is
+finite.  An equilibrium's residual is the search's own |g| over the
+horizon rows, so the search reads only the field's generated horizon
+evaluators.  Curve continuation still solves one seed at a time.
 Spectra are split into tangential / stable / unstable parts with an
 explicit neutral tolerance so borderline cases surface as 'nonhyperbolic'
 instead of a guess.
@@ -61,7 +65,6 @@ from .errors import (
     CurveBreak,
     DomainError,
     EigenFailure,
-    HorizonLabError,
     StepFailure,
 )
 
@@ -315,10 +318,10 @@ class Equilibrium:
     """A zero of the desingularized field on the horizon.
 
     coords always carries the full chart coordinate vector (s = 0 in a
-    directional chart, frozen values in place).  classification is computed
-    on the normal directions: tangential_dims eigenvalues closest to the
-    imaginary axis are structural (time slot, frozen family directions) and
-    excluded.
+    directional chart, frozen values in place), and residual is |g| over
+    the field's horizon rows there.  classification is computed on the
+    normal directions: tangential_dims eigenvalues closest to the imaginary
+    axis are structural (time slot, frozen family directions) and excluded.
     """
 
     coords: np.ndarray
@@ -373,13 +376,6 @@ def spectrum_classify(eigenvalues, tangential_dims: int) -> SpectralSplit:
     return SpectralSplit(
         stable=stable, unstable=unstable, classification=classification
     )
-
-
-def _eigvals(J: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(J)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue iteration failed: {exc}") from exc
 
 
 _GN_MAX_ITER = 60
@@ -533,9 +529,10 @@ def _seed_array(dfield: DesingField, seeds) -> np.ndarray:
 def _solve_on_horizon(dfield: DesingField, X0: np.ndarray):
     """One batched Gauss-Newton solve from the finite (m, n) seeds ``X0``,
     which it changes: every seed's gap slot is set to 0.  Returns (X, rnorm,
-    accepted): each member's last point, its residual norm there and
-    whether it meets the residual contract (|g| < 1e-10 over the horizon
-    rows, every constraint row below 1e-12 in magnitude)."""
+    res, accepted): each member's last point, its residual norm there, its
+    |g| over the horizon rows alone and whether it meets the residual
+    contract (that |g| below 1e-10, every constraint row below 1e-12 in
+    magnitude)."""
     if dfield.gap_slot < dfield.n:
         X0[:, dfield.gap_slot] = 0.0
     free = list(dfield.free_slots)
@@ -552,31 +549,30 @@ def _solve_on_horizon(dfield: DesingField, X0: np.ndarray):
             lambda v, rows: dfield.horizon_jacobian_array(points(v, rows)),
             X0[:, free],
         )
-        rnorm = _norms(r)
-        accepted = (_norms(r[:, :p]) < _RESIDUAL_TOL) & (
+        rnorm, res = _norms(r), _norms(r[:, :p])
+        accepted = (res < _RESIDUAL_TOL) & (
             np.abs(r[:, p:]) < _CONSTRAINT_TOL
         ).all(axis=1)
     X = X0.copy()
     X[:, free] = v
-    return X, rnorm, accepted
+    return X, rnorm, res, accepted
 
 
-def _spectra(Js: list) -> list:
-    """``np.sort(_eigvals(J))`` for each Jacobian J, from one stacked
-    ``eigvals`` call; a member's eigenvalues are real when all of its own
-    are, as a call on it alone gives them.  When the stacked call fails,
-    each member is solved alone, and one that fails gets its EigenFailure."""
-    if not Js:
-        return []
+def _spectra(Js: np.ndarray) -> list:
+    """The sorted eigenvalues of each Jacobian of an (m, n, n) stack, from
+    one stacked ``eigvals`` call; a member's eigenvalues are real when all
+    of its own are, as a call on it alone gives them.  When the stacked
+    call fails, each member is solved alone, and one that fails gets an
+    EigenFailure."""
     try:
-        spectra = list(np.linalg.eigvals(np.array(Js)))
+        spectra = list(np.linalg.eigvals(Js))
     except np.linalg.LinAlgError:
         spectra = []
         for J in Js:
             try:
-                spectra.append(_eigvals(J))
-            except EigenFailure as exc:
-                spectra.append(exc)
+                spectra.append(np.linalg.eigvals(J))
+            except np.linalg.LinAlgError as exc:
+                spectra.append(EigenFailure(f"eigenvalue iteration failed: {exc}"))
     out = []
     for w in spectra:
         if not isinstance(w, EigenFailure):
@@ -587,31 +583,28 @@ def _spectra(Js: list) -> list:
     return out
 
 
-def _classify(dfield: DesingField, X: np.ndarray) -> list:
-    """The equilibrium at each accepted point (row) of ``X``: None where
-    the full field fails to evaluate (a term the horizon drops is singular
-    there), or the HorizonLabError its Jacobian or spectrum raised."""
+def _classify(dfield: DesingField, X: np.ndarray, res: np.ndarray) -> list:
+    """The equilibrium at each accepted point (row) of ``X`` with residual
+    ``res``, linearized on the horizon: the field's Jacobian at gap 0 (W =
+    0 on the parabolic chart; s is 0 in ``X`` on a directional one), in one
+    ``DesingField.jacobian_array`` call.  None where that linearization is
+    not finite (a term the horizon drops is singular there), or the
+    EigenFailure of its spectrum."""
+    Z = X if dfield.gap_slot < dfield.n else np.hstack([X, np.zeros((len(X), 1))])
+    with np.errstate(all="ignore"):
+        J = dfield.jacobian_array(Z)
+    keep = np.flatnonzero(np.isfinite(J).all(axis=(1, 2)))
     out: list = [None] * len(X)
-    todo = []
-    for i, x in enumerate(X):
-        try:
-            g = dfield.g(x)
-        except DomainError:
-            continue
-        try:
-            todo.append((i, x, g, dfield.jacobian(x)))
-        except HorizonLabError as exc:
-            out[i] = exc
     # every weight-0 slot is a direction along the horizon
     tangential_dims = dfield.n - len(dfield.htype.i_alpha)
-    for (i, x, g, _), eigs in zip(todo, _spectra([J for *_, J in todo])):
+    for i, eigs in zip(keep.tolist(), _spectra(J[keep])):
         if isinstance(eigs, EigenFailure):
             out[i] = eigs
             continue
         out[i] = Equilibrium(
-            coords=x,
-            t_slice=float(x[0]) if dfield.nonautonomous else None,
-            residual=math.sqrt(g.dot(g)),  # np.linalg.norm(g)'s arithmetic
+            coords=X[i],
+            t_slice=float(X[i, 0]) if dfield.nonautonomous else None,
+            residual=float(res[i]),
             eigenvalues=eigs,
             tangential_dims=tangential_dims,
             classification=spectrum_classify(eigs, tangential_dims).classification,
@@ -634,14 +627,14 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
     is dropped when it lies within 1e-8 + sqrt(|r|) + sqrt(|r'|) of an
     earlier one, |r| and |r'| being their final residuals (a solve that
     stops at |r| ~ 1e-14 sits about sqrt(|r|) from a double zero).  A
-    point where the full field fails to evaluate is dropped too.  A seed
-    that is not finite raises DomainError before any solve.
+    point whose linearization on the horizon is not finite is dropped
+    too.  A seed that is not finite raises DomainError before any solve.
     """
     X0 = _seed_array(dfield, seeds)
     bad = np.flatnonzero(~np.isfinite(X0).all(axis=1))
     if bad.size:
         raise DomainError(f"seed {bad[0]} is not finite: {X0[bad[0]].tolist()}")
-    X, rnorm, accepted = _solve_on_horizon(dfield, X0)
+    X, rnorm, res, accepted = _solve_on_horizon(dfield, X0)
 
     # in seed order, each kept point absorbs the later ones within reach
     idx = np.flatnonzero(accepted)
@@ -651,14 +644,14 @@ def find_horizon_equilibria(dfield: DesingField, seeds) -> list:
         kept.append(idx[0])
         far = np.max(np.abs(X[idx] - X[idx[0]]), axis=1) >= _DEDUP_TOL + reach[0] + reach
         idx, reach = idx[far], reach[far]
-    found = X[kept]
+    kept = np.array(kept, dtype=int)
     # lexicographically by the coordinates rounded to 10 decimals; rounding
     # scales by 1e10, so a coordinate above about 1.8e298 keys as inf
     with np.errstate(over="ignore"):
-        found = found[np.lexsort(np.round(found, 10).T[::-1])]
+        kept = kept[np.lexsort(np.round(X[kept], 10).T[::-1])]
     out = []
-    for eq in _classify(dfield, found):
-        if isinstance(eq, HorizonLabError):
+    for eq in _classify(dfield, X[kept], res[kept]):
+        if isinstance(eq, EigenFailure):
             raise eq
         if eq is not None:
             out.append(eq)
@@ -685,9 +678,10 @@ def horizon_equilibria_per_seed(dfield: DesingField, seeds) -> list:
     rows = np.flatnonzero(finite)
     if not rows.size:
         return out
-    X, _, accepted = _solve_on_horizon(dfield, X0[rows])
-    for row, eq in zip(rows[accepted].tolist(), _classify(dfield, X[accepted])):
-        if isinstance(eq, HorizonLabError):
+    X, _, res, accepted = _solve_on_horizon(dfield, X0[rows])
+    for row, eq in zip(rows[accepted].tolist(),
+                       _classify(dfield, X[accepted], res[accepted])):
+        if isinstance(eq, EigenFailure):
             out[row] = eq
         elif eq is not None:
             out[row] = [eq]
@@ -719,8 +713,8 @@ def trace_equilibrium_curve(
     The trace walks from t_range[0] to t_range[1] (descending ranges walk
     the branch downward).  Each slice reuses the previous solution as its
     seed; losing the branch (residual contract violated, a jump bigger than
-    the continuation bound, or a slice on which the field itself is
-    singular) raises CurveBreak with the offending t.  A non-finite
+    the continuation bound, or a point where the field's linearization is
+    not finite) raises CurveBreak with the offending t.  A non-finite
     t_range, t_step or seed raises DomainError before any slice is solved.
     """
     if not dfield.nonautonomous:
@@ -752,14 +746,8 @@ def trace_equilibrium_curve(
     jump_bound = max(100.0 * abs(t_step), 1.0)
     samples = []
     for t_val in ts:
-        try:
-            x_prev[0] = t_val
-            eqs = find_horizon_equilibria(dfield, [x_prev])
-        except DomainError as exc:
-            raise CurveBreak(
-                f"field singular on the t = {t_val} slice: {exc}",
-                t_value=t_val,
-            ) from exc
+        x_prev[0] = t_val
+        eqs = find_horizon_equilibria(dfield, [x_prev])
         if not eqs:
             raise CurveBreak(
                 f"continuation lost the branch at t = {t_val}", t_value=t_val

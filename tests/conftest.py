@@ -48,6 +48,27 @@ def fd_jacobian(func, x, h=1e-6):
     return J
 
 
+def nan_spectra_where(monkeypatch, bad):
+    """Hand the eigenvalue call a NaN Jacobian for each classified point x
+    with ``bad(x)``, so its spectrum ends in EigenFailure while the other
+    points of its stack keep theirs."""
+    from horizon_lab import dynamics
+
+    classify, spectra = dynamics._classify, dynamics._spectra
+
+    def poisoned(dfield, X, res):
+        def nan_spectra(J):
+            assert len(J) == len(X)  # no point was dropped
+            mask = np.array([bool(bad(x)) for x in X], dtype=bool)
+            return spectra(np.where(mask[:, None, None], np.nan, J))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_spectra", nan_spectra)
+            return classify(dfield, X, res)
+
+    monkeypatch.setattr(dynamics, "_classify", poisoned)
+
+
 def example_text(name, params=None):
     """The canonical config text of a built-in example, as ``horizon-lab
     example NAME --emit-config`` prints it."""

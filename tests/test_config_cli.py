@@ -15,7 +15,6 @@ import pytest
 
 import horizon_lab
 from horizon_lab import (
-    DesingField,
     DomainError,
     HorizonLabError,
     OutputError,
@@ -33,7 +32,7 @@ from horizon_lab.dynamics import (
 )
 from horizon_lab.systems import EXAMPLES, selfsimilar
 
-from conftest import example_text
+from conftest import example_text, nan_spectra_where
 
 SCALAR_DOC = {
     "schema": 1,
@@ -765,18 +764,13 @@ def test_block_records_equal_one_run_records(tmp_path, monkeypatch):
     its grid fallback, its fit error and its endpoint's EigenFailure stay
     in its own record."""
     real = cli.horizon_equilibria_per_seed
-    jacobian = DesingField.jacobian
 
     def late_slices_find_nothing(dfield, seeds):
         found = real(dfield, seeds)
         return [[] if s[0] > 0.35 else f for s, f in zip(seeds, found)]
 
-    def nan_on_early_slices(self, coords):
-        J = jacobian(self, coords)
-        return J * np.nan if 0.0 < coords[0] < 1e-3 else J
-
     monkeypatch.setattr(cli, "horizon_equilibria_per_seed", late_slices_find_nothing)
-    monkeypatch.setattr(DesingField, "jacobian", nan_on_early_slices)
+    nan_spectra_where(monkeypatch, lambda x: 0.0 < x[0] < 1e-3)
     together, alone = _block_and_alone(tmp_path, dict(_P1, runs=_P1_RUNS))
     assert together == alone
     errors = [r["error"] and r["error"]["type"] for r in together]

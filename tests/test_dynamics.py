@@ -1089,6 +1089,26 @@ def test_painleve_spectrum_closed_form():
     assert sink.tangential_dims == 1
 
 
+def test_painleve_far_slices_classify_on_the_horizon():
+    """The linearization is taken at gap 0, where painleve1's t * W**4
+    term is gone: however far the slice, it lists a source and a sink with
+    slice 1's eigenvalues, bit for bit, and no RuntimeWarning."""
+    b = painleve1()
+    df = build_parabolic_desing(b.field, b.htype)
+
+    def listing(t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eqs = find_horizon_equilibria(df, grid_seeds(df, [t, 0.0, 0.0]))
+        assert [e.classification for e in eqs] == ["source", "sink"]
+        assert all(e.t_slice == t and e.residual < 1e-10 for e in eqs)
+        return [e.eigenvalues.tobytes() for e in eqs]
+
+    first = listing(1.0)
+    for t in (1e100, 1e250, -1e250):
+        assert listing(t) == first
+
+
 def test_kk_equilibria_and_classification():
     b = kk_dafermos()
     df = build_field_from_config(b)
@@ -1274,8 +1294,8 @@ def test_curve_rejects_non_finite_inputs(monkeypatch, t_range, t_step):
 def test_search_rejects_non_finite_inputs(monkeypatch, system, slot, bad):
     # a non-finite seed or anchor is a DomainError before any solve: no
     # RuntimeWarning from the dedup, no EigenFailure, and no CurveBreak
-    # ("field singular") from a trace; a directional chart's s is no
-    # exception, though the search sets it to 0
+    # from a trace; a directional chart's s is no exception, though the
+    # search sets it to 0
     df = build_field_from_config(system())
 
     def no_solve(*args, **kwargs):

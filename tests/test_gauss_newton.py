@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from horizon_lab import (
-    DesingField,
     DirectionalChart,
     DomainError,
     EigenFailure,
@@ -34,7 +33,7 @@ from horizon_lab import dynamics
 from horizon_lab.cli import build_field_from_config
 from horizon_lab.systems import example_names, make_example, painleve1, selfsimilar
 
-from conftest import workload_config
+from conftest import nan_spectra_where, workload_config
 
 
 def _scalar_gauss_newton(residual, jac, x0, max_iter=60):
@@ -539,13 +538,7 @@ def test_per_seed_search_keeps_an_eigen_failure_in_its_seed(monkeypatch):
     df, end = _example_end("painleve1")
     late = end.copy()
     late[0] += 1.0  # the same equilibrium on a later time slice
-    jacobian = DesingField.jacobian
-
-    def nan_on_late_slices(self, coords):
-        J = jacobian(self, coords)
-        return J * np.nan if coords[0] > end[0] + 0.5 else J
-
-    monkeypatch.setattr(DesingField, "jacobian", nan_on_late_slices)
+    nan_spectra_where(monkeypatch, lambda x: x[0] > end[0] + 0.5)
     seeds = [end, late, end]
     block = dynamics.horizon_equilibria_per_seed(df, seeds)
     assert isinstance(block[1], EigenFailure)
