@@ -177,7 +177,8 @@ def estimate_decay(traj: Trajectory, window: Optional[Tuple[float, float]] = Non
     residuals divided by the window length -- a slope-free measure of how
     straight the decay really is.
 
-    Raises InsufficientWindow with fewer than 20 usable samples.
+    Raises InsufficientWindow with fewer than ``_MIN_FIT_SAMPLES`` usable
+    samples.
     """
     taus = traj.taus
     gaps = traj.gaps
@@ -191,9 +192,9 @@ def estimate_decay(traj: Trajectory, window: Optional[Tuple[float, float]] = Non
         g_end = gaps[pos][-1]
         mask = pos & (gaps <= 1e4 * g_end)
     idx = np.flatnonzero(mask)
-    if len(idx) < 20:
+    if len(idx) < _MIN_FIT_SAMPLES:
         raise InsufficientWindow(
-            f"decay window holds {len(idx)} samples; need at least 20"
+            f"decay window holds {len(idx)} samples; need at least {_MIN_FIT_SAMPLES}"
         )
     x = taus[idx]
     span = float(x[-1] - x[0])

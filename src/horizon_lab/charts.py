@@ -37,6 +37,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     HorizonError,
+    located,
 )
 from .homogeneity import HomogeneityType
 
@@ -51,11 +52,6 @@ __all__ = [
 _KAPPA_RTOL = 1e-14
 _KAPPA_MAX_ITER = 200
 _TINY = np.finfo(float).tiny
-
-
-def _require_finite(y: np.ndarray) -> None:
-    if not np.isfinite(y).all():
-        raise DomainError("phase point is not finite")
 
 
 def _times_power(x, base, a):
@@ -84,6 +80,21 @@ class _Chart:
     @property
     def n(self) -> int:
         return self.htype.n
+
+    def checked(self, y) -> np.ndarray:
+        """``y`` as a float array of points with n entries on the last
+        axis: ValueError for another count, DomainError where an entry is
+        not finite and, on a directional chart, ChartDomainError outside
+        its half-space, each ``located`` at y."""
+        yv = np.asarray(y, dtype=float)
+        if yv.shape[-1:] != (self.n,):
+            msg = f"point has shape {yv.shape}, expected (..., {self.n})"
+            raise located(ValueError(msg), "y")
+        # counted: .all() costs more on the one point per run parse_config
+        # checks
+        if np.count_nonzero(np.isfinite(yv)) < yv.size:
+            raise located(DomainError("phase point is not finite"), "y")
+        return yv
 
     def project_array(self, coords: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Vectorized inverse of embed_array.
@@ -128,8 +139,7 @@ class ParabolicChart(_Chart):
     def embed_kappa(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """embed_array with kappa in place of the gap: the scaled Newton
         solve of the module docstring; the origin gives kappa = 1, x = y."""
-        yv = np.asarray(y, dtype=float)
-        _require_finite(yv)
+        yv = self.checked(y)
         idx = list(self.htype.i_alpha)
         alpha = self.htype.alpha_array()
         tc = 2 * self.htype.c
@@ -173,13 +183,16 @@ class DirectionalChart(_Chart):
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
-            raise ChartDomainError(f"chart sign must be +1 or -1, got {self.sign}")
+            msg = f"chart sign must be +1 or -1, got {self.sign}"
+            raise located(ChartDomainError(msg), "sign")
         if self.i0 not in self.htype.i_alpha:
-            raise ChartDomainError(
-                f"directional chart requires a positively weighted variable; "
-                f"alpha[{self.i0}] = "
-                f"{self.htype.alpha[self.i0] if 0 <= self.i0 < self.htype.n else '?'}"
-            )
+            n, i0 = self.htype.n, self.i0
+            if 0 <= i0 < n:
+                got = f"alpha[{i0}] = {self.htype.alpha[i0]}"
+            else:
+                got = f"index {i0} is outside the {n} variables"
+            msg = f"directional chart requires a positively weighted variable; {got}"
+            raise located(ChartDomainError(msg), "i0")
 
     @property
     def label(self) -> str:
@@ -189,15 +202,19 @@ class DirectionalChart(_Chart):
     def horizon_gap_of(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords, dtype=float)[..., self.i0]
 
-    def embed_array(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        yv = np.asarray(y, dtype=float)
-        _require_finite(yv)
-        pivot = self.sign * yv[..., self.i0]
-        if np.any(pivot <= 0):
-            raise ChartDomainError(
+    def checked(self, y) -> np.ndarray:
+        yv = super().checked(y)
+        # yv.T[i0] holds every point's entry i0, a scalar for one point
+        if np.count_nonzero(self.sign * yv.T[self.i0] <= 0):
+            raise located(ChartDomainError(
                 f"point outside chart half-space: requires "
                 f"{'+' if self.sign > 0 else '-'}y[{self.i0}] > 0"
-            )
+            ), "y", self.i0)
+        return yv
+
+    def embed_array(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        yv = self.checked(y)
+        pivot = self.sign * yv[..., self.i0]
         a0 = self.htype.alpha[self.i0]
         s = pivot ** (-1.0 / a0)
         alpha = self.htype.alpha_array().astype(float)

@@ -108,7 +108,8 @@ def _setup_logging() -> None:
 def build_field_from_config(config: AnalysisConfig) -> DesingField:
     """The desingularized field of ``config.field`` on ``config.chart``,
     for the config's type.  Raises what the builders raise, e.g.
-    NegativeWExponentError for a monomial that breaks the type."""
+    NegativeWExponentError for a monomial that breaks the type, located at
+    that monomial of the field (``main`` reports it at its pointer)."""
     return build_desing(config.field, config.htype, config.chart)
 
 
@@ -216,8 +217,10 @@ def _global_equilibria(
     config: AnalysisConfig, dfield: DesingField, t_slice: Optional[float] = None
 ) -> list:
     """Horizon equilibria on the family slice (weight-0 values) through the
-    first run's initial point; ``t_slice`` replaces its time value."""
-    anchor = charts.embed(dfield.chart, np.asarray(config.runs[0].y0)).coords
+    first run's initial point, as given: an embedding keeps weight-0 slots'
+    bits, and the grid and the search replace the others.  ``t_slice``
+    replaces its time value."""
+    anchor = np.array(config.runs[0].y0, dtype=float)
     if t_slice is not None:
         if not (dfield.nonautonomous and math.isfinite(t_slice)):
             raise DomainError("t_slice needs a nonautonomous field and a finite value")
@@ -688,7 +691,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except HorizonLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # a builder locates a rule on config.field in it, parsed from /field
+        err = SchemaError.at(exc, {"field": "/field"})
+        msg = f"error: {type(exc).__name__}: {exc}" if err is None else f"config error: {err}"
+        print(msg, file=sys.stderr)
         return 1
 
 

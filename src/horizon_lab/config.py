@@ -4,10 +4,12 @@ A config is a JSON object (schema version 1) describing the field, its
 homogeneity type (alpha, k), the chart, the runs, and output options.
 Parsing is strict and validates as it reads: unknown keys are rejected,
 and every failure raises SchemaError carrying a JSON pointer to the
-offending element.  Parsing also builds the chart on the config's type:
-the one type every later stage reads.  Canonical emission (sorted keys,
-two-space indent, trailing newline) is byte-stable under a parse/emit
-round trip.
+offending element.  This module checks what JSON alone has; the field,
+type, chart and controls it builds state their own rules, and an error
+they locate becomes a SchemaError at the element it came from.  The chart
+is built on the config's type: the one type every later stage reads.
+Canonical emission (sorted keys, two-space indent, trailing newline) is
+byte-stable under a parse/emit round trip.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Tuple, Union
 
 from .charts import Chart, DirectionalChart, ParabolicChart
 from .dynamics import IntegratorControls
-from .errors import DomainError, SchemaError
-from .homogeneity import FieldSpec, HomogeneityType, Monomial
+from .errors import HorizonLabError, SchemaError
+from .homogeneity import FieldSpec, HomogeneityType, Monomial, derive_beta
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -33,10 +35,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# the integrator controls a run may give, checked against
-# IntegratorControls.BOUNDS; one left out gets the IntegratorControls default
+# the integrator controls a run may give; one left out gets the
+# IntegratorControls default, and the runs that give none share _DEFAULTS
 _RUN_CONTROLS = ("tau_max", "rel_tol", "abs_tol", "horizon_eps")
+_RUN_OPTIONAL = ("t0", *_RUN_CONTROLS)
+_DEFAULTS = IntegratorControls()
 
+_FLOAT_MAX = sys.float_info.max
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
 
 
@@ -52,9 +57,9 @@ def _object(value, ptr: str, required: tuple, optional: tuple = ()) -> dict:
     missing = [k for k in required if k not in value]
     if missing:
         raise SchemaError(f"missing key(s): {_quoted(missing)}", ptr or "/")
-    unknown = sorted(k for k in value if k not in required + optional)
+    unknown = [k for k in value if k not in required and k not in optional]
     if unknown:
-        raise SchemaError(f"unknown key(s): {_quoted(unknown)}", ptr or "/")
+        raise SchemaError(f"unknown key(s): {_quoted(sorted(unknown))}", ptr or "/")
     return value
 
 
@@ -68,23 +73,19 @@ def _list(value, ptr: str, min_items: int = 0) -> list:
     return value
 
 
-def _number(value, ptr: str, above=None, at_least=None):
-    """A finite JSON number (never a boolean) within the given bounds."""
+def _number(value, ptr: str):
+    """A finite JSON number (never a boolean)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number", ptr)
     # NaN fails every comparison; a JSON integer beyond float range overflows
-    if not abs(value) <= sys.float_info.max:
+    if not abs(value) <= _FLOAT_MAX:
         raise SchemaError("numbers must be finite", ptr)
-    if above is not None and not value > above:
-        raise SchemaError(f"must be greater than {above}", ptr)
-    if at_least is not None and not value >= at_least:
-        raise SchemaError(f"must be at least {at_least}", ptr)
     return value
 
 
-def _integer(value, ptr: str, at_least: int):
+def _integer(value, ptr: str):
     """A JSON integer; an integral float such as 1.0 counts as one."""
-    _number(value, ptr, at_least=at_least)
+    _number(value, ptr)
     if isinstance(value, float) and not value.is_integer():
         raise SchemaError("expected an integer", ptr)
     return value
@@ -132,29 +133,19 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
     """Parse and validate a JSON config document in one pass.
 
     Raises SchemaError, whose ``pointer`` names the offending element ("/"
-    for the root), for text that is not UTF-8 JSON and for a document with
-    - an unknown key in any object, or a missing required one (``schema``,
-      ``field``, ``homogeneity``, ``chart``, ``runs``; ``field.variables``
-      and ``components``; ``homogeneity.alpha`` and ``k``; a monomial's
-      ``coeff`` and ``exponents``; ``chart.type``; a run's ``y0``);
-    - a wrong JSON type: a boolean is never a number, while an integral
-      float such as 1.0 counts as an integer;
-    - a NaN or infinite number anywhere, 1e999 and integers beyond float
-      range included;
-    - a value out of range: ``tau_max``, ``rel_tol`` or ``abs_tol`` <= 0;
-      ``horizon_eps``, an ``alpha`` entry or ``chart.index`` < 0; an empty
-      ``variables``, ``runs``, ``y0`` or ``formats``; ``schema`` not 1,
-      ``chart.type`` not parabolic or directional, ``chart.sign`` not 1 or
-      -1, a format not csv or json;
-    - repeated variable names, a zero coefficient, or components, exponents,
-      alpha, y0 or a chart index that do not fit the number of variables;
-    - a nonautonomous field without t' = 1 as component 0, with a nonzero
-      time weight, or with a run whose ``t0`` is not ``y0[0]``;
-    - an all-zero alpha or k <= 0; an alpha entry or a 2 beta_i = 2
-      lcm(alpha)/alpha_i beyond int64 (2**63 - 1);
-    - a directional chart without an index, over a variable of weight 0,
-      or with an initial point outside its half-space; a parabolic chart
-      with an index or sign.
+    for the root).  This layer checks what JSON alone has: UTF-8 JSON text,
+    unknown and missing keys, JSON types (a boolean is never a number; an
+    integral float such as 1.0 counts as an integer), finite numbers (1e999
+    and integers beyond float range are not), ``schema`` 1, the
+    ``chart.type`` and format names, a nonempty ``variables``, ``runs`` and
+    ``formats``, a parabolic chart without index and sign, a directional
+    one with an index, and a nonautonomous run's ``t0 = y0[0]``.  Each
+    other rule is stated by the type built here that owns it, and the
+    error it ``located`` is raised at the element that type was built
+    from: ``Monomial`` and ``FieldSpec`` (the field), ``derive_beta``,
+    ``FieldSpec.check_weights`` and ``HomogeneityType`` (alpha and k),
+    ``DirectionalChart`` (index and sign), the chart's ``checked`` (y0)
+    and ``IntegratorControls`` (a run's controls).
     """
     if isinstance(text, bytes):
         try:
@@ -176,142 +167,71 @@ def parse_config(text: Union[str, bytes]) -> AnalysisConfig:
         _typed(v, f"/field/variables/{i}", str)
         for i, v in enumerate(_list(fdoc["variables"], "/field/variables", 1))
     )
-    n = len(variables)
-    if len(set(variables)) != n:
-        raise SchemaError("variable names must be unique", "/field/variables")
+    ptr = "/field/components"
     comps_doc = [
-        [
-            _monomial(m, f"/field/components/{i}/{j}")
-            for j, m in enumerate(_list(comp, f"/field/components/{i}"))
-        ]
-        for i, comp in enumerate(_list(fdoc["components"], "/field/components"))
+        [_monomial(m, f"{ptr}/{i}/{j}") for j, m in enumerate(_list(c, f"{ptr}/{i}"))]
+        for i, c in enumerate(_list(fdoc["components"], ptr))
     ]
-    if len(comps_doc) != n:
-        raise SchemaError(
-            f"{len(comps_doc)} components for {n} variables",
-            "/field/components",
+    # every monomial's JSON is checked before any coefficient's rule
+    components = tuple(
+        tuple(
+            _built(Monomial, {"coeff": f"{ptr}/{i}/{j}/coeff"}, *m)
+            for j, m in enumerate(c)
         )
-    components = []
-    for i, comp in enumerate(comps_doc):
-        monos = []
-        for j, (coeff, exponents) in enumerate(comp):
-            ptr = f"/field/components/{i}/{j}"
-            if len(exponents) != n:
-                raise SchemaError(
-                    f"monomial has {len(exponents)} exponents for {n} variables",
-                    f"{ptr}/exponents",
-                )
-            if coeff == 0:
-                raise SchemaError(
-                    "monomial coefficient must be nonzero", f"{ptr}/coeff"
-                )
-            monos.append(Monomial(coeff=coeff, exponents=exponents))
-        components.append(tuple(monos))
+        for i, c in enumerate(comps_doc)
+    )
     nonautonomous = _typed(
         fdoc.get("nonautonomous", False), "/field/nonautonomous", bool
     )
-    if nonautonomous:
-        c0 = components[0]
-        ok = (
-            len(c0) == 1
-            and c0[0].coeff == 1.0
-            and all(e == 0 for e in c0[0].exponents)
-        )
-        if not ok:
-            raise SchemaError(
-                "nonautonomous fields must have the constant monomial 1 as "
-                "component 0 (t' = 1)",
-                "/field/components/0",
-            )
-    field = FieldSpec(
-        variable_names=variables,
-        components=tuple(components),
-        nonautonomous=nonautonomous,
-    )
+    where = {"variable_names": "/field/variables", "components": ptr}
+    field = _built(FieldSpec, where, variables, components, nonautonomous)
 
     hdoc = _object(doc["homogeneity"], "/homogeneity", ("alpha", "k"))
     alpha = tuple(
-        _integer(a, f"/homogeneity/alpha/{i}", 0)
+        _integer(a, f"/homogeneity/alpha/{i}")
         for i, a in enumerate(_list(hdoc["alpha"], "/homogeneity/alpha"))
     )
-    if len(alpha) != n:
-        raise SchemaError(
-            f"alpha has {len(alpha)} entries for {n} variables",
-            "/homogeneity/alpha",
-        )
-    if not any(alpha):
-        raise SchemaError(
-            "alpha must have at least one positive entry",
-            "/homogeneity/alpha",
-        )
-    if nonautonomous and alpha[0] != 0:
-        raise SchemaError(
-            "the time variable must have weight 0", "/homogeneity/alpha/0"
-        )
-    k = _number(hdoc["k"], "/homogeneity/k")
-    if not k > 0:
-        raise SchemaError("order k must be positive", "/homogeneity/k")
-    try:  # k is checked above, so what fails here is alpha's size
-        htype = HomogeneityType(alpha=alpha, k=k)
-    except DomainError as exc:
-        raise SchemaError(str(exc), "/homogeneity/alpha") from None
+    where = {"alpha": "/homogeneity/alpha", "k": "/homogeneity/k"}
+    # alpha's own rules come before how it fits the field, and both before k
+    _built(derive_beta, where, alpha)
+    _built(field.check_weights, where, alpha)
+    htype = _built(HomogeneityType, where, alpha, _number(hdoc["k"], "/homogeneity/k"))
 
     cdoc = _object(doc["chart"], "/chart", ("type",), ("index", "sign"))
     chart_kind = _choice(cdoc["type"], "/chart/type", ("parabolic", "directional"))
-    chart_sign = int(_choice(cdoc.get("sign", 1), "/chart/sign", (1, -1)))
-    chart_index = None
-    if "index" in cdoc:
-        chart_index = int(_integer(cdoc["index"], "/chart/index", 0))
+    chart_sign = int(_integer(cdoc.get("sign", 1), "/chart/sign"))
+    chart_index = int(_integer(cdoc.get("index", 0), "/chart/index"))
     if chart_kind == "parabolic":
         if "index" in cdoc or "sign" in cdoc:
             raise SchemaError("parabolic charts take no index or sign", "/chart")
         chart = ParabolicChart(htype=htype)
+    elif "index" not in cdoc:
+        raise SchemaError("directional chart needs an index", "/chart")
     else:
-        if chart_index is None:
-            raise SchemaError("directional chart needs an index", "/chart")
-        if chart_index >= n:
-            raise SchemaError(
-                f"chart index {chart_index} out of range for {n} variables",
-                "/chart/index",
-            )
-        if htype.alpha[chart_index] == 0:
-            raise SchemaError(
-                "directional charts need a positively weighted variable",
-                "/chart/index",
-            )
-        chart = DirectionalChart(htype=htype, i0=chart_index, sign=chart_sign)
+        where = {"i0": "/chart/index", "sign": "/chart/sign"}
+        chart = _built(DirectionalChart, where, htype, chart_index, chart_sign)
 
     runs = []
     for i, rdoc in enumerate(_list(doc["runs"], "/runs", 1)):
         ptr = f"/runs/{i}"
-        _object(rdoc, ptr, ("y0",), ("t0", *_RUN_CONTROLS))
-        y0 = tuple(
-            float(_number(v, f"{ptr}/y0/{j}"))
-            for j, v in enumerate(_list(rdoc["y0"], f"{ptr}/y0", 1))
-        )
-        if len(y0) != n:
-            raise SchemaError(
-                f"y0 has {len(y0)} entries for {n} variables", f"{ptr}/y0"
-            )
-        if isinstance(chart, DirectionalChart):
-            if chart.sign * y0[chart.i0] <= 0:
-                raise SchemaError(
-                    f"initial point lies outside the chart half-space "
-                    f"({'+' if chart.sign > 0 else '-'}y[{chart.i0}] > 0)",
-                    f"{ptr}/y0/{chart.i0}",
-                )
+        _object(rdoc, ptr, ("y0",), _RUN_OPTIONAL)
+        yptr = f"{ptr}/y0"
+        y0 = [_number(v, f"{yptr}/{j}") for j, v in enumerate(_list(rdoc["y0"], yptr))]
+        y0 = tuple(_built(chart.checked, {"y": yptr}, y0).tolist())
         t0 = _number(rdoc.get("t0", y0[0] if nonautonomous else 0.0), f"{ptr}/t0")
         if nonautonomous and t0 != y0[0]:
             raise SchemaError(
                 "for nonautonomous fields t0 must equal y0[0]", f"{ptr}/t0"
             )
-        controls = IntegratorControls(**{
-            key: float(
-                _number(rdoc[key], f"{ptr}/{key}", **IntegratorControls.BOUNDS[key])
-            )
+        given = {
+            key: float(_number(rdoc[key], f"{ptr}/{key}"))
             for key in _RUN_CONTROLS
             if key in rdoc
-        })
+        }
+        controls = _DEFAULTS
+        if given:
+            where = {key: f"{ptr}/{key}" for key in given}
+            controls = _built(IntegratorControls, where, **given)
         runs.append(RunSpec(y0=y0, t0=float(t0), controls=controls))
 
     odoc = _object(doc.get("outputs", {}), "/outputs", (), ("directory", "formats"))
@@ -343,6 +263,18 @@ def _monomial(value, ptr: str) -> tuple:
         _number(e, f"{ptr}/exponents/{q}")
         for q, e in enumerate(_list(value["exponents"], f"{ptr}/exponents"))
     )
+
+
+def _built(make, where: dict, *args, **kwargs):
+    """``make(*args, **kwargs)``, raising an error ``located`` in an
+    argument that ``where`` maps to a pointer as a SchemaError there."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, HorizonLabError) as exc:
+        err = SchemaError.at(exc, where)
+        if err is None:
+            raise
+        raise err from None
 
 
 def canonical_text(doc: dict) -> str:

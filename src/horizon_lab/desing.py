@@ -75,7 +75,7 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from .charts import DirectionalChart, ParabolicChart
-from .errors import ChartDomainError, DomainError, NegativeWExponentError
+from .errors import ChartDomainError, DomainError, NegativeWExponentError, located
 from .homogeneity import (
     FieldSpec,
     HomogeneityType,
@@ -1097,27 +1097,17 @@ class DesingField:
 # constructions
 
 
-def _check_type(field: FieldSpec, htype: HomogeneityType) -> None:
-    """The type has the field's arity and gives a nonautonomous field's
-    time variable (slot 0) weight 0."""
-    if htype.n != field.n:
-        raise ValueError(
-            f"type arity {htype.n} does not match field arity {field.n}"
-        )
-    if field.nonautonomous and htype.alpha[0] != 0:
-        raise DomainError("time variable must have weight 0")
-
-
-def _rescale_exponent(htype: HomogeneityType, comp_index: int, m: Monomial) -> Real:
-    """W/s exponent k + alpha_i - <m, alpha>; negative means not AQH."""
-    w = htype.degree_deficit(comp_index, m)
+def _rescale_exponent(htype: HomogeneityType, i: int, j: int, m: Monomial) -> Real:
+    """W/s exponent k + alpha_i - <m, alpha> of monomial j of component i;
+    negative means not AQH."""
+    w = htype.degree_deficit(i, m)
     if w < 0:
-        raise NegativeWExponentError(
-            f"monomial {m} in component {comp_index} has weighted degree "
+        raise located(NegativeWExponentError(
+            f"monomial {m} in component {i} has weighted degree "
             f"{m.weighted_degree(htype.alpha)} > k + alpha_i = "
-            f"{_eadd(htype.k, htype.alpha[comp_index])}; "
+            f"{_eadd(htype.k, htype.alpha[i])}; "
             f"the field is not asymptotically quasi-homogeneous of this type"
-        )
+        ), "field", "components", i, j)
     return _canon_e(w)
 
 
@@ -1127,28 +1117,29 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
     Raises NegativeWExponentError when the type bound fails, and DomainError
     when a monomial has a negative or fractional exponent on a positively
     weighted variable -- those cross zero inside this chart, so a directional
-    chart must be used instead -- or on a weighted time variable.
+    chart must be used instead -- or on a weighted time variable.  The
+    monomial rules' errors are ``located`` at the field's monomial.
     """
-    _check_type(field, htype)
+    field.check_weights(htype.alpha)
     n = field.n
     for i, comp in enumerate(field.components):
-        for m in comp:
+        for jm, m in enumerate(comp):
             for j in htype.i_alpha:
                 e = _canon_e(m.exponents[j])
                 if not isinstance(e, int) or e < 0:
-                    raise DomainError(
+                    raise located(DomainError(
                         f"component {i}: exponent {m.exponents[j]} on "
                         f"positively weighted variable "
                         f"'{field.variable_names[j]}' is not valid on the "
                         f"parabolic chart (the variable crosses zero); use a "
                         f"directional chart"
-                    )
+                    ), "field", "components", i, jm, "exponents", j)
     zero = (0,) * n
     ftilde = []
     for i, comp in enumerate(field.components):
         p: Poly = {}
-        for m in comp:
-            w = _rescale_exponent(htype, i, m)
+        for j, m in enumerate(comp):
+            w = _rescale_exponent(htype, i, j, m)
             _padd(p, tuple(_canon_e(e) for e in m.exponents) + (w,), m.coeff)
         ftilde.append(p)
     tc = 2 * htype.c
@@ -1188,9 +1179,10 @@ def build_directional_desing(
     which is exactly what conjugating by y_i0 = -s**(-alpha_i0) produces.
     Cross-chart trajectory agreement is the correctness oracle for the -
     chart (tested), not trust in any one printed formula.  Raises
-    DomainError on a weighted time variable.
+    DomainError on a weighted time variable, and for each rule on a
+    monomial an error ``located`` at it.
     """
-    _check_type(field, htype)
+    field.check_weights(htype.alpha)
     if chart.htype.alpha != htype.alpha:
         raise ChartDomainError("chart was built for a different type")
     n = field.n
@@ -1198,28 +1190,28 @@ def build_directional_desing(
     sigma = chart.sign
     a0 = htype.alpha[i0]
     for i, comp in enumerate(field.components):
-        for m in comp:
+        for jm, m in enumerate(comp):
             e0 = _canon_e(m.exponents[i0])
             if sigma < 0 and not isinstance(e0, int):
-                raise ChartDomainError(
+                raise located(ChartDomainError(
                     f"component {i}: fractional exponent {m.exponents[i0]} on "
                     f"the chart variable of a negative chart is complex-valued"
-                )
+                ), "field", "components", i, jm, "exponents", i0)
             for j in htype.i_alpha:
                 if j == i0:
                     continue
                 e = _canon_e(m.exponents[j])
                 if not isinstance(e, int):
-                    raise DomainError(
+                    raise located(DomainError(
                         f"component {i}: fractional exponent {m.exponents[j]} "
                         f"on variable '{field.variable_names[j]}', which "
                         f"crosses zero inside this chart"
-                    )
+                    ), "field", "components", i, jm, "exponents", j)
     fhat = []
     for i, comp in enumerate(field.components):
         p: Poly = {}
-        for m in comp:
-            s_exp = _rescale_exponent(htype, i, m)
+        for j, m in enumerate(comp):
+            s_exp = _rescale_exponent(htype, i, j, m)
             e0 = _canon_e(m.exponents[i0])
             if sigma < 0 and isinstance(e0, int) and (e0 % 2):
                 coeff = -m.coeff

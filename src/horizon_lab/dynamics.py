@@ -61,12 +61,7 @@ from typing import ClassVar, Dict, Optional, Tuple
 import numpy as np
 
 from .desing import DesingField
-from .errors import (
-    CurveBreak,
-    DomainError,
-    EigenFailure,
-    StepFailure,
-)
+from .errors import CurveBreak, DomainError, EigenFailure, StepFailure, located
 
 __all__ = [
     "IntegratorControls",
@@ -110,17 +105,18 @@ class IntegratorControls:
     of the recorded samples, not the steps: a longer step is filled in by
     dense output, so the asymptotic approach stays densely sampled for
     rate fitting.  A control outside ``BOUNDS``, NaN included, raises
-    DomainError; ``rel_tol`` must be positive, as SciPy asks of any rtol.
+    DomainError ``located`` at the control; ``rel_tol`` must be positive,
+    as SciPy asks of any rtol.
     """
 
-    # each control's bound as ``config._number`` keywords: "above" is
-    # strict, "at_least" is not, and NaN fails both
-    BOUNDS: ClassVar[Dict[str, Dict[str, float]]] = {
-        "tau_max": {"above": 0},
-        "rel_tol": {"above": 0},
-        "abs_tol": {"above": 0},
-        "horizon_eps": {"at_least": 0},
-        "max_step": {"above": 0},
+    # each control's lower bound, and whether the control may equal it;
+    # NaN fails every bound
+    BOUNDS: ClassVar[Dict[str, Tuple[int, bool]]] = {
+        "tau_max": (0, False),
+        "rel_tol": (0, False),
+        "abs_tol": (0, False),
+        "horizon_eps": (0, True),
+        "max_step": (0, False),
     }
 
     rel_tol: float = 1e-10
@@ -130,16 +126,12 @@ class IntegratorControls:
     max_step: float = 0.2
 
     def __post_init__(self):
-        for name, bound in self.BOUNDS.items():
+        for name, (bound, closed) in self.BOUNDS.items():
             value = getattr(self, name)
-            if "above" in bound:
-                ok, kind = value > bound["above"], f"greater than {bound['above']}"
-            else:
-                ok, kind = value >= bound["at_least"], f"at least {bound['at_least']}"
-            if not ok:
-                raise DomainError(
-                    f"integrator control {name} must be {kind}, got {value}"
-                )
+            if not (value >= bound if closed else value > bound):
+                kind = "at least" if closed else "greater than"
+                msg = f"integrator control {name} must be {kind} {bound}, got {value}"
+                raise located(DomainError(msg), name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,11 +487,7 @@ def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
     charts via the anisotropic scaling P(r^alpha * x) = r^2c P(x).  A
     non-finite anchor raises DomainError."""
     n = dfield.n
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.shape != (n,):
-        raise ValueError(f"anchor shape {anchor.shape}, expected ({n},)")
-    if not np.isfinite(anchor).all():
-        raise DomainError(f"anchor must be finite, got {anchor.tolist()}")
+    anchor = _point(dfield, anchor, "anchor")
     parabolic = dfield.gap_slot == n
     free = list(dfield.free_slots)
     axis = np.linspace(-1.05, 1.05, 7) if parabolic else np.linspace(-5.0, 5.0, 7)
@@ -513,6 +501,17 @@ def grid_seeds(dfield: DesingField, anchor) -> np.ndarray:
         alpha = dfield.htype.alpha_array().astype(float)
         seeds = seeds[inside] * r[:, None] ** alpha
     return seeds
+
+
+def _point(dfield: DesingField, x, name: str) -> np.ndarray:
+    """``x`` as a new float array of shape (n,): ValueError for another
+    shape, DomainError where an entry is not finite."""
+    x = np.array(x, dtype=float)
+    if x.shape != (dfield.n,):
+        raise ValueError(f"{name} shape {x.shape}, expected ({dfield.n},)")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite, got {x.tolist()}")
+    return x
 
 
 def _seed_array(dfield: DesingField, seeds) -> np.ndarray:
@@ -738,11 +737,7 @@ def trace_equilibrium_curve(
         ts.pop()
     ts.append(t_stop)
 
-    x_prev = np.asarray(seed, dtype=float).copy()
-    if x_prev.shape != (dfield.n,):
-        raise ValueError(f"seed shape {x_prev.shape}, expected ({dfield.n},)")
-    if not np.isfinite(x_prev).all():
-        raise DomainError(f"seed must be finite, got {x_prev.tolist()}")
+    x_prev = _point(dfield, seed, "seed")
     jump_bound = max(100.0 * abs(t_step), 1.0)
     samples = []
     for t_val in ts:

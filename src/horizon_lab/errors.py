@@ -33,6 +33,14 @@ class HorizonLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def located(exc: Exception, *path) -> Exception:
+    """``exc``, recording where it points as its ``path``: the argument the
+    failed rule checked, then the index path inside it, such as
+    ``("components", i, j, "exponents", q)``."""
+    exc.path = path
+    return exc
+
+
 class DomainError(HorizonLabError):
     """An input lies outside the mathematical domain of an operation.
 
@@ -143,6 +151,16 @@ class SchemaError(HorizonLabError):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         base = super().__str__()
         return f"{base} (at {self.pointer or '/'})"
+
+    @classmethod
+    def at(cls, exc: Exception, where: dict) -> SchemaError | None:
+        """``exc`` as a SchemaError when its ``path`` starts at an argument
+        that ``where`` maps to the pointer of the element it was built
+        from: that pointer, then the index path.  None otherwise."""
+        arg, *rest = getattr(exc, "path", (None,))
+        if arg not in where:
+            return None
+        return cls(str(exc), "/".join([where[arg], *map(str, rest)]))
 
 
 class UnknownExample(HorizonLabError):

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NoTypeFound, NotAQHError
+from .errors import DomainError, NoTypeFound, NotAQHError, located
 
 __all__ = [
     "Monomial",
@@ -103,7 +103,7 @@ class Monomial:
 
     def __post_init__(self):
         if self.coeff == 0:
-            raise ValueError("monomial coefficient must be nonzero")
+            raise located(ValueError("monomial coefficient must be nonzero"), "coeff")
         object.__setattr__(self, "coeff", float(self.coeff))
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
@@ -141,7 +141,8 @@ class FieldSpec:
     """A vector field y' = f(y) given by monomials per component.
 
     When ``nonautonomous`` is true, variable 0 is the time variable t and
-    component 0 must be the constant monomial 1 (i.e. t' = 1).
+    component 0 must be the constant monomial 1 (i.e. t' = 1).  Each
+    rule's ValueError is ``located`` at the element it checked.
     """
 
     variable_names: Tuple[str, ...]
@@ -155,17 +156,15 @@ class FieldSpec:
         object.__setattr__(self, "components", comps)
         n = len(names)
         if len(set(names)) != n:
-            raise ValueError("variable names must be unique")
+            raise located(ValueError("variable names must be unique"), "variable_names")
         if len(comps) != n:
-            raise ValueError(
-                f"field has {len(comps)} components for {n} variables"
-            )
+            msg = f"field has {len(comps)} components for {n} variables"
+            raise located(ValueError(msg), "components")
         for i, ms in enumerate(comps):
-            for m in ms:
+            for j, m in enumerate(ms):
                 if m.n != n:
-                    raise ValueError(
-                        f"component {i}: monomial arity {m.n} != {n} variables"
-                    )
+                    msg = f"monomial has {m.n} exponents for {n} variables"
+                    raise located(ValueError(msg), "components", i, j, "exponents")
         if self.nonautonomous:
             c0 = comps[0]
             ok = (
@@ -174,13 +173,21 @@ class FieldSpec:
                 and all(e == 0 for e in c0[0].exponents)
             )
             if not ok:
-                raise ValueError(
-                    "nonautonomous fields must have t' = 1 as component 0"
-                )
+                msg = "nonautonomous fields must have t' = 1 as component 0"
+                raise located(ValueError(msg), "components", 0)
 
     @property
     def n(self) -> int:
         return len(self.variable_names)
+
+    def check_weights(self, alpha: Sequence[int]) -> None:
+        """Weights ``alpha`` give one weight per variable (ValueError) and
+        weight 0 to a nonautonomous field's time variable (DomainError)."""
+        if len(alpha) != self.n:
+            msg = f"alpha has {len(alpha)} entries for {self.n} variables"
+            raise located(ValueError(msg), "alpha")
+        if self.nonautonomous and alpha[0] != 0:
+            raise located(DomainError("time variable must have weight 0"), "alpha", 0)
 
 
 @dataclass(frozen=True)
@@ -189,8 +196,9 @@ class HomogeneityType:
 
     Derived data: ``i_alpha`` (indices with positive weight), ``beta``
     (beta_i = c / alpha_i over i_alpha, in i_alpha order) and
-    ``c = lcm {alpha_i : i in i_alpha}``.  Raises DomainError unless every
-    alpha_i and every 2 beta_i fits in int64.
+    ``c = lcm {alpha_i : i in i_alpha}``.  Raises what ``derive_beta``
+    raises for alpha, and DomainError unless k > 0 and every alpha_i and
+    every 2 beta_i fits in int64, each ``located`` at alpha or k.
     """
 
     alpha: Tuple[int, ...]
@@ -200,25 +208,20 @@ class HomogeneityType:
     c: int = dc_field(init=False)
 
     def __post_init__(self):
+        beta, c = derive_beta(self.alpha)
         alpha = tuple(int(a) for a in self.alpha)
-        if any(a != orig for a, orig in zip(alpha, self.alpha)):
-            raise ValueError("alpha entries must be integers")
-        if any(a < 0 for a in alpha):
-            raise ValueError("alpha entries must be nonnegative")
-        if not any(alpha):
-            raise ValueError("alpha must have at least one positive entry")
         kf = float(self.k)
         if not (math.isfinite(kf) and kf > 0):
-            raise DomainError(f"homogeneity order k must be positive, got {self.k}")
+            msg = f"homogeneity order k must be positive, got {self.k}"
+            raise located(DomainError(msg), "k")
         object.__setattr__(self, "alpha", alpha)
-        beta, c = derive_beta(alpha)
         # alpha and the W power 2 beta are evaluated as int64 arrays
         if max(alpha) > _INT64_MAX or 2 * max(beta) > _INT64_MAX:
-            raise DomainError(
+            raise located(DomainError(
                 f"weights too large: every alpha_i and 2 beta_i = "
                 f"2 lcm(alpha)/alpha_i must be at most 2**63 - 1, got "
                 f"alpha = {alpha}"
-            )
+            ), "alpha")
         object.__setattr__(self, "i_alpha", tuple(i for i, a in enumerate(alpha) if a > 0))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", c)
@@ -285,13 +288,17 @@ def derive_beta(alpha: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     """Return (beta, c): c = lcm of the positive weights, beta_i = c/alpha_i.
 
     beta is ordered like i_alpha (indices of positive weights).  Satisfies
-    alpha_i * beta_i = c exactly.
+    alpha_i * beta_i = c exactly.  Raises ValueError, ``located`` at alpha,
+    for an entry that is not a nonnegative integer or no positive entry.
     """
-    positive = [int(a) for a in alpha if int(a) > 0]
+    for i, a in enumerate(alpha):
+        if int(a) != a or a < 0:
+            msg = "alpha entries must be nonnegative integers"
+            raise located(ValueError(msg), "alpha", i)
+    positive = [int(a) for a in alpha if a > 0]
     if not positive:
-        raise ValueError("alpha must have at least one positive entry")
-    if any(int(a) != a for a in alpha) or any(int(a) < 0 for a in alpha):
-        raise ValueError("alpha entries must be nonnegative integers")
+        msg = "alpha must have at least one positive entry"
+        raise located(ValueError(msg), "alpha")
     c = math.lcm(*positive)
     beta = tuple(c // a for a in positive)
     return beta, c

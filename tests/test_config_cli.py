@@ -15,8 +15,14 @@ import pytest
 
 import horizon_lab
 from horizon_lab import (
+    ChartDomainError,
+    DirectionalChart,
     DomainError,
+    FieldSpec,
+    HomogeneityType,
     HorizonLabError,
+    Monomial,
+    NegativeWExponentError,
     OutputError,
     SchemaError,
     cli,
@@ -24,6 +30,7 @@ from horizon_lab import (
 from horizon_lab.config import canonical_text, parse_config
 from horizon_lab.cli import main, run_pipeline
 from horizon_lab.charts import embed
+from horizon_lab.desing import build_desing
 from horizon_lab.dynamics import (
     IntegratorControls,
     find_horizon_equilibria,
@@ -368,6 +375,158 @@ def test_single_violation_pointer_infer(where, value, pointer):
     with pytest.raises(SchemaError) as exc_info:
         parse_config(json.dumps(d))
     assert exc_info.value.pointer == pointer
+
+
+# a third, weighted variable z beside FULL_DOC's t and y, whose monomial
+# y^1.5 z^0.5 is within the type bound k + alpha_z = 2
+WITH_Z = {
+    ("field", "variables"): ["t", "y", "z"],
+    ("field", "components"): [
+        [{"coeff": 1.0, "exponents": [0, 0, 0]}],
+        [{"coeff": 1.0, "exponents": [0, 2, 0]}],
+        [{"coeff": 1.0, "exponents": [0, 1.5, 0.5]}],
+    ],
+    ("homogeneity", "alpha"): [0, 1, 1],
+    RUN + ("y0",): [0.0, 1.0, 1.0],
+}
+GOOD = parse_config(json.dumps(FULL_DOC))
+T1, Y2 = GOOD.field.components
+
+
+def _built_field(cfg):
+    return build_desing(cfg.field, cfg.htype, cfg.chart)
+
+
+# every rule on a config's field, type, chart and runs: the edits that break
+# it in FULL_DOC, the pointer it is reported at, and a call on the same bad
+# input of the type that states the rule, with the class that call raises.
+# The last four are the desingularization's rules, met when the field is
+# built, so validate reports them.
+CONFIG_RULES = {
+    "unique names": (
+        {("field", "variables"): ["t", "t"]}, "/field/variables",
+        lambda _: FieldSpec(("t", "t"), (T1, Y2), True), ValueError,
+    ),
+    "a component per variable": (
+        {("field", "components"): FULL_DOC["field"]["components"][:1]}, "/field/components",
+        lambda _: FieldSpec(("t", "y"), (T1,), True), ValueError,
+    ),
+    "n exponents per monomial": (
+        {MONO + ("exponents",): [2]}, "/field/components/1/0/exponents",
+        lambda _: FieldSpec(("t", "y"), (T1, (Monomial(1.0, (2,)),)), True), ValueError,
+    ),
+    "a nonzero coefficient": (
+        {MONO + ("coeff",): 0}, "/field/components/1/0/coeff",
+        lambda _: Monomial(0, (0, 2)), ValueError,
+    ),
+    "t' = 1": (
+        {("field", "components", 0, 0, "coeff"): 2.0}, "/field/components/0",
+        lambda _: FieldSpec(("t", "y"), ((Monomial(2.0, (0, 0)),), Y2), True), ValueError,
+    ),
+    "a weight per variable": (
+        {("homogeneity", "alpha"): [1]}, "/homogeneity/alpha",
+        lambda _: GOOD.field.check_weights((1,)), ValueError,
+    ),
+    "a zero time weight": (
+        {("homogeneity", "alpha"): [1, 1]}, "/homogeneity/alpha/0",
+        lambda _: GOOD.field.check_weights((1, 1)), DomainError,
+    ),
+    "integral weights": (
+        {("homogeneity", "alpha", 1): 1.5}, "/homogeneity/alpha/1",
+        lambda _: HomogeneityType((0, 1.5), 1), ValueError,
+    ),
+    "nonnegative weights": (
+        {("homogeneity", "alpha", 1): -1}, "/homogeneity/alpha/1",
+        lambda _: HomogeneityType((0, -1), 1), ValueError,
+    ),
+    "a positive weight": (
+        {("homogeneity", "alpha"): [0, 0]}, "/homogeneity/alpha",
+        lambda _: HomogeneityType((0, 0), 1), ValueError,
+    ),
+    "k > 0": (
+        {("homogeneity", "k"): 0}, "/homogeneity/k",
+        lambda _: HomogeneityType((0, 1), 0), DomainError,
+    ),
+    "int64 weights": (
+        {("homogeneity", "alpha", 1): 2**63}, "/homogeneity/alpha",
+        lambda _: HomogeneityType((0, 2**63), 1), DomainError,
+    ),
+    "a chart sign of 1 or -1": (
+        {("chart", "sign"): 0}, "/chart/sign",
+        lambda _: DirectionalChart(GOOD.htype, 1, 0), ChartDomainError,
+    ),
+    "a chart index in range": (
+        {("chart", "index"): 2}, "/chart/index",
+        lambda _: DirectionalChart(GOOD.htype, 2), ChartDomainError,
+    ),
+    "a weighted chart index": (
+        {("chart", "index"): 0}, "/chart/index",
+        lambda _: DirectionalChart(GOOD.htype, 0), ChartDomainError,
+    ),
+    "a y0 of n entries": (
+        {RUN + ("y0",): [0.0, 1.0, 2.0]}, "/runs/0/y0",
+        lambda _: embed(GOOD.chart, [0.0, 1.0, 2.0]), ValueError,
+    ),
+    "a y0 in the half-space": (
+        {RUN + ("y0",): [0.0, -1.0]}, "/runs/0/y0/1",
+        lambda _: embed(GOOD.chart, [0.0, -1.0]), ChartDomainError,
+    ),
+    "control bounds": (
+        {RUN + ("tau_max",): 0}, "/runs/0/tau_max",
+        lambda _: IntegratorControls(tau_max=0), DomainError,
+    ),
+    "the type bound": (
+        {MONO + ("exponents",): [0, 3]}, "/field/components/1/0",
+        _built_field, NegativeWExponentError,
+    ),
+    "parabolic weighted exponents": (
+        {
+            MONO + ("exponents",): [0, 2.5],
+            ("homogeneity", "k"): 2,
+            ("chart",): {"type": "parabolic"},
+        },
+        "/field/components/1/0/exponents/1",
+        _built_field, DomainError,
+    ),
+    "directional crossing variables": (
+        WITH_Z, "/field/components/2/0/exponents/2", _built_field, DomainError,
+    ),
+    "a negative chart's own variable": (
+        {MONO + ("exponents",): [0, 1.5], ("chart", "sign"): -1, RUN + ("y0",): [0.0, -1.0]},
+        "/field/components/1/0/exponents/1",
+        _built_field, ChartDomainError,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edits, pointer, owner_call, raises",
+    list(CONFIG_RULES.values()),
+    ids=list(CONFIG_RULES),
+)
+def test_each_config_rule_is_stated_by_its_type_and_reported_at_its_pointer(
+    edits, pointer, owner_call, raises, tmp_path, capsys
+):
+    d = json.loads(json.dumps(FULL_DOC))
+    for where, value in edits.items():
+        target = d
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+    text = json.dumps(d)
+    try:
+        cfg = parse_config(text)
+    except SchemaError as exc:
+        assert exc.pointer == pointer
+        cfg = GOOD
+    else:  # a rule of the desingularization, met when the field is built
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(f" (at {pointer})\n")
+    with pytest.raises(raises):
+        owner_call(cfg)
 
 
 # ---------------------------------------------------------------------------
