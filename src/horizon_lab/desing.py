@@ -22,12 +22,13 @@ is keyed by one exponent tuple whose slot ``gap_slot`` holds the power of the
 horizon gap: s's own slot i0 on a directional chart, an extra slot n after the
 coordinates for W on the parabolic one.
 
-Evaluation goes through plain Python expressions (value, time factor),
+The integrator and the equilibrium search evaluate generated Python code,
 compiled once per distinct generated source per process (bounded LRU);
 fields with the same source share the stateless compiled functions.  The
-same source holds one DOP853 step per field, with the stages, the tableau
-and the state dimension unrolled around those expressions (each distinct
-power and expression evaluated once per stage).  An accepted step also
+source holds the time factor and one DOP853 step per field, with the
+stages, the tableau and the state dimension unrolled around the field's
+expressions (each distinct power and expression evaluated once per
+stage).  An accepted step also
 forms its dense output's coefficients once, samples it by the sampling
 rule this module owns (``max_step`` apart in tau, 0.1 decade apart in the
 horizon gap), appends the samples to a flat list and returns the longest
@@ -36,8 +37,9 @@ next step this module's cut allows, so a step costs one call.
 The step's state (``DesingField.start``) carries the horizon gap in slot
 ``gap_slot`` at the rate ``gap_rate``.  On the parabolic chart that is W,
 dW/dtau = -G W (since dP/dtau = G W where P + W = 1), so W = 0 is
-invariant; rhs_values forms W = 1 - P from the coordinates.  A state off the surface P + W = 1 lies
-outside the flow, so the step's coordinate rates there are free: each
+invariant; a point given by its chart coordinates alone forms W = 1 -
+P.  A state off the surface P + W = 1 lies outside the flow, so the
+step's coordinate rates there are free: each
 weighted slot gains F G D alpha_i x_i, F = (2c - 1)/(2c) and D = P + W -
 1, which vanishes on the surface and slows D' from -2c G D to G D ((2c -
 1) P - 2c), about the gap's own -G D near the horizon, so that DOP853's
@@ -58,10 +60,13 @@ of the gap act: the principal part of the field.  The source also holds
 array evaluators of the system the batched equilibrium search solves, for
 a batch of points with NumPy: that restriction's nonempty components, with
 P(x) - 1 on the parabolic chart, and their partials in the slots solved
-for; and the field's exact Jacobian, with the chain rule through W, at a
-batch of rows with W as a column of its own, to linearize at gap 0.
-Where a scalar evaluation would raise a domain error, they leave
-non-finite entries in that point's row.
+for; and the field's Jacobian at gap 0, where the search linearizes, at a
+batch of rows with W as a column of its own: only its terms with no
+positive power of the gap, since the others vanish there.  Where a scalar
+evaluation would raise a domain error, they leave non-finite entries in
+that point's row.  ``DesingField.rhs_values`` and ``jacobian`` run no
+generated code: they evaluate the field's own terms in the code's
+arithmetic (``_evaluate``).
 """
 
 from __future__ import annotations
@@ -169,6 +174,42 @@ def _pdiff_var(p: Poly, j: int) -> Poly:
 
 
 # --------------------------------------------------------------------------
+# term evaluation
+
+
+def _ordered(p: Poly) -> list:
+    """``p``'s items by exponent signature, the order in which the
+    generated code and ``_evaluate`` add them."""
+    return sorted(p.items(), key=lambda kv: tuple(map(float, kv[0])))
+
+
+def _term_list(p: Poly, n: int) -> tuple:
+    """``p`` as ``_evaluate`` reads it: each term's coefficient and its
+    factors (slot, exponent), an int or a float; a fractional power of W
+    (slot n) reads W's clamp, in slot n + 1."""
+    return tuple(
+        (coeff, tuple((j, e) if isinstance(e, int) else (j + (j == n), float(e))
+                      for j, e in enumerate(map(_canon_e, exps)) if e != 0))
+        for exps, coeff in _ordered(p)
+    )
+
+
+def _evaluate(terms: tuple, point: list) -> float:
+    """A term list's value at ``point`` in the generated code's arithmetic:
+    each term its coefficient times its factors (``**`` or ``power``), the
+    terms added, all left to right.  The code drops a coefficient of +-1
+    and subtracts a negative term, which gives the same bits."""
+    total = None
+    for coeff, factors in terms:
+        v = coeff
+        for j, e in factors:
+            x = point[j]
+            v *= x if e == 1 else x ** e if isinstance(e, int) else power(x, e)
+        total = v if total is None else total + v
+    return 0.0 if total is None else total
+
+
+# --------------------------------------------------------------------------
 # code generation
 
 
@@ -243,9 +284,7 @@ class _Emitter:
     def poly(self, p: Poly) -> str:
         if not p:
             return "0.0"
-        # deterministic source: sort terms by exponent signature
-        items = sorted(p.items(), key=lambda kv: tuple(map(float, kv[0])))
-        parts = [self.term(exps, coeff) for exps, coeff in items]
+        parts = [self.term(exps, coeff) for exps, coeff in _ordered(p)]
         expr = parts[0]
         for piece in parts[1:]:
             expr += (" - " + piece[1:]) if piece.startswith("-") else (" + " + piece)
@@ -263,28 +302,22 @@ class _Emitter:
         return [(f"x{n}c", f"{indent}x{n}c = x{n} if x{n} > 0.0 else 0.0")
                 ] if self.needs_clamp else []
 
-    def derived(self, indent: str, state: bool = True) -> list:
-        """(symbol, template) pairs binding W's clamp, after W = 1 - P
-        where W is no ``state`` slot but formed from the coordinates, and
-        before the ``step_locals`` where it is."""
-        n, lines = self.n, []
-        if self.parabolic and not state:
-            lines.append((f"x{n}", f"{indent}x{n} = 1.0 - ({self.horizon_poly()})"))
-        lines += self.clamp(indent)
-        if state:
-            lines += [(sym, f"{indent}{sym} = {t}") for sym, t in self.step_locals]
-        return lines
-
-    def preamble(self, state: bool = False) -> str:
-        """Lines binding the x{j} locals from ``z``, chart coordinates or a
-        step's ``state`` (W in slot n, ln s in s's), then the derived ones."""
-        loads = [
-            f"    x{j} = _exp(z[{j}])" if state and j == self.gap_slot < self.n
-            else f"    x{j} = z[{j}]"
-            for j in range(self.n + (state and self.parabolic))
+    def derived(self, indent: str) -> list:
+        """(symbol, template) pairs binding W's clamp, then the
+        ``step_locals``."""
+        return self.clamp(indent) + [
+            (sym, f"{indent}{sym} = {t}") for sym, t in self.step_locals
         ]
-        pairs = self.derived("    ", state)
-        return "\n".join(loads + [self.inline(t) for _, t in pairs])
+
+    def preamble(self) -> str:
+        """Lines binding the x{j} locals from a step's state ``z`` (W in
+        slot n, ln s in s's), then the derived ones."""
+        loads = [
+            f"    x{j} = _exp(z[{j}])" if j == self.gap_slot < self.n
+            else f"    x{j} = z[{j}]"
+            for j in range(self.n + self.parabolic)
+        ]
+        return "\n".join(loads + [self.inline(t) for _, t in self.derived("    ")])
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5-II.6, with
@@ -788,7 +821,8 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     and since the expressions only add and multiply, it stays in that
     point's row.  Then ``_jac(Z) -> (m, n, n)`` at rows laid out as
     ``DesingField.jacobian_array`` reads them, from ``jac``, the templates
-    (i, j, t) of the Jacobian's nonzero entries; W's clamp is ``_maximum``.
+    (i, j, t) of the nonzero entries of the Jacobian at gap 0; W's clamp,
+    where one of them reads it, is ``_maximum``.
     """
     n, polys = em.n, list(horizon)
     rows = [em.poly(q) for q in polys]
@@ -810,7 +844,7 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     body = [f"    out[:, {i}, {j}] = {em.inline(t)}" for i, j, t in jac]
     lines += ["    return out", "", "def _jac(Z):",
               "    " + "".join(f"x{j}, " for j in range(n + em.parabolic)) + "= Z.T"]
-    if em.needs_clamp:
+    if f"x{n}c" in "".join(body):
         lines.append(f"    x{n}c = _maximum(x{n}, 0.0)")
     lines += [f"    out = _zeros((len(Z), {n}, {n}))"] + body + ["    return out"]
     return "\n".join(lines) + "\n"
@@ -859,7 +893,7 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac = [(i, j, em.poly(p)) for i, row in enumerate(jac_rows)
            for j, p in enumerate(row) if p]
-    exprs = [em.inline(t) for t in templates]
+    time_factor_expr = em.inline(templates[-1])
     # the step's state derivative: the gap's rate in the gap's slot, which
     # on a directional chart takes the place of ds/dtau
     if em.parabolic:
@@ -867,27 +901,23 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
     else:
         templates[gap_slot] = em.poly(gap_rate)
     # preambles emitted last: clamping needs are discovered while emitting
-    pre = em.preamble()
-    g_body = ",\n        ".join(exprs)
     clamp = "".join(f"{t}\n" for _, t in em.clamp("    "))
-    parts = (
-        f"def _rhs(z):\n{pre}\n    return (\n        {g_body},\n    )\n\n"
-        f"def _time_factor(x{gap_slot}):\n{clamp}    return {exprs[-1]}\n",
-    )
     # ``_deriv`` gives the first k1 from the step's own expressions
     d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
-    parts += (f"def _deriv(z):\n{em.preamble(state=True)}\n"
-              f"    return (\n        {d_body},\n    )\n",)
-    parts += (_emit_dop853(em, templates, dim, time_slot, htype.k_float),)
+    parts = (
+        f"def _time_factor(x{gap_slot}):\n{clamp}    return {time_factor_expr}\n",
+        f"def _deriv(z):\n{em.preamble()}\n    return (\n        {d_body},\n    )\n",
+        _emit_dop853(em, templates, dim, time_slot, htype.k_float),
+    )
     hsrc = _emit_horizon(em, horizon, free, jac)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
 @functools.lru_cache(maxsize=32)
 def _compiled(parts: Tuple[str, ...], hsrc: str):
-    """``(_rhs, _time_factor, _deriv, _step, _horizon_rhs, _horizon_jac,
-    _jac)`` compiled from the generated source, once per distinct source,
-    like ``re``'s pattern cache.
+    """``(_time_factor, _deriv, _step, _horizon_rhs, _horizon_jac, _jac)``
+    compiled from the generated source, once per distinct source, like
+    ``re``'s pattern cache.
 
     The functions hold no state (their globals are ``power``, ``math``,
     ``DomainError`` and NumPy functions), so fields whose source matches
@@ -902,7 +932,7 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
     hns: dict = {"_pw": np.power, "_empty": np.empty, "_zeros": np.zeros,
                  "_maximum": np.maximum}
     exec(compile(hsrc, "<desing-field-horizon>", "exec"), hns)
-    return (ns["_rhs"], ns["_time_factor"], ns["_deriv"], ns["_step"],
+    return (ns["_time_factor"], ns["_deriv"], ns["_step"],
             hns["_horizon_rhs"], hns["_horizon_jac"], hns["_jac"])
 
 
@@ -915,15 +945,20 @@ class DesingField:
     parabolic chart, a slot n for W; ``gap_slot`` is the horizon gap's slot
     (n for W, i0 for a directional chart's s).  ``gap_rate`` is the rate of
     the integrator's gap slot: -G W for W, so W = 0 is invariant like s =
-    0, and dL/dtau for a directional chart's L = ln s.  Evaluation goes
-    through expressions compiled once per distinct generated source per
-    process (bounded LRU); fields with the same source share the stateless
-    compiled functions.  ``rhs_values``, ``jacobian`` and the horizon
-    evaluators take the chart coordinates (s included; W = 1 - P).
-    ``jacobian_array(Z)`` is the generated ``_jac``, the exact Jacobian
-    (m, n, n) at each row of ``Z`` laid out as ``start``'s row without t:
-    W is read as given, 0 on the horizon.  ``jacobian(coords)`` is its row
-    at ``start(coords)``, DomainError where an entry is not finite.
+    0, and dL/dtau for a directional chart's L = ln s.  The integrator and
+    the search call expressions compiled once per distinct generated
+    source per process (bounded LRU); fields with the same source share
+    the stateless compiled functions.
+
+    ``rhs_values(coords)`` (g_0, ..., g_{n-1}, dt/dtau) and
+    ``jacobian(coords)`` (the exact Jacobian, with the chain rule through
+    W) evaluate these terms at chart coordinates (s included; W = 1 - P)
+    in the generated code's arithmetic, with no generated code; they raise
+    DomainError where an evaluation fails or, for ``jacobian``, an entry is
+    not finite.  ``jacobian_array(Z)`` is the generated ``_jac``, the
+    Jacobian (m, n, n) at each row of ``Z`` laid out as ``start``'s row
+    without t, read at gap 0 alone: it holds only the terms with no
+    positive power of the gap.
 
     ``time_factor_at(gap)`` is the generated dt/dtau, ``rhs_values``' last
     entry, a polynomial in the gap alone (s**k, or q(W) W**k), with no
@@ -980,8 +1015,11 @@ class DesingField:
         dim = self.n + (gap_slot == self.n) + (not self.nonautonomous)
         object.__setattr__(self, "state_dim", dim)
         object.__setattr__(self, "time_slot", 0 if self.nonautonomous else dim - 1)
+        # the Jacobian at gap 0, where a term with a positive power of the
+        # gap vanishes
         jac_rows = tuple(
-            tuple(self._component_partial(i, j) for j in range(self.n))
+            tuple({e: c for e, c in self._component_partial(i, j).items()
+                   if e[gap_slot] <= 0} for j in range(self.n))
             for i in range(self.n)
         )
         # the part of each component that acts on the horizon
@@ -1003,7 +1041,7 @@ class DesingField:
         )
         object.__setattr__(self, "horizon_rows", rows)
         object.__setattr__(self, "free_slots", free)
-        for name, value in zip(("_rhs", "time_factor_at", "_deriv", "step",
+        for name, value in zip(("time_factor_at", "_deriv", "step",
                                 "horizon_rhs_array", "horizon_jacobian_array",
                                 "jacobian_array", "source_code"),
                                compiled):
@@ -1039,13 +1077,35 @@ class DesingField:
             raise ValueError(f"coords has length {len(z)}, expected {self.n}")
         return z
 
-    def rhs_values(self, coords) -> Tuple[float, ...]:
-        """(g_0, ..., g_{n-1}, dt_dtau) in one compiled call."""
+    @functools.cached_property
+    def _terms(self) -> tuple:
+        """``_evaluate``'s term lists: P's, summed in i_alpha order as the
+        generated code sums it; the components' and the time factor's; the
+        Jacobian's entries, row by row."""
+        n, tb = self.n, 2 * self.htype.beta_full()
+        return (
+            tuple((1.0, ((j, int(tb[j])),)) for j in self.htype.i_alpha),
+            tuple(_term_list(p, n) for p in self.components + (self.time_factor,)),
+            tuple(_term_list(self._component_partial(i, j), n)
+                  for i in range(n) for j in range(n)),
+        )
+
+    def _evaluated(self, coords, lists) -> list:
+        """Each term list of ``lists`` at chart coordinates, after W = 1 - P
+        and W's clamp on the parabolic chart."""
         z = self._point(coords)
         try:
-            return self._rhs(z)
+            point = z
+            if self.gap_slot == self.n:
+                w = 1.0 - _evaluate(self._terms[0], z)
+                point = z + [w, w if w > 0.0 else 0.0]
+            return [_evaluate(t, point) for t in lists]
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
+
+    def rhs_values(self, coords) -> Tuple[float, ...]:
+        """(g_0, ..., g_{n-1}, dt_dtau) at chart coordinates, term by term."""
+        return tuple(self._evaluated(coords, self._terms[1]))
 
     def state_derivative(self, z) -> Tuple[float, ...]:
         """The derivative of an integrator state ``z``, as ``step`` reads
@@ -1060,16 +1120,12 @@ class DesingField:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise DomainError(f"field evaluation failed at {z}: {exc}") from exc
 
-    def g(self, coords) -> np.ndarray:
-        return np.asarray(self.rhs_values(coords)[:-1], dtype=float)
-
     def jacobian(self, coords) -> np.ndarray:
-        """``jacobian_array`` at ``start(coords)``'s row, t left out."""
-        row = self.start(coords)[0][:self.n + (self.gap_slot == self.n)]
-        with np.errstate(all="ignore"):
-            J = self.jacobian_array(np.array([row]))[0]
+        """d g_i / d x_j at chart coordinates, term by term."""
+        n = self.n
+        J = np.array(self._evaluated(coords, self._terms[2])).reshape(n, n)
         if not np.isfinite(J).all():
-            raise DomainError(f"jacobian not finite at {list(row)}")
+            raise DomainError(f"jacobian not finite at {self._point(coords)}")
         return J
 
     def horizon_gap(self, coords) -> float:

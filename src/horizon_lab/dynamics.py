@@ -43,7 +43,8 @@ searches accept points by one test and classify them by one helper on
 the horizon they solved: the field's Jacobian at gap 0 (W = 0; s is 0
 already), one ``DesingField.jacobian_array`` call for all accepted
 points, then one stacked ``eigvals`` over those whose linearization is
-finite.  An equilibrium's residual is the search's own |g| over the
+finite.  The field generates that Jacobian for gap 0 alone, without the
+terms that vanish there.  An equilibrium's residual is the search's own |g| over the
 horizon rows, so the search reads only the field's generated horizon
 evaluators.  Curve continuation still solves one seed at a time.
 Spectra are split into tangential / stable / unstable parts with an
@@ -586,9 +587,10 @@ def _classify(dfield: DesingField, X: np.ndarray, res: np.ndarray) -> list:
     """The equilibrium at each accepted point (row) of ``X`` with residual
     ``res``, linearized on the horizon: the field's Jacobian at gap 0 (W =
     0 on the parabolic chart; s is 0 in ``X`` on a directional one), in one
-    ``DesingField.jacobian_array`` call.  None where that linearization is
-    not finite (a term the horizon drops is singular there), or the
-    EigenFailure of its spectrum."""
+    ``DesingField.jacobian_array`` call, which holds only the terms with no
+    positive power of the gap.  None where that linearization is not
+    finite (a term with a negative power of the gap, or a factor singular
+    at the point), or the EigenFailure of its spectrum."""
     Z = X if dfield.gap_slot < dfield.n else np.hstack([X, np.zeros((len(X), 1))])
     with np.errstate(all="ignore"):
         J = dfield.jacobian_array(Z)

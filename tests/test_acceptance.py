@@ -126,7 +126,7 @@ def test_c02_painleve_equilibrium_count(painleve):
         for sv in (1, -1):
             point = (0.0, -U_STAR, sv * V_STAR)
             assert abs(painleve.df.horizon_gap(point)) < 1e-12
-            g_u = float(painleve.df.g(point)[1])
+            g_u = painleve.df.rhs_values(point)[1]
             assert g_u == pytest.approx(sv * 32.0 / 17.0 * V_STAR, rel=1e-10), (
                 f"u < 0 lattice point {point}: g_u = {g_u}, expected "
                 f"{sv * 32.0 / 17.0 * V_STAR} from the closed form"
@@ -279,7 +279,7 @@ def test_c08_mems_equilibria_stability_rates():
         assert all(v < 0 for v in normal_re_minus)
         assert any(v.real > 0 for v in plus.eigenvalues)
         for eq in eqs:
-            J_fd = fd_jacobian(df.g, eq.coords)
+            J_fd = fd_jacobian(lambda v: df.rhs_values(v)[:-1], eq.coords)
             eig_fd = sorted(np.linalg.eigvals(J_fd).real)
             eig = sorted(eq.eigenvalues.real)
             assert eig_fd == pytest.approx(eig, abs=1e-6)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_scalar_parabolic_closed_form():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
     for x in np.linspace(-0.99, 0.99, 21):
         W = 1.0 - x * x
-        assert df.g([x])[0] == pytest.approx(0.5 * x * x * W, rel=1e-14)
+        assert df.rhs_values([x])[0] == pytest.approx(0.5 * x * x * W, rel=1e-14)
         assert df.rhs_values([x])[-1] == pytest.approx((1 - W / 2) * W, rel=1e-14)
 
 
@@ -108,7 +109,7 @@ def test_parabolic_jacobian_matches_finite_differences(alpha, k):
     for _ in range(4):
         x = rng.uniform(-0.6, 0.6, size=len(alpha))
         J = df.jacobian(x)
-        J_fd = fd_jacobian(df.g, x)
+        J_fd = fd_jacobian(lambda v: df.rhs_values(v)[:-1], x)
         assert np.allclose(J, J_fd, rtol=2e-6, atol=1e-7)
 
 
@@ -122,7 +123,7 @@ def test_directional_jacobian_matches_finite_differences():
     for _ in range(4):
         x = rng.uniform(0.05, 0.8, size=3)
         J = df.jacobian(x)
-        J_fd = fd_jacobian(df.g, x)
+        J_fd = fd_jacobian(lambda v: df.rhs_values(v)[:-1], x)
         assert np.allclose(J, J_fd, rtol=2e-6, atol=1e-7)
 
 
@@ -137,7 +138,7 @@ def test_horizon_tangency_parabolic():
         v = rng.uniform(-0.95, 0.95)
         u = (1.0 - v**4) ** (1.0 / 6.0) * rng.choice([-1.0, 1.0])
         x = np.array([u, v])
-        g = df.g(x)
+        g = np.asarray(df.rhs_values(x)[:-1])
         grad = np.array([6 * u**5, 4 * v**3])  # of P = u^6 + v^4
         assert abs(float(g @ grad)) < 1e-12
 
@@ -151,7 +152,7 @@ def test_horizon_invariance_directional():
     df = build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=0, sign=1))
     for _ in range(20):
         x = np.array([0.0, rng.uniform(-3, 3)])
-        assert df.g(x)[0] == 0.0
+        assert df.rhs_values(x)[0] == 0.0
 
 
 @pytest.mark.parametrize("chart_kind", ["parabolic", "directional"])
@@ -180,7 +181,8 @@ def test_pushforward_consistency(chart_kind):
         x_minus = embed(chart, y - h * f).coords
         dx_dt_fd = (x_plus - x_minus) / (2 * h)
         x = embed(chart, y).coords
-        dx_dt = df.g(x) / df.rhs_values(x)[-1]
+        values = df.rhs_values(x)
+        dx_dt = np.asarray(values[:-1]) / values[-1]
         assert np.allclose(dx_dt, dx_dt_fd, rtol=5e-6, atol=1e-8)
 
 
@@ -197,7 +199,7 @@ def test_kk_directional_matches_printed_system():
     rng = np.random.default_rng(14)
     for _ in range(40):
         chi, x1, s, x3, x4 = rng.uniform(-2, 2, size=5)
-        g = df.g([chi, x1, s, x3, x4])
+        g = df.rhs_values([chi, x1, s, x3, x4])[:-1]
         # s' = -s/2 * fhat_u2, every non-cubic term carrying powers of s
         fhat_u2 = x1**3 / 3.0 - x1 * s**2 - s * (chi + x4)
         assert g[2] == pytest.approx(-0.5 * s * fhat_u2, rel=1e-12, abs=1e-12)
@@ -217,7 +219,7 @@ def test_mems_negative_chart_matches_printed_system():
     for _ in range(40):
         r = rng.uniform(0.2, 2.0)
         s, x = rng.uniform(-1.5, 1.5, size=2)
-        g = df.g([r, s, x])
+        g = df.rhs_values([r, s, x])[:-1]
         # v-hat' = (p-1)/2 x^2 - r^q - (n-1) r^-1 s^(p+1) x
         expected = 0.5 * x * x - r - 2.0 * (s**3) * x / r
         assert g[2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -282,7 +284,7 @@ def test_directional_allows_fractional_on_chart_variable():
     ht = HomogeneityType(alpha=(1, 1), k=1.5)
     chart = DirectionalChart(htype=ht, i0=0, sign=1)
     df = build_directional_desing(fs, ht, chart)
-    g = df.g([0.25, 1.0])
+    g = df.rhs_values([0.25, 1.0])[:-1]
     assert all(math.isfinite(v) for v in g)
 
 
@@ -316,12 +318,12 @@ def test_weight_zero_fractional_exponent_guarded_at_runtime():
     ht = HomogeneityType(alpha=(0, 1), k=1)
     df = build_parabolic_desing(fs, ht)
     # g_y = sqrt(r) * y^2 * W / 2 with W = 1 - y^2
-    assert df.g([4.0, 0.5])[1] == pytest.approx(2.0 * 0.25 * 0.75 / 2, rel=1e-14)
+    assert df.rhs_values([4.0, 0.5])[1] == pytest.approx(2.0 * 0.25 * 0.75 / 2, rel=1e-14)
     with pytest.raises(DomainError):
-        df.g([-1.0, 0.5])
+        df.rhs_values([-1.0, 0.5])
 
 
-@pytest.mark.parametrize("method", ["rhs_values", "g", "jacobian"])
+@pytest.mark.parametrize("method", ["rhs_values", "jacobian"])
 @pytest.mark.parametrize("coords", [[0.0, 0.1], [0.0, 0.1, 0.2, 0.3]])
 def test_evaluation_checks_the_coordinate_count(method, coords):
     b = make_example("painleve1")
@@ -332,7 +334,7 @@ def test_evaluation_checks_the_coordinate_count(method, coords):
 
 def test_source_code_is_exposed():
     df = build_parabolic_desing(SCALAR, SCALAR_HT)
-    assert "def _rhs(" in df.source_code
+    assert "def _rhs(" not in df.source_code
     assert "def _jac(Z):" in df.source_code
     assert "def _jac(z):" not in df.source_code
     assert "def _step(" in df.source_code
@@ -356,12 +358,60 @@ _ARRAY_FIELDS = {
 }
 
 
+def _gap_powers(line, gap):
+    """The exponents of the gap symbol ``gap`` (or of its clamp) in a line
+    of generated code: 1 for the bare symbol."""
+    pattern = rf"_pw\({gap}c?, ([^)]+)\)|\b{gap}c?\b(?:\*\*\(?(-?\d+)\)?)?"
+    return [float(frac or whole or 1) for frac, whole in re.findall(pattern, line)]
+
+
+def _gap_zero_points(df, rng):
+    """Points at exact gap 0: s = 0 on a directional chart; on the
+    parabolic one +-1 in one weighted slot and 0 in the others, where 1 - P
+    is exactly 0.0.  The weight-0 slots are drawn."""
+    weighted = df.htype.i_alpha
+    if df.gap_slot < df.n:
+        X = rng.uniform(-0.9, 0.9, size=(100, df.n))
+        X[:, df.gap_slot] = 0.0
+        return X
+    points = []
+    for j in weighted:
+        for sign in (-1.0, 1.0):
+            for _ in range(10):
+                x = rng.uniform(-0.9, 0.9, size=df.n)
+                x[list(weighted)] = 0.0
+                x[j] = sign
+                points.append(x)
+    return np.array(points)
+
+
 @pytest.mark.parametrize("name", sorted(_ARRAY_FIELDS))
 def test_array_evaluators_match_scalar(name):
     df = _ARRAY_FIELDS[name]()
     rows, free = list(df.horizon_rows), list(df.free_slots)
     assert free == [j for j in df.htype.i_alpha if j != df.gap_slot]
     rng = np.random.default_rng(11)
+    # jacobian_array is read at gap 0 alone: no line of the generated _jac
+    # reads a positive power of the gap, and at exact gap 0 it is the
+    # field's Jacobian up to NumPy's powers, not finite where jacobian
+    # raises
+    code = df.source_code
+    gap = f"x{df.gap_slot}"
+    for line in code[code.index("def _jac(Z):"):].splitlines():
+        if line.startswith("    out[:"):
+            assert all(e <= 0 for e in _gap_powers(line, gap)), line
+    X = _gap_zero_points(df, np.random.default_rng(13))
+    assert np.all(df.chart.horizon_gap_of(X) == 0.0)
+    Zj = X if df.gap_slot < df.n else np.hstack([X, np.zeros((len(X), 1))])
+    with np.errstate(all="ignore"):
+        JA = df.jacobian_array(Zj)
+    for x, ja in zip(X, JA):
+        try:
+            want = df.jacobian(x)
+        except DomainError:
+            assert not np.all(np.isfinite(ja))
+            continue
+        assert np.all(np.abs(ja - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
     if df.gap_slot < df.n:
         # at s = 0 every left-out term is an exact zero, so the horizon rows
         # are the field's and so are their partials in the free slots, up
@@ -464,8 +514,8 @@ def test_array_domain_failure_stays_in_its_row(field, bad, good):
 # ---------------------------------------------------------------------------
 # the compiled-evaluator cache, keyed by the generated source
 
-_COMPILED = ("_rhs", "jacobian_array", "time_factor_at", "step",
-             "horizon_rhs_array", "horizon_jacobian_array")
+_COMPILED = ("jacobian_array", "time_factor_at", "step", "horizon_rhs_array",
+             "horizon_jacobian_array")
 
 
 def test_same_config_shares_compiled_functions():
@@ -663,10 +713,10 @@ def test_start_lays_out_the_integrator_state():
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("kk_dafermos", "fc2f16997457d916d809c67122dd63cc5d931152bb905fc1e22c804bd60d795d"),
-        ("mems", "8795db1e8586975d82d82542cddf0a98b583c98a553fe9d0dcd15037aa752fd4"),
-        ("painleve1", "2e8b78ea332f18dd3e0334d3f2e9ec706e03e676d74adaa93ae4d63ce95d3b1e"),
-        ("selfsimilar", "fe3375431a35719c73158c6b4ba00b9fec773cc9c90d02c468fc61723786a994"),
+        ("kk_dafermos", "9531077eba28e893710f7ce48a219b23bf9a7f46051137a6cbb9084c31e3104a"),
+        ("mems", "2b016ee22d6abe8749d2fea1660604a4987bc67fb676978f758e65bfe4b0a4f1"),
+        ("painleve1", "d081ffbd3b6c894be7cb5a862ffd5fed7a13c9f6b8b3108fd62d041793689d83"),
+        ("selfsimilar", "9902678e1ec611f453b7b90450b3c334f9dfce940f1f5bd969ca091da87b9050"),
     ],
     ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],
 )

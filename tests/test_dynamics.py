@@ -1129,7 +1129,7 @@ def test_equilibrium_residual_contract():
     df = build_field_from_config(b)
     for e in find_horizon_equilibria(df, grid_seeds(df, np.zeros(5))):
         assert e.residual < 1e-10
-        assert float(np.linalg.norm(df.g(e.coords))) < 1e-10
+        assert float(np.linalg.norm(df.rhs_values(e.coords)[:-1])) < 1e-10
 
 
 def test_spectrum_classify_nonhyperbolic_detection():
