@@ -37,21 +37,23 @@ next step this module's cut allows, so a step costs one call.
 The step's state (``DesingField.start``) carries the horizon gap in slot
 ``gap_slot`` at the rate ``gap_rate``.  On the parabolic chart that is W,
 dW/dtau = -G W (since dP/dtau = G W where P + W = 1), so W = 0 is
-invariant; a point given by its chart coordinates alone forms W = 1 -
-P.  A state off the surface P + W = 1 lies outside the flow, so the
-step's coordinate rates there are free: each
-weighted slot gains F G D alpha_i x_i, F = (2c - 1)/(2c) and D = P + W -
-1, which vanishes on the surface and slows D' from -2c G D to G D ((2c -
-1) P - 2c), about the gap's own -G D near the horizon, so that DOP853's
-stability no longer sizes the steps there.  A stage binds G and Gs = G (1
-- F D) once and reads them in every weighted slot and in W's -G W.  On a
-directional chart it is L = ln s,
-dL/dtau = -(sign/alpha_i0) f^_i0, ds/dtau's terms with s's power lowered
-by one; a stage binds s = exp(L) and its powers from it, so an error in L
-is a relative error in the gap and s = 0 is L = -inf.  The time factor
-there is s**k, so a step whose s**k decays by more than 0.1 e-fold at its
-starting log-rate rho integrates u = t - s**k / rho in the time slot and
-forms t back from the stage's own s**k: near a hyperbolic horizon
+invariant; a point given by its chart coordinates alone forms W = 1 - P.
+On a directional chart it is L = ln s, dL/dtau = -G = -(sign/alpha_i0)
+f^_i0, ds/dtau's terms with s's power lowered by one; a stage binds s =
+exp(L) and its powers from it, so an error in L is a relative error in
+the gap and s = 0 is L = -inf.  One rule gives the step's rates on both
+charts, since there too dx^_i/dtau = f^_i - alpha_i x^_i G: a stage binds
+G once, the gap's slot reads -G W, or -G, and weighted slot i reads the
+rest of its component less alpha_i x_i G.  A state off the surface P + W
+= 1 lies outside the flow, so the parabolic step's rates there are free:
+with F = (2c - 1)/(2c) and D = P + W - 1, its weighted slots read Gs = G
+(1 - F D), bound once, in place of G.  Each gains F G D alpha_i x_i,
+which vanishes on the surface and slows D' from -2c G D to G D ((2c - 1)
+P - 2c), about the gap's own -G D near the horizon, so that DOP853's
+stability no longer sizes the steps there.  A directional chart's time
+factor is s**k, so a step whose s**k decays by more than 0.1 e-fold at
+its starting log-rate rho integrates u = t - s**k / rho in the time slot
+and forms t back from the stage's own s**k: near a hyperbolic horizon
 equilibrium L is almost linear in tau, u' almost 0, and the time
 increments keep their relative accuracy over long steps.
 
@@ -241,7 +243,7 @@ class _Emitter:
         self.i_alpha = i_alpha
         self.gap_slot = gap_slot
         self.needs_clamp = False
-        self.step_locals: list = []  # (symbol, template): G, Gs
+        self.step_locals: list = []  # (symbol, template): G, Gs if parabolic
         self.used = set()  # the slots the emitted expressions read
         self.powers: Dict[str, Tuple[str, str]] = {}
         self.texts: Dict[str, str] = {}  # power name -> text
@@ -564,13 +566,13 @@ def _emit_dop853(em: _Emitter, templates, dim: int, t_slot: int,
     running times.  Where a sample's s fails to evaluate, the step removes
     its samples and raises DomainError.
 
-    ``templates`` are ``em``'s templates of the step's n coordinate rates
-    (``_stabilized`` on the parabolic chart), with the gap slot's rate
-    (-G W, or dL/dtau) in slot ``gap_slot``, then the time factor, t's
-    derivative; the state has their ``dim`` slots (all but the time factor
-    when the field is nonautonomous).  Every stage, the dense output's
-    too, binds ``em.derived``'s locals (W's clamp, G, Gs) after its
-    coordinates, as ``_deriv`` does.  A stage
+    ``templates`` are ``em``'s templates of the step's coordinate rates
+    (``_step_rates``), with the gap slot's rate (-G W, or -G = dL/dtau) in
+    slot ``gap_slot``, then the time factor, t's derivative; the state has
+    their ``dim`` slots (all but the time factor when the field is
+    nonautonomous).  Every stage, the dense output's too, binds
+    ``em.derived``'s locals (W's clamp, G, Gs) after its coordinates, as
+    ``_deriv`` does.  A stage
     evaluates each distinct expression once and copies it where a
     sum reads the copy (the time factor of a nonautonomous field equals
     component 0 and no sum reads it), and each distinct power once: a power
@@ -850,37 +852,38 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     return "\n".join(lines) + "\n"
 
 
-def _stabilized(em: _Emitter, htype: HomogeneityType,
+def _step_rates(em: _Emitter, htype: HomogeneityType,
                 components: Tuple[Poly, ...], gap_rate: Poly) -> list:
-    """The templates of a parabolic step's coordinate rates, then W's -G W.
+    """The templates of the step's coordinate rates by the one rule of both
+    charts (module docstring), the gap's in slot ``em.gap_slot``.
 
-    Component i's -alpha_i x_i G reads -alpha_i x_i Gs, Gs = G (1 - F D),
-    with G = -gap_rate / W and Gs bound as ``em.step_locals``: the rate
-    gains F G D alpha_i x_i (module docstring).  Since grad P . Lambda x =
-    2c P, D' = G D ((2c - 1) P - 2c).
+    G = -gap_rate / W on the parabolic chart and -dL/dtau on a directional
+    one.  Weighted slot i reads rest_i - alpha_i x_i G, rest_i = component_i
+    + alpha_i x_i G: exact, but within one rounding where a monomial of
+    component_i met one of that term.  ``em.step_locals`` bind G, then on
+    the parabolic chart Gs = G (1 - F D), which its weighted slots read in
+    place of G.  Since grad P . Lambda x = 2c P, D' = G D ((2c - 1) P - 2c).
     """
-    n, tc = em.n, 2 * htype.c
-    G = _pscale(_pmul_var(gap_rate, n, -1), -1.0)
-    em.used.update(htype.i_alpha + (n,))
-    deviation = f"({em.horizon_poly()}) - 1.0 + x{n}"
-    em.step_locals = [
-        ("G", em.poly(G)),
-        ("Gs", f"G * (1.0 - {_fmt_float((tc - 1) / tc)} * ({deviation}))"),
-    ]
+    n, par, tc = em.n, em.parabolic, 2 * htype.c
+    G = _pscale(_pmul_var(gap_rate, n, -1) if par else gap_rate, -1.0)
+    em.step_locals = [("G", em.poly(G))]
+    if par:  # Gs = G (1 - F D), D = P + W - 1
+        em.used.update(htype.i_alpha + (n,))
+        f, d = _fmt_float((tc - 1) / tc), f"({em.horizon_poly()}) - 1.0 + x{n}"
+        em.step_locals.append(("Gs", f"G * (1.0 - {f} * ({d}))"))
     rates = []
     for i, p in enumerate(components):
-        ai = htype.alpha[i]
-        if not ai:
-            rates.append(em.poly(p))
+        ai = float(htype.alpha[i])
+        if i == em.gap_slot or not ai:  # dL/dtau = -G, or weight 0
+            rates.append("-G" if ai else em.poly(p))
             continue
-        # q f~_i, the component less its -alpha_i x_i G: exact, but within
-        # one rounding where a monomial of q f~_i met one of that term
         rest = dict(p)
-        for key, coeff in _pmul_var(_pscale(G, float(ai)), i, 1).items():
+        for key, coeff in _pmul_var(_pscale(G, ai), i, 1).items():
             _padd(rest, key, coeff)
-        gs = em.term(tuple(int(j == i) for j in range(n + 1)), -float(ai)) + "*Gs"
-        rates.append(f"{em.poly(rest)} - {gs[1:]}" if rest else gs)
-    return rates + [f"-G*x{n}"]
+        g = em.term(tuple(int(j == i) for j in range(n + par)), -ai)
+        g += "*Gs" if par else "*G"
+        rates.append(f"{em.poly(rest)} - {g[1:]}" if rest else g)
+    return rates + ([f"-G*x{n}"] if par else [])
 
 
 def _compile_field(htype: HomogeneityType, gap_slot: int,
@@ -888,18 +891,15 @@ def _compile_field(htype: HomogeneityType, gap_slot: int,
                    gap_rate: Poly, jac_rows: Tuple[Tuple[Poly, ...], ...],
                    dim: int, time_slot: int, horizon: Tuple[Poly, ...],
                    free: Tuple[int, ...]):
+    """``_compiled``'s functions, then the source; the step's rates on
+    either chart come from ``_step_rates``."""
     n = htype.n
     em = _Emitter(n, 2 * htype.beta_full(), htype.i_alpha, gap_slot)
     templates = [em.poly(p) for p in components + (time_factor,)]
     jac = [(i, j, em.poly(p)) for i, row in enumerate(jac_rows)
            for j, p in enumerate(row) if p]
     time_factor_expr = em.inline(templates[-1])
-    # the step's state derivative: the gap's rate in the gap's slot, which
-    # on a directional chart takes the place of ds/dtau
-    if em.parabolic:
-        templates[:n] = _stabilized(em, htype, components, gap_rate)
-    else:
-        templates[gap_slot] = em.poly(gap_rate)
+    templates[:n] = _step_rates(em, htype, components, gap_rate)
     # preambles emitted last: clamping needs are discovered while emitting
     clamp = "".join(f"{t}\n" for _, t in em.clamp("    "))
     # ``_deriv`` gives the first k1 from the step's own expressions
@@ -970,9 +970,10 @@ class DesingField:
     one, then t (slot ``time_slot``) for an autonomous field.  ``step(z,
     k1, h, tau, tau_end, out, atol, rtol, max_step)`` is the field's
     compiled DOP853 step (``_emit_dop853``), and this module owns the
-    sampling rule and the step cut it carries out.  On the parabolic chart
-    a weighted slot's rate gains F G D alpha_i x_i, which vanishes on P +
-    W = 1 (``_stabilized``).  From state ``z`` and its derivative ``k1``
+    sampling rule and the step cut it carries out.  Each weighted slot's
+    rate reads the gap's normal rate G, bound once per stage, and on the
+    parabolic chart gains F G D alpha_i x_i, which vanishes on P + W = 1
+    (``_step_rates``).  From state ``z`` and its derivative ``k1``
     (``state_derivative``) it returns None for a non-finite result or a W
     that changes sign, the error norm alone for a step it rejects, and for
     an accepted one the new state, the error norm, the derivative there,

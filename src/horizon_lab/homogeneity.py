@@ -360,11 +360,10 @@ def classify_monomials(field: FieldSpec, htype: HomogeneityType) -> HomogeneityR
     when it equals k + alpha_i, residual when below, and a violation when
     above.  Violations mean the field is not AQH of this type, so the
     function raises NotAQHError (the report rides along on the exception).
+    Weights that do not fit the field raise what ``field.check_weights``
+    raises.
     """
-    if htype.n != field.n:
-        raise ValueError(
-            f"type has {htype.n} weights for a field in {field.n} variables"
-        )
+    field.check_weights(htype.alpha)
     principal = []
     residual = []
     violations = []

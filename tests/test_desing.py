@@ -596,6 +596,52 @@ def test_state_derivative_is_the_field_in_ln_s(name):
     assert np.all(np.isfinite(df.state_derivative(tuple(state))))
 
 
+def _painleve1_negative():
+    # painleve1's field on the negative chart over v, where alpha_i0 = 3
+    p1 = _example("painleve1")
+    chart = DirectionalChart(htype=p1.htype, i0=2, sign=-1)
+    return build_directional_desing(p1.source, p1.htype, chart)
+
+
+_STEP_FIELDS = {**_ARRAY_FIELDS, "painleve1_negative": _painleve1_negative}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_FIELDS))
+def test_step_rates_read_the_gap_rate_once(name):
+    # one rule on both charts: _deriv binds G, the normal rate of the
+    # horizon gap, once, and each weighted slot but the gap's reads rest_i -
+    # alpha_i x_i G (Gs on the parabolic chart), rest_i the component plus
+    # alpha_i x_i G, so no slot repeats G's terms; the gap slot reads -G W,
+    # or -G = dL/dtau
+    df = _STEP_FIELDS[name]()
+    n, gap, alpha = df.n, df.gap_slot, df.htype.alpha
+    parabolic = gap == n
+    code = df.source_code
+    deriv = code[code.index("def _deriv(z):"):code.index("def _step(")]
+    assert len(re.findall(r"^    G = ", deriv, re.M)) == 1
+    rates = re.search(r"return \(\n(.*)\n    \)", deriv, re.S).group(1)
+    rates = [r.strip().rstrip(",") for r in rates.splitlines()]
+    assert rates[gap] == (f"-G*x{n}" if parabolic else "-G")
+    # G's terms: -gap_rate, with one power of W less on the parabolic chart
+    G = {key[:gap] + (key[gap] - parabolic,) + key[gap + 1:]: -c
+         for key, c in df.gap_rate.items()}
+    for i in range(n):
+        if i == gap:
+            continue
+        if not alpha[i]:
+            assert not re.search(r"\bGs?\b", rates[i])
+            continue
+        rest = dict(df.components[i])
+        for key, c in G.items():
+            key = key[:i] + (key[i] + 1,) + key[i + 1:]
+            rest[key] = rest.get(key, 0.0) + alpha[i] * c
+        rest = [c for c in rest.values() if c != 0.0]
+        coeff = "" if alpha[i] == 1 else re.escape(f"{float(alpha[i])!r}*")
+        g = "Gs" if parabolic else "G"
+        assert re.fullmatch(rf"(.+ - |-){coeff}x{i}\*{g}", rates[i]), rates[i]
+        assert len(re.split(r" [-+] ", rates[i])) == len(rest) + 1, rates[i]
+
+
 def _poly_at(p, point):
     """A term dictionary's value at ``point``, term by term."""
     return math.fsum(
@@ -713,10 +759,10 @@ def test_start_lays_out_the_integrator_state():
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("kk_dafermos", "9531077eba28e893710f7ce48a219b23bf9a7f46051137a6cbb9084c31e3104a"),
-        ("mems", "2b016ee22d6abe8749d2fea1660604a4987bc67fb676978f758e65bfe4b0a4f1"),
+        ("kk_dafermos", "81f9bd0132b798985918015d0609f6e35e7e1add598ec5c1f62cf69099b6fa46"),
+        ("mems", "c79998a1d424f2181d565e8e04c412569f94a36edc28071a21cd8b4604d3d4f1"),
         ("painleve1", "d081ffbd3b6c894be7cb5a862ffd5fed7a13c9f6b8b3108fd62d041793689d83"),
-        ("selfsimilar", "9902678e1ec611f453b7b90450b3c334f9dfce940f1f5bd969ca091da87b9050"),
+        ("selfsimilar", "29bf67d2ea11a4e440b64054f062d80570414b68f60e804e30205d06745c60af"),
     ],
     ids=["kk_dafermos", "mems", "painleve1", "selfsimilar"],
 )

@@ -243,6 +243,19 @@ def test_classification_violation_raises_with_report():
     assert err.report.violations == ((0, 1),)
 
 
+@pytest.mark.parametrize("alpha, error, path", [
+    ((2, 3), ValueError, ("alpha",)),       # two weights for three variables
+    ((1, 2, 3), DomainError, ("alpha", 0)),  # a weighted time variable
+], ids=["a weight per variable", "a zero time weight"])
+def test_classification_checks_the_weights_against_the_field(alpha, error, path):
+    # the field states its weight rules once (FieldSpec.check_weights), and
+    # classifying under weights that break one raises its located error
+    with pytest.raises(error) as exc_info:
+        classify_monomials(painleve_spec(), HomogeneityType(alpha=alpha, k=1))
+    assert type(exc_info.value) is error
+    assert exc_info.value.path == path
+
+
 def test_linear_field_is_residual_everywhere():
     # f(y) = y against alpha=(1), k=2: degree 1 < k + alpha = 3, so no
     # violation, but nothing principal either: the term is residual.
