@@ -86,13 +86,12 @@ _LOG_LEVELS = {
 
 
 def _setup_logging() -> None:
+    """Set the ``horizon_lab`` logger's level from HORIZON_LAB_LOG, on
+    every call.  The stderr handler is installed once per process, and
+    only where the root logger has none, so a caller's handlers stay."""
     raw = os.environ.get("HORIZON_LAB_LOG", "warn").strip().lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(_LOG_LEVELS.get(raw, logging.WARNING))
     if raw not in _LOG_LEVELS and raw:
         log.warning(
             "unknown HORIZON_LAB_LOG level '%s'; using 'warn' "

@@ -34,20 +34,24 @@ rule this module owns (``max_step`` apart in tau, 0.1 decade apart in the
 horizon gap), appends the samples to a flat list and returns the longest
 next step this module's cut allows, so a step costs one call.
 
+A field is stored as the paper writes it on both charts (``DesingField``):
+each component's rest, q f~_i or f^_i, and the normal rate G of the
+horizon gap, G = (sign/alpha_i0) f^_i0 on a directional chart.  One rule
+forms the components from them: g_i = rest_i - alpha_i x_i G in a weighted
+slot, rest_i in a weight-0 slot, and ds/dtau = -s G in s's.
+
 The step's state (``DesingField.start``) carries the horizon gap in slot
-``gap_slot`` at the rate ``gap_rate``.  On the parabolic chart that is W,
-dW/dtau = -G W (since dP/dtau = G W where P + W = 1), so W = 0 is
-invariant; a point given by its chart coordinates alone forms W = 1 - P.
-On a directional chart it is L = ln s, dL/dtau = -G = -(sign/alpha_i0)
-f^_i0, ds/dtau's terms with s's power lowered by one; a stage binds s =
-exp(L) and its powers from it, so an error in L is a relative error in
-the gap and s = 0 is L = -inf.  One rule gives the step's rates on both
-charts, since there too dx^_i/dtau = f^_i - alpha_i x^_i G: a stage binds
-G once, the gap's slot reads -G W, or -G, and weighted slot i reads the
-rest of its component less alpha_i x_i G.  A state off the surface P + W
-= 1 lies outside the flow, so the parabolic step's rates there are free:
-with F = (2c - 1)/(2c) and D = P + W - 1, its weighted slots read Gs = G
-(1 - F D), bound once, in place of G.  Each gains F G D alpha_i x_i,
+``gap_slot``.  On the parabolic chart that is W, dW/dtau = -G W (since
+dP/dtau = G W where P + W = 1), so W = 0 is invariant; a point given by
+its chart coordinates alone forms W = 1 - P.  On a directional chart it
+is L = ln s, dL/dtau = -G; a stage binds s = exp(L) and its powers from
+it, so an error in L is a relative error in the gap and s = 0 is L =
+-inf.  The step's rates read the stored form on both charts: a stage
+binds G once, the gap's slot reads -G W, or -G, and weighted slot i reads
+its rest less alpha_i x_i G.  A state off the surface P + W = 1 lies
+outside the flow, so the parabolic step's rates there are free: with F =
+(2c - 1)/(2c) and D = P + W - 1, its weighted slots read Gs = G (1 - F
+D), bound once, in place of G.  Each gains F G D alpha_i x_i,
 which vanishes on the surface and slows D' from -2c G D to G D ((2c - 1)
 P - 2c), about the gap's own -G D near the horizon, so that DOP853's
 stability no longer sizes the steps there.  A directional chart's time
@@ -852,64 +856,61 @@ def _emit_horizon(em: _Emitter, horizon: Tuple[Poly, ...],
     return "\n".join(lines) + "\n"
 
 
-def _step_rates(em: _Emitter, htype: HomogeneityType,
-                components: Tuple[Poly, ...], gap_rate: Poly) -> list:
+def _step_rates(em: _Emitter, df: "DesingField") -> list:
     """The templates of the step's coordinate rates by the one rule of both
     charts (module docstring), the gap's in slot ``em.gap_slot``.
 
-    G = -gap_rate / W on the parabolic chart and -dL/dtau on a directional
-    one.  Weighted slot i reads rest_i - alpha_i x_i G, rest_i = component_i
-    + alpha_i x_i G: exact, but within one rounding where a monomial of
-    component_i met one of that term.  ``em.step_locals`` bind G, then on
-    the parabolic chart Gs = G (1 - F D), which its weighted slots read in
-    place of G.  Since grad P . Lambda x = 2c P, D' = G D ((2c - 1) P - 2c).
+    ``em.step_locals`` bind G, the field's ``normal_rate``, then on the
+    parabolic chart Gs = G (1 - F D), which its weighted slots read in
+    place of G.  Weighted slot i reads ``rest[i]`` less alpha_i x_i G, a
+    weight-0 slot its rest alone.  Since grad P . Lambda x = 2c P, D' = G D
+    ((2c - 1) P - 2c).
     """
+    htype = df.htype
     n, par, tc = em.n, em.parabolic, 2 * htype.c
-    G = _pscale(_pmul_var(gap_rate, n, -1) if par else gap_rate, -1.0)
-    em.step_locals = [("G", em.poly(G))]
+    em.step_locals = [("G", em.poly(df.normal_rate))]
     if par:  # Gs = G (1 - F D), D = P + W - 1
         em.used.update(htype.i_alpha + (n,))
         f, d = _fmt_float((tc - 1) / tc), f"({em.horizon_poly()}) - 1.0 + x{n}"
         em.step_locals.append(("Gs", f"G * (1.0 - {f} * ({d}))"))
     rates = []
-    for i, p in enumerate(components):
+    for i, rest in enumerate(df.rest):
         ai = float(htype.alpha[i])
         if i == em.gap_slot or not ai:  # dL/dtau = -G, or weight 0
-            rates.append("-G" if ai else em.poly(p))
+            rates.append("-G" if ai else em.poly(rest))
             continue
-        rest = dict(p)
-        for key, coeff in _pmul_var(_pscale(G, ai), i, 1).items():
-            _padd(rest, key, coeff)
         g = em.term(tuple(int(j == i) for j in range(n + par)), -ai)
         g += "*Gs" if par else "*G"
         rates.append(f"{em.poly(rest)} - {g[1:]}" if rest else g)
     return rates + ([f"-G*x{n}"] if par else [])
 
 
-def _compile_field(htype: HomogeneityType, gap_slot: int,
-                   components: Tuple[Poly, ...], time_factor: Poly,
-                   gap_rate: Poly, jac_rows: Tuple[Tuple[Poly, ...], ...],
-                   dim: int, time_slot: int, horizon: Tuple[Poly, ...],
-                   free: Tuple[int, ...]):
-    """``_compiled``'s functions, then the source; the step's rates on
-    either chart come from ``_step_rates``."""
-    n = htype.n
-    em = _Emitter(n, 2 * htype.beta_full(), htype.i_alpha, gap_slot)
-    templates = [em.poly(p) for p in components + (time_factor,)]
-    jac = [(i, j, em.poly(p)) for i, row in enumerate(jac_rows)
-           for j, p in enumerate(row) if p]
+def _compile_field(df: "DesingField"):
+    """``_compiled``'s functions, then the source, of ``df``; the step's
+    rates on either chart come from ``_step_rates``."""
+    n, gap = df.n, df.gap_slot
+    em = _Emitter(n, 2 * df.htype.beta_full(), df.htype.i_alpha, gap)
+    templates = [em.poly(p) for p in df.components + (df.time_factor,)]
+    # the Jacobian at gap 0, where a term with a positive power of the gap
+    # vanishes
+    jac = [(i, j, em.poly(p)) for i in range(n) for j in range(n)
+           if (p := {e: c for e, c in df._component_partial(i, j).items()
+                     if e[gap] <= 0})]
     time_factor_expr = em.inline(templates[-1])
-    templates[:n] = _step_rates(em, htype, components, gap_rate)
+    templates[:n] = _step_rates(em, df)
     # preambles emitted last: clamping needs are discovered while emitting
     clamp = "".join(f"{t}\n" for _, t in em.clamp("    "))
     # ``_deriv`` gives the first k1 from the step's own expressions
-    d_body = ",\n        ".join(em.inline(t) for t in templates[:dim])
+    d_body = ",\n        ".join(em.inline(t) for t in templates[:df.state_dim])
     parts = (
-        f"def _time_factor(x{gap_slot}):\n{clamp}    return {time_factor_expr}\n",
+        f"def _time_factor(x{gap}):\n{clamp}    return {time_factor_expr}\n",
         f"def _deriv(z):\n{em.preamble()}\n    return (\n        {d_body},\n    )\n",
-        _emit_dop853(em, templates, dim, time_slot, htype.k_float),
+        _emit_dop853(em, templates, df.state_dim, df.time_slot, df.htype.k_float),
     )
-    hsrc = _emit_horizon(em, horizon, free, jac)
+    # the part of each horizon row that acts on the horizon
+    horizon = tuple({e: c for e, c in df.components[i].items() if e[gap] == 0}
+                    for i in df.horizon_rows)
+    hsrc = _emit_horizon(em, horizon, df.free_slots, jac)
     return _compiled(parts, hsrc) + ("\n".join(parts) + "\n" + hsrc,)
 
 
@@ -940,12 +941,18 @@ def _compiled(parts: Tuple[str, ...], hsrc: str):
 class DesingField:
     """A desingularized field on a chart, stored as extended monomials.
 
-    ``components[i]``, ``time_factor`` and ``gap_rate`` map exponent tuples
-    to coefficients.  A tuple has one slot per chart coordinate and, on the
+    ``rest[i]``, ``normal_rate`` and ``time_factor`` map exponent tuples to
+    coefficients.  A tuple has one slot per chart coordinate and, on the
     parabolic chart, a slot n for W; ``gap_slot`` is the horizon gap's slot
-    (n for W, i0 for a directional chart's s).  ``gap_rate`` is the rate of
-    the integrator's gap slot: -G W for W, so W = 0 is invariant like s =
-    0, and dL/dtau for a directional chart's L = ln s.  The integrator and
+    (n for W, i0 for a directional chart's s).  The field is g_i = rest_i
+    - alpha_i x_i G, with G = ``normal_rate`` the normal rate of the
+    horizon gap: ``rest[i]`` is q f~_i on the parabolic chart and f^_i on
+    a directional one, where ``rest[i0]`` is empty and ds/dtau = -s G.
+    ``components``, g_0 .. g_{n-1}, is derived from them by that one rule
+    (a weight-0 slot is its rest); every evaluator but the step reads it.
+    The gap's own slot in the integrator's state has the rate -G W for W,
+    so W = 0 is invariant like s = 0, and -G for a directional chart's L =
+    ln s.  The integrator and
     the search call expressions compiled once per distinct generated
     source per process (bounded LRU); fields with the same source share
     the stateless compiled functions.
@@ -1002,50 +1009,41 @@ class DesingField:
     chart: Union[ParabolicChart, DirectionalChart]
     htype: HomogeneityType
     source: FieldSpec
-    components: Tuple[Poly, ...]
+    rest: Tuple[Poly, ...]
+    normal_rate: Poly
     time_factor: Poly
-    gap_rate: Poly
 
     def __post_init__(self):
         gap_slot = (
             self.n if isinstance(self.chart, ParabolicChart) else self.chart.i0
         )
         object.__setattr__(self, "gap_slot", gap_slot)
+        # g_i = rest_i - alpha_i x_i G, with alpha_i taken as 1 in s's slot,
+        # whose rest is empty: ds/dtau = -s G
+        components = []
+        for i, rest in enumerate(self.rest):
+            a = 1.0 if i == gap_slot else float(self.htype.alpha[i])
+            g = dict(rest)
+            for key, coeff in _pscale(_pmul_var(self.normal_rate, i, 1), -a).items():
+                _padd(g, key, coeff)
+            components.append(g)
+        object.__setattr__(self, "components", tuple(components))
         # the integrator state's layout (``start``): t' is the time factor
         # of an autonomous field, or slot 0's
         dim = self.n + (gap_slot == self.n) + (not self.nonautonomous)
         object.__setattr__(self, "state_dim", dim)
         object.__setattr__(self, "time_slot", 0 if self.nonautonomous else dim - 1)
-        # the Jacobian at gap 0, where a term with a positive power of the
-        # gap vanishes
-        jac_rows = tuple(
-            tuple({e: c for e, c in self._component_partial(i, j).items()
-                   if e[gap_slot] <= 0} for j in range(self.n))
-            for i in range(self.n)
-        )
-        # the part of each component that acts on the horizon
-        horizon = [{e: c for e, c in p.items() if e[gap_slot] == 0}
-                   for p in self.components]
-        rows = tuple(i for i, p in enumerate(horizon) if p)
-        free = tuple(i for i in self.htype.i_alpha if i != gap_slot)
-        compiled = _compile_field(
-            self.htype,
-            gap_slot,
-            self.components,
-            self.time_factor,
-            self.gap_rate,
-            jac_rows,
-            dim,
-            self.time_slot,
-            tuple(horizon[i] for i in rows),
-            free,
-        )
-        object.__setattr__(self, "horizon_rows", rows)
-        object.__setattr__(self, "free_slots", free)
+        # the components with a term that acts on the horizon
+        object.__setattr__(self, "horizon_rows", tuple(
+            i for i, p in enumerate(components) if any(e[gap_slot] == 0 for e in p)
+        ))
+        object.__setattr__(self, "free_slots", tuple(
+            i for i in self.htype.i_alpha if i != gap_slot
+        ))
         for name, value in zip(("time_factor_at", "_deriv", "step",
                                 "horizon_rhs_array", "horizon_jacobian_array",
                                 "jacobian_array", "source_code"),
-                               compiled):
+                               _compile_field(self)):
             object.__setattr__(self, name, value)
 
     @property
@@ -1113,9 +1111,9 @@ class DesingField:
         it for ``k1``: ``z`` holds the coordinates, with ln s in s's slot
         on a directional chart, then W on the parabolic one, then t for an
         autonomous field.  It comes from the step's expressions for that
-        state, the gap's slot from ``gap_rate``, so a directional chart has
-        no 0/0 at s = 0 (L = -inf), and with the step's F G D alpha_i x_i
-        on the parabolic chart."""
+        state, the gap's slot from ``normal_rate`` (-G W, or -G), so a
+        directional chart has no 0/0 at s = 0 (L = -inf), and with the
+        step's F G D alpha_i x_i on the parabolic chart."""
         try:
             return self._deriv(z)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -1207,22 +1205,13 @@ def build_parabolic_desing(field: FieldSpec, htype: HomogeneityType) -> DesingFi
         scaled = _pmul_var(_pscale(ftilde[j], 1.0 / htype.alpha[j]), j, tbj - 1)
         for key, coeff in scaled.items():
             _padd(G, key, coeff)
-    components = []
-    for i in range(n):
-        gi = _pmul(q, ftilde[i])
-        ai = htype.alpha[i]
-        if ai:
-            for key, coeff in _pscale(_pmul_var(G, i, 1), -float(ai)).items():
-                _padd(gi, key, coeff)
-        components.append(gi)
-    time_factor = _pmul_var(q, n, htype.k)
     return DesingField(
         chart=ParabolicChart(htype=htype),
         htype=htype,
         source=field,
-        components=tuple(components),
-        time_factor=time_factor,
-        gap_rate=_pscale(_pmul_var(G, n, 1), -1.0),  # -dP/dtau on W = 1 - P
+        rest=tuple(_pmul(q, p) for p in ftilde),
+        normal_rate=G,
+        time_factor=_pmul_var(q, n, htype.k),
     )
 
 
@@ -1278,34 +1267,15 @@ def build_directional_desing(
             exps[i0] = s_exp
             _padd(p, tuple(exps), coeff)
         fhat.append(p)
-    components = []
-    for i in range(n):
-        if i == i0:
-            gi = _pscale(_pmul_var(fhat[i0], i0, 1), -float(sigma) / a0)
-            # every term carries s, so dL/dtau = (ds/dtau) / s, with each
-            # exponent of s lowered by one, has no negative power of s
-            assert all(exps[i0] >= 1 for exps in gi), "a term of ds/dtau lacks s"
-            gap_rate = _pmul_var(gi, i0, -1)
-        else:
-            gi = dict(fhat[i])
-            ai = htype.alpha[i]
-            if ai:
-                coupling = _pscale(
-                    _pmul_var(fhat[i0], i, 1), -float(sigma) * ai / a0
-                )
-                for key, coeff in coupling.items():
-                    _padd(gi, key, coeff)
-        components.append(gi)
     exps = [0] * n
     exps[i0] = _canon_e(htype.k)
-    time_factor: Poly = {tuple(exps): 1.0}
     return DesingField(
         chart=chart,
         htype=htype,
         source=field,
-        components=tuple(components),
-        time_factor=time_factor,
-        gap_rate=gap_rate,
+        rest=tuple({} if i == i0 else p for i, p in enumerate(fhat)),
+        normal_rate=_pscale(fhat[i0], float(sigma) / a0),
+        time_factor={tuple(exps): 1.0},
     )
 
 

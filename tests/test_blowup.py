@@ -536,14 +536,16 @@ def test_scalar_tmax_matches_quadrature(k, j_frac, a, b, y0):
         assert report.type1_confirmed
 
 
-def _cross_chart_check(fs, ht, y0, i0):
-    """Run y0 on the parabolic chart and on directional[+i0]: the two blow-up
-    times, counted from the start, agree to 1e-8 relative, and on each chart
-    the gap's decay rate matches the slowest stable normal eigenvalue of the
+def _cross_chart_check(fs, ht, y0, slots):
+    """Run y0 on the parabolic chart and on directional[+i0] for each i0 in
+    ``slots``: each chart's blow-up time, counted from the start, agrees
+    with the parabolic chart's to 1e-8 relative, and on each chart the
+    gap's decay rate matches the slowest stable normal eigenvalue of the
     target to 1e-7.  The time of a nonautonomous field is y0[0]."""
     t0 = y0[0] if fs.nonautonomous else 0.0
     spans = []
-    for chart in (None, DirectionalChart(htype=ht, i0=i0, sign=1)):
+    for chart in (None,) + tuple(DirectionalChart(htype=ht, i0=i0, sign=1)
+                                 for i0 in slots):
         df = (build_parabolic_desing(fs, ht) if chart is None
               else build_directional_desing(fs, ht, chart))
         traj = integrate(df, embed(df.chart, np.asarray(y0, dtype=float)).coords,
@@ -555,7 +557,8 @@ def _cross_chart_check(fs, ht, y0, i0):
         slow = min(abs(eq.eigenvalues[i].real) for i in split.stable)
         assert report.lambda_decay == pytest.approx(slow, rel=1e-7), chart
         spans.append(report.t_max - t0)
-    assert spans[0] == pytest.approx(spans[1], rel=1e-8)
+    for chart_span in spans[1:]:
+        assert chart_span == pytest.approx(spans[0], rel=1e-8)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -572,7 +575,7 @@ def test_scalar_charts_agree_on_tmax_and_decay(k, j_frac, a, b, y0):
     j = round(j_frac * k)
     terms = (m(a, k + 1),) + ((m(b, j),) if b else ())
     fs = FieldSpec(variable_names=("y",), components=(terms,))
-    _cross_chart_check(fs, HomogeneityType(alpha=(1,), k=k), [y0], 0)
+    _cross_chart_check(fs, HomogeneityType(alpha=(1,), k=k), [y0], (0,))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -584,12 +587,13 @@ def test_scalar_charts_agree_on_tmax_and_decay(k, j_frac, a, b, y0):
 )
 def test_planar_charts_agree_on_tmax_and_decay(a, b, u0, lam):
     # the family of test_planar_tmax_matches_event_oracle: u' = v, v' = a
-    # u^2 + b, started near the separatrix v = sqrt(2a/3) u^(3/2)
+    # u^2 + b, started near the separatrix v = sqrt(2a/3) u^(3/2), on the
+    # charts over u and over v, where alpha_i0 = 3 is no power of two
     terms = (m(a, 2, 0),) + ((m(b, 0, 0),) if b else ())
     fs = FieldSpec(variable_names=("u", "v"),
                    components=((m(1.0, 0, 1),), terms))
     y0 = [u0, lam * math.sqrt(2.0 * a / 3.0) * u0**1.5]
-    _cross_chart_check(fs, HomogeneityType(alpha=(2, 3), k=1), y0, 0)
+    _cross_chart_check(fs, HomogeneityType(alpha=(2, 3), k=1), y0, (0, 1))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -603,7 +607,8 @@ def test_planar_charts_agree_on_tmax_and_decay(a, b, u0, lam):
 def test_nonautonomous_charts_agree_on_tmax_and_decay(a, b, t0, u0, lam):
     # u' = v, v' = a u^2 + b t, painleve1's form with its weight-0 time in
     # slot 0: the parabolic chart carries W as a slot next to the time,
-    # the directional chart over u > 0 carries ln u
+    # the directional charts over u > 0 and over v > 0 (alpha_i0 = 3) carry
+    # ln u and ln v
     fs = FieldSpec(
         variable_names=("t", "u", "v"),
         components=((m(1.0, 0, 0, 0),), (m(1.0, 0, 0, 1),),
@@ -611,7 +616,7 @@ def test_nonautonomous_charts_agree_on_tmax_and_decay(a, b, t0, u0, lam):
         nonautonomous=True,
     )
     y0 = [t0, u0, lam * math.sqrt(2.0 * a / 3.0) * u0**1.5]
-    _cross_chart_check(fs, HomogeneityType(alpha=(0, 2, 3), k=1), y0, 1)
+    _cross_chart_check(fs, HomogeneityType(alpha=(0, 2, 3), k=1), y0, (1, 2))
 
 
 def _event_tmax(fs, y0, index, exponent):

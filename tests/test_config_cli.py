@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -1415,6 +1416,23 @@ def test_cli_log_env_toggles_stderr(tmp_path):
     assert chatty.returncode == 0
     assert "pipeline start" in chatty.stderr
     assert "stop=horizon_reached" in chatty.stderr
+
+
+def test_cli_log_env_is_read_on_every_main_call(tmp_path, monkeypatch, caplog):
+    # main called twice in one process follows each call's HORIZON_LAB_LOG
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SCALAR_DOC))
+    logger = logging.getLogger("horizon_lab")
+    before = logger.level
+    try:
+        for name, level in (("warn", logging.WARNING), ("info", logging.INFO)):
+            monkeypatch.setenv("HORIZON_LAB_LOG", name)
+            caplog.clear()
+            assert main(["analyze", str(cfg), "--out", str(tmp_path / name)]) == 0
+            assert logger.getEffectiveLevel() == level
+            assert ("pipeline start" in caplog.text) == (level == logging.INFO)
+    finally:
+        logger.setLevel(before)
 
 
 def test_cli_jobs_flag_is_byte_identical(tmp_path):

@@ -603,16 +603,28 @@ def _painleve1_negative():
     return build_directional_desing(p1.source, p1.htype, chart)
 
 
-_STEP_FIELDS = {**_ARRAY_FIELDS, "painleve1_negative": _painleve1_negative}
+def _alpha_35():
+    # a' = a, b' = 0.7 a^2 of type alpha = (3, 5), k = 1 on the chart over
+    # a: alpha_i0 = 3 is no power of two, so coupling coefficients formed as
+    # -alpha_i / alpha_i0 and as alpha_i (1 / alpha_i0) round apart
+    fs = FieldSpec(variable_names=("a", "b"),
+                   components=((m(1.0, 1, 0),), (m(0.7, 2, 0),)))
+    ht = HomogeneityType(alpha=(3, 5), k=1)
+    return build_directional_desing(fs, ht, DirectionalChart(htype=ht, i0=0, sign=1))
+
+
+_STEP_FIELDS = {**_ARRAY_FIELDS, "painleve1_negative": _painleve1_negative,
+                "alpha_35": _alpha_35}
 
 
 @pytest.mark.parametrize("name", sorted(_STEP_FIELDS))
 def test_step_rates_read_the_gap_rate_once(name):
-    # one rule on both charts: _deriv binds G, the normal rate of the
-    # horizon gap, once, and each weighted slot but the gap's reads rest_i -
-    # alpha_i x_i G (Gs on the parabolic chart), rest_i the component plus
-    # alpha_i x_i G, so no slot repeats G's terms; the gap slot reads -G W,
-    # or -G = dL/dtau
+    # one rule on both charts: _deriv binds G, the field's normal rate of
+    # the horizon gap, once, and each weighted slot but the gap's reads
+    # rest_i - alpha_i x_i G (Gs on the parabolic chart) with the field's
+    # own rest_i, term for term, so no slot repeats G's terms and none
+    # keeps a remnant of the coupling; the gap slot reads -G W, or -G =
+    # dL/dtau
     df = _STEP_FIELDS[name]()
     n, gap, alpha = df.n, df.gap_slot, df.htype.alpha
     parabolic = gap == n
@@ -622,20 +634,16 @@ def test_step_rates_read_the_gap_rate_once(name):
     rates = re.search(r"return \(\n(.*)\n    \)", deriv, re.S).group(1)
     rates = [r.strip().rstrip(",") for r in rates.splitlines()]
     assert rates[gap] == (f"-G*x{n}" if parabolic else "-G")
-    # G's terms: -gap_rate, with one power of W less on the parabolic chart
-    G = {key[:gap] + (key[gap] - parabolic,) + key[gap + 1:]: -c
-         for key, c in df.gap_rate.items()}
+    # G's own terms, once
+    G = re.search(r"^    G = (.*)$", deriv, re.M).group(1)
+    assert len(re.split(r" [-+] ", G)) == len(df.normal_rate), G
     for i in range(n):
         if i == gap:
             continue
         if not alpha[i]:
             assert not re.search(r"\bGs?\b", rates[i])
             continue
-        rest = dict(df.components[i])
-        for key, c in G.items():
-            key = key[:i] + (key[i] + 1,) + key[i + 1:]
-            rest[key] = rest.get(key, 0.0) + alpha[i] * c
-        rest = [c for c in rest.values() if c != 0.0]
+        rest = [c for c in df.rest[i].values() if c != 0.0]
         coeff = "" if alpha[i] == 1 else re.escape(f"{float(alpha[i])!r}*")
         g = "Gs" if parabolic else "G"
         assert re.fullmatch(rf"(.+ - |-){coeff}x{i}\*{g}", rates[i]), rates[i]
@@ -647,12 +655,6 @@ def _poly_at(p, point):
     return math.fsum(
         c * math.prod(v ** e for v, e in zip(point, key)) for key, c in p.items()
     )
-
-
-def _reference_g(df):
-    """G as a term dictionary: gap_rate is -G W, so each term loses one W."""
-    n = df.n
-    return {key[:n] + (key[n] - 1,): -c for key, c in df.gap_rate.items()}
 
 
 @pytest.mark.parametrize("name", sorted(_PARABOLIC))
@@ -669,7 +671,7 @@ def test_parabolic_state_derivative_is_rhs_values_cut(name):
     n, i_alpha, alpha = df.n, df.htype.i_alpha, df.htype.alpha
     tb = [int(v) for v in 2 * df.htype.beta_full()]
     f = (2 * df.htype.c - 1) / (2 * df.htype.c)
-    g_terms = _reference_g(df)
+    g_terms = df.normal_rate
     assert "def _deriv(" in df.source_code
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -701,7 +703,7 @@ def test_parabolic_step_slows_the_deviation_to_the_gap_rate(name):
     df = _PARABOLIC[name]()
     n, i_alpha, tc = df.n, df.htype.i_alpha, 2 * df.htype.c
     tb = [int(v) for v in 2 * df.htype.beta_full()]
-    g_terms = _reference_g(df)
+    g_terms = df.normal_rate
     rng = np.random.default_rng(7)
     for _ in range(200):
         x = rng.uniform(-0.6, 0.6, size=n).tolist()

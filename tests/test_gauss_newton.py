@@ -292,16 +292,16 @@ def test_live_rows_of_the_examples():
 
 
 def test_one_s_free_term_keeps_a_row_live():
-    # the pivot row of a desingularized field always carries s; add one
-    # term without it
+    # the pivot row of a desingularized field, -s G, always carries s; a
+    # term of G with s**(-1) gives it one term without
     kk = build_field_from_config(make_example("kk_dafermos"))
     pivot = kk.chart.i0
-    comps = list(kk.components)
-    assert all(exps[pivot] > 0 for exps in comps[pivot])
-    exps = next(iter(comps[pivot]))
-    s_free = tuple(0 if j == pivot else e for j, e in enumerate(exps))
-    comps[pivot] = {**comps[pivot], s_free: 0.5}
-    changed = dataclasses.replace(kk, components=tuple(comps))
+    assert all(exps[pivot] > 0 for exps in kk.components[pivot])
+    exps = next(iter(kk.normal_rate))
+    s_inverse = tuple(-1 if j == pivot else e for j, e in enumerate(exps))
+    changed = dataclasses.replace(
+        kk, normal_rate={**kk.normal_rate, s_inverse: -0.5}
+    )
     assert changed.horizon_rows == (1, 2, 3, 4)
     # the pivot's horizon row is that term alone
     assert changed.horizon_rhs_array(np.ones((1, kk.n)))[0, 1] == 0.5
